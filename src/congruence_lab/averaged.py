@@ -12,7 +12,7 @@ distortion, a cell-structure term, and the large-modulus term Z.
 
 Coefficient values are drawn deterministically from the closed unit disc by
 a splitmix64 hash of (seed, role, indices): the same (seed, cell) always
-yields the same weight, independent of iteration order or thread count.
+yields the same weight, independent of iteration order.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .congruence import (
     Interval,
     RationalLike,
     count_boundaries,
+    main_term_boundaries,
 )
 
 SCHEMES = ("all-ones", "factorized", "joint")
@@ -226,15 +227,12 @@ def main_term(family: AveragedFamily) -> complex:
     """Weighted sum of (tw)^{-1} sum_{y in J, gcd(y,tw)=1} (f_hi - f_lo)(y)."""
     total = 0j
     for u, v, w in family.cells():
+        a = family.r * u**family.l
+        b = family.s * v**family.m
         q = family.t * w
-        acc = Fraction(0)
-        for y in family.J.integers():
-            if math.gcd(y, q) == 1:
-                acc += Fraction(family.bounds.upper(u, v, w, y)) - Fraction(
-                    family.bounds.lower(u, v, w, y)
-                )
-        if acc:
-            total += family.d_coeff(u, v) * family.e_coeff(w) * float(acc / q)
+        mt = main_term_boundaries(a, b, q, family.cell_bounds(u, v, w), family.J)
+        if mt:
+            total += family.d_coeff(u, v) * family.e_coeff(w) * float(mt)
     return total
 
 

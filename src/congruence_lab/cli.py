@@ -1,20 +1,26 @@
 """Command line front end.
 
-Options may come from flags or from a flat key=value config file
-(--config); flags win.  Thread count falls back to the
-CONGRUENCE_LAB_THREADS environment variable.  Exit codes: 0 success,
-2 validation failure (the message names the violated precondition),
-1 internal error.
+Each subcommand declares its options once, in _COMMANDS: name, converter,
+default or required, and allowed values.  The argument parser, --help and
+config-file handling all come from that table, so a subcommand accepts only
+its own options.  Values come from flags or from a flat key=value config
+file (--config); flags win over config values, which win over defaults.  A
+config key the subcommand does not declare is refused, and config values
+pass the same conversion and choice checks as flags.  Exit codes: 0
+success, 2 validation failure (the message names the violated precondition
+or option), 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
-import os
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -35,63 +41,92 @@ def load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _convert(text: str, kind):
-    if kind is bool:
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-    return kind(text)
+# ---- converters: text -> value, ValueError on bad text ----
+
+def _boolean(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-class Options:
-    """Flag values overlaid on config values overlaid on defaults."""
+def fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.cfg = load_config(args.config) if args.config else {}
 
-    def get(self, name: str, kind, default=None, required: bool = False):
-        value = getattr(self.args, name.replace("-", "_"), None)
-        if value is None and name in self.cfg:
-            value = _convert(self.cfg[name], kind)
-        if value is None:
-            if required:
-                raise ValueError(f"missing required option --{name}")
-            value = default
+def int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip()]
+
+
+def _modulus(q: int) -> int:
+    return q
+
+
+def box_side(text: str):
+    """A count-scan box side: 'q' (the modulus itself) or a fixed rational."""
+    return _modulus if text == "q" else fraction(text)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option of one subcommand.  The default is the text a user would
+    type and is converted like any flag value; None leaves the option unset."""
+
+    name: str
+    kind: Callable[[str], object]  # bool makes a switch: --name sets it
+    default: str | None = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
+
+    def convert(self, text: str):
+        return _boolean(text) if self.kind is bool else self.kind(text)
+
+    def from_config(self, text: str):
+        try:
+            value = self.convert(text)
+        except ValueError:
+            raise ValueError(
+                f"config key {self.name!r}: invalid {self.kind.__name__} value {text!r}"
+            ) from None
+        if self.choices and value not in self.choices:
+            raise ValueError(f"config key {self.name!r}: {value!r} is not one of"
+                             f" {', '.join(self.choices)}")
         return value
 
-    @property
-    def threads(self) -> int:
-        v = self.get("threads", int)
-        if v is None:
-            v = int(os.environ.get("CONGRUENCE_LAB_THREADS", "1"))
-        if v < 1:
-            raise ValueError("threads must be >= 1")
-        return v
 
-    @property
-    def timings(self) -> bool:
-        return bool(self.get("timings", bool, False))
-
-    def emit(self, description: str, fields, rows) -> None:
-        out = self.get("out", str)
-        if out:
-            fmt_name = self.get("format", str, "csv")
-            reports.write_report(out, fmt_name, description, fields, rows)
-            print(f"wrote {len(rows)} rows to {out}")
+def _req(name: str, kind) -> Option:
+    return Option(name, kind, required=True)
 
 
-def _cmd_gauss(opt: Options) -> int:
-    s = opt.get("s", int, required=True)
-    t = opt.get("t", int, required=True)
-    u = opt.get("u", int, required=True)
-    closed = gausssum.gauss_closed(s, t, u)
-    brute = gausssum.gauss_brute(s, t, u)
+_OUT = (Option("out", str), Option("format", str, "csv", choices=("csv", "json")))
+_SEEDS = (Option("seed", int, "0"), Option("seeds", int, "1"))
+_TIMINGS = Option("timings", bool, "false")
+
+
+def _fmt_row(values: dict) -> dict[str, str]:
+    return {key: reports.fmt(value) for key, value in values.items()}
+
+
+def _emit(o: argparse.Namespace, description: str, fields, rows) -> None:
+    if o.out:
+        reports.write_report(o.out, o.format, description, fields, rows)
+        print(f"wrote {len(rows)} rows to {o.out}")
+
+
+def _cmd_gauss(o: argparse.Namespace) -> int:
+    closed = gausssum.gauss_closed(o.s, o.t, o.u)
+    brute = gausssum.gauss_brute(o.s, o.t, o.u)
     err = abs(closed.value - brute)
-    tol = 1e-6 * math.sqrt(u)
-    print(f"G({s},{t};{u})")
+    tol = 1e-6 * math.sqrt(o.u)
+    print(f"G({o.s},{o.t};{o.u})")
     print(
         f"  closed = {closed.value!r}  [coefficient={closed.coefficient!r},"
         f" unit={closed.unit!r}, jacobi={closed.jacobi},"
@@ -102,27 +137,16 @@ def _cmd_gauss(opt: Options) -> int:
     return 0 if err <= tol else 1
 
 
-def _cmd_count(opt: Options) -> int:
-    inst = congruence.CongruenceInstance(
-        opt.get("a", int, required=True),
-        opt.get("b", int, required=True),
-        opt.get("q", int, required=True),
-        opt.get("X", Fraction, required=True),
-        opt.get("Y", Fraction, required=True),
-        opt.get("e", int, 1),
-        opt.get("f", int, 2),
-    )
+def _cmd_count(o: argparse.Namespace) -> int:
+    inst = congruence.CongruenceInstance(o.a, o.b, o.q, o.X, o.Y, o.e, o.f)
     if (inst.e, inst.f) == (1, 2):
         rep = congruence.box_report(inst)
         print(f"exact     = {rep.exact}")
         print(f"main_term = {rep.main_term!r}")
         print(f"envelope  = {rep.envelope!r}")
         print(f"ratio     = {rep.ratio!r}")
-        opt.emit(
-            "congruence box counts: exact vs main term and error envelope",
-            reports.BOX_FIELDS,
-            [reports.box_row(rep, opt.timings)],
-        )
+        _emit(o, "congruence box counts: exact vs main term and error envelope",
+              reports.BOX_FIELDS, [reports.box_row(rep, o.timings)])
     else:
         exact = congruence.count_exact(inst)
         print(f"exact     = {exact}")
@@ -130,212 +154,147 @@ def _cmd_count(opt: Options) -> int:
     return 0
 
 
-def _parse_rule(text: str):
-    if text == "q":
-        return lambda q: q
-    return Fraction(text)
-
-
-def _cmd_count_scan(opt: Options) -> int:
-    limit = opt.get("primes-up-to", int, 100)
-    q_list = opt.get("q-list", str)
-    if q_list:
-        qs = [int(part) for part in q_list.split(",") if part.strip()]
-    else:
-        qs = dp6.sieve_primes(limit)
-    reps = congruence.scan_boxes(
-        qs,
-        opt.get("a", int, 1),
-        opt.get("b", int, 1),
-        _parse_rule(opt.get("x", str, "q")),
-        _parse_rule(opt.get("y", str, "q")),
-        threads=opt.threads,
-    )
-    rows = [reports.box_row(r, opt.timings) for r in reps]
+def _cmd_count_scan(o: argparse.Namespace) -> int:
+    qs = dp6.sieve_primes(o.primes_up_to) if o.q_list is None else o.q_list
+    reps = congruence.scan_boxes(qs, o.a, o.b, o.x, o.y)
+    rows = [reports.box_row(r, o.timings) for r in reps]
     worst = max((r.ratio for r in reps), default=0.0)
     print(f"instances = {len(reps)}   max |exact - main|/envelope = {worst!r}")
-    opt.emit(
-        "congruence box counts: exact vs main term and error envelope",
-        reports.BOX_FIELDS,
-        rows,
-    )
+    _emit(o, "congruence box counts: exact vs main term and error envelope",
+          reports.BOX_FIELDS, rows)
     return 0
 
 
-def _cmd_vaaler(opt: Options) -> int:
-    H = opt.get("H", int, required=True)
-    samples = opt.get("samples", int, 100000)
-    seed = opt.get("seed", int, 0)
-    rng = random.Random(seed)
-    xs = np.array([rng.random() for _ in range(samples)])
-    poly = sawtooth.vaaler_polynomial(H)
-    approx = poly.evaluate_many(xs)
-    target = np.array([sawtooth.psi(float(x)) for x in xs])
-    slack = np.abs(target - approx) - sawtooth.fejer_majorant_many(xs, H)
+def _cmd_vaaler(o: argparse.Namespace) -> int:
+    rng = random.Random(o.seed)
+    xs = np.array([rng.random() for _ in range(o.samples)])
+    approx = sawtooth.vaaler_polynomial(o.H).evaluate_many(xs)
+    slack = np.abs(sawtooth.psi(xs) - approx) - sawtooth.fejer_majorant_many(xs, o.H)
     violations = int((slack > 0).sum())
     worst = float(slack.max())
-    print(f"H = {H}: {violations} violations in {samples} samples;"
+    print(f"H = {o.H}: {violations} violations in {o.samples} samples;"
           f" worst slack = {worst!r}")
-    opt.emit(
-        "sawtooth approximation: majorant violations at random points",
-        reports.VAALER_FIELDS,
-        [{
-            "H": reports.fmt(H),
-            "samples": reports.fmt(samples),
-            "seed": reports.fmt(seed),
-            "violations": reports.fmt(violations),
-            "worst_slack": reports.fmt(worst),
-        }],
-    )
+    row = dict(H=o.H, samples=o.samples, seed=o.seed, violations=violations, worst_slack=worst)
+    _emit(o, "sawtooth approximation: majorant violations at random points",
+          reports.VAALER_FIELDS, [_fmt_row(row)])
     return 0
 
 
-def _cmd_avg_scan(opt: Options) -> int:
-    X = opt.get("X", Fraction, Fraction(2))
+def _cmd_avg_scan(o: argparse.Namespace) -> int:
     family_args = dict(
-        l=opt.get("l", int, 1),
-        m=opt.get("m", int, 1),
-        r=opt.get("r", int, 1),
-        s=opt.get("s", int, 1),
-        t=opt.get("t", int, 3),
-        U=opt.get("U", Fraction, Fraction(1)),
-        V=opt.get("V", Fraction, Fraction(1)),
-        W=opt.get("W", Fraction, Fraction(1)),
-        J=congruence.Interval(
-            opt.get("y0", Fraction, Fraction(0)),
-            opt.get("Y", Fraction, Fraction(8)),
-        ),
-        bounds=averaged.constant_bounds(X),
-        scheme=opt.get("scheme", str, "joint"),
+        l=o.l, m=o.m, r=o.r, s=o.s, t=o.t, U=o.U, V=o.V, W=o.W,
+        J=congruence.Interval(o.y0, o.Y),
+        bounds=averaged.constant_bounds(o.X),
+        scheme=o.scheme,
     )
-    epsilon = opt.get("epsilon", float, 0.05)
-    seed0 = opt.get("seed", int, 0)
-    n_seeds = opt.get("seeds", int, 1)
     rows = []
-    for seed in range(seed0, seed0 + n_seeds):
+    for seed in range(o.seed, o.seed + o.seeds):
         fam = averaged.AveragedFamily(seed=seed, **family_args)
-        H = opt.get("H", float)
-        if H is None:
-            H = averaged.suggest_H(fam, epsilon)
-        rep = averaged.avg_report(fam, H, epsilon)
+        H = averaged.suggest_H(fam, o.epsilon) if o.H is None else o.H
+        rep = averaged.avg_report(fam, H, o.epsilon)
         rows.append(reports.averaged_row(rep))
         print(
             f"seed {seed}: |S - M| = {abs(rep.S - rep.M)!r}  "
             f"budget = {rep.first_O + rep.T_envelope!r}  ratio = {rep.ratio!r}"
         )
-    opt.emit(
-        "averaged congruence sums: exact weighted sum vs main term vs budget",
-        reports.AVERAGED_FIELDS,
-        rows,
-    )
+    _emit(o, "averaged congruence sums: exact weighted sum vs main term vs budget",
+          reports.AVERAGED_FIELDS, rows)
     return 0
 
 
-def _cmd_dp6_enumerate(opt: Options) -> int:
-    B = opt.get("B", int, required=True)
-    t = opt.get("t", int, 12)
-    count, recs = dp6.enumerate_lower_bound_points(B, t)
-    print(f"B = {B}, t = {t}: {count} points")
-    opt.emit(
-        "almost-prime surface points from the q-window torsor family",
-        reports.POINT_FIELDS,
-        [reports.point_row(r) for r in recs],
-    )
+def _cmd_dp6_enumerate(o: argparse.Namespace) -> int:
+    count, recs = dp6.enumerate_lower_bound_points(o.B, o.t)
+    print(f"B = {o.B}, t = {o.t}: {count} points")
+    _emit(o, "almost-prime surface points from the q-window torsor family",
+          reports.POINT_FIELDS, [reports.point_row(r) for r in recs])
     return 0
 
 
-def _cmd_dp6_growth(opt: Options) -> int:
-    b_list = opt.get("B-list", str, "10000,100000,1000000")
-    t = opt.get("t", int, 12)
-    Bs = [int(part) for part in b_list.split(",") if part.strip()]
-    rows = dp6.m_t_growth(Bs, t, threads=opt.threads)
+def _cmd_dp6_growth(o: argparse.Namespace) -> int:
+    rows = dp6.m_t_growth(o.B_list, o.t)
     for row in rows:
         print(f"B = {row.B:>12}  count = {row.count:>10}  "
               f"count*log(B)^5/B = {row.normalized!r}")
-    opt.emit(
-        "almost-prime point counts by budget with log-power normalization",
-        reports.GROWTH_FIELDS,
-        [reports.growth_row(r) for r in rows],
-    )
+    _emit(o, "almost-prime point counts by budget with log-power normalization",
+          reports.GROWTH_FIELDS, [reports.growth_row(r) for r in rows])
     return 0
 
 
-def _cmd_dp6_sieve(opt: Options) -> int:
+def _cmd_dp6_sieve(o: argparse.Namespace) -> int:
     report = dp6.sieve_condition_report(
-        opt.get("B", int, 1000),
-        opt.get("q", int, 7),
-        opt.get("tau", float, 0.4),
-        opt.get("c2", float, 1.0),
-        opt.get("z-max", int, 1000),
-        opt.get("rho-max", int, 30),
-        opt.get("t", int, 12),
-        opt.get("mu", float, 4.0),
+        o.B, o.q, o.tau, o.c2, o.z_max, o.rho_max, o.t, o.mu
     )
-    import json
-
     text = json.dumps(report, indent=2) + "\n"
-    out = opt.get("out", str)
-    if out:
-        with open(out, "w", newline="") as fh:
+    if o.out:
+        with open(o.out, "w", newline="") as fh:
             fh.write(text)
-        print(f"wrote sieve report to {out}")
+        print(f"wrote sieve report to {o.out}")
     else:
         print(text, end="")
     return 0
 
 
-def _cmd_bilinear(opt: Options) -> int:
-    M = opt.get("M", int, 128)
-    N = opt.get("N", int, 128)
-    epsilon = opt.get("epsilon", float, 0.05)
-    seed0 = opt.get("seed", int, 0)
-    n_seeds = opt.get("seeds", int, 1)
-    if M < 1 or N < 1:
+def _cmd_bilinear(o: argparse.Namespace) -> int:
+    if o.M < 1 or o.N < 1:
         raise ValueError("M and N must be >= 1")
     rows = []
-    for seed in range(seed0, seed0 + n_seeds):
+    for seed in range(o.seed, o.seed + o.seeds):
         rng = random.Random(seed)
-        a = [rng.choice((-1, 1)) for _ in range((M + 1) // 2)]
-        b = [rng.choice((-1, 1)) for _ in range(N)]
-        res = congruence.bilinear_jacobi(a, b, epsilon)
+        a = [rng.choice((-1, 1)) for _ in range((o.M + 1) // 2)]
+        b = [rng.choice((-1, 1)) for _ in range(o.N)]
+        res = congruence.bilinear_jacobi(a, b, o.epsilon)
         ratio = abs(res.value) / res.bound
         print(f"seed {seed}: |sum| = {abs(res.value)!r}  "
               f"bound = {res.bound!r}  ratio = {ratio!r}")
-        rows.append({
-            "M": reports.fmt(res.M),
-            "N": reports.fmt(res.N),
-            "seed": reports.fmt(seed),
-            "epsilon": reports.fmt(epsilon),
-            "abs_sum": reports.fmt(abs(res.value)),
-            "bound": reports.fmt(res.bound),
-            "ratio": reports.fmt(ratio),
-        })
-    opt.emit(
-        "bilinear Jacobi-symbol sums vs cancellation benchmark",
-        reports.BILINEAR_FIELDS,
-        rows,
-    )
+        rows.append(_fmt_row(dict(M=res.M, N=res.N, seed=seed, epsilon=o.epsilon,
+                                  abs_sum=abs(res.value), bound=res.bound, ratio=ratio)))
+    _emit(o, "bilinear Jacobi-symbol sums vs cancellation benchmark",
+          reports.BILINEAR_FIELDS, rows)
     return 0
 
 
+# name -> (handler, help, options); the only declaration of each option
 _COMMANDS = {
-    "gauss": (_cmd_gauss, "closed form vs direct quadratic Gauss sum"),
-    "count": (_cmd_count, "one exact box count with main term and envelope"),
-    "count-scan": (_cmd_count_scan, "box counts over a family of moduli"),
-    "vaaler": (_cmd_vaaler, "sawtooth approximation majorant check"),
-    "avg-scan": (_cmd_avg_scan, "averaged sums over dyadic coefficient families"),
-    "dp6-enumerate": (_cmd_dp6_enumerate, "almost-prime surface points"),
-    "dp6-growth": (_cmd_dp6_growth, "almost-prime counts by budget"),
-    "dp6-sieve": (_cmd_dp6_sieve, "sieve condition report (JSON)"),
-    "bilinear": (_cmd_bilinear, "bilinear Jacobi-symbol sum benchmark"),
+    "gauss": (_cmd_gauss, "closed form vs direct quadratic Gauss sum", (
+        _req("s", int), _req("t", int), _req("u", int),
+    )),
+    "count": (_cmd_count, "one exact box count with main term and envelope", (
+        _req("a", int), _req("b", int), _req("q", int),
+        _req("X", fraction), _req("Y", fraction),
+        Option("e", int, "1"), Option("f", int, "2"), _TIMINGS, *_OUT,
+    )),
+    "count-scan": (_cmd_count_scan, "box counts over a family of moduli", (
+        Option("primes-up-to", int, "100"), Option("q-list", int_list),
+        Option("a", int, "1"), Option("b", int, "1"),
+        Option("x", box_side, "q"), Option("y", box_side, "q"), _TIMINGS, *_OUT,
+    )),
+    "vaaler": (_cmd_vaaler, "sawtooth approximation majorant check", (
+        _req("H", int), Option("samples", int, "100000"), Option("seed", int, "0"), *_OUT,
+    )),
+    "avg-scan": (_cmd_avg_scan, "averaged sums over dyadic coefficient families", (
+        Option("l", int, "1"), Option("m", int, "1"), Option("r", int, "1"),
+        Option("s", int, "1"), Option("t", int, "3"),
+        Option("U", fraction, "1"), Option("V", fraction, "1"), Option("W", fraction, "1"),
+        Option("y0", fraction, "0"), Option("Y", fraction, "8"), Option("X", fraction, "2"),
+        Option("scheme", str, "joint", choices=averaged.SCHEMES),
+        Option("H", float), Option("epsilon", float, "0.05"), *_SEEDS, *_OUT,
+    )),
+    "dp6-enumerate": (_cmd_dp6_enumerate, "almost-prime surface points", (
+        _req("B", int), Option("t", int, "12"), *_OUT,
+    )),
+    "dp6-growth": (_cmd_dp6_growth, "almost-prime counts by budget", (
+        Option("B-list", int_list, "10000,100000,1000000"), Option("t", int, "12"), *_OUT,
+    )),
+    "dp6-sieve": (_cmd_dp6_sieve, "sieve condition report (JSON)", (
+        Option("B", int, "1000"), Option("q", int, "7"), Option("tau", float, "0.4"),
+        Option("c2", float, "1.0"), Option("z-max", int, "1000"), Option("rho-max", int, "30"),
+        Option("t", int, "12"), Option("mu", float, "4.0"), Option("out", str),
+    )),
+    "bilinear": (_cmd_bilinear, "bilinear Jacobi-symbol sum benchmark", (
+        Option("M", int, "128"), Option("N", int, "128"), Option("epsilon", float, "0.05"),
+        *_SEEDS, *_OUT,
+    )),
 }
-
-_INT_OPTS = ("s", "t", "u", "a", "b", "q", "e", "f", "H", "samples", "seed",
-             "seeds", "threads", "primes-up-to", "B", "M", "N", "l", "m", "r",
-             "z-max", "rho-max")
-_FRACTION_OPTS = ("X", "Y", "U", "V", "W", "y0")
-_FLOAT_OPTS = ("epsilon", "tau", "c2", "mu")
-_STR_OPTS = ("config", "out", "format", "x", "y", "q-list", "B-list", "scheme")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,29 +303,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact congruence counting, Gauss sums, and almost-prime points",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for o in _INT_OPTS:
-            p.add_argument(f"--{o}", type=int, default=None)
-        for o in _FRACTION_OPTS:
-            p.add_argument(f"--{o}", type=Fraction, default=None)
-        for o in _FLOAT_OPTS:
-            p.add_argument(f"--{o}", type=float, default=None)
-        for o in _STR_OPTS:
-            p.add_argument(f"--{o}", type=str, default=None)
-        p.add_argument("--timings", action="store_const", const=True, default=None)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        # unset flags stay off the namespace, so resolve() sees what was given
+        p = sub.add_parser(name, help=help_text, description=help_text,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="key = value file of this command's options;"
+                                        " flags win over it")
+        for o in options:
+            note = "required" if o.required else (o.default and f"default: {o.default}")
+            if o.kind is bool:
+                p.add_argument(f"--{o.name}", action="store_const", const=True, help=note)
+            else:
+                p.add_argument(f"--{o.name}", type=o.kind, choices=o.choices, help=note)
     return parser
+
+
+def resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Every option of args.command, from its flag, else its config key,
+    else its default.  Refuses config keys the command does not declare and
+    missing required options."""
+    _, _, options = _COMMANDS[args.command]
+    given = vars(args)
+    cfg = load_config(given["config"]) if "config" in given else {}
+    declared = {o.name for o in options}
+    for key in cfg:
+        if key not in declared:
+            raise ValueError(f"config key {key!r} is not an option of {args.command}")
+    values = {}
+    for o in options:
+        if o.dest in given:
+            values[o.dest] = given[o.dest]
+        elif o.name in cfg:
+            values[o.dest] = o.from_config(cfg[o.name])
+        elif o.required:
+            raise ValueError(f"missing required option --{o.name}")
+        else:
+            values[o.dest] = None if o.default is None else o.convert(o.default)
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        handler, _ = _COMMANDS[args.command]
-        return handler(Options(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        handler, _, _ = _COMMANDS[args.command]
+        return handler(resolve(args))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover

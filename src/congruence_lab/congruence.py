@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -146,11 +145,9 @@ def scan_boxes(
     b_rule: Rule = 1,
     X_rule: Rule = lambda q: q,
     Y_rule: Rule = lambda q: q,
-    threads: int = 1,
 ) -> list[CountReport]:
-    """Box reports over a family of moduli; instances violating
-    gcd(ab, q) = 1 are skipped with a log line.  Results are ordered by the
-    input sequence regardless of thread count."""
+    """Box reports over a family of moduli, in input order; instances
+    violating gcd(ab, q) = 1 are skipped with a log line."""
     instances = []
     for q in q_values:
         try:
@@ -165,10 +162,7 @@ def scan_boxes(
             )
         except ValueError as exc:
             log.warning("skipping q=%d: %s", q, exc)
-    if threads <= 1:
-        return [box_report(inst) for inst in instances]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(box_report, instances))
+    return [box_report(inst) for inst in instances]
 
 
 # ---- regions sliced by boundary functions of y ----

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -272,17 +271,11 @@ class GrowthRow:
     normalized: float  # count * log(B)^5 / B
 
 
-def m_t_growth(B_values: Sequence[int], t: int, threads: int = 1) -> list[GrowthRow]:
+def m_t_growth(B_values: Sequence[int], t: int) -> list[GrowthRow]:
     """Total almost-prime counts over the q-window for each budget."""
     rows = []
     for B in B_values:
-        qs = prime_window(B)
-        if threads <= 1 or len(qs) <= 1:
-            counts = [l_t_count(B, q, t) for q in qs]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                counts = list(pool.map(lambda q: l_t_count(B, q, t), qs))
-        total = sum(counts)
+        total = sum(l_t_count(B, q, t) for q in prime_window(B))
         rows.append(GrowthRow(B, t, total, total * math.log(B) ** 5 / B))
     return rows
 

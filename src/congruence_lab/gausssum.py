@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import jacobi, mod_inv
+from .arith import jacobi, mod_inv, unit_symbols
 
 _TWO_PI = 2.0 * math.pi
 
@@ -81,9 +81,22 @@ def gauss_brute(s: int, t: int, u: int) -> complex:
     return complex(re, im)
 
 
-def _eps(n: int) -> complex:
-    # n odd
-    return (1 + 0j) if n % 4 == 1 else 1j
+def _branch(s: int, u: int) -> tuple[complex, complex, int, int, int | None, int, int]:
+    """The 2-adic branch of the closed form for 0 < s < u, gcd(s, u) = 1,
+    u > 1: (coefficient, unit, jacobi, radicand, parity, c, m).
+
+    G(s, t; u) = coefficient * unit * jacobi * sqrt(radicand) * e(c t^2 / m)
+    for t of the surviving parity (every t when parity is None) and 0 for
+    the other parity; c is taken in [0, m).
+    """
+    if u % 2 == 1:
+        return 1 + 0j, unit_symbols(u)[1], jacobi(s, u), u, None, -mod_inv(4 * s, u) % u, u
+    if u % 4 == 2:
+        v = u // 2
+        j = jacobi(2 * s, v) if v > 1 else 1
+        return 2 + 0j, unit_symbols(v)[1], j, v, 1, -mod_inv(8 * s, v) % v, v
+    j = jacobi(u, s) if s > 1 else 1
+    return 1 + 1j, 1 / unit_symbols(s)[1], j, u, 0, -mod_inv(s, 4 * u) % (4 * u), 4 * u
 
 
 def gauss_closed(s: int, t: int, u: int) -> GaussSumValue:
@@ -94,27 +107,11 @@ def gauss_closed(s: int, t: int, u: int) -> GaussSumValue:
         raise ValueError("gauss_closed requires gcd(s, u) = 1")
     if u == 1:
         return GaussSumValue(1 + 0j, 1 + 0j, 1 + 0j, 1, 1, Fraction(0))
-    s %= u
     t %= u
-    if u % 2 == 1:
-        unit = _eps(u)
-        j = jacobi(s, u)
-        phase = Fraction((-mod_inv(4 * s, u) * t * t) % u, u)
-        coeff = 1 + 0j
-        rad = u
-    elif u % 4 == 2:
-        v = u // 2
-        unit = _eps(v)
-        j = jacobi(2 * s, v) if v > 1 else 1
-        phase = Fraction((-mod_inv(8 * s, v) * t * t) % v, v)
-        coeff = (2 + 0j) if t % 2 == 1 else 0j
-        rad = v
-    else:
-        unit = 1 / _eps(s)
-        j = jacobi(u, s) if s > 1 else 1
-        phase = Fraction((-mod_inv(s, 4 * u) * t * t) % (4 * u), 4 * u)
-        coeff = (1 + 1j) if t % 2 == 0 else 0j
-        rad = u
+    coeff, unit, j, rad, parity, c, m = _branch(s % u, u)
+    if parity is not None and t % 2 != parity:
+        coeff = 0j
+    phase = Fraction(c * t * t % m, m)
     value = coeff * unit * j * math.sqrt(rad) * _e(phase)
     return GaussSumValue(value, coeff, unit, j, rad, phase)
 
@@ -159,36 +156,15 @@ def brute_grid(u: int) -> tuple[list[int], np.ndarray]:
 def closed_grid(u: int) -> tuple[list[int], np.ndarray]:
     """Closed-form values on the same (s, t) grid as brute_grid."""
     ss = coprime_residues(u)
-    out = np.empty((len(ss), u), dtype=np.complex128)
-    tt = np.arange(u, dtype=np.int64)
+    out = np.ones((len(ss), u), dtype=np.complex128)
     if u == 1:
-        out[:] = 1.0
         return ss, out
-    if u % 2 == 1:
-        roots = np.exp(2j * np.pi * np.arange(u) / u)
-        t2 = (tt * tt) % u
-        unit = _eps(u) * math.sqrt(u)
-        for i, s in enumerate(ss):
-            c = (-mod_inv(4 * s, u)) % u
-            out[i] = unit * jacobi(s, u) * roots[(c * t2) % u]
-    elif u % 4 == 2:
-        v = u // 2
-        roots = np.exp(2j * np.pi * np.arange(v) / v)
-        t2 = (tt * tt) % v
-        odd = (tt % 2).astype(np.complex128)
-        unit = 2 * _eps(v) * math.sqrt(v)
-        for i, s in enumerate(ss):
-            c = (-mod_inv(8 * s, v)) % v
-            j = jacobi(2 * s, v) if v > 1 else 1
-            out[i] = unit * j * odd * roots[(c * t2) % v]
-    else:
-        m = 4 * u
-        roots = np.exp(2j * np.pi * np.arange(m) / m)
-        t2 = (tt * tt) % m
-        even = (1 - tt % 2).astype(np.complex128)
-        unit = (1 + 1j) * math.sqrt(u)
-        for i, s in enumerate(ss):
-            c = (-mod_inv(s, m)) % m
-            j = jacobi(u, s) if s > 1 else 1
-            out[i] = unit / _eps(s) * j * even * roots[(c * t2) % m]
+    *_, parity, _, m = _branch(1, u)  # parity and m depend on u alone
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    tt = np.arange(u, dtype=np.int64)
+    t2 = (tt * tt) % m
+    alive = np.ones(u, dtype=bool) if parity is None else tt % 2 == parity
+    for i, s in enumerate(ss):
+        coeff, unit, j, rad, _, c, _ = _branch(s, u)
+        out[i] = np.where(alive, coeff * unit * j * math.sqrt(rad) * roots[(c * t2) % m], 0)
     return ss, out

@@ -4,7 +4,7 @@ Cells are formatted once, as strings, and the JSON mirror stores those same
 strings, so CSV -> JSON -> CSV is byte-identical.  Floats use repr (shortest
 round-trip form), rationals use num/den, booleans use true/false.  Wall-clock
 columns are written as 0.0 unless timings are explicitly requested, keeping
-default output byte-identical across runs and thread counts.
+default output byte-identical across runs and machines.
 """
 
 from __future__ import annotations

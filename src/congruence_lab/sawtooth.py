@@ -22,9 +22,10 @@ import numpy as np
 _TWO_PI = 2.0 * math.pi
 
 
-def psi(x: float) -> float:
-    """{x} - 1/2, periodic with period 1, values in [-1/2, 1/2)."""
-    return x - math.floor(x) - 0.5
+def psi(x):
+    """{x} - 1/2, periodic with period 1, values in [-1/2, 1/2); x may be a
+    float or an array."""
+    return x - np.floor(x) - 0.5
 
 
 def psi_fourier(x: float, H: int) -> float:
@@ -56,13 +57,10 @@ class VaalerPolynomial:
         return a if h > 0 else a.conjugate()
 
     def evaluate(self, x: float) -> float:
-        # real form of sum_{1<=|h|<=H} a_h e(hx) with a_h = i w_h/(2 pi h)
-        s = 0.0
-        for h in range(1, self.H + 1):
-            s += (2.0 * self.coeffs[h - 1].imag) * -math.sin(_TWO_PI * h * x)
-        return s
+        return float(self.evaluate_many(np.array([x]))[0])
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
+        # real form of sum_{1<=|h|<=H} a_h e(hx) with a_h = i w_h/(2 pi h)
         hs = np.arange(1, self.H + 1, dtype=np.float64)
         w = np.array([2.0 * c.imag for c in self.coeffs])
         return -(np.sin(_TWO_PI * np.outer(xs, hs)) * w).sum(axis=1)
@@ -79,16 +77,14 @@ def vaaler_polynomial(H: int) -> VaalerPolynomial:
 
 
 def fejer_majorant(x: float, H: int) -> float:
-    """(H+1)^{-1} sum_{|h|<=H} (1 - |h|/(H+1)) e(hx); nonnegative, mean 1/(H+1)."""
-    if H < 1:
-        raise ValueError("H must be >= 1")
-    s = 1.0
-    for h in range(1, H + 1):
-        s += 2.0 * (1.0 - h / (H + 1)) * math.cos(_TWO_PI * h * x)
-    return s / (H + 1)
+    return float(fejer_majorant_many(np.array([x]), H)[0])
 
 
 def fejer_majorant_many(xs: np.ndarray, H: int) -> np.ndarray:
+    """(H+1)^{-1} sum_{|h|<=H} (1 - |h|/(H+1)) e(hx) at each x; nonnegative,
+    mean 1/(H+1)."""
+    if H < 1:
+        raise ValueError("H must be >= 1")
     hs = np.arange(1, H + 1, dtype=np.float64)
     w = 2.0 * (1.0 - hs / (H + 1))
     return (1.0 + (np.cos(_TWO_PI * np.outer(xs, hs)) * w).sum(axis=1)) / (H + 1)
@@ -97,4 +93,4 @@ def fejer_majorant_many(xs: np.ndarray, H: int) -> np.ndarray:
 def vaaler_check(x: float, H: int, slack: float = 0.0) -> bool:
     """Does |psi(x) - V_H(x)| <= majorant(x) + slack hold at x?"""
     poly = vaaler_polynomial(H)
-    return abs(psi(x) - poly.evaluate(x)) <= fejer_majorant(x, H) + slack
+    return bool(abs(psi(x) - poly.evaluate(x)) <= fejer_majorant(x, H) + slack)

@@ -63,27 +63,6 @@ def test_count_scan_skips_invalid(capsys):
     assert "instances = 1" in out
 
 
-def test_count_scan_thread_determinism(tmp_path, capsys):
-    p1 = tmp_path / "one.csv"
-    p4 = tmp_path / "four.csv"
-    args = ["count-scan", "--primes-up-to", "60", "--out"]
-    assert run(args + [str(p1), "--threads", "1"]) == 0
-    assert run(args + [str(p4), "--threads", "4"]) == 0
-    capsys.readouterr()
-    assert p1.read_bytes() == p4.read_bytes()
-
-
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    p1 = tmp_path / "flag.csv"
-    p2 = tmp_path / "env.csv"
-    assert run(["count-scan", "--primes-up-to", "40", "--threads", "1",
-                "--out", str(p1)]) == 0
-    monkeypatch.setenv("CONGRUENCE_LAB_THREADS", "3")
-    assert run(["count-scan", "--primes-up-to", "40", "--out", str(p2)]) == 0
-    capsys.readouterr()
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_vaaler_command(capsys):
     assert run(["vaaler", "--H", "8", "--samples", "500"]) == 0
     out = capsys.readouterr().out

@@ -1,0 +1,72 @@
+import pytest
+
+from congruence_lab import cli
+
+BOX = ["--a", "1", "--b", "1", "--q", "5", "--X", "10", "--Y", "10"]
+
+# (argv, config file text or None, text the error message must contain)
+REFUSALS = {
+    "flag of another command": (
+        ["gauss", "--s", "1", "--t", "0", "--u", "3", "--B", "5", "--scheme", "bogus"],
+        None, "--scheme"),
+    "misspelt config key": (["count-scan"], "primes-up-tp = 30\n", "primes-up-tp"),
+    "format on dp6-sieve": (["dp6-sieve", "--format", "csv"], None, "--format"),
+    "deleted flags": (["vaaler", "--H", "8", "--threads", "3", "--timings"], None, "--threads"),
+    "unknown format flag": (["count", *BOX, "--out", "x.csv", "--format", "xml"], None,
+                            "--format"),
+    "unknown format key": (["count", *BOX, "--out", "x.csv"], "format = xml\n", "format"),
+    "zero denominator flag x": (["count-scan", "--x", "1/0"], None, "--x"),
+    "zero denominator flag X": (["count", "--a", "1", "--b", "1", "--q", "5", "--X", "1/0",
+                                 "--Y", "10"], None, "--X"),
+    "zero denominator key": (["count", "--a", "1", "--b", "1", "--q", "5", "--Y", "10"],
+                             "X = 1/0\n", "'X'"),
+    "non-integer H flag": (["vaaler", "--H", "2.5"], None, "--H"),
+    "non-integer H key": (["vaaler"], "H = 2.5\n", "'H'"),
+    "unknown scheme flag": (["avg-scan", "--scheme", "bogus"], None, "--scheme"),
+    "unknown scheme key": (["avg-scan"], "scheme = bogus\n", "scheme"),
+    "config key of another command": (["gauss", "--s", "1", "--t", "0", "--u", "3"],
+                                      "B = 5\n", "'B'"),
+}
+
+
+def run(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refused_before_any_output(case, tmp_path, capsys, monkeypatch):
+    argv, config, needle = REFUSALS[case]
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "opts.cfg").write_text(config)
+        argv = [*argv, "--config", "opts.cfg"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert needle in err
+    assert out == ""
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_flag_and_config_values_agree(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.cfg").write_text("H = 2\n")
+    args = ["avg-scan", "--t", "5", "--U", "2", "--V", "2", "--W", "2", "--Y", "12",
+            "--X", "5", "--seeds", "2", "--out"]
+    flag = run([*args, "flag.csv", "--H", "2"], capsys)
+    config = run([*args, "config.csv", "--config", "h.cfg"], capsys)
+    assert flag[0] == config[0] == 0
+    assert flag[1].replace("flag.csv", "") == config[1].replace("config.csv", "")
+    assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "config.csv").read_bytes()
+
+
+def test_help_lists_only_own_options(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["gauss", "--help"])
+    out = capsys.readouterr().out
+    assert "--s" in out and "required" in out
+    assert "--scheme" not in out and "--out" not in out

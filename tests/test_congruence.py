@@ -84,14 +84,6 @@ def test_scan_boxes_skips_bad_instances(caplog):
     assert "skipping" in caplog.text
 
 
-def test_scan_boxes_thread_determinism():
-    qs = [q for q in range(2, 60) if math.gcd(q, 6) == 1]
-    one = cg.scan_boxes(qs, X_rule=lambda q: 2 * q, Y_rule=lambda q: q)
-    four = cg.scan_boxes(qs, X_rule=lambda q: 2 * q, Y_rule=lambda q: q, threads=4)
-    assert [ (r.instance, r.exact, r.main_term, r.envelope, r.ratio) for r in one ] == \
-           [ (r.instance, r.exact, r.main_term, r.envelope, r.ratio) for r in four ]
-
-
 # ---- boundary counting ----
 
 def test_interval():

@@ -157,8 +157,6 @@ def test_m_t_growth():
     assert rows[0].count < rows[1].count
     for r in rows:
         assert r.normalized == pytest.approx(r.count * math.log(r.B) ** 5 / r.B)
-    threaded = dp6.m_t_growth([1000, 10**4], 12, threads=4)
-    assert [(r.B, r.count) for r in threaded] == [(r.B, r.count) for r in rows]
 
 
 # ---- sieve sequence and densities ----

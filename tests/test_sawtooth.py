@@ -80,3 +80,18 @@ def test_vaaler_check():
         sawtooth.vaaler_polynomial(0)
     with pytest.raises(ValueError):
         sawtooth.fejer_majorant(0.1, 0)
+
+
+def test_vector_paths_match_term_by_term_sums():
+    # the defining sums, one term at a time, as an independent reference
+    xs = np.linspace(-1.3, 2.7, 41)
+    for H in (1, 5, 16):
+        poly = sawtooth.vaaler_polynomial(H)
+        for x, v, f in zip(xs, poly.evaluate_many(xs), sawtooth.fejer_majorant_many(xs, H)):
+            ref_v = sum(2.0 * poly.coeffs[h - 1].imag * -math.sin(2 * math.pi * h * x)
+                        for h in range(1, H + 1))
+            ref_f = (1.0 + sum(2.0 * (1.0 - h / (H + 1)) * math.cos(2 * math.pi * h * x)
+                               for h in range(1, H + 1))) / (H + 1)
+            assert v == pytest.approx(ref_v, abs=1e-12)
+            assert f == pytest.approx(ref_f, abs=1e-12)
+    assert list(sawtooth.psi(xs)) == [x - math.floor(x) - 0.5 for x in xs]
