@@ -20,6 +20,10 @@ pattern are described by the multiplicative function rho below, and the
 weighted sieve needs t above a threshold computed from the dimension-3
 sieving limit beta_3.
 
+One kernel, _family, enumerates the family of a prime q in int64 blocks; the
+point records, the counts L_t and the sieve sequence all read it.  rho is
+computed as its Euler product.
+
 All window and height comparisons are exact integer inequalities
 (8 q^3 > B instead of q > B^{1/3} and so on); no floating-point cube roots.
 """
@@ -35,11 +39,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import divisors, factorize, is_prime, mobius, phi, phi_star, radical
+from .arith import factorize, is_prime, mobius, phi
 
 log = logging.getLogger("congruence_lab")
 
 BETA_3 = 6.640859  # sieving limit for the dimension-3 weighted sieve
+_BLOCK_PAIRS = 1 << 14  # (alpha1, alpha2) pairs per _family block, whole rows
 
 
 def icbrt(n: int) -> int:
@@ -48,12 +53,14 @@ def icbrt(n: int) -> int:
         raise ValueError("icbrt requires n >= 0")
     if n == 0:
         return 0
-    r = round(n ** (1.0 / 3.0))
-    while r > 0 and r * r * r > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
+    # Newton from 2^ceil(bits/3) >= n^{1/3}: the iterates decrease strictly
+    # until they reach the floor of the cube root, and never fall below it
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -67,7 +74,9 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-@lru_cache(maxsize=8)
+# Callers work through one budget at a time, so one table is cached: 2 bytes
+# per entry, limit = B^{2/3}/2 entries for the budget B.
+@lru_cache(maxsize=1)
 def _omega_upto(limit: int) -> np.ndarray:
     # om[n] = number of prime factors of n with multiplicity; om[0] unused
     om = np.zeros(limit + 1, dtype=np.int16)
@@ -197,6 +206,35 @@ def _alpha_bounds(B: int) -> tuple[int, int]:
     return icbrt(B // 8), icbrt(B * B // 8)
 
 
+def _family(B: int, q: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The family points of one prime q <= B^{1/3} as int64 blocks
+    (alpha1, alpha2, alpha3, Omega) in (alpha1, alpha2) order, where Omega
+    counts the prime factors of alpha1 alpha2 |alpha3| with multiplicity.
+
+    A block holds whole alpha1 rows, about _BLOCK_PAIRS pairs.  Row alpha1
+    has alpha2 = s + k q for 0 <= k < n, s = alpha1^2 mod q, so alpha3 =
+    (s - alpha1^2)/q + k = k - z with z = alpha1^2 // q.  Skipping alpha3 = 0
+    splits the row into two runs, alpha3 < 0 and alpha3 > 0.
+    """
+    a1max, a2max = _alpha_bounds(B)
+    om = _omega_upto(max(a2max, 1))
+    rows = np.arange(1, a1max + 1, dtype=np.int64)
+    rows = rows[rows % q != 0]
+    step = max(1, _BLOCK_PAIRS // (a2max // q + 1))
+    for i in range(0, rows.size, step):
+        a1 = np.repeat(rows[i : i + step], 2)  # one entry per run
+        sq = a1 * a1
+        z = sq // q
+        n = (a2max - sq % q) // q + 1
+        neg = np.arange(a1.size) % 2 == 0
+        lens = np.where(neg, np.minimum(z, n), np.maximum(n - z - 1, 0))
+        ends = np.cumsum(lens)
+        a3 = np.arange(ends[-1]) + np.repeat(np.where(neg, -z, 1) - ends + lens, lens)
+        a2 = np.repeat(sq, lens) + q * a3
+        yield (np.repeat(a1, lens), a2, a3,
+               np.repeat(om[a1].astype(np.int64), lens) + om[a2] + om[np.abs(a3)])
+
+
 def iter_point_records(B: int, t: int) -> Iterator[PointRecord]:
     """Stream the lower-bound family points with at most t prime factors in
     alpha1 alpha2 |alpha3|, lifted to the surface.  Lexicographic order in
@@ -205,24 +243,16 @@ def iter_point_records(B: int, t: int) -> Iterator[PointRecord]:
         raise ValueError("budget B must be positive")
     if t < 0:
         raise ValueError("factor bound t must be nonnegative")
-    a1max, a2max = _alpha_bounds(B)
-    om = _omega_upto(max(a2max, 1))
     for q in prime_window(B):
-        for a1 in range(1, a1max + 1):
-            if a1 % q == 0:
-                continue
-            a1sq = a1 * a1
-            oma1 = int(om[a1])
-            for a2 in range(a1sq % q, a2max + 1, q):
-                if a2 == a1sq or a2 == 0:
-                    continue
-                a3 = (a2 - a1sq) // q
-                if oma1 + int(om[a2]) + int(om[abs(a3)]) > t:
-                    continue
+        for a1s, a2s, _, oms in _family(B, q):
+            keep = oms <= t
+            for a1, a2, omega in zip(a1s[keep].tolist(), a2s[keep].tolist(),
+                                     oms[keep].tolist()):
                 sp = SpecialPoint(q, a1, a2, B)
-                surf = pi_map(special_to_torsor(sp))
+                torsor = special_to_torsor(sp)
+                surf = pi_map(torsor)
                 assert surf.height() <= B, "height bound violated in window"
-                yield PointRecord(sp, special_to_torsor(sp), surf, oma1 + int(om[a2]) + int(om[abs(a3)]))
+                yield PointRecord(sp, torsor, surf, omega)
 
 
 def enumerate_lower_bound_points(B: int, t: int) -> tuple[int, list[PointRecord]]:
@@ -244,23 +274,7 @@ def l_t_count(B: int, q: int, t: int) -> int:
     if q**3 > B:
         log.info("l_t_count: q=%d exceeds B^{1/3}, count is 0", q)
         return 0
-    a1max, a2max = _alpha_bounds(B)
-    om = _omega_upto(max(a2max, 1))
-    total = 0
-    for a1 in range(1, a1max + 1):
-        if a1 % q == 0:
-            continue
-        a1sq = a1 * a1
-        start = a1sq % q
-        if start == 0:
-            continue
-        a2s = np.arange(start, a2max + 1, q, dtype=np.int64)
-        if a2s.size == 0:
-            continue
-        a3s = np.abs(a2s - a1sq) // q
-        good = (a2s != a1sq) & (om[a1] + om[a2s] + om[a3s] <= t)
-        total += int(np.count_nonzero(good))
-    return total
+    return sum(int(np.count_nonzero(oms <= t)) for *_, oms in _family(B, q))
 
 
 @dataclass(frozen=True)
@@ -273,6 +287,8 @@ class GrowthRow:
 
 def m_t_growth(B_values: Sequence[int], t: int) -> list[GrowthRow]:
     """Total almost-prime counts over the q-window for each budget."""
+    if any(B < 1 for B in B_values):
+        raise ValueError("budget B must be positive")
     rows = []
     for B in B_values:
         total = sum(l_t_count(B, q, t) for q in prime_window(B))
@@ -297,34 +313,32 @@ class SieveSequence:
 
 
 def build_sieve_sequence(B: int, q: int) -> SieveSequence:
+    """The sequence a_n for one window prime q; n = alpha1 alpha2 |alpha3| is
+    formed in int64, so budgets where it could reach 2^63 are refused."""
     if not is_prime(q):
         raise ValueError("q must be prime")
     if q**3 > B or 8 * q**3 <= B:
         raise ValueError("q must lie in (B^{1/3}/2, B^{1/3}]")
     a1max, a2max = _alpha_bounds(B)
-    counts: dict[int, int] = {}
-    for a1 in range(1, a1max + 1):
-        if a1 % q == 0:
-            continue
-        a1sq = a1 * a1
-        for a2 in range(a1sq % q, a2max + 1, q):
-            if a2 == a1sq or a2 == 0:
-                continue
-            n = a1 * a2 * abs((a2 - a1sq) // q)
-            counts[n] = counts.get(n, 0) + 1
-    return SieveSequence(B, q, Fraction(phi(q) * B, 4 * q * q), counts)
+    if a1max * a2max * (a2max // q + 1) >= 2**63:
+        raise ValueError(f"budget B = {B} too large: alpha1 alpha2 |alpha3| may overflow int64")
+    products = [a1 * a2 * np.abs(a3) for a1, a2, a3, _ in _family(B, q)]
+    ns, counts = np.unique(np.concatenate([np.zeros(0, np.int64), *products]),
+                           return_counts=True)
+    return SieveSequence(B, q, Fraction(phi(q) * B, 4 * q * q),
+                         dict(zip(ns.tolist(), counts.tolist())))
 
 
 def rho(d: int, q: int) -> Fraction:
-    """Local divisibility density scale: the sum over triples (e1, e2, e3)
-    supported exactly on the primes of squarefree d, with gcd(e1 e2, q) = 1,
+    """Local divisibility density scale, defined as a sum over triples
+    (e1, e2, e3) supported exactly on the primes of squarefree d, gcd(e1 e2, q) = 1,
 
       rho(d) = mu(d) d sum mu(e1) mu(e2) mu(e3) (e1,e2,e3)/(e1 e2 e3)
                * sum_{l | f3} (1/l) phi*(f3/l) / phi*((f3/l, q)),
 
     where f3 = e3 / ((e1,e2,e3) (e1',e3') (e2',e3')) strips the parts of e3
-    shared with e1 and e2.  Multiplicative in d; rho(p) = 3 - 2/p for
-    p != q and rho(q) = 1 + 1/q.
+    shared with e1 and e2.  It is multiplicative in d, rho(p) = 3 - 2/p for
+    p != q and rho(q) = 1 + 1/q, and is computed as that Euler product.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -332,28 +346,10 @@ def rho(d: int, q: int) -> Fraction:
         raise ValueError("d must be squarefree")
     if not is_prime(q):
         raise ValueError("q must be prime")
-    divs = divisors(d)
-    total = Fraction(0)
-    for e1 in divs:
-        for e2 in divs:
-            if math.gcd(e1 * e2, q) != 1:
-                continue
-            e12 = e1 * e2
-            for e3 in divs:
-                if radical(e12 * e3) != d:
-                    continue
-                k = math.gcd(math.gcd(e1, e2), e3)
-                k13 = math.gcd(e1 // k, e3 // k)
-                k23 = math.gcd(e2 // k, e3 // k)
-                f3 = e3 // (k * k13 * k23)
-                inner = Fraction(0)
-                for length in divisors(f3):
-                    rest = f3 // length
-                    inner += Fraction(1, length) * phi_star(rest) / phi_star(
-                        math.gcd(rest, q)
-                    )
-                total += Fraction(mobius(e1) * mobius(e2) * mobius(e3) * k, e1 * e2 * e3) * inner
-    return mobius(d) * d * total
+    out = Fraction(1)
+    for p, _ in factorize(d).factors:
+        out *= 1 + Fraction(1, q) if p == q else 3 - Fraction(2, p)
+    return out
 
 
 def rho_oracle_prime(p: int, q: int) -> tuple[Fraction, Fraction]:
@@ -435,6 +431,11 @@ def w1_min_c1(q: int, z_max: int = 1000) -> dict[str, float]:
     return {"z_max": z_max, "min_c1": worst}
 
 
+def _ratio(x: Fraction) -> str:
+    # always "num/den", also for integers (reports.fmt would print "1")
+    return f"{x.numerator}/{x.denominator}"
+
+
 def sieve_condition_report(
     B: int,
     q: int,
@@ -449,19 +450,17 @@ def sieve_condition_report(
     remainder sum, the density-grid constant, and the almost-prime threshold."""
     seq = build_sieve_sequence(B, q)
     table = {
-        str(d): f"{rho(d, q).numerator}/{rho(d, q).denominator}"
-        for d in range(1, rho_table_max + 1)
-        if mobius(d) != 0
+        str(d): _ratio(rho(d, q)) for d in range(1, rho_table_max + 1) if mobius(d) != 0
     }
     threshold = sieve_threshold(3, mu, BETA_3)
     return {
         "B": B,
         "q": q,
-        "X": f"{seq.X.numerator}/{seq.X.denominator}",
+        "X": _ratio(seq.X),
         "X_float": float(seq.X),
         "points_total": seq.total(),
         "rho_table": table,
-        "rho_at_q": f"{rho(q, q).numerator}/{rho(q, q).denominator}",
+        "rho_at_q": _ratio(rho(q, q)),
         "w2": w2_sum(seq, tau_level, c2),
         "w1": {
             **w1_min_c1(q, z_max),

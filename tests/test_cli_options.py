@@ -26,6 +26,8 @@ REFUSALS = {
     "unknown scheme key": (["avg-scan"], "scheme = bogus\n", "scheme"),
     "config key of another command": (["gauss", "--s", "1", "--t", "0", "--u", "3"],
                                       "B = 5\n", "'B'"),
+    "zero budget": (["dp6-growth", "--B-list", "0"], None, "budget B must be positive"),
+    "negative budget": (["dp6-growth", "--B-list", "-5"], None, "budget B must be positive"),
 }
 
 

@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,12 @@ def test_icbrt_property_seeded():
     rng = random.Random(11)
     for _ in range(500):
         n = rng.randint(0, 10**15)
+        r = dp6.icbrt(n)
+        assert r**3 <= n < (r + 1) ** 3
+
+
+def test_icbrt_beyond_float_range():
+    for n in (10**400, 10**399 - 1):
         r = dp6.icbrt(n)
         assert r**3 <= n < (r + 1) ** 3
 
@@ -159,6 +167,36 @@ def test_m_t_growth():
         assert r.normalized == pytest.approx(r.count * math.log(r.B) ** 5 / r.B)
 
 
+def _l_t_brute(B, q, t):
+    # direct scan of the window pairs with exact cube comparisons
+    if q**3 > B:
+        return 0
+    count = 0
+    a1 = 1
+    while 8 * a1**3 <= B:
+        a2 = 1
+        while 8 * a2**3 <= B * B:
+            a3, r = divmod(a2 - a1 * a1, q)
+            if a1 % q and r == 0 and a3 != 0:
+                count += arith.big_omega(a1 * a2 * abs(a3)) <= t
+            a2 += 1
+        a1 += 1
+    return count
+
+
+def test_l_t_count_matches_brute_scan():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(B=st.integers(1, 12_000), q=st.sampled_from(dp6.sieve_primes(30)),
+                      t=st.integers(0, 14))
+    def check(B, q, t):
+        assert dp6.l_t_count(B, q, t) == _l_t_brute(B, q, t)
+
+    check()
+
+
 # ---- sieve sequence and densities ----
 
 def test_build_sieve_sequence():
@@ -172,6 +210,24 @@ def test_build_sieve_sequence():
         dp6.build_sieve_sequence(1000, 6)
 
 
+@pytest.mark.parametrize("B", [10**4, 10**5])
+def test_sieve_sequence_matches_counter(B):
+    a1max, a2max = dp6.icbrt(B // 8), dp6.icbrt(B * B // 8)
+    for q in dp6.prime_window(B):
+        expected = Counter(
+            a1 * a2 * abs((a2 - a1 * a1) // q)
+            for a1 in range(1, a1max + 1) if a1 % q
+            for a2 in range(a1 * a1 % q, a2max + 1, q) if a2 != a1 * a1
+        )
+        assert dp6.build_sieve_sequence(B, q).a == dict(expected), q
+
+
+def test_sieve_sequence_refuses_int64_overflow():
+    B = 10**15
+    with pytest.raises(ValueError, match=f"B = {B}"):
+        dp6.build_sieve_sequence(B, dp6.prime_window(B)[0])
+
+
 def test_sum_over_d():
     seq = dp6.build_sieve_sequence(1000, 7)
     exact, predicted, rem = dp6.sum_over_d(seq, 1)
@@ -182,6 +238,46 @@ def test_sum_over_d():
     assert exact2 == 31  # every element is even
     with pytest.raises(ValueError):
         dp6.sum_over_d(seq, 4)
+
+
+_mobius, _radical, _divisors, _phi_star = (
+    functools.lru_cache(maxsize=None)(f)
+    for f in (arith.mobius, arith.radical, arith.divisors, arith.phi_star)
+)
+
+
+def _rho_triple_sum(d, q):
+    # the defining sum of rho, term by term (see the dp6.rho docstring)
+    divs = _divisors(d)
+    total = Fraction(0)
+    for e1 in divs:
+        for e2 in divs:
+            if math.gcd(e1 * e2, q) != 1:
+                continue
+            for e3 in divs:
+                if _radical(e1 * e2 * e3) != d:
+                    continue
+                k = math.gcd(math.gcd(e1, e2), e3)
+                k13 = math.gcd(e1 // k, e3 // k)
+                k23 = math.gcd(e2 // k, e3 // k)
+                f3 = e3 // (k * k13 * k23)
+                inner = sum(
+                    Fraction(1, length) * _phi_star(f3 // length)
+                    / _phi_star(math.gcd(f3 // length, q))
+                    for length in _divisors(f3)
+                )
+                total += Fraction(
+                    _mobius(e1) * _mobius(e2) * _mobius(e3) * k, e1 * e2 * e3
+                ) * inner
+    return _mobius(d) * d * total
+
+
+def test_rho_euler_product_matches_triple_sum():
+    pairs = [(d, q) for d in range(1, 400) if arith.mobius(d)
+             for q in (2, 3, 5, 7, 11, 13, 53, 73, 97)]
+    assert len(pairs) == 2187
+    for d, q in pairs:
+        assert dp6.rho(d, q) == _rho_triple_sum(d, q), (d, q)
 
 
 def test_rho_frozen_values():
