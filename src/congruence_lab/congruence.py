@@ -1,14 +1,25 @@
 """Exact counting for a x^e + b y^f = 0 (mod q) over boxes and sliced regions.
 
-The central counter enumerates nothing: for each admissible residue class it
-counts lattice points in an interval through the floor identity
+The box counter enumerates no lattice points.  Only floor(X) and floor(Y)
+matter: with floor(X) = Qx q + rx and floor(Y) = Qy q + ry, a unit residue c
+in [1, q] has Qx + [c <= rx] members in (0, X], so the count is
 
-    #{x in (L, R] : x = c (mod q)} = floor((R - c)/q) - floor((L - c)/q),
+    Qx Qy T(q, q) + Qx T(q, ry) + Qy T(rx, q) + T(rx, ry),
 
-evaluated in exact rational arithmetic.  Boxes (0, X] x (0, Y] get a
-main-term/error-envelope split phi(q) X Y / q^2 + O(...); regions whose
-x-range depends on y through slowly varying boundary functions get the
-H-truncated envelope with the Delta_H distortion factor.
+where T(s, t) counts the unit pairs x <= s, y <= t with -a x^e = b y^f
+(mod q).  count_exact evaluates the four T over ascending numpy blocks of
+unit residues and one int32 table of y-counts per key: O(q) time, 4 bytes
+per residue, q < 2^31 so every residue product fits in int64, and the T are
+combined in Python ints, so counts stay exact for any rational box.  Boxes
+get a main-term/error-envelope split phi(q) X Y / q^2 + O(...).
+
+Regions whose x-range depends on y through slowly varying boundary functions
+are counted per y through the floor identity
+
+    #{x in (L, R] : x = c (mod q)} = floor((R - c)/q) - floor((L - c)/q)
+
+in exact rational arithmetic, and get the H-truncated envelope with the
+Delta_H distortion factor.
 """
 
 from __future__ import annotations
@@ -18,13 +29,18 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .arith import jacobi, log1n, mod_inv, phi, sigma_half_inv, tau
+import numpy as np
+
+from .arith import factorize, jacobi, log1n, mod_inv, phi, sigma_half_inv, tau
 
 log = logging.getLogger("congruence_lab")
 
 RationalLike = int | float | Fraction
+
+_BLOCK = 1 << 14  # residues per count_exact block
+_Q_LIMIT = 1 << 31  # count_exact moduli: products of residues fit in int64
 
 
 @dataclass(frozen=True)
@@ -55,29 +71,70 @@ class CongruenceInstance:
             raise ValueError("box sides X, Y must be >= 1")
 
 
-def _class_count(c: int, q: int, bound: Fraction) -> int:
-    # #{0 < x <= bound : x = c (mod q)}, c in [0, q)
-    return (bound - c) // q - (0 - c) // q
+def _check_modulus(q: int) -> None:
+    if q >= _Q_LIMIT:
+        raise ValueError(f"count_exact needs q < 2^31, got q = {q}")
+
+
+def _units(lo: int, hi: int, primes: list[int]) -> Iterator[np.ndarray]:
+    # the residues in [lo, hi] prime to every p in primes, in ascending blocks
+    for start in range(lo, hi + 1, _BLOCK):
+        r = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.int64)
+        keep = np.ones(len(r), dtype=bool)
+        for p in primes:
+            keep &= r % p != 0
+        yield r[keep]
+
+
+def _powmod(r: np.ndarray, k: int, q: int) -> np.ndarray:
+    # r^k mod q by repeated squaring; with r, q < 2^31 every product is < 2^62
+    out = np.full_like(r, 1 % q)
+    base = r % q
+    while k:
+        if k & 1:
+            out = out * base % q
+        k >>= 1
+        if k:
+            base = base * base % q
+    return out
 
 
 def count_exact(inst: CongruenceInstance) -> int:
-    """Exact solution count via per-residue interval counts.
+    """Exact solution count: Qx Qy T(q, q) + Qx T(q, ry) + Qy T(rx, q) + T(rx, ry).
 
-    Runs in O(q) for any exponent pair: the y-side is folded into a length-q
-    accumulator keyed by b y0^f mod q before the x-side is scanned.
+    floor(X) = Qx q + rx and floor(Y) = Qy q + ry; T(s, t) counts unit pairs
+    x <= s, y <= t with -a x^e = b y^f (mod q).  The residues 1..q (q stands
+    for the class 0, a unit only when q = 1) are sieved for units by the
+    primes of q in blocks of _BLOCK.  An int32 table of length q counts the
+    unit y per key b y^f mod q, filled first for y <= ry and then for the
+    rest; after each fill the x-keys -a x^e mod q are gathered from it.
+    O(q) time for any exponent pair, 4 bytes per residue, exact for any
+    rational X and Y and any signs of a and b.  q must be below 2^31:
+    ValueError naming q otherwise, before anything is allocated.
     """
-    a, b, q = inst.a, inst.b, inst.q
-    if q == 1:
-        return int(inst.X // 1) * int(inst.Y // 1)
-    acc = [0] * q
-    for y0 in range(1, q):
-        if math.gcd(y0, q) == 1:
-            acc[b * pow(y0, inst.f, q) % q] += _class_count(y0, q, inst.Y)
-    total = 0
-    for x0 in range(1, q):
-        if math.gcd(x0, q) == 1:
-            total += _class_count(x0, q, inst.X) * acc[-a * pow(x0, inst.e, q) % q]
-    return total
+    q = inst.q
+    _check_modulus(q)
+    Qx, rx = divmod(inst.X.numerator // inst.X.denominator, q)
+    Qy, ry = divmod(inst.Y.numerator // inst.Y.denominator, q)
+    primes = [p for p, _ in factorize(q).factors]
+    ka, kb = -inst.a % q, inst.b % q
+    table = np.zeros(q, dtype=np.int32)
+    sums = []  # (T(rx, t), T(q, t)) for t = ry, then t = q
+    for y_lo, y_hi in ((1, ry), (ry + 1, q)):
+        if y_lo > y_hi:
+            sums.append((0, 0))
+            continue
+        for y in _units(y_lo, y_hi, primes):
+            keys, counts = np.unique(kb * _powmod(y, inst.f, q) % q, return_counts=True)
+            table[keys] += counts
+        below = whole = 0
+        for x in _units(1, q, primes):
+            hits = table[ka * _powmod(x, inst.e, q) % q]
+            whole += int(hits.sum())
+            below += int(hits[: np.searchsorted(x, rx, side="right")].sum())
+        sums.append((below, whole))
+    (t_rr, t_qr), (t_rq, t_qq) = sums
+    return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
 
 
 def count_exact_naive(inst: CongruenceInstance) -> int:
@@ -147,7 +204,10 @@ def scan_boxes(
     Y_rule: Rule = lambda q: q,
 ) -> list[CountReport]:
     """Box reports over a family of moduli, in input order; instances
-    violating gcd(ab, q) = 1 are skipped with a log line."""
+    violating gcd(ab, q) = 1 are skipped with a log line.  A modulus of
+    2^31 or more is refused (ValueError) before any instance is counted."""
+    for q in q_values:
+        _check_modulus(q)
     instances = []
     for q in q_values:
         try:

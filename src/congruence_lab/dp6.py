@@ -148,6 +148,12 @@ def pi_map(p: TorsorPoint) -> SurfacePoint:
     )
 
 
+# every record of one window prime q checks the same q, and records come q by q
+@lru_cache(maxsize=1)
+def _cached_is_prime(q: int) -> bool:
+    return is_prime(q)
+
+
 @dataclass(frozen=True)
 class SpecialPoint:
     """A lower-bound family point: eta = (1, 1, 1, q), alpha2 = alpha1^2 (mod q).
@@ -166,7 +172,7 @@ class SpecialPoint:
         B = self.budget
         if B < 1:
             raise ValueError("budget B must be positive")
-        if not is_prime(self.q):
+        if not _cached_is_prime(self.q):
             raise ValueError("q must be prime")
         if self.q**3 > B or 8 * self.q**3 <= B:
             raise ValueError("q must lie in (B^{1/3}/2, B^{1/3}]")

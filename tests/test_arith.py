@@ -140,3 +140,33 @@ def test_unit_symbols():
     assert arith.unit_symbols(7) == (1, 1j)
     with pytest.raises(ValueError):
         arith.unit_symbols(4)
+
+
+# ---- sympy as an independent oracle ----
+
+def _sympy_and_moduli():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1414)
+    ns = list(range(1, 3000)) + [rng.randrange(1, 2**32) for _ in range(100)]
+    ns += [p * q for p, q in ((1000003, 1000033), (2**31 - 1, 65537), (99991, 99991))]
+    return sympy, rng, ns
+
+
+def test_factorize_against_sympy():
+    sympy, _, ns = _sympy_and_moduli()
+    for n in ns:
+        assert dict(arith.factorize(n).factors) == sympy.factorint(n), n
+
+
+def test_is_prime_against_sympy():
+    sympy, rng, ns = _sympy_and_moduli()
+    for n in ns + [rng.randrange(1, 2**64) | 1 for _ in range(2000)]:
+        assert arith.is_prime(n) == sympy.isprime(n), n
+
+
+def test_jacobi_against_sympy():
+    sympy, rng, _ = _sympy_and_moduli()
+    for _ in range(3000):
+        m = rng.randrange(1, 10**12) | 1
+        a = rng.randrange(-10**12, 10**12)
+        assert arith.jacobi(a, m) == sympy.jacobi_symbol(a, m), (a, m)

@@ -28,6 +28,10 @@ REFUSALS = {
                                       "B = 5\n", "'B'"),
     "zero budget": (["dp6-growth", "--B-list", "0"], None, "budget B must be positive"),
     "negative budget": (["dp6-growth", "--B-list", "-5"], None, "budget B must be positive"),
+    "modulus beyond int32": (["count", "--a", "1", "--b", "1", "--q", "2147483659", "--X", "10",
+                              "--Y", "10"], None, "q < 2^31, got q = 2147483659"),
+    "scanned modulus beyond int32": (["count-scan", "--q-list", "15,2147483659"], None,
+                                     "q < 2^31, got q = 2147483659"),
 }
 
 

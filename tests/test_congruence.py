@@ -54,6 +54,87 @@ def test_count_with_fractional_box_sides():
     assert cg.count_exact(inst) == naive
 
 
+# ---- the per-residue loop as an oracle for the block kernel ----
+
+def count_exact_loop(inst):
+    """The per-residue loop count_exact used to be: one gcd, one pow and one
+    Fraction floor-division per residue."""
+    a, b, q = inst.a, inst.b, inst.q
+    if q == 1:
+        return int(inst.X // 1) * int(inst.Y // 1)
+
+    def class_count(c, bound):  # #{0 < x <= bound : x = c (mod q)}, c in [0, q)
+        return (bound - c) // q - (0 - c) // q
+
+    acc = [0] * q
+    for y0 in range(1, q):
+        if math.gcd(y0, q) == 1:
+            acc[b * pow(y0, inst.f, q) % q] += class_count(y0, inst.Y)
+    total = 0
+    for x0 in range(1, q):
+        if math.gcd(x0, q) == 1:
+            total += class_count(x0, inst.X) * acc[-a * pow(x0, inst.e, q) % q]
+    return total
+
+
+EXPONENT_PAIRS = [(e, f) for e in range(1, 5) for f in range(1, 5)]
+# moduli spanning several blocks; the first six share out all 16 exponent pairs
+MULTI_BLOCK = [2**14 - 1, 2**14 + 1, 30030, 60060, 90090, 3 * 2**14 + 7]
+# remainders floor(side) mod q just below, at and just above block edges
+EDGES = [cg._BLOCK - 1, cg._BLOCK, cg._BLOCK + 1, 2 * cg._BLOCK, 2 * cg._BLOCK + 1, 1, 0]
+
+
+def _multi_block_cases():
+    for i, q in enumerate(MULTI_BLOCK):
+        for j, (e, f) in enumerate(EXPONENT_PAIRS[i :: len(MULTI_BLOCK)]):
+            yield q, e, f, EDGES[(i + j) % len(EDGES)], EDGES[(i + 2 * j + 1) % len(EDGES)]
+    yield 100_003, 1, 2, 3 * cg._BLOCK, 3 * cg._BLOCK + 1  # a prime near 1e5
+
+
+@pytest.mark.parametrize("q, e, f, rx, ry", list(_multi_block_cases()))
+def test_count_exact_matches_loop_across_blocks(q, e, f, rx, ry):
+    a, b = -1231, -19  # prime to every q above
+    # floor(X) = 2q + rx and floor(Y) = 5q + ry (remainders reduced mod q)
+    X = 2 * q + rx % q + Fraction(2, 3)
+    Y = 5 * q + ry % q + Fraction(6, 7)
+    inst = cg.CongruenceInstance(a, b, q, X, Y, e, f)
+    exact = cg.count_exact(inst)
+    assert type(exact) is int
+    assert exact == count_exact_loop(inst)
+
+
+def test_count_exact_huge_box_is_exact():
+    inst = cg.CongruenceInstance(3, -5, 97, Fraction(10**40 + 1, 3), 10**30 + 7, 2, 3)
+    assert cg.count_exact(inst) == count_exact_loop(inst)
+
+
+def test_count_exact_refuses_modulus_beyond_int32():
+    inst = cg.CongruenceInstance(1, 1, 2**31, 5, 5)
+    with pytest.raises(ValueError, match="2147483648"):
+        cg.count_exact(inst)
+    with pytest.raises(ValueError, match="2147483659"):
+        cg.scan_boxes([15, 2**31 + 11])
+
+
+def test_count_exact_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    side = st.fractions(min_value=1, max_value=60, max_denominator=6)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(q=st.integers(1, 40), a=st.integers(-60, 60), b=st.integers(-60, 60),
+                      X=side, Y=side, e=st.integers(1, 4), f=st.integers(1, 4))
+    def check(q, a, b, X, Y, e, f):
+        hypothesis.assume(a * b != 0 and math.gcd(a * b, q) == 1)
+        inst = cg.CongruenceInstance(a, b, q, X, Y, e, f)
+        assert cg.count_exact(inst) == cg.count_exact_naive(inst)
+        box = cg.CongruenceInstance(a, b, q, X, Y)  # e = 1, f = 2
+        assert cg.count_boundaries(a, b, q, cg.box_bounds(X), cg.Interval(0, Y)) == (
+            cg.count_exact(box))
+
+    check()
+
+
 def test_naive_guard():
     with pytest.raises(ValueError):
         cg.count_exact_naive(cg.CongruenceInstance(1, 1, 5, 10**5, 10**4))
