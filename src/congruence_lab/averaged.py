@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .congruence import (
     AffineBoundary,
@@ -59,20 +58,18 @@ def unit_disc_point(seed: int, tag: int, *indices: int) -> complex:
     return complex(r * math.cos(2 * math.pi * u2), r * math.sin(2 * math.pi * u2))
 
 
-FamilyBoundary = Callable[[int, int, int, int], RationalLike]
-
-
 @dataclass(frozen=True)
 class FamilyBounds:
-    """x-boundaries as functions of (u, v, w, y), with sensitivity metadata.
+    """x-boundaries as affine functions of y, the same in every cell, with
+    sensitivity metadata.
 
     rho_u, sigma_v, tau_y scale the u-, v-, y-sensitivity of the boundaries
     relative to the magnitude F (so e.g. |d f/d y| <= tau_y * F); they feed
     the Delta_H distortion factor only, never an exact count.
     """
 
-    lower: FamilyBoundary
-    upper: FamilyBoundary
+    lower: AffineBoundary
+    upper: AffineBoundary
     rho_u: float
     sigma_v: float
     tau_y: float
@@ -90,14 +87,7 @@ def constant_bounds(X: RationalLike) -> FamilyBounds:
     Xf = Fraction(X)
     if Xf <= 0:
         raise ValueError("X must be positive")
-    return FamilyBounds(
-        lambda u, v, w, y: Fraction(0),
-        lambda u, v, w, y: Xf,
-        0.0,
-        0.0,
-        0.0,
-        float(Xf),
-    )
+    return FamilyBounds(AffineBoundary(0), AffineBoundary(Xf), 0.0, 0.0, 0.0, float(Xf))
 
 
 def affine_in_y_bounds(
@@ -111,14 +101,7 @@ def affine_in_y_bounds(
     lo = AffineBoundary(Fraction(lo_intercept), Fraction(lo_slope))
     hi = AffineBoundary(Fraction(hi_intercept), Fraction(hi_slope))
     tau_y = float(max(abs(lo.slope), abs(hi.slope))) / F
-    return FamilyBounds(
-        lambda u, v, w, y: lo(y),
-        lambda u, v, w, y: hi(y),
-        0.0,
-        0.0,
-        tau_y,
-        F,
-    )
+    return FamilyBounds(lo, hi, 0.0, 0.0, tau_y, F)
 
 
 @dataclass(frozen=True)
@@ -187,17 +170,8 @@ class AveragedFamily:
         return self.t * w
 
     def cell_bounds(self, u: int, v: int, w: int) -> BoundarySpec:
-        lo = self.bounds.lower
-        hi = self.bounds.upper
-
-        def lower(y, _u=u, _v=v, _w=w):
-            return lo(_u, _v, _w, y)
-
-        def upper(y, _u=u, _v=v, _w=w):
-            return hi(_u, _v, _w, y)
-
         return BoundarySpec(
-            lower, upper, Fraction(self.bounds.tau_y * self.bounds.F)
+            self.bounds.lower, self.bounds.upper, Fraction(self.bounds.tau_y * self.bounds.F)
         )
 
 
@@ -208,32 +182,36 @@ def _work_estimate(family: AveragedFamily) -> int:
     return n * max(len(family.J.integers()), 1)
 
 
-def s_exact(family: AveragedFamily) -> complex:
-    """The weighted sum of exact cell counts, accumulated in cell order."""
-    if _work_estimate(family) > 10**9:
+def _weighted_sums(family: AveragedFamily, exact: bool, main: bool) -> tuple[complex, complex]:
+    """(S, M) over one walk of the cells, each accumulated in cell order and
+    skipping its own zero terms; a sum not asked for stays 0."""
+    if exact and _work_estimate(family) > 10**9:
         raise ValueError("family too large: estimated work exceeds 1e9 steps")
-    total = 0j
+    S = M = 0j
     for u, v, w in family.cells():
         a = family.r * u**family.l
         b = family.s * v**family.m
         q = family.t * w
-        n = count_boundaries(a, b, q, family.cell_bounds(u, v, w), family.J)
-        if n:
-            total += family.d_coeff(u, v) * family.e_coeff(w) * n
-    return total
+        bounds = family.cell_bounds(u, v, w)
+        n = count_boundaries(a, b, q, bounds, family.J) if exact else 0
+        mt = main_term_boundaries(a, b, q, bounds, family.J) if main else 0
+        if n or mt:
+            weight = family.d_coeff(u, v) * family.e_coeff(w)
+            if n:
+                S += weight * n
+            if mt:
+                M += weight * float(mt)
+    return S, M
+
+
+def s_exact(family: AveragedFamily) -> complex:
+    """The weighted sum of exact cell counts, accumulated in cell order."""
+    return _weighted_sums(family, exact=True, main=False)[0]
 
 
 def main_term(family: AveragedFamily) -> complex:
     """Weighted sum of (tw)^{-1} sum_{y in J, gcd(y,tw)=1} (f_hi - f_lo)(y)."""
-    total = 0j
-    for u, v, w in family.cells():
-        a = family.r * u**family.l
-        b = family.s * v**family.m
-        q = family.t * w
-        mt = main_term_boundaries(a, b, q, family.cell_bounds(u, v, w), family.J)
-        if mt:
-            total += family.d_coeff(u, v) * family.e_coeff(w) * float(mt)
-    return total
+    return _weighted_sums(family, exact=False, main=True)[1]
 
 
 # ---- error budget ----
@@ -310,25 +288,16 @@ def error_budget(family: AveragedFamily, H: float, epsilon: float) -> ErrorBudge
 
 
 def char_length(family: AveragedFamily) -> float:
-    """Characteristic x-interval length: max of (f_hi - f_lo) over cell corner
-    indices and the endpoints of J."""
+    """Characteristic x-interval length: max of 0 and (f_hi - f_lo) at the
+    endpoints of J (the boundaries are the same in every cell)."""
     us = family._range(family.U)
     vs = family._range(family.V)
     ws = family._range(family.W)
     if not (us and vs and ws):
         raise ValueError("family has no cells")
-    best = 0.0
-    ys = (family.J.y0, family.J.y0 + family.J.length)
-    for u in (us[0], us[-1]):
-        for v in (vs[0], vs[-1]):
-            for w in (ws[0], ws[-1]):
-                for y in ys:
-                    length = float(
-                        Fraction(family.bounds.upper(u, v, w, y))
-                        - Fraction(family.bounds.lower(u, v, w, y))
-                    )
-                    best = max(best, length)
-    return best
+    b = family.bounds
+    ends = (family.J.y0, family.J.y0 + family.J.length)
+    return max(0.0, *(float(b.upper(y) - b.lower(y)) for y in ends))
 
 
 def suggest_H(family: AveragedFamily, epsilon: float, X: float | None = None) -> float:
@@ -408,9 +377,9 @@ class AveragedReport:
 
 
 def avg_report(family: AveragedFamily, H: float, epsilon: float) -> AveragedReport:
-    """Exact weighted sum vs predicted main term vs error budget."""
-    S = s_exact(family)
-    M = main_term(family)
+    """Exact weighted sum vs predicted main term vs error budget, from one
+    walk of the cells."""
+    S, M = _weighted_sums(family, exact=True, main=True)
     budget = error_budget(family, H, epsilon)
     denom = budget.first_O + budget.T_envelope
     return AveragedReport(

@@ -14,12 +14,22 @@ combined in Python ints, so counts stay exact for any rational box.  Boxes
 get a main-term/error-envelope split phi(q) X Y / q^2 + O(...).
 
 Regions whose x-range depends on y through slowly varying boundary functions
-are counted per y through the floor identity
+are counted through the floor identity
 
-    #{x in (L, R] : x = c (mod q)} = floor((R - c)/q) - floor((L - c)/q)
+    #{x in (L, R] : x = c (mod q)} = floor((R - c)/q) - floor((L - c)/q),
 
-in exact rational arithmetic, and get the H-truncated envelope with the
-Delta_H distortion factor.
+c = -a^{-1} b y^2 mod q, over ascending blocks of the y in J prime to q.
+Affine boundaries are integer numerators over one common denominator D, so
+each block is one integer floor division of (D f(y) - c D) by q D; a block
+is int64 when q < 2^31 and _BLOCK times the largest value formed stays below
+2^62 (so per-block sums cannot overflow either), and object dtype of Python
+ints otherwise, with the same code.  Any other boundary callable is
+evaluated per y to a Fraction and goes through the same expression as an
+object array.  Counts are Python ints, main terms exact Fractions.  These
+regions get the H-truncated envelope with the Delta_H distortion factor.
+
+Bilinear sums of Jacobi symbols (n/m) read one int8 table of the symbols for
+odd m <= M and n <= N, (M + 1)/2 * N bytes.
 """
 
 from __future__ import annotations
@@ -33,14 +43,15 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import factorize, jacobi, log1n, mod_inv, phi, sigma_half_inv, tau
+from .arith import factorize, log1n, mod_inv, phi, sigma_half_inv, tau
 
 log = logging.getLogger("congruence_lab")
 
 RationalLike = int | float | Fraction
 
-_BLOCK = 1 << 14  # residues per count_exact block
+_BLOCK = 1 << 14  # residues per block of count_exact and the boundary counts
 _Q_LIMIT = 1 << 31  # count_exact moduli: products of residues fit in int64
+_WIDE = 1 << 62  # int64 paths keep every value, and every block sum, below this
 
 
 @dataclass(frozen=True)
@@ -76,10 +87,10 @@ def _check_modulus(q: int) -> None:
         raise ValueError(f"count_exact needs q < 2^31, got q = {q}")
 
 
-def _units(lo: int, hi: int, primes: list[int]) -> Iterator[np.ndarray]:
-    # the residues in [lo, hi] prime to every p in primes, in ascending blocks
+def _units(lo: int, hi: int, primes: list[int], dtype=np.int64) -> Iterator[np.ndarray]:
+    # the integers in [lo, hi] prime to every p in primes, in ascending blocks
     for start in range(lo, hi + 1, _BLOCK):
-        r = np.arange(start, min(start + _BLOCK, hi + 1), dtype=np.int64)
+        r = np.arange(start, min(start + _BLOCK, hi + 1), dtype=dtype)
         keep = np.ones(len(r), dtype=bool)
         for p in primes:
             keep &= r % p != 0
@@ -300,11 +311,56 @@ def affine_bounds(
     return BoundarySpec(lo, hi, max(abs(lo.slope), abs(hi.slope)))
 
 
+def _numerators(q: int, bounds: BoundarySpec, J: Interval) -> tuple[int, Iterator[tuple]]:
+    """(D, blocks): the integers y in J prime to q in ascending blocks
+    (y, lo_n, hi_n) with f_lo(y) = lo_n/D and f_hi(y) = hi_n/D.
+
+    Affine boundaries give integer numerators A + B y over the lcm D of their
+    denominators, int64 when q < 2^31 and _BLOCK times the largest of
+    |A| + max(|B|, 1) |y| + q D over J stays below 2^62, object dtype
+    otherwise.  Any other callable is evaluated per y to a Fraction (D = 1)
+    in an object array."""
+    lo, hi = bounds.lower, bounds.upper
+    ys = J.integers()
+    primes = [p for p, _ in factorize(q).factors]
+    if not (isinstance(lo, AffineBoundary) and isinstance(hi, AffineBoundary)):
+        def values(f, y):
+            return np.array([Fraction(f(v)) for v in y.tolist()], dtype=object)
+
+        blocks = _units(ys.start, ys.stop - 1, primes, object)
+        return 1, ((y, values(lo, y), values(hi, y)) for y in blocks)
+    D = math.lcm(*(x.denominator for x in (lo.intercept, lo.slope, hi.intercept, hi.slope)))
+    (A0, B0), (A1, B1) = (
+        (f.intercept.numerator * (D // f.intercept.denominator),
+         f.slope.numerator * (D // f.slope.denominator))
+        for f in (lo, hi)
+    )
+    Y = max(abs(ys.start), abs(ys.stop - 1))
+    top = max(abs(A0), abs(A1)) + max(abs(B0), abs(B1), 1) * Y + q * D
+    dtype = np.int64 if q < _Q_LIMIT and _BLOCK * top < _WIDE else object
+    blocks = _units(ys.start, ys.stop - 1, primes, dtype)
+    return D, ((y, A0 + B0 * y, A1 + B1 * y) for y in blocks)
+
+
 def count_boundaries(
     a: int, b: int, q: int, bounds: BoundarySpec, J: Interval
 ) -> int:
     """Exact count of gcd(xy, q) = 1, y in J, f_lo(y) < x <= f_hi(y),
-    a x + b y^2 = 0 (mod q)."""
+    a x + b y^2 = 0 (mod q).
+
+    With k = -a^{-1} b mod q and c = k y^2 mod q, each admissible y
+    contributes the positive part of
+
+        floor((hi_n - c D)/(q D)) - floor((lo_n - c D)/(q D)),
+
+    where lo_n/D, hi_n/D are the boundary values over one common
+    denominator D.  The y in J prime to q come in ascending blocks of
+    _BLOCK (see _numerators): int64 when q < 2^31 and _BLOCK times the
+    largest numerator over J plus q D stays below 2^62, object dtype of
+    Python ints otherwise, so every rational box is counted exactly by the
+    same code.  Boundaries other than AffineBoundary are evaluated per y to
+    Fractions (D = 1) and floored as an object array.  Block sums are
+    combined in Python ints."""
     if q < 1:
         raise ValueError("q must be a positive integer")
     if a == 0 or b == 0:
@@ -315,31 +371,31 @@ def count_boundaries(
         for y_end in (J.y0, J.y0 + J.length):
             if bounds.upper(y_end) < bounds.lower(y_end):
                 raise ValueError("upper boundary below lower boundary on J")
-    ainv = mod_inv(a, q)
+    k = -mod_inv(a, q) * b % q
+    D, blocks = _numerators(q, bounds, J)
+    qD = q * D
     total = 0
-    for y in J.integers():
-        if math.gcd(y, q) != 1:
-            continue
-        c = (-ainv * b * y * y) % q
-        lo = Fraction(bounds.lower(y))
-        hi = Fraction(bounds.upper(y))
-        n = (hi - c) // q - (lo - c) // q
-        if n > 0:
-            total += n
+    for y, lo_n, hi_n in blocks:
+        r = y % q
+        cD = k * (r * r % q) % q * D
+        n = (hi_n - cD) // qD - (lo_n - cD) // qD
+        total += int(n[n > 0].sum())
     return total
 
 
 def main_term_boundaries(
     a: int, b: int, q: int, bounds: BoundarySpec, J: Interval
 ) -> Fraction:
-    """(1/q) sum over integers y in J with gcd(y, q) = 1 of (f_hi - f_lo)(y)."""
+    """(1/q) sum over integers y in J with gcd(y, q) = 1 of (f_hi - f_lo)(y),
+    as (1/(q D)) times the block sums of hi_n - lo_n; for affine boundaries a
+    block sum is (Delta intercept) D count + (Delta slope) D sum(y)."""
     if math.gcd(a * b, q) != 1:
         raise ValueError("a*b must be coprime to q")
+    D, blocks = _numerators(q, bounds, J)
     acc = Fraction(0)
-    for y in J.integers():
-        if math.gcd(y, q) == 1:
-            acc += Fraction(bounds.upper(y)) - Fraction(bounds.lower(y))
-    return acc / q
+    for _, lo_n, hi_n in blocks:
+        acc += Fraction((hi_n - lo_n).sum())
+    return acc / (q * D)
 
 
 @dataclass(frozen=True)
@@ -385,6 +441,35 @@ class BilinearResult:
     N: int
 
 
+def _jacobi_table(M: int, N: int) -> np.ndarray:
+    """int8 table of the Jacobi symbols (n/m), row (m - 1)/2 for odd m <= M,
+    column n - 1 for n <= N.  Row 1 is all ones; a prime row is its Legendre
+    table (the nonzero squares mod p marked 1, the other units -1) read at
+    n mod p; a composite row is the product of the rows of p and m/p, p its
+    least prime factor."""
+    rows = (M + 1) // 2
+    spf = np.zeros(M + 1, dtype=np.int64)  # least prime factor of odd composites
+    for p in range(3, math.isqrt(M) + 1, 2):
+        if not spf[p]:
+            tail = spf[p * p :: 2 * p]
+            tail[tail == 0] = p
+    n = np.arange(1, N + 1, dtype=np.int64)
+    table = np.empty((rows, N), dtype=np.int8)
+    table[0] = 1
+    for i in range(1, rows):
+        m = 2 * i + 1
+        p = int(spf[m])
+        if p:
+            table[i] = table[p // 2] * table[m // p // 2]
+            continue
+        legendre = np.full(m, -1, dtype=np.int8)
+        legendre[0] = 0
+        r = np.arange(1, m, dtype=np.int64)
+        legendre[r * r % m] = 1
+        table[i] = legendre[n % m]
+    return table
+
+
 def bilinear_jacobi(
     a_coeffs: Sequence[complex],
     b_coeffs: Sequence[complex],
@@ -393,22 +478,24 @@ def bilinear_jacobi(
     """sum over odd m <= M, n <= N of a_m b_n (n/m), with the cancellation
     benchmark (MN)^eps (M sqrt(N) + sqrt(M) N).
 
-    a_coeffs[i] weights m = 2i + 1; b_coeffs[j] weights n = j + 1.
+    a_coeffs[i] weights m = 2i + 1; b_coeffs[j] weights n = j + 1.  The sum
+    is a . (T b) with T the int8 table of (n/m) ((M + 1)/2 * N bytes, plus
+    one temporary of that shape in the coefficients' dtype).  Integer
+    coefficients are summed exactly, in int64 while max|a| max|b| M N stays
+    below 2^62 and in Python ints otherwise; float and complex coefficients
+    in float arithmetic.
     """
-    if not a_coeffs or not b_coeffs:
+    if not len(a_coeffs) or not len(b_coeffs):
         raise ValueError("coefficient sequences must be nonempty")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    M = 2 * len(a_coeffs) - 1
-    N = len(b_coeffs)
-    total = 0j
-    for i, am in enumerate(a_coeffs):
-        m = 2 * i + 1
-        if am == 0:
-            continue
-        inner = 0j
-        for j, bn in enumerate(b_coeffs):
-            inner += bn * jacobi(j + 1, m)
-        total += am * inner
+    a, b = np.asarray(a_coeffs), np.asarray(b_coeffs)
+    M = 2 * len(a) - 1
+    N = len(b)
+    if a.dtype.kind in "biu" and b.dtype.kind in "biu":
+        top = max(abs(int(a.min())), int(a.max())) * max(abs(int(b.min())), int(b.max()))
+        dtype = np.int64 if top * len(a) * N < _WIDE else object
+        a, b = a.astype(dtype), b.astype(dtype)
+    total = complex(a @ (_jacobi_table(M, N) @ b))
     bound = (M * N) ** epsilon * (M * math.sqrt(N) + math.sqrt(M) * N)
     return BilinearResult(total, bound, M, N)

@@ -21,8 +21,9 @@ weighted sieve needs t above a threshold computed from the dimension-3
 sieving limit beta_3.
 
 One kernel, _family, enumerates the family of a prime q in int64 blocks; the
-point records, the counts L_t and the sieve sequence all read it.  rho is
-computed as its Euler product.
+point records, the counts L_t and the sieve sequence all read it, and the
+first two look up Omega per block through _omega.  rho is computed as its
+Euler product.
 
 All window and height comparisons are exact integer inequalities
 (8 q^3 > B instead of q > B^{1/3} and so on); no floating-point cube roots.
@@ -214,8 +215,7 @@ def _alpha_bounds(B: int) -> tuple[int, int]:
 
 def _family(B: int, q: int) -> Iterator[tuple[np.ndarray, ...]]:
     """The family points of one prime q <= B^{1/3} as int64 blocks
-    (alpha1, alpha2, alpha3, Omega) in (alpha1, alpha2) order, where Omega
-    counts the prime factors of alpha1 alpha2 |alpha3| with multiplicity.
+    (alpha1, alpha2, alpha3) in (alpha1, alpha2) order.
 
     A block holds whole alpha1 rows, about _BLOCK_PAIRS pairs.  Row alpha1
     has alpha2 = s + k q for 0 <= k < n, s = alpha1^2 mod q, so alpha3 =
@@ -223,7 +223,6 @@ def _family(B: int, q: int) -> Iterator[tuple[np.ndarray, ...]]:
     splits the row into two runs, alpha3 < 0 and alpha3 > 0.
     """
     a1max, a2max = _alpha_bounds(B)
-    om = _omega_upto(max(a2max, 1))
     rows = np.arange(1, a1max + 1, dtype=np.int64)
     rows = rows[rows % q != 0]
     step = max(1, _BLOCK_PAIRS // (a2max // q + 1))
@@ -236,9 +235,14 @@ def _family(B: int, q: int) -> Iterator[tuple[np.ndarray, ...]]:
         lens = np.where(neg, np.minimum(z, n), np.maximum(n - z - 1, 0))
         ends = np.cumsum(lens)
         a3 = np.arange(ends[-1]) + np.repeat(np.where(neg, -z, 1) - ends + lens, lens)
-        a2 = np.repeat(sq, lens) + q * a3
-        yield (np.repeat(a1, lens), a2, a3,
-               np.repeat(om[a1].astype(np.int64), lens) + om[a2] + om[np.abs(a3)])
+        yield np.repeat(a1, lens), np.repeat(sq, lens) + q * a3, a3
+
+
+def _omega(B: int, a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
+    # Omega(alpha1 alpha2 |alpha3|), prime factors with multiplicity, for a
+    # block of _family(B, q); summed in the table's int16, each term < 63
+    om = _omega_upto(max(_alpha_bounds(B)[1], 1))
+    return om[a1] + om[a2] + om[np.abs(a3)]
 
 
 def iter_point_records(B: int, t: int) -> Iterator[PointRecord]:
@@ -250,7 +254,8 @@ def iter_point_records(B: int, t: int) -> Iterator[PointRecord]:
     if t < 0:
         raise ValueError("factor bound t must be nonnegative")
     for q in prime_window(B):
-        for a1s, a2s, _, oms in _family(B, q):
+        for a1s, a2s, a3s in _family(B, q):
+            oms = _omega(B, a1s, a2s, a3s)
             keep = oms <= t
             for a1, a2, omega in zip(a1s[keep].tolist(), a2s[keep].tolist(),
                                      oms[keep].tolist()):
@@ -280,7 +285,7 @@ def l_t_count(B: int, q: int, t: int) -> int:
     if q**3 > B:
         log.info("l_t_count: q=%d exceeds B^{1/3}, count is 0", q)
         return 0
-    return sum(int(np.count_nonzero(oms <= t)) for *_, oms in _family(B, q))
+    return sum(int(np.count_nonzero(_omega(B, *block) <= t)) for block in _family(B, q))
 
 
 @dataclass(frozen=True)
@@ -328,7 +333,7 @@ def build_sieve_sequence(B: int, q: int) -> SieveSequence:
     a1max, a2max = _alpha_bounds(B)
     if a1max * a2max * (a2max // q + 1) >= 2**63:
         raise ValueError(f"budget B = {B} too large: alpha1 alpha2 |alpha3| may overflow int64")
-    products = [a1 * a2 * np.abs(a3) for a1, a2, a3, _ in _family(B, q)]
+    products = [a1 * a2 * np.abs(a3) for a1, a2, a3 in _family(B, q)]
     ns, counts = np.unique(np.concatenate([np.zeros(0, np.int64), *products]),
                            return_counts=True)
     return SieveSequence(B, q, Fraction(phi(q) * B, 4 * q * q),

@@ -20,6 +20,17 @@ from functools import lru_cache
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
+_ROWS = 1 << 12  # x values per block of the N x H temporaries
+
+
+def _row_sums(xs, hs: np.ndarray, f, w: np.ndarray) -> np.ndarray:
+    # sum_h w_h f(2 pi h x) at each x, over blocks of _ROWS rows of the x-by-h
+    # outer product; each row is summed alone, so the blocks change no value
+    xs = np.ravel(xs)
+    out = np.empty(xs.size)
+    for i in range(0, xs.size, _ROWS):
+        out[i : i + _ROWS] = (f(_TWO_PI * np.outer(xs[i : i + _ROWS], hs)) * w).sum(axis=1)
+    return out
 
 
 def psi(x):
@@ -63,7 +74,7 @@ class VaalerPolynomial:
         # real form of sum_{1<=|h|<=H} a_h e(hx) with a_h = i w_h/(2 pi h)
         hs = np.arange(1, self.H + 1, dtype=np.float64)
         w = np.array([2.0 * c.imag for c in self.coeffs])
-        return -(np.sin(_TWO_PI * np.outer(xs, hs)) * w).sum(axis=1)
+        return -_row_sums(xs, hs, np.sin, w)
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +98,7 @@ def fejer_majorant_many(xs: np.ndarray, H: int) -> np.ndarray:
         raise ValueError("H must be >= 1")
     hs = np.arange(1, H + 1, dtype=np.float64)
     w = 2.0 * (1.0 - hs / (H + 1))
-    return (1.0 + (np.cos(_TWO_PI * np.outer(xs, hs)) * w).sum(axis=1)) / (H + 1)
+    return (1.0 + _row_sums(xs, hs, np.cos, w)) / (H + 1)
 
 
 def vaaler_check(x: float, H: int, slack: float = 0.0) -> bool:

@@ -203,3 +203,29 @@ def test_avg_report_consistency():
     assert rep.M == av.main_term(fam)
     denom = rep.first_O + rep.T_envelope
     assert rep.ratio == pytest.approx(abs(rep.S - rep.M) / denom)
+
+
+def test_avg_report_affine_bounds_match_cell_loop():
+    # sloped boundaries through the shared cell walk, against a per-cell,
+    # per-y recomputation of both sums in the old accumulation order
+    bounds = av.affine_in_y_bounds(Fraction(-3, 2), Fraction(1, 3), 20, Fraction(-1, 4), F=20)
+    fam = _family(scheme="joint", t=5, U=2, V=2, W=2, l=2, m=1, r=3, s=-2,
+                  J=cg.Interval(Fraction(-7, 2), 40), bounds=bounds, seed=11)
+    S = M = 0j
+    for u, v, w in fam.cells():
+        a, b, q = 3 * u**2, -2 * v, 5 * w
+        n, mt = 0, Fraction(0)
+        for y in fam.J.integers():
+            if math.gcd(y, q) == 1:
+                c = -pow(a, -1, q) * b * y * y % q
+                n += max(0, (bounds.upper(y) - c) // q - (bounds.lower(y) - c) // q)
+                mt += bounds.upper(y) - bounds.lower(y)
+        if n:
+            S += fam.d_coeff(u, v) * fam.e_coeff(w) * n
+        if mt:
+            M += fam.d_coeff(u, v) * fam.e_coeff(w) * float(mt / q)
+    rep = av.avg_report(fam, 10.0, 0.05)
+    assert (rep.S, rep.M) == (S, M)
+    assert (av.s_exact(fam), av.main_term(fam)) == (S, M)
+    assert av.char_length(fam) == float(bounds.upper(Fraction(-7, 2))
+                                        - bounds.lower(Fraction(-7, 2)))

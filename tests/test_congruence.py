@@ -3,8 +3,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from congruence_lab import arith
 from congruence_lab import congruence as cg
 
 
@@ -214,6 +216,125 @@ def test_callable_boundary_extension_point():
     assert cg.count_boundaries(1, 1, 7, spec, cg.Interval(0, 9)) == exact
 
 
+# ---- the per-y loop as an oracle for the boundary block kernels ----
+
+def count_boundaries_loop(a, b, q, bounds, J):
+    """The per-y loop count_boundaries used to be: one gcd and two Fraction
+    floor divisions per y."""
+    ainv = pow(a, -1, q) if q > 1 else 0
+    total = 0
+    for y in J.integers():
+        if math.gcd(y, q) != 1:
+            continue
+        c = (-ainv * b * y * y) % q
+        lo = Fraction(bounds.lower(y))
+        hi = Fraction(bounds.upper(y))
+        n = (hi - c) // q - (lo - c) // q
+        if n > 0:
+            total += n
+    return total
+
+
+def main_term_boundaries_loop(a, b, q, bounds, J):
+    acc = Fraction(0)
+    for y in J.integers():
+        if math.gcd(y, q) == 1:
+            acc += Fraction(bounds.upper(y)) - Fraction(bounds.lower(y))
+    return acc / q
+
+
+def _check_boundary_kernels(a, b, q, bounds, J):
+    n = cg.count_boundaries(a, b, q, bounds, J)
+    assert type(n) is int
+    assert n == count_boundaries_loop(a, b, q, bounds, J)
+    mt = cg.main_term_boundaries(a, b, q, bounds, J)
+    assert type(mt) is Fraction
+    assert mt == main_term_boundaries_loop(a, b, q, bounds, J)
+
+
+def _block_dtype(q, bounds, J):
+    _, blocks = cg._numerators(q, bounds, J)
+    return next(blocks)[0].dtype
+
+
+def test_boundary_kernels_match_loop_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.fractions(min_value=-80, max_value=80, max_denominator=12)
+    slope = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(q=st.integers(1, 60), a=st.integers(-60, 60), b=st.integers(-60, 60),
+                      lo=st.tuples(value, slope), width=st.tuples(value, slope),
+                      y0=value, length=st.fractions(min_value=Fraction(1, 5), max_value=90,
+                                                    max_denominator=7))
+    def check(q, a, b, lo, width, y0, length):
+        hypothesis.assume(a * b != 0 and math.gcd(a * b, q) == 1)
+        J = cg.Interval(y0, length)
+        # hi = lo + width, shifted up so that hi >= lo at both ends of J
+        gap = min(width[0] + width[1] * y for y in (J.y0, J.y0 + J.length))
+        bounds = cg.affine_bounds(lo[0], lo[1], lo[0] + width[0] - min(gap, 0),
+                                  lo[1] + width[1])
+        _check_boundary_kernels(a, b, q, bounds, J)
+
+    check()
+
+
+@pytest.mark.parametrize("q", [7, 9973, 2**14 + 1, 30030])
+def test_boundary_kernels_across_blocks(q):
+    # J holds about 3.3 blocks of y, starting just below a block edge
+    J = cg.Interval(cg._BLOCK - 3 + Fraction(1, 2), Fraction(3 * cg._BLOCK + 5000, 1))
+    bounds = cg.affine_bounds(Fraction(-7, 3), Fraction(-1, 5), 4 * q + Fraction(1, 7),
+                              Fraction(2, 11))
+    assert _block_dtype(q, bounds, J) == np.int64
+    _check_boundary_kernels(-1231, 19, q, bounds, J)
+
+
+def test_boundary_kernels_object_path():
+    J = cg.Interval(-40, 120)
+    # a modulus beyond 2^31: c = k y^2 mod q no longer fits int64 products
+    q = 2**61 - 1
+    bounds = cg.affine_bounds(Fraction(-10**19, 7), Fraction(3, 2), Fraction(10**20, 3), 5)
+    assert _block_dtype(q, bounds, J) == object
+    _check_boundary_kernels(3, -5, q, bounds, J)
+    # a small modulus with numerators near 2^62
+    bounds = cg.affine_bounds(-(2**62), Fraction(-(10**17), 3), 2**62 + 5, 10**17)
+    assert _block_dtype(97, bounds, J) == object
+    _check_boundary_kernels(3, -5, 97, bounds, J)
+    # y itself beyond int64, constant boundaries
+    J = cg.Interval(2**70, 300)
+    bounds = cg.box_bounds(Fraction(10**6, 7))
+    assert _block_dtype(101, bounds, J) == object
+    _check_boundary_kernels(2, 7, 101, bounds, J)
+
+
+def test_boundary_kernels_int64_near_limit():
+    # |A| + |B| max|y| + q D at the int64 limit, and one past it
+    J = cg.Interval(0, 100)
+    top = (1 << 62) // cg._BLOCK - 1
+    for A, dtype in [(top - 100 * 50 - 97, np.int64), (top - 100 * 50 - 96, object)]:
+        bounds = cg.affine_bounds(-A, 50, A, -50)
+        assert _block_dtype(97, bounds, J) == dtype
+        _check_boundary_kernels(3, -5, 97, bounds, J)
+
+
+def test_callable_boundaries_match_loop():
+    J = cg.Interval(Fraction(-5, 2), 70)
+    spec = cg.BoundarySpec(lambda y: 0.0, lambda y: 12.0, Fraction(0))
+    _check_boundary_kernels(1, 1, 7, spec, J)
+    curve = cg.BoundarySpec(lambda y: Fraction(y * y, 40) - 3, lambda y: y / 3 + 25.5,
+                            Fraction(4))
+    _check_boundary_kernels(5, -3, 11, curve, J)
+    _check_boundary_kernels(5, -3, 1, curve, J)
+
+
+def test_boundary_kernels_empty_interval():
+    J = cg.Interval(Fraction(1, 3), Fraction(1, 3))  # no integer in (1/3, 2/3]
+    bounds = cg.affine_bounds(0, 1, 5, 1)
+    assert cg.count_boundaries(1, 1, 5, bounds, J) == 0
+    assert cg.main_term_boundaries(1, 1, 5, bounds, J) == 0
+
+
 def test_boundary_report():
     bounds = cg.affine_bounds(0, 0, 0, 1)
     rep = cg.boundary_report(1, 1, 3, bounds, cg.Interval(0, 6), H=3)
@@ -251,3 +372,62 @@ def test_bilinear_validation():
         cg.bilinear_jacobi([], [1])
     with pytest.raises(ValueError):
         cg.bilinear_jacobi([1], [1], epsilon=-0.1)
+
+
+def bilinear_loop(a_coeffs, b_coeffs):
+    """The double loop bilinear_jacobi used to be: one arith.jacobi call per
+    (m, n)."""
+    total = 0j
+    for i, am in enumerate(a_coeffs):
+        if am == 0:
+            continue
+        inner = 0j
+        for j, bn in enumerate(b_coeffs):
+            inner += bn * arith.jacobi(j + 1, 2 * i + 1)
+        total += am * inner
+    return total
+
+
+def test_jacobi_table_matches_jacobi():
+    table = cg._jacobi_table(299, 300)
+    assert table.dtype == np.int8 and table.shape == (150, 300)
+    expected = [[arith.jacobi(n, m) for n in range(1, 301)] for m in range(1, 300, 2)]
+    assert table.tolist() == expected
+    for M, N in [(1, 1), (3, 1), (9, 4), (101, 300), (299, 7)]:
+        assert (cg._jacobi_table(M, N) == table[: (M + 1) // 2, :N]).all()
+
+
+def test_bilinear_matches_loop_for_signs():
+    rng = random.Random(5)
+    for rows, N in [(1, 1), (2, 3), (37, 41), (150, 300)]:
+        a = [rng.choice((-1, 1)) for _ in range(rows)]
+        b = [rng.choice((-1, 1)) for _ in range(N)]
+        value = cg.bilinear_jacobi(a, b).value
+        loop = bilinear_loop(a, b)
+        assert value == loop
+        assert (math.copysign(1, value.imag), abs(value)) == (
+            math.copysign(1, loop.imag), abs(loop))
+
+
+def test_bilinear_large_integer_coefficients_are_exact():
+    a = [3**40, -(2**62), 7, 0, 5]
+    b = [2**61 + 1, -3, 2**63 + 9, 11]
+    assert cg.bilinear_jacobi(a, b).value == bilinear_loop(a, b)
+    # int64 inputs whose sum could overflow int64 take Python ints
+    big = [2**40] * 40
+    assert cg.bilinear_jacobi(big, big).value == bilinear_loop(big, big)
+    # narrow integer dtypes are summed in int64, not in their own width
+    signs = np.ones(200, dtype=np.int8)
+    assert cg.bilinear_jacobi(signs, signs).value == bilinear_loop(signs.tolist(), signs.tolist())
+
+
+def test_bilinear_complex_coefficients_match_loop():
+    rng = random.Random(8)
+    for rows, N in [(3, 5), (64, 128), (150, 300)]:
+        a = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rows)]
+        b = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(N)]
+        loop = bilinear_loop(a, b)
+        assert abs(cg.bilinear_jacobi(a, b).value - loop) <= 1e-12 * abs(loop)
+        reals = [z.real for z in b]
+        loop = bilinear_loop(a, reals)
+        assert abs(cg.bilinear_jacobi(a, reals).value - loop) <= 1e-12 * abs(loop)

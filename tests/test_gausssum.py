@@ -43,6 +43,23 @@ def test_closed_matches_brute_small_sweep():
                 assert abs(closed - brute) <= 1e-9 * math.sqrt(u), (s, t, u)
 
 
+def test_closed_matches_brute_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(u=st.integers(1, 2000), s=st.integers(-10**6, 10**6), data=st.data())
+    def check(u, s, data):
+        hypothesis.assume(math.gcd(s, u) == 1)
+        # t over every residue class mod u, and beyond [0, u) on both sides
+        t = data.draw(st.integers(-3 * u, 3 * u))
+        closed = gausssum.gauss_closed(s, t, u).value
+        brute = gausssum.gauss_brute(s, t, u)
+        assert abs(closed - brute) <= 1e-9 * math.sqrt(u)
+
+    check()
+
+
 def test_magnitude_law():
     # |G| is sqrt(u) for odd u; for even u it is 0 or sqrt(2u) by shift parity
     for u, s, t in [(9, 2, 4), (15, 4, 7), (10, 3, 3), (10, 3, 4), (12, 5, 2), (12, 5, 3)]:

@@ -95,3 +95,18 @@ def test_vector_paths_match_term_by_term_sums():
             assert v == pytest.approx(ref_v, abs=1e-12)
             assert f == pytest.approx(ref_f, abs=1e-12)
     assert list(sawtooth.psi(xs)) == [x - math.floor(x) - 0.5 for x in xs]
+
+
+def test_row_blocks_match_one_piece_outer_products():
+    # the vector paths evaluate the x-by-h outer product in blocks of rows;
+    # each row sums alone, so they equal the one-piece products bit for bit
+    xs = np.random.default_rng(3).random(3 * sawtooth._ROWS + 17)
+    H = 64
+    hs = np.arange(1, H + 1, dtype=np.float64)
+    poly = sawtooth.vaaler_polynomial(H)
+    w = np.array([2.0 * c.imag for c in poly.coeffs])
+    one_piece = -(np.sin(2.0 * math.pi * np.outer(xs, hs)) * w).sum(axis=1)
+    assert np.array_equal(poly.evaluate_many(xs), one_piece)
+    w = 2.0 * (1.0 - hs / (H + 1))
+    one_piece = (1.0 + (np.cos(2.0 * math.pi * np.outer(xs, hs)) * w).sum(axis=1)) / (H + 1)
+    assert np.array_equal(sawtooth.fejer_majorant_many(xs, H), one_piece)
