@@ -26,8 +26,9 @@ from .congruence import (
     BoundarySpec,
     Interval,
     RationalLike,
-    count_boundaries,
-    main_term_boundaries,
+    affine_bounds,
+    boundary_sums,
+    box_bounds,
 )
 
 SCHEMES = ("all-ones", "factorized", "joint")
@@ -84,10 +85,8 @@ class FamilyBounds:
 
 def constant_bounds(X: RationalLike) -> FamilyBounds:
     """The box (0, X] for every cell; F = X, all sensitivities zero."""
-    Xf = Fraction(X)
-    if Xf <= 0:
-        raise ValueError("X must be positive")
-    return FamilyBounds(AffineBoundary(0), AffineBoundary(Xf), 0.0, 0.0, 0.0, float(Xf))
+    box = box_bounds(X)
+    return FamilyBounds(box.lower, box.upper, 0.0, 0.0, 0.0, float(box.upper.intercept))
 
 
 def affine_in_y_bounds(
@@ -98,10 +97,9 @@ def affine_in_y_bounds(
     F: float,
 ) -> FamilyBounds:
     """Cell-independent affine boundaries f(y) = intercept + slope y."""
-    lo = AffineBoundary(Fraction(lo_intercept), Fraction(lo_slope))
-    hi = AffineBoundary(Fraction(hi_intercept), Fraction(hi_slope))
-    tau_y = float(max(abs(lo.slope), abs(hi.slope))) / F
-    return FamilyBounds(lo, hi, 0.0, 0.0, tau_y, F)
+    spec = affine_bounds(lo_intercept, lo_slope, hi_intercept, hi_slope)
+    tau_y = float(spec.derivative_bound) / F
+    return FamilyBounds(spec.lower, spec.upper, 0.0, 0.0, tau_y, F)
 
 
 @dataclass(frozen=True)
@@ -166,14 +164,6 @@ class AveragedFamily:
             return 1 + 0j
         return unit_disc_point(self.seed, _TAG_E, w)
 
-    def cell_modulus(self, w: int) -> int:
-        return self.t * w
-
-    def cell_bounds(self, u: int, v: int, w: int) -> BoundarySpec:
-        return BoundarySpec(
-            self.bounds.lower, self.bounds.upper, Fraction(self.bounds.tau_y * self.bounds.F)
-        )
-
 
 def _work_estimate(family: AveragedFamily) -> int:
     n = 1
@@ -182,19 +172,18 @@ def _work_estimate(family: AveragedFamily) -> int:
     return n * max(len(family.J.integers()), 1)
 
 
-def _weighted_sums(family: AveragedFamily, exact: bool, main: bool) -> tuple[complex, complex]:
+def _weighted_sums(family: AveragedFamily) -> tuple[complex, complex]:
     """(S, M) over one walk of the cells, each accumulated in cell order and
-    skipping its own zero terms; a sum not asked for stays 0."""
-    if exact and _work_estimate(family) > 10**9:
+    skipping its own zero terms."""
+    if _work_estimate(family) > 10**9:
         raise ValueError("family too large: estimated work exceeds 1e9 steps")
+    fb = family.bounds
+    bounds = BoundarySpec(fb.lower, fb.upper, Fraction(fb.tau_y * fb.F))
     S = M = 0j
     for u, v, w in family.cells():
         a = family.r * u**family.l
         b = family.s * v**family.m
-        q = family.t * w
-        bounds = family.cell_bounds(u, v, w)
-        n = count_boundaries(a, b, q, bounds, family.J) if exact else 0
-        mt = main_term_boundaries(a, b, q, bounds, family.J) if main else 0
+        n, mt = boundary_sums(a, b, family.t * w, bounds, family.J)
         if n or mt:
             weight = family.d_coeff(u, v) * family.e_coeff(w)
             if n:
@@ -206,12 +195,12 @@ def _weighted_sums(family: AveragedFamily, exact: bool, main: bool) -> tuple[com
 
 def s_exact(family: AveragedFamily) -> complex:
     """The weighted sum of exact cell counts, accumulated in cell order."""
-    return _weighted_sums(family, exact=True, main=False)[0]
+    return _weighted_sums(family)[0]
 
 
 def main_term(family: AveragedFamily) -> complex:
     """Weighted sum of (tw)^{-1} sum_{y in J, gcd(y,tw)=1} (f_hi - f_lo)(y)."""
-    return _weighted_sums(family, exact=False, main=True)[1]
+    return _weighted_sums(family)[1]
 
 
 # ---- error budget ----
@@ -230,9 +219,9 @@ def delta_H(family: AveragedFamily, H: float) -> float:
     )
 
 
-def _is_factorized(family: AveragedFamily) -> bool:
-    # all-ones weights factor trivially
-    return family.scheme in ("all-ones", "factorized")
+def _structured_Z(family: AveragedFamily) -> bool:
+    # weights that factor (all but the joint scheme) over cells with UV >= tW
+    return family.scheme != "joint" and family.U * family.V >= family.t * family.W
 
 
 def _frac_half(k: int) -> float:
@@ -267,7 +256,7 @@ def error_budget(family: AveragedFamily, H: float, epsilon: float) -> ErrorBudge
     t = family.t
     tW = t * W
     delta = delta_H(family, H)
-    if _is_factorized(family) and family.U * family.V >= family.t * family.W:
+    if _structured_Z(family):
         Z = math.sqrt((tW + U) * (tW + V)) * math.sqrt(U * V) * W
     else:
         Z = math.sqrt(tW) * U * V * W
@@ -344,7 +333,7 @@ def dominance_report(
         warnings.append("U exceeds tW; dominance conditions are outside their regime")
     if V > q0:
         warnings.append("V exceeds tW; dominance conditions are outside their regime")
-    if _is_factorized(family) and family.U * family.V >= family.t * family.W:
+    if _structured_Z(family):
         Z = (U * V) ** 0.25 * math.sqrt(X * Y)
     else:
         Z = (X * Y) ** (2.0 / 3.0)
@@ -379,7 +368,7 @@ class AveragedReport:
 def avg_report(family: AveragedFamily, H: float, epsilon: float) -> AveragedReport:
     """Exact weighted sum vs predicted main term vs error budget, from one
     walk of the cells."""
-    S, M = _weighted_sums(family, exact=True, main=True)
+    S, M = _weighted_sums(family)
     budget = error_budget(family, H, epsilon)
     denom = budget.first_O + budget.T_envelope
     return AveragedReport(

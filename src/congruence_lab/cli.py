@@ -226,8 +226,7 @@ def _cmd_dp6_sieve(o: argparse.Namespace) -> int:
     )
     text = json.dumps(report, indent=2) + "\n"
     if o.out:
-        with open(o.out, "w", newline="") as fh:
-            fh.write(text)
+        reports.write_text(o.out, text)
         print(f"wrote sieve report to {o.out}")
     else:
         print(text, end="")

@@ -19,7 +19,9 @@ are counted through the floor identity
     #{x in (L, R] : x = c (mod q)} = floor((R - c)/q) - floor((L - c)/q),
 
 c = -a^{-1} b y^2 mod q, over ascending blocks of the y in J prime to q.
-Affine boundaries are integer numerators over one common denominator D, so
+The main term replaces each such count by (R - L)/q, so boundary_sums takes
+the count and the main term from one walk of the same blocks.  Affine
+boundaries are integer numerators over one common denominator D, so
 each block is one integer floor division of (D f(y) - c D) by q D; a block
 is int64 when q < 2^31 and _BLOCK times the largest value formed stays below
 2^62 (so per-block sums cannot overflow either), and object dtype of Python
@@ -70,16 +72,20 @@ class CongruenceInstance:
     def __post_init__(self):
         object.__setattr__(self, "X", Fraction(self.X))
         object.__setattr__(self, "Y", Fraction(self.Y))
-        if self.q < 1:
-            raise ValueError("q must be a positive integer")
-        if self.a == 0 or self.b == 0:
-            raise ValueError("coefficients a, b must be nonzero")
-        if math.gcd(self.a * self.b, self.q) != 1:
-            raise ValueError("a*b must be coprime to q")
+        _check_coefficients(self.a, self.b, self.q)
         if self.e < 1 or self.f < 1:
             raise ValueError("exponents e, f must be >= 1")
         if self.X < 1 or self.Y < 1:
             raise ValueError("box sides X, Y must be >= 1")
+
+
+def _check_coefficients(a: int, b: int, q: int) -> None:
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    if a == 0 or b == 0:
+        raise ValueError("coefficients a, b must be nonzero")
+    if math.gcd(a * b, q) != 1:
+        raise ValueError("a*b must be coprime to q")
 
 
 def _check_modulus(q: int) -> None:
@@ -169,16 +175,17 @@ def main_term(inst: CongruenceInstance) -> float:
     return phi(inst.q) * float(inst.X) * float(inst.Y) / inst.q**2
 
 
+def _completed_term(c: float, q: int, Y: float) -> float:
+    # the completed Gauss sums of both envelopes, multiplied left to right
+    return c * sigma_half_inv(q) * (Y / math.sqrt(q) * tau(q) + math.sqrt(q) * log1n(q))
+
+
 def error_envelope(inst: CongruenceInstance) -> float:
     """Envelope X/q tau(q) + L(q) sigma_{-1/2}(q) (Y/sqrt(q) tau(q) + sqrt(q) L(q))."""
     if (inst.e, inst.f) != (1, 2):
         raise ValueError("error envelope is for e = 1, f = 2")
     q = inst.q
-    X, Y = float(inst.X), float(inst.Y)
-    Lq = log1n(q)
-    return X / q * tau(q) + Lq * sigma_half_inv(q) * (
-        Y / math.sqrt(q) * tau(q) + math.sqrt(q) * Lq
-    )
+    return float(inst.X) / q * tau(q) + _completed_term(log1n(q), q, float(inst.Y))
 
 
 @dataclass(frozen=True)
@@ -277,10 +284,10 @@ Boundary = Callable[[RationalLike], RationalLike]
 class BoundarySpec:
     """Lower/upper x-boundaries as functions of y plus a bound on |d/dy|.
 
-    Affine boundaries keep every count exact.  Any other callable is accepted
-    as an extension point, but its values pass through binary floats, so
-    counts are then exact only as long as no boundary value sits within 1e-9
-    of an integer multiple boundary.
+    Affine boundaries are walked as integer numerators over one common
+    denominator.  Any other callable is evaluated per y and converted with
+    Fraction(f(y)), which is exact for whatever int, float or Fraction it
+    returns, so counts are exact for the values the callable gives.
     """
 
     lower: Boundary
@@ -319,7 +326,7 @@ def _numerators(q: int, bounds: BoundarySpec, J: Interval) -> tuple[int, Iterato
     denominators, int64 when q < 2^31 and _BLOCK times the largest of
     |A| + max(|B|, 1) |y| + q D over J stays below 2^62, object dtype
     otherwise.  Any other callable is evaluated per y to a Fraction (D = 1)
-    in an object array."""
+    in an object array.  Affine boundaries that cross on J are refused."""
     lo, hi = bounds.lower, bounds.upper
     ys = J.integers()
     primes = [p for p, _ in factorize(q).factors]
@@ -329,12 +336,10 @@ def _numerators(q: int, bounds: BoundarySpec, J: Interval) -> tuple[int, Iterato
 
         blocks = _units(ys.start, ys.stop - 1, primes, object)
         return 1, ((y, values(lo, y), values(hi, y)) for y in blocks)
+    if any(hi(y) < lo(y) for y in (J.y0, J.y0 + J.length)):
+        raise ValueError("upper boundary below lower boundary on J")
     D = math.lcm(*(x.denominator for x in (lo.intercept, lo.slope, hi.intercept, hi.slope)))
-    (A0, B0), (A1, B1) = (
-        (f.intercept.numerator * (D // f.intercept.denominator),
-         f.slope.numerator * (D // f.slope.denominator))
-        for f in (lo, hi)
-    )
+    (A0, B0), (A1, B1) = ((int(f.intercept * D), int(f.slope * D)) for f in (lo, hi))
     Y = max(abs(ys.start), abs(ys.stop - 1))
     top = max(abs(A0), abs(A1)) + max(abs(B0), abs(B1), 1) * Y + q * D
     dtype = np.int64 if q < _Q_LIMIT and _BLOCK * top < _WIDE else object
@@ -342,60 +347,44 @@ def _numerators(q: int, bounds: BoundarySpec, J: Interval) -> tuple[int, Iterato
     return D, ((y, A0 + B0 * y, A1 + B1 * y) for y in blocks)
 
 
-def count_boundaries(
+def boundary_sums(
     a: int, b: int, q: int, bounds: BoundarySpec, J: Interval
-) -> int:
-    """Exact count of gcd(xy, q) = 1, y in J, f_lo(y) < x <= f_hi(y),
-    a x + b y^2 = 0 (mod q).
+) -> tuple[int, Fraction]:
+    """(count, main) from one walk of the y in J prime to q.
 
-    With k = -a^{-1} b mod q and c = k y^2 mod q, each admissible y
-    contributes the positive part of
-
-        floor((hi_n - c D)/(q D)) - floor((lo_n - c D)/(q D)),
-
-    where lo_n/D, hi_n/D are the boundary values over one common
-    denominator D.  The y in J prime to q come in ascending blocks of
-    _BLOCK (see _numerators): int64 when q < 2^31 and _BLOCK times the
-    largest numerator over J plus q D stays below 2^62, object dtype of
-    Python ints otherwise, so every rational box is counted exactly by the
-    same code.  Boundaries other than AffineBoundary are evaluated per y to
-    Fractions (D = 1) and floored as an object array.  Block sums are
-    combined in Python ints."""
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    if a == 0 or b == 0:
-        raise ValueError("coefficients a, b must be nonzero")
-    if math.gcd(a * b, q) != 1:
-        raise ValueError("a*b must be coprime to q")
-    if isinstance(bounds.lower, AffineBoundary) and isinstance(bounds.upper, AffineBoundary):
-        for y_end in (J.y0, J.y0 + J.length):
-            if bounds.upper(y_end) < bounds.lower(y_end):
-                raise ValueError("upper boundary below lower boundary on J")
+    count is the exact number of x, y with gcd(xy, q) = 1, f_lo(y) < x <=
+    f_hi(y) and a x + b y^2 = 0 (mod q): each y adds the positive part of
+    floor((hi_n - c D)/(q D)) - floor((lo_n - c D)/(q D)), c = -a^{-1} b y^2
+    mod q, with lo_n/D, hi_n/D the boundary values in the int64 or object
+    blocks of _numerators.  main = (1/q) sum_y (f_hi - f_lo)(y) is the sum
+    of hi_n - lo_n over q D.  Both are exact: block sums are combined in
+    Python ints and Fractions."""
+    _check_coefficients(a, b, q)
     k = -mod_inv(a, q) * b % q
     D, blocks = _numerators(q, bounds, J)
     qD = q * D
-    total = 0
+    count, width = 0, Fraction(0)
     for y, lo_n, hi_n in blocks:
         r = y % q
         cD = k * (r * r % q) % q * D
         n = (hi_n - cD) // qD - (lo_n - cD) // qD
-        total += int(n[n > 0].sum())
-    return total
+        count += int(n[n > 0].sum())
+        width += Fraction((hi_n - lo_n).sum())
+    return count, width / qD
+
+
+def count_boundaries(
+    a: int, b: int, q: int, bounds: BoundarySpec, J: Interval
+) -> int:
+    """The exact count of boundary_sums."""
+    return boundary_sums(a, b, q, bounds, J)[0]
 
 
 def main_term_boundaries(
     a: int, b: int, q: int, bounds: BoundarySpec, J: Interval
 ) -> Fraction:
-    """(1/q) sum over integers y in J with gcd(y, q) = 1 of (f_hi - f_lo)(y),
-    as (1/(q D)) times the block sums of hi_n - lo_n; for affine boundaries a
-    block sum is (Delta intercept) D count + (Delta slope) D sum(y)."""
-    if math.gcd(a * b, q) != 1:
-        raise ValueError("a*b must be coprime to q")
-    D, blocks = _numerators(q, bounds, J)
-    acc = Fraction(0)
-    for _, lo_n, hi_n in blocks:
-        acc += Fraction((hi_n - lo_n).sum())
-    return acc / (q * D)
+    """The main term of boundary_sums, (1/q) sum_{y in J, (y, q) = 1} (f_hi - f_lo)(y)."""
+    return boundary_sums(a, b, q, bounds, J)[1]
 
 
 @dataclass(frozen=True)
@@ -419,14 +408,12 @@ def boundary_report(
     if H < 1:
         raise ValueError("H must be >= 1")
     t0 = time.perf_counter()
-    exact = count_boundaries(a, b, q, bounds, J)
-    main = float(main_term_boundaries(a, b, q, bounds, J))
+    exact, mt = boundary_sums(a, b, q, bounds, J)
+    main = float(mt)
     Y = float(J.length)
     T = float(bounds.derivative_bound)
     delta = 1.0 + H * T * Y / q
-    env = Y / H + delta * log1n(H) * sigma_half_inv(q) * (
-        Y / math.sqrt(q) * tau(q) + math.sqrt(q) * log1n(q)
-    )
+    env = Y / H + _completed_term(delta * log1n(H), q, Y)
     seconds = time.perf_counter() - t0
     return BoundaryReport(exact, main, env, abs(exact - main) / env, H, delta, seconds)
 

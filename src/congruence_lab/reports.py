@@ -177,5 +177,10 @@ def write_report(
         text = json_text(description, fields, rows)
     else:
         raise ValueError(f"unknown output format {fmt_name!r}")
+    write_text(path, text)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text to path as it is, with no newline translation."""
     with open(path, "w", newline="") as fh:
         fh.write(text)

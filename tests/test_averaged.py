@@ -229,3 +229,21 @@ def test_avg_report_affine_bounds_match_cell_loop():
     assert (av.s_exact(fam), av.main_term(fam)) == (S, M)
     assert av.char_length(fam) == float(bounds.upper(Fraction(-7, 2))
                                         - bounds.lower(Fraction(-7, 2)))
+
+
+def test_one_boundary_walk_per_cell(monkeypatch):
+    calls = []
+    numerators = cg._numerators
+
+    def counted(*args):
+        calls.append(args)
+        return numerators(*args)
+
+    monkeypatch.setattr(cg, "_numerators", counted)
+    fam = _family(scheme="factorized", t=5, U=2, V=2, W=2,
+                  J=cg.Interval(0, 30), bounds=av.constant_bounds(5), seed=3)
+    av.avg_report(fam, 10.0, 0.05)
+    assert len(calls) == len(fam.cells()) > 1
+    calls.clear()
+    cg.boundary_report(1, 1, 7, cg.affine_bounds(0, 1, 3, 2), cg.Interval(0, 20), H=4)
+    assert len(calls) == 1

@@ -209,6 +209,17 @@ def test_empty_and_invalid_boundaries():
         cg.count_boundaries(2, 1, 4, cg.box_bounds(5), cg.Interval(0, 5))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 1, 1, cg.box_bounds(5), cg.Interval(0, 10)), "coefficients a, b must be nonzero"),
+    ((1, 1, 5, cg.affine_bounds(3, 0, 1, 0), cg.Interval(0, 10)), "upper boundary below"),
+    ((1, 1, 0, cg.box_bounds(5), cg.Interval(0, 10)), "q must be a positive integer"),
+], ids=["a = 0", "crossed boundaries", "q = 0"])
+def test_main_term_boundaries_refuses_what_count_refuses(args, message):
+    for kernel in (cg.count_boundaries, cg.main_term_boundaries, cg.boundary_sums):
+        with pytest.raises(ValueError, match=message):
+            kernel(*args)
+
+
 def test_callable_boundary_extension_point():
     # arbitrary callables are accepted; here they agree with an exact box
     spec = cg.BoundarySpec(lambda y: 0.0, lambda y: 12.0, Fraction(0))
@@ -345,6 +356,23 @@ def test_boundary_report():
     assert rep.ratio == pytest.approx(0.0)
     with pytest.raises(ValueError):
         cg.boundary_report(1, 1, 3, bounds, cg.Interval(0, 6), H=0)
+
+
+@pytest.mark.parametrize("q", [30030, 59838])
+def test_envelopes_keep_their_float_bits(q):
+    # the envelopes as literal expressions, multiplied left to right
+    tau, sigma, L, sqrt = arith.tau, arith.sigma_half_inv, arith.log1n, math.sqrt
+    J = cg.Interval(0, 500)
+    bounds = cg.affine_bounds(0, Fraction(1, 3), 100, Fraction(1, 2))
+    Y, T = float(J.length), float(bounds.derivative_bound)
+    for H in (1, 7, 64):
+        delta = 1.0 + H * T * Y / q
+        env = Y / H + delta * L(H) * sigma(q) * (Y / sqrt(q) * tau(q) + sqrt(q) * L(q))
+        assert cg.boundary_report(1, 1, q, bounds, J, H).envelope == env
+    inst = cg.CongruenceInstance(1, 1, q, Fraction(q, 3), 500)
+    X = float(inst.X)
+    env = X / q * tau(q) + L(q) * sigma(q) * (Y / sqrt(q) * tau(q) + sqrt(q) * L(q))
+    assert cg.error_envelope(inst) == env
 
 
 def test_boundary_report_box_has_no_distortion():
