@@ -49,6 +49,8 @@ CASES = {
                              "--format", "json"], ["avg-factorized.json"]),
     "dp6-enumerate": (["dp6-enumerate", "--B", "2000", "--t", "12", "--out", "points.csv"],
                       ["points.csv"]),
+    "dp6-enumerate-json": (["dp6-enumerate", "--B", "2000", "--t", "12", "--out", "points.json",
+                            "--format", "json"], ["points.json"]),
     "dp6-growth": (["dp6-growth", "--B-list", "1000,10000", "--t", "10",
                     "--out", "growth.json", "--format", "json"], ["growth.json"]),
     "dp6-sieve": (["dp6-sieve", "--B", "1000", "--q", "7", "--z-max", "100",
