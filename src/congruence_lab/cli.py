@@ -14,7 +14,6 @@ or option), 1 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
@@ -203,10 +202,16 @@ def _cmd_avg_scan(o: argparse.Namespace) -> int:
 
 
 def _cmd_dp6_enumerate(o: argparse.Namespace) -> int:
-    count, recs = dp6.enumerate_lower_bound_points(o.B, o.t)
+    # the checked int64 blocks are kept (96 bytes a point); their rows become
+    # Python ints one block at a time, as the file is written
+    blocks = list(dp6.point_blocks(o.B, o.t))
+    count = sum(len(block) for block in blocks)
     print(f"B = {o.B}, t = {o.t}: {count} points")
-    _emit(o, "almost-prime surface points from the q-window torsor family",
-          reports.POINT_FIELDS, [reports.point_row(r) for r in recs])
+    if o.out:
+        reports.write_table(o.out, o.format,
+                            "almost-prime surface points from the q-window torsor family",
+                            reports.POINT_FIELDS, (block.tolist() for block in blocks))
+        print(f"wrote {count} rows to {o.out}")
     return 0
 
 
@@ -224,7 +229,7 @@ def _cmd_dp6_sieve(o: argparse.Namespace) -> int:
     report = dp6.sieve_condition_report(
         o.B, o.q, o.tau, o.c2, o.z_max, o.rho_max, o.t, o.mu
     )
-    text = json.dumps(report, indent=2) + "\n"
+    text = reports.json_dump(report)
     if o.out:
         reports.write_text(o.out, text)
         print(f"wrote sieve report to {o.out}")

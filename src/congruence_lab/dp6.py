@@ -21,9 +21,12 @@ weighted sieve needs t above a threshold computed from the dimension-3
 sieving limit beta_3.
 
 One kernel, _family, enumerates the family of a prime q in int64 blocks; the
-point records, the counts L_t and the sieve sequence all read it, and the
-first two look up Omega per block through _omega.  rho is computed as its
-Euler product.
+points, the counts L_t and the sieve sequence all read it, and the first two
+look up Omega per block through _omega.  point_blocks turns the family into
+checked int64 column blocks (q, alphas, surface coordinates, Omega) that
+dp6-enumerate streams to its output without building a Python object per
+point; the dataclasses below are the scalar API over the same blocks.  rho is
+computed as its Euler product.
 
 All window and height comparisons are exact integer inequalities
 (8 q^3 > B instead of q > B^{1/3} and so on); no floating-point cube roots.
@@ -75,17 +78,22 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-# Callers work through one budget at a time, so one table is cached: 2 bytes
+# Callers work through one budget at a time, so one table is cached: 1 byte
 # per entry, limit = B^{2/3}/2 entries for the budget B.
 @lru_cache(maxsize=1)
 def _omega_upto(limit: int) -> np.ndarray:
-    # om[n] = number of prime factors of n with multiplicity; om[0] unused
-    om = np.zeros(limit + 1, dtype=np.int16)
-    for p in sieve_primes(limit):
+    # om[n] = number of prime factors of n with multiplicity; om[0] unused.
+    # Only the primes p <= sqrt(limit) are sieved; what is left of n after
+    # dividing out their powers is 1 or one prime above sqrt(limit).
+    om = np.zeros(limit + 1, dtype=np.int8)
+    rem = np.arange(limit + 1, dtype=np.int64)
+    for p in sieve_primes(math.isqrt(limit)):
         pk = p
         while pk <= limit:
             om[pk::pk] += 1
+            rem[pk::pk] //= p
             pk *= p
+    om += rem > 1
     return om
 
 
@@ -132,21 +140,24 @@ class SurfacePoint:
         return max(abs(c) for c in self.x)
 
 
+def _monomials(eta, alpha) -> tuple:
+    # the coordinates x0..x6 of pi; the alphas may be int64 arrays
+    e1, e2, e3, e4 = eta
+    a1, a2, a3 = alpha
+    return (
+        a2 * a3,
+        e1 * e2 * e3 * a1 * a2,
+        e1 * e2 * e4 * a1 * a3,
+        e1**2 * e2 * e3**2 * e4 * a2,
+        e1**2 * e2 * e3 * e4**2 * a3,
+        e1**4 * e2**2 * e3**3 * e4**3,
+        e1**3 * e2**2 * e3**2 * e4**2 * a1,
+    )
+
+
 def pi_map(p: TorsorPoint) -> SurfacePoint:
     """Monomial parametrization of the surface by the torsor."""
-    e1, e2, e3, e4 = p.eta
-    a1, a2, a3 = p.alpha
-    return SurfacePoint(
-        (
-            a2 * a3,
-            e1 * e2 * e3 * a1 * a2,
-            e1 * e2 * e4 * a1 * a3,
-            e1**2 * e2 * e3**2 * e4 * a2,
-            e1**2 * e2 * e3 * e4**2 * a3,
-            e1**4 * e2**2 * e3**3 * e4**3,
-            e1**3 * e2**2 * e3**2 * e4**2 * a1,
-        )
-    )
+    return SurfacePoint(_monomials(p.eta, p.alpha))
 
 
 # every record of one window prime q checks the same q, and records come q by q
@@ -240,30 +251,97 @@ def _family(B: int, q: int) -> Iterator[tuple[np.ndarray, ...]]:
 
 def _omega(B: int, a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
     # Omega(alpha1 alpha2 |alpha3|), prime factors with multiplicity, for a
-    # block of _family(B, q); summed in the table's int16, each term < 63
+    # block of _family(B, q); summed in the table's int8, each term < 42
     om = _omega_upto(max(_alpha_bounds(B)[1], 1))
     return om[a1] + om[a2] + om[np.abs(a3)]
 
 
-def iter_point_records(B: int, t: int) -> Iterator[PointRecord]:
-    """Stream the lower-bound family points with at most t prime factors in
-    alpha1 alpha2 |alpha3|, lifted to the surface.  Lexicographic order in
-    (q, alpha1, alpha2)."""
+# point_blocks refuses budgets at or above this, so that its checks are exact
+# in int64 (see _check_block)
+POINT_BUDGET_LIMIT = 2**31
+
+
+def point_blocks(B: int, t: int) -> Iterator[np.ndarray]:
+    """The lower-bound family points with at most t prime factors in
+    alpha1 alpha2 |alpha3|, as int64 blocks of rows
+
+        (q, alpha1, alpha2, alpha3, x0, ..., x6, Omega)
+
+    in lexicographic order in (q, alpha1, alpha2), where x = pi(eta, alpha)
+    at eta = (1, 1, 1, q), alpha = (alpha1, -alpha2, alpha3).  Every block is
+    checked for the invariants of SpecialPoint, TorsorPoint and SurfacePoint
+    and for height <= B before it is yielded.  B, t and the int64 limit
+    B < 2^31 are checked before any work."""
     if B < 1:
         raise ValueError("budget B must be positive")
     if t < 0:
         raise ValueError("factor bound t must be nonnegative")
+    if B >= POINT_BUDGET_LIMIT:
+        raise ValueError(f"budget B = {B} too large: surface points are checked in"
+                         f" int64, which needs B < 2^31")
+    return _point_blocks(B, t)
+
+
+def _point_blocks(B: int, t: int) -> Iterator[np.ndarray]:
     for q in prime_window(B):
-        for a1s, a2s, a3s in _family(B, q):
-            oms = _omega(B, a1s, a2s, a3s)
-            keep = oms <= t
-            for a1, a2, omega in zip(a1s[keep].tolist(), a2s[keep].tolist(),
-                                     oms[keep].tolist()):
-                sp = SpecialPoint(q, a1, a2, B)
-                torsor = special_to_torsor(sp)
-                surf = pi_map(torsor)
-                assert surf.height() <= B, "height bound violated in window"
-                yield PointRecord(sp, torsor, surf, omega)
+        for a1, a2, a3 in _family(B, q):
+            block = np.empty((a1.size, 12), dtype=np.int64)
+            block[:, 0] = q
+            block[:, 1], block[:, 2], block[:, 3] = a1, a2, a3
+            for j, x in enumerate(_monomials((1, 1, 1, q), (a1, -a2, a3))):
+                block[:, 4 + j] = x
+            _check_block(B, q, block)
+            block[:, 11] = _omega(B, a1, a2, a3)
+            yield block[block[:, 11] <= t]
+
+
+def _check_block(B: int, q: int, block: np.ndarray) -> None:
+    """Raise ValueError naming q and the first row of block that breaks an
+    invariant of the family.
+
+    Exactness in int64 for B < 2^31: the window predicates are comparisons.
+    On rows inside the windows alpha1^2 and alpha2 are below B^{2/3} < 2^21,
+    and where alpha3 = (alpha2 - alpha1^2)/q also holds, every coordinate is
+    below B^{4/3} < 2^42.  On rows that also pass the height check every |x_i| <= B,
+    so x3 x4, x0 x5 and x6^2 stay below 2^62 and x5 (x3 + x4) below 2^63.
+    Every other row fails one of those exact predicates, whatever the rest
+    of its values wrapped to."""
+    if not is_prime(q) or q**3 > B or 8 * q**3 <= B:
+        raise ValueError(f"family prime q = {q} must be a prime in (B^{{1/3}}/2, B^{{1/3}}]")
+    a1max, a2max = _alpha_bounds(B)
+    a1, a2, a3 = block[:, 1], block[:, 2], block[:, 3]
+    x0, _, _, x3, x4, x5, x6 = block[:, 4:11].T
+    sq = a1 * a1
+    checks = {
+        "alpha1 must lie in (0, B^{1/3}/2]": (a1 >= 1) & (a1 <= a1max),
+        "alpha1 must be coprime to q": a1 % q != 0,
+        "alpha2 must lie in (0, B^{2/3}/2]": (a2 >= 1) & (a2 <= a2max),
+        "alpha2 must be coprime to q": a2 % q != 0,
+        "alpha2 must be alpha1^2 (mod q)": (a2 - sq) % q == 0,
+        "alpha3 must be (alpha2 - alpha1^2)/q": a3 == (a2 - sq) // q,
+        "alpha3 must be nonzero": a3 != 0,
+        "torsor equation eta2 a1^2 + eta3 a2 + eta4 a3 = 0 fails": sq - a2 + q * a3 == 0,
+        "height must be at most B": np.abs(block[:, 4:11]).max(axis=1) <= B,
+        "zero vector is not a projective point": block[:, 4:11].any(axis=1),
+        "quadric x3 x4 = x0 x5 fails": x3 * x4 == x0 * x5,
+        "quadric x6^2 + x3 x5 + x4 x5 = 0 fails": x6 * x6 == -(x5 * (x3 + x4)),
+    }
+    ok = np.logical_and.reduce(list(checks.values()))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        failed = "; ".join(what for what, good in checks.items() if not good[i])
+        raise ValueError(f"family point q = {q}, (alpha1, alpha2, alpha3) ="
+                         f" ({a1[i]}, {a2[i]}, {a3[i]}): {failed}")
+
+
+def iter_point_records(B: int, t: int) -> Iterator[PointRecord]:
+    """The rows of point_blocks(B, t) as dataclass records, which check
+    every point again."""
+    for block in point_blocks(B, t):
+        for q, a1, a2, *_, omega in block.tolist():
+            sp = SpecialPoint(q, a1, a2, B)
+            torsor = special_to_torsor(sp)
+            yield PointRecord(sp, torsor, pi_map(torsor), omega)
 
 
 def enumerate_lower_bound_points(B: int, t: int) -> tuple[int, list[PointRecord]]:

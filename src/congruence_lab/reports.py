@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .averaged import AveragedReport
 from .congruence import CountReport
@@ -122,17 +122,41 @@ def point_row(rec: PointRecord) -> dict[str, str]:
 
 
 # ---- serialization ----
+#
+# A table is written from blocks of rows; a row is a sequence of cells in field
+# order, each a formatted string or an int (written as str(n), which is fmt(n)).
+# Integer cells never need CSV quoting.
+
+def _cells(fields: list[str], rows: Iterable[Mapping[str, str]]) -> list[list[str]]:
+    return [[row[f] for f in fields] for row in rows]
+
+
+def _write_csv(fh, description: str, fields: list[str],
+               blocks: Iterable[Iterable[Sequence]]) -> None:
+    fh.write(f"# {description}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(fields)
+    for rows in blocks:
+        writer.writerows(rows)
+
+
+def _json_table(description: str, fields: list[str],
+                blocks: Iterable[Iterable[Sequence]]) -> str:
+    rows = [dict(zip(fields, map(str, row))) for block in blocks for row in block]
+    return json_dump({"description": description, "fields": fields, "rows": rows})
+
+
+def json_dump(doc) -> str:
+    """The JSON text of every report: two-space indent, trailing newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
 
 def csv_text(
     description: str, fields: Iterable[str], rows: Iterable[Mapping[str, str]]
 ) -> str:
     fields = list(fields)
     buf = io.StringIO()
-    buf.write(f"# {description}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow([row[f] for f in fields])
+    _write_csv(buf, description, fields, [_cells(fields, rows)])
     return buf.getvalue()
 
 
@@ -140,12 +164,7 @@ def json_text(
     description: str, fields: Iterable[str], rows: Iterable[Mapping[str, str]]
 ) -> str:
     fields = list(fields)
-    doc = {
-        "description": description,
-        "fields": fields,
-        "rows": [{f: row[f] for f in fields} for row in rows],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_table(description, fields, [_cells(fields, rows)])
 
 
 def parse_csv_text(text: str) -> tuple[str, list[str], list[dict[str, str]]]:
@@ -171,13 +190,27 @@ def write_report(
     fields: Iterable[str],
     rows: Iterable[Mapping[str, str]],
 ) -> None:
+    fields = list(fields)
+    write_table(path, fmt_name, description, fields, [_cells(fields, rows)])
+
+
+def write_table(
+    path: str,
+    fmt_name: str,
+    description: str,
+    fields: Iterable[str],
+    blocks: Iterable[Iterable[Sequence]],
+) -> None:
+    """Write a table given as blocks of cell rows; CSV is written block by
+    block, so only one block of rows need exist at a time."""
+    fields = list(fields)
     if fmt_name == "csv":
-        text = csv_text(description, fields, rows)
+        with open(path, "w", newline="") as fh:
+            _write_csv(fh, description, fields, blocks)
     elif fmt_name == "json":
-        text = json_text(description, fields, rows)
+        write_text(path, _json_table(description, fields, blocks))
     else:
         raise ValueError(f"unknown output format {fmt_name!r}")
-    write_text(path, text)
 
 
 def write_text(path: str, text: str) -> None:

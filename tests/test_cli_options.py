@@ -30,6 +30,8 @@ REFUSALS = {
     "negative budget": (["dp6-growth", "--B-list", "-5"], None, "budget B must be positive"),
     "modulus beyond int32": (["count", "--a", "1", "--b", "1", "--q", "2147483659", "--X", "10",
                               "--Y", "10"], None, "q < 2^31, got q = 2147483659"),
+    "point budget beyond int64": (["dp6-enumerate", "--B", "2147483648", "--out", "x.csv"],
+                                  None, "B = 2147483648 too large"),
     "scanned modulus beyond int32": (["count-scan", "--q-list", "15,2147483659"], None,
                                      "q < 2^31, got q = 2147483659"),
 }

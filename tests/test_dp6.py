@@ -2,12 +2,14 @@ import functools
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from congruence_lab import arith, dp6
+from congruence_lab import arith, cli, dp6, reports
 
 
 def test_icbrt_values():
@@ -45,6 +47,20 @@ def test_omega_table_matches_scalar():
     om = dp6._omega_upto(2000)
     for n in range(1, 2001):
         assert int(om[n]) == arith.big_omega(n), n
+
+
+def test_omega_table_matches_big_omega_to_1e5():
+    top = 47**3  # 103823
+    ref = np.array([0] + [arith.big_omega(n) for n in range(1, top + 1)])
+    # 10^5, and limits that end the table at or next to the square of a prime
+    # near sqrt(limit) (313^2 = 97969, 317^2 = 100489) or the cube of a prime
+    limits = (10**5, 313**2 - 1, 313**2, 313**2 + 1, 317**2 - 1, 317**2, 317**2 + 1,
+              43**3, 47**3 - 1, 47**3)
+    for limit in limits:
+        om = dp6._omega_upto(limit)
+        assert om.dtype == np.int8
+        assert np.array_equal(om, ref[: limit + 1]), limit
+    assert ref[313**2] == 2 and ref[317**2] == 2 and ref[47**3] == 3
 
 
 # ---- torsor and surface geometry ----
@@ -142,6 +158,97 @@ def test_record_invariants():
             arith.big_omega(a1) + arith.big_omega(a2) + arith.big_omega(abs(a3))
         )
         assert rec.omega <= 12
+
+
+def _points_oracle(B, t):
+    # the family by direct loops, lifted through the dataclasses; Omega from
+    # arith.big_omega
+    a1max, a2max = dp6.icbrt(B // 8), dp6.icbrt(B * B // 8)
+    for q in dp6.prime_window(B):
+        for a1 in range(1, a1max + 1):
+            if a1 % q == 0:
+                continue
+            for a2 in range(a1 * a1 % q, a2max + 1, q):
+                if a2 == a1 * a1:
+                    continue
+                sp = dp6.SpecialPoint(q, a1, a2, B)
+                omega = sum(arith.big_omega(abs(a)) for a in (a1, a2, sp.alpha3))
+                if omega <= t:
+                    torsor = dp6.special_to_torsor(sp)
+                    yield dp6.PointRecord(sp, torsor, dp6.pi_map(torsor), omega)
+
+
+_POINTS_DESCRIPTION = "almost-prime surface points from the q-window torsor family"
+
+
+@pytest.mark.parametrize("t", [0, 9, 12])
+def test_point_blocks_match_dataclass_path(t, tmp_path, capsys):
+    B = 10**5
+    records = list(_points_oracle(B, t))
+    rows = [row for block in dp6.point_blocks(B, t) for row in block.tolist()]
+    assert rows == [[r.special.q, r.special.alpha1, r.special.alpha2, r.special.alpha3,
+                     *r.surface.x, r.omega] for r in records]
+    assert dp6.enumerate_lower_bound_points(B, t) == (len(records), records)
+    point_rows = [reports.point_row(r) for r in records]
+    for fmt_name, to_text in (("csv", reports.csv_text), ("json", reports.json_text)):
+        out = tmp_path / f"points.{fmt_name}"
+        argv = ["dp6-enumerate", "--B", str(B), "--t", str(t), "--out", str(out),
+                "--format", fmt_name]
+        assert cli.main(argv) == 0
+        assert out.read_text() == to_text(_POINTS_DESCRIPTION, reports.POINT_FIELDS,
+                                          point_rows)
+    assert f"B = {B}, t = {t}: {len(records)} points\n" in capsys.readouterr().out
+
+
+def _corrupt_first_block(monkeypatch, corrupt):
+    # _family as it is, except that corrupt edits the first block of the
+    # first window prime
+    family = dp6._family
+
+    def corrupted(B, q):
+        for i, (a1, a2, a3) in enumerate(family(B, q)):
+            if i == 0 and q == dp6.prime_window(B)[0]:
+                a1, a2, a3 = a1.copy(), a2.copy(), a3.copy()
+                corrupt(B, a1, a2, a3)
+            yield a1, a2, a3
+
+    monkeypatch.setattr(dp6, "_family", corrupted)
+
+
+def _bump_alpha2(B, a1, a2, a3):
+    a2[3] += 1
+
+
+def _alpha1_out_of_window(B, a1, a2, a3):
+    a1[3] = dp6.icbrt(B // 8) + 1
+
+
+@pytest.mark.parametrize("corrupt, failure", [
+    (_bump_alpha2, "alpha2 must be alpha1^2 (mod q)"),
+    (_alpha1_out_of_window, "alpha1 must lie in (0, B^{1/3}/2]"),
+])
+def test_point_blocks_refuse_a_corrupted_row(corrupt, failure, monkeypatch, capsys):
+    B = 10**4
+    q = dp6.prime_window(B)[0]
+    _corrupt_first_block(monkeypatch, corrupt)
+    a1, a2, a3 = (int(c[3]) for c in next(dp6._family(B, q)))
+    row = f"q = {q}, (alpha1, alpha2, alpha3) = ({a1}, {a2}, {a3})"
+    with pytest.raises(ValueError) as err:
+        list(dp6.point_blocks(B, 12))
+    assert row in str(err.value) and failure in str(err.value)
+    with pytest.raises(ValueError, match=re.escape(row)):
+        dp6.enumerate_lower_bound_points(B, 12)
+    assert cli.main(["dp6-enumerate", "--B", str(B)]) == 2
+    assert row in capsys.readouterr().err
+
+
+def test_point_blocks_int64_budget_limit():
+    limit = dp6.POINT_BUDGET_LIMIT
+    assert limit == 2**31
+    dp6.point_blocks(limit - 1, 12)  # accepted; the generator does no work yet
+    for B in (limit, 10**10):
+        with pytest.raises(ValueError, match=f"B = {B} too large"):
+            dp6.point_blocks(B, 12)
 
 
 def test_l_t_count_matches_enumeration():
