@@ -21,12 +21,14 @@ weighted sieve needs t above a threshold computed from the dimension-3
 sieving limit beta_3.
 
 One kernel, _family, enumerates the family of a prime q in int64 blocks; the
-points, the counts L_t and the sieve sequence all read it, and the first two
-look up Omega per block through _omega.  point_blocks turns the family into
-checked int64 column blocks (q, alphas, surface coordinates, Omega) that
-dp6-enumerate streams to its output without building a Python object per
-point; the dataclasses below are the scalar API over the same blocks.  rho is
-computed as its Euler product.
+points and the sieve sequence read it, and the points look up Omega per
+block through _omega.  point_blocks turns the family into checked int64
+column blocks (q, alphas, surface coordinates, Omega) that dp6-enumerate
+streams to its output without building a Python object per point; the
+dataclasses below are the scalar API over the same blocks.  The counts L_t
+need no point: l_t_count reads each alpha1 row of the family as two
+contiguous int8 row slices of the Omega table, one for alpha2 and one for
+alpha3.  rho is computed as its Euler product.
 
 All window and height comparisons are exact integer inequalities
 (8 q^3 > B instead of q > B^{1/3} and so on); no floating-point cube roots.
@@ -49,6 +51,7 @@ log = logging.getLogger("congruence_lab")
 
 BETA_3 = 6.640859  # sieving limit for the dimension-3 weighted sieve
 _BLOCK_PAIRS = 1 << 14  # (alpha1, alpha2) pairs per _family block, whole rows
+_BLOCK_CELLS = 1 << 18  # int8 cells per l_t_count block, whole rows
 
 
 def icbrt(n: int) -> int:
@@ -349,13 +352,40 @@ def enumerate_lower_bound_points(B: int, t: int) -> tuple[int, list[PointRecord]
     return len(records), records
 
 
+# l_t_count refuses budgets whose alpha2 bound reaches this, so that its int8
+# sums cannot wrap (see _check_count_budget)
+COUNT_ALPHA2_LIMIT = 2**32
+
+
+def _check_count_budget(B: int) -> None:
+    """Refuse a budget that l_t_count cannot count exactly in int8.
+
+    Every 1 <= n <= a2max has Omega(n) <= L - 1 with L = a2max.bit_length(),
+    so a real two-term sum is at most 2L - 2 and the pad 2L - 1 exceeds it.
+    Two pads add to 4L - 2, which stays <= 127 while a2max < 2^32."""
+    if B < 1:
+        raise ValueError("budget B must be positive")
+    if _alpha_bounds(B)[1] >= COUNT_ALPHA2_LIMIT:
+        raise ValueError(f"budget B = {B} too large: almost-prime counts sum int8"
+                         f" Omega entries, which needs B^{{2/3}}/2 < 2^32")
+
+
 def l_t_count(B: int, q: int, t: int) -> int:
     """Count of almost-prime family points for one prime q (no lifting).
 
     q beyond B^{1/3} contributes nothing and returns 0 with a log line.
+
+    Row alpha1 of the family has alpha2 = s + k q and alpha3 = k - z for
+    0 <= k < K = a2max // q + 1, with s = alpha1^2 mod q and z = alpha1^2 // q
+    (see _family), so its two Omega terms are contiguous int8 rows of two
+    tables: row s of MT, the Omega table as a (q, K) matrix with
+    MT[s, k] = Omega(s + k q), and the window T[Z - z : Z - z + K] of
+    T[j] = Omega(|j - Z|), Z the largest z.  A pad that exceeds every real
+    two-term sum fills the cells beyond a2max and T[Z] (alpha3 = 0), and each
+    row compares its sums against t - Omega(alpha1) clamped to the largest
+    real sum, so pad cells never count.  No alpha2 array is built.
     """
-    if B < 1:
-        raise ValueError("budget B must be positive")
+    _check_count_budget(B)
     if not is_prime(q):
         raise ValueError("q must be prime")
     if t < 0:
@@ -363,7 +393,30 @@ def l_t_count(B: int, q: int, t: int) -> int:
     if q**3 > B:
         log.info("l_t_count: q=%d exceeds B^{1/3}, count is 0", q)
         return 0
-    return sum(int(np.count_nonzero(_omega(B, *block) <= t)) for block in _family(B, q))
+    a1max, a2max = _alpha_bounds(B)
+    om = _omega_upto(a2max)
+    L = a2max.bit_length()
+    pad = 2 * L - 1
+    K = a2max // q + 1
+    mt = np.full(q * K, pad, dtype=np.int8)
+    mt[: a2max + 1] = om
+    mt = np.ascontiguousarray(mt.reshape(K, q).T)
+    rows = np.arange(1, a1max + 1, dtype=np.int64)
+    rows = rows[rows % q != 0]
+    s, z = rows * rows % q, rows * rows // q
+    Z = int(z[-1])
+    T = np.empty(Z + K, dtype=np.int8)
+    T[:Z], T[Z], T[Z + 1 :] = om[Z:0:-1], pad, om[1:K]
+    windows = np.lib.stride_tricks.sliding_window_view(T, K)
+    # every real cell passes at t >= 3L, so the int8 subtraction is exact
+    room = np.minimum(min(t, 3 * L) - om[rows], 2 * L - 2)
+    step = max(1, _BLOCK_CELLS // K)
+    total = 0
+    for i in range(0, rows.size, step):
+        cells = mt[s[i : i + step]]
+        cells += windows[Z - z[i : i + step]]
+        total += int(np.count_nonzero(cells <= room[i : i + step, None]))
+    return total
 
 
 @dataclass(frozen=True)
@@ -376,8 +429,10 @@ class GrowthRow:
 
 def m_t_growth(B_values: Sequence[int], t: int) -> list[GrowthRow]:
     """Total almost-prime counts over the q-window for each budget."""
-    if any(B < 1 for B in B_values):
-        raise ValueError("budget B must be positive")
+    for B in B_values:
+        _check_count_budget(B)
+    if t < 0:
+        raise ValueError("factor bound t must be nonnegative")
     rows = []
     for B in B_values:
         total = sum(l_t_count(B, q, t) for q in prime_window(B))

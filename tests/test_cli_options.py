@@ -28,6 +28,10 @@ REFUSALS = {
                                       "B = 5\n", "'B'"),
     "zero budget": (["dp6-growth", "--B-list", "0"], None, "budget B must be positive"),
     "negative budget": (["dp6-growth", "--B-list", "-5"], None, "budget B must be positive"),
+    "negative factor bound": (["dp6-growth", "--B-list", "1", "--t", "-1"], None,
+                              "factor bound t must be nonnegative"),
+    "count budget beyond int8": (["dp6-growth", "--B-list", "1000,1125899906842624"], None,
+                                 "B = 1125899906842624 too large"),
     "modulus beyond int32": (["count", "--a", "1", "--b", "1", "--q", "2147483659", "--X", "10",
                               "--Y", "10"], None, "q < 2^31, got q = 2147483659"),
     "point budget beyond int64": (["dp6-enumerate", "--B", "2147483648", "--out", "x.csv"],

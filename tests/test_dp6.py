@@ -304,6 +304,71 @@ def test_l_t_count_matches_brute_scan():
     check()
 
 
+def _l_t_family(B, q, t):
+    # the masked count over the _family blocks that l_t_count replaced
+    if q**3 > B:
+        return 0
+    return sum(int(np.count_nonzero(dp6._omega(B, *block) <= t))
+               for block in dp6._family(B, q))
+
+
+def _family_size(B, q):
+    return sum(block[0].size for block in dp6._family(B, q))
+
+
+def test_l_t_count_matches_family_count():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(data=st.data(), B=st.integers(1, 10**8), t=st.integers(0, 70))
+    def check(data, B, t):
+        # every prime up to B^{1/3}, the window and below it (2 for B < 8)
+        q = data.draw(st.sampled_from(dp6.sieve_primes(max(dp6.icbrt(B), 2))))
+        assert dp6.l_t_count(B, q, t) == _l_t_family(B, q, t)
+
+    check()
+
+
+@pytest.mark.parametrize("B, q", [(1000, 7), (10**6, 2), (10**6, 59), (10**6, 97),
+                                  (10**8, 409)])
+def test_l_t_count_fixed_cases(B, q):
+    assert dp6.l_t_count(B, q, 12) == _l_t_family(B, q, 12)
+    assert dp6.l_t_count(B, q, 10**6) == _family_size(B, q)
+
+
+def test_l_t_count_alpha3_zero_beyond_the_row(monkeypatch):
+    # In the family alpha1^2 <= a2max, so the alpha3 = 0 cell k = z of a row
+    # always lies before its last alpha2.  Widening the alpha1 window to
+    # 9 > sqrt(50) at B = 1000 (a2max = 50) puts it at k >= n for alpha1 = 8
+    # and 9 (and beyond the K columns of q = 7); both counts must still agree.
+    monkeypatch.setattr(dp6, "_alpha_bounds", lambda B: (9, 50))
+    q = 7
+    a1 = np.arange(1, 10)
+    a1 = a1[a1 % q != 0]
+    z, n = a1 * a1 // q, (50 - a1 * a1 % q) // q + 1
+    assert (z >= n).any()
+    for t in (0, 3, 6, 12, 10**6):
+        assert dp6.l_t_count(1000, q, t) == _l_t_family(1000, q, t)
+    assert dp6.l_t_count(1000, q, 10**6) == _family_size(1000, q)
+
+
+def test_l_t_count_int8_budget_limit(monkeypatch):
+    B = 2**50  # a2max = icbrt(2^97) >= 2^32
+    assert dp6._alpha_bounds(B)[1] >= dp6.COUNT_ALPHA2_LIMIT
+    with pytest.raises(ValueError, match=f"B = {B} too large"):
+        dp6.l_t_count(B, 2, 12)
+
+    def no_work(*args):
+        raise AssertionError("l_t_count ran before the arguments were checked")
+
+    monkeypatch.setattr(dp6, "l_t_count", no_work)
+    with pytest.raises(ValueError, match=f"B = {B} too large"):
+        dp6.m_t_growth([1000, B], 12)
+    with pytest.raises(ValueError, match="factor bound t must be nonnegative"):
+        dp6.m_t_growth([1000], -1)
+
+
 # ---- sieve sequence and densities ----
 
 def test_build_sieve_sequence():

@@ -53,6 +53,9 @@ CASES = {
                             "--format", "json"], ["points.json"]),
     "dp6-growth": (["dp6-growth", "--B-list", "1000,10000", "--t", "10",
                     "--out", "growth.json", "--format", "json"], ["growth.json"]),
+    # the three budgets of the bench dp6-family workload's dp6-growth op
+    "dp6-growth-bench": (["dp6-growth", "--B-list", "1000000,100000000,1000000000",
+                          "--t", "12"], []),
     "dp6-sieve": (["dp6-sieve", "--B", "1000", "--q", "7", "--z-max", "100",
                    "--rho-max", "10"], []),
     "dp6-sieve-out": (["dp6-sieve", "--B", "1500", "--q", "7", "--tau", "0.3", "--c2", "2",
