@@ -165,12 +165,11 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
 
 
 def _cmd_vaaler(o: argparse.Namespace) -> int:
+    if o.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {o.samples}")
     rng = random.Random(o.seed)
     xs = np.array([rng.random() for _ in range(o.samples)])
-    approx = sawtooth.vaaler_polynomial(o.H).evaluate_many(xs)
-    slack = np.abs(sawtooth.psi(xs) - approx) - sawtooth.fejer_majorant_many(xs, o.H)
-    violations = int((slack > 0).sum())
-    worst = float(slack.max())
+    violations, worst = sawtooth.majorant_slack(xs, o.H)
     print(f"H = {o.H}: {violations} violations in {o.samples} samples;"
           f" worst slack = {worst!r}")
     row = dict(H=o.H, samples=o.samples, seed=o.seed, violations=violations, worst_slack=worst)

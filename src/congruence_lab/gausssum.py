@@ -22,6 +22,8 @@ import numpy as np
 from .arith import jacobi, mod_inv, unit_symbols
 
 _TWO_PI = 2.0 * math.pi
+_BLOCK = 1 << 14  # n per int64 block of gauss_brute's exponents
+_BRUTE_LIMIT = 1 << 31  # gauss_brute's moduli stay below this
 
 
 def _e(phase: Fraction) -> complex:
@@ -60,24 +62,32 @@ class GaussSumValue:
 def gauss_brute(s: int, t: int, u: int) -> complex:
     """Direct evaluation with compensated (Kahan) summation.
 
-    The exponent is reduced mod u in integer arithmetic first, so each term
-    is evaluated at an exact small angle.
+    The exponent k = (s n^2 + t n) mod u is reduced in int64 arithmetic over
+    blocks of 2^14 n, as (s' (n^2 mod u) + t' n) mod u with s' = s mod u and
+    t' = t mod u; every product stays below 2^62 while u < 2^31, and larger
+    u is refused.  Each term is then evaluated at the exact small angle
+    2 pi k / u and added in order of n.
     """
     if u < 1:
         raise ValueError("modulus u must be positive")
+    if u >= _BRUTE_LIMIT:
+        raise ValueError(f"gauss_brute needs u < 2^31, got u = {u}")
+    s, t = s % u, t % u
+    cos, sin = math.cos, math.sin
     re = im = 0.0
     cre = cim = 0.0
-    for n in range(1, u + 1):
-        k = (s * n * n + t * n) % u
-        ang = _TWO_PI * k / u
-        x = math.cos(ang) - cre
-        v = re + x
-        cre = (v - re) - x
-        re = v
-        y = math.sin(ang) - cim
-        w = im + y
-        cim = (w - im) - y
-        im = w
+    for lo in range(1, u + 1, _BLOCK):
+        n = np.arange(lo, min(lo + _BLOCK, u + 1), dtype=np.int64)
+        for k in ((s * (n * n % u) + t * n) % u).tolist():
+            ang = _TWO_PI * k / u
+            x = cos(ang) - cre
+            v = re + x
+            cre = (v - re) - x
+            re = v
+            y = sin(ang) - cim
+            w = im + y
+            cim = (w - im) - y
+            im = w
     return complex(re, im)
 
 

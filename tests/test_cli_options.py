@@ -36,6 +36,10 @@ REFUSALS = {
                               "--Y", "10"], None, "q < 2^31, got q = 2147483659"),
     "point budget beyond int64": (["dp6-enumerate", "--B", "2147483648", "--out", "x.csv"],
                                   None, "B = 2147483648 too large"),
+    "no vaaler samples": (["vaaler", "--H", "8", "--samples", "0"], None, "--samples"),
+    "negative vaaler samples key": (["vaaler", "--H", "8"], "samples = -3\n", "--samples"),
+    "Gauss modulus beyond int32": (["gauss", "--s", "1", "--t", "0", "--u", "2147483648"], None,
+                                   "u < 2^31, got u = 2147483648"),
     "scanned modulus beyond int32": (["count-scan", "--q-list", "15,2147483659"], None,
                                      "q < 2^31, got q = 2147483659"),
 }

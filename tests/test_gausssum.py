@@ -133,3 +133,43 @@ def test_brute_kahan_is_stable_for_large_u():
     u = 3001  # prime, 1 mod 4
     val = gausssum.gauss_brute(1, 0, u)
     assert abs(val - math.sqrt(u)) < 1e-8
+
+
+def _kahan_brute(s, t, u):
+    # the per-n loop gauss_brute replaced: Python-int exponents, same angle
+    # and Kahan order, so the two agree bit for bit
+    re = im = 0.0
+    cre = cim = 0.0
+    for n in range(1, u + 1):
+        k = (s * n * n + t * n) % u
+        ang = 2.0 * math.pi * k / u
+        x = math.cos(ang) - cre
+        v = re + x
+        cre = (v - re) - x
+        re = v
+        y = math.sin(ang) - cim
+        w = im + y
+        cim = (w - im) - y
+        im = w
+    return complex(re, im)
+
+
+def test_brute_matches_per_term_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(u=st.integers(1, 5000), s=st.integers(-10**30, 10**30),
+                      t=st.integers(-10**30, 10**30))
+    def check(u, s, t):
+        assert gausssum.gauss_brute(s, t, u) == _kahan_brute(s, t, u)
+
+    check()
+    # blocks of n start at 1, 2^14 + 1, ...: one modulus past a block edge
+    u = gausssum._BLOCK + 3
+    assert gausssum.gauss_brute(-7, 11, u) == _kahan_brute(-7, 11, u)
+
+
+def test_brute_refuses_moduli_beyond_int64_exponents():
+    with pytest.raises(ValueError, match=r"u < 2\^31, got u = 2147483648"):
+        gausssum.gauss_brute(1, 0, 2**31)

@@ -110,3 +110,74 @@ def test_row_blocks_match_one_piece_outer_products():
     w = 2.0 * (1.0 - hs / (H + 1))
     one_piece = (1.0 + (np.cos(2.0 * math.pi * np.outer(xs, hs)) * w).sum(axis=1)) / (H + 1)
     assert np.array_equal(sawtooth.fejer_majorant_many(xs, H), one_piece)
+
+
+def _inline_slack(xs, H):
+    # the row-sum definition of the majorant check, over all of xs at once
+    poly = sawtooth.vaaler_polynomial(H)
+    return np.abs(sawtooth.psi(xs) - poly.evaluate_many(xs)) - sawtooth.fejer_majorant_many(xs, H)
+
+
+def _inline_check(xs, H):
+    slack = _inline_slack(xs, H)
+    return int((slack > 0).sum()), float(slack.max())
+
+
+def test_majorant_slack_matches_row_sums(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(H=st.integers(1, 128), seed=st.integers(0, 2**64 - 1),
+                      n=st.integers(1, 3000), zeros=st.booleans(),
+                      block=st.sampled_from([7, 64, 1 << 14]))
+    def check(H, seed, n, zeros, block):
+        # zeros adds the majorant's zeros k/(H+1), where the slack is ~0 and
+        # the screen must defer to the row sums; small blocks make the
+        # largest slack turn up in a later block than the first candidates
+        monkeypatch.setattr(sawtooth, "_BLOCK", block)
+        xs = np.random.default_rng(seed).random(n)
+        if zeros:
+            xs = np.concatenate([xs, np.arange(1, H + 1) / (H + 1)])
+        assert sawtooth.majorant_slack(xs, H) == _inline_check(xs, H)
+
+    check()
+
+
+def test_majorant_slack_rounding_case():
+    # H = 64, seed 645583 of vaaler: one x ~0.4 where the row sums put the
+    # error 1.1e-16 above a majorant zero
+    rng = random.Random(645583)
+    xs = np.array([rng.random() for _ in range(200_000)])
+    assert sawtooth.majorant_slack(xs, 64) == (1, 1.13584355596266e-16)
+
+
+def _adversarial_points(H, seed):
+    # k/(H+1) +- 2^-j, the points next to 0, 1/2 and 1, and random x
+    pts = [k / (H + 1) + sign * 2.0**-j
+           for k in range(H + 2) for j in range(8, 60, 3) for sign in (-1, 1)]
+    pts += [k / (H + 1) for k in range(H + 1)]
+    pts += [c + sign * 2.0**-j for c in (0.0, 0.5, 1.0) for j in range(1, 1075, 7)
+            for sign in (-1, 1)]
+    pts += [5e-324, 2.0**-1000, 2.0**-1000 - 2.0**-1060, 1.0 - 2.0**-53, 0.5 - 2.0**-54]
+    xs = np.concatenate([np.array(pts), np.random.default_rng(seed).random(5000)])
+    return xs[(xs >= 0.0) & (xs < 1.0)]
+
+
+@pytest.mark.parametrize("H", [1, 2, 3, 8, 31, 64, 128, 500])
+def test_screen_within_hundredth_of_its_bound(H):
+    xs = _adversarial_points(H, H)
+    screen = sawtooth._screen_slack(xs, sawtooth.vaaler_polynomial(H))
+    assert np.max(np.abs(screen - _inline_slack(xs, H))) <= sawtooth.slack_error_bound(H) / 100
+
+
+def test_majorant_slack_refusals():
+    with pytest.raises(ValueError, match="at least one x"):
+        sawtooth.majorant_slack(np.array([]), 4)
+    for bad in ([0.5, 1.0], [-1e-300, 0.5], [0.5, float("nan")], [2.5]):
+        with pytest.raises(ValueError, match=r"in \[0, 1\)"):
+            sawtooth.majorant_slack(np.array(bad), 4)
+    with pytest.raises(ValueError, match="H must be >= 1"):
+        sawtooth.majorant_slack(np.array([0.5]), 0)
+    with pytest.raises(ValueError, match="H <= 1000000, got H = 1000001"):
+        sawtooth.majorant_slack(np.array([0.5]), 10**6 + 1)
