@@ -1,9 +1,12 @@
 """Exact integer arithmetic: factorization, multiplicative functions, symbols.
 
-Factorization does trial division for small factors, then Brent's variant of
-Pollard rho with a deterministic Miller-Rabin test (fixed witness set, exact
-for all n < 2**64).  Everything in this module is exact; the intended
-operating range is 1 <= n < 2**63.
+Factorization does trial division by 2, 3, 5 and the 6k +/- 1 wheel up to
+min(sqrt(x), 10^6), x the cofactor left.  When the wheel passes sqrt(x), the
+cofactor is 1 or a prime and is recorded without a primality test; only a
+cofactor left at the 10^6 bound goes to Brent's variant of Pollard rho with a
+deterministic Miller-Rabin test (fixed witness set, exact for all n < 2**64).
+Everything in this module is exact; the intended operating range is
+1 <= n < 2**63.
 """
 
 from __future__ import annotations
@@ -103,7 +106,12 @@ def factorize(n: int) -> Factorization:
             x //= d
         d += step
         step = 6 - step
-    stack = [x] if x > 1 else []
+    if d * d <= x:  # stopped at the trial bound: x may be composite
+        stack = [x]
+    else:  # the wheel passed sqrt(x), so x is 1 or a prime
+        stack = []
+        if x > 1:
+            found[x] = 1
     while stack:
         m = stack.pop()
         if m == 1:

@@ -8,10 +8,13 @@ in [1, q] has Qx + [c <= rx] members in (0, X], so the count is
 
 where T(s, t) counts the unit pairs x <= s, y <= t with -a x^e = b y^f
 (mod q).  count_exact evaluates the four T over ascending numpy blocks of
-unit residues and one int32 table of y-counts per key: O(q) time, 4 bytes
-per residue, q < 2^31 so every residue product fits in int64, and the T are
-combined in Python ints, so counts stay exact for any rational box.  Boxes
-get a main-term/error-envelope split phi(q) X Y / q^2 + O(...).
+unit y residues.  For e = 1 each unit y fixes the one class x = c_y =
+-a^{-1} b y^f mod q, so the blocks are all it holds; for e >= 2 it also
+fills one int32 table of y-counts per key (4 bytes per residue) and reads
+it at the x-keys.  O(q) time either way, q < 2^31 so every residue product
+fits in int64, and the T are combined in Python ints, so counts stay exact
+for any rational box.  Boxes get a main-term/error-envelope split
+phi(q) X Y / q^2 + O(...).
 
 Regions whose x-range depends on y through slowly varying boundary functions
 are counted through the floor identity
@@ -89,8 +92,8 @@ def _check_coefficients(a: int, b: int, q: int) -> None:
 
 
 def _check_modulus(q: int) -> None:
-    if q >= _Q_LIMIT:
-        raise ValueError(f"count_exact needs q < 2^31, got q = {q}")
+    if not 1 <= q < _Q_LIMIT:
+        raise ValueError(f"count_exact needs 1 <= q < 2^31, got q = {q}")
 
 
 def _units(lo: int, hi: int, primes: list[int], dtype=np.int64) -> Iterator[np.ndarray]:
@@ -104,16 +107,24 @@ def _units(lo: int, hi: int, primes: list[int], dtype=np.int64) -> Iterator[np.n
 
 
 def _powmod(r: np.ndarray, k: int, q: int) -> np.ndarray:
-    # r^k mod q by repeated squaring; with r, q < 2^31 every product is < 2^62
-    out = np.full_like(r, 1 % q)
+    # r^k mod q for k >= 1 by repeated squaring from the lowest set bit of k,
+    # so r^2 costs one product; with r, q < 2^31 every product is < 2^62
     base = r % q
-    while k:
+    while not k & 1:
+        base = base * base % q
+        k >>= 1
+    out = base
+    while k := k >> 1:
+        base = base * base % q
         if k & 1:
             out = out * base % q
-        k >>= 1
-        if k:
-            base = base * base % q
     return out
+
+
+def _x_classes(y: np.ndarray, k: int, f: int, q: int) -> np.ndarray:
+    # c_y = k y^f mod q, k = -a^{-1} b mod q: the one class of x in [0, q)
+    # with a x + b y^f = 0 (mod q), for every unit y of the block
+    return k * _powmod(y, f, q) % q
 
 
 def count_exact(inst: CongruenceInstance) -> int:
@@ -122,34 +133,51 @@ def count_exact(inst: CongruenceInstance) -> int:
     floor(X) = Qx q + rx and floor(Y) = Qy q + ry; T(s, t) counts unit pairs
     x <= s, y <= t with -a x^e = b y^f (mod q).  The residues 1..q (q stands
     for the class 0, a unit only when q = 1) are sieved for units by the
-    primes of q in blocks of _BLOCK.  An int32 table of length q counts the
-    unit y per key b y^f mod q, filled first for y <= ry and then for the
-    rest; after each fill the x-keys -a x^e mod q are gathered from it.
-    O(q) time for any exponent pair, 4 bytes per residue, exact for any
-    rational X and Y and any signs of a and b.  q must be below 2^31:
-    ValueError naming q otherwise, before anything is allocated.
+    primes of q in blocks of _BLOCK, y <= ry first and then the rest.
+
+    For e = 1 each unit y fixes one unit x, the class c_y = -a^{-1} b y^f mod
+    q, so T(q, t) is the number of unit y <= t and T(rx, t) the number of
+    those with c_y <= rx (none when rx = 0, which covers q = 1): no table and
+    no walk over x, only blocks of _BLOCK residues.  For e >= 2, x -> -a x^e
+    is not a bijection on the units, so an int32 table of length q counts
+    the unit y per key b y^f mod q, and after each fill the x-keys -a x^e mod
+    q are gathered from it (4 bytes per residue).  O(q) time either way,
+    exact for any rational X and Y and any signs of a and b.  q must satisfy
+    1 <= q < 2^31: ValueError naming q otherwise, before anything is
+    allocated.
     """
     q = inst.q
     _check_modulus(q)
     Qx, rx = divmod(inst.X.numerator // inst.X.denominator, q)
     Qy, ry = divmod(inst.Y.numerator // inst.Y.denominator, q)
     primes = [p for p, _ in factorize(q).factors]
-    ka, kb = -inst.a % q, inst.b % q
-    table = np.zeros(q, dtype=np.int32)
+    y_ranges = ((1, ry), (ry + 1, q))
     sums = []  # (T(rx, t), T(q, t)) for t = ry, then t = q
-    for y_lo, y_hi in ((1, ry), (ry + 1, q)):
-        if y_lo > y_hi:
-            sums.append((0, 0))
-            continue
-        for y in _units(y_lo, y_hi, primes):
-            keys, counts = np.unique(kb * _powmod(y, inst.f, q) % q, return_counts=True)
-            table[keys] += counts
+    if inst.e == 1:
+        k = -mod_inv(inst.a, q) * inst.b % q
         below = whole = 0
-        for x in _units(1, q, primes):
-            hits = table[ka * _powmod(x, inst.e, q) % q]
-            whole += int(hits.sum())
-            below += int(hits[: np.searchsorted(x, rx, side="right")].sum())
-        sums.append((below, whole))
+        for y_lo, y_hi in y_ranges:
+            for y in _units(y_lo, y_hi, primes):
+                whole += len(y)
+                if rx:
+                    below += int(np.count_nonzero(_x_classes(y, k, inst.f, q) <= rx))
+            sums.append((below, whole))
+    else:
+        ka, kb = -inst.a % q, inst.b % q
+        table = np.zeros(q, dtype=np.int32)
+        for y_lo, y_hi in y_ranges:
+            if y_lo > y_hi:  # ry = 0: no y, so no x walk
+                sums.append((0, 0))
+                continue
+            for y in _units(y_lo, y_hi, primes):
+                keys, counts = np.unique(kb * _powmod(y, inst.f, q) % q, return_counts=True)
+                table[keys] += counts
+            below = whole = 0
+            for x in _units(1, q, primes):
+                hits = table[ka * _powmod(x, inst.e, q) % q]
+                whole += int(hits.sum())
+                below += int(hits[: np.searchsorted(x, rx, side="right")].sum())
+            sums.append((below, whole))
     (t_rr, t_qr), (t_rq, t_qq) = sums
     return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
 
@@ -222,8 +250,9 @@ def scan_boxes(
     Y_rule: Rule = lambda q: q,
 ) -> list[CountReport]:
     """Box reports over a family of moduli, in input order; instances
-    violating gcd(ab, q) = 1 are skipped with a log line.  A modulus of
-    2^31 or more is refused (ValueError) before any instance is counted."""
+    violating gcd(ab, q) = 1 are skipped with a log line.  A modulus below 1
+    or of 2^31 or more is refused (ValueError naming q) before any instance
+    is counted."""
     for q in q_values:
         _check_modulus(q)
     instances = []
@@ -365,8 +394,7 @@ def boundary_sums(
     qD = q * D
     count, width = 0, Fraction(0)
     for y, lo_n, hi_n in blocks:
-        r = y % q
-        cD = k * (r * r % q) % q * D
+        cD = _x_classes(y, k, 2, q) * D
         n = (hi_n - cD) // qD - (lo_n - cD) // qD
         count += int(n[n > 0].sum())
         width += Fraction((hi_n - lo_n).sum())

@@ -158,6 +158,18 @@ def test_factorize_against_sympy():
         assert dict(arith.factorize(n).factors) == sympy.factorint(n), n
 
 
+def test_factorize_trial_bound_edges_against_sympy():
+    # the wheel stops either past sqrt of the cofactor (the cofactor is then
+    # 1 or a prime, recorded untested) or at the trial bound 10^6 (the
+    # cofactor goes to Miller-Rabin and rho); these n sit on both sides
+    sympy = pytest.importorskip("sympy")
+    p, r = 1000003, 999983  # the primes next to 10^6
+    ns = [p * p, r * r, r * p, r * 1000000000039, 2 * 3 * r * p,
+          1000000000039, 999999999989, 7 * 1000000000039]
+    for n in ns:
+        assert dict(arith.factorize(n).factors) == sympy.factorint(n), n
+
+
 def test_is_prime_against_sympy():
     sympy, rng, ns = _sympy_and_moduli()
     for n in ns + [rng.randrange(1, 2**64) | 1 for _ in range(2000)]:

@@ -42,6 +42,8 @@ REFUSALS = {
                                    "u < 2^31, got u = 2147483648"),
     "scanned modulus beyond int32": (["count-scan", "--q-list", "15,2147483659"], None,
                                      "q < 2^31, got q = 2147483659"),
+    "scanned modulus zero": (["count-scan", "--q-list", "0,5"], None, "got q = 0"),
+    "scanned modulus negative": (["count-scan", "--q-list", "5,-7"], None, "got q = -7"),
 }
 
 

@@ -110,6 +110,69 @@ def test_count_exact_huge_box_is_exact():
     assert cg.count_exact(inst) == count_exact_loop(inst)
 
 
+# ---- the e = 1 path: x = c_y solved per unit y, no key table ----
+
+def _lin(a, b, q, X, Y, f):
+    return cg.CongruenceInstance(a, b, q, Fraction(X), Fraction(Y), 1, f)
+
+
+LINEAR_CASES = {
+    "Qx = Qy = 0": _lin(3, 5, 101, Fraction(57, 2), Fraction(88, 3), 2),
+    "Qx = 0": _lin(3, 5, 101, Fraction(57, 2), 3 * 101 + 40, 2),
+    "Qy = 0": _lin(3, 5, 101, 4 * 101 + 7, Fraction(99, 4), 2),
+    "rx = 0, Qy = 0": _lin(3, 5, 101, 101, Fraction(99, 4), 2),
+    "ry = 0": _lin(-7, 11, 2**14 + 1, 2 * (2**14 + 1) + 5, 3 * (2**14 + 1), 2),
+    "rx = ry = 0": _lin(-7, 11, 2**14 + 1, 2**14 + 1, 2 * (2**14 + 1), 3),
+    "q = 1": _lin(4, -9, 1, Fraction(7, 2), Fraction(29, 4), 2),
+    "q = 1, f = 3": _lin(-4, 9, 1, 1, 13, 3),
+    "q = 2": _lin(1, 1, 2, Fraction(15, 2), 9, 2),
+    "q = 2, negative": _lin(-3, -5, 2, 1, Fraction(11, 3), 3),
+    "negative a": _lin(-1231, 19, 30031, 2 * 30031 + 17, 30031 + 2**14 + 1, 2),
+    "negative b": _lin(1231, -19, 30031, 30031 - 1, 4 * 30031 + 2**14, 2),
+    "negative a and b": _lin(-1231, -19, 9973, Fraction(3 * 9973 + 1, 2), Fraction(50001, 7), 2),
+    "f = 1": _lin(-5, 7, 30031, 2 * 30031 + 2**14, 30031 + 2**14 - 1, 1),
+    "f = 1, small": _lin(5, -7, 12, 30, Fraction(47, 2), 1),
+    "f = 3": _lin(5, -7, 9973, 9973 + 2**13, Fraction(7 * 9973, 3), 3),
+    "f = 3, composite": _lin(-3, -7, 2**14 + 1, 2**14, 2**15 + 7, 3),
+    "f = 4": _lin(17, -19, 30030, 30030 + 29999, 2 * 30030 + 1, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+def test_count_exact_linear_matches_loop(case):
+    inst = LINEAR_CASES[case]
+    exact = cg.count_exact(inst)
+    assert type(exact) is int
+    assert exact == count_exact_loop(inst)
+    if inst.X * inst.Y <= 10**5:
+        assert exact == cg.count_exact_naive(inst)
+
+
+def test_count_exact_linear_huge_box_is_exact():
+    for f in (1, 2, 3):
+        inst = cg.CongruenceInstance(-3, 5, 9973, Fraction(10**40 + 1, 3),
+                                     Fraction(10**39 + 7, 11), 1, f)
+        assert cg.count_exact(inst) == count_exact_loop(inst)
+
+
+@pytest.mark.parametrize("q", [300007, 300300, 299999])
+def test_count_exact_linear_matches_boundary_walk(q):
+    # count_boundaries counts per y by floor division at its class c_y, with
+    # no split of the box into T(s, t); it shares only _units and _x_classes
+    a, b = -1231, 23
+    X = Fraction(10**12 + 1, 3)
+    for Y in (q, Fraction(2 * q, 3), q - Fraction(1, 2), Fraction(q, 2**14)):
+        inst = cg.CongruenceInstance(a, b, q, X, Y)
+        walk = cg.count_boundaries(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))
+        assert cg.count_exact(inst) == walk, Y
+
+
+def test_scan_boxes_refuses_nonpositive_modulus():
+    for q in (0, -7):
+        with pytest.raises(ValueError, match=f"got q = {q}"):
+            cg.scan_boxes([5, q])
+
+
 def test_count_exact_refuses_modulus_beyond_int32():
     inst = cg.CongruenceInstance(1, 1, 2**31, 5, 5)
     with pytest.raises(ValueError, match="2147483648"):
