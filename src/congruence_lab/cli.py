@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -138,6 +139,8 @@ def _cmd_gauss(o: argparse.Namespace) -> int:
 
 def _cmd_count(o: argparse.Namespace) -> int:
     inst = congruence.CongruenceInstance(o.a, o.b, o.q, o.X, o.Y, o.e, o.f)
+    if (inst.e, inst.f) != (1, 2) and o.out:
+        raise ValueError(f"--out applies only to e = 1, f = 2, got e = {inst.e}, f = {inst.f}")
     if (inst.e, inst.f) == (1, 2):
         rep = congruence.box_report(inst)
         print(f"exact     = {rep.exact}")
@@ -201,15 +204,14 @@ def _cmd_avg_scan(o: argparse.Namespace) -> int:
 
 
 def _cmd_dp6_enumerate(o: argparse.Namespace) -> int:
-    # the checked int64 blocks are kept (96 bytes a point); their rows become
-    # Python ints one block at a time, as the file is written
+    # the checked int64 blocks are kept (96 bytes a point) and written as they are
     blocks = list(dp6.point_blocks(o.B, o.t))
     count = sum(len(block) for block in blocks)
     print(f"B = {o.B}, t = {o.t}: {count} points")
     if o.out:
         reports.write_table(o.out, o.format,
                             "almost-prime surface points from the q-window torsor family",
-                            reports.POINT_FIELDS, (block.tolist() for block in blocks))
+                            reports.POINT_FIELDS, blocks)
         print(f"wrote {count} rows to {o.out}")
     return 0
 
@@ -323,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Every option of args.command, from its flag, else its config key,
-    else its default.  Refuses config keys the command does not declare and
-    missing required options."""
+    else its default.  Refuses config keys the command does not declare,
+    missing required options, --format or --timings without --out and an
+    --out whose directory does not exist."""
     _, _, options = _COMMANDS[args.command]
     given = vars(args)
     cfg = load_config(given["config"]) if "config" in given else {}
@@ -342,6 +345,12 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError(f"missing required option --{o.name}")
         else:
             values[o.dest] = None if o.default is None else o.convert(o.default)
+    out = values.get("out")
+    for name in ("format", "timings"):
+        if out is None and (name in given or name in cfg):
+            raise ValueError(f"--{name} applies only with --out")
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"--out {out!r}: directory {os.path.dirname(out)!r} does not exist")
     return argparse.Namespace(**values)
 
 

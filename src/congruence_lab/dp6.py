@@ -565,12 +565,12 @@ def w1_min_c1(q: int, z_max: int = 1000) -> dict[str, float]:
     prefix = [0.0]
     for v in logs:
         prefix.append(prefix[-1] + v)
+    log_p = [math.log(p) for p in ps]
     worst = 0.0
-    for i, w in enumerate(ps):
+    for i, log_w in enumerate(log_p):
         for j in range(i + 1, len(ps)):
-            z = ps[j]
             lhs = math.exp(-(prefix[j] - prefix[i]))  # product over w <= p < z
-            needed = (lhs / (math.log(z) / math.log(w)) ** 3 - 1) * math.log(w)
+            needed = (lhs / (log_p[j] / log_w) ** 3 - 1) * log_w
             worst = max(worst, needed)
     return {"z_max": z_max, "min_c1": worst}
 

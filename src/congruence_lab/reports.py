@@ -9,15 +9,15 @@ default output byte-identical across runs and machines.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .averaged import AveragedReport
 from .congruence import CountReport
-from .dp6 import GrowthRow, PointRecord
+from .dp6 import GrowthRow
 
 BOX_FIELDS = (
     "a", "b", "q", "e", "f", "X", "Y",
@@ -106,81 +106,52 @@ def growth_row(row: GrowthRow) -> dict[str, str]:
     }
 
 
-def point_row(rec: PointRecord) -> dict[str, str]:
-    sp = rec.special
-    x = rec.surface.x
-    row = {
-        "q": fmt(sp.q),
-        "a1": fmt(sp.alpha1),
-        "a2": fmt(sp.alpha2),
-        "a3": fmt(sp.alpha3),
-    }
-    for i, c in enumerate(x):
-        row[f"x{i}"] = fmt(c)
-    row["Omega"] = fmt(rec.omega)
-    return row
-
-
 # ---- serialization ----
 #
-# A table is written from blocks of rows; a row is a sequence of cells in field
-# order, each a formatted string or an int (written as str(n), which is fmt(n)).
-# Integer cells never need CSV quoting.
+# A table is written from blocks of rows in field order.  A block is either an
+# integer ndarray, one row per table row, or a sequence of rows of str cells
+# (fmt output).  Each block becomes its CSV text in one %-formatting call.
+# The CSV writer never quotes, so it refuses a str cell that csv would have
+# to quote: one holding ',', '"', CR or LF, or the lone cell "" of a
+# one-column row.
 
 def _cells(fields: list[str], rows: Iterable[Mapping[str, str]]) -> list[list[str]]:
     return [[row[f] for f in fields] for row in rows]
 
 
+def _csv_lines(fields: list[str], block) -> str:
+    n, k = len(block), len(fields)
+    if isinstance(block, np.ndarray):
+        return (",".join(["%d"] * k) + "\n") * n % tuple(block.ravel().tolist())
+    cells = [cell for row in block for cell in row]
+    text = (",".join(["%s"] * k) + "\n") * n % tuple(cells)
+    # the template alone writes n (k - 1) commas and n newlines
+    if (text.count(",") + text.count("\n") != n * k or '"' in text or "\r" in text
+            or (k == 1 and "" in cells)):
+        i = next(i for i, cell in enumerate(cells)
+                 if any(c in cell for c in ',"\r\n') or (k == 1 and cell == ""))
+        raise ValueError(f"CSV field {fields[i % k]!r}: cell {cells[i]!r} would need quoting")
+    return text
+
+
 def _write_csv(fh, description: str, fields: list[str],
-               blocks: Iterable[Iterable[Sequence]]) -> None:
+               blocks: Iterable[np.ndarray | Sequence[Sequence[str]]]) -> None:
     fh.write(f"# {description}\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(fields)
-    for rows in blocks:
-        writer.writerows(rows)
+    fh.write(_csv_lines(fields, [fields]))
+    for block in blocks:
+        fh.write(_csv_lines(fields, block))
 
 
 def _json_table(description: str, fields: list[str],
-                blocks: Iterable[Iterable[Sequence]]) -> str:
-    rows = [dict(zip(fields, map(str, row))) for block in blocks for row in block]
+                blocks: Iterable[np.ndarray | Sequence[Sequence[str]]]) -> str:
+    rows = [dict(zip(fields, map(str, row))) for block in blocks
+            for row in (block.tolist() if isinstance(block, np.ndarray) else block)]
     return json_dump({"description": description, "fields": fields, "rows": rows})
 
 
 def json_dump(doc) -> str:
     """The JSON text of every report: two-space indent, trailing newline."""
     return json.dumps(doc, indent=2) + "\n"
-
-
-def csv_text(
-    description: str, fields: Iterable[str], rows: Iterable[Mapping[str, str]]
-) -> str:
-    fields = list(fields)
-    buf = io.StringIO()
-    _write_csv(buf, description, fields, [_cells(fields, rows)])
-    return buf.getvalue()
-
-
-def json_text(
-    description: str, fields: Iterable[str], rows: Iterable[Mapping[str, str]]
-) -> str:
-    fields = list(fields)
-    return _json_table(description, fields, [_cells(fields, rows)])
-
-
-def parse_csv_text(text: str) -> tuple[str, list[str], list[dict[str, str]]]:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# "):
-        raise ValueError("missing description line")
-    description = lines[0][2:]
-    reader = csv.reader(lines[1:])
-    fields = next(reader)
-    rows = [dict(zip(fields, rec)) for rec in reader]
-    return description, fields, rows
-
-
-def parse_json_text(text: str) -> tuple[str, list[str], list[dict[str, str]]]:
-    doc = json.loads(text)
-    return doc["description"], list(doc["fields"]), [dict(r) for r in doc["rows"]]
 
 
 def write_report(
@@ -199,10 +170,12 @@ def write_table(
     fmt_name: str,
     description: str,
     fields: Iterable[str],
-    blocks: Iterable[Iterable[Sequence]],
+    blocks: Iterable[np.ndarray | Sequence[Sequence[str]]],
 ) -> None:
-    """Write a table given as blocks of cell rows; CSV is written block by
-    block, so only one block of rows need exist at a time."""
+    """Write a table given as blocks of rows: integer ndarrays or rows of
+    str cells.  CSV is written block by block, so only one block's text need
+    exist at a time; a str cell that would need quoting raises ValueError
+    naming its field, before its block is written."""
     fields = list(fields)
     if fmt_name == "csv":
         with open(path, "w", newline="") as fh:

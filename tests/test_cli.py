@@ -4,6 +4,8 @@ import pytest
 
 from congruence_lab import cli, congruence, reports
 
+import oracles
+
 
 def run(argv):
     return cli.main(argv)
@@ -29,7 +31,7 @@ def test_count_fixture(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "exact     = 16" in out
     assert "wrote 1 rows" in out
-    desc, fields, rows = reports.parse_csv_text(out_path.read_text())
+    desc, fields, rows = oracles.parse_csv_text(out_path.read_text())
     assert list(fields) == list(reports.BOX_FIELDS)
     assert rows[0]["exact"] == "16"
     assert rows[0]["seconds"] == "0.0"
@@ -78,7 +80,7 @@ def test_avg_scan_deterministic(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "seed 0:" in out and "seed 2:" in out
     assert a.read_bytes() == b.read_bytes()
-    _, _, rows = reports.parse_csv_text(a.read_text())
+    _, _, rows = oracles.parse_csv_text(a.read_text())
     assert len(rows) == 3
     assert {r["seed"] for r in rows} == {"0", "1", "2"}
 
@@ -89,7 +91,7 @@ def test_dp6_enumerate(tmp_path, capsys):
                 "--out", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "31 points" in out
-    _, fields, rows = reports.parse_csv_text(out_path.read_text())
+    _, fields, rows = oracles.parse_csv_text(out_path.read_text())
     assert list(fields) == list(reports.POINT_FIELDS)
     assert len(rows) == 31
     assert rows[0]["x5"] == "343"
@@ -100,7 +102,7 @@ def test_dp6_growth(tmp_path, capsys):
     assert run(["dp6-growth", "--B-list", "1000,10000",
                 "--out", str(out_path)]) == 0
     capsys.readouterr()
-    _, _, rows = reports.parse_csv_text(out_path.read_text())
+    _, _, rows = oracles.parse_csv_text(out_path.read_text())
     counts = [int(r["count"]) for r in rows]
     assert counts[0] < counts[1]
 
@@ -118,7 +120,7 @@ def test_bilinear_command(tmp_path, capsys):
     assert run(["bilinear", "--M", "64", "--N", "64", "--seeds", "2",
                 "--out", str(out_path)]) == 0
     capsys.readouterr()
-    _, _, rows = reports.parse_csv_text(out_path.read_text())
+    _, _, rows = oracles.parse_csv_text(out_path.read_text())
     assert len(rows) == 2
     for row in rows:
         assert float(row["ratio"]) < 1.0
@@ -149,9 +151,9 @@ def test_json_output_round_trip(tmp_path, capsys):
     assert run(["count", "--a", "1", "--b", "1", "--q", "5", "--X", "10",
                 "--Y", "10", "--out", str(out_path), "--format", "json"]) == 0
     capsys.readouterr()
-    desc, fields, rows = reports.parse_json_text(out_path.read_text())
+    desc, fields, rows = oracles.parse_json_text(out_path.read_text())
     assert rows[0]["exact"] == "16"
-    assert reports.csv_text(desc, fields, rows).startswith("# congruence box counts")
+    assert oracles.csv_text(desc, fields, rows).startswith("# congruence box counts")
 
 
 def test_timings_column_opt_in(tmp_path, capsys):
@@ -159,5 +161,5 @@ def test_timings_column_opt_in(tmp_path, capsys):
     assert run(["count", "--a", "1", "--b", "1", "--q", "5", "--X", "10",
                 "--Y", "10", "--out", str(out_path), "--timings"]) == 0
     capsys.readouterr()
-    _, _, rows = reports.parse_csv_text(out_path.read_text())
+    _, _, rows = oracles.parse_csv_text(out_path.read_text())
     assert float(rows[0]["seconds"]) >= 0.0

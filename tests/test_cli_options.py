@@ -44,6 +44,18 @@ REFUSALS = {
                                      "q < 2^31, got q = 2147483659"),
     "scanned modulus zero": (["count-scan", "--q-list", "0,5"], None, "got q = 0"),
     "scanned modulus negative": (["count-scan", "--q-list", "5,-7"], None, "got q = -7"),
+    "out for general exponents": (["count", *BOX, "--e", "2", "--f", "2", "--out", "x.csv"],
+                                  None, "--out applies only to e = 1, f = 2"),
+    "timings for general exponents": (["count", *BOX, "--e", "2", "--f", "2", "--timings"],
+                                      None, "--timings applies only with --out"),
+    "timings without out": (["count-scan", "--timings"], None,
+                            "--timings applies only with --out"),
+    "format flag without out": (["count", *BOX, "--format", "json"], None,
+                                "--format applies only with --out"),
+    "format key without out": (["count", *BOX], "format = json\n",
+                               "--format applies only with --out"),
+    "out in a missing directory": (["dp6-enumerate", "--B", "1000000", "--out", "missing/x.csv"],
+                                   None, "directory 'missing' does not exist"),
 }
 
 

@@ -11,6 +11,8 @@ import pytest
 
 from congruence_lab import arith, cli, dp6, reports
 
+import oracles
+
 
 def test_icbrt_values():
     assert dp6.icbrt(0) == 0
@@ -189,8 +191,8 @@ def test_point_blocks_match_dataclass_path(t, tmp_path, capsys):
     assert rows == [[r.special.q, r.special.alpha1, r.special.alpha2, r.special.alpha3,
                      *r.surface.x, r.omega] for r in records]
     assert dp6.enumerate_lower_bound_points(B, t) == (len(records), records)
-    point_rows = [reports.point_row(r) for r in records]
-    for fmt_name, to_text in (("csv", reports.csv_text), ("json", reports.json_text)):
+    point_rows = [oracles.point_row(r) for r in records]
+    for fmt_name, to_text in (("csv", oracles.csv_text), ("json", oracles.json_text)):
         out = tmp_path / f"points.{fmt_name}"
         argv = ["dp6-enumerate", "--B", str(B), "--t", str(t), "--out", str(out),
                 "--format", fmt_name]

@@ -1,10 +1,14 @@
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from congruence_lab import averaged as av
 from congruence_lab import congruence as cg
 from congruence_lab import dp6, reports
+
+import oracles
 
 
 def test_fmt():
@@ -52,7 +56,7 @@ def test_growth_and_point_rows():
     assert grow["count"] == "31"
 
     _, records = dp6.enumerate_lower_bound_points(1000, 12)
-    prow = reports.point_row(records[0])
+    prow = oracles.point_row(records[0])
     assert tuple(prow) == reports.POINT_FIELDS
     assert prow["x5"] == "343"
     assert prow["Omega"] == "3"
@@ -64,18 +68,18 @@ def test_round_trip_csv_json_csv():
         {"n": "1", "value": "21/2", "flag": "true"},
         {"n": "2", "value": repr(0.30000000000000004), "flag": "false"},
     ]
-    csv1 = reports.csv_text("demo table", fields, rows)
-    desc, f2, r2 = reports.parse_csv_text(csv1)
+    csv1 = oracles.csv_text("demo table", fields, rows)
+    desc, f2, r2 = oracles.parse_csv_text(csv1)
     assert (desc, f2, r2) == ("demo table", fields, rows)
-    js = reports.json_text(desc, f2, r2)
-    desc3, f3, r3 = reports.parse_json_text(js)
-    csv2 = reports.csv_text(desc3, f3, r3)
+    js = oracles.json_text(desc, f2, r2)
+    desc3, f3, r3 = oracles.parse_json_text(js)
+    csv2 = oracles.csv_text(desc3, f3, r3)
     assert csv2 == csv1
 
 
 def test_parse_csv_requires_description():
     with pytest.raises(ValueError):
-        reports.parse_csv_text("a,b\n1,2\n")
+        oracles.parse_csv_text("a,b\n1,2\n")
 
 
 def test_write_report(tmp_path):
@@ -84,3 +88,76 @@ def test_write_report(tmp_path):
     assert path.read_text() == "# demo\na\n1\n"
     with pytest.raises(ValueError):
         reports.write_report(str(path), "xml", "demo", ["a"], [])
+
+
+def _write_both(tmp_path, fields, blocks):
+    """The CSV and JSON texts write_table makes of blocks."""
+    texts = []
+    for fmt_name in ("csv", "json"):
+        path = tmp_path / f"table.{fmt_name}"
+        reports.write_table(str(path), fmt_name, "demo table", fields, blocks)
+        texts.append(path.read_text())
+    return texts
+
+
+def _oracle_both(fields, rows):
+    rows = [dict(zip(fields, map(str, row))) for row in rows]
+    return [oracles.csv_text("demo table", fields, rows),
+            oracles.json_text("demo table", fields, rows)]
+
+
+def test_int_blocks_match_csv_writer(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    int64 = st.integers(-2**63, 2**63 - 1)
+    extremes = np.array([[2**63 - 1], [-2**63], [-(2**63 - 1)], [0]], dtype=np.int64)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(data=st.data(), k=st.integers(1, 13))
+    @hypothesis.example(data=None, k=1)
+    def check(data, k):
+        fields = [f"c{j}" for j in range(k)]
+        if data is None:
+            blocks = [extremes, np.empty((0, 1), dtype=np.int64)]
+        else:
+            block = hnp.arrays(np.int64, st.tuples(st.integers(0, 6), st.just(k)),
+                               elements=int64)
+            blocks = data.draw(st.lists(block, max_size=4))
+        rows = [row for block in blocks for row in block.tolist()]
+        assert _write_both(tmp_path, fields, blocks) == _oracle_both(fields, rows)
+
+    check()
+
+
+def test_fmt_rows_match_csv_writer(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cell = st.one_of(st.integers(), st.fractions(), st.booleans(), st.floats()).map(reports.fmt)
+    special = [reports.fmt(x) for x in (float("inf"), float("-inf"), float("nan"), -0.0)]
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(data=st.data(), k=st.integers(1, 8))
+    @hypothesis.example(data=None, k=4)
+    def check(data, k):
+        fields = [f"c{j}" for j in range(k)]
+        if data is None:
+            blocks = [[special], []]
+        else:
+            row = st.lists(cell, min_size=k, max_size=k)
+            blocks = data.draw(st.lists(st.lists(row, max_size=5), max_size=3))
+        rows = [row for block in blocks for row in block]
+        assert _write_both(tmp_path, fields, blocks) == _oracle_both(fields, rows)
+
+    check()
+
+
+@pytest.mark.parametrize("bad", ["1,2", 'say "x"', "a\rb", "a\nb"])
+def test_csv_refuses_cells_that_need_quoting(bad, tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=f"CSV field 'b': cell {re.escape(repr(bad))}"):
+        reports.write_table(str(path), "csv", "demo", ["a", "b"], [[["1", "2"], ["3", bad]]])
+    with pytest.raises(ValueError, match=f"CSV field {re.escape(repr(bad))}"):
+        reports.write_table(str(path), "csv", "demo", ["a", bad], [])
+    with pytest.raises(ValueError, match="CSV field 'a': cell ''"):
+        reports.write_table(str(path), "csv", "demo", ["a"], [[["1"], [""]]])
