@@ -167,11 +167,20 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
     return 0
 
 
+def random_floats(seed: int, n: int) -> np.ndarray:
+    """[random.Random(seed).random() for _ in range(n)] as one float64 array,
+    bit for bit: Python's MT19937 state drawn by numpy's legacy RandomState,
+    whose stream and 53-bit doubles NEP 19 freezes."""
+    key = random.Random(seed).getstate()[1]
+    state = np.random.RandomState()
+    state.set_state(("MT19937", np.array(key[:624], dtype=np.uint32), key[624]))
+    return state.random_sample(n)
+
+
 def _cmd_vaaler(o: argparse.Namespace) -> int:
     if o.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {o.samples}")
-    rng = random.Random(o.seed)
-    xs = np.array([rng.random() for _ in range(o.samples)])
+    xs = random_floats(o.seed, o.samples)
     violations, worst = sawtooth.majorant_slack(xs, o.H)
     print(f"H = {o.H}: {violations} violations in {o.samples} samples;"
           f" worst slack = {worst!r}")

@@ -59,35 +59,39 @@ class GaussSumValue:
         )
 
 
+def _kahan(acc: float, comp: float, terms) -> tuple[float, float]:
+    # compensated (Kahan) summation of terms in order, from the running sum
+    # acc and its compensation comp
+    for x in terms:
+        y = x - comp
+        v = acc + y
+        comp = (v - acc) - y
+        acc = v
+    return acc, comp
+
+
 def gauss_brute(s: int, t: int, u: int) -> complex:
     """Direct evaluation with compensated (Kahan) summation.
 
     The exponent k = (s n^2 + t n) mod u is reduced in int64 arithmetic over
     blocks of 2^14 n, as (s' (n^2 mod u) + t' n) mod u with s' = s mod u and
     t' = t mod u; every product stays below 2^62 while u < 2^31, and larger
-    u is refused.  Each term is then evaluated at the exact small angle
-    2 pi k / u and added in order of n.
+    u is refused.  Each term is then the cos and sin of the exact small angle
+    2 pi k / u, taken by numpy over the block, and the real and imaginary
+    parts are Kahan-summed in order of n.
     """
     if u < 1:
         raise ValueError("modulus u must be positive")
     if u >= _BRUTE_LIMIT:
         raise ValueError(f"gauss_brute needs u < 2^31, got u = {u}")
     s, t = s % u, t % u
-    cos, sin = math.cos, math.sin
     re = im = 0.0
     cre = cim = 0.0
     for lo in range(1, u + 1, _BLOCK):
         n = np.arange(lo, min(lo + _BLOCK, u + 1), dtype=np.int64)
-        for k in ((s * (n * n % u) + t * n) % u).tolist():
-            ang = _TWO_PI * k / u
-            x = cos(ang) - cre
-            v = re + x
-            cre = (v - re) - x
-            re = v
-            y = sin(ang) - cim
-            w = im + y
-            cim = (w - im) - y
-            im = w
+        ang = _TWO_PI * ((s * (n * n % u) + t * n) % u) / u
+        re, cre = _kahan(re, cre, np.cos(ang).tolist())
+        im, cim = _kahan(im, cim, np.sin(ang).tolist())
     return complex(re, im)
 
 
@@ -124,57 +128,3 @@ def gauss_closed(s: int, t: int, u: int) -> GaussSumValue:
     phase = Fraction(c * t * t % m, m)
     value = coeff * unit * j * math.sqrt(rad) * _e(phase)
     return GaussSumValue(value, coeff, unit, j, rad, phase)
-
-
-def reciprocity_check(s: int, u: int) -> tuple[complex, complex, float]:
-    """Both sides of G(s,0;u) G(u,0;s) = G(1,0;su) for odd positive s coprime
-    to u, and the absolute defect between them (brute evaluation throughout)."""
-    if s < 1 or s % 2 == 0:
-        raise ValueError("reciprocity requires odd positive s")
-    if u < 1:
-        raise ValueError("modulus u must be positive")
-    if math.gcd(s, u) != 1:
-        raise ValueError("reciprocity requires gcd(s, u) = 1")
-    lhs = gauss_brute(s, 0, u) * gauss_brute(u, 0, s)
-    rhs = gauss_brute(1, 0, s * u)
-    return lhs, rhs, abs(lhs - rhs)
-
-
-# ---- whole-grid evaluation (all coprime s, all shifts t, fixed u) ----
-
-def coprime_residues(u: int) -> list[int]:
-    return [s for s in range(1, u + 1) if math.gcd(s, u) == 1] if u > 1 else [1]
-
-
-def brute_grid(u: int) -> tuple[list[int], np.ndarray]:
-    """G(s, t; u) for every coprime s and every t in [0, u).
-
-    Row s of the result is the inverse DFT of the sequence e(s n^2 / u):
-    sum_n e(s n^2/u) e(t n/u) over n = 0..u-1 equals the sum over n = 1..u
-    term by term, so this is the same quantity gauss_brute computes.
-    """
-    ss = coprime_residues(u)
-    n = np.arange(u, dtype=np.int64)
-    n2 = (n * n) % u
-    roots = np.exp(2j * np.pi * np.arange(u) / u)
-    rows = np.empty((len(ss), u), dtype=np.complex128)
-    for i, s in enumerate(ss):
-        rows[i] = roots[(s * n2) % u]
-    return ss, np.fft.ifft(rows, axis=1) * u
-
-
-def closed_grid(u: int) -> tuple[list[int], np.ndarray]:
-    """Closed-form values on the same (s, t) grid as brute_grid."""
-    ss = coprime_residues(u)
-    out = np.ones((len(ss), u), dtype=np.complex128)
-    if u == 1:
-        return ss, out
-    *_, parity, _, m = _branch(1, u)  # parity and m depend on u alone
-    roots = np.exp(2j * np.pi * np.arange(m) / m)
-    tt = np.arange(u, dtype=np.int64)
-    t2 = (tt * tt) % m
-    alive = np.ones(u, dtype=bool) if parity is None else tt % 2 == parity
-    for i, s in enumerate(ss):
-        coeff, unit, j, rad, _, c, _ = _branch(s, u)
-        out[i] = np.where(alive, coeff * unit * j * math.sqrt(rad) * roots[(c * t2) % m], 0)
-    return ss, out

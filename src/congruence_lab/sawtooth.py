@@ -1,8 +1,7 @@
-"""Sawtooth function psi(x) = {x} - 1/2 and its trigonometric approximations.
+"""Sawtooth function psi(x) = {x} - 1/2 and its trigonometric approximation.
 
-Two truncations are provided: the plain Fourier partial sum, and the degree-H
-approximating polynomial whose error is majorized pointwise by the Fejer
-kernel average
+V_H is the degree-H approximating polynomial whose error is majorized
+pointwise by the Fejer kernel average
 
     |psi(x) - V_H(x)| <= (H+1)^{-1} sum_{|h| <= H} (1 - |h|/(H+1)) e(hx).
 
@@ -39,13 +38,6 @@ def psi(x):
     """{x} - 1/2, periodic with period 1, values in [-1/2, 1/2); x may be a
     float or an array."""
     return x - np.floor(x) - 0.5
-
-
-def psi_fourier(x: float, H: int) -> float:
-    """Partial Fourier sum -sum_{h<=H} sin(2 pi h x)/(pi h)."""
-    if H < 1:
-        raise ValueError("H must be >= 1")
-    return -sum(math.sin(_TWO_PI * h * x) / (math.pi * h) for h in range(1, H + 1))
 
 
 def _taper(t: float) -> float:
@@ -105,12 +97,6 @@ def fejer_majorant_many(xs: np.ndarray, H: int) -> np.ndarray:
     hs = np.arange(1, H + 1, dtype=np.float64)
     w = 2.0 * (1.0 - hs / (H + 1))
     return (1.0 + _row_sums(xs, hs, np.cos, w)) / (H + 1)
-
-
-def vaaler_check(x: float, H: int, slack: float = 0.0) -> bool:
-    """Does |psi(x) - V_H(x)| <= majorant(x) + slack hold at x?"""
-    poly = vaaler_polynomial(H)
-    return bool(abs(psi(x) - poly.evaluate(x)) <= fejer_majorant(x, H) + slack)
 
 
 def slack_error_bound(H: int) -> float:

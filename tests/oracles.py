@@ -1,15 +1,22 @@
 """Test-only reference code: table text built and parsed with the csv and
-json modules, independently of the writer in congruence_lab.reports."""
+json modules, independently of the writer in congruence_lab.reports; Gauss
+sum reciprocity and whole-grid evaluation; the Fourier partial sum of the
+sawtooth and a pointwise Vaaler majorant check."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from congruence_lab.dp6 import PointRecord
+from congruence_lab.gausssum import _branch, gauss_brute
 from congruence_lab.reports import fmt
+from congruence_lab.sawtooth import fejer_majorant, psi, vaaler_polynomial
 
 
 def point_row(rec: PointRecord) -> dict[str, str]:
@@ -61,3 +68,72 @@ def parse_csv_text(text: str) -> tuple[str, list[str], list[dict[str, str]]]:
 def parse_json_text(text: str) -> tuple[str, list[str], list[dict[str, str]]]:
     doc = json.loads(text)
     return doc["description"], list(doc["fields"]), [dict(r) for r in doc["rows"]]
+
+
+def reciprocity_check(s: int, u: int) -> tuple[complex, complex, float]:
+    """Both sides of G(s,0;u) G(u,0;s) = G(1,0;su) for odd positive s coprime
+    to u, and the absolute defect between them (brute evaluation throughout)."""
+    if s < 1 or s % 2 == 0:
+        raise ValueError("reciprocity requires odd positive s")
+    if u < 1:
+        raise ValueError("modulus u must be positive")
+    if math.gcd(s, u) != 1:
+        raise ValueError("reciprocity requires gcd(s, u) = 1")
+    lhs = gauss_brute(s, 0, u) * gauss_brute(u, 0, s)
+    rhs = gauss_brute(1, 0, s * u)
+    return lhs, rhs, abs(lhs - rhs)
+
+
+# ---- whole-grid evaluation (all coprime s, all shifts t, fixed u) ----
+
+def coprime_residues(u: int) -> list[int]:
+    return [s for s in range(1, u + 1) if math.gcd(s, u) == 1] if u > 1 else [1]
+
+
+def brute_grid(u: int) -> tuple[list[int], np.ndarray]:
+    """G(s, t; u) for every coprime s and every t in [0, u).
+
+    Row s of the result is the inverse DFT of the sequence e(s n^2 / u):
+    sum_n e(s n^2/u) e(t n/u) over n = 0..u-1 equals the sum over n = 1..u
+    term by term, so this is the same quantity gauss_brute computes.
+    """
+    ss = coprime_residues(u)
+    n = np.arange(u, dtype=np.int64)
+    n2 = (n * n) % u
+    roots = np.exp(2j * np.pi * np.arange(u) / u)
+    rows = np.empty((len(ss), u), dtype=np.complex128)
+    for i, s in enumerate(ss):
+        rows[i] = roots[(s * n2) % u]
+    return ss, np.fft.ifft(rows, axis=1) * u
+
+
+def closed_grid(u: int) -> tuple[list[int], np.ndarray]:
+    """Closed-form values on the same (s, t) grid as brute_grid."""
+    ss = coprime_residues(u)
+    out = np.ones((len(ss), u), dtype=np.complex128)
+    if u == 1:
+        return ss, out
+    *_, parity, _, m = _branch(1, u)  # parity and m depend on u alone
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    tt = np.arange(u, dtype=np.int64)
+    t2 = (tt * tt) % m
+    alive = np.ones(u, dtype=bool) if parity is None else tt % 2 == parity
+    for i, s in enumerate(ss):
+        coeff, unit, j, rad, _, c, _ = _branch(s, u)
+        out[i] = np.where(alive, coeff * unit * j * math.sqrt(rad) * roots[(c * t2) % m], 0)
+    return ss, out
+
+
+# ---- sawtooth ----
+
+def psi_fourier(x: float, H: int) -> float:
+    """Partial Fourier sum -sum_{h<=H} sin(2 pi h x)/(pi h)."""
+    if H < 1:
+        raise ValueError("H must be >= 1")
+    return -sum(math.sin(2.0 * math.pi * h * x) / (math.pi * h) for h in range(1, H + 1))
+
+
+def vaaler_check(x: float, H: int, slack: float = 0.0) -> bool:
+    """Does |psi(x) - V_H(x)| <= majorant(x) + slack hold at x?"""
+    poly = vaaler_polynomial(H)
+    return bool(abs(psi(x) - poly.evaluate(x)) <= fejer_majorant(x, H) + slack)

@@ -1,5 +1,7 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
 from congruence_lab import cli, congruence, reports
@@ -69,6 +71,17 @@ def test_vaaler_command(capsys):
     assert run(["vaaler", "--H", "8", "--samples", "500"]) == 0
     out = capsys.readouterr().out
     assert "0 violations in 500 samples" in out
+
+
+@pytest.mark.parametrize("seed", [0, 1, -7, 2**32 - 1, 2**32, 10**30])
+def test_random_floats_match_python_random(seed):
+    # n = 624 is one MT19937 state; the others stop on either side of a refill
+    for n in (1, 623, 624, 625, 1249, 5000):
+        rng = random.Random(seed)
+        want = np.array([rng.random() for _ in range(n)])
+        got = cli.random_floats(seed, n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (seed, n)
 
 
 def test_avg_scan_deterministic(tmp_path, capsys):

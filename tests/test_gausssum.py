@@ -7,6 +7,8 @@ import pytest
 
 from congruence_lab import gausssum
 
+import oracles
+
 
 def test_closed_form_examples():
     g = gausssum.gauss_closed(1, 0, 5)
@@ -99,9 +101,9 @@ def test_preconditions():
 
 def test_grids_match_scalar_paths():
     for u in (1, 7, 12, 18, 32):
-        ss, brute = gausssum.brute_grid(u)
-        ss2, closed = gausssum.closed_grid(u)
-        assert ss == ss2 == gausssum.coprime_residues(u)
+        ss, brute = oracles.brute_grid(u)
+        ss2, closed = oracles.closed_grid(u)
+        assert ss == ss2 == oracles.coprime_residues(u)
         for i, s in enumerate(ss):
             for t in range(u):
                 assert abs(brute[i, t] - gausssum.gauss_brute(s, t, u)) < 1e-9
@@ -109,23 +111,23 @@ def test_grids_match_scalar_paths():
 
 
 def test_reciprocity_examples():
-    lhs, rhs, defect = gausssum.reciprocity_check(3, 5)
+    lhs, rhs, defect = oracles.reciprocity_check(3, 5)
     assert lhs == pytest.approx(1j * math.sqrt(15))
     assert rhs == pytest.approx(1j * math.sqrt(15))
     assert defect < 1e-9
 
-    lhs, rhs, defect = gausssum.reciprocity_check(5, 8)
+    lhs, rhs, defect = oracles.reciprocity_check(5, 8)
     assert lhs == pytest.approx((1 + 1j) * math.sqrt(40))
     assert defect < 1e-9
 
 
 def test_reciprocity_preconditions():
     with pytest.raises(ValueError):
-        gausssum.reciprocity_check(2, 5)  # even s
+        oracles.reciprocity_check(2, 5)  # even s
     with pytest.raises(ValueError):
-        gausssum.reciprocity_check(-3, 5)
+        oracles.reciprocity_check(-3, 5)
     with pytest.raises(ValueError):
-        gausssum.reciprocity_check(3, 6)  # gcd > 1
+        oracles.reciprocity_check(3, 6)  # gcd > 1
 
 
 def test_brute_kahan_is_stable_for_large_u():
@@ -154,6 +156,12 @@ def _kahan_brute(s, t, u):
     return complex(re, im)
 
 
+def _same_bits(s, t, u):
+    # repr tells -0.0 from 0.0 and shows every bit of both parts
+    got, want = gausssum.gauss_brute(s, t, u), _kahan_brute(s, t, u)
+    assert repr(got) == repr(want), (s, t, u, got, want)
+
+
 def test_brute_matches_per_term_loop():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -162,12 +170,31 @@ def test_brute_matches_per_term_loop():
     @hypothesis.given(u=st.integers(1, 5000), s=st.integers(-10**30, 10**30),
                       t=st.integers(-10**30, 10**30))
     def check(u, s, t):
-        assert gausssum.gauss_brute(s, t, u) == _kahan_brute(s, t, u)
+        _same_bits(s, t, u)
 
     check()
-    # blocks of n start at 1, 2^14 + 1, ...: one modulus past a block edge
-    u = gausssum._BLOCK + 3
-    assert gausssum.gauss_brute(-7, 11, u) == _kahan_brute(-7, 11, u)
+    # blocks of n start at 1, 2^14 + 1, ...: moduli at, just past and well
+    # past a block edge, the last spanning four blocks
+    for u in (gausssum._BLOCK, gausssum._BLOCK + 1, gausssum._BLOCK + 3,
+              3 * gausssum._BLOCK + 5):
+        _same_bits(-7, 11, u)
+    _same_bits(0, 0, 1)  # every term is cos(0) = 1, sin(0) = +0.0
+
+
+def test_numpy_trig_matches_libm_on_block_angles():
+    # gauss_brute keeps the bits of the per-term math.cos/math.sin loop only
+    # while numpy's float64 cos and sin round like the platform libm
+    u = 100_003
+    ang = gausssum._TWO_PI * np.arange(u, dtype=np.int64) / u
+    for name, vec, scalar in (("cos", np.cos, math.cos), ("sin", np.sin, math.sin)):
+        got = vec(ang)
+        want = np.array([scalar(a) for a in ang.tolist()])
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, (
+            f"numpy's float64 {name} disagrees with libm on this build at"
+            f" {bad.size} of {u} angles 2 pi k / {u}, first k = {bad[0]}:"
+            f" numpy {float(got[bad[0]])!r}, libm {float(want[bad[0]])!r}; gauss_brute"
+            " no longer reproduces its recorded bits")
 
 
 def test_brute_refuses_moduli_beyond_int64_exponents():
