@@ -81,12 +81,6 @@ class Factorization:
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def reconstruct(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
 
 def factorize(n: int) -> Factorization:
     if n < 1:
@@ -183,39 +177,11 @@ def little_omega(n: int) -> int:
     return len(factorize(n).factors)
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n."""
-    out = 1
-    for p, _ in factorize(n).factors:
-        out *= p
-    return out
-
-
 def log1n(n: int) -> float:
     """The smoothed logarithm log(n + 1) used by all error envelopes."""
     if n < 0:
         raise ValueError("log1n requires n >= 0")
     return math.log(n + 1)
-
-
-_KINDS = {
-    "tau": tau,
-    "sigma_half_inv": sigma_half_inv,
-    "phi": phi,
-    "phi_star": phi_star,
-    "mobius": mobius,
-    "big_omega": big_omega,
-    "little_omega": little_omega,
-    "L": log1n,
-}
-
-
-def arith_function(kind: str, n: int):
-    """Dispatch by name; kinds: tau, sigma_half_inv, phi, phi_star, mobius,
-    big_omega, little_omega, L."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown arithmetic function kind {kind!r}")
-    return _KINDS[kind](n)
 
 
 # ---- symbols and inverses ----

@@ -27,8 +27,9 @@ from .congruence import (
     Interval,
     RationalLike,
     affine_bounds,
-    boundary_sums,
     box_bounds,
+    class_sums,
+    linear_class,
 )
 
 SCHEMES = ("all-ones", "factorized", "joint")
@@ -172,18 +173,37 @@ def _work_estimate(family: AveragedFamily) -> int:
     return n * max(len(family.J.integers()), 1)
 
 
-def _weighted_sums(family: AveragedFamily) -> tuple[complex, complex]:
-    """(S, M) over one walk of the cells, each accumulated in cell order and
-    skipping its own zero terms."""
+def cell_sums(family: AveragedFamily) -> list[tuple[int, int, int, int, Fraction]]:
+    """(u, v, w, n, mt) for every cell, in cell order: n the exact count of
+    r u^l x + s v^m y^2 = 0 (mod tw) over J between the boundaries, mt its
+    main term.  Neither reads the seed or the scheme, so one table serves
+    every seed of a family.  The cells of one w share the modulus tw and,
+    the boundaries being the same in every cell, the main term: they are
+    counted together, in one class_sums walk per w."""
     if _work_estimate(family) > 10**9:
         raise ValueError("family too large: estimated work exceeds 1e9 steps")
     fb = family.bounds
     bounds = BoundarySpec(fb.lower, fb.upper, Fraction(fb.tau_y * fb.F))
+    cells = family.cells()
+    by_w: dict[int, list[int]] = {}
+    for i, (_, _, w) in enumerate(cells):
+        by_w.setdefault(w, []).append(i)
+    table = [None] * len(cells)
+    for w, rows in by_w.items():
+        q = family.t * w
+        ks = [linear_class(family.r * cells[i][0] ** family.l,
+                           family.s * cells[i][1] ** family.m, q) for i in rows]
+        counts, mt = class_sums(ks, q, bounds, family.J)
+        for i, n in zip(rows, counts):
+            table[i] = (*cells[i], n, mt)
+    return table
+
+
+def _weighted_sums(family: AveragedFamily, cells: list) -> tuple[complex, complex]:
+    """(S, M) over the cell_sums table, each accumulated in cell order and
+    skipping its own zero terms."""
     S = M = 0j
-    for u, v, w in family.cells():
-        a = family.r * u**family.l
-        b = family.s * v**family.m
-        n, mt = boundary_sums(a, b, family.t * w, bounds, family.J)
+    for u, v, w, n, mt in cells:
         if n or mt:
             weight = family.d_coeff(u, v) * family.e_coeff(w)
             if n:
@@ -195,12 +215,12 @@ def _weighted_sums(family: AveragedFamily) -> tuple[complex, complex]:
 
 def s_exact(family: AveragedFamily) -> complex:
     """The weighted sum of exact cell counts, accumulated in cell order."""
-    return _weighted_sums(family)[0]
+    return _weighted_sums(family, cell_sums(family))[0]
 
 
 def main_term(family: AveragedFamily) -> complex:
     """Weighted sum of (tw)^{-1} sum_{y in J, gcd(y,tw)=1} (f_hi - f_lo)(y)."""
-    return _weighted_sums(family)[1]
+    return _weighted_sums(family, cell_sums(family))[1]
 
 
 # ---- error budget ----
@@ -365,10 +385,13 @@ class AveragedReport:
     hcond_ok: bool
 
 
-def avg_report(family: AveragedFamily, H: float, epsilon: float) -> AveragedReport:
-    """Exact weighted sum vs predicted main term vs error budget, from one
-    walk of the cells."""
-    S, M = _weighted_sums(family)
+def avg_report(
+    family: AveragedFamily, H: float, epsilon: float, cells: list | None = None
+) -> AveragedReport:
+    """Exact weighted sum vs predicted main term vs error budget.  cells is
+    the cell_sums table of the family, built here when not given; families
+    that differ only in seed or scheme share it."""
+    S, M = _weighted_sums(family, cell_sums(family) if cells is None else cells)
     budget = error_budget(family, H, epsilon)
     denom = budget.first_O + budget.T_envelope
     return AveragedReport(

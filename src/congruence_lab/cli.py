@@ -121,6 +121,11 @@ def _emit(o: argparse.Namespace, description: str, fields, rows) -> None:
         print(f"wrote {len(rows)} rows to {o.out}")
 
 
+def _check_seeds(o: argparse.Namespace) -> None:
+    if o.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {o.seeds}")
+
+
 def _cmd_gauss(o: argparse.Namespace) -> int:
     closed = gausssum.gauss_closed(o.s, o.t, o.u)
     brute = gausssum.gauss_brute(o.s, o.t, o.u)
@@ -191,17 +196,21 @@ def _cmd_vaaler(o: argparse.Namespace) -> int:
 
 
 def _cmd_avg_scan(o: argparse.Namespace) -> int:
+    _check_seeds(o)
     family_args = dict(
         l=o.l, m=o.m, r=o.r, s=o.s, t=o.t, U=o.U, V=o.V, W=o.W,
         J=congruence.Interval(o.y0, o.Y),
         bounds=averaged.constant_bounds(o.X),
         scheme=o.scheme,
     )
+    # H and the cell counts read no seed, so every seed shares them
+    first = averaged.AveragedFamily(seed=o.seed, **family_args)
+    H = averaged.suggest_H(first, o.epsilon) if o.H is None else o.H
+    cells = averaged.cell_sums(first)
     rows = []
     for seed in range(o.seed, o.seed + o.seeds):
         fam = averaged.AveragedFamily(seed=seed, **family_args)
-        H = averaged.suggest_H(fam, o.epsilon) if o.H is None else o.H
-        rep = averaged.avg_report(fam, H, o.epsilon)
+        rep = averaged.avg_report(fam, H, o.epsilon, cells)
         rows.append(reports.averaged_row(rep))
         print(
             f"seed {seed}: |S - M| = {abs(rep.S - rep.M)!r}  "
@@ -251,6 +260,7 @@ def _cmd_dp6_sieve(o: argparse.Namespace) -> int:
 def _cmd_bilinear(o: argparse.Namespace) -> int:
     if o.M < 1 or o.N < 1:
         raise ValueError("M and N must be >= 1")
+    _check_seeds(o)
     rows = []
     for seed in range(o.seed, o.seed + o.seeds):
         rng = random.Random(seed)

@@ -21,14 +21,16 @@ are counted through the floor identity
 
     #{x in (L, R] : x = c (mod q)} = floor((R - c)/q) - floor((L - c)/q),
 
-c = -a^{-1} b y^2 mod q, over ascending blocks of the y in J prime to q.
-The main term replaces each such count by (R - L)/q, so boundary_sums takes
-the count and the main term from one walk of the same blocks.  Affine
-boundaries are integer numerators over one common denominator D, so
-each block is one integer floor division of (D f(y) - c D) by q D; a block
-is int64 when q < 2^31 and _BLOCK times the largest value formed stays below
-2^62 (so per-block sums cannot overflow either), and object dtype of Python
-ints otherwise, with the same code.  Any other boundary callable is
+c = k y^2 mod q with k = -a^{-1} b mod q, over ascending blocks of the y in
+J prime to q.  The main term replaces each such count by (R - L)/q.
+class_sums takes the counts of a whole vector of classes k and their one
+shared main term from one walk of these blocks, in (classes x block) pieces
+of at most 2^18 entries (2 MiB in int64); boundary_sums is its one-class
+case.  Affine boundaries are integer numerators over one common denominator
+D, so each block is one integer floor division of (D f(y) - c D) by q D; a
+block is int64 when q < 2^31 and _BLOCK times the largest value formed stays
+below 2^62 (so per-block sums cannot overflow either), and object dtype of
+Python ints otherwise, with the same code.  Any other boundary callable is
 evaluated per y to a Fraction and goes through the same expression as an
 object array.  Counts are Python ints, main terms exact Fractions.  These
 regions get the H-truncated envelope with the Delta_H distortion factor.
@@ -57,6 +59,7 @@ RationalLike = int | float | Fraction
 _BLOCK = 1 << 14  # residues per block of count_exact and the boundary counts
 _Q_LIMIT = 1 << 31  # count_exact moduli: products of residues fit in int64
 _WIDE = 1 << 62  # int64 paths keep every value, and every block sum, below this
+_CELLS = 1 << 18  # entries of one (classes x y-block) temporary of class_sums
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,10 @@ def _powmod(r: np.ndarray, k: int, q: int) -> np.ndarray:
     return out
 
 
-def _x_classes(y: np.ndarray, k: int, f: int, q: int) -> np.ndarray:
+def _x_classes(y: np.ndarray, k, f: int, q: int) -> np.ndarray:
     # c_y = k y^f mod q, k = -a^{-1} b mod q: the one class of x in [0, q)
-    # with a x + b y^f = 0 (mod q), for every unit y of the block
+    # with a x + b y^f = 0 (mod q), for every unit y of the block; a column
+    # of k gives one row per k
     return k * _powmod(y, f, q) % q
 
 
@@ -180,20 +184,6 @@ def count_exact(inst: CongruenceInstance) -> int:
             sums.append((below, whole))
     (t_rr, t_qr), (t_rq, t_qq) = sums
     return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
-
-
-def count_exact_naive(inst: CongruenceInstance) -> int:
-    """Literal double loop over the box; cross-check only."""
-    if inst.X * inst.Y > 2 * 10**7:
-        raise ValueError("naive counter refused: box too large")
-    a, b, q = inst.a, inst.b, inst.q
-    total = 0
-    for x in range(1, int(inst.X // 1) + 1):
-        axe = a * x**inst.e
-        for y in range(1, int(inst.Y // 1) + 1):
-            if (axe + b * y**inst.f) % q == 0 and math.gcd(x * y, q) == 1:
-                total += 1
-    return total
 
 
 def main_term(inst: CongruenceInstance) -> float:
@@ -376,29 +366,52 @@ def _numerators(q: int, bounds: BoundarySpec, J: Interval) -> tuple[int, Iterato
     return D, ((y, A0 + B0 * y, A1 + B1 * y) for y in blocks)
 
 
+def linear_class(a: int, b: int, q: int) -> int:
+    """k = -a^{-1} b mod q, so that a x + b y^2 = 0 (mod q) holds exactly
+    for x = k y^2 (mod q); (a, b, q) is checked first."""
+    _check_coefficients(a, b, q)
+    return -mod_inv(a, q) * b % q
+
+
+def class_sums(
+    ks: Sequence[int], q: int, bounds: BoundarySpec, J: Interval
+) -> tuple[list[int], Fraction]:
+    """(counts, main) from one walk of the y in J prime to q, for every
+    class k of ks at once.
+
+    counts[i] is the exact number of x, y with gcd(y, q) = 1, f_lo(y) < x
+    <= f_hi(y) and x = ks[i] y^2 (mod q): each y adds the positive part of
+    floor((hi_n - c D)/(q D)) - floor((lo_n - c D)/(q D)), c = ks[i] y^2 mod
+    q, with lo_n/D, hi_n/D the boundary values in the int64 or object
+    blocks of _numerators.  Each block is taken for up to _CELLS // len(block)
+    classes at a time, so no (classes x block) temporary exceeds _CELLS
+    entries.  main = (1/q) sum_y (f_hi - f_lo)(y), the same for every k, is
+    the sum of hi_n - lo_n over q D.  Both are exact: block sums are
+    combined in Python ints and Fractions."""
+    ks = [k % q for k in ks]  # in [0, q), so int64 products stay below 2^62
+    D, blocks = _numerators(q, bounds, J)
+    qD = q * D
+    counts = np.zeros(len(ks), dtype=object)
+    width = Fraction(0)
+    for y, lo_n, hi_n in blocks:
+        kv = np.array(ks, dtype=y.dtype)[:, None]
+        rows = max(1, _CELLS // max(len(y), 1))
+        for i in range(0, len(ks), rows):
+            cD = _x_classes(y, kv[i : i + rows], 2, q) * D
+            n = (hi_n - cD) // qD - (lo_n - cD) // qD
+            counts[i : i + rows] += np.maximum(n, 0).sum(axis=1).astype(object)
+        width += Fraction((hi_n - lo_n).sum())
+    return counts.tolist(), width / qD
+
+
 def boundary_sums(
     a: int, b: int, q: int, bounds: BoundarySpec, J: Interval
 ) -> tuple[int, Fraction]:
-    """(count, main) from one walk of the y in J prime to q.
-
-    count is the exact number of x, y with gcd(xy, q) = 1, f_lo(y) < x <=
-    f_hi(y) and a x + b y^2 = 0 (mod q): each y adds the positive part of
-    floor((hi_n - c D)/(q D)) - floor((lo_n - c D)/(q D)), c = -a^{-1} b y^2
-    mod q, with lo_n/D, hi_n/D the boundary values in the int64 or object
-    blocks of _numerators.  main = (1/q) sum_y (f_hi - f_lo)(y) is the sum
-    of hi_n - lo_n over q D.  Both are exact: block sums are combined in
-    Python ints and Fractions."""
-    _check_coefficients(a, b, q)
-    k = -mod_inv(a, q) * b % q
-    D, blocks = _numerators(q, bounds, J)
-    qD = q * D
-    count, width = 0, Fraction(0)
-    for y, lo_n, hi_n in blocks:
-        cD = _x_classes(y, k, 2, q) * D
-        n = (hi_n - cD) // qD - (lo_n - cD) // qD
-        count += int(n[n > 0].sum())
-        width += Fraction((hi_n - lo_n).sum())
-    return count, width / qD
+    """(count, main) of class_sums for the one class of a x + b y^2 = 0
+    (mod q): the exact number of x, y with gcd(xy, q) = 1 and f_lo(y) < x
+    <= f_hi(y), and (1/q) sum_{y in J, (y, q) = 1} (f_hi - f_lo)(y)."""
+    (count,), main = class_sums([linear_class(a, b, q)], q, bounds, J)
+    return count, main
 
 
 def count_boundaries(

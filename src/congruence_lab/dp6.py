@@ -496,20 +496,6 @@ def rho(d: int, q: int) -> Fraction:
     return out
 
 
-def rho_oracle_prime(p: int, q: int) -> tuple[Fraction, Fraction]:
-    """(brute density, rho(p)/p) for a prime p not dividing 2q: the brute
-    side counts pairs (a1, a2) mod p with a1 a2 (a2 - a1^2) = 0 (mod p)."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if p == 2 or p == q:
-        raise ValueError("oracle requires p coprime to 2q")
-    a1 = np.arange(p, dtype=np.int64)
-    A1 = a1[:, None]
-    A2 = a1[None, :]
-    mask = (A1 == 0) | (A2 == 0) | ((A2 - A1 * A1) % p == 0)
-    return Fraction(int(mask.sum()), p * p), rho(p, q) / p
-
-
 def sum_over_d(seq: SieveSequence, d: int) -> tuple[int, float, float]:
     """(exact sum of a_n over d | n, predicted rho(d)/d X, remainder)."""
     if d < 1 or mobius(d) == 0:

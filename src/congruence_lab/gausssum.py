@@ -22,7 +22,7 @@ import numpy as np
 from .arith import jacobi, mod_inv, unit_symbols
 
 _TWO_PI = 2.0 * math.pi
-_BLOCK = 1 << 14  # n per int64 block of gauss_brute's exponents
+_BLOCK = 1 << 13  # n per block of gauss_brute: its cos and sin lists are held together
 _BRUTE_LIMIT = 1 << 31  # gauss_brute's moduli stay below this
 
 
@@ -59,26 +59,15 @@ class GaussSumValue:
         )
 
 
-def _kahan(acc: float, comp: float, terms) -> tuple[float, float]:
-    # compensated (Kahan) summation of terms in order, from the running sum
-    # acc and its compensation comp
-    for x in terms:
-        y = x - comp
-        v = acc + y
-        comp = (v - acc) - y
-        acc = v
-    return acc, comp
-
-
 def gauss_brute(s: int, t: int, u: int) -> complex:
     """Direct evaluation with compensated (Kahan) summation.
 
     The exponent k = (s n^2 + t n) mod u is reduced in int64 arithmetic over
-    blocks of 2^14 n, as (s' (n^2 mod u) + t' n) mod u with s' = s mod u and
+    blocks of 2^13 n, as (s' (n^2 mod u) + t' n) mod u with s' = s mod u and
     t' = t mod u; every product stays below 2^62 while u < 2^31, and larger
     u is refused.  Each term is then the cos and sin of the exact small angle
     2 pi k / u, taken by numpy over the block, and the real and imaginary
-    parts are Kahan-summed in order of n.
+    parts are Kahan-summed in order of n, two chains in one loop.
     """
     if u < 1:
         raise ValueError("modulus u must be positive")
@@ -86,12 +75,19 @@ def gauss_brute(s: int, t: int, u: int) -> complex:
         raise ValueError(f"gauss_brute needs u < 2^31, got u = {u}")
     s, t = s % u, t % u
     re = im = 0.0
-    cre = cim = 0.0
+    cre = cim = 0.0  # the running compensations of the two Kahan chains
     for lo in range(1, u + 1, _BLOCK):
         n = np.arange(lo, min(lo + _BLOCK, u + 1), dtype=np.int64)
         ang = _TWO_PI * ((s * (n * n % u) + t * n) % u) / u
-        re, cre = _kahan(re, cre, np.cos(ang).tolist())
-        im, cim = _kahan(im, cim, np.sin(ang).tolist())
+        for x, y in zip(np.cos(ang).tolist(), np.sin(ang).tolist()):
+            x -= cre
+            v = re + x
+            cre = (v - re) - x
+            re = v
+            y -= cim
+            v = im + y
+            cim = (v - im) - y
+            im = v
     return complex(re, im)
 
 

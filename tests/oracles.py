@@ -1,7 +1,9 @@
 """Test-only reference code: table text built and parsed with the csv and
 json modules, independently of the writer in congruence_lab.reports; Gauss
 sum reciprocity and whole-grid evaluation; the Fourier partial sum of the
-sawtooth and a pointwise Vaaler majorant check."""
+sawtooth and a pointwise Vaaler majorant check; the literal double-loop box
+count, the brute local density of the dp6 family at a prime, and small
+arithmetic helpers (product of a factorization, radical, dispatch by name)."""
 
 from __future__ import annotations
 
@@ -9,11 +11,26 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from congruence_lab.dp6 import PointRecord
+from congruence_lab.arith import (
+    Factorization,
+    big_omega,
+    factorize,
+    is_prime,
+    little_omega,
+    log1n,
+    mobius,
+    phi,
+    phi_star,
+    sigma_half_inv,
+    tau,
+)
+from congruence_lab.congruence import CongruenceInstance
+from congruence_lab.dp6 import PointRecord, rho
 from congruence_lab.gausssum import _branch, gauss_brute
 from congruence_lab.reports import fmt
 from congruence_lab.sawtooth import fejer_majorant, psi, vaaler_polynomial
@@ -137,3 +154,71 @@ def vaaler_check(x: float, H: int, slack: float = 0.0) -> bool:
     """Does |psi(x) - V_H(x)| <= majorant(x) + slack hold at x?"""
     poly = vaaler_polynomial(H)
     return bool(abs(psi(x) - poly.evaluate(x)) <= fejer_majorant(x, H) + slack)
+
+
+# ---- counts and densities by brute force ----
+
+def count_exact_naive(inst: CongruenceInstance) -> int:
+    """Literal double loop over the box; cross-check only."""
+    if inst.X * inst.Y > 2 * 10**7:
+        raise ValueError("naive counter refused: box too large")
+    a, b, q = inst.a, inst.b, inst.q
+    total = 0
+    for x in range(1, int(inst.X // 1) + 1):
+        axe = a * x**inst.e
+        for y in range(1, int(inst.Y // 1) + 1):
+            if (axe + b * y**inst.f) % q == 0 and math.gcd(x * y, q) == 1:
+                total += 1
+    return total
+
+
+def rho_oracle_prime(p: int, q: int) -> tuple[Fraction, Fraction]:
+    """(brute density, rho(p)/p) for a prime p not dividing 2q: the brute
+    side counts pairs (a1, a2) mod p with a1 a2 (a2 - a1^2) = 0 (mod p)."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    if p == 2 or p == q:
+        raise ValueError("oracle requires p coprime to 2q")
+    a1 = np.arange(p, dtype=np.int64)
+    A1 = a1[:, None]
+    A2 = a1[None, :]
+    mask = (A1 == 0) | (A2 == 0) | ((A2 - A1 * A1) % p == 0)
+    return Fraction(int(mask.sum()), p * p), rho(p, q) / p
+
+
+# ---- arithmetic helpers ----
+
+def reconstruct(f: Factorization) -> int:
+    """The product of the prime powers of f."""
+    out = 1
+    for p, e in f.factors:
+        out *= p**e
+    return out
+
+
+def radical(n: int) -> int:
+    """Product of the distinct primes dividing n."""
+    out = 1
+    for p, _ in factorize(n).factors:
+        out *= p
+    return out
+
+
+_KINDS = {
+    "tau": tau,
+    "sigma_half_inv": sigma_half_inv,
+    "phi": phi,
+    "phi_star": phi_star,
+    "mobius": mobius,
+    "big_omega": big_omega,
+    "little_omega": little_omega,
+    "L": log1n,
+}
+
+
+def arith_function(kind: str, n: int):
+    """Dispatch by name; kinds: tau, sigma_half_inv, phi, phi_star, mobius,
+    big_omega, little_omega, L."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown arithmetic function kind {kind!r}")
+    return _KINDS[kind](n)

@@ -72,7 +72,7 @@ def test_criterion_03_exact_counter_vs_naive():
         inst = congruence.CongruenceInstance(
             a, b, q, rng.randint(1, 200), rng.randint(1, 200)
         )
-        if congruence.count_exact(inst) != congruence.count_exact_naive(inst):
+        if congruence.count_exact(inst) != oracles.count_exact_naive(inst):
             mismatches += 1
         done += 1
     ok = fx1 == 16 and fx2 == 6 and mismatches == 0
@@ -162,7 +162,7 @@ def test_criterion_07_local_density_oracle():
     for p in dp6.sieve_primes(200):
         if p in (2, q):
             continue
-        brute, formula = dp6.rho_oracle_prime(p, q)
+        brute, formula = oracles.rho_oracle_prime(p, q)
         if brute != formula:
             mismatches += 1
         checks += 1

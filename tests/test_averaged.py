@@ -1,6 +1,8 @@
+import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from congruence_lab import averaged as av
@@ -232,6 +234,8 @@ def test_avg_report_affine_bounds_match_cell_loop():
 
 
 def test_one_boundary_walk_per_cell(monkeypatch):
+    # one _numerators walk per distinct modulus tw, and none at all for a
+    # second seed given the table of the first
     calls = []
     numerators = cg._numerators
 
@@ -240,10 +244,96 @@ def test_one_boundary_walk_per_cell(monkeypatch):
         return numerators(*args)
 
     monkeypatch.setattr(cg, "_numerators", counted)
-    fam = _family(scheme="factorized", t=5, U=2, V=2, W=2,
+    fam = _family(scheme="factorized", t=7, U=3, V=3, W=2,
                   J=cg.Interval(0, 30), bounds=av.constant_bounds(5), seed=3)
-    av.avg_report(fam, 10.0, 0.05)
-    assert len(calls) == len(fam.cells()) > 1
+    cells = fam.cells()
+    moduli = {7 * w for _, _, w in cells}
+    rep = av.avg_report(fam, 10.0, 0.05)
+    assert sorted(args[0] for args in calls) == sorted(moduli)
+    assert len(cells) > len(moduli) > 1
+    table = av.cell_sums(fam)
+    other = dataclasses.replace(fam, seed=4)
+    want = av.avg_report(other, 10.0, 0.05)
     calls.clear()
+    assert av.avg_report(fam, 10.0, 0.05, table) == rep
+    assert av.avg_report(other, 10.0, 0.05, table) == want
+    assert calls == []
     cg.boundary_report(1, 1, 7, cg.affine_bounds(0, 1, 3, 2), cg.Interval(0, 20), H=4)
     assert len(calls) == 1
+
+
+# ---- cell_sums against per-cell boundary_sums ----
+
+def _per_cell(fam):
+    fb = fam.bounds
+    spec = cg.BoundarySpec(fb.lower, fb.upper, Fraction(0))
+    return [(u, v, w, *cg.boundary_sums(fam.r * u**fam.l, fam.s * v**fam.m, fam.t * w,
+                                        spec, fam.J))
+            for u, v, w in fam.cells()]
+
+
+def _check_cell_sums(fam):
+    table = av.cell_sums(fam)
+    assert table == _per_cell(fam)
+    assert all(type(n) is int and type(mt) is Fraction for *_, n, mt in table)
+
+
+def test_cell_sums_match_per_cell_properties(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.fractions(min_value=-60, max_value=60, max_denominator=8)
+    slope = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    dyadic = st.fractions(min_value=Fraction(1, 2), max_value=5, max_denominator=3)
+    nonzero = st.integers(-20, 20).filter(bool)
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(l=st.integers(1, 3), m=st.integers(1, 3), r=nonzero, s=nonzero,
+                      t=st.integers(1, 12), U=dyadic, V=dyadic, W=dyadic,
+                      lo=st.tuples(value, slope), width=st.tuples(value, slope),
+                      y0=value, length=st.fractions(min_value=Fraction(1, 5), max_value=70,
+                                                    max_denominator=5),
+                      cap=st.sampled_from([1, 37, cg._CELLS]))
+    def check(l, m, r, s, t, U, V, W, lo, width, y0, length, cap):
+        hypothesis.assume(math.gcd(r * s, t) == 1)
+        monkeypatch.setattr(cg, "_CELLS", cap)
+        J = cg.Interval(y0, length)
+        # hi = lo + width, shifted up so that hi >= lo at both ends of J
+        gap = min(width[0] + width[1] * y for y in (J.y0, J.y0 + J.length))
+        bounds = av.affine_in_y_bounds(lo[0], lo[1], lo[0] + width[0] - min(gap, 0),
+                                       lo[1] + width[1], F=10)
+        _check_cell_sums(_family(l=l, m=m, r=r, s=s, t=t, U=U, V=V, W=W, J=J,
+                                 bounds=bounds))
+
+    check()
+
+
+def test_cell_sums_across_blocks_and_row_cap():
+    # 49 cells share q = 11, more than the 16 classes a full 2^14 block takes
+    # at once, and J runs past the first block of y
+    J = cg.Interval(Fraction(-13, 2), cg._BLOCK + 40)
+    bounds = av.affine_in_y_bounds(Fraction(-5, 3), Fraction(1, 7), 90, Fraction(2, 5), F=90)
+    fam = _family(t=11, U=8, V=8, W=Fraction(1, 2), r=3, s=-2, l=2, J=J, bounds=bounds)
+    assert len(fam.cells()) == 49 > cg._CELLS // cg._BLOCK
+    assert next(cg._numerators(11, cg.BoundarySpec(bounds.lower, bounds.upper, 0), J)[1])[
+        0].dtype == np.int64
+    _check_cell_sums(fam)
+
+
+def test_cell_sums_object_path():
+    # intercepts near 2^62 put every block on the object path
+    J = cg.Interval(-30, 90)
+    bounds = av.affine_in_y_bounds(-(2**62), Fraction(-3, 2), 2**62 + 5, 7, F=2.0**63)
+    fam = _family(t=7, U=3, V=2, W=2, r=1, s=-1, m=2, J=J, bounds=bounds)
+    spec = cg.BoundarySpec(bounds.lower, bounds.upper, 0)
+    assert next(cg._numerators(21, spec, J)[1])[0].dtype == object
+    assert len(fam.cells()) > len({w for *_, w in fam.cells()})
+    _check_cell_sums(fam)
+
+
+def test_class_sums_of_no_class_and_unreduced_classes():
+    bounds = cg.affine_bounds(0, 1, 5, 1)
+    J = cg.Interval(0, 12)
+    n, mt = cg.boundary_sums(1, 1, 7, bounds, J)
+    assert cg.class_sums([], 7, bounds, J) == ([], mt)
+    # k = 6 is the class of (a, b) = (1, 1); classes are taken mod q
+    assert cg.class_sums([6, 6 + 7 * 2**40, -1, -7 * 2**70 + 6], 7, bounds, J) == ([n] * 4, mt)

@@ -98,6 +98,27 @@ def test_avg_scan_deterministic(tmp_path, capsys):
     assert {r["seed"] for r in rows} == {"0", "1", "2"}
 
 
+@pytest.mark.parametrize("scheme", ["joint", "factorized"])
+def test_avg_scan_seeds_match_single_runs(scheme, tmp_path, capsys):
+    # the seeds of one run share their cell counts; each line and row must
+    # still be what a run of that seed alone prints and writes
+    args = ["avg-scan", "--t", "7", "--U", "3", "--V", "3", "--W", "3", "--Y", "40",
+            "--X", "19/2", "--scheme", scheme]
+    assert run([*args, "--seed", "11", "--seeds", "3", "--out", str(tmp_path / "all.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    single_lines, single_rows = [], []
+    for seed in (11, 12, 13):
+        out = tmp_path / f"{seed}.csv"
+        assert run([*args, "--seed", str(seed), "--out", str(out)]) == 0
+        single_lines += capsys.readouterr().out.splitlines()[:-1]
+        single_rows += out.read_text().splitlines()[2:]
+    assert lines[:-1] == single_lines
+    assert lines[-1] == f"wrote 3 rows to {tmp_path / 'all.csv'}"
+    text = (tmp_path / "all.csv").read_text().splitlines()
+    assert text[:2] == (tmp_path / "11.csv").read_text().splitlines()[:2]
+    assert text[2:] == single_rows
+
+
 def test_dp6_enumerate(tmp_path, capsys):
     out_path = tmp_path / "points.csv"
     assert run(["dp6-enumerate", "--B", "1000", "--t", "12",

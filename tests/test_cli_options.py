@@ -54,6 +54,10 @@ REFUSALS = {
                                 "--format applies only with --out"),
     "format key without out": (["count", *BOX], "format = json\n",
                                "--format applies only with --out"),
+    "no avg-scan seeds": (["avg-scan", "--seeds", "0", "--out", "x.csv"], None,
+                          "--seeds must be >= 1, got 0"),
+    "negative bilinear seeds": (["bilinear", "--seeds", "-2"], None,
+                                "--seeds must be >= 1, got -2"),
     "out in a missing directory": (["dp6-enumerate", "--B", "1000000", "--out", "missing/x.csv"],
                                    None, "directory 'missing' does not exist"),
 }

@@ -416,7 +416,7 @@ def test_sum_over_d():
 
 _mobius, _radical, _divisors, _phi_star = (
     functools.lru_cache(maxsize=None)(f)
-    for f in (arith.mobius, arith.radical, arith.divisors, arith.phi_star)
+    for f in (arith.mobius, oracles.radical, arith.divisors, arith.phi_star)
 )
 
 
@@ -486,12 +486,12 @@ def test_rho_validation():
 
 
 def test_rho_oracle_prime():
-    brute, formula = dp6.rho_oracle_prime(5, 7)
+    brute, formula = oracles.rho_oracle_prime(5, 7)
     assert brute == formula
     with pytest.raises(ValueError):
-        dp6.rho_oracle_prime(2, 7)
+        oracles.rho_oracle_prime(2, 7)
     with pytest.raises(ValueError):
-        dp6.rho_oracle_prime(7, 7)
+        oracles.rho_oracle_prime(7, 7)
 
 
 def test_sieve_threshold():
