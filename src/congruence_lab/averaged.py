@@ -201,11 +201,18 @@ def cell_sums(family: AveragedFamily) -> list[tuple[int, int, int, int, Fraction
 
 def _weighted_sums(family: AveragedFamily, cells: list) -> tuple[complex, complex]:
     """(S, M) over the cell_sums table, each accumulated in cell order and
-    skipping its own zero terms."""
+    skipping its own zero terms.  d_coeff and e_coeff are taken once per
+    distinct (u, v) and w of the call; the weights keep their bits."""
     S = M = 0j
+    d: dict[tuple[int, int], complex] = {}
+    e: dict[int, complex] = {}
     for u, v, w, n, mt in cells:
         if n or mt:
-            weight = family.d_coeff(u, v) * family.e_coeff(w)
+            if (u, v) not in d:
+                d[u, v] = family.d_coeff(u, v)
+            if w not in e:
+                e[w] = family.e_coeff(w)
+            weight = d[u, v] * e[w]
             if n:
                 S += weight * n
             if mt:

@@ -59,7 +59,10 @@ def fraction(text: str) -> Fraction:
 
 
 def int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    values = [int(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"no integer in {text!r}")
+    return values
 
 
 def _modulus(q: int) -> int:
@@ -162,6 +165,11 @@ def _cmd_count(o: argparse.Namespace) -> int:
 
 
 def _cmd_count_scan(o: argparse.Namespace) -> int:
+    if o.primes_up_to < 2:
+        raise ValueError(f"--primes-up-to must be >= 2, got {o.primes_up_to}")
+    for name, side in (("x", o.x), ("y", o.y)):
+        if side is not _modulus and side < 1:
+            raise ValueError(f"--{name} must be q or a rational >= 1, got {side}")
     qs = dp6.sieve_primes(o.primes_up_to) if o.q_list is None else o.q_list
     reps = congruence.scan_boxes(qs, o.a, o.b, o.x, o.y)
     rows = [reports.box_row(r, o.timings) for r in reps]

@@ -8,13 +8,18 @@ in [1, q] has Qx + [c <= rx] members in (0, X], so the count is
 
 where T(s, t) counts the unit pairs x <= s, y <= t with -a x^e = b y^f
 (mod q).  count_exact evaluates the four T over ascending numpy blocks of
-unit y residues.  For e = 1 each unit y fixes the one class x = c_y =
--a^{-1} b y^f mod q, so the blocks are all it holds; for e >= 2 it also
-fills one int32 table of y-counts per key (4 bytes per residue) and reads
-it at the x-keys.  O(q) time either way, q < 2^31 so every residue product
-fits in int64, and the T are combined in Python ints, so counts stay exact
-for any rational box.  Boxes get a main-term/error-envelope split
-phi(q) X Y / q^2 + O(...).
+unit y residues, each block sieved by one strided write per prime of q
+into a boolean mask.  For e = 1 each unit y fixes the one class x = c_y =
+-a^{-1} b y^f mod q, so the blocks are all it holds, and T(q, t), the
+number of unit y <= t, is sum mu(d) floor(t/d) over d | rad(q): when
+rx = 0 no block is walked at all.  For e >= 2 it also fills one int32
+table of y-counts per key (4 bytes per residue) and reads it at the
+x-keys.  O(q) time at most, q < 2^31 so every residue product fits in
+int64, and the T are combined in Python ints, so counts stay exact for any
+rational box.  Every int64 reduction mod q is arith.floor_mod, x - x // q
+* q: numpy divides by a scalar with a multiply and a shift, where % takes
+one hardware divide per element.  Boxes get a main-term/error-envelope
+split phi(q) X Y / q^2 + O(...).
 
 Regions whose x-range depends on y through slowly varying boundary functions
 are counted through the floor identity
@@ -50,7 +55,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import factorize, log1n, mod_inv, phi, sigma_half_inv, tau
+from .arith import factorize, floor_mod, log1n, mod_inv, phi, sigma_half_inv, tau
 
 log = logging.getLogger("congruence_lab")
 
@@ -100,27 +105,38 @@ def _check_modulus(q: int) -> None:
 
 
 def _units(lo: int, hi: int, primes: list[int], dtype=np.int64) -> Iterator[np.ndarray]:
-    # the integers in [lo, hi] prime to every p in primes, in ascending blocks
+    # the integers in [lo, hi] prime to every p in primes, in ascending
+    # blocks: each p strikes its multiples start + (-start % p) + j p from a
+    # mask by one strided write; start is added after the cast, so object
+    # blocks hold Python ints however far lo lies beyond int64
     for start in range(lo, hi + 1, _BLOCK):
-        r = np.arange(start, min(start + _BLOCK, hi + 1), dtype=dtype)
-        keep = np.ones(len(r), dtype=bool)
+        keep = np.ones(min(_BLOCK, hi + 1 - start), dtype=bool)
         for p in primes:
-            keep &= r % p != 0
-        yield r[keep]
+            keep[-start % p :: p] = False
+        yield np.flatnonzero(keep).astype(dtype) + start
+
+
+def _unit_count(t: int, primes: list[int]) -> int:
+    # #{1 <= y <= t : no p in primes divides y} = sum over d | prod(primes)
+    # of mu(d) floor(t / d), 2^len(primes) terms (at most 2^9 for q < 2^31)
+    terms = [(1, 1)]  # (d, mu(d))
+    for p in primes:
+        terms += [(d * p, -mu) for d, mu in terms]
+    return sum(mu * (t // d) for d, mu in terms)
 
 
 def _powmod(r: np.ndarray, k: int, q: int) -> np.ndarray:
     # r^k mod q for k >= 1 by repeated squaring from the lowest set bit of k,
     # so r^2 costs one product; with r, q < 2^31 every product is < 2^62
-    base = r % q
+    base = floor_mod(r, q)
     while not k & 1:
-        base = base * base % q
+        base = floor_mod(base * base, q)
         k >>= 1
     out = base
     while k := k >> 1:
-        base = base * base % q
+        base = floor_mod(base * base, q)
         if k & 1:
-            out = out * base % q
+            out = floor_mod(out * base, q)
     return out
 
 
@@ -128,7 +144,7 @@ def _x_classes(y: np.ndarray, k, f: int, q: int) -> np.ndarray:
     # c_y = k y^f mod q, k = -a^{-1} b mod q: the one class of x in [0, q)
     # with a x + b y^f = 0 (mod q), for every unit y of the block; a column
     # of k gives one row per k
-    return k * _powmod(y, f, q) % q
+    return floor_mod(k * _powmod(y, f, q), q)
 
 
 def count_exact(inst: CongruenceInstance) -> int:
@@ -140,13 +156,14 @@ def count_exact(inst: CongruenceInstance) -> int:
     primes of q in blocks of _BLOCK, y <= ry first and then the rest.
 
     For e = 1 each unit y fixes one unit x, the class c_y = -a^{-1} b y^f mod
-    q, so T(q, t) is the number of unit y <= t and T(rx, t) the number of
-    those with c_y <= rx (none when rx = 0, which covers q = 1): no table and
-    no walk over x, only blocks of _BLOCK residues.  For e >= 2, x -> -a x^e
-    is not a bijection on the units, so an int32 table of length q counts
-    the unit y per key b y^f mod q, and after each fill the x-keys -a x^e mod
-    q are gathered from it (4 bytes per residue).  O(q) time either way,
-    exact for any rational X and Y and any signs of a and b.  q must satisfy
+    q, so T(q, t) is the number of unit y <= t, taken in closed form by
+    inclusion-exclusion over the primes of q, and T(rx, t) the number of
+    those with c_y <= rx: the y are walked only when rx > 0 (rx = 0 covers
+    q = 1 and every X that is a multiple of q).  For e >= 2, x -> -a x^e is
+    not a bijection on the units, so an int32 table of length q counts the
+    unit y per key b y^f mod q, and after each fill the x-keys -a x^e mod q
+    are gathered from it (4 bytes per residue).  O(q) time at most, exact
+    for any rational X and Y and any signs of a and b.  q must satisfy
     1 <= q < 2^31: ValueError naming q otherwise, before anything is
     allocated.
     """
@@ -159,13 +176,12 @@ def count_exact(inst: CongruenceInstance) -> int:
     sums = []  # (T(rx, t), T(q, t)) for t = ry, then t = q
     if inst.e == 1:
         k = -mod_inv(inst.a, q) * inst.b % q
-        below = whole = 0
+        below = 0
         for y_lo, y_hi in y_ranges:
-            for y in _units(y_lo, y_hi, primes):
-                whole += len(y)
-                if rx:
+            if rx:
+                for y in _units(y_lo, y_hi, primes):
                     below += int(np.count_nonzero(_x_classes(y, k, inst.f, q) <= rx))
-            sums.append((below, whole))
+            sums.append((below, _unit_count(y_hi, primes)))
     else:
         ka, kb = -inst.a % q, inst.b % q
         table = np.zeros(q, dtype=np.int32)
@@ -174,11 +190,12 @@ def count_exact(inst: CongruenceInstance) -> int:
                 sums.append((0, 0))
                 continue
             for y in _units(y_lo, y_hi, primes):
-                keys, counts = np.unique(kb * _powmod(y, inst.f, q) % q, return_counts=True)
+                keys, counts = np.unique(floor_mod(kb * _powmod(y, inst.f, q), q),
+                                         return_counts=True)
                 table[keys] += counts
             below = whole = 0
             for x in _units(1, q, primes):
-                hits = table[ka * _powmod(x, inst.e, q) % q]
+                hits = table[floor_mod(ka * _powmod(x, inst.e, q), q)]
                 whole += int(hits.sum())
                 below += int(hits[: np.searchsorted(x, rx, side="right")].sum())
             sums.append((below, whole))

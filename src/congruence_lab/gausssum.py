@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import jacobi, mod_inv, unit_symbols
+from .arith import floor_mod, jacobi, mod_inv, unit_symbols
 
 _TWO_PI = 2.0 * math.pi
 _BLOCK = 1 << 13  # n per block of gauss_brute: its cos and sin lists are held together
@@ -64,10 +64,11 @@ def gauss_brute(s: int, t: int, u: int) -> complex:
 
     The exponent k = (s n^2 + t n) mod u is reduced in int64 arithmetic over
     blocks of 2^13 n, as (s' (n^2 mod u) + t' n) mod u with s' = s mod u and
-    t' = t mod u; every product stays below 2^62 while u < 2^31, and larger
-    u is refused.  Each term is then the cos and sin of the exact small angle
-    2 pi k / u, taken by numpy over the block, and the real and imaginary
-    parts are Kahan-summed in order of n, two chains in one loop.
+    t' = t mod u, each mod taken by floor division (arith.floor_mod); every
+    product stays below 2^62 while u < 2^31, and larger u is refused.  Each
+    term is then the cos and sin of the exact small angle 2 pi k / u, taken
+    by numpy over the block, and the real and imaginary parts are
+    Kahan-summed in order of n, two chains in one loop.
     """
     if u < 1:
         raise ValueError("modulus u must be positive")
@@ -78,7 +79,7 @@ def gauss_brute(s: int, t: int, u: int) -> complex:
     cre = cim = 0.0  # the running compensations of the two Kahan chains
     for lo in range(1, u + 1, _BLOCK):
         n = np.arange(lo, min(lo + _BLOCK, u + 1), dtype=np.int64)
-        ang = _TWO_PI * ((s * (n * n % u) + t * n) % u) / u
+        ang = _TWO_PI * floor_mod(s * floor_mod(n * n, u) + t * n, u) / u
         for x, y in zip(np.cos(ang).tolist(), np.sin(ang).tolist()):
             x -= cre
             v = re + x

@@ -135,6 +135,26 @@ def test_mod_inv_round_trip():
         arith.mod_inv(2, 0)
 
 
+def test_floor_mod_matches_percent():
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(14)
+    x = rng.integers(-(2**62), 2**62, size=5000, dtype=np.int64)
+    for q in (1, 2, 3, 30030, 2**31 - 1):
+        got = arith.floor_mod(x, q)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, x % q)
+        assert got.min() >= 0 and got.max() < q
+    # a column of classes k times a row of residues, as in class_sums
+    k = np.array([[0], [1], [-5], [2**31 - 2]], dtype=np.int64)
+    y = np.arange(-40, 41, dtype=np.int64)
+    assert np.array_equal(arith.floor_mod(k * y, 997), k * y % 997)
+    # object arrays of Python ints beyond int64, and plain ints
+    big = np.array([-(3**90), -1, 0, 5, 2**70 + 3, 7**40], dtype=object)
+    for q in (1, 7, 2**64 + 13):
+        assert arith.floor_mod(big, q).tolist() == [v % q for v in big.tolist()]
+        assert arith.floor_mod(-(3**90), q) == -(3**90) % q
+
+
 def test_unit_symbols():
     assert arith.unit_symbols(1) == (1, 1 + 0j)
     assert arith.unit_symbols(5) == (1, 1 + 0j)

@@ -262,6 +262,39 @@ def test_one_boundary_walk_per_cell(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("scheme", av.SCHEMES)
+def test_weights_taken_once_per_distinct_key(scheme, monkeypatch):
+    # the report keeps the bits of the per-cell weight loop, while d_coeff
+    # and e_coeff run once per distinct (u, v) and w of the nonzero cells
+    bounds = av.affine_in_y_bounds(-2, Fraction(1, 3), 20, Fraction(-1, 4), F=20)
+    fam = _family(scheme=scheme, t=7, U=3, V=3, W=2, J=cg.Interval(-4, 30),
+                  bounds=bounds, seed=3)
+    table = av.cell_sums(fam)
+    S = M = 0j
+    for u, v, w, n, mt in table:
+        if n or mt:
+            weight = fam.d_coeff(u, v) * fam.e_coeff(w)
+            if n:
+                S += weight * n
+            if mt:
+                M += weight * float(mt)
+    budget = av.error_budget(fam, 10.0, 0.05)
+    want = av.AveragedReport(fam, 10.0, 0.05, S, M, budget.first_O, budget.T_envelope,
+                             abs(S - M) / (budget.first_O + budget.T_envelope),
+                             budget.hcond_ok)
+    d_keys, e_keys = [], []
+    d_coeff, e_coeff = av.AveragedFamily.d_coeff, av.AveragedFamily.e_coeff
+    monkeypatch.setattr(av.AveragedFamily, "d_coeff",
+                        lambda self, u, v: d_keys.append((u, v)) or d_coeff(self, u, v))
+    monkeypatch.setattr(av.AveragedFamily, "e_coeff",
+                        lambda self, w: e_keys.append(w) or e_coeff(self, w))
+    assert av.avg_report(fam, 10.0, 0.05, table) == want
+    live = [(u, v, w) for u, v, w, n, mt in table if n or mt]
+    assert sorted(d_keys) == sorted({(u, v) for u, v, _ in live})
+    assert sorted(e_keys) == sorted({w for *_, w in live})
+    assert len(live) > len(d_keys) > len(e_keys) > 1
+
+
 # ---- cell_sums against per-cell boundary_sums ----
 
 def _per_cell(fam):

@@ -58,6 +58,17 @@ REFUSALS = {
                           "--seeds must be >= 1, got 0"),
     "negative bilinear seeds": (["bilinear", "--seeds", "-2"], None,
                                 "--seeds must be >= 1, got -2"),
+    "no primes to scan": (["count-scan", "--primes-up-to", "1", "--out", "x.csv"], None,
+                          "--primes-up-to must be >= 2, got 1"),
+    "negative prime bound key": (["count-scan"], "primes-up-to = -4\n",
+                                 "--primes-up-to must be >= 2, got -4"),
+    "fixed x below 1": (["count-scan", "--x", "1/2", "--out", "x.csv"], None,
+                        "--x must be q or a rational >= 1, got 1/2"),
+    "fixed y below 1": (["count-scan", "--q-list", "5,7", "--y", "0"], None,
+                        "--y must be q or a rational >= 1, got 0"),
+    "empty q list": (["count-scan", "--q-list", ","], None, "--q-list"),
+    "empty budget list": (["dp6-growth", "--B-list", ""], None, "--B-list"),
+    "empty budget list key": (["dp6-growth"], "B-list = ,\n", "'B-list'"),
     "out in a missing directory": (["dp6-enumerate", "--B", "1000000", "--out", "missing/x.csv"],
                                    None, "directory 'missing' does not exist"),
 }

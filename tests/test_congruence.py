@@ -112,6 +112,66 @@ def test_count_exact_huge_box_is_exact():
     assert cg.count_exact(inst) == count_exact_loop(inst)
 
 
+# ---- the unit sieve and the closed-form unit count ----
+
+def _primes(q):
+    return [p for p, _ in arith.factorize(q).factors]
+
+
+@pytest.mark.parametrize("q, lo, hi", [
+    (1, -5, 9),
+    (30030, -3 * cg._BLOCK - 17, -cg._BLOCK + 3),
+    (30030, -40, 40),
+    (510510, cg._BLOCK - 2, 3 * cg._BLOCK + 2),
+    (2 * 3**4 * 7**2, 1, 5 * cg._BLOCK),
+    (9973, 9973, 9973),
+    (15, 7, 6),
+])
+def test_units_match_gcd_filter(q, lo, hi):
+    blocks = list(cg._units(lo, hi, _primes(q)))
+    assert all(y.dtype == np.int64 for y in blocks)
+    got = [int(v) for y in blocks for v in y]
+    assert got == [y for y in range(lo, hi + 1) if math.gcd(y, q) == 1]
+    # one block per _BLOCK span of [lo, hi], the last possibly empty of units
+    assert len(blocks) == len(range(lo, hi + 1, cg._BLOCK))
+
+
+def test_units_object_blocks_beyond_int64():
+    q = 2 * 3 * 5 * 7 * 11 * 13
+    lo = 2**63 + 2**40 - 9
+    hi = lo + cg._BLOCK + 30
+    blocks = list(cg._units(lo, hi, _primes(q), object))
+    assert all(y.dtype == object for y in blocks)
+    got = [v for y in blocks for v in y.tolist()]
+    assert all(type(v) is int for v in got)
+    assert got == [y for y in range(lo, hi + 1) if math.gcd(y, q) == 1]
+
+
+@pytest.mark.parametrize("q", [1, 2, 12, 30030, 2**14 + 1, 510510, 223092870])
+def test_unit_count_matches_direct_count(q):
+    primes = _primes(q)
+    if q == 223092870:
+        assert len(primes) == 9  # 2 * 3 * ... * 23, the most primes of any q < 2^31
+    for t in sorted({0, 1, 2, 29, 30, 31, 1000, 30029, 30030, 30031, 10**5} | {min(q, 10**5)}):
+        direct = sum(1 for y in range(1, t + 1) if math.gcd(y, q) == 1)
+        assert cg._unit_count(t, primes) == direct, (q, t)
+    assert cg._unit_count(q, primes) == arith.phi(q)
+    assert type(cg._unit_count(q, primes)) is int
+
+
+@pytest.mark.parametrize("q", [30030, 2 * 30030, 7 * 30030, 510510])
+def test_count_exact_zero_remainders_match_loop(q):
+    # floor(X) or floor(Y) a multiple of q: for e = 1 and rx = 0 no y is walked
+    for e, X, Y in ((1, 3 * q, 2 * q + 12345),  # rx = 0
+                    (1, q + 12345, 4 * q),  # ry = 0
+                    (1, 2 * q, q),  # rx = ry = 0
+                    (2, 3 * q, 2 * q + 17)):  # rx = 0 on the key-table path
+        inst = cg.CongruenceInstance(-1, 19, q, X, Y, e, 2)
+        exact = cg.count_exact(inst)
+        assert type(exact) is int
+        assert exact == count_exact_loop(inst), (e, X, Y)
+
+
 # ---- the e = 1 path: x = c_y solved per unit y, no key table ----
 
 def _lin(a, b, q, X, Y, f):
