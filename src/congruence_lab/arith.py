@@ -5,6 +5,11 @@ min(sqrt(x), 10^6), x the cofactor left.  When the wheel passes sqrt(x), the
 cofactor is 1 or a prime and is recorded without a primality test; only a
 cofactor left at the 10^6 bound goes to Brent's variant of Pollard rho with a
 deterministic Miller-Rabin test (fixed witness set, exact for all n < 2**64).
+factorize keeps its last result (a one-entry cache), because callers ask for
+the same n several times in a row: box_report derives phi, tau and the
+divisors of one q, and w2_sum mobius and Omega of one d.  Sharing the result
+is safe, since a Factorization is frozen and holds only tuples of ints.  The
+cache is typed, so an int and a numpy integer of one value do not share it.
 Everything in this module is exact; the intended operating range is
 1 <= n < 2**63.
 """
@@ -14,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_BOUND = 1_000_000
@@ -82,6 +88,7 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
 
+@lru_cache(maxsize=1, typed=True)
 def factorize(n: int) -> Factorization:
     if n < 1:
         raise ValueError("factorize requires n >= 1")

@@ -3,10 +3,12 @@
 Each subcommand declares its options once, in _COMMANDS: name, converter,
 default or required, and allowed values.  The argument parser, --help and
 config-file handling all come from that table, so a subcommand accepts only
-its own options.  Values come from flags or from a flat key=value config
-file (--config); flags win over config values, which win over defaults.  A
-config key the subcommand does not declare is refused, and config values
-pass the same conversion and choice checks as flags.  Exit codes: 0
+its own options.  main builds the parser of the invoked subcommand only;
+--help, a missing command and an unknown one get the parser of all of them.
+Values come from flags or from a flat key=value config file (--config);
+flags win over config values, which win over defaults.  A config key the
+subcommand does not declare, or one given twice, is refused, and config
+values pass the same conversion and choice checks as flags.  Exit codes: 0
 success, 2 validation failure (the message names the violated precondition
 or option), 1 internal error.
 """
@@ -29,15 +31,20 @@ from . import averaged, congruence, dp6, gausssum, reports, sawtooth
 
 def load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
+    lines: dict[str, int] = {}  # key -> line number that set it
     with open(path) as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"config line is not key=value: {line!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in lines:
+                raise ValueError(f"config key {key!r} is given twice, on lines"
+                                 f" {lines[key]} and {number}")
+            lines[key] = number
+            cfg[key] = value
     return cfg
 
 
@@ -167,6 +174,9 @@ def _cmd_count(o: argparse.Namespace) -> int:
 def _cmd_count_scan(o: argparse.Namespace) -> int:
     if o.primes_up_to < 2:
         raise ValueError(f"--primes-up-to must be >= 2, got {o.primes_up_to}")
+    for name, coefficient in (("a", o.a), ("b", o.b)):
+        if coefficient == 0:
+            raise ValueError(f"--{name} must be nonzero, got 0")
     for name, side in (("x", o.x), ("y", o.y)):
         if side is not _modulus and side < 1:
             raise ValueError(f"--{name} must be q or a rational >= 1, got {side}")
@@ -329,13 +339,20 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command alone when one is named."""
     parser = argparse.ArgumentParser(
         prog="congruence-lab",
         description="exact congruence counting, Gauss sums, and almost-prime points",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a pruned parser still names every command in its usage line; the full
+    # one keeps the default, which its "required" and "invalid choice"
+    # errors call "command"
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (_, help_text, options) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         # unset flags stay off the namespace, so resolve() sees what was given
         p = sub.add_parser(name, help=help_text, description=help_text,
                            argument_default=argparse.SUPPRESS)
@@ -382,8 +399,11 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # help, a missing command and an unknown one get the full parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         handler, _, _ = _COMMANDS[args.command]
         return handler(resolve(args))
     except (ValueError, OSError) as exc:

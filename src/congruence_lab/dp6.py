@@ -26,9 +26,9 @@ block through _omega.  point_blocks turns the family into checked int64
 column blocks (q, alphas, surface coordinates, Omega) that dp6-enumerate
 streams to its output without building a Python object per point; the
 dataclasses below are the scalar API over the same blocks.  The counts L_t
-need no point: l_t_count reads each alpha1 row of the family as two
-contiguous int8 row slices of the Omega table, one for alpha2 and one for
-alpha3.  rho is computed as its Euler product.
+need no point: l_t_count reads each alpha1 row of the family as two int8
+slices of the Omega table, a column of it for alpha2 and a contiguous run
+for alpha3.  rho is computed as its Euler product.
 
 All window and height comparisons are exact integer inequalities
 (8 q^3 > B instead of q > B^{1/3} and so on); no floating-point cube roots.
@@ -377,13 +377,15 @@ def l_t_count(B: int, q: int, t: int) -> int:
 
     Row alpha1 of the family has alpha2 = s + k q and alpha3 = k - z for
     0 <= k < K = a2max // q + 1, with s = alpha1^2 mod q and z = alpha1^2 // q
-    (see _family), so its two Omega terms are contiguous int8 rows of two
-    tables: row s of MT, the Omega table as a (q, K) matrix with
-    MT[s, k] = Omega(s + k q), and the window T[Z - z : Z - z + K] of
-    T[j] = Omega(|j - Z|), Z the largest z.  A pad that exceeds every real
-    two-term sum fills the cells beyond a2max and T[Z] (alpha3 = 0), and each
-    row compares its sums against t - Omega(alpha1) clamped to the largest
-    real sum, so pad cells never count.  No alpha2 array is built.
+    (see _family), so its two Omega terms are int8 slices of two tables:
+    column s of M, the Omega table read as a (K, q) matrix with
+    M[k, s] = Omega(s + k q), and the window T[Z - z : Z - z + K] of
+    T[j] = Omega(|j - Z|), Z the largest z.  A block of rows is a block of
+    columns of M, to which the transposed windows are added.  A pad that
+    exceeds every real two-term sum fills the cells beyond a2max and T[Z]
+    (alpha3 = 0), and each row compares its sums against t - Omega(alpha1)
+    clamped to the largest real sum, so pad cells never count.  No alpha2
+    array is built.
     """
     _check_count_budget(B)
     if not is_prime(q):
@@ -400,7 +402,7 @@ def l_t_count(B: int, q: int, t: int) -> int:
     K = a2max // q + 1
     mt = np.full(q * K, pad, dtype=np.int8)
     mt[: a2max + 1] = om
-    mt = np.ascontiguousarray(mt.reshape(K, q).T)
+    mt = mt.reshape(K, q)
     rows = np.arange(1, a1max + 1, dtype=np.int64)
     rows = rows[rows % q != 0]
     s, z = rows * rows % q, rows * rows // q
@@ -413,9 +415,9 @@ def l_t_count(B: int, q: int, t: int) -> int:
     step = max(1, _BLOCK_CELLS // K)
     total = 0
     for i in range(0, rows.size, step):
-        cells = mt[s[i : i + step]]
-        cells += windows[Z - z[i : i + step]]
-        total += int(np.count_nonzero(cells <= room[i : i + step, None]))
+        cells = mt[:, s[i : i + step]]
+        cells += windows[Z - z[i : i + step]].T
+        total += int(np.count_nonzero(cells <= room[None, i : i + step]))
     return total
 
 
@@ -577,7 +579,13 @@ def sieve_condition_report(
     mu: float = 4.0,
 ) -> dict:
     """Everything the weighted sieve needs, JSON-ready: the rho table, the
-    remainder sum, the density-grid constant, and the almost-prime threshold."""
+    remainder sum, the density-grid constant, and the almost-prime threshold.
+    A rho table bound below 1 (an empty table) and a level tau <= 0 are
+    refused before any work."""
+    if rho_table_max < 1:
+        raise ValueError(f"rho_table_max (--rho-max) must be >= 1, got {rho_table_max}")
+    if tau_level <= 0:
+        raise ValueError(f"tau_level (--tau) must be > 0, got {tau_level}")
     seq = build_sieve_sequence(B, q)
     table = {
         str(d): _ratio(rho(d, q)) for d in range(1, rho_table_max + 1) if mobius(d) != 0

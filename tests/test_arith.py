@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from congruence_lab import arith
@@ -23,6 +24,21 @@ def test_factorize_reconstructs():
         f = arith.factorize(n)
         assert oracles.reconstruct(f) == n
         assert all(arith.is_prime(p) for p, _ in f.factors)
+
+
+def test_factorize_cache_matches_uncached():
+    # 1000003 * 1000033 leaves a composite cofactor at the trial bound
+    big = 1000003 * 1000033
+    ns = [1, 12, 12, 97, 1, big, 12, big, big, 2**61 - 1, 97, 97, 1, 600851475143, 12]
+    for n in ns:
+        assert arith.factorize(n) == arith.factorize.__wrapped__(n), n
+    # the cache is typed: a numpy integer does not hand its result to an int
+    assert type(arith.factorize(np.int64(12)).n) is np.int64
+    assert type(arith.factorize(12).n) is int
+    # a refused n leaves the cache in use
+    with pytest.raises(ValueError):
+        arith.factorize(0)
+    assert arith.factorize(97) == arith.factorize.__wrapped__(97)
 
 
 def test_factorize_rejects_nonpositive():

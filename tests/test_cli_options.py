@@ -71,6 +71,16 @@ REFUSALS = {
     "empty budget list key": (["dp6-growth"], "B-list = ,\n", "'B-list'"),
     "out in a missing directory": (["dp6-enumerate", "--B", "1000000", "--out", "missing/x.csv"],
                                    None, "directory 'missing' does not exist"),
+    "zero scan coefficient flag": (["count-scan", "--a", "0", "--out", "x.csv"], None,
+                                   "--a must be nonzero, got 0"),
+    "zero scan coefficient key": (["count-scan", "--q-list", "5,7", "--out", "x.csv"], "b = 0\n",
+                                  "--b must be nonzero, got 0"),
+    "config key given twice": (["vaaler"], "H = 2\n# again\nH = 5\n",
+                               "config key 'H' is given twice, on lines 1 and 3"),
+    "empty rho table": (["dp6-sieve", "--rho-max", "0", "--out", "x.csv"], None,
+                        "(--rho-max) must be >= 1, got 0"),
+    "zero tau level": (["dp6-sieve", "--tau", "0"], None, "(--tau) must be > 0, got 0.0"),
+    "negative tau level key": (["dp6-sieve"], "tau = -0.5\n", "(--tau) must be > 0, got -0.5"),
 }
 
 
@@ -115,3 +125,45 @@ def test_help_lists_only_own_options(capsys):
     out = capsys.readouterr().out
     assert "--s" in out and "required" in out
     assert "--scheme" not in out and "--out" not in out
+
+
+# one argv per command, touching a converter, a choice or a switch where it has one
+SAMPLES = {
+    "gauss": ["gauss", "--s", "3", "--t", "1", "--u", "20"],
+    "count": ["count", *BOX, "--f", "3", "--timings", "--out", "x.csv"],
+    "count-scan": ["count-scan", "--q-list", "5,7", "--x", "q", "--y", "3/2"],
+    "vaaler": ["vaaler", "--H", "8", "--samples", "10", "--format", "json"],
+    "avg-scan": ["avg-scan", "--scheme", "factorized", "--H", "2.5", "--U", "2"],
+    "dp6-enumerate": ["dp6-enumerate", "--B", "1000", "--config", "p.cfg"],
+    "dp6-growth": ["dp6-growth", "--B-list", "1000,2000", "--t", "9"],
+    "dp6-sieve": ["dp6-sieve", "--rho-max", "5", "--tau", "0.3"],
+    "bilinear": ["bilinear", "--M", "16", "--seeds", "2"],
+}
+
+
+def test_pruned_parser_parses_like_the_full_one():
+    assert list(SAMPLES) == list(cli._COMMANDS)
+    full = cli.build_parser()
+    for name, argv in SAMPLES.items():
+        assert cli.build_parser(name).parse_args(argv) == full.parse_args(argv), name
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_pruned_parser_holds_only_its_command(name, capsys):
+    other = next(n for n in SAMPLES if n != name)
+    with pytest.raises(SystemExit):
+        cli.build_parser(name).parse_args(SAMPLES[other])
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["count", "--no-such-flag"],
+                                  ["avg-scan", "--scheme", "bogus"], ["gauss", "--help"],
+                                  ["-h", "count"]],
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_usage_and_errors_match_the_full_parser(argv, capsys, monkeypatch):
+    pruned = run(argv, capsys)
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    full = run(argv, capsys)
+    assert pruned == full
+    assert pruned[1] or pruned[2]

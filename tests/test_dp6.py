@@ -332,6 +332,22 @@ def test_l_t_count_matches_family_count():
     check()
 
 
+def test_l_t_count_every_window_prime_and_t():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(B=st.integers(1, 300_000))
+    def check(B):
+        for q in dp6.prime_window(B):
+            om = np.concatenate([np.zeros(0, np.int8),
+                                 *(dp6._omega(B, *block) for block in dp6._family(B, q))])
+            for t in range(16):
+                assert dp6.l_t_count(B, q, t) == int(np.count_nonzero(om <= t)), (q, t)
+
+    check()
+
+
 @pytest.mark.parametrize("B, q", [(1000, 7), (10**6, 2), (10**6, 59), (10**6, 97),
                                   (10**8, 409)])
 def test_l_t_count_fixed_cases(B, q):
