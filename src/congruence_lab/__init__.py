@@ -4,17 +4,14 @@ families, and almost-prime point searches on a sextic del Pezzo surface."""
 
 from .arith import (
     Factorization,
-    big_omega,
     divisors,
     factorize,
     is_prime,
     jacobi,
-    little_omega,
     log1n,
     mobius,
     mod_inv,
     phi,
-    phi_star,
     sigma_half_inv,
     tau,
     unit_symbols,
@@ -29,8 +26,6 @@ from .averaged import (
     delta_H,
     dominance_report,
     error_budget,
-    main_term as averaged_main_term,
-    s_exact,
     suggest_H,
     unit_disc_point,
 )
@@ -46,33 +41,24 @@ from .congruence import (
     boundary_sums,
     box_bounds,
     box_report,
-    count_boundaries,
     count_exact,
     error_envelope,
     main_term,
-    main_term_boundaries,
     scan_boxes,
 )
 from .dp6 import (
     BETA_3,
     GrowthRow,
-    PointRecord,
     SieveSequence,
-    SpecialPoint,
-    SurfacePoint,
-    TorsorPoint,
     build_sieve_sequence,
-    enumerate_lower_bound_points,
     icbrt,
     l_t_count,
     m_t_growth,
-    pi_map,
     point_blocks,
     prime_window,
     rho,
     sieve_condition_report,
     sieve_threshold,
-    special_to_torsor,
     sum_over_d,
 )
 from .gausssum import (
@@ -82,7 +68,6 @@ from .gausssum import (
 )
 from .sawtooth import (
     VaalerPolynomial,
-    fejer_majorant,
     psi,
     vaaler_polynomial,
 )

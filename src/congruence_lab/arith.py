@@ -8,7 +8,7 @@ deterministic Miller-Rabin test (fixed witness set, exact for all n < 2**64).
 factorize keeps its last result (a one-entry cache), because callers ask for
 the same n several times in a row: box_report derives phi, tau and the
 divisors of one q, and w2_sum mobius and Omega of one d.  Sharing the result
-is safe, since a Factorization is frozen and holds only tuples of ints.  The
+is safe, since a Factorization is a tuple that holds only tuples of ints.  The
 cache is typed, so an int and a numpy integer of one value do not share it.
 Everything in this module is exact; the intended operating range is
 1 <= n < 2**63.
@@ -17,9 +17,8 @@ Everything in this module is exact; the intended operating range is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_BOUND = 1_000_000
@@ -80,8 +79,7 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"cycle search failed for {n}")
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """A positive integer together with its sorted prime factorization."""
 
     n: int
@@ -157,14 +155,6 @@ def phi(n: int) -> int:
     return out
 
 
-def phi_star(n: int) -> Fraction:
-    """phi(n)/n as an exact fraction; multiplicative with value 1 - 1/p at prime powers."""
-    out = Fraction(1)
-    for p, _ in factorize(n).factors:
-        out *= Fraction(p - 1, p)
-    return out
-
-
 def mobius(n: int) -> int:
     out = 1
     for _, e in factorize(n).factors:
@@ -172,16 +162,6 @@ def mobius(n: int) -> int:
             return 0
         out = -out
     return out
-
-
-def big_omega(n: int) -> int:
-    """Number of prime factors with multiplicity."""
-    return sum(e for _, e in factorize(n).factors)
-
-
-def little_omega(n: int) -> int:
-    """Number of distinct prime factors."""
-    return len(factorize(n).factors)
 
 
 def log1n(n: int) -> float:

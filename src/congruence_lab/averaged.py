@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .congruence import (
     AffineBoundary,
@@ -220,16 +221,6 @@ def _weighted_sums(family: AveragedFamily, cells: list) -> tuple[complex, comple
     return S, M
 
 
-def s_exact(family: AveragedFamily) -> complex:
-    """The weighted sum of exact cell counts, accumulated in cell order."""
-    return _weighted_sums(family, cell_sums(family))[0]
-
-
-def main_term(family: AveragedFamily) -> complex:
-    """Weighted sum of (tw)^{-1} sum_{y in J, gcd(y,tw)=1} (f_hi - f_lo)(y)."""
-    return _weighted_sums(family, cell_sums(family))[1]
-
-
 # ---- error budget ----
 
 def delta_H(family: AveragedFamily, H: float) -> float:
@@ -255,8 +246,7 @@ def _frac_half(k: int) -> float:
     return 0.5 if k % 2 else 0.0
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(NamedTuple):
     H: float
     epsilon: float
     delta_H: float
@@ -330,8 +320,7 @@ def suggest_H(family: AveragedFamily, epsilon: float, X: float | None = None) ->
     return tW ** (1.0 + epsilon) / X
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(NamedTuple):
     q0: float
     X: float
     Z_structured: float
@@ -379,8 +368,7 @@ def dominance_report(
     )
 
 
-@dataclass(frozen=True)
-class AveragedReport:
+class AveragedReport(NamedTuple):
     family: AveragedFamily
     H: float
     epsilon: float

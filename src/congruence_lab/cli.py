@@ -58,6 +58,19 @@ def _boolean(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def finite_float(text: str) -> float:
+    """float(text), refused when it is nan or infinite: no float option has
+    a meaning there, and JSON cannot hold such a value."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+# errors on text float() cannot read keep float()'s wording, "invalid float value"
+finite_float.__name__ = "float"
+
+
 def fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -102,6 +115,8 @@ class Option:
     def from_config(self, text: str):
         try:
             value = self.convert(text)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"config key {self.name!r}: {exc}") from None
         except ValueError:
             raise ValueError(
                 f"config key {self.name!r}: invalid {self.kind.__name__} value {text!r}"
@@ -319,7 +334,7 @@ _COMMANDS = {
         Option("U", fraction, "1"), Option("V", fraction, "1"), Option("W", fraction, "1"),
         Option("y0", fraction, "0"), Option("Y", fraction, "8"), Option("X", fraction, "2"),
         Option("scheme", str, "joint", choices=averaged.SCHEMES),
-        Option("H", float), Option("epsilon", float, "0.05"), *_SEEDS, *_OUT,
+        Option("H", finite_float), Option("epsilon", finite_float, "0.05"), *_SEEDS, *_OUT,
     )),
     "dp6-enumerate": (_cmd_dp6_enumerate, "almost-prime surface points", (
         _req("B", int), Option("t", int, "12"), *_OUT,
@@ -328,12 +343,13 @@ _COMMANDS = {
         Option("B-list", int_list, "10000,100000,1000000"), Option("t", int, "12"), *_OUT,
     )),
     "dp6-sieve": (_cmd_dp6_sieve, "sieve condition report (JSON)", (
-        Option("B", int, "1000"), Option("q", int, "7"), Option("tau", float, "0.4"),
-        Option("c2", float, "1.0"), Option("z-max", int, "1000"), Option("rho-max", int, "30"),
-        Option("t", int, "12"), Option("mu", float, "4.0"), Option("out", str),
+        Option("B", int, "1000"), Option("q", int, "7"),
+        Option("tau", finite_float, "0.4"), Option("c2", finite_float, "1.0"),
+        Option("z-max", int, "1000"), Option("rho-max", int, "30"),
+        Option("t", int, "12"), Option("mu", finite_float, "4.0"), Option("out", str),
     )),
     "bilinear": (_cmd_bilinear, "bilinear Jacobi-symbol sum benchmark", (
-        Option("M", int, "128"), Option("N", int, "128"), Option("epsilon", float, "0.05"),
+        Option("M", int, "128"), Option("N", int, "128"), Option("epsilon", finite_float, "0.05"),
         *_SEEDS, *_OUT,
     )),
 }

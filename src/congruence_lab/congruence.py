@@ -51,7 +51,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -223,8 +223,7 @@ def error_envelope(inst: CongruenceInstance) -> float:
     return float(inst.X) / q * tau(q) + _completed_term(log1n(q), q, float(inst.Y))
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     instance: CongruenceInstance
     exact: int
     main_term: float
@@ -431,22 +430,7 @@ def boundary_sums(
     return count, main
 
 
-def count_boundaries(
-    a: int, b: int, q: int, bounds: BoundarySpec, J: Interval
-) -> int:
-    """The exact count of boundary_sums."""
-    return boundary_sums(a, b, q, bounds, J)[0]
-
-
-def main_term_boundaries(
-    a: int, b: int, q: int, bounds: BoundarySpec, J: Interval
-) -> Fraction:
-    """The main term of boundary_sums, (1/q) sum_{y in J, (y, q) = 1} (f_hi - f_lo)(y)."""
-    return boundary_sums(a, b, q, bounds, J)[1]
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(NamedTuple):
     exact: int
     main_term: float
     envelope: float
@@ -478,8 +462,7 @@ def boundary_report(
 
 # ---- bilinear sums of Jacobi symbols ----
 
-@dataclass(frozen=True)
-class BilinearResult:
+class BilinearResult(NamedTuple):
     value: complex
     bound: float
     M: int

@@ -22,13 +22,13 @@ sieving limit beta_3.
 
 One kernel, _family, enumerates the family of a prime q in int64 blocks; the
 points and the sieve sequence read it, and the points look up Omega per
-block through _omega.  point_blocks turns the family into checked int64
-column blocks (q, alphas, surface coordinates, Omega) that dp6-enumerate
-streams to its output without building a Python object per point; the
-dataclasses below are the scalar API over the same blocks.  The counts L_t
-need no point: l_t_count reads each alpha1 row of the family as two int8
-slices of the Omega table, a column of it for alpha2 and a contiguous run
-for alpha3.  rho is computed as its Euler product.
+block through _omega.  point_blocks, the one point enumerator, turns the
+family into checked int64 column blocks (q, alphas, surface coordinates,
+Omega) that dp6-enumerate streams to its output without building a Python
+object per point.  The counts L_t need no point: l_t_count reads each
+alpha1 row of the family as two int8 slices of the Omega table, a column of
+it for alpha2 and a contiguous run for alpha3.  rho is computed as its
+Euler product.
 
 All window and height comparisons are exact integer inequalities
 (8 q^3 > B instead of q > B^{1/3} and so on); no floating-point cube roots.
@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,51 +99,9 @@ def _omega_upto(limit: int) -> np.ndarray:
     return om
 
 
-# ---- torsor and surface points ----
-
-@dataclass(frozen=True)
-class TorsorPoint:
-    eta: tuple[int, int, int, int]
-    alpha: tuple[int, int, int]
-
-    def __post_init__(self):
-        e1, e2, e3, e4 = self.eta
-        a1, a2, a3 = self.alpha
-        if min(self.eta) < 1:
-            raise ValueError("eta entries must be positive")
-        if 0 in self.alpha:
-            raise ValueError("alpha entries must be nonzero")
-        if math.gcd(e2, e3) != 1 or math.gcd(e2, e4) != 1 or math.gcd(e3, e4) != 1:
-            raise ValueError("eta2, eta3, eta4 must be pairwise coprime")
-        if e2 * a1 * a1 + e3 * a2 + e4 * a3 != 0:
-            raise ValueError("torsor equation eta2 a1^2 + eta3 a2 + eta4 a3 = 0 fails")
-        if math.gcd(a1, e1 * e3 * e4) != 1:
-            raise ValueError("gcd(alpha1, eta1 eta3 eta4) must be 1")
-        if math.gcd(a2, e1 * e2 * e4) != 1:
-            raise ValueError("gcd(alpha2, eta1 eta2 eta4) must be 1")
-        if math.gcd(a3, e1 * e2 * e3) != 1:
-            raise ValueError("gcd(alpha3, eta1 eta2 eta3) must be 1")
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    x: tuple[int, int, int, int, int, int, int]
-
-    def __post_init__(self):
-        x0, x1, x2, x3, x4, x5, x6 = self.x
-        if all(c == 0 for c in self.x):
-            raise ValueError("zero vector is not a projective point")
-        if x3 * x4 != x0 * x5:
-            raise ValueError("quadric x3 x4 = x0 x5 fails")
-        if x6 * x6 + x3 * x5 + x4 * x5 != 0:
-            raise ValueError("quadric x6^2 + x3 x5 + x4 x5 = 0 fails")
-
-    def height(self) -> int:
-        return max(abs(c) for c in self.x)
-
-
 def _monomials(eta, alpha) -> tuple:
-    # the coordinates x0..x6 of pi; the alphas may be int64 arrays
+    # the coordinates x0..x6 of the monomial map pi from the torsor to the
+    # surface; the alphas may be int64 arrays
     e1, e2, e3, e4 = eta
     a1, a2, a3 = alpha
     return (
@@ -156,66 +113,6 @@ def _monomials(eta, alpha) -> tuple:
         e1**4 * e2**2 * e3**3 * e4**3,
         e1**3 * e2**2 * e3**2 * e4**2 * a1,
     )
-
-
-def pi_map(p: TorsorPoint) -> SurfacePoint:
-    """Monomial parametrization of the surface by the torsor."""
-    return SurfacePoint(_monomials(p.eta, p.alpha))
-
-
-# every record of one window prime q checks the same q, and records come q by q
-@lru_cache(maxsize=1)
-def _cached_is_prime(q: int) -> bool:
-    return is_prime(q)
-
-
-@dataclass(frozen=True)
-class SpecialPoint:
-    """A lower-bound family point: eta = (1, 1, 1, q), alpha2 = alpha1^2 (mod q).
-
-    alpha3 is derived: (alpha2 - alpha1^2)/q, required nonzero.  Heights are
-    window conditions on the budget B, checked exactly.
-    """
-
-    q: int
-    alpha1: int
-    alpha2: int
-    budget: int
-    alpha3: int = 0  # derived in __post_init__
-
-    def __post_init__(self):
-        B = self.budget
-        if B < 1:
-            raise ValueError("budget B must be positive")
-        if not _cached_is_prime(self.q):
-            raise ValueError("q must be prime")
-        if self.q**3 > B or 8 * self.q**3 <= B:
-            raise ValueError("q must lie in (B^{1/3}/2, B^{1/3}]")
-        if self.alpha1 < 1 or 8 * self.alpha1**3 > B:
-            raise ValueError("alpha1 must lie in (0, B^{1/3}/2]")
-        if self.alpha1 % self.q == 0:
-            raise ValueError("alpha1 must be coprime to q")
-        if self.alpha2 < 1 or 8 * self.alpha2**3 > B * B:
-            raise ValueError("alpha2 must lie in (0, B^{2/3}/2]")
-        if (self.alpha2 - self.alpha1**2) % self.q != 0:
-            raise ValueError("alpha2 must be alpha1^2 (mod q)")
-        a3 = (self.alpha2 - self.alpha1**2) // self.q
-        if a3 == 0:
-            raise ValueError("alpha2 = alpha1^2 gives alpha3 = 0")
-        object.__setattr__(self, "alpha3", a3)
-
-
-def special_to_torsor(sp: SpecialPoint) -> TorsorPoint:
-    """Lift with eta = (1, 1, 1, q) and alpha = (alpha1, -alpha2, alpha3)."""
-    return TorsorPoint((1, 1, 1, sp.q), (sp.alpha1, -sp.alpha2, sp.alpha3))
-
-
-@dataclass(frozen=True)
-class PointRecord:
-    special: SpecialPoint
-    torsor: TorsorPoint
-    surface: SurfacePoint
-    omega: int
 
 
 def prime_window(B: int) -> list[int]:
@@ -272,8 +169,9 @@ def point_blocks(B: int, t: int) -> Iterator[np.ndarray]:
 
     in lexicographic order in (q, alpha1, alpha2), where x = pi(eta, alpha)
     at eta = (1, 1, 1, q), alpha = (alpha1, -alpha2, alpha3).  Every block is
-    checked for the invariants of SpecialPoint, TorsorPoint and SurfacePoint
-    and for height <= B before it is yielded.  B, t and the int64 limit
+    checked before it is yielded (see _check_block): q prime in its window,
+    the alpha windows, coprimality to q, alpha3 nonzero, the torsor
+    equation, both quadrics and height <= B.  B, t and the int64 limit
     B < 2^31 are checked before any work."""
     if B < 1:
         raise ValueError("budget B must be positive")
@@ -335,21 +233,6 @@ def _check_block(B: int, q: int, block: np.ndarray) -> None:
         failed = "; ".join(what for what, good in checks.items() if not good[i])
         raise ValueError(f"family point q = {q}, (alpha1, alpha2, alpha3) ="
                          f" ({a1[i]}, {a2[i]}, {a3[i]}): {failed}")
-
-
-def iter_point_records(B: int, t: int) -> Iterator[PointRecord]:
-    """The rows of point_blocks(B, t) as dataclass records, which check
-    every point again."""
-    for block in point_blocks(B, t):
-        for q, a1, a2, *_, omega in block.tolist():
-            sp = SpecialPoint(q, a1, a2, B)
-            torsor = special_to_torsor(sp)
-            yield PointRecord(sp, torsor, pi_map(torsor), omega)
-
-
-def enumerate_lower_bound_points(B: int, t: int) -> tuple[int, list[PointRecord]]:
-    records = list(iter_point_records(B, t))
-    return len(records), records
 
 
 # l_t_count refuses budgets whose alpha2 bound reaches this, so that its int8
@@ -421,8 +304,7 @@ def l_t_count(B: int, q: int, t: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     B: int
     t: int
     count: int
@@ -444,8 +326,7 @@ def m_t_growth(B_values: Sequence[int], t: int) -> list[GrowthRow]:
 
 # ---- sieve sequence and local densities ----
 
-@dataclass(frozen=True)
-class SieveSequence:
+class SieveSequence(NamedTuple):
     """Multiplicities a_n = #{family points with alpha1 alpha2 |alpha3| = n}
     for one prime q, with the normalization X = phi(q) B / (4 q^2)."""
 
@@ -523,6 +404,9 @@ def w2_sum(
     if X <= 1:
         raise ValueError("normalization X must exceed 1")
     d_max = X**tau_level / math.log(X) ** c2
+    if d_max < 1:
+        raise ValueError(f"d_max = X^tau / log^c2 X = {d_max!r} is below 1, so the"
+                         f" remainder sum is empty: raise tau (--tau) or lower c2 (--c2)")
     total = 0.0
     d = 1
     while d <= d_max:

@@ -6,16 +6,16 @@ value is returned in factored shape
 
     coefficient * unit * jacobi * sqrt(radicand) * e(phase)
 
-so the pieces can be inspected separately, together with the assembled
-complex number.  |G| is sqrt(u) for odd u and either 0 or sqrt(2u) for
+so the pieces can be inspected separately, together with the complex
+value they multiply to.  |G| is sqrt(u) for odd u and either 0 or sqrt(2u) for
 even u, depending on the parity of t.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ def _e(phase: Fraction) -> complex:
     return complex(math.cos(ang), math.sin(ang))
 
 
-@dataclass(frozen=True)
-class GaussSumValue:
+class GaussSumValue(NamedTuple):
     """Closed-form value in factored shape.
 
     value == coefficient * unit * jacobi * sqrt(radicand) * e(phase); when the
@@ -48,15 +47,6 @@ class GaussSumValue:
     jacobi: int
     radicand: int
     phase: Fraction
-
-    def assemble(self) -> complex:
-        return (
-            self.coefficient
-            * self.unit
-            * self.jacobi
-            * math.sqrt(self.radicand)
-            * _e(self.phase)
-        )
 
 
 def gauss_brute(s: int, t: int, u: int) -> complex:

@@ -150,8 +150,9 @@ def _json_table(description: str, fields: list[str],
 
 
 def json_dump(doc) -> str:
-    """The JSON text of every report: two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """The JSON text of every report: two-space indent, trailing newline.
+    A nan or infinite float raises ValueError, as JSON has no such value."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(

@@ -85,10 +85,6 @@ def vaaler_polynomial(H: int) -> VaalerPolynomial:
     return VaalerPolynomial(H, coeffs)
 
 
-def fejer_majorant(x: float, H: int) -> float:
-    return float(fejer_majorant_many(np.array([x]), H)[0])
-
-
 def fejer_majorant_many(xs: np.ndarray, H: int) -> np.ndarray:
     """(H+1)^{-1} sum_{|h|<=H} (1 - |h|/(H+1)) e(hx) at each x; nonnegative,
     mean 1/(H+1)."""

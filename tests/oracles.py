@@ -1,9 +1,12 @@
 """Test-only reference code: table text built and parsed with the csv and
 json modules, independently of the writer in congruence_lab.reports; Gauss
-sum reciprocity and whole-grid evaluation; the Fourier partial sum of the
-sawtooth and a pointwise Vaaler majorant check; the literal double-loop box
-count, the brute local density of the dp6 family at a prime, and small
-arithmetic helpers (product of a factorization, radical, dispatch by name)."""
+sum reciprocity, whole-grid evaluation and the assembled closed form; the
+Fourier partial sum of the sawtooth, the pointwise Fejer majorant and a
+pointwise Vaaler majorant check; the literal double-loop box count; the dp6
+torsor, surface and family points as checked dataclasses, the monomial map
+between them, the family by direct loops, and the brute local density of
+the family at a prime; small arithmetic helpers (product of a
+factorization, radical, phi(n)/n, Omega and omega, dispatch by name)."""
 
 from __future__ import annotations
 
@@ -11,29 +14,27 @@ import csv
 import io
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from congruence_lab.arith import (
     Factorization,
-    big_omega,
     factorize,
     is_prime,
-    little_omega,
     log1n,
     mobius,
     phi,
-    phi_star,
     sigma_half_inv,
     tau,
 )
 from congruence_lab.congruence import CongruenceInstance
-from congruence_lab.dp6 import PointRecord, rho
-from congruence_lab.gausssum import _branch, gauss_brute
+from congruence_lab.dp6 import icbrt, prime_window, rho
+from congruence_lab.gausssum import GaussSumValue, _branch, _e, gauss_brute
 from congruence_lab.reports import fmt
-from congruence_lab.sawtooth import fejer_majorant, psi, vaaler_polynomial
+from congruence_lab.sawtooth import fejer_majorant_many, psi, vaaler_polynomial
 
 
 def point_row(rec: PointRecord) -> dict[str, str]:
@@ -124,6 +125,12 @@ def brute_grid(u: int) -> tuple[list[int], np.ndarray]:
     return ss, np.fft.ifft(rows, axis=1) * u
 
 
+def assemble(g: GaussSumValue) -> complex:
+    """coefficient * unit * jacobi * sqrt(radicand) * e(phase), the product
+    the value of g must equal."""
+    return g.coefficient * g.unit * g.jacobi * math.sqrt(g.radicand) * _e(g.phase)
+
+
 def closed_grid(u: int) -> tuple[list[int], np.ndarray]:
     """Closed-form values on the same (s, t) grid as brute_grid."""
     ss = coprime_residues(u)
@@ -148,6 +155,11 @@ def psi_fourier(x: float, H: int) -> float:
     if H < 1:
         raise ValueError("H must be >= 1")
     return -sum(math.sin(2.0 * math.pi * h * x) / (math.pi * h) for h in range(1, H + 1))
+
+
+def fejer_majorant(x: float, H: int) -> float:
+    """The Fejer majorant at one x."""
+    return float(fejer_majorant_many(np.array([x]), H)[0])
 
 
 def vaaler_check(x: float, H: int, slack: float = 0.0) -> bool:
@@ -186,6 +198,133 @@ def rho_oracle_prime(p: int, q: int) -> tuple[Fraction, Fraction]:
     return Fraction(int(mask.sum()), p * p), rho(p, q) / p
 
 
+# ---- dp6 torsor and surface points ----
+
+@dataclass(frozen=True)
+class TorsorPoint:
+    eta: tuple[int, int, int, int]
+    alpha: tuple[int, int, int]
+
+    def __post_init__(self):
+        e1, e2, e3, e4 = self.eta
+        a1, a2, a3 = self.alpha
+        if min(self.eta) < 1:
+            raise ValueError("eta entries must be positive")
+        if 0 in self.alpha:
+            raise ValueError("alpha entries must be nonzero")
+        if math.gcd(e2, e3) != 1 or math.gcd(e2, e4) != 1 or math.gcd(e3, e4) != 1:
+            raise ValueError("eta2, eta3, eta4 must be pairwise coprime")
+        if e2 * a1 * a1 + e3 * a2 + e4 * a3 != 0:
+            raise ValueError("torsor equation eta2 a1^2 + eta3 a2 + eta4 a3 = 0 fails")
+        if math.gcd(a1, e1 * e3 * e4) != 1:
+            raise ValueError("gcd(alpha1, eta1 eta3 eta4) must be 1")
+        if math.gcd(a2, e1 * e2 * e4) != 1:
+            raise ValueError("gcd(alpha2, eta1 eta2 eta4) must be 1")
+        if math.gcd(a3, e1 * e2 * e3) != 1:
+            raise ValueError("gcd(alpha3, eta1 eta2 eta3) must be 1")
+
+
+@dataclass(frozen=True)
+class SurfacePoint:
+    x: tuple[int, int, int, int, int, int, int]
+
+    def __post_init__(self):
+        x0, x1, x2, x3, x4, x5, x6 = self.x
+        if all(c == 0 for c in self.x):
+            raise ValueError("zero vector is not a projective point")
+        if x3 * x4 != x0 * x5:
+            raise ValueError("quadric x3 x4 = x0 x5 fails")
+        if x6 * x6 + x3 * x5 + x4 * x5 != 0:
+            raise ValueError("quadric x6^2 + x3 x5 + x4 x5 = 0 fails")
+
+    def height(self) -> int:
+        return max(abs(c) for c in self.x)
+
+
+def pi_map(p: TorsorPoint) -> SurfacePoint:
+    """Monomial parametrization of the surface by the torsor, written out
+    apart from dp6._monomials."""
+    e1, e2, e3, e4 = p.eta
+    a1, a2, a3 = p.alpha
+    return SurfacePoint((
+        a2 * a3,
+        e1 * e2 * e3 * a1 * a2,
+        e1 * e2 * e4 * a1 * a3,
+        e1**2 * e2 * e3**2 * e4 * a2,
+        e1**2 * e2 * e3 * e4**2 * a3,
+        e1**4 * e2**2 * e3**3 * e4**3,
+        e1**3 * e2**2 * e3**2 * e4**2 * a1,
+    ))
+
+
+@dataclass(frozen=True)
+class SpecialPoint:
+    """A lower-bound family point: eta = (1, 1, 1, q), alpha2 = alpha1^2 (mod q).
+
+    alpha3 is derived: (alpha2 - alpha1^2)/q, required nonzero.  Heights are
+    window conditions on the budget B, checked exactly.
+    """
+
+    q: int
+    alpha1: int
+    alpha2: int
+    budget: int
+    alpha3: int = 0  # derived in __post_init__
+
+    def __post_init__(self):
+        B = self.budget
+        if B < 1:
+            raise ValueError("budget B must be positive")
+        if not is_prime(self.q):
+            raise ValueError("q must be prime")
+        if self.q**3 > B or 8 * self.q**3 <= B:
+            raise ValueError("q must lie in (B^{1/3}/2, B^{1/3}]")
+        if self.alpha1 < 1 or 8 * self.alpha1**3 > B:
+            raise ValueError("alpha1 must lie in (0, B^{1/3}/2]")
+        if self.alpha1 % self.q == 0:
+            raise ValueError("alpha1 must be coprime to q")
+        if self.alpha2 < 1 or 8 * self.alpha2**3 > B * B:
+            raise ValueError("alpha2 must lie in (0, B^{2/3}/2]")
+        if (self.alpha2 - self.alpha1**2) % self.q != 0:
+            raise ValueError("alpha2 must be alpha1^2 (mod q)")
+        a3 = (self.alpha2 - self.alpha1**2) // self.q
+        if a3 == 0:
+            raise ValueError("alpha2 = alpha1^2 gives alpha3 = 0")
+        object.__setattr__(self, "alpha3", a3)
+
+
+def special_to_torsor(sp: SpecialPoint) -> TorsorPoint:
+    """Lift with eta = (1, 1, 1, q) and alpha = (alpha1, -alpha2, alpha3)."""
+    return TorsorPoint((1, 1, 1, sp.q), (sp.alpha1, -sp.alpha2, sp.alpha3))
+
+
+@dataclass(frozen=True)
+class PointRecord:
+    special: SpecialPoint
+    torsor: TorsorPoint
+    surface: SurfacePoint
+    omega: int
+
+
+def points_oracle(B: int, t: int) -> Iterator[PointRecord]:
+    """The almost-prime family points of dp6.point_blocks(B, t), in its
+    order, by direct loops lifted through the dataclasses; Omega from
+    big_omega."""
+    a1max, a2max = icbrt(B // 8), icbrt(B * B // 8)
+    for q in prime_window(B):
+        for a1 in range(1, a1max + 1):
+            if a1 % q == 0:
+                continue
+            for a2 in range(a1 * a1 % q, a2max + 1, q):
+                if a2 == a1 * a1:
+                    continue
+                sp = SpecialPoint(q, a1, a2, B)
+                omega = sum(big_omega(abs(a)) for a in (a1, a2, sp.alpha3))
+                if omega <= t:
+                    torsor = special_to_torsor(sp)
+                    yield PointRecord(sp, torsor, pi_map(torsor), omega)
+
+
 # ---- arithmetic helpers ----
 
 def reconstruct(f: Factorization) -> int:
@@ -194,6 +333,24 @@ def reconstruct(f: Factorization) -> int:
     for p, e in f.factors:
         out *= p**e
     return out
+
+
+def phi_star(n: int) -> Fraction:
+    """phi(n)/n as an exact fraction; multiplicative with value 1 - 1/p at prime powers."""
+    out = Fraction(1)
+    for p, _ in factorize(n).factors:
+        out *= Fraction(p - 1, p)
+    return out
+
+
+def big_omega(n: int) -> int:
+    """Number of prime factors with multiplicity."""
+    return sum(e for _, e in factorize(n).factors)
+
+
+def little_omega(n: int) -> int:
+    """Number of distinct prime factors."""
+    return len(factorize(n).factors)
 
 
 def radical(n: int) -> int:

@@ -37,14 +37,39 @@ def _family(**kw):
     return av.AveragedFamily(**base)
 
 
+def _sums(fam):
+    # (S, M) of avg_report, which neither H nor epsilon changes
+    rep = av.avg_report(fam, 1.0, 0.0)
+    return rep.S, rep.M
+
+
+def _cell_loop(fam):
+    # (S, M) by a per-cell, per-y recomputation of both sums in the
+    # accumulation order of avg_report
+    S = M = 0j
+    bounds = fam.bounds
+    for u, v, w in fam.cells():
+        a, b, q = fam.r * u**fam.l, fam.s * v**fam.m, fam.t * w
+        n, mt = 0, Fraction(0)
+        for y in fam.J.integers():
+            if math.gcd(y, q) == 1:
+                c = -pow(a, -1, q) * b * y * y % q
+                n += max(0, (bounds.upper(y) - c) // q - (bounds.lower(y) - c) // q)
+                mt += bounds.upper(y) - bounds.lower(y)
+        if n:
+            S += fam.d_coeff(u, v) * fam.e_coeff(w) * n
+        if mt:
+            M += fam.d_coeff(u, v) * fam.e_coeff(w) * float(mt / q)
+    return S, M
+
+
 def test_cells_respects_coprimality():
     fam = _family()
     assert fam.cells() == [(2, 2, 1)]
     # t = 1, W = 1 puts w = 2 in every cell and gcd(rsuv, tw) = 2 kills them all
     fam2 = _family(t=1, W=1)
     assert fam2.cells() == []
-    assert av.s_exact(fam2) == 0
-    assert av.main_term(fam2) == 0
+    assert _sums(fam2) == (0, 0)
 
 
 def test_family_validation():
@@ -89,7 +114,7 @@ def test_exact_sum_matches_direct_count():
     fam = _family()
     # single cell (2,2,1): a = 2, b = 2, q = 3, box 0 < x <= 5, 0 < y <= 10
     inst = cg.CongruenceInstance(2, 2, 3, 5, 10)
-    assert av.s_exact(fam) == complex(cg.count_exact(inst))
+    assert _sums(fam)[0] == complex(cg.count_exact(inst))
 
 
 def test_exact_sum_oracle_mini_grid():
@@ -107,14 +132,14 @@ def test_exact_sum_oracle_mini_grid():
                         r * u**l, s * v**m, t * w, 4, 8
                     )
                     total += cg.count_exact(inst)
-                assert av.s_exact(fam) == complex(total), (l, m, t, r, s)
+                assert _sums(fam)[0] == complex(total), (l, m, t, r, s)
 
 
 def test_main_term_hand_value():
     fam = _family()
     # cell (2,2,1): q = 3, phi over y in (0,10] coprime to 3 gives 7 values,
     # each contributing X/q = 5/3
-    assert av.main_term(fam) == complex(Fraction(5, 3) * 7)
+    assert _sums(fam)[1] == complex(Fraction(5, 3) * 7)
 
 
 def test_delta_h_constant_bounds():
@@ -193,7 +218,7 @@ def test_work_estimate_guard():
     fam = _family(U=3000, V=3000, W=3000, t=1,
                   J=cg.Interval(0, 10**6), bounds=av.constant_bounds(10**6))
     with pytest.raises(ValueError):
-        av.s_exact(fam)
+        av.cell_sums(fam)
 
 
 def test_avg_report_consistency():
@@ -201,8 +226,7 @@ def test_avg_report_consistency():
                   J=cg.Interval(0, 30), bounds=av.constant_bounds(5), seed=3)
     H = av.suggest_H(fam, 0.05)
     rep = av.avg_report(fam, H, 0.05)
-    assert rep.S == av.s_exact(fam)
-    assert rep.M == av.main_term(fam)
+    assert (rep.S, rep.M) == _cell_loop(fam)
     denom = rep.first_O + rep.T_envelope
     assert rep.ratio == pytest.approx(abs(rep.S - rep.M) / denom)
 
@@ -213,22 +237,9 @@ def test_avg_report_affine_bounds_match_cell_loop():
     bounds = av.affine_in_y_bounds(Fraction(-3, 2), Fraction(1, 3), 20, Fraction(-1, 4), F=20)
     fam = _family(scheme="joint", t=5, U=2, V=2, W=2, l=2, m=1, r=3, s=-2,
                   J=cg.Interval(Fraction(-7, 2), 40), bounds=bounds, seed=11)
-    S = M = 0j
-    for u, v, w in fam.cells():
-        a, b, q = 3 * u**2, -2 * v, 5 * w
-        n, mt = 0, Fraction(0)
-        for y in fam.J.integers():
-            if math.gcd(y, q) == 1:
-                c = -pow(a, -1, q) * b * y * y % q
-                n += max(0, (bounds.upper(y) - c) // q - (bounds.lower(y) - c) // q)
-                mt += bounds.upper(y) - bounds.lower(y)
-        if n:
-            S += fam.d_coeff(u, v) * fam.e_coeff(w) * n
-        if mt:
-            M += fam.d_coeff(u, v) * fam.e_coeff(w) * float(mt / q)
+    S, M = _cell_loop(fam)
     rep = av.avg_report(fam, 10.0, 0.05)
     assert (rep.S, rep.M) == (S, M)
-    assert (av.s_exact(fam), av.main_term(fam)) == (S, M)
     assert av.char_length(fam) == float(bounds.upper(Fraction(-7, 2))
                                         - bounds.lower(Fraction(-7, 2)))
 

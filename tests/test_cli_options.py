@@ -81,6 +81,27 @@ REFUSALS = {
                         "(--rho-max) must be >= 1, got 0"),
     "zero tau level": (["dp6-sieve", "--tau", "0"], None, "(--tau) must be > 0, got 0.0"),
     "negative tau level key": (["dp6-sieve"], "tau = -0.5\n", "(--tau) must be > 0, got -0.5"),
+    "empty remainder sum": (["dp6-sieve", "--tau", "0.01", "--out", "x.csv"], None,
+                            "d_max = X^tau / log^c2 X = 0.30245104505007814 is below 1, so the"
+                            " remainder sum is empty: raise tau (--tau) or lower c2 (--c2)"),
+    "empty remainder sum key": (["dp6-sieve", "--B", "1500", "--tau", "0.3", "--out", "x.csv"],
+                                "c2 = 2\n", "d_max = X^tau / log^c2 X = 0.21523336859822245"),
+    "nan H flag": (["avg-scan", "--H", "nan", "--out", "x.csv"], None,
+                   "argument --H: must be a finite number, got 'nan'"),
+    "infinite H flag": (["avg-scan", "--H", "inf"], None,
+                        "argument --H: must be a finite number, got 'inf'"),
+    "non-numeric H flag": (["avg-scan", "--H", "abc"], None,
+                           "argument --H: invalid float value: 'abc'"),
+    "nan avg-scan epsilon": (["avg-scan", "--epsilon", "nan", "--out", "x.csv"], None,
+                             "argument --epsilon: must be a finite number, got 'nan'"),
+    "nan bilinear epsilon": (["bilinear", "--epsilon", "nan", "--out", "x.csv"], None,
+                             "argument --epsilon: must be a finite number, got 'nan'"),
+    "nan tau level": (["dp6-sieve", "--tau", "nan", "--out", "x.csv"], None,
+                      "argument --tau: must be a finite number, got 'nan'"),
+    "nan mu": (["dp6-sieve", "--mu", "nan", "--out", "x.csv"], None,
+               "argument --mu: must be a finite number, got 'nan'"),
+    "infinite c2 key": (["dp6-sieve", "--out", "x.csv"], "c2 = -inf\n",
+                        "config key 'c2': must be a finite number, got '-inf'"),
 }
 
 

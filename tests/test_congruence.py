@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 import random
@@ -219,13 +220,13 @@ def test_count_exact_linear_huge_box_is_exact():
 
 @pytest.mark.parametrize("q", [300007, 300300, 299999])
 def test_count_exact_linear_matches_boundary_walk(q):
-    # count_boundaries counts per y by floor division at its class c_y, with
+    # boundary_sums counts per y by floor division at its class c_y, with
     # no split of the box into T(s, t); it shares only _units and _x_classes
     a, b = -1231, 23
     X = Fraction(10**12 + 1, 3)
     for Y in (q, Fraction(2 * q, 3), q - Fraction(1, 2), Fraction(q, 2**14)):
         inst = cg.CongruenceInstance(a, b, q, X, Y)
-        walk = cg.count_boundaries(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))
+        walk = cg.boundary_sums(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0]
         assert cg.count_exact(inst) == walk, Y
 
 
@@ -256,7 +257,7 @@ def test_count_exact_properties():
         inst = cg.CongruenceInstance(a, b, q, X, Y, e, f)
         assert cg.count_exact(inst) == oracles.count_exact_naive(inst)
         box = cg.CongruenceInstance(a, b, q, X, Y)  # e = 1, f = 2
-        assert cg.count_boundaries(a, b, q, cg.box_bounds(X), cg.Interval(0, Y)) == (
+        assert cg.boundary_sums(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0] == (
             cg.count_exact(box))
 
     check()
@@ -313,7 +314,7 @@ def test_box_bounds_reduce_to_box_count():
         X = rng.randint(1, 60)
         Y = rng.randint(1, 60)
         inst = cg.CongruenceInstance(a, b, q, X, Y)
-        n = cg.count_boundaries(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))
+        n = cg.boundary_sums(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0]
         assert n == cg.count_exact(inst)
         done += 1
 
@@ -321,17 +322,16 @@ def test_box_bounds_reduce_to_box_count():
 def test_triangle_region():
     # x + y^2 = 0 (mod 3), 0 < x <= y, y <= 6: solutions counted by hand
     bounds = cg.affine_bounds(0, 0, 0, 1)
-    assert cg.count_boundaries(1, 1, 3, bounds, cg.Interval(0, 6)) == 4
-    assert cg.main_term_boundaries(1, 1, 3, bounds, cg.Interval(0, 6)) == Fraction(4)
+    assert cg.boundary_sums(1, 1, 3, bounds, cg.Interval(0, 6)) == (4, Fraction(4))
 
 
 def test_empty_and_invalid_boundaries():
     flat = cg.affine_bounds(5, 0, 5, 0)
-    assert cg.count_boundaries(1, 1, 5, flat, cg.Interval(0, 10)) == 0
+    assert cg.boundary_sums(1, 1, 5, flat, cg.Interval(0, 10))[0] == 0
     with pytest.raises(ValueError):
-        cg.count_boundaries(1, 1, 5, cg.affine_bounds(3, 0, 1, 0), cg.Interval(0, 10))
+        cg.boundary_sums(1, 1, 5, cg.affine_bounds(3, 0, 1, 0), cg.Interval(0, 10))
     with pytest.raises(ValueError):
-        cg.count_boundaries(2, 1, 4, cg.box_bounds(5), cg.Interval(0, 5))
+        cg.boundary_sums(2, 1, 4, cg.box_bounds(5), cg.Interval(0, 5))
 
 
 @pytest.mark.parametrize("args, message", [
@@ -340,7 +340,7 @@ def test_empty_and_invalid_boundaries():
     ((1, 1, 0, cg.box_bounds(5), cg.Interval(0, 10)), "q must be a positive integer"),
 ], ids=["a = 0", "crossed boundaries", "q = 0"])
 def test_main_term_boundaries_refuses_what_count_refuses(args, message):
-    for kernel in (cg.count_boundaries, cg.main_term_boundaries, cg.boundary_sums):
+    for kernel in (cg.boundary_sums, functools.partial(cg.boundary_report, H=4)):
         with pytest.raises(ValueError, match=message):
             kernel(*args)
 
@@ -348,14 +348,14 @@ def test_main_term_boundaries_refuses_what_count_refuses(args, message):
 def test_callable_boundary_extension_point():
     # arbitrary callables are accepted; here they agree with an exact box
     spec = cg.BoundarySpec(lambda y: 0.0, lambda y: 12.0, Fraction(0))
-    exact = cg.count_boundaries(1, 1, 7, cg.box_bounds(12), cg.Interval(0, 9))
-    assert cg.count_boundaries(1, 1, 7, spec, cg.Interval(0, 9)) == exact
+    exact = cg.boundary_sums(1, 1, 7, cg.box_bounds(12), cg.Interval(0, 9))[0]
+    assert cg.boundary_sums(1, 1, 7, spec, cg.Interval(0, 9))[0] == exact
 
 
 # ---- the per-y loop as an oracle for the boundary block kernels ----
 
 def count_boundaries_loop(a, b, q, bounds, J):
-    """The per-y loop count_boundaries used to be: one gcd and two Fraction
+    """The per-y loop the boundary count used to be: one gcd and two Fraction
     floor divisions per y."""
     ainv = pow(a, -1, q) if q > 1 else 0
     total = 0
@@ -380,10 +380,9 @@ def main_term_boundaries_loop(a, b, q, bounds, J):
 
 
 def _check_boundary_kernels(a, b, q, bounds, J):
-    n = cg.count_boundaries(a, b, q, bounds, J)
+    n, mt = cg.boundary_sums(a, b, q, bounds, J)
     assert type(n) is int
     assert n == count_boundaries_loop(a, b, q, bounds, J)
-    mt = cg.main_term_boundaries(a, b, q, bounds, J)
     assert type(mt) is Fraction
     assert mt == main_term_boundaries_loop(a, b, q, bounds, J)
 
@@ -467,8 +466,7 @@ def test_callable_boundaries_match_loop():
 def test_boundary_kernels_empty_interval():
     J = cg.Interval(Fraction(1, 3), Fraction(1, 3))  # no integer in (1/3, 2/3]
     bounds = cg.affine_bounds(0, 1, 5, 1)
-    assert cg.count_boundaries(1, 1, 5, bounds, J) == 0
-    assert cg.main_term_boundaries(1, 1, 5, bounds, J) == 0
+    assert cg.boundary_sums(1, 1, 5, bounds, J) == (0, 0)
 
 
 def test_boundary_report():

@@ -2,7 +2,6 @@ import functools
 import json
 import math
 import random
-import re
 from collections import Counter
 from fractions import Fraction
 
@@ -48,12 +47,12 @@ def test_sieve_primes():
 def test_omega_table_matches_scalar():
     om = dp6._omega_upto(2000)
     for n in range(1, 2001):
-        assert int(om[n]) == arith.big_omega(n), n
+        assert int(om[n]) == oracles.big_omega(n), n
 
 
 def test_omega_table_matches_big_omega_to_1e5():
     top = 47**3  # 103823
-    ref = np.array([0] + [arith.big_omega(n) for n in range(1, top + 1)])
+    ref = np.array([0] + [oracles.big_omega(n) for n in range(1, top + 1)])
     # 10^5, and limits that end the table at or next to the square of a prime
     # near sqrt(limit) (313^2 = 97969, 317^2 = 100489) or the cube of a prime
     limits = (10**5, 313**2 - 1, 313**2, 313**2 + 1, 317**2 - 1, 317**2, 317**2 + 1,
@@ -68,58 +67,58 @@ def test_omega_table_matches_big_omega_to_1e5():
 # ---- torsor and surface geometry ----
 
 def test_torsor_point_example():
-    p = dp6.TorsorPoint((1, 1, 1, 2), (1, -3, 1))
+    p = oracles.TorsorPoint((1, 1, 1, 2), (1, -3, 1))
     assert p.eta == (1, 1, 1, 2)
 
 
 def test_torsor_point_violations():
     with pytest.raises(ValueError):
-        dp6.TorsorPoint((1, 1, 1, 2), (1, -3, 2))  # equation fails
+        oracles.TorsorPoint((1, 1, 1, 2), (1, -3, 2))  # equation fails
     with pytest.raises(ValueError):
-        dp6.TorsorPoint((1, 2, 2, 1), (1, -1, -1))  # eta2, eta3 not coprime
+        oracles.TorsorPoint((1, 2, 2, 1), (1, -1, -1))  # eta2, eta3 not coprime
     with pytest.raises(ValueError):
-        dp6.TorsorPoint((1, 1, 1, 2), (1, 0, -1))  # zero alpha
+        oracles.TorsorPoint((1, 1, 1, 2), (1, 0, -1))  # zero alpha
     with pytest.raises(ValueError):
-        dp6.TorsorPoint((0, 1, 1, 2), (1, -3, 1))  # nonpositive eta
+        oracles.TorsorPoint((0, 1, 1, 2), (1, -3, 1))  # nonpositive eta
     with pytest.raises(ValueError):
-        dp6.TorsorPoint((1, 1, 1, 3), (3, -12, 1))  # gcd(alpha1, eta4) > 1
+        oracles.TorsorPoint((1, 1, 1, 3), (3, -12, 1))  # gcd(alpha1, eta4) > 1
 
 
 def test_surface_point_validation():
-    dp6.SurfacePoint((-3, -3, 2, -6, 4, 8, 4))
+    oracles.SurfacePoint((-3, -3, 2, -6, 4, 8, 4))
     with pytest.raises(ValueError):
-        dp6.SurfacePoint((0, 0, 0, 1, 1, 0, 0))  # x3 x4 != x0 x5
+        oracles.SurfacePoint((0, 0, 0, 1, 1, 0, 0))  # x3 x4 != x0 x5
     with pytest.raises(ValueError):
-        dp6.SurfacePoint((1, 0, 0, 1, 1, 1, 0))  # second quadric fails
+        oracles.SurfacePoint((1, 0, 0, 1, 1, 1, 0))  # second quadric fails
     with pytest.raises(ValueError):
-        dp6.SurfacePoint((0, 0, 0, 0, 0, 0, 0))
+        oracles.SurfacePoint((0, 0, 0, 0, 0, 0, 0))
 
 
 def test_pi_map_frozen_example():
-    p = dp6.TorsorPoint((1, 1, 1, 2), (1, -3, 1))
-    surf = dp6.pi_map(p)
+    p = oracles.TorsorPoint((1, 1, 1, 2), (1, -3, 1))
+    surf = oracles.pi_map(p)
     assert surf.x == (-3, -3, 2, -6, 4, 8, 4)
     assert surf.height() == 8
     assert math.prod(surf.x) == -13824
 
 
 def test_special_point_validation():
-    sp = dp6.SpecialPoint(7, 1, 8, 1000)
+    sp = oracles.SpecialPoint(7, 1, 8, 1000)
     assert sp.alpha3 == 1
     with pytest.raises(ValueError):
-        dp6.SpecialPoint(6, 1, 7, 1000)  # composite q
+        oracles.SpecialPoint(6, 1, 7, 1000)  # composite q
     with pytest.raises(ValueError):
-        dp6.SpecialPoint(11, 1, 12, 1000)  # q^3 > B
+        oracles.SpecialPoint(11, 1, 12, 1000)  # q^3 > B
     with pytest.raises(ValueError):
-        dp6.SpecialPoint(3, 1, 4, 1000)  # 8 q^3 <= B
+        oracles.SpecialPoint(3, 1, 4, 1000)  # 8 q^3 <= B
     with pytest.raises(ValueError):
-        dp6.SpecialPoint(7, 6, 43, 1000)  # 8 alpha1^3 > B
+        oracles.SpecialPoint(7, 6, 43, 1000)  # 8 alpha1^3 > B
     with pytest.raises(ValueError):
-        dp6.SpecialPoint(7, 1, 9, 1000)  # alpha2 != alpha1^2 (mod q)
+        oracles.SpecialPoint(7, 1, 9, 1000)  # alpha2 != alpha1^2 (mod q)
     with pytest.raises(ValueError):
-        dp6.SpecialPoint(7, 1, 1, 1000)  # alpha3 = 0
+        oracles.SpecialPoint(7, 1, 1, 1000)  # alpha3 = 0
     with pytest.raises(ValueError):
-        dp6.SpecialPoint(7, 1, 400, 1000)  # 8 alpha2^3 > B^2
+        oracles.SpecialPoint(7, 1, 400, 1000)  # 8 alpha2^3 > B^2
 
 
 def test_prime_window():
@@ -128,56 +127,40 @@ def test_prime_window():
     assert dp6.prime_window(8) == [2]
 
 
+def _point_rows(B, t):
+    # the rows of point_blocks(B, t) as lists of Python ints
+    return [row for block in dp6.point_blocks(B, t) for row in block.tolist()]
+
+
 def test_enumeration_frozen_counts():
-    count, records = dp6.enumerate_lower_bound_points(1000, 12)
-    assert count == 31
-    assert len(records) == 31
-    first = records[0]
-    assert (first.special.q, first.special.alpha1, first.special.alpha2) == (7, 1, 8)
-    assert first.surface.x == (-8, -8, 7, -56, 49, 343, 49)
-    assert first.omega == 3
-    head = [(r.special.q, r.special.alpha1, r.special.alpha2, r.special.alpha3)
-            for r in records[:5]]
+    rows = _point_rows(1000, 12)
+    assert len(rows) == 31
+    assert rows[0] == [7, 1, 8, 1, -8, -8, 7, -56, 49, 343, 49, 3]
+    head = [tuple(row[:4]) for row in rows[:5]]
     assert head == [(7, 1, 8, 1), (7, 1, 15, 2), (7, 1, 22, 3), (7, 1, 29, 4),
                     (7, 1, 36, 5)]
 
-    assert dp6.enumerate_lower_bound_points(8, 20)[0] == 0
-    assert dp6.enumerate_lower_bound_points(1000, 0)[0] == 0
-    assert dp6.enumerate_lower_bound_points(1000, 3)[0] == 10
+    assert len(_point_rows(8, 20)) == 0
+    assert len(_point_rows(1000, 0)) == 0
+    assert len(_point_rows(1000, 3)) == 10
 
 
 def test_record_invariants():
-    _, records = dp6.enumerate_lower_bound_points(1000, 12)
-    for rec in records:
-        sp, tp, surf = rec.special, rec.torsor, rec.surface
-        q, a1, a2, a3 = sp.q, sp.alpha1, sp.alpha2, sp.alpha3
+    for q, a1, a2, a3, *x, omega in _point_rows(1000, 12):
+        sp = oracles.SpecialPoint(q, a1, a2, 1000)
+        assert sp.alpha3 == a3
+        tp = oracles.special_to_torsor(sp)
         assert tp.eta == (1, 1, 1, q)
         assert tp.alpha == (a1, -a2, a3)
+        surf = oracles.SurfacePoint(tuple(x))
+        assert surf == oracles.pi_map(tp)
         assert surf.height() <= 1000
         # product of coordinates collapses to a perfect-cube pattern
         assert math.prod(surf.x) == q**9 * a1**3 * (-a2) ** 3 * a3**3
-        assert rec.omega == (
-            arith.big_omega(a1) + arith.big_omega(a2) + arith.big_omega(abs(a3))
+        assert omega == (
+            oracles.big_omega(a1) + oracles.big_omega(a2) + oracles.big_omega(abs(a3))
         )
-        assert rec.omega <= 12
-
-
-def _points_oracle(B, t):
-    # the family by direct loops, lifted through the dataclasses; Omega from
-    # arith.big_omega
-    a1max, a2max = dp6.icbrt(B // 8), dp6.icbrt(B * B // 8)
-    for q in dp6.prime_window(B):
-        for a1 in range(1, a1max + 1):
-            if a1 % q == 0:
-                continue
-            for a2 in range(a1 * a1 % q, a2max + 1, q):
-                if a2 == a1 * a1:
-                    continue
-                sp = dp6.SpecialPoint(q, a1, a2, B)
-                omega = sum(arith.big_omega(abs(a)) for a in (a1, a2, sp.alpha3))
-                if omega <= t:
-                    torsor = dp6.special_to_torsor(sp)
-                    yield dp6.PointRecord(sp, torsor, dp6.pi_map(torsor), omega)
+        assert omega <= 12
 
 
 _POINTS_DESCRIPTION = "almost-prime surface points from the q-window torsor family"
@@ -186,11 +169,9 @@ _POINTS_DESCRIPTION = "almost-prime surface points from the q-window torsor fami
 @pytest.mark.parametrize("t", [0, 9, 12])
 def test_point_blocks_match_dataclass_path(t, tmp_path, capsys):
     B = 10**5
-    records = list(_points_oracle(B, t))
-    rows = [row for block in dp6.point_blocks(B, t) for row in block.tolist()]
-    assert rows == [[r.special.q, r.special.alpha1, r.special.alpha2, r.special.alpha3,
-                     *r.surface.x, r.omega] for r in records]
-    assert dp6.enumerate_lower_bound_points(B, t) == (len(records), records)
+    records = list(oracles.points_oracle(B, t))
+    assert _point_rows(B, t) == [[r.special.q, r.special.alpha1, r.special.alpha2,
+                                  r.special.alpha3, *r.surface.x, r.omega] for r in records]
     point_rows = [oracles.point_row(r) for r in records]
     for fmt_name, to_text in (("csv", oracles.csv_text), ("json", oracles.json_text)):
         out = tmp_path / f"points.{fmt_name}"
@@ -238,8 +219,6 @@ def test_point_blocks_refuse_a_corrupted_row(corrupt, failure, monkeypatch, caps
     with pytest.raises(ValueError) as err:
         list(dp6.point_blocks(B, 12))
     assert row in str(err.value) and failure in str(err.value)
-    with pytest.raises(ValueError, match=re.escape(row)):
-        dp6.enumerate_lower_bound_points(B, 12)
     assert cli.main(["dp6-enumerate", "--B", str(B)]) == 2
     assert row in capsys.readouterr().err
 
@@ -260,17 +239,14 @@ def test_l_t_count_matches_enumeration():
         dp6.l_t_count(1000, 6, 12)
     B = 10**4
     per_q = {q: dp6.l_t_count(B, q, 12) for q in dp6.prime_window(B)}
-    count, records = dp6.enumerate_lower_bound_points(B, 12)
-    by_q: dict[int, int] = {}
-    for r in records:
-        by_q[r.special.q] = by_q.get(r.special.q, 0) + 1
-    assert per_q == by_q
-    assert sum(per_q.values()) == count
+    rows = _point_rows(B, 12)
+    assert per_q == Counter(row[0] for row in rows)
+    assert sum(per_q.values()) == len(rows)
 
 
 def test_m_t_growth():
     rows = dp6.m_t_growth([1000, 10**4], 12)
-    assert [r.count for r in rows] == [31, dp6.enumerate_lower_bound_points(10**4, 12)[0]]
+    assert [r.count for r in rows] == [31, len(_point_rows(10**4, 12))]
     assert rows[0].count < rows[1].count
     for r in rows:
         assert r.normalized == pytest.approx(r.count * math.log(r.B) ** 5 / r.B)
@@ -287,7 +263,7 @@ def _l_t_brute(B, q, t):
         while 8 * a2**3 <= B * B:
             a3, r = divmod(a2 - a1 * a1, q)
             if a1 % q and r == 0 and a3 != 0:
-                count += arith.big_omega(a1 * a2 * abs(a3)) <= t
+                count += oracles.big_omega(a1 * a2 * abs(a3)) <= t
             a2 += 1
         a1 += 1
     return count
@@ -432,7 +408,7 @@ def test_sum_over_d():
 
 _mobius, _radical, _divisors, _phi_star = (
     functools.lru_cache(maxsize=None)(f)
-    for f in (arith.mobius, oracles.radical, arith.divisors, arith.phi_star)
+    for f in (arith.mobius, oracles.radical, arith.divisors, oracles.phi_star)
 )
 
 
@@ -527,6 +503,8 @@ def test_w2_sum_shape():
     assert out["d_max"] < 4
     assert out["sum"] >= 0
     assert out["implied_c3"] == pytest.approx(out["sum"] / out["comparison_scale"])
+    with pytest.raises(ValueError, match=r"d_max = .* is below 1.*--tau.*--c2"):
+        dp6.w2_sum(seq, tau_level=0.01)
 
 
 def test_w1_min_c1():

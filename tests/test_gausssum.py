@@ -77,7 +77,7 @@ def test_magnitude_law():
 def test_assemble_reproduces_value():
     for (s, t, u) in [(1, 0, 5), (3, 2, 7), (5, 1, 6), (3, 4, 16), (7, 0, 18), (11, 5, 20)]:
         g = gausssum.gauss_closed(s, t, u)
-        assert abs(g.value - g.assemble()) < 1e-12
+        assert abs(g.value - oracles.assemble(g)) < 1e-12
 
 
 def test_closed_normalizes_arguments():

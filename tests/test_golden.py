@@ -58,7 +58,7 @@ CASES = {
                           "--t", "12"], []),
     "dp6-sieve": (["dp6-sieve", "--B", "1000", "--q", "7", "--z-max", "100",
                    "--rho-max", "10"], []),
-    "dp6-sieve-out": (["dp6-sieve", "--B", "1500", "--q", "7", "--tau", "0.3", "--c2", "2",
+    "dp6-sieve-out": (["dp6-sieve", "--B", "1500", "--q", "7", "--tau", "0.7", "--c2", "0.5",
                        "--mu", "3.5", "--z-max", "50", "--rho-max", "12",
                        "--out", "sieve.json"], ["sieve.json"]),
     "bilinear": (["bilinear", "--M", "64", "--N", "32", "--epsilon", "0.1", "--seed", "2",

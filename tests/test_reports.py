@@ -55,8 +55,7 @@ def test_growth_and_point_rows():
     assert tuple(grow) == reports.GROWTH_FIELDS
     assert grow["count"] == "31"
 
-    _, records = dp6.enumerate_lower_bound_points(1000, 12)
-    prow = oracles.point_row(records[0])
+    prow = oracles.point_row(next(oracles.points_oracle(1000, 12)))
     assert tuple(prow) == reports.POINT_FIELDS
     assert prow["x5"] == "343"
     assert prow["Omega"] == "3"
@@ -83,6 +82,13 @@ def test_parse_csv_requires_description():
     """Checks the test oracle oracles.parse_csv_text, not program code."""
     with pytest.raises(ValueError):
         oracles.parse_csv_text("a,b\n1,2\n")
+
+
+def test_json_dump_refuses_non_finite_floats():
+    assert reports.json_dump({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            reports.json_dump({"x": value})
 
 
 def test_write_report(tmp_path):

@@ -50,19 +50,19 @@ def test_evaluate_many_matches_scalar():
 
 
 def test_fejer_majorant_values():
-    assert sawtooth.fejer_majorant(0.0, 4) == pytest.approx(1.0)
+    assert oracles.fejer_majorant(0.0, 4) == pytest.approx(1.0)
     # nonnegative everywhere
     rng = random.Random(7)
     for H in (1, 4, 16):
         for _ in range(500):
-            assert sawtooth.fejer_majorant(rng.random(), H) >= -1e-12
+            assert oracles.fejer_majorant(rng.random(), H) >= -1e-12
 
 
 def test_fejer_majorant_mean():
     # trig polynomial of degree H: averaging over 4H+4 equispaced points is exact
     for H in (1, 3, 8, 16):
         n = 4 * H + 4
-        mean = sum(sawtooth.fejer_majorant(k / n, H) for k in range(n)) / n
+        mean = sum(oracles.fejer_majorant(k / n, H) for k in range(n)) / n
         assert mean == pytest.approx(1 / (H + 1), abs=1e-9)
 
 
@@ -73,7 +73,7 @@ def test_majorant_bounds_approximation_error():
         for _ in range(2000):
             x = rng.uniform(-2, 2)
             err = abs(sawtooth.psi(x) - poly.evaluate(x))
-            assert err <= sawtooth.fejer_majorant(x, H) + 1e-9
+            assert err <= oracles.fejer_majorant(x, H) + 1e-9
 
 
 def test_vaaler_check():
@@ -81,7 +81,7 @@ def test_vaaler_check():
     with pytest.raises(ValueError):
         sawtooth.vaaler_polynomial(0)
     with pytest.raises(ValueError):
-        sawtooth.fejer_majorant(0.1, 0)
+        oracles.fejer_majorant(0.1, 0)
 
 
 def test_vector_paths_match_term_by_term_sums():
