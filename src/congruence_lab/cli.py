@@ -205,14 +205,25 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
     return 0
 
 
+_DRAW_CHUNK = 1 << 14  # doubles per getrandbits call of random_floats
+
+
 def random_floats(seed: int, n: int) -> np.ndarray:
     """[random.Random(seed).random() for _ in range(n)] as one float64 array,
-    bit for bit: Python's MT19937 state drawn by numpy's legacy RandomState,
-    whose stream and 53-bit doubles NEP 19 freezes."""
-    key = random.Random(seed).getstate()[1]
-    state = np.random.RandomState()
-    state.set_state(("MT19937", np.array(key[:624], dtype=np.uint32), key[624]))
-    return state.random_sample(n)
+    bit for bit, without numpy.random.
+
+    random() turns two MT19937 outputs w0, w1 into ((w0 >> 5) 2^26 +
+    (w1 >> 6)) 2^-53, and getrandbits(64 m) hands out the same next 2 m
+    outputs as its 32-bit words, least significant first, so each chunk of
+    m <= _DRAW_CHUNK doubles is one getrandbits call read as little-endian
+    uint32 pairs.  Every step is exact in uint64 and float64."""
+    rng = random.Random(seed)
+    chunks = []
+    for m in [_DRAW_CHUNK] * (n // _DRAW_CHUNK) + [n % _DRAW_CHUNK]:
+        words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"),
+                              dtype="<u4").astype(np.uint64)
+        chunks.append(((words[0::2] >> 5 << 26) + (words[1::2] >> 6)) * 2.0**-53)
+    return np.concatenate(chunks)
 
 
 def _cmd_vaaler(o: argparse.Namespace) -> int:

@@ -12,7 +12,11 @@ unit y residues, each block sieved by one strided write per prime of q
 into a boolean mask.  For e = 1 each unit y fixes the one class x = c_y =
 -a^{-1} b y^f mod q, so the blocks are all it holds, and T(q, t), the
 number of unit y <= t, is sum mu(d) floor(t/d) over d | rad(q): when
-rx = 0 no block is walked at all.  For e >= 2 it also fills one int32
+rx = 0 no block is walked at all.  Otherwise half a walk does: (q - y)^f =
+(-1)^f y^f, so the mirror q - y has the class c_y for even f and q - c_y
+for odd f, and the floor(q/2) residues y <= q/2 (their units only) decide
+T(rx, ry) and T(rx, q) for every unit of [1, q), at two floor_mods per
+unit for f = 2.  For e >= 2 it also fills one int32
 table of y-counts per key (4 bytes per residue) and reads it at the
 x-keys.  O(q) time at most, q < 2^31 so every residue product fits in
 int64, and the T are combined in Python ints, so counts stay exact for any
@@ -126,9 +130,11 @@ def _unit_count(t: int, primes: list[int]) -> int:
 
 
 def _powmod(r: np.ndarray, k: int, q: int) -> np.ndarray:
-    # r^k mod q for k >= 1 by repeated squaring from the lowest set bit of k,
-    # so r^2 costs one product; with r, q < 2^31 every product is < 2^62
-    base = floor_mod(r, q)
+    # r^k mod q for k >= 1 and r in [0, q], by repeated squaring from the
+    # lowest set bit of k, so r^2 costs one product; with q < 2^31 every
+    # product is < 2^62.  r itself is not reduced: for k = 1 it comes back
+    # as it is, which the callers' own reduction of k r^f absorbs
+    base = r
     while not k & 1:
         base = floor_mod(base * base, q)
         k >>= 1
@@ -141,10 +147,43 @@ def _powmod(r: np.ndarray, k: int, q: int) -> np.ndarray:
 
 
 def _x_classes(y: np.ndarray, k, f: int, q: int) -> np.ndarray:
-    # c_y = k y^f mod q, k = -a^{-1} b mod q: the one class of x in [0, q)
-    # with a x + b y^f = 0 (mod q), for every unit y of the block; a column
-    # of k gives one row per k
+    # c_y = k y^f mod q, k = -a^{-1} b mod q, for y in [0, q]: the one class
+    # of x in [0, q) with a x + b y^f = 0 (mod q), for every unit y of the
+    # block; a column of k gives one row per k
     return floor_mod(k * _powmod(y, f, q), q)
+
+
+def _class_hits(k: int, f: int, q: int, rx: int, ry: int, primes: list[int]) -> tuple[int, int]:
+    """(G(ry), G(q)), G(m) = #{unit y <= m : c_y <= rx}, c_y = k y^f mod q,
+    from one walk of the units y <= floor(q/2); q > 1 and 0 <= rx, ry < q.
+
+    (q - y)^f = (-1)^f y^f, so the mirror q - y of a walked y has the class
+    c_y for even f and q - c_y for odd f (c_y is a unit, never 0).  The units
+    of [1, q) are the walked y <= floor((q-1)/2) and the mirrors of the
+    walked y <= floor(q/2), so with low(m) and mirror(m) the walked y <= m
+    whose own or mirrored class is <= rx,
+
+        G(q) = low(floor((q-1)/2)) + mirror(floor(q/2)),
+        G(ry) = low(ry) for ry <= floor(q/2), else G(q) - mirror(q - 1 - ry),
+
+    the units above ry being the mirrors of the units y <= q - 1 - ry."""
+    half = q // 2
+    low = {(q - 1) // 2: 0}
+    mirror = {half: 0}
+    if ry <= half:
+        low[ry] = 0
+    else:
+        mirror[q - 1 - ry] = 0
+    for y in _units(1, half, primes):
+        c = _x_classes(y, k, f, q)
+        hit = c <= rx
+        mirrored = hit if f % 2 == 0 else c >= q - rx
+        del c  # the int64 classes would otherwise live on while the next block is built
+        for cuts, mask in ((low, hit), (mirror, mirrored)):
+            for m in cuts:
+                cuts[m] += int(np.count_nonzero(mask[: np.searchsorted(y, m, side="right")]))
+    whole = low[(q - 1) // 2] + mirror[half]
+    return (low[ry] if ry <= half else whole - mirror[q - 1 - ry]), whole
 
 
 def count_exact(inst: CongruenceInstance) -> int:
@@ -153,52 +192,49 @@ def count_exact(inst: CongruenceInstance) -> int:
     floor(X) = Qx q + rx and floor(Y) = Qy q + ry; T(s, t) counts unit pairs
     x <= s, y <= t with -a x^e = b y^f (mod q).  The residues 1..q (q stands
     for the class 0, a unit only when q = 1) are sieved for units by the
-    primes of q in blocks of _BLOCK, y <= ry first and then the rest.
+    primes of q in blocks of _BLOCK.
 
     For e = 1 each unit y fixes one unit x, the class c_y = -a^{-1} b y^f mod
     q, so T(q, t) is the number of unit y <= t, taken in closed form by
     inclusion-exclusion over the primes of q, and T(rx, t) the number of
-    those with c_y <= rx: the y are walked only when rx > 0 (rx = 0 covers
-    q = 1 and every X that is a multiple of q).  For e >= 2, x -> -a x^e is
-    not a bijection on the units, so an int32 table of length q counts the
-    unit y per key b y^f mod q, and after each fill the x-keys -a x^e mod q
-    are gathered from it (4 bytes per residue).  O(q) time at most, exact
-    for any rational X and Y and any signs of a and b.  q must satisfy
-    1 <= q < 2^31: ValueError naming q otherwise, before anything is
-    allocated.
+    those with c_y <= rx.  y and q - y share their class (even f) or mirror
+    it to q - c_y (odd f), so the y walked are the units y <= floor(q/2)
+    only, and only when rx > 0 (rx = 0 covers q = 1 and every X that is a
+    multiple of q); see _class_hits.  For e >= 2, x -> -a x^e is not a
+    bijection on the units, so an int32 table of length q counts the unit y
+    per key b y^f mod q, y <= ry first and then the rest, and after each
+    fill the x-keys -a x^e mod q are gathered from it (4 bytes per residue).
+    O(q) time at most, exact for any rational X and Y and any signs of a
+    and b.  q must satisfy 1 <= q < 2^31: ValueError naming q otherwise,
+    before anything is allocated.
     """
     q = inst.q
     _check_modulus(q)
     Qx, rx = divmod(inst.X.numerator // inst.X.denominator, q)
     Qy, ry = divmod(inst.Y.numerator // inst.Y.denominator, q)
     primes = [p for p, _ in factorize(q).factors]
-    y_ranges = ((1, ry), (ry + 1, q))
-    sums = []  # (T(rx, t), T(q, t)) for t = ry, then t = q
     if inst.e == 1:
         k = -mod_inv(inst.a, q) * inst.b % q
-        below = 0
-        for y_lo, y_hi in y_ranges:
-            if rx:
-                for y in _units(y_lo, y_hi, primes):
-                    below += int(np.count_nonzero(_x_classes(y, k, inst.f, q) <= rx))
-            sums.append((below, _unit_count(y_hi, primes)))
-    else:
-        ka, kb = -inst.a % q, inst.b % q
-        table = np.zeros(q, dtype=np.int32)
-        for y_lo, y_hi in y_ranges:
-            if y_lo > y_hi:  # ry = 0: no y, so no x walk
-                sums.append((0, 0))
-                continue
-            for y in _units(y_lo, y_hi, primes):
-                keys, counts = np.unique(floor_mod(kb * _powmod(y, inst.f, q), q),
-                                         return_counts=True)
-                table[keys] += counts
-            below = whole = 0
-            for x in _units(1, q, primes):
-                hits = table[floor_mod(ka * _powmod(x, inst.e, q), q)]
-                whole += int(hits.sum())
-                below += int(hits[: np.searchsorted(x, rx, side="right")].sum())
-            sums.append((below, whole))
+        t_rr, t_rq = _class_hits(k, inst.f, q, rx, ry, primes) if rx else (0, 0)
+        t_qr, t_qq = _unit_count(ry, primes), _unit_count(q, primes)
+        return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
+    ka, kb = -inst.a % q, inst.b % q
+    table = np.zeros(q, dtype=np.int32)
+    sums = []  # (T(rx, t), T(q, t)) for t = ry, then t = q
+    for y_lo, y_hi in ((1, ry), (ry + 1, q)):
+        if y_lo > y_hi:  # ry = 0: no y, so no x walk
+            sums.append((0, 0))
+            continue
+        for y in _units(y_lo, y_hi, primes):
+            keys, counts = np.unique(floor_mod(kb * _powmod(y, inst.f, q), q),
+                                     return_counts=True)
+            table[keys] += counts
+        below = whole = 0
+        for x in _units(1, q, primes):
+            hits = table[floor_mod(ka * _powmod(x, inst.e, q), q)]
+            whole += int(hits.sum())
+            below += int(hits[: np.searchsorted(x, rx, side="right")].sum())
+        sums.append((below, whole))
     (t_rr, t_qr), (t_rq, t_qq) = sums
     return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
 
@@ -412,8 +448,9 @@ def class_sums(
     for y, lo_n, hi_n in blocks:
         kv = np.array(ks, dtype=y.dtype)[:, None]
         rows = max(1, _CELLS // max(len(y), 1))
+        residues = floor_mod(y, q)  # J may lie anywhere; _x_classes needs [0, q]
         for i in range(0, len(ks), rows):
-            cD = _x_classes(y, kv[i : i + rows], 2, q) * D
+            cD = _x_classes(residues, kv[i : i + rows], 2, q) * D
             n = (hi_n - cD) // qD - (lo_n - cD) // qD
             counts[i : i + rows] += np.maximum(n, 0).sum(axis=1).astype(object)
         width += Fraction((hi_n - lo_n).sum())

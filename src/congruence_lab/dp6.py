@@ -81,21 +81,30 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 # Callers work through one budget at a time, so one table is cached: 1 byte
-# per entry, limit = B^{2/3}/2 entries for the budget B.
+# per entry, limit = B^{2/3}/2 entries for the budget B, plus the pad tail.
 @lru_cache(maxsize=1)
 def _omega_upto(limit: int) -> np.ndarray:
-    # om[n] = number of prime factors of n with multiplicity; om[0] unused.
-    # Only the primes p <= sqrt(limit) are sieved; what is left of n after
-    # dividing out their powers is 1 or one prime above sqrt(limit).
-    om = np.zeros(limit + 1, dtype=np.int8)
-    rem = np.arange(limit + 1, dtype=np.int64)
+    # om[n] = number of prime factors of n with multiplicity for n <= limit;
+    # om[0] unused.  Only the primes p <= sqrt(limit) are sieved; what is
+    # left of n after dividing out their powers is 1 or one prime above
+    # sqrt(limit).  A tail of isqrt(2 limit) + 2 pads 2L - 1, L =
+    # limit.bit_length(), follows: for limit = B^{2/3}/2 every window prime
+    # q <= B^{1/3} has q <= isqrt(2 limit) + 1, so the table covers q K,
+    # K = limit // q + 1, and l_t_count reads it as a (K, q) view.  The
+    # cached table is read-only; limit < 2^32 keeps rem in uint32.
+    om = np.full(limit + 1 + math.isqrt(2 * limit) + 2, 2 * limit.bit_length() - 1,
+                 dtype=np.int8)
+    head = om[: limit + 1]
+    head[:] = 0
+    rem = np.arange(limit + 1, dtype=np.uint32)
     for p in sieve_primes(math.isqrt(limit)):
         pk = p
         while pk <= limit:
-            om[pk::pk] += 1
+            head[pk::pk] += 1
             rem[pk::pk] //= p
             pk *= p
-    om += rem > 1
+    head += rem > 1
+    om.flags.writeable = False
     return om
 
 
@@ -283,9 +292,7 @@ def l_t_count(B: int, q: int, t: int) -> int:
     L = a2max.bit_length()
     pad = 2 * L - 1
     K = a2max // q + 1
-    mt = np.full(q * K, pad, dtype=np.int8)
-    mt[: a2max + 1] = om
-    mt = mt.reshape(K, q)
+    mt = om[: q * K].reshape(K, q)  # a view: the pad tail of om covers q K
     rows = np.arange(1, a1max + 1, dtype=np.int64)
     rows = rows[rows % q != 0]
     s, z = rows * rows % q, rows * rows // q
@@ -464,12 +471,20 @@ def sieve_condition_report(
 ) -> dict:
     """Everything the weighted sieve needs, JSON-ready: the rho table, the
     remainder sum, the density-grid constant, and the almost-prime threshold.
-    A rho table bound below 1 (an empty table) and a level tau <= 0 are
-    refused before any work."""
+    Refused before any work: a rho table bound below 1 (an empty table), a
+    level tau <= 0, c2 < 0 (which would raise the level X^tau / log^c2 X
+    above X^tau), mu <= 0 and a grid bound z_max < 5 (fewer than two odd
+    primes)."""
     if rho_table_max < 1:
         raise ValueError(f"rho_table_max (--rho-max) must be >= 1, got {rho_table_max}")
     if tau_level <= 0:
         raise ValueError(f"tau_level (--tau) must be > 0, got {tau_level}")
+    if c2 < 0:
+        raise ValueError(f"c2 (--c2) must be >= 0, got {c2}")
+    if mu <= 0:
+        raise ValueError(f"mu (--mu) must be > 0, got {mu}")
+    if z_max < 5:
+        raise ValueError(f"z_max (--z-max) must be >= 5, got {z_max}")
     seq = build_sieve_sequence(B, q)
     table = {
         str(d): _ratio(rho(d, q)) for d in range(1, rho_table_max + 1) if mobius(d) != 0

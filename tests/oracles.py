@@ -2,7 +2,8 @@
 json modules, independently of the writer in congruence_lab.reports; Gauss
 sum reciprocity, whole-grid evaluation and the assembled closed form; the
 Fourier partial sum of the sawtooth, the pointwise Fejer majorant and a
-pointwise Vaaler majorant check; the literal double-loop box count; the dp6
+pointwise Vaaler majorant check; the literal double-loop box count and
+the full walk of every unit y that count_exact halved for e = 1; the dp6
 torsor, surface and family points as checked dataclasses, the monomial map
 between them, the family by direct loops, and the brute local density of
 the family at a prime; small arithmetic helpers (product of a
@@ -30,7 +31,7 @@ from congruence_lab.arith import (
     sigma_half_inv,
     tau,
 )
-from congruence_lab.congruence import CongruenceInstance
+from congruence_lab.congruence import CongruenceInstance, _unit_count, _units, _x_classes
 from congruence_lab.dp6 import icbrt, prime_window, rho
 from congruence_lab.gausssum import GaussSumValue, _branch, _e, gauss_brute
 from congruence_lab.reports import fmt
@@ -182,6 +183,29 @@ def count_exact_naive(inst: CongruenceInstance) -> int:
             if (axe + b * y**inst.f) % q == 0 and math.gcd(x * y, q) == 1:
                 total += 1
     return total
+
+
+def count_exact_full_walk(inst: CongruenceInstance) -> int:
+    """count_exact for e = 1 by the walk it used before the mirror identity:
+    every unit y in [1, q], those y <= ry first and then the rest, each hit
+    when its own class c_y = -a^{-1} b y^f mod q is <= rx.  Twice the units
+    of count_exact's half walk, with no mirror and no parity of f."""
+    if inst.e != 1:
+        raise ValueError("the full walk is for e = 1")
+    q = inst.q
+    Qx, rx = divmod(int(inst.X // 1), q)
+    Qy, ry = divmod(int(inst.Y // 1), q)
+    primes = [p for p, _ in factorize(q).factors]
+    k = -pow(inst.a, -1, q) * inst.b % q
+    sums = []  # (T(rx, t), T(q, t)) for t = ry, then t = q
+    below = 0
+    for y_lo, y_hi in ((1, ry), (ry + 1, q)):
+        if rx:
+            for y in _units(y_lo, y_hi, primes):
+                below += int(np.count_nonzero(_x_classes(y, k, inst.f, q) <= rx))
+        sums.append((below, _unit_count(y_hi, primes)))
+    (t_rr, t_qr), (t_rq, t_qq) = sums
+    return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
 
 
 def rho_oracle_prime(p: int, q: int) -> tuple[Fraction, Fraction]:

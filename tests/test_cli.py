@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,15 +76,26 @@ def test_vaaler_command(capsys):
     assert "0 violations in 500 samples" in out
 
 
-@pytest.mark.parametrize("seed", [0, 1, -7, 2**32 - 1, 2**32, 10**30])
+@pytest.mark.parametrize("seed", [0, 1, -5, -7, 2**32 - 1, 2**32, 2**80, 10**30, "abc", 645583])
 def test_random_floats_match_python_random(seed):
-    # n = 624 is one MT19937 state; the others stop on either side of a refill
-    for n in (1, 623, 624, 625, 1249, 5000):
+    # n = 624 is one MT19937 state, 2^14 one getrandbits chunk; the others
+    # stop on either side of a refill or a chunk, or span several chunks
+    for n in (1, 623, 624, 625, 1249, 5000, 2**14 - 1, 2**14, 2**14 + 1, 40000):
         rng = random.Random(seed)
         want = np.array([rng.random() for _ in range(n)])
         got = cli.random_floats(seed, n)
         assert got.dtype == np.float64 and got.shape == (n,)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (seed, n)
+
+
+def test_vaaler_leaves_numpy_random_unimported():
+    code = ("import sys; from congruence_lab import cli;"
+            " assert cli.main(['vaaler', '--H', '8', '--samples', '100']) == 0;"
+            " assert 'numpy.random' not in sys.modules, 'numpy.random imported'")
+    src = os.path.dirname(os.path.dirname(cli.__file__))  # the directory holding the package
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_avg_scan_deterministic(tmp_path, capsys):

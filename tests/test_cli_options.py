@@ -102,6 +102,11 @@ REFUSALS = {
                "argument --mu: must be a finite number, got 'nan'"),
     "infinite c2 key": (["dp6-sieve", "--out", "x.csv"], "c2 = -inf\n",
                         "config key 'c2': must be a finite number, got '-inf'"),
+    "negative c2": (["dp6-sieve", "--c2", "-1", "--out", "x.csv"], None,
+                    "(--c2) must be >= 0, got -1.0"),
+    "zero mu": (["dp6-sieve", "--mu", "0", "--out", "x.csv"], None, "(--mu) must be > 0, got 0.0"),
+    "grid bound below 5 key": (["dp6-sieve", "--out", "x.csv"], "z-max = 2\n",
+                               "(--z-max) must be >= 5, got 2"),
 }
 
 

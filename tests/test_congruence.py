@@ -230,6 +230,65 @@ def test_count_exact_linear_matches_boundary_walk(q):
         assert cg.count_exact(inst) == walk, Y
 
 
+# ---- the e = 1 half walk: units y <= q/2 and their mirrors q - y ----
+
+def _mirror_cuts(q):
+    # ry at the cuts of the half walk: none, the last low y, the last walked
+    # y, the first mirror and the last unit
+    return sorted({0, (q - 1) // 2, q // 2, (q // 2 + 1) % q, q - 1})
+
+
+def _unit_near(n, q):
+    # the first n, n + 1, ... prime to q, kept nonzero
+    while n == 0 or math.gcd(n, q) != 1:
+        n += 1
+    return n
+
+
+# q = 1, q = 2, even composites (2 * 3 * 5 * 7 and beyond), prime powers
+HALF_WALK_Q = [1, 2, 3, 4, 6, 8, 9, 12, 16, 25, 27, 30, 49, 64, 81, 121, 125, 128, 210, 243,
+               256, 343, 360, 361, 384, 390, 397, 400]
+
+
+def test_count_exact_half_walk_matches_naive_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    frac = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5, 6)])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(data=st.data(), f=st.integers(1, 4), a=st.integers(-999, 999),
+                      b=st.integers(-999, 999), Qx=st.integers(0, 3), Qy=st.integers(0, 3),
+                      fx=frac, fy=frac)
+    def check(data, f, a, b, Qx, Qy, fx, fy):
+        q = data.draw(st.one_of(st.sampled_from(HALF_WALK_Q), st.integers(1, 400)), "q")
+        ry = data.draw(st.one_of(st.sampled_from(_mirror_cuts(q)), st.integers(0, q - 1)), "ry")
+        rx = data.draw(st.one_of(st.sampled_from([0, q - 1]), st.integers(0, q - 1)), "rx")
+        # a box side below one period needs a remainder >= 1
+        Qx, Qy = max(Qx, rx == 0), max(Qy, ry == 0)
+        inst = cg.CongruenceInstance(_unit_near(a, q), _unit_near(b, q), q,
+                                     Qx * q + rx + fx, Qy * q + ry + fy, 1, f)
+        exact = cg.count_exact(inst)
+        assert type(exact) is int
+        assert exact == oracles.count_exact_naive(inst)
+
+    check()
+
+
+@pytest.mark.parametrize("q", [510510, 9699690, 299993])
+def test_count_exact_half_walk_matches_full_walk(q):
+    # two primorials (7 and 8 primes, the even composites with most units
+    # struck) and a prime near 3e5, at every mirror cut of ry
+    assert arith.is_prime(299993)
+    a, b = -1231, 29
+    for f in (1, 2, 3, 4):
+        for ry in _mirror_cuts(q):
+            for rx in (q - 1, q // 3):
+                inst = cg.CongruenceInstance(a, b, q, 2 * q + rx + Fraction(1, 2),
+                                             3 * q + ry, 1, f)
+                exact = cg.count_exact(inst)
+                assert exact == oracles.count_exact_full_walk(inst), (f, ry, rx)
+
+
 def test_scan_boxes_refuses_nonpositive_modulus():
     for q in (0, -7):
         with pytest.raises(ValueError, match=f"got q = {q}"):

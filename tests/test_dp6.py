@@ -59,8 +59,12 @@ def test_omega_table_matches_big_omega_to_1e5():
               43**3, 47**3 - 1, 47**3)
     for limit in limits:
         om = dp6._omega_upto(limit)
-        assert om.dtype == np.int8
-        assert np.array_equal(om, ref[: limit + 1]), limit
+        assert om.dtype == np.int8 and not om.flags.writeable
+        assert np.array_equal(om[: limit + 1], ref[: limit + 1]), limit
+        # the pad tail: isqrt(2 limit) + 2 entries of 2L - 1, L = limit.bit_length()
+        tail = om[limit + 1 :]
+        assert tail.size == math.isqrt(2 * limit) + 2, limit
+        assert (tail == 2 * limit.bit_length() - 1).all(), limit
     assert ref[313**2] == 2 and ref[317**2] == 2 and ref[47**3] == 3
 
 
@@ -324,6 +328,18 @@ def test_l_t_count_every_window_prime_and_t():
     check()
 
 
+def test_omega_tail_covers_every_count_view():
+    # l_t_count reads om[:q K] as a (K, q) view, K = a2max // q + 1, for
+    # every prime q <= icbrt(B); q K <= a2max + q, so the largest q decides
+    budgets = set(range(1, 20_000)) | {2**49, 2**50 // 3}
+    budgets |= {r**3 + d for r in range(2, 3000) for d in (-1, 0, 1)}
+    budgets |= {r**3 + d for r in range(2**16 - 50, 2**16) for d in (-1, 0, 1)}
+    for B in sorted(budgets):
+        a2max = dp6._alpha_bounds(B)[1]
+        size = a2max + 1 + math.isqrt(2 * a2max) + 2  # len(dp6._omega_upto(a2max))
+        assert a2max + dp6.icbrt(B) <= size, B
+
+
 @pytest.mark.parametrize("B, q", [(1000, 7), (10**6, 2), (10**6, 59), (10**6, 97),
                                   (10**8, 409)])
 def test_l_t_count_fixed_cases(B, q):
@@ -527,3 +543,26 @@ def test_sieve_condition_report_is_json_ready():
     assert back["threshold"]["t_exceeds"] is True
     assert back["threshold"]["value"] == pytest.approx(11.422382361257881)
     assert "every sequence element is even" in back["w1"]["note"]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(rho_table_max=0), r"\(--rho-max\) must be >= 1, got 0"),
+    (dict(tau_level=0.0), r"\(--tau\) must be > 0, got 0.0"),
+    (dict(c2=-1.0), r"\(--c2\) must be >= 0, got -1.0"),
+    (dict(mu=0.0), r"\(--mu\) must be > 0, got 0.0"),
+    (dict(mu=-2.5), r"\(--mu\) must be > 0, got -2.5"),
+    (dict(z_max=4), r"\(--z-max\) must be >= 5, got 4"),
+])
+def test_sieve_condition_report_refuses_before_any_work(kwargs, message, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the sieve sequence was built before the arguments were checked")
+
+    monkeypatch.setattr(dp6, "build_sieve_sequence", no_work)
+    with pytest.raises(ValueError, match=message):
+        dp6.sieve_condition_report(1000, 7, **kwargs)
+
+
+def test_sieve_condition_report_smallest_grid_and_zero_c2():
+    rep = dp6.sieve_condition_report(1000, 7, c2=0.0, z_max=5, rho_table_max=1)
+    assert rep["w1"]["z_max"] == 5 and rep["w1"]["min_c1"] >= 0
+    assert rep["w2"]["d_max"] == pytest.approx(float(Fraction(1500, 49)) ** 0.4)
