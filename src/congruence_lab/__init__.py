@@ -19,10 +19,7 @@ from .arith import (
 from .averaged import (
     AveragedFamily,
     AveragedReport,
-    FamilyBounds,
-    affine_in_y_bounds,
     avg_report,
-    constant_bounds,
     delta_H,
     dominance_report,
     error_budget,

@@ -22,16 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .congruence import (
-    AffineBoundary,
-    BoundarySpec,
-    Interval,
-    RationalLike,
-    affine_bounds,
-    box_bounds,
-    class_sums,
-    linear_class,
-)
+from .congruence import BoundarySpec, Interval, class_sums, distortion, eps_power, linear_class
 
 SCHEMES = ("all-ones", "factorized", "joint")
 
@@ -62,49 +53,6 @@ def unit_disc_point(seed: int, tag: int, *indices: int) -> complex:
 
 
 @dataclass(frozen=True)
-class FamilyBounds:
-    """x-boundaries as affine functions of y, the same in every cell, with
-    sensitivity metadata.
-
-    rho_u, sigma_v, tau_y scale the u-, v-, y-sensitivity of the boundaries
-    relative to the magnitude F (so e.g. |d f/d y| <= tau_y * F); they feed
-    the Delta_H distortion factor only, never an exact count.
-    """
-
-    lower: AffineBoundary
-    upper: AffineBoundary
-    rho_u: float
-    sigma_v: float
-    tau_y: float
-    F: float
-
-    def __post_init__(self):
-        if self.F <= 0:
-            raise ValueError("magnitude F must be positive")
-        if min(self.rho_u, self.sigma_v, self.tau_y) < 0:
-            raise ValueError("sensitivity parameters must be nonnegative")
-
-
-def constant_bounds(X: RationalLike) -> FamilyBounds:
-    """The box (0, X] for every cell; F = X, all sensitivities zero."""
-    box = box_bounds(X)
-    return FamilyBounds(box.lower, box.upper, 0.0, 0.0, 0.0, float(box.upper.intercept))
-
-
-def affine_in_y_bounds(
-    lo_intercept: RationalLike,
-    lo_slope: RationalLike,
-    hi_intercept: RationalLike,
-    hi_slope: RationalLike,
-    F: float,
-) -> FamilyBounds:
-    """Cell-independent affine boundaries f(y) = intercept + slope y."""
-    spec = affine_bounds(lo_intercept, lo_slope, hi_intercept, hi_slope)
-    tau_y = float(spec.derivative_bound) / F
-    return FamilyBounds(spec.lower, spec.upper, 0.0, 0.0, tau_y, F)
-
-
-@dataclass(frozen=True)
 class AveragedFamily:
     l: int
     m: int
@@ -115,7 +63,7 @@ class AveragedFamily:
     V: Fraction
     W: Fraction
     J: Interval
-    bounds: FamilyBounds
+    bounds: BoundarySpec
     scheme: str = "all-ones"
     seed: int = 0
 
@@ -137,17 +85,16 @@ class AveragedFamily:
 
     # ---- cells and coefficients ----
 
-    def _range(self, P: Fraction) -> range:
-        return range(int(P // 1) + 1, int((2 * P) // 1) + 1)
-
     def cells(self) -> list[tuple[int, int, int]]:
         """Admissible (u, v, w) in lexicographic order."""
+        # the integers of each (P, 2P]; none is empty, as P >= 1/2
+        us, vs, ws = (Interval(P, P).integers() for P in (self.U, self.V, self.W))
         out = []
-        for u in self._range(self.U):
-            for v in self._range(self.V):
+        for u in us:
+            for v in vs:
                 if math.gcd(self.r * self.s * u * v, self.t) != 1:
                     continue
-                for w in self._range(self.W):
+                for w in ws:
                     if math.gcd(self.r * self.s * u * v, self.t * w) == 1:
                         out.append((u, v, w))
         return out
@@ -168,9 +115,7 @@ class AveragedFamily:
 
 
 def _work_estimate(family: AveragedFamily) -> int:
-    n = 1
-    for P in (family.U, family.V, family.W):
-        n *= max(len(family._range(P)), 1)
+    n = math.prod(len(Interval(P, P).integers()) for P in (family.U, family.V, family.W))
     return n * max(len(family.J.integers()), 1)
 
 
@@ -183,8 +128,6 @@ def cell_sums(family: AveragedFamily) -> list[tuple[int, int, int, int, Fraction
     counted together, in one class_sums walk per w."""
     if _work_estimate(family) > 10**9:
         raise ValueError("family too large: estimated work exceeds 1e9 steps")
-    fb = family.bounds
-    bounds = BoundarySpec(fb.lower, fb.upper, Fraction(fb.tau_y * fb.F))
     cells = family.cells()
     by_w: dict[int, list[int]] = {}
     for i, (_, _, w) in enumerate(cells):
@@ -194,7 +137,7 @@ def cell_sums(family: AveragedFamily) -> list[tuple[int, int, int, int, Fraction
         q = family.t * w
         ks = [linear_class(family.r * cells[i][0] ** family.l,
                            family.s * cells[i][1] ** family.m, q) for i in rows]
-        counts, mt = class_sums(ks, q, bounds, family.J)
+        counts, mt = class_sums(ks, q, family.bounds, family.J)
         for i, n in zip(rows, counts):
             table[i] = (*cells[i], n, mt)
     return table
@@ -224,17 +167,12 @@ def _weighted_sums(family: AveragedFamily, cells: list) -> tuple[complex, comple
 # ---- error budget ----
 
 def delta_H(family: AveragedFamily, H: float) -> float:
-    """(1 + HF rho U/(tW)) (1 + HF sigma V/(tW)) (1 + HF tau Y/(tW))."""
+    """Delta_H = 1 + H T Y / (tW), congruence.distortion at the modulus
+    scale tW: T is the derivative bound of the family's boundaries, which
+    are the same in every cell and so move with y only."""
     if H <= 0:
         raise ValueError("H must be positive")
-    b = family.bounds
-    tW = family.t * float(family.W)
-    Y = float(family.J.length)
-    return (
-        (1.0 + H * b.F * b.rho_u * float(family.U) / tW)
-        * (1.0 + H * b.F * b.sigma_v * float(family.V) / tW)
-        * (1.0 + H * b.F * b.tau_y * Y / tW)
-    )
+    return distortion(H, family.bounds, family.J, family.t * float(family.W))
 
 
 def _structured_Z(family: AveragedFamily) -> bool:
@@ -262,12 +200,14 @@ def error_budget(family: AveragedFamily, H: float, epsilon: float) -> ErrorBudge
     T_envelope = Delta_H (Y/sqrt(tW) (U^{1-{l/2}} V^{1-{m/2}} W + U V sqrt(W))
                  + Z) (H t U V W)^eps, with Z depending on whether the
     weights factor and the cells outgrow the modulus.  hcond_ok records
-    whether H >= tW/F.
+    whether H >= tW/X, X = char_length(family).  Refused (ValueError): H <= 0,
+    epsilon < 0, an epsilon whose power overflows a float, and X <= 0.
     """
     if H <= 0:
         raise ValueError("H must be positive")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
+    X = _length(family)
     U, V, W = float(family.U), float(family.V), float(family.W)
     Y = float(family.J.length)
     t = family.t
@@ -281,7 +221,7 @@ def error_budget(family: AveragedFamily, H: float, epsilon: float) -> ErrorBudge
         U ** (1.0 - _frac_half(family.l)) * V ** (1.0 - _frac_half(family.m)) * W
         + U * V * math.sqrt(W)
     )
-    T = delta * (Y / math.sqrt(tW) * cell_term + Z) * (H * t * U * V * W) ** epsilon
+    T = delta * (Y / math.sqrt(tW) * cell_term + Z) * eps_power(H * t * U * V * W, epsilon)
     return ErrorBudget(
         H,
         epsilon,
@@ -289,21 +229,24 @@ def error_budget(family: AveragedFamily, H: float, epsilon: float) -> ErrorBudge
         Z,
         T,
         U * V * W * Y / H,
-        H >= tW / family.bounds.F,
+        H >= tW / X,
     )
 
 
 def char_length(family: AveragedFamily) -> float:
     """Characteristic x-interval length: max of 0 and (f_hi - f_lo) at the
     endpoints of J (the boundaries are the same in every cell)."""
-    us = family._range(family.U)
-    vs = family._range(family.V)
-    ws = family._range(family.W)
-    if not (us and vs and ws):
-        raise ValueError("family has no cells")
     b = family.bounds
     ends = (family.J.y0, family.J.y0 + family.J.length)
     return max(0.0, *(float(b.upper(y) - b.lower(y)) for y in ends))
+
+
+def _length(family: AveragedFamily, X: float | None = None) -> float:
+    # X, or char_length(family) when X is None; refused unless positive
+    X = char_length(family) if X is None else X
+    if X <= 0:
+        raise ValueError("characteristic length X must be positive")
+    return X
 
 
 def suggest_H(family: AveragedFamily, epsilon: float, X: float | None = None) -> float:
@@ -311,13 +254,10 @@ def suggest_H(family: AveragedFamily, epsilon: float, X: float | None = None) ->
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     tW = family.t * float(family.W)
-    if X is None:
-        X = char_length(family)
-    if X <= 0:
-        raise ValueError("characteristic length X must be positive")
+    X = _length(family, X)
     if X > tW:
         raise ValueError("suggest_H requires X <= tW")
-    return tW ** (1.0 + epsilon) / X
+    return eps_power(tW, 1.0 + epsilon) / X
 
 
 class DominanceReport(NamedTuple):
@@ -337,10 +277,7 @@ def dominance_report(
     and q0^eps sqrt(t) <= X, where Z is (UV)^{1/4} (XY)^{1/2} for factorizing
     weights with UV >= tW and (XY)^{2/3} otherwise.  Outside the regime
     U, V <= tW the verdicts still evaluate but carry warnings."""
-    if X is None:
-        X = char_length(family)
-    if X <= 0:
-        raise ValueError("characteristic length X must be positive")
+    X = _length(family, X)
     U, V = float(family.U), float(family.V)
     Y = float(family.J.length)
     q0 = family.t * float(family.W)
@@ -353,7 +290,7 @@ def dominance_report(
         Z = (U * V) ** 0.25 * math.sqrt(X * Y)
     else:
         Z = (X * Y) ** (2.0 / 3.0)
-    lhs_main = q0 ** (1.0 + epsilon)
+    lhs_main = eps_power(q0, 1.0 + epsilon)
     rhs_main = min(
         U ** (2.0 * _frac_half(family.l)) * V ** (2.0 * _frac_half(family.m)) * X * X,
         Z,
@@ -363,7 +300,7 @@ def dominance_report(
         X,
         Z,
         lhs_main <= rhs_main,
-        q0**epsilon * math.sqrt(family.t) <= X,
+        eps_power(q0, epsilon) * math.sqrt(family.t) <= X,
         tuple(warnings),
     )
 

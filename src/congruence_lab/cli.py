@@ -72,10 +72,17 @@ finite_float.__name__ = "float"
 
 
 def fraction(text: str) -> Fraction:
+    """Fraction(text), refused when float() of it overflows: every rational
+    option is also used as a float."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    try:
+        float(value)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"must be within float range, got {text!r}") from None
+    return value
 
 
 def int_list(text: str) -> list[int]:
@@ -136,10 +143,6 @@ _SEEDS = (Option("seed", int, "0"), Option("seeds", int, "1"))
 _TIMINGS = Option("timings", bool, "false")
 
 
-def _fmt_row(values: dict) -> dict[str, str]:
-    return {key: reports.fmt(value) for key, value in values.items()}
-
-
 def _emit(o: argparse.Namespace, description: str, fields, rows) -> None:
     if o.out:
         reports.write_report(o.out, o.format, description, fields, rows)
@@ -189,6 +192,9 @@ def _cmd_count(o: argparse.Namespace) -> int:
 def _cmd_count_scan(o: argparse.Namespace) -> int:
     if o.primes_up_to < 2:
         raise ValueError(f"--primes-up-to must be >= 2, got {o.primes_up_to}")
+    if o.primes_up_to >= 2**31:
+        raise ValueError(f"--primes-up-to must be < 2^31, as count_exact needs q < 2^31,"
+                         f" got {o.primes_up_to}")
     for name, coefficient in (("a", o.a), ("b", o.b)):
         if coefficient == 0:
             raise ValueError(f"--{name} must be nonzero, got 0")
@@ -233,9 +239,8 @@ def _cmd_vaaler(o: argparse.Namespace) -> int:
     violations, worst = sawtooth.majorant_slack(xs, o.H)
     print(f"H = {o.H}: {violations} violations in {o.samples} samples;"
           f" worst slack = {worst!r}")
-    row = dict(H=o.H, samples=o.samples, seed=o.seed, violations=violations, worst_slack=worst)
     _emit(o, "sawtooth approximation: majorant violations at random points",
-          reports.VAALER_FIELDS, [_fmt_row(row)])
+          reports.VAALER_FIELDS, [(o.H, o.samples, o.seed, violations, worst)])
     return 0
 
 
@@ -244,12 +249,13 @@ def _cmd_avg_scan(o: argparse.Namespace) -> int:
     family_args = dict(
         l=o.l, m=o.m, r=o.r, s=o.s, t=o.t, U=o.U, V=o.V, W=o.W,
         J=congruence.Interval(o.y0, o.Y),
-        bounds=averaged.constant_bounds(o.X),
+        bounds=congruence.box_bounds(o.X),
         scheme=o.scheme,
     )
     # H and the cell counts read no seed, so every seed shares them
     first = averaged.AveragedFamily(seed=o.seed, **family_args)
     H = averaged.suggest_H(first, o.epsilon) if o.H is None else o.H
+    averaged.error_budget(first, H, o.epsilon)  # refuses H and epsilon before any count
     cells = averaged.cell_sums(first)
     rows = []
     for seed in range(o.seed, o.seed + o.seeds):
@@ -284,7 +290,7 @@ def _cmd_dp6_growth(o: argparse.Namespace) -> int:
         print(f"B = {row.B:>12}  count = {row.count:>10}  "
               f"count*log(B)^5/B = {row.normalized!r}")
     _emit(o, "almost-prime point counts by budget with log-power normalization",
-          reports.GROWTH_FIELDS, [reports.growth_row(r) for r in rows])
+          reports.GROWTH_FIELDS, rows)
     return 0
 
 
@@ -314,8 +320,7 @@ def _cmd_bilinear(o: argparse.Namespace) -> int:
         ratio = abs(res.value) / res.bound
         print(f"seed {seed}: |sum| = {abs(res.value)!r}  "
               f"bound = {res.bound!r}  ratio = {ratio!r}")
-        rows.append(_fmt_row(dict(M=res.M, N=res.N, seed=seed, epsilon=o.epsilon,
-                                  abs_sum=abs(res.value), bound=res.bound, ratio=ratio)))
+        rows.append((res.M, res.N, seed, o.epsilon, abs(res.value), res.bound, ratio))
     _emit(o, "bilinear Jacobi-symbol sums vs cancellation benchmark",
           reports.BILINEAR_FIELDS, rows)
     return 0

@@ -477,24 +477,39 @@ class BoundaryReport(NamedTuple):
     seconds: float
 
 
+def distortion(H: float, bounds: BoundarySpec, J: Interval, q: float) -> float:
+    """Delta_H = 1 + H T Y / q, T the derivative bound of bounds and Y the
+    length of J: what boundaries of slope up to T cost the H-truncated
+    envelope.  The one Delta_H of boundary_report and averaged.delta_H."""
+    return 1.0 + H * float(bounds.derivative_bound) * float(J.length) / q
+
+
 def boundary_report(
     a: int, b: int, q: int, bounds: BoundarySpec, J: Interval, H: int
 ) -> BoundaryReport:
     """Exact count against the truncation-H envelope
 
     Y/H + Delta_H L(H) sigma_{-1/2}(q) (Y/sqrt(q) tau(q) + sqrt(q) L(q)),
-    Delta_H = 1 + H T Y / q with T the boundary derivative bound."""
+    Delta_H = distortion(H, bounds, J, q)."""
     if H < 1:
         raise ValueError("H must be >= 1")
     t0 = time.perf_counter()
     exact, mt = boundary_sums(a, b, q, bounds, J)
     main = float(mt)
     Y = float(J.length)
-    T = float(bounds.derivative_bound)
-    delta = 1.0 + H * T * Y / q
+    delta = distortion(H, bounds, J, q)
     env = Y / H + _completed_term(delta * log1n(H), q, Y)
     seconds = time.perf_counter() - t0
     return BoundaryReport(exact, main, env, abs(exact - main) / env, H, delta, seconds)
+
+
+def eps_power(x: float, p: float) -> float:
+    """x ** p, for the exponents p that an envelope's epsilon sets; a power
+    that overflows a float is refused by ValueError naming epsilon."""
+    try:
+        return x ** p
+    except OverflowError:
+        raise ValueError(f"epsilon is too large: {x!r} ** {p!r} overflows a float") from None
 
 
 # ---- bilinear sums of Jacobi symbols ----
@@ -548,7 +563,8 @@ def bilinear_jacobi(
     one temporary of that shape in the coefficients' dtype).  Integer
     coefficients are summed exactly, in int64 while max|a| max|b| M N stays
     below 2^62 and in Python ints otherwise; float and complex coefficients
-    in float arithmetic.
+    in float arithmetic.  An epsilon whose (MN)^eps overflows a float is
+    refused before the table is built.
     """
     if not len(a_coeffs) or not len(b_coeffs):
         raise ValueError("coefficient sequences must be nonempty")
@@ -557,10 +573,10 @@ def bilinear_jacobi(
     a, b = np.asarray(a_coeffs), np.asarray(b_coeffs)
     M = 2 * len(a) - 1
     N = len(b)
+    bound = eps_power(M * N, epsilon) * (M * math.sqrt(N) + math.sqrt(M) * N)
     if a.dtype.kind in "biu" and b.dtype.kind in "biu":
         top = max(abs(int(a.min())), int(a.max())) * max(abs(int(b.min())), int(b.max()))
         dtype = np.int64 if top * len(a) * N < _WIDE else object
         a, b = a.astype(dtype), b.astype(dtype)
     total = complex(a @ (_jacobi_table(M, N) @ b))
-    bound = (M * N) ** epsilon * (M * math.sqrt(N) + math.sqrt(M) * N)
     return BilinearResult(total, bound, M, N)

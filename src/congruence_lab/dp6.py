@@ -473,8 +473,8 @@ def sieve_condition_report(
     remainder sum, the density-grid constant, and the almost-prime threshold.
     Refused before any work: a rho table bound below 1 (an empty table), a
     level tau <= 0, c2 < 0 (which would raise the level X^tau / log^c2 X
-    above X^tau), mu <= 0 and a grid bound z_max < 5 (fewer than two odd
-    primes)."""
+    above X^tau), mu <= 0, a grid bound z_max < 5 (fewer than two odd
+    primes) and a factor bound t < 0."""
     if rho_table_max < 1:
         raise ValueError(f"rho_table_max (--rho-max) must be >= 1, got {rho_table_max}")
     if tau_level <= 0:
@@ -485,6 +485,8 @@ def sieve_condition_report(
         raise ValueError(f"mu (--mu) must be > 0, got {mu}")
     if z_max < 5:
         raise ValueError(f"z_max (--z-max) must be >= 5, got {z_max}")
+    if t < 0:
+        raise ValueError(f"t (--t) must be >= 0, got {t}")
     seq = build_sieve_sequence(B, q)
     table = {
         str(d): _ratio(rho(d, q)) for d in range(1, rho_table_max + 1) if mobius(d) != 0

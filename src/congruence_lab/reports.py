@@ -1,17 +1,19 @@
 """Deterministic CSV and JSON emission for every report type.
 
-Cells are formatted once, as strings, and the JSON mirror stores those same
-strings, so CSV -> JSON -> CSV is byte-identical.  Floats use repr (shortest
-round-trip form), rationals use num/den, booleans use true/false.  Wall-clock
-columns are written as 0.0 unless timings are explicitly requested, keeping
-default output byte-identical across runs and machines.
+A report row is a tuple of values in the order of its *_FIELDS schema.
+write_report formats every cell once, as a string, by fmt, and the JSON
+mirror stores those same strings, so CSV -> JSON -> CSV is byte-identical.
+Floats use repr (shortest round-trip form), rationals use num/den, booleans
+use true/false.  Wall-clock columns are written as 0.0 unless timings are
+explicitly requested, keeping default output byte-identical across runs and
+machines.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +30,7 @@ AVERAGED_FIELDS = (
     "H", "epsilon", "S_re", "S_im", "M_re", "M_im",
     "first_O", "T_envelope", "ratio",
 )
-GROWTH_FIELDS = ("B", "t", "count", "normalized")
+GROWTH_FIELDS = GrowthRow._fields
 POINT_FIELDS = (
     "q", "a1", "a2", "a3",
     "x0", "x1", "x2", "x3", "x4", "x5", "x6", "Omega",
@@ -53,57 +55,18 @@ def fmt(value) -> str:
     raise TypeError(f"no stable format for {type(value).__name__}")
 
 
-def box_row(report: CountReport, timings: bool = False) -> dict[str, str]:
+def box_row(report: CountReport, timings: bool = False) -> tuple:
     inst = report.instance
-    return {
-        "a": fmt(inst.a),
-        "b": fmt(inst.b),
-        "q": fmt(inst.q),
-        "e": fmt(inst.e),
-        "f": fmt(inst.f),
-        "X": fmt(inst.X),
-        "Y": fmt(inst.Y),
-        "exact": fmt(report.exact),
-        "main_term": fmt(report.main_term),
-        "envelope": fmt(report.envelope),
-        "ratio": fmt(report.ratio),
-        "seconds": fmt(report.seconds if timings else 0.0),
-    }
+    return (inst.a, inst.b, inst.q, inst.e, inst.f, inst.X, inst.Y, report.exact,
+            report.main_term, report.envelope, report.ratio,
+            report.seconds if timings else 0.0)
 
 
-def averaged_row(report: AveragedReport) -> dict[str, str]:
+def averaged_row(report: AveragedReport) -> tuple:
     fam = report.family
-    return {
-        "l": fmt(fam.l),
-        "m": fmt(fam.m),
-        "r": fmt(fam.r),
-        "s": fmt(fam.s),
-        "t": fmt(fam.t),
-        "U": fmt(fam.U),
-        "V": fmt(fam.V),
-        "W": fmt(fam.W),
-        "Y": fmt(fam.J.length),
-        "scheme": fam.scheme,
-        "seed": fmt(fam.seed),
-        "H": fmt(report.H),
-        "epsilon": fmt(report.epsilon),
-        "S_re": fmt(report.S.real),
-        "S_im": fmt(report.S.imag),
-        "M_re": fmt(report.M.real),
-        "M_im": fmt(report.M.imag),
-        "first_O": fmt(report.first_O),
-        "T_envelope": fmt(report.T_envelope),
-        "ratio": fmt(report.ratio),
-    }
-
-
-def growth_row(row: GrowthRow) -> dict[str, str]:
-    return {
-        "B": fmt(row.B),
-        "t": fmt(row.t),
-        "count": fmt(row.count),
-        "normalized": fmt(row.normalized),
-    }
+    return (fam.l, fam.m, fam.r, fam.s, fam.t, fam.U, fam.V, fam.W, fam.J.length,
+            fam.scheme, fam.seed, report.H, report.epsilon, report.S.real, report.S.imag,
+            report.M.real, report.M.imag, report.first_O, report.T_envelope, report.ratio)
 
 
 # ---- serialization ----
@@ -114,10 +77,6 @@ def growth_row(row: GrowthRow) -> dict[str, str]:
 # The CSV writer never quotes, so it refuses a str cell that csv would have
 # to quote: one holding ',', '"', CR or LF, or the lone cell "" of a
 # one-column row.
-
-def _cells(fields: list[str], rows: Iterable[Mapping[str, str]]) -> list[list[str]]:
-    return [[row[f] for f in fields] for row in rows]
-
 
 def _csv_lines(fields: list[str], block) -> str:
     n, k = len(block), len(fields)
@@ -160,10 +119,16 @@ def write_report(
     fmt_name: str,
     description: str,
     fields: Iterable[str],
-    rows: Iterable[Mapping[str, str]],
+    rows: list[Sequence],
 ) -> None:
+    """Write rows of values, each in field order, with every cell through
+    fmt; a row with more or fewer values than fields raises ValueError."""
     fields = list(fields)
-    write_table(path, fmt_name, description, fields, [_cells(fields, rows)])
+    cells = [[fmt(value) for value in row] for row in rows]
+    for row in cells:
+        if len(row) != len(fields):
+            raise ValueError(f"report row of {len(row)} values for {len(fields)} fields: {row}")
+    write_table(path, fmt_name, description, fields, [cells])
 
 
 def write_table(

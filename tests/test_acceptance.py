@@ -292,7 +292,7 @@ def test_criterion_10_averaged_sums():
                     l=l, m=m, r=r, s=s, t=t,
                     U=Fraction(3, 2), V=Fraction(1, 2), W=Fraction(3, 2),
                     J=congruence.Interval(0, 50),
-                    bounds=averaged.constant_bounds(Fraction(9, 2)),
+                    bounds=congruence.box_bounds(Fraction(9, 2)),
                 )
                 total = 0
                 for (u, v, w) in fam.cells():
@@ -312,7 +312,7 @@ def test_criterion_10_averaged_sums():
             fam = averaged.AveragedFamily(
                 l=1, m=1, r=1, s=1, t=5, U=2, V=2, W=2,
                 J=congruence.Interval(0, 30),
-                bounds=averaged.constant_bounds(5),
+                bounds=congruence.box_bounds(5),
                 scheme=scheme, seed=seed,
             )
             H = averaged.suggest_H(fam, 0.05)

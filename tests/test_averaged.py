@@ -30,7 +30,7 @@ def test_unit_disc_points_fill_disc():
 def _family(**kw):
     base = dict(
         l=1, m=1, r=1, s=1, t=3, U=1, V=1, W=Fraction(1, 2),
-        J=cg.Interval(0, 10), bounds=av.constant_bounds(5),
+        J=cg.Interval(0, 10), bounds=cg.box_bounds(5),
         scheme="all-ones", seed=0,
     )
     base.update(kw)
@@ -123,7 +123,7 @@ def test_exact_sum_oracle_mini_grid():
             for (r, s) in [(1, 1), (-1, -2)]:
                 fam = _family(l=l, m=m, r=r, s=s, t=t,
                               U=Fraction(3, 2), V=Fraction(1, 2), W=Fraction(1, 2),
-                              J=cg.Interval(0, 8), bounds=av.constant_bounds(4))
+                              J=cg.Interval(0, 8), bounds=cg.box_bounds(4))
                 cells = fam.cells()
                 assert cells, (l, m, t, r, s)
                 total = 0
@@ -142,17 +142,49 @@ def test_main_term_hand_value():
     assert _sums(fam)[1] == complex(Fraction(5, 3) * 7)
 
 
-def test_delta_h_constant_bounds():
+def test_delta_h_box_bounds():
     fam = _family()
     assert av.delta_H(fam, 10) == pytest.approx(1.0)
 
 
 def test_delta_h_affine_frozen():
-    bounds = av.affine_in_y_bounds(0, 0, 0, 1, F=10)
-    assert bounds.tau_y == pytest.approx(0.1)
+    bounds = cg.affine_bounds(0, 0, 0, 1)
     fam = _family(W=1, J=cg.Interval(0, 4), bounds=bounds)
-    # (1 + 0)(1 + 0)(1 + H F tau_y Y / (t W)) with H = 6: 1 + 6*10*0.1*4/3 = 9
+    # 1 + H T Y / (t W) with H = 6, T = 1: 1 + 6*1*4/3 = 9
     assert av.delta_H(fam, 6) == pytest.approx(9.0)
+
+
+def test_delta_h_is_the_boundary_report_distortion():
+    # sloped boundaries, modulus tW = 14 and an integer H: the one Delta_H
+    # of both envelopes, bit for bit
+    bounds = cg.affine_bounds(Fraction(-3, 2), Fraction(1, 3), 60, Fraction(5, 4))
+    J = cg.Interval(Fraction(-7, 2), 40)
+    fam = _family(t=7, W=2, J=J, bounds=bounds)
+    for H in (1, 4, 9):
+        want = cg.boundary_report(1, 3, 14, bounds, J, H).delta_H
+        assert av.delta_H(fam, H) == want == 1.0 + H * 1.25 * 40 / 14
+    with pytest.raises(ValueError, match="H must be positive"):
+        av.delta_H(fam, 0)
+
+
+def test_error_budget_refuses_a_zero_width_family():
+    fam = _family(bounds=cg.affine_bounds(3, Fraction(1, 2), 3, Fraction(1, 2)))
+    assert av.char_length(fam) == 0.0
+    with pytest.raises(ValueError, match="characteristic length X must be positive"):
+        av.error_budget(fam, 10.0, 0.05)
+    # hcond_ok reads char_length: H >= tW / X, here tW = 3/2 and X = 5
+    assert av.error_budget(_family(), 0.3, 0.05).hcond_ok is True
+    assert av.error_budget(_family(), 0.29, 0.05).hcond_ok is False
+
+
+def test_epsilon_powers_that_overflow_are_refused():
+    fam = _family()
+    for call in (lambda: av.error_budget(fam, 10.0, 1e300),
+                 lambda: av.suggest_H(fam, 1e300, X=1),
+                 lambda: av.dominance_report(fam, 1e300, X=1)):
+        with pytest.raises(ValueError, match="epsilon is too large"):
+            call()
+    assert av.error_budget(fam, 10.0, 50.0).T_envelope > 1e50
 
 
 def test_error_budget_frozen():
@@ -175,13 +207,13 @@ def test_error_budget_structured_z_branch():
 
 
 def test_error_budget_hcond_false():
-    fam = _family(t=100, W=2, bounds=av.constant_bounds(5))
+    fam = _family(t=100, W=2, bounds=cg.box_bounds(5))
     budget = av.error_budget(fam, H=1, epsilon=0.05)
     assert budget.hcond_ok is False
 
 
 def test_suggest_h_values():
-    fam = _family(t=25, W=4, J=cg.Interval(0, 10), bounds=av.constant_bounds(10))
+    fam = _family(t=25, W=4, J=cg.Interval(0, 10), bounds=cg.box_bounds(10))
     assert av.suggest_H(fam, 0.1, X=10) == pytest.approx(15.848931924611143)
     assert av.suggest_H(fam, 0.0, X=100) == pytest.approx(1.0)
     assert av.suggest_H(fam, 0.0, X=1) == pytest.approx(100.0)
@@ -192,7 +224,7 @@ def test_suggest_h_values():
 
 
 def test_char_length_uses_cell_corners():
-    fam = _family(bounds=av.affine_in_y_bounds(0, 0, 0, 1, F=1))
+    fam = _family(bounds=cg.affine_bounds(0, 0, 0, 1))
     # widest upper boundary over corner y = 10 is 10
     assert av.char_length(fam) == pytest.approx(10.0)
 
@@ -200,7 +232,7 @@ def test_char_length_uses_cell_corners():
 def test_dominance_report_clean():
     fam = av.AveragedFamily(
         l=1, m=1, r=1, s=1, t=1, U=25, V=25, W=100,
-        J=cg.Interval(0, 10**6), bounds=av.constant_bounds(100),
+        J=cg.Interval(0, 10**6), bounds=cg.box_bounds(100),
     )
     rep = av.dominance_report(fam, epsilon=0.01, X=100)
     assert rep.main_ok is True
@@ -216,14 +248,14 @@ def test_dominance_report_warns_on_large_cells():
 
 def test_work_estimate_guard():
     fam = _family(U=3000, V=3000, W=3000, t=1,
-                  J=cg.Interval(0, 10**6), bounds=av.constant_bounds(10**6))
+                  J=cg.Interval(0, 10**6), bounds=cg.box_bounds(10**6))
     with pytest.raises(ValueError):
         av.cell_sums(fam)
 
 
 def test_avg_report_consistency():
     fam = _family(scheme="joint", t=5, U=2, V=2, W=2,
-                  J=cg.Interval(0, 30), bounds=av.constant_bounds(5), seed=3)
+                  J=cg.Interval(0, 30), bounds=cg.box_bounds(5), seed=3)
     H = av.suggest_H(fam, 0.05)
     rep = av.avg_report(fam, H, 0.05)
     assert (rep.S, rep.M) == _cell_loop(fam)
@@ -234,7 +266,7 @@ def test_avg_report_consistency():
 def test_avg_report_affine_bounds_match_cell_loop():
     # sloped boundaries through the shared cell walk, against a per-cell,
     # per-y recomputation of both sums in the old accumulation order
-    bounds = av.affine_in_y_bounds(Fraction(-3, 2), Fraction(1, 3), 20, Fraction(-1, 4), F=20)
+    bounds = cg.affine_bounds(Fraction(-3, 2), Fraction(1, 3), 20, Fraction(-1, 4))
     fam = _family(scheme="joint", t=5, U=2, V=2, W=2, l=2, m=1, r=3, s=-2,
                   J=cg.Interval(Fraction(-7, 2), 40), bounds=bounds, seed=11)
     S, M = _cell_loop(fam)
@@ -256,7 +288,7 @@ def test_one_boundary_walk_per_cell(monkeypatch):
 
     monkeypatch.setattr(cg, "_numerators", counted)
     fam = _family(scheme="factorized", t=7, U=3, V=3, W=2,
-                  J=cg.Interval(0, 30), bounds=av.constant_bounds(5), seed=3)
+                  J=cg.Interval(0, 30), bounds=cg.box_bounds(5), seed=3)
     cells = fam.cells()
     moduli = {7 * w for _, _, w in cells}
     rep = av.avg_report(fam, 10.0, 0.05)
@@ -277,7 +309,7 @@ def test_one_boundary_walk_per_cell(monkeypatch):
 def test_weights_taken_once_per_distinct_key(scheme, monkeypatch):
     # the report keeps the bits of the per-cell weight loop, while d_coeff
     # and e_coeff run once per distinct (u, v) and w of the nonzero cells
-    bounds = av.affine_in_y_bounds(-2, Fraction(1, 3), 20, Fraction(-1, 4), F=20)
+    bounds = cg.affine_bounds(-2, Fraction(1, 3), 20, Fraction(-1, 4))
     fam = _family(scheme=scheme, t=7, U=3, V=3, W=2, J=cg.Interval(-4, 30),
                   bounds=bounds, seed=3)
     table = av.cell_sums(fam)
@@ -309,10 +341,8 @@ def test_weights_taken_once_per_distinct_key(scheme, monkeypatch):
 # ---- cell_sums against per-cell boundary_sums ----
 
 def _per_cell(fam):
-    fb = fam.bounds
-    spec = cg.BoundarySpec(fb.lower, fb.upper, Fraction(0))
     return [(u, v, w, *cg.boundary_sums(fam.r * u**fam.l, fam.s * v**fam.m, fam.t * w,
-                                        spec, fam.J))
+                                        fam.bounds, fam.J))
             for u, v, w in fam.cells()]
 
 
@@ -343,8 +373,8 @@ def test_cell_sums_match_per_cell_properties(monkeypatch):
         J = cg.Interval(y0, length)
         # hi = lo + width, shifted up so that hi >= lo at both ends of J
         gap = min(width[0] + width[1] * y for y in (J.y0, J.y0 + J.length))
-        bounds = av.affine_in_y_bounds(lo[0], lo[1], lo[0] + width[0] - min(gap, 0),
-                                       lo[1] + width[1], F=10)
+        bounds = cg.affine_bounds(lo[0], lo[1], lo[0] + width[0] - min(gap, 0),
+                                  lo[1] + width[1])
         _check_cell_sums(_family(l=l, m=m, r=r, s=s, t=t, U=U, V=V, W=W, J=J,
                                  bounds=bounds))
 
@@ -355,21 +385,19 @@ def test_cell_sums_across_blocks_and_row_cap():
     # 49 cells share q = 11, more than the 16 classes a full 2^14 block takes
     # at once, and J runs past the first block of y
     J = cg.Interval(Fraction(-13, 2), cg._BLOCK + 40)
-    bounds = av.affine_in_y_bounds(Fraction(-5, 3), Fraction(1, 7), 90, Fraction(2, 5), F=90)
+    bounds = cg.affine_bounds(Fraction(-5, 3), Fraction(1, 7), 90, Fraction(2, 5))
     fam = _family(t=11, U=8, V=8, W=Fraction(1, 2), r=3, s=-2, l=2, J=J, bounds=bounds)
     assert len(fam.cells()) == 49 > cg._CELLS // cg._BLOCK
-    assert next(cg._numerators(11, cg.BoundarySpec(bounds.lower, bounds.upper, 0), J)[1])[
-        0].dtype == np.int64
+    assert next(cg._numerators(11, bounds, J)[1])[0].dtype == np.int64
     _check_cell_sums(fam)
 
 
 def test_cell_sums_object_path():
     # intercepts near 2^62 put every block on the object path
     J = cg.Interval(-30, 90)
-    bounds = av.affine_in_y_bounds(-(2**62), Fraction(-3, 2), 2**62 + 5, 7, F=2.0**63)
+    bounds = cg.affine_bounds(-(2**62), Fraction(-3, 2), 2**62 + 5, 7)
     fam = _family(t=7, U=3, V=2, W=2, r=1, s=-1, m=2, J=J, bounds=bounds)
-    spec = cg.BoundarySpec(bounds.lower, bounds.upper, 0)
-    assert next(cg._numerators(21, spec, J)[1])[0].dtype == object
+    assert next(cg._numerators(21, bounds, J)[1])[0].dtype == object
     assert len(fam.cells()) > len({w for *_, w in fam.cells()})
     _check_cell_sums(fam)
 

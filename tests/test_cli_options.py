@@ -107,6 +107,32 @@ REFUSALS = {
     "zero mu": (["dp6-sieve", "--mu", "0", "--out", "x.csv"], None, "(--mu) must be > 0, got 0.0"),
     "grid bound below 5 key": (["dp6-sieve", "--out", "x.csv"], "z-max = 2\n",
                                "(--z-max) must be >= 5, got 2"),
+    "prime bound beyond int32": (["count-scan", "--primes-up-to", "2147483648", "--out", "x.csv"],
+                                 None, "--primes-up-to must be < 2^31, as count_exact needs"
+                                       " q < 2^31, got 2147483648"),
+    "prime bound beyond int32 key": (["count-scan"], "primes-up-to = 2147483648\n",
+                                     "--primes-up-to must be < 2^31"),
+    "negative sieve factor bound": (["dp6-sieve", "--t", "-1", "--out", "x.csv"], None,
+                                    "t (--t) must be >= 0, got -1"),
+    "negative sieve factor bound key": (["dp6-sieve"], "t = -3\n", "t (--t) must be >= 0, got -3"),
+    "count X beyond float": (["count", "--a", "1", "--b", "1", "--q", "5", "--X", "1e400",
+                              "--Y", "10"], None,
+                             "argument --X: must be within float range, got '1e400'"),
+    "scan x beyond float": (["count-scan", "--x", "1e400"], None,
+                            "argument --x: must be within float range, got '1e400'"),
+    "avg-scan Y beyond float": (["avg-scan", "--Y", "1e400"], None,
+                                "argument --Y: must be within float range, got '1e400'"),
+    "avg-scan U beyond float": (["avg-scan", "--U", "1e400"], None,
+                                "argument --U: must be within float range, got '1e400'"),
+    "avg-scan X beyond float key": (["avg-scan", "--out", "x.csv"], "X = -1e400\n",
+                                    "config key 'X': must be within float range, got '-1e400'"),
+    "avg-scan epsilon overflow": (["avg-scan", "--epsilon", "1e300", "--out", "x.csv"], None,
+                                  "epsilon is too large"),
+    "avg-scan epsilon overflow at given H": (["avg-scan", "--epsilon", "1e300", "--H", "2"],
+                                             None, "epsilon is too large"),
+    "zero avg-scan H": (["avg-scan", "--H", "0", "--out", "x.csv"], None, "H must be positive"),
+    "bilinear epsilon overflow": (["bilinear", "--epsilon", "1e300", "--out", "x.csv"], None,
+                                  "epsilon is too large"),
 }
 
 
@@ -131,6 +157,25 @@ def test_refused_before_any_output(case, tmp_path, capsys, monkeypatch):
     assert needle in err
     assert out == ""
     assert not (tmp_path / "x.csv").exists()
+
+
+# cases whose refusal would otherwise come after a prime sieve, a cell count,
+# a sieve sequence or a Jacobi table
+BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
+               "negative sieve factor bound",
+               "avg-scan epsilon overflow at given H", "zero avg-scan H",
+               "bilinear epsilon overflow")
+
+
+@pytest.mark.parametrize("case", BEFORE_WORK)
+def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work began before the arguments were checked")
+
+    for module, name in ((cli.dp6, "sieve_primes"), (cli.averaged, "cell_sums"),
+                         (cli.dp6, "build_sieve_sequence"), (cli.congruence, "_jacobi_table")):
+        monkeypatch.setattr(module, name, no_work)
+    test_refused_before_any_output(case, tmp_path, capsys, monkeypatch)
 
 
 def test_flag_and_config_values_agree(tmp_path, capsys, monkeypatch):

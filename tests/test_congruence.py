@@ -584,6 +584,24 @@ def test_bilinear_validation():
         cg.bilinear_jacobi([1], [1], epsilon=-0.1)
 
 
+def test_bilinear_refuses_an_overflowing_epsilon_before_the_table(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the Jacobi table was built before epsilon was checked")
+
+    monkeypatch.setattr(cg, "_jacobi_table", no_work)
+    with pytest.raises(ValueError, match=r"epsilon is too large: 25 \*\* 1e\+300"):
+        cg.bilinear_jacobi([1, -1, 1], [1] * 5, epsilon=1e300)
+    # one cell: (MN)^eps = 1 for any epsilon, so nothing overflows
+    monkeypatch.undo()
+    assert cg.bilinear_jacobi([1], [1], epsilon=1e300).bound == 2.0
+
+
+def test_distortion_of_box_and_sloped_bounds():
+    J = cg.Interval(0, 12)
+    assert cg.distortion(50, cg.box_bounds(7), J, 5) == 1.0
+    assert cg.distortion(3, cg.affine_bounds(0, Fraction(-1, 2), 9, Fraction(1, 4)), J, 8) == 3.25
+
+
 def bilinear_loop(a_coeffs, b_coeffs):
     """The double loop bilinear_jacobi used to be: one arith.jacobi call per
     (m, n)."""

@@ -552,6 +552,7 @@ def test_sieve_condition_report_is_json_ready():
     (dict(mu=0.0), r"\(--mu\) must be > 0, got 0.0"),
     (dict(mu=-2.5), r"\(--mu\) must be > 0, got -2.5"),
     (dict(z_max=4), r"\(--z-max\) must be >= 5, got 4"),
+    (dict(t=-1), r"t \(--t\) must be >= 0, got -1"),
 ])
 def test_sieve_condition_report_refuses_before_any_work(kwargs, message, monkeypatch):
     def no_work(*args):

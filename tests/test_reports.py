@@ -28,32 +28,33 @@ def test_fmt():
 def test_box_row_fields_and_timings():
     rep = cg.box_report(cg.CongruenceInstance(1, 1, 5, 10, 10))
     row = reports.box_row(rep)
-    assert tuple(row) == reports.BOX_FIELDS
-    assert row["exact"] == "16"
-    assert row["main_term"] == "16.0"
-    assert row["seconds"] == "0.0"
-    timed = reports.box_row(rep, timings=True)
-    assert timed["seconds"] == repr(rep.seconds)
+    assert len(row) == len(reports.BOX_FIELDS)
+    row = dict(zip(reports.BOX_FIELDS, row))
+    assert row["exact"] == 16
+    assert row["main_term"] == 16.0
+    assert row["seconds"] == 0.0
+    timed = dict(zip(reports.BOX_FIELDS, reports.box_row(rep, timings=True)))
+    assert timed["seconds"] == rep.seconds
 
 
 def test_averaged_row_fields():
     fam = av.AveragedFamily(
         l=1, m=1, r=1, s=1, t=3, U=1, V=1, W=Fraction(1, 2),
-        J=cg.Interval(0, 10), bounds=av.constant_bounds(5),
+        J=cg.Interval(0, 10), bounds=cg.box_bounds(5),
     )
     rep = av.avg_report(fam, H=4, epsilon=0.05)
     row = reports.averaged_row(rep)
-    assert tuple(row) == reports.AVERAGED_FIELDS
-    assert row["W"] == "1/2"
+    assert len(row) == len(reports.AVERAGED_FIELDS)
+    row = dict(zip(reports.AVERAGED_FIELDS, row))
+    assert row["W"] == Fraction(1, 2)
     assert row["scheme"] == "all-ones"
-    assert row["S_im"] == "0.0"
+    assert row["S_im"] == 0.0
 
 
 def test_growth_and_point_rows():
     rows = dp6.m_t_growth([1000], 12)
-    grow = reports.growth_row(rows[0])
-    assert tuple(grow) == reports.GROWTH_FIELDS
-    assert grow["count"] == "31"
+    assert reports.GROWTH_FIELDS == dp6.GrowthRow._fields == ("B", "t", "count", "normalized")
+    assert rows[0].count == 31
 
     prow = oracles.point_row(next(oracles.points_oracle(1000, 12)))
     assert tuple(prow) == reports.POINT_FIELDS
@@ -93,10 +94,30 @@ def test_json_dump_refuses_non_finite_floats():
 
 def test_write_report(tmp_path):
     path = tmp_path / "out.csv"
-    reports.write_report(str(path), "csv", "demo", ["a"], [{"a": "1"}])
+    reports.write_report(str(path), "csv", "demo", ["a"], [(1,)])
     assert path.read_text() == "# demo\na\n1\n"
     with pytest.raises(ValueError):
         reports.write_report(str(path), "xml", "demo", ["a"], [])
+
+
+def test_write_report_refuses_ragged_rows(tmp_path):
+    # 4 cells fill a 2-field template exactly, so only the row check sees it
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=r"report row of 3 values for 2 fields: \['1', '2', '3'\]"):
+        reports.write_report(str(path), "csv", "demo", ["a", "b"], [(1, 2, 3), (4,)])
+    assert not path.exists()
+
+
+def test_write_report_formats_each_cell(tmp_path):
+    fields = ["n", "x", "flag", "r", "name"]
+    rows = [(3, Fraction(21, 2), True, 0.1, "joint"), (-1, Fraction(4), False, 1 / 3, "all-ones")]
+    path = tmp_path / "out.csv"
+    reports.write_report(str(path), "csv", "demo", fields, rows)
+    assert path.read_text() == ("# demo\nn,x,flag,r,name\n3,21/2,true,0.1,joint\n"
+                                f"-1,4,false,{1 / 3!r},all-ones\n")
+    reports.write_report(str(path), "json", "demo", fields, rows)
+    assert oracles.parse_json_text(path.read_text())[2][1] == dict(
+        n="-1", x="4", flag="false", r=repr(1 / 3), name="all-ones")
 
 
 def _write_both(tmp_path, fields, blocks):
