@@ -201,7 +201,8 @@ def error_budget(family: AveragedFamily, H: float, epsilon: float) -> ErrorBudge
                  + Z) (H t U V W)^eps, with Z depending on whether the
     weights factor and the cells outgrow the modulus.  hcond_ok records
     whether H >= tW/X, X = char_length(family).  Refused (ValueError): H <= 0,
-    epsilon < 0, an epsilon whose power overflows a float, and X <= 0.
+    epsilon < 0, an epsilon whose power overflows a float, X <= 0, and an
+    H t U V W or a budget part outside float range.
     """
     if H <= 0:
         raise ValueError("H must be positive")
@@ -221,16 +222,15 @@ def error_budget(family: AveragedFamily, H: float, epsilon: float) -> ErrorBudge
         U ** (1.0 - _frac_half(family.l)) * V ** (1.0 - _frac_half(family.m)) * W
         + U * V * math.sqrt(W)
     )
-    T = delta * (Y / math.sqrt(tW) * cell_term + Z) * eps_power(H * t * U * V * W, epsilon)
-    return ErrorBudget(
-        H,
-        epsilon,
-        delta,
-        Z,
-        T,
-        U * V * W * Y / H,
-        H >= tW / X,
-    )
+    scale = H * t * U * V * W
+    if not math.isfinite(scale):
+        raise ValueError(f"H t U V W = {scale!r} is outside float range: lower H (--H)")
+    T = delta * (Y / math.sqrt(tW) * cell_term + Z) * eps_power(scale, epsilon)
+    first_O = U * V * W * Y / H
+    if not (math.isfinite(T) and math.isfinite(first_O)):
+        raise ValueError(f"budget UVWY/H = {first_O!r}, T_envelope = {T!r} is outside float"
+                         f" range: change H (--H) or epsilon (--epsilon)")
+    return ErrorBudget(H, epsilon, delta, Z, T, first_O, H >= tW / X)
 
 
 def char_length(family: AveragedFamily) -> float:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -268,11 +269,37 @@ class CountReport(NamedTuple):
     seconds: float
 
 
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _check_count_bound(inst: CongruenceInstance) -> None:
+    # exact - main_term converts the count to a float, so its trivial bound
+    # floor(Y) (floor(X) // q + 1) must be one: each y <= Y fixes one class
+    # of x mod q, and a class holds at most floor(X) // q + 1 of the x <= X
+    X, Y = inst.X.numerator // inst.X.denominator, inst.Y.numerator // inst.Y.denominator
+    if Y * (X // inst.q + 1) > _FLOAT_MAX:
+        raise ValueError(f"box sides X, Y are too large at q = {inst.q}: the count bound"
+                         f" floor(Y) (floor(X) // q + 1) is outside float range")
+
+
 def box_report(inst: CongruenceInstance) -> CountReport:
+    """Exact count, main term, envelope and |exact - main|/envelope of an
+    e = 1, f = 2 box.  Refused (ValueError naming X, Y) before the count
+    when the count's trivial bound floor(Y) (floor(X) // q + 1), the main
+    term or the envelope is outside float range."""
+    _check_count_bound(inst)
+    return _report(inst)
+
+
+def _report(inst: CongruenceInstance) -> CountReport:
+    # box_report of a box whose count bound is checked
     t0 = time.perf_counter()
-    exact = count_exact(inst)
     main = main_term(inst)
     env = error_envelope(inst)
+    if not (math.isfinite(main) and math.isfinite(env)):
+        raise ValueError(f"box sides X, Y are too large at q = {inst.q}: main term {main!r},"
+                         f" envelope {env!r}, outside float range")
+    exact = count_exact(inst)
     seconds = time.perf_counter() - t0
     return CountReport(inst, exact, main, env, abs(exact - main) / env, seconds)
 
@@ -293,8 +320,10 @@ def scan_boxes(
 ) -> list[CountReport]:
     """Box reports over a family of moduli, in input order; instances
     violating gcd(ab, q) = 1 are skipped with a log line.  A modulus below 1
-    or of 2^31 or more is refused (ValueError naming q) before any instance
-    is counted."""
+    or of 2^31 or more, and a box whose count bound floor(Y) (floor(X) // q
+    + 1) is outside float range, are refused (ValueError naming q) before any instance is
+    counted; a main term or envelope outside float range is refused by
+    box_report before its own box is counted."""
     for q in q_values:
         _check_modulus(q)
     instances = []
@@ -311,7 +340,9 @@ def scan_boxes(
             )
         except ValueError as exc:
             log.warning("skipping q=%d: %s", q, exc)
-    return [box_report(inst) for inst in instances]
+    for inst in instances:
+        _check_count_bound(inst)
+    return [_report(inst) for inst in instances]
 
 
 # ---- regions sliced by boundary functions of y ----

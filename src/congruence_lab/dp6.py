@@ -51,6 +51,8 @@ log = logging.getLogger("congruence_lab")
 BETA_3 = 6.640859  # sieving limit for the dimension-3 weighted sieve
 _BLOCK_PAIRS = 1 << 14  # (alpha1, alpha2) pairs per _family block, whole rows
 _BLOCK_CELLS = 1 << 18  # int8 cells per l_t_count block, whole rows
+_GRID_CELLS = 1 << 16  # (w, z) cells per w1_min_c1 block, whole rows
+_GRID_TOL = 1e-9  # w1_min_c1 recomputes the cells this close to the grid maximum
 
 
 def icbrt(n: int) -> int:
@@ -436,7 +438,20 @@ def w1_min_c1(q: int, z_max: int = 1000) -> dict[str, float]:
     """Smallest admissible c1 on a prime grid for the dimension-3 density
     condition prod_{w <= p < z} (1 - rho(p)/p)^{-1} <= (log z/log w)^3
     (1 + c1/log w).  p = 2 is excluded: rho(2) = 2, matching the fact that
-    every sequence element is even, so the product diverges at 2."""
+    every sequence element is even, so the product diverges at 2.
+
+    min_c1 = max(0, max over primes w < z of c(w, z)), c(w, z) = (exp(-(S_z
+    - S_w)) / (log z/log w)^3 - 1) log w, S the prefix sums of log(1 -
+    rho(p)/p) in prime order.  numpy evaluates c on blocks of whole grid
+    rows, and the cells within _GRID_TOL of the grid maximum are evaluated
+    again by math, so min_c1 has the bits of the scalar double loop.  Why
+    1e-9 is enough: numpy's and libm's exp and pow each differ from the
+    exact value by a few ulp at most, and |c| stays near 1 (at most 0.76
+    for q <= 101 and z_max <= 3000; c tends to a finite limit as z grows),
+    so the two values of one cell differ by delta < 1e-14 (2.8e-15 seen).
+    The cell largest by math is then within 2 delta of the numpy maximum,
+    far inside the tolerance.  Memory: a few float64 and intp temporaries
+    per cell of a block, which holds at most _GRID_CELLS cells or one row."""
     ps = [p for p in sieve_primes(z_max) if p > 2]
     if len(ps) < 2:
         raise ValueError("z_max too small for a grid")
@@ -445,12 +460,24 @@ def w1_min_c1(q: int, z_max: int = 1000) -> dict[str, float]:
     for v in logs:
         prefix.append(prefix[-1] + v)
     log_p = [math.log(p) for p in ps]
+    S, L = np.array(prefix), np.array(log_p)
+    n = len(ps)
+    rows = max(1, _GRID_CELLS // n)
+    near: list[tuple[float, int, int]] = []  # (c, w index, z index) near a block maximum
+    for a in range(0, n - 1, rows):
+        i, j = np.triu_indices(min(rows, n - 1 - a), 1, n - a)
+        i += a
+        j += a
+        c = (np.exp(-(S[j] - S[i])) / (L[j] / L[i]) ** 3 - 1) * L[i]
+        k = np.flatnonzero(c >= c.max() - _GRID_TOL)
+        near += zip(c[k].tolist(), i[k].tolist(), j[k].tolist())
+    top = max(near)[0]
     worst = 0.0
-    for i, log_w in enumerate(log_p):
-        for j in range(i + 1, len(ps)):
+    for value, i, j in near:
+        if value >= top - _GRID_TOL:
+            log_w = log_p[i]
             lhs = math.exp(-(prefix[j] - prefix[i]))  # product over w <= p < z
-            needed = (lhs / (log_p[j] / log_w) ** 3 - 1) * log_w
-            worst = max(worst, needed)
+            worst = max(worst, (lhs / (log_p[j] / log_w) ** 3 - 1) * log_w)
     return {"z_max": z_max, "min_c1": worst}
 
 

@@ -73,15 +73,61 @@ def averaged_row(report: AveragedReport) -> tuple:
 #
 # A table is written from blocks of rows in field order.  A block is either an
 # integer ndarray, one row per table row, or a sequence of rows of str cells
-# (fmt output).  Each block becomes its CSV text in one %-formatting call.
-# The CSV writer never quotes, so it refuses a str cell that csv would have
-# to quote: one holding ',', '"', CR or LF, or the lone cell "" of a
-# one-column row.
+# (fmt output).  An integer block becomes its CSV text by _int_csv, a str
+# block in one %-formatting call.  The CSV writer never quotes, so it
+# refuses a str cell that csv would have to quote: one holding ',', '"', CR
+# or LF, or the lone cell "" of a one-column row.
+
+_MINUS, _COMMA, _NEWLINE = (np.uint8(ord(c)) for c in "-,\n")
+
+
+def _int_csv(block: np.ndarray) -> str:
+    """The CSV text of an (n, k) integer block, as str(cell) joined by ','
+    within a row and ending each row with a newline.
+
+    Cell i owns row i of one (cells, width + 2) uint8 matrix, width the
+    digit count of the widest magnitude.  Its digits fill slots 1..width
+    from the right, by q = m // 10, d = m - 10 q; the slots left of its
+    first digit stay 0, but for a '-' just left of it in a negative cell;
+    the last slot holds ',' or '\n'.  Dropping every 0 byte leaves the
+    text.  Magnitudes are |v| read as uint64, so INT64_MIN is 2^63, and are
+    narrowed to uint32 when the widest has at most 9 digits (< 2^32).
+    Memory: width + 2 bytes per cell, plus 1-D temporaries of one value
+    per cell."""
+    v = block.astype(np.int64, casting="safe", copy=False).ravel()
+    if not v.size:
+        return ""
+    m = np.abs(v).view(np.uint64)
+    width = len(str(int(m.max())))
+    if width <= 9:
+        m = m.astype(np.uint32)
+    ten, zero = m.dtype.type(10), m.dtype.type(ord("0"))
+    out = np.zeros((v.size, width + 2), dtype=np.uint8)
+    digits = np.ones(v.size, dtype=np.uint8)  # of each cell; 0 has one
+    for j in range(width, 0, -1):
+        q = m // ten
+        d = m - q * ten
+        d += zero
+        if j < width:  # slots left of a cell's first digit stay 0
+            live = m != 0
+            d *= live
+            digits += live
+        out[:, j] = d
+        m = q
+    neg = np.flatnonzero(v < 0)
+    out[neg, width - digits[neg].astype(np.intp)] = _MINUS
+    out[:, width + 1] = _COMMA
+    out[block.shape[1] - 1 :: block.shape[1], width + 1] = _NEWLINE
+    flat = out.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
+
 
 def _csv_lines(fields: list[str], block) -> str:
     n, k = len(block), len(fields)
     if isinstance(block, np.ndarray):
-        return (",".join(["%d"] * k) + "\n") * n % tuple(block.ravel().tolist())
+        if block.ndim != 2 or block.shape[1] != k:
+            raise ValueError(f"integer block of shape {block.shape} for {k} fields")
+        return _int_csv(block)
     cells = [cell for row in block for cell in row]
     text = (",".join(["%s"] * k) + "\n") * n % tuple(cells)
     # the template alone writes n (k - 1) commas and n newlines

@@ -3,8 +3,9 @@ json modules, independently of the writer in congruence_lab.reports; Gauss
 sum reciprocity, whole-grid evaluation and the assembled closed form; the
 Fourier partial sum of the sawtooth, the pointwise Fejer majorant and a
 pointwise Vaaler majorant check; the literal double-loop box count and
-the full walk of every unit y that count_exact halved for e = 1; the dp6
-torsor, surface and family points as checked dataclasses, the monomial map
+the full walk of every unit y that count_exact halved for e = 1; the
+scalar double loop of the dp6 density-grid constant; the dp6 torsor,
+surface and family points as checked dataclasses, the monomial map
 between them, the family by direct loops, and the brute local density of
 the family at a prime; small arithmetic helpers (product of a
 factorization, radical, phi(n)/n, Omega and omega, dispatch by name)."""
@@ -32,7 +33,7 @@ from congruence_lab.arith import (
     tau,
 )
 from congruence_lab.congruence import CongruenceInstance, _unit_count, _units, _x_classes
-from congruence_lab.dp6 import icbrt, prime_window, rho
+from congruence_lab.dp6 import icbrt, prime_window, rho, sieve_primes
 from congruence_lab.gausssum import GaussSumValue, _branch, _e, gauss_brute
 from congruence_lab.reports import fmt
 from congruence_lab.sawtooth import fejer_majorant_many, psi, vaaler_polynomial
@@ -220,6 +221,24 @@ def rho_oracle_prime(p: int, q: int) -> tuple[Fraction, Fraction]:
     A2 = a1[None, :]
     mask = (A1 == 0) | (A2 == 0) | ((A2 - A1 * A1) % p == 0)
     return Fraction(int(mask.sum()), p * p), rho(p, q) / p
+
+
+def w1_min_c1_loop(q: int, z_max: int) -> float:
+    """dp6.w1_min_c1's min_c1 by the scalar double loop over every prime
+    pair w < z of the grid, in math's order of operations."""
+    ps = [p for p in sieve_primes(z_max) if p > 2]
+    logs = [math.log(float(1 - rho(p, q) / p)) for p in ps]
+    prefix = [0.0]
+    for v in logs:
+        prefix.append(prefix[-1] + v)
+    log_p = [math.log(p) for p in ps]
+    worst = 0.0
+    for i, log_w in enumerate(log_p):
+        for j in range(i + 1, len(ps)):
+            lhs = math.exp(-(prefix[j] - prefix[i]))  # product over w <= p < z
+            needed = (lhs / (log_p[j] / log_w) ** 3 - 1) * log_w
+            worst = max(worst, needed)
+    return worst
 
 
 # ---- dp6 torsor and surface points ----

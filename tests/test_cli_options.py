@@ -133,6 +133,20 @@ REFUSALS = {
     "zero avg-scan H": (["avg-scan", "--H", "0", "--out", "x.csv"], None, "H must be positive"),
     "bilinear epsilon overflow": (["bilinear", "--epsilon", "1e300", "--out", "x.csv"], None,
                                   "epsilon is too large"),
+    "count bound beyond float": (["count", "--a", "1", "--b", "1", "--q", "5", "--X", "1e300",
+                                  "--Y", "1e300", "--out", "x.csv"], None,
+                                 "box sides X, Y are too large at q = 5: the count bound"
+                                 " floor(Y) (floor(X) // q + 1) is outside float range"),
+    "count main term beyond float": (["count", "--a", "1", "--b", "1", "--q", "1073741827",
+                                      "--X", "1e200", "--Y", "1e110"], None,
+                                     "at q = 1073741827: main term inf"),
+    "scan count bound beyond float at a later q": (
+        ["count-scan", "--q-list", "1000003,5", "--x", "1e300", "--y", "1e10", "--out", "x.csv"],
+        None, "box sides X, Y are too large at q = 5"),
+    "avg-scan H t U V W beyond float": (["avg-scan", "--H", "1e308", "--out", "x.csv"], None,
+                                        "H t U V W = inf is outside float range: lower H (--H)"),
+    "avg-scan budget beyond float key": (["avg-scan", "--out", "x.csv"], "H = 1e-320\n",
+                                         "budget UVWY/H = inf, T_envelope = "),
 }
 
 
@@ -160,11 +174,13 @@ def test_refused_before_any_output(case, tmp_path, capsys, monkeypatch):
 
 
 # cases whose refusal would otherwise come after a prime sieve, a cell count,
-# a sieve sequence or a Jacobi table
+# a sieve sequence, a Jacobi table or a box count
 BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "negative sieve factor bound",
                "avg-scan epsilon overflow at given H", "zero avg-scan H",
-               "bilinear epsilon overflow")
+               "bilinear epsilon overflow", "count bound beyond float",
+               "count main term beyond float", "scan count bound beyond float at a later q",
+               "avg-scan H t U V W beyond float", "avg-scan budget beyond float key")
 
 
 @pytest.mark.parametrize("case", BEFORE_WORK)
@@ -173,7 +189,8 @@ def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
         raise AssertionError("work began before the arguments were checked")
 
     for module, name in ((cli.dp6, "sieve_primes"), (cli.averaged, "cell_sums"),
-                         (cli.dp6, "build_sieve_sequence"), (cli.congruence, "_jacobi_table")):
+                         (cli.dp6, "build_sieve_sequence"), (cli.congruence, "_jacobi_table"),
+                         (cli.congruence, "count_exact")):
         monkeypatch.setattr(module, name, no_work)
     test_refused_before_any_output(case, tmp_path, capsys, monkeypatch)
 

@@ -530,6 +530,22 @@ def test_w1_min_c1():
         dp6.w1_min_c1(7, z_max=3)
 
 
+@pytest.mark.parametrize("z_max", [5, 7, 30, 100, 1000, 3000])
+def test_w1_min_c1_has_the_bits_of_the_double_loop(z_max):
+    # every window prime of the bench budget, q = 2, 3, 5 and one prime past the window
+    for q in sorted({*dp6.prime_window(10**6), 2, 3, 5, 73, 97, 101}):
+        got = dp6.w1_min_c1(q, z_max)["min_c1"]
+        assert got.hex() == oracles.w1_min_c1_loop(q, z_max).hex(), q
+
+
+def test_w1_min_c1_blocks_agree(monkeypatch):
+    # the grid in blocks of one or a few rows has the bits of the grid in one block
+    whole = dp6.w1_min_c1(97, 300)["min_c1"]
+    for cells in (1, 200):
+        monkeypatch.setattr(dp6, "_GRID_CELLS", cells)
+        assert dp6.w1_min_c1(97, 300)["min_c1"].hex() == whole.hex()
+
+
 def test_sieve_condition_report_is_json_ready():
     rep = dp6.sieve_condition_report(1000, 7, z_max=100, rho_table_max=10)
     text = json.dumps(rep)

@@ -160,6 +160,32 @@ def test_int_blocks_match_csv_writer(tmp_path):
     check()
 
 
+def test_int_kernel_digit_boundaries(tmp_path):
+    # every digit count of each sign, 0 and the int64 ends, at 1, 2 and 12
+    # columns; widest magnitudes of 9 digits (uint32 digits) and 10 (uint64)
+    edges = [0, -2**63, 2**63 - 1, -(2**63 - 1)]
+    for k in range(19):
+        edges += [10**k - 1, -(10**k - 1), 10**k, -10**k]
+    edges = np.array(edges, dtype=np.int64)
+    nine = np.array([[999_999_999, -999_999_999, 7], [-1, 0, 100_000_000]], dtype=np.int64)
+    ten = np.array([[1_000_000_000, -5], [-1_000_000_000, 42]], dtype=np.int64)
+    blocks = {1: [edges.reshape(-1, 1)], 2: [edges.reshape(-1, 2)],
+              12: [np.resize(edges, (12, 12)), np.empty((0, 12), dtype=np.int64)],
+              3: [nine], 4: [ten.reshape(1, 4), ten.reshape(1, 4) * 3]}
+    for k, bs in blocks.items():
+        fields = [f"c{j}" for j in range(k)]
+        rows = [row for block in bs for row in block.tolist()]
+        assert _write_both(tmp_path, fields, bs) == _oracle_both(fields, rows), k
+    assert reports._int_csv(np.empty((0, 3), dtype=np.int64)) == ""
+
+
+def test_int_blocks_of_the_wrong_shape_are_refused(tmp_path):
+    path = tmp_path / "out.csv"
+    for block in (np.zeros((2, 3), dtype=np.int64), np.zeros(4, dtype=np.int64)):
+        with pytest.raises(ValueError, match=r"integer block of shape .* for 2 fields"):
+            reports.write_table(str(path), "csv", "demo", ["a", "b"], [block])
+
+
 def test_fmt_rows_match_csv_writer(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
