@@ -27,12 +27,10 @@ from .averaged import (
     unit_disc_point,
 )
 from .congruence import (
-    AffineBoundary,
     BoundarySpec,
     CongruenceInstance,
     CountReport,
     Interval,
-    affine_bounds,
     bilinear_jacobi,
     boundary_report,
     boundary_sums,

@@ -212,10 +212,9 @@ def mod_inv(a: int, q: int) -> int:
         raise ValueError(f"{a} is not invertible modulo {q}") from None
 
 
-def unit_symbols(n: int) -> tuple[int, complex]:
-    """(delta_n, eps_n) for odd n: delta is the parity indicator (1 here),
-    eps is 1 for n = 1 mod 4 and i for n = 3 mod 4.  eps is undefined for
-    even n, so even n is rejected."""
+def unit_symbols(n: int) -> complex:
+    """eps_n for odd n: 1 for n = 1 mod 4 and i for n = 3 mod 4.  eps is
+    undefined for even n, so even n is rejected."""
     if n % 2 == 0:
         raise ValueError("unit_symbols requires odd n (eps is undefined for even n)")
-    return 1, (1 + 0j) if n % 4 == 1 else 1j
+    return (1 + 0j) if n % 4 == 1 else 1j

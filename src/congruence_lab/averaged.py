@@ -241,20 +241,21 @@ def char_length(family: AveragedFamily) -> float:
     return max(0.0, *(float(b.upper(y) - b.lower(y)) for y in ends))
 
 
-def _length(family: AveragedFamily, X: float | None = None) -> float:
-    # X, or char_length(family) when X is None; refused unless positive
-    X = char_length(family) if X is None else X
+def _length(family: AveragedFamily) -> float:
+    # char_length(family), refused unless positive
+    X = char_length(family)
     if X <= 0:
         raise ValueError("characteristic length X must be positive")
     return X
 
 
-def suggest_H(family: AveragedFamily, epsilon: float, X: float | None = None) -> float:
-    """(tW)^{1+eps} / X; requires 0 < X <= tW."""
+def suggest_H(family: AveragedFamily, epsilon: float) -> float:
+    """(tW)^{1+eps} / X with X = char_length(family); refused (ValueError)
+    unless epsilon >= 0 and 0 < X <= tW."""
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     tW = family.t * float(family.W)
-    X = _length(family, X)
+    X = _length(family)
     if X > tW:
         raise ValueError("suggest_H requires X <= tW")
     return eps_power(tW, 1.0 + epsilon) / X
@@ -269,15 +270,14 @@ class DominanceReport(NamedTuple):
     warnings: tuple[str, ...]
 
 
-def dominance_report(
-    family: AveragedFamily, epsilon: float, X: float | None = None
-) -> DominanceReport:
+def dominance_report(family: AveragedFamily, epsilon: float) -> DominanceReport:
     """Checks that the modulus scale q0 = tW is small enough for the budget
     to fall below the main term: q0^{1+eps} <= min(U^{2{l/2}} V^{2{m/2}} X^2, Z)
-    and q0^eps sqrt(t) <= X, where Z is (UV)^{1/4} (XY)^{1/2} for factorizing
-    weights with UV >= tW and (XY)^{2/3} otherwise.  Outside the regime
-    U, V <= tW the verdicts still evaluate but carry warnings."""
-    X = _length(family, X)
+    and q0^eps sqrt(t) <= X, with X = char_length(family) (refused unless
+    positive) and Z = (UV)^{1/4} (XY)^{1/2} for factorizing weights with UV
+    >= tW, (XY)^{2/3} otherwise.  Outside the regime U, V <= tW the verdicts
+    still evaluate but carry warnings."""
+    X = _length(family)
     U, V = float(family.U), float(family.V)
     Y = float(family.J.length)
     q0 = family.t * float(family.W)
@@ -295,14 +295,8 @@ def dominance_report(
         U ** (2.0 * _frac_half(family.l)) * V ** (2.0 * _frac_half(family.m)) * X * X,
         Z,
     )
-    return DominanceReport(
-        q0,
-        X,
-        Z,
-        lhs_main <= rhs_main,
-        eps_power(q0, epsilon) * math.sqrt(family.t) <= X,
-        tuple(warnings),
-    )
+    t_ok = eps_power(q0, epsilon) * math.sqrt(family.t) <= X
+    return DominanceReport(q0, X, Z, lhs_main <= rhs_main, t_ok, tuple(warnings))
 
 
 class AveragedReport(NamedTuple):

@@ -92,13 +92,9 @@ def int_list(text: str) -> list[int]:
     return values
 
 
-def _modulus(q: int) -> int:
-    return q
-
-
-def box_side(text: str):
-    """A count-scan box side: 'q' (the modulus itself) or a fixed rational."""
-    return _modulus if text == "q" else fraction(text)
+def box_side(text: str) -> Fraction | None:
+    """A count-scan box side: 'q' (None, the modulus itself) or a fixed rational."""
+    return None if text == "q" else fraction(text)
 
 
 @dataclass(frozen=True)
@@ -199,7 +195,7 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
         if coefficient == 0:
             raise ValueError(f"--{name} must be nonzero, got 0")
     for name, side in (("x", o.x), ("y", o.y)):
-        if side is not _modulus and side < 1:
+        if side is not None and side < 1:
             raise ValueError(f"--{name} must be q or a rational >= 1, got {side}")
     qs = dp6.sieve_primes(o.primes_up_to) if o.q_list is None else o.q_list
     reps = congruence.scan_boxes(qs, o.a, o.b, o.x, o.y)
@@ -212,6 +208,8 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
 
 
 _DRAW_CHUNK = 1 << 14  # doubles per getrandbits call of random_floats
+_SAMPLES_LIMIT = 1 << 26  # vaaler samples: 16 bytes each at the peak of random_floats, 1 GiB
+_CELLS_LIMIT = 1 << 27  # bilinear (M+1)/2 N: an int8 table and an int64 temporary, 1.2 GB
 
 
 def random_floats(seed: int, n: int) -> np.ndarray:
@@ -233,8 +231,8 @@ def random_floats(seed: int, n: int) -> np.ndarray:
 
 
 def _cmd_vaaler(o: argparse.Namespace) -> int:
-    if o.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {o.samples}")
+    if not 1 <= o.samples <= _SAMPLES_LIMIT:
+        raise ValueError(f"--samples must be in [1, 2^26], got {o.samples}")
     xs = random_floats(o.seed, o.samples)
     violations, worst = sawtooth.majorant_slack(xs, o.H)
     print(f"H = {o.H}: {violations} violations in {o.samples} samples;"
@@ -310,6 +308,9 @@ def _cmd_dp6_sieve(o: argparse.Namespace) -> int:
 def _cmd_bilinear(o: argparse.Namespace) -> int:
     if o.M < 1 or o.N < 1:
         raise ValueError("M and N must be >= 1")
+    if (o.M + 1) // 2 * o.N > _CELLS_LIMIT:
+        raise ValueError(f"--M, --N: the table of (M+1)/2 N = {(o.M + 1) // 2 * o.N} cells"
+                         f" exceeds the cap of 2^27 cells")
     _check_seeds(o)
     rows = []
     for seed in range(o.seed, o.seed + o.seeds):

@@ -35,14 +35,14 @@ J prime to q.  The main term replaces each such count by (R - L)/q.
 class_sums takes the counts of a whole vector of classes k and their one
 shared main term from one walk of these blocks, in (classes x block) pieces
 of at most 2^18 entries (2 MiB in int64); boundary_sums is its one-class
-case.  Affine boundaries are integer numerators over one common denominator
-D, so each block is one integer floor division of (D f(y) - c D) by q D; a
-block is int64 when q < 2^31 and _BLOCK times the largest value formed stays
-below 2^62 (so per-block sums cannot overflow either), and object dtype of
-Python ints otherwise, with the same code.  Any other boundary callable is
-evaluated per y to a Fraction and goes through the same expression as an
-object array.  Counts are Python ints, main terms exact Fractions.  These
-regions get the H-truncated envelope with the Delta_H distortion factor.
+case.  The boundaries are the two lines of a BoundarySpec, so their values
+are integer numerators over one common denominator D, and each block is one
+integer floor division of (D f(y) - c D) by q D; a block is int64 when q <
+2^31 and _BLOCK times the largest value formed stays below 2^62 (so
+per-block sums cannot overflow either), and object dtype of Python ints
+otherwise, with the same code.  Counts are Python ints, main terms exact
+Fractions.  These regions get the H-truncated envelope with the Delta_H
+distortion factor.
 
 Bilinear sums of Jacobi symbols (n/m) read one int8 table of the symbols for
 odd m <= M and n <= N, (M + 1)/2 * N bytes.
@@ -56,7 +56,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,6 +68,7 @@ RationalLike = int | float | Fraction
 
 _BLOCK = 1 << 14  # residues per block of count_exact and the boundary counts
 _Q_LIMIT = 1 << 31  # count_exact moduli: products of residues fit in int64
+_TABLE_Q_LIMIT = 1 << 28  # count_exact moduli for e >= 2: a 4q-byte int32 table, 1 GiB
 _WIDE = 1 << 62  # int64 paths keep every value, and every block sum, below this
 _CELLS = 1 << 18  # entries of one (classes x y-block) temporary of class_sums
 
@@ -93,6 +94,9 @@ class CongruenceInstance:
             raise ValueError("exponents e, f must be >= 1")
         if self.X < 1 or self.Y < 1:
             raise ValueError("box sides X, Y must be >= 1")
+        if self.e >= 2 and self.q > _TABLE_Q_LIMIT:
+            raise ValueError(f"e >= 2 (--e) needs q (--q) <= 2^28 for count_exact's 4q-byte"
+                             f" table, got q = {self.q}")
 
 
 def _check_coefficients(a: int, b: int, q: int) -> None:
@@ -204,10 +208,10 @@ def count_exact(inst: CongruenceInstance) -> int:
     multiple of q); see _class_hits.  For e >= 2, x -> -a x^e is not a
     bijection on the units, so an int32 table of length q counts the unit y
     per key b y^f mod q, y <= ry first and then the rest, and after each
-    fill the x-keys -a x^e mod q are gathered from it (4 bytes per residue).
-    O(q) time at most, exact for any rational X and Y and any signs of a
-    and b.  q must satisfy 1 <= q < 2^31: ValueError naming q otherwise,
-    before anything is allocated.
+    fill the x-keys -a x^e mod q are gathered from it (4 bytes per residue,
+    q <= 2^28 by CongruenceInstance).  O(q) time at most, exact for any
+    rational X and Y and any signs of a and b.  q must satisfy 1 <= q <
+    2^31: ValueError naming q otherwise, before anything is allocated.
     """
     q = inst.q
     _check_modulus(q)
@@ -304,42 +308,33 @@ def _report(inst: CongruenceInstance) -> CountReport:
     return CountReport(inst, exact, main, env, abs(exact - main) / env, seconds)
 
 
-Rule = int | float | Fraction | Callable[[int], RationalLike]
-
-
-def _apply(rule: Rule, q: int) -> RationalLike:
-    return rule(q) if callable(rule) else rule
-
-
 def scan_boxes(
     q_values: Sequence[int],
-    a_rule: Rule = 1,
-    b_rule: Rule = 1,
-    X_rule: Rule = lambda q: q,
-    Y_rule: Rule = lambda q: q,
+    a: int = 1,
+    b: int = 1,
+    X: RationalLike | None = None,
+    Y: RationalLike | None = None,
 ) -> list[CountReport]:
-    """Box reports over a family of moduli, in input order; instances
-    violating gcd(ab, q) = 1 are skipped with a log line.  A modulus below 1
-    or of 2^31 or more, and a box whose count bound floor(Y) (floor(X) // q
-    + 1) is outside float range, are refused (ValueError naming q) before any instance is
-    counted; a main term or envelope outside float range is refused by
-    box_report before its own box is counted."""
+    """Box reports of a x + b y^2 = 0 (mod q) on (0, X] x (0, Y] over a
+    family of moduli, in input order; a side left None is the modulus q
+    itself.  Refused (ValueError) before any count: a or b = 0, a fixed
+    side below 1, a modulus below 1 or of 2^31 or more (naming q), and a
+    box whose count bound floor(Y) (floor(X) // q + 1) is outside float
+    range; a main term or envelope outside float range is refused by
+    box_report before its own box is counted.  The moduli with gcd(ab, q)
+    != 1 are skipped with a log line."""
+    if a == 0 or b == 0:
+        raise ValueError("coefficients a, b must be nonzero")
+    if any(side is not None and side < 1 for side in (X, Y)):
+        raise ValueError("box sides X, Y must be >= 1")
     for q in q_values:
         _check_modulus(q)
     instances = []
     for q in q_values:
-        try:
-            instances.append(
-                CongruenceInstance(
-                    int(_apply(a_rule, q)),
-                    int(_apply(b_rule, q)),
-                    q,
-                    Fraction(_apply(X_rule, q)),
-                    Fraction(_apply(Y_rule, q)),
-                )
-            )
-        except ValueError as exc:
-            log.warning("skipping q=%d: %s", q, exc)
+        if math.gcd(a * b, q) != 1:
+            log.warning("skipping q=%d: a*b must be coprime to q", q)
+            continue
+        instances.append(CongruenceInstance(a, b, q, q if X is None else X, q if Y is None else Y))
     for inst in instances:
         _check_count_bound(inst)
     return [_report(inst) for inst in instances]
@@ -365,87 +360,57 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class AffineBoundary:
-    """y -> intercept + slope * y, exact rational."""
-
-    intercept: Fraction
-    slope: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "intercept", Fraction(self.intercept))
-        object.__setattr__(self, "slope", Fraction(self.slope))
-
-    def __call__(self, y: RationalLike) -> Fraction:
-        return self.intercept + self.slope * Fraction(y)
-
-
-Boundary = Callable[[RationalLike], RationalLike]
-
-
-@dataclass(frozen=True)
 class BoundarySpec:
-    """Lower/upper x-boundaries as functions of y plus a bound on |d/dy|.
+    """The x-range f_lo(y) < x <= f_hi(y) of each y, between the lines
+    f_lo(y) = lo_intercept + lo_slope y and f_hi(y) = hi_intercept +
+    hi_slope y, exact rationals.  derivative_bound, the T of Delta_H, is
+    max(|lo_slope|, |hi_slope|): it follows from the slopes, never given."""
 
-    Affine boundaries are walked as integer numerators over one common
-    denominator.  Any other callable is evaluated per y and converted with
-    Fraction(f(y)), which is exact for whatever int, float or Fraction it
-    returns, so counts are exact for the values the callable gives.
-    """
-
-    lower: Boundary
-    upper: Boundary
-    derivative_bound: Fraction
+    lo_intercept: Fraction
+    lo_slope: Fraction
+    hi_intercept: Fraction
+    hi_slope: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "derivative_bound", Fraction(self.derivative_bound))
-        if self.derivative_bound < 0:
-            raise ValueError("derivative bound must be nonnegative")
+        for name in ("lo_intercept", "lo_slope", "hi_intercept", "hi_slope"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+
+    def lower(self, y: RationalLike) -> Fraction:
+        return self.lo_intercept + self.lo_slope * Fraction(y)
+
+    def upper(self, y: RationalLike) -> Fraction:
+        return self.hi_intercept + self.hi_slope * Fraction(y)
+
+    @property
+    def derivative_bound(self) -> Fraction:
+        return max(abs(self.lo_slope), abs(self.hi_slope))
 
 
 def box_bounds(X: RationalLike) -> BoundarySpec:
     """The box (0, X]: constant boundaries, zero derivative bound."""
     if Fraction(X) <= 0:
         raise ValueError("X must be positive")
-    return BoundarySpec(AffineBoundary(0), AffineBoundary(X), Fraction(0))
-
-
-def affine_bounds(
-    lo_intercept: RationalLike,
-    lo_slope: RationalLike,
-    hi_intercept: RationalLike,
-    hi_slope: RationalLike,
-) -> BoundarySpec:
-    lo = AffineBoundary(Fraction(lo_intercept), Fraction(lo_slope))
-    hi = AffineBoundary(Fraction(hi_intercept), Fraction(hi_slope))
-    return BoundarySpec(lo, hi, max(abs(lo.slope), abs(hi.slope)))
+    return BoundarySpec(0, 0, X, 0)
 
 
 def _numerators(q: int, bounds: BoundarySpec, J: Interval) -> tuple[int, Iterator[tuple]]:
     """(D, blocks): the integers y in J prime to q in ascending blocks
     (y, lo_n, hi_n) with f_lo(y) = lo_n/D and f_hi(y) = hi_n/D.
 
-    Affine boundaries give integer numerators A + B y over the lcm D of their
-    denominators, int64 when q < 2^31 and _BLOCK times the largest of
+    The numerators are A + B y over the lcm D of the denominators of the
+    four rationals, int64 when q < 2^31 and _BLOCK times the largest of
     |A| + max(|B|, 1) |y| + q D over J stays below 2^62, object dtype
-    otherwise.  Any other callable is evaluated per y to a Fraction (D = 1)
-    in an object array.  Affine boundaries that cross on J are refused."""
-    lo, hi = bounds.lower, bounds.upper
-    ys = J.integers()
-    primes = [p for p, _ in factorize(q).factors]
-    if not (isinstance(lo, AffineBoundary) and isinstance(hi, AffineBoundary)):
-        def values(f, y):
-            return np.array([Fraction(f(v)) for v in y.tolist()], dtype=object)
-
-        blocks = _units(ys.start, ys.stop - 1, primes, object)
-        return 1, ((y, values(lo, y), values(hi, y)) for y in blocks)
-    if any(hi(y) < lo(y) for y in (J.y0, J.y0 + J.length)):
+    otherwise.  Boundaries that cross on J are refused."""
+    if any(bounds.upper(y) < bounds.lower(y) for y in (J.y0, J.y0 + J.length)):
         raise ValueError("upper boundary below lower boundary on J")
-    D = math.lcm(*(x.denominator for x in (lo.intercept, lo.slope, hi.intercept, hi.slope)))
-    (A0, B0), (A1, B1) = ((int(f.intercept * D), int(f.slope * D)) for f in (lo, hi))
+    coeffs = (bounds.lo_intercept, bounds.lo_slope, bounds.hi_intercept, bounds.hi_slope)
+    D = math.lcm(*(c.denominator for c in coeffs))
+    A0, B0, A1, B1 = (int(c * D) for c in coeffs)
+    ys = J.integers()
     Y = max(abs(ys.start), abs(ys.stop - 1))
     top = max(abs(A0), abs(A1)) + max(abs(B0), abs(B1), 1) * Y + q * D
     dtype = np.int64 if q < _Q_LIMIT and _BLOCK * top < _WIDE else object
-    blocks = _units(ys.start, ys.stop - 1, primes, dtype)
+    blocks = _units(ys.start, ys.stop - 1, [p for p, _ in factorize(q).factors], dtype)
     return D, ((y, A0 + B0 * y, A1 + B1 * y) for y in blocks)
 
 

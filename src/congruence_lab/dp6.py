@@ -384,8 +384,13 @@ def rho(d: int, q: int) -> Fraction:
         raise ValueError("q must be prime")
     out = Fraction(1)
     for p, _ in factorize(d).factors:
-        out *= 1 + Fraction(1, q) if p == q else 3 - Fraction(2, p)
+        out *= _rho_factor(p, q)
     return out
+
+
+def _rho_factor(p: int, q: int) -> Fraction:
+    # rho(p) for prime p and q: the Euler factor of rho at p
+    return 1 + Fraction(1, q) if p == q else 3 - Fraction(2, p)
 
 
 def sum_over_d(seq: SieveSequence, d: int) -> tuple[int, float, float]:
@@ -452,10 +457,12 @@ def w1_min_c1(q: int, z_max: int = 1000) -> dict[str, float]:
     The cell largest by math is then within 2 delta of the numpy maximum,
     far inside the tolerance.  Memory: a few float64 and intp temporaries
     per cell of a block, which holds at most _GRID_CELLS cells or one row."""
+    if not is_prime(q):
+        raise ValueError("q must be prime")
     ps = [p for p in sieve_primes(z_max) if p > 2]
     if len(ps) < 2:
         raise ValueError("z_max too small for a grid")
-    logs = [math.log(float(1 - rho(p, q) / p)) for p in ps]
+    logs = [math.log(float(1 - _rho_factor(p, q) / p)) for p in ps]
     prefix = [0.0]
     for v in logs:
         prefix.append(prefix[-1] + v)

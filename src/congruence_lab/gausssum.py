@@ -91,13 +91,13 @@ def _branch(s: int, u: int) -> tuple[complex, complex, int, int, int | None, int
     the other parity; c is taken in [0, m).
     """
     if u % 2 == 1:
-        return 1 + 0j, unit_symbols(u)[1], jacobi(s, u), u, None, -mod_inv(4 * s, u) % u, u
+        return 1 + 0j, unit_symbols(u), jacobi(s, u), u, None, -mod_inv(4 * s, u) % u, u
     if u % 4 == 2:
         v = u // 2
         j = jacobi(2 * s, v) if v > 1 else 1
-        return 2 + 0j, unit_symbols(v)[1], j, v, 1, -mod_inv(8 * s, v) % v, v
+        return 2 + 0j, unit_symbols(v), j, v, 1, -mod_inv(8 * s, v) % v, v
     j = jacobi(u, s) if s > 1 else 1
-    return 1 + 1j, 1 / unit_symbols(s)[1], j, u, 0, -mod_inv(s, 4 * u) % (4 * u), 4 * u
+    return 1 + 1j, 1 / unit_symbols(s), j, u, 0, -mod_inv(s, 4 * u) % (4 * u), 4 * u
 
 
 def gauss_closed(s: int, t: int, u: int) -> GaussSumValue:

@@ -172,10 +172,10 @@ def test_floor_mod_matches_percent():
 
 
 def test_unit_symbols():
-    assert arith.unit_symbols(1) == (1, 1 + 0j)
-    assert arith.unit_symbols(5) == (1, 1 + 0j)
-    assert arith.unit_symbols(3) == (1, 1j)
-    assert arith.unit_symbols(7) == (1, 1j)
+    assert arith.unit_symbols(1) == 1 + 0j
+    assert arith.unit_symbols(5) == 1 + 0j
+    assert arith.unit_symbols(3) == 1j
+    assert arith.unit_symbols(7) == 1j
     with pytest.raises(ValueError):
         arith.unit_symbols(4)
 

@@ -148,7 +148,7 @@ def test_delta_h_box_bounds():
 
 
 def test_delta_h_affine_frozen():
-    bounds = cg.affine_bounds(0, 0, 0, 1)
+    bounds = cg.BoundarySpec(0, 0, 0, 1)
     fam = _family(W=1, J=cg.Interval(0, 4), bounds=bounds)
     # 1 + H T Y / (t W) with H = 6, T = 1: 1 + 6*1*4/3 = 9
     assert av.delta_H(fam, 6) == pytest.approx(9.0)
@@ -157,7 +157,7 @@ def test_delta_h_affine_frozen():
 def test_delta_h_is_the_boundary_report_distortion():
     # sloped boundaries, modulus tW = 14 and an integer H: the one Delta_H
     # of both envelopes, bit for bit
-    bounds = cg.affine_bounds(Fraction(-3, 2), Fraction(1, 3), 60, Fraction(5, 4))
+    bounds = cg.BoundarySpec(Fraction(-3, 2), Fraction(1, 3), 60, Fraction(5, 4))
     J = cg.Interval(Fraction(-7, 2), 40)
     fam = _family(t=7, W=2, J=J, bounds=bounds)
     for H in (1, 4, 9):
@@ -168,7 +168,7 @@ def test_delta_h_is_the_boundary_report_distortion():
 
 
 def test_error_budget_refuses_a_zero_width_family():
-    fam = _family(bounds=cg.affine_bounds(3, Fraction(1, 2), 3, Fraction(1, 2)))
+    fam = _family(bounds=cg.BoundarySpec(3, Fraction(1, 2), 3, Fraction(1, 2)))
     assert av.char_length(fam) == 0.0
     with pytest.raises(ValueError, match="characteristic length X must be positive"):
         av.error_budget(fam, 10.0, 0.05)
@@ -178,10 +178,10 @@ def test_error_budget_refuses_a_zero_width_family():
 
 
 def test_epsilon_powers_that_overflow_are_refused():
-    fam = _family()
+    fam = _family(bounds=cg.box_bounds(1))
     for call in (lambda: av.error_budget(fam, 10.0, 1e300),
-                 lambda: av.suggest_H(fam, 1e300, X=1),
-                 lambda: av.dominance_report(fam, 1e300, X=1)):
+                 lambda: av.suggest_H(fam, 1e300),
+                 lambda: av.dominance_report(fam, 1e300)):
         with pytest.raises(ValueError, match="epsilon is too large"):
             call()
     assert av.error_budget(fam, 10.0, 50.0).T_envelope > 1e50
@@ -213,18 +213,20 @@ def test_error_budget_hcond_false():
 
 
 def test_suggest_h_values():
-    fam = _family(t=25, W=4, J=cg.Interval(0, 10), bounds=cg.box_bounds(10))
-    assert av.suggest_H(fam, 0.1, X=10) == pytest.approx(15.848931924611143)
-    assert av.suggest_H(fam, 0.0, X=100) == pytest.approx(1.0)
-    assert av.suggest_H(fam, 0.0, X=1) == pytest.approx(100.0)
+    def fam(X):
+        return _family(t=25, W=4, J=cg.Interval(0, 10), bounds=cg.BoundarySpec(0, 0, X, 0))
+
+    assert av.suggest_H(fam(10), 0.1) == pytest.approx(15.848931924611143)
+    assert av.suggest_H(fam(100), 0.0) == pytest.approx(1.0)
+    assert av.suggest_H(fam(1), 0.0) == pytest.approx(100.0)
     with pytest.raises(ValueError):
-        av.suggest_H(fam, 0.05, X=200)
+        av.suggest_H(fam(200), 0.05)
     with pytest.raises(ValueError):
-        av.suggest_H(fam, 0.05, X=0)
+        av.suggest_H(fam(0), 0.05)
 
 
 def test_char_length_uses_cell_corners():
-    fam = _family(bounds=cg.affine_bounds(0, 0, 0, 1))
+    fam = _family(bounds=cg.BoundarySpec(0, 0, 0, 1))
     # widest upper boundary over corner y = 10 is 10
     assert av.char_length(fam) == pytest.approx(10.0)
 
@@ -234,15 +236,15 @@ def test_dominance_report_clean():
         l=1, m=1, r=1, s=1, t=1, U=25, V=25, W=100,
         J=cg.Interval(0, 10**6), bounds=cg.box_bounds(100),
     )
-    rep = av.dominance_report(fam, epsilon=0.01, X=100)
+    rep = av.dominance_report(fam, epsilon=0.01)
     assert rep.main_ok is True
     assert rep.t_ok is True
     assert rep.warnings == ()
 
 
 def test_dominance_report_warns_on_large_cells():
-    fam = _family(U=4, t=1, W=Fraction(1, 2))
-    rep = av.dominance_report(fam, epsilon=0.05, X=Fraction(1, 2))
+    fam = _family(U=4, t=1, W=Fraction(1, 2), bounds=cg.box_bounds(Fraction(1, 2)))
+    rep = av.dominance_report(fam, epsilon=0.05)
     assert any("exceeds" in w for w in rep.warnings)
 
 
@@ -266,7 +268,7 @@ def test_avg_report_consistency():
 def test_avg_report_affine_bounds_match_cell_loop():
     # sloped boundaries through the shared cell walk, against a per-cell,
     # per-y recomputation of both sums in the old accumulation order
-    bounds = cg.affine_bounds(Fraction(-3, 2), Fraction(1, 3), 20, Fraction(-1, 4))
+    bounds = cg.BoundarySpec(Fraction(-3, 2), Fraction(1, 3), 20, Fraction(-1, 4))
     fam = _family(scheme="joint", t=5, U=2, V=2, W=2, l=2, m=1, r=3, s=-2,
                   J=cg.Interval(Fraction(-7, 2), 40), bounds=bounds, seed=11)
     S, M = _cell_loop(fam)
@@ -301,7 +303,7 @@ def test_one_boundary_walk_per_cell(monkeypatch):
     assert av.avg_report(fam, 10.0, 0.05, table) == rep
     assert av.avg_report(other, 10.0, 0.05, table) == want
     assert calls == []
-    cg.boundary_report(1, 1, 7, cg.affine_bounds(0, 1, 3, 2), cg.Interval(0, 20), H=4)
+    cg.boundary_report(1, 1, 7, cg.BoundarySpec(0, 1, 3, 2), cg.Interval(0, 20), H=4)
     assert len(calls) == 1
 
 
@@ -309,7 +311,7 @@ def test_one_boundary_walk_per_cell(monkeypatch):
 def test_weights_taken_once_per_distinct_key(scheme, monkeypatch):
     # the report keeps the bits of the per-cell weight loop, while d_coeff
     # and e_coeff run once per distinct (u, v) and w of the nonzero cells
-    bounds = cg.affine_bounds(-2, Fraction(1, 3), 20, Fraction(-1, 4))
+    bounds = cg.BoundarySpec(-2, Fraction(1, 3), 20, Fraction(-1, 4))
     fam = _family(scheme=scheme, t=7, U=3, V=3, W=2, J=cg.Interval(-4, 30),
                   bounds=bounds, seed=3)
     table = av.cell_sums(fam)
@@ -373,8 +375,8 @@ def test_cell_sums_match_per_cell_properties(monkeypatch):
         J = cg.Interval(y0, length)
         # hi = lo + width, shifted up so that hi >= lo at both ends of J
         gap = min(width[0] + width[1] * y for y in (J.y0, J.y0 + J.length))
-        bounds = cg.affine_bounds(lo[0], lo[1], lo[0] + width[0] - min(gap, 0),
-                                  lo[1] + width[1])
+        bounds = cg.BoundarySpec(lo[0], lo[1], lo[0] + width[0] - min(gap, 0),
+                                 lo[1] + width[1])
         _check_cell_sums(_family(l=l, m=m, r=r, s=s, t=t, U=U, V=V, W=W, J=J,
                                  bounds=bounds))
 
@@ -385,7 +387,7 @@ def test_cell_sums_across_blocks_and_row_cap():
     # 49 cells share q = 11, more than the 16 classes a full 2^14 block takes
     # at once, and J runs past the first block of y
     J = cg.Interval(Fraction(-13, 2), cg._BLOCK + 40)
-    bounds = cg.affine_bounds(Fraction(-5, 3), Fraction(1, 7), 90, Fraction(2, 5))
+    bounds = cg.BoundarySpec(Fraction(-5, 3), Fraction(1, 7), 90, Fraction(2, 5))
     fam = _family(t=11, U=8, V=8, W=Fraction(1, 2), r=3, s=-2, l=2, J=J, bounds=bounds)
     assert len(fam.cells()) == 49 > cg._CELLS // cg._BLOCK
     assert next(cg._numerators(11, bounds, J)[1])[0].dtype == np.int64
@@ -395,7 +397,7 @@ def test_cell_sums_across_blocks_and_row_cap():
 def test_cell_sums_object_path():
     # intercepts near 2^62 put every block on the object path
     J = cg.Interval(-30, 90)
-    bounds = cg.affine_bounds(-(2**62), Fraction(-3, 2), 2**62 + 5, 7)
+    bounds = cg.BoundarySpec(-(2**62), Fraction(-3, 2), 2**62 + 5, 7)
     fam = _family(t=7, U=3, V=2, W=2, r=1, s=-1, m=2, J=J, bounds=bounds)
     assert next(cg._numerators(21, bounds, J)[1])[0].dtype == object
     assert len(fam.cells()) > len({w for *_, w in fam.cells()})
@@ -403,7 +405,7 @@ def test_cell_sums_object_path():
 
 
 def test_class_sums_of_no_class_and_unreduced_classes():
-    bounds = cg.affine_bounds(0, 1, 5, 1)
+    bounds = cg.BoundarySpec(0, 1, 5, 1)
     J = cg.Interval(0, 12)
     n, mt = cg.boundary_sums(1, 1, 7, bounds, J)
     assert cg.class_sums([], 7, bounds, J) == ([], mt)

@@ -147,6 +147,16 @@ REFUSALS = {
                                         "H t U V W = inf is outside float range: lower H (--H)"),
     "avg-scan budget beyond float key": (["avg-scan", "--out", "x.csv"], "H = 1e-320\n",
                                          "budget UVWY/H = inf, T_envelope = "),
+    "vaaler samples beyond the cap": (["vaaler", "--H", "8", "--samples", str(2**26 + 1)], None,
+                                      "--samples must be in [1, 2^26], got 67108865"),
+    "bilinear table beyond the cap": (["bilinear", "--M", "16383", "--N", "16385", "--out",
+                                       "x.csv"], None,
+                                      "--M, --N: the table of (M+1)/2 N = 134225920 cells"
+                                      " exceeds the cap of 2^27 cells"),
+    "general count modulus beyond the table cap": (
+        ["count", "--a", "1", "--b", "1", "--q", str(2**28 + 3), "--X", "10", "--Y", "10",
+         "--e", "2"], None,
+        "e >= 2 (--e) needs q (--q) <= 2^28 for count_exact's 4q-byte table, got q = 268435459"),
 }
 
 
@@ -174,13 +184,15 @@ def test_refused_before_any_output(case, tmp_path, capsys, monkeypatch):
 
 
 # cases whose refusal would otherwise come after a prime sieve, a cell count,
-# a sieve sequence, a Jacobi table or a box count
+# a sieve sequence, a Jacobi table, a box count or a draw of vaaler samples
 BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "negative sieve factor bound",
                "avg-scan epsilon overflow at given H", "zero avg-scan H",
                "bilinear epsilon overflow", "count bound beyond float",
                "count main term beyond float", "scan count bound beyond float at a later q",
-               "avg-scan H t U V W beyond float", "avg-scan budget beyond float key")
+               "avg-scan H t U V W beyond float", "avg-scan budget beyond float key",
+               "vaaler samples beyond the cap", "bilinear table beyond the cap",
+               "general count modulus beyond the table cap")
 
 
 @pytest.mark.parametrize("case", BEFORE_WORK)
@@ -190,7 +202,7 @@ def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
 
     for module, name in ((cli.dp6, "sieve_primes"), (cli.averaged, "cell_sums"),
                          (cli.dp6, "build_sieve_sequence"), (cli.congruence, "_jacobi_table"),
-                         (cli.congruence, "count_exact")):
+                         (cli.congruence, "count_exact"), (cli, "random_floats")):
         monkeypatch.setattr(module, name, no_work)
     test_refused_before_any_output(case, tmp_path, capsys, monkeypatch)
 

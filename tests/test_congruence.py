@@ -347,9 +347,33 @@ def test_box_report_exact_prime_square():
 
 def test_scan_boxes_skips_bad_instances(caplog):
     with caplog.at_level(logging.WARNING, logger="congruence_lab"):
-        reps = cg.scan_boxes([5, 6, 9], a_rule=3, b_rule=1)
+        reps = cg.scan_boxes([5, 6, 9], a=3, b=1)
     assert [r.instance.q for r in reps] == [5]
     assert "skipping" in caplog.text
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(a=0), "coefficients a, b must be nonzero"),
+    (dict(b=0), "coefficients a, b must be nonzero"),
+    (dict(X=Fraction(1, 2)), "box sides X, Y must be >= 1"),
+    (dict(Y=0), "box sides X, Y must be >= 1"),
+])
+def test_scan_boxes_refuses_bad_values_before_any_count(kwargs, message, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a box was counted before the values were checked")
+
+    monkeypatch.setattr(cg, "count_exact", no_work)
+    with pytest.raises(ValueError, match=message):
+        cg.scan_boxes([5, 7], **kwargs)
+
+
+def test_scan_boxes_takes_plain_values():
+    # None is the modulus itself; a fixed side is the same for every q
+    reps = cg.scan_boxes([5, 7], 2, -3, None, Fraction(7, 2))
+    assert [(r.instance.X, r.instance.Y) for r in reps] == [(5, Fraction(7, 2)),
+                                                           (7, Fraction(7, 2))]
+    assert [r.exact for r in reps] == [
+        cg.count_exact(cg.CongruenceInstance(2, -3, q, q, Fraction(7, 2))) for q in (5, 7)]
 
 
 # ---- boundary counting ----
@@ -380,22 +404,22 @@ def test_box_bounds_reduce_to_box_count():
 
 def test_triangle_region():
     # x + y^2 = 0 (mod 3), 0 < x <= y, y <= 6: solutions counted by hand
-    bounds = cg.affine_bounds(0, 0, 0, 1)
+    bounds = cg.BoundarySpec(0, 0, 0, 1)
     assert cg.boundary_sums(1, 1, 3, bounds, cg.Interval(0, 6)) == (4, Fraction(4))
 
 
 def test_empty_and_invalid_boundaries():
-    flat = cg.affine_bounds(5, 0, 5, 0)
+    flat = cg.BoundarySpec(5, 0, 5, 0)
     assert cg.boundary_sums(1, 1, 5, flat, cg.Interval(0, 10))[0] == 0
     with pytest.raises(ValueError):
-        cg.boundary_sums(1, 1, 5, cg.affine_bounds(3, 0, 1, 0), cg.Interval(0, 10))
+        cg.boundary_sums(1, 1, 5, cg.BoundarySpec(3, 0, 1, 0), cg.Interval(0, 10))
     with pytest.raises(ValueError):
         cg.boundary_sums(2, 1, 4, cg.box_bounds(5), cg.Interval(0, 5))
 
 
 @pytest.mark.parametrize("args, message", [
     ((0, 1, 1, cg.box_bounds(5), cg.Interval(0, 10)), "coefficients a, b must be nonzero"),
-    ((1, 1, 5, cg.affine_bounds(3, 0, 1, 0), cg.Interval(0, 10)), "upper boundary below"),
+    ((1, 1, 5, cg.BoundarySpec(3, 0, 1, 0), cg.Interval(0, 10)), "upper boundary below"),
     ((1, 1, 0, cg.box_bounds(5), cg.Interval(0, 10)), "q must be a positive integer"),
 ], ids=["a = 0", "crossed boundaries", "q = 0"])
 def test_main_term_boundaries_refuses_what_count_refuses(args, message):
@@ -404,11 +428,28 @@ def test_main_term_boundaries_refuses_what_count_refuses(args, message):
             kernel(*args)
 
 
-def test_callable_boundary_extension_point():
-    # arbitrary callables are accepted; here they agree with an exact box
-    spec = cg.BoundarySpec(lambda y: 0.0, lambda y: 12.0, Fraction(0))
+def test_boundary_spec_is_four_rationals_with_a_derived_slope_bound():
+    # the constant spec (0, 0, 12, 0) is the box (0, 12]
+    spec = cg.BoundarySpec(0, 0, 12, 0)
+    assert spec == cg.box_bounds(12) and spec.derivative_bound == 0
     exact = cg.boundary_sums(1, 1, 7, cg.box_bounds(12), cg.Interval(0, 9))[0]
     assert cg.boundary_sums(1, 1, 7, spec, cg.Interval(0, 9))[0] == exact
+    sloped = cg.BoundarySpec(Fraction(-3), Fraction(-7, 2), 0.5, 2)
+    assert sloped.derivative_bound == Fraction(7, 2)
+    assert (sloped.lower(2), sloped.upper(2)) == (-10, Fraction(9, 2))
+    assert all(type(x) is Fraction for x in (sloped.lo_intercept, sloped.hi_intercept,
+                                              sloped.lo_slope, sloped.hi_slope))
+    with pytest.raises(AttributeError):
+        sloped.derivative_bound = 0
+    with pytest.raises(TypeError):
+        cg.BoundarySpec(0, 0, 12, 0, Fraction(0))
+
+
+def test_boundary_report_distortion_reads_the_slopes():
+    # equal slopes of 5 on J = (0, 1000]: T = 5, not 0, so Delta_H = 1 + H T Y / q
+    bounds = cg.BoundarySpec(0, 5, 100, 5)
+    rep = cg.boundary_report(1, 1, 101, bounds, cg.Interval(0, 1000), H=8)
+    assert rep.delta_H == 1 + 8 * 5 * 1000 / 101
 
 
 # ---- the per-y loop as an oracle for the boundary block kernels ----
@@ -467,8 +508,8 @@ def test_boundary_kernels_match_loop_properties():
         J = cg.Interval(y0, length)
         # hi = lo + width, shifted up so that hi >= lo at both ends of J
         gap = min(width[0] + width[1] * y for y in (J.y0, J.y0 + J.length))
-        bounds = cg.affine_bounds(lo[0], lo[1], lo[0] + width[0] - min(gap, 0),
-                                  lo[1] + width[1])
+        bounds = cg.BoundarySpec(lo[0], lo[1], lo[0] + width[0] - min(gap, 0),
+                                 lo[1] + width[1])
         _check_boundary_kernels(a, b, q, bounds, J)
 
     check()
@@ -478,8 +519,8 @@ def test_boundary_kernels_match_loop_properties():
 def test_boundary_kernels_across_blocks(q):
     # J holds about 3.3 blocks of y, starting just below a block edge
     J = cg.Interval(cg._BLOCK - 3 + Fraction(1, 2), Fraction(3 * cg._BLOCK + 5000, 1))
-    bounds = cg.affine_bounds(Fraction(-7, 3), Fraction(-1, 5), 4 * q + Fraction(1, 7),
-                              Fraction(2, 11))
+    bounds = cg.BoundarySpec(Fraction(-7, 3), Fraction(-1, 5), 4 * q + Fraction(1, 7),
+                             Fraction(2, 11))
     assert _block_dtype(q, bounds, J) == np.int64
     _check_boundary_kernels(-1231, 19, q, bounds, J)
 
@@ -488,11 +529,11 @@ def test_boundary_kernels_object_path():
     J = cg.Interval(-40, 120)
     # a modulus beyond 2^31: c = k y^2 mod q no longer fits int64 products
     q = 2**61 - 1
-    bounds = cg.affine_bounds(Fraction(-10**19, 7), Fraction(3, 2), Fraction(10**20, 3), 5)
+    bounds = cg.BoundarySpec(Fraction(-10**19, 7), Fraction(3, 2), Fraction(10**20, 3), 5)
     assert _block_dtype(q, bounds, J) == object
     _check_boundary_kernels(3, -5, q, bounds, J)
     # a small modulus with numerators near 2^62
-    bounds = cg.affine_bounds(-(2**62), Fraction(-(10**17), 3), 2**62 + 5, 10**17)
+    bounds = cg.BoundarySpec(-(2**62), Fraction(-(10**17), 3), 2**62 + 5, 10**17)
     assert _block_dtype(97, bounds, J) == object
     _check_boundary_kernels(3, -5, 97, bounds, J)
     # y itself beyond int64, constant boundaries
@@ -507,29 +548,27 @@ def test_boundary_kernels_int64_near_limit():
     J = cg.Interval(0, 100)
     top = (1 << 62) // cg._BLOCK - 1
     for A, dtype in [(top - 100 * 50 - 97, np.int64), (top - 100 * 50 - 96, object)]:
-        bounds = cg.affine_bounds(-A, 50, A, -50)
+        bounds = cg.BoundarySpec(-A, 50, A, -50)
         assert _block_dtype(97, bounds, J) == dtype
         _check_boundary_kernels(3, -5, 97, bounds, J)
 
 
-def test_callable_boundaries_match_loop():
+def test_boundaries_on_a_half_integer_interval_match_loop():
     J = cg.Interval(Fraction(-5, 2), 70)
-    spec = cg.BoundarySpec(lambda y: 0.0, lambda y: 12.0, Fraction(0))
-    _check_boundary_kernels(1, 1, 7, spec, J)
-    curve = cg.BoundarySpec(lambda y: Fraction(y * y, 40) - 3, lambda y: y / 3 + 25.5,
-                            Fraction(4))
-    _check_boundary_kernels(5, -3, 11, curve, J)
-    _check_boundary_kernels(5, -3, 1, curve, J)
+    _check_boundary_kernels(1, 1, 7, cg.BoundarySpec(0, 0, 12, 0), J)
+    sloped = cg.BoundarySpec(-3, Fraction(-1, 4), 25.5, Fraction(1, 3))
+    _check_boundary_kernels(5, -3, 11, sloped, J)
+    _check_boundary_kernels(5, -3, 1, sloped, J)
 
 
 def test_boundary_kernels_empty_interval():
     J = cg.Interval(Fraction(1, 3), Fraction(1, 3))  # no integer in (1/3, 2/3]
-    bounds = cg.affine_bounds(0, 1, 5, 1)
+    bounds = cg.BoundarySpec(0, 1, 5, 1)
     assert cg.boundary_sums(1, 1, 5, bounds, J) == (0, 0)
 
 
 def test_boundary_report():
-    bounds = cg.affine_bounds(0, 0, 0, 1)
+    bounds = cg.BoundarySpec(0, 0, 0, 1)
     rep = cg.boundary_report(1, 1, 3, bounds, cg.Interval(0, 6), H=3)
     assert rep.exact == 4
     assert rep.main_term == pytest.approx(4.0)
@@ -545,7 +584,7 @@ def test_envelopes_keep_their_float_bits(q):
     # the envelopes as literal expressions, multiplied left to right
     tau, sigma, L, sqrt = arith.tau, arith.sigma_half_inv, arith.log1n, math.sqrt
     J = cg.Interval(0, 500)
-    bounds = cg.affine_bounds(0, Fraction(1, 3), 100, Fraction(1, 2))
+    bounds = cg.BoundarySpec(0, Fraction(1, 3), 100, Fraction(1, 2))
     Y, T = float(J.length), float(bounds.derivative_bound)
     for H in (1, 7, 64):
         delta = 1.0 + H * T * Y / q
@@ -599,7 +638,7 @@ def test_bilinear_refuses_an_overflowing_epsilon_before_the_table(monkeypatch):
 def test_distortion_of_box_and_sloped_bounds():
     J = cg.Interval(0, 12)
     assert cg.distortion(50, cg.box_bounds(7), J, 5) == 1.0
-    assert cg.distortion(3, cg.affine_bounds(0, Fraction(-1, 2), 9, Fraction(1, 4)), J, 8) == 3.25
+    assert cg.distortion(3, cg.BoundarySpec(0, Fraction(-1, 2), 9, Fraction(1, 4)), J, 8) == 3.25
 
 
 def bilinear_loop(a_coeffs, b_coeffs):

@@ -538,6 +538,21 @@ def test_w1_min_c1_has_the_bits_of_the_double_loop(z_max):
         assert got.hex() == oracles.w1_min_c1_loop(q, z_max).hex(), q
 
 
+def test_w1_min_c1_takes_the_euler_factors_without_rho(monkeypatch):
+    # rho's own Euler factors, with q checked once for primality
+    assert all(dp6._rho_factor(p, 7) == oracles.rho_oracle_prime(p, 7)[0] * p for p in (3, 11))
+    assert dp6._rho_factor(7, 7) == dp6.rho(7, 7) == 1 + Fraction(1, 7)
+    want = dp6.w1_min_c1(83)
+
+    def no_call(*args):
+        raise AssertionError("w1_min_c1 called rho")
+
+    monkeypatch.setattr(dp6, "rho", no_call)
+    assert dp6.w1_min_c1(83) == want
+    with pytest.raises(ValueError, match="q must be prime"):
+        dp6.w1_min_c1(4)
+
+
 def test_w1_min_c1_blocks_agree(monkeypatch):
     # the grid in blocks of one or a few rows has the bits of the grid in one block
     whole = dp6.w1_min_c1(97, 300)["min_c1"]
