@@ -308,8 +308,8 @@ def _cmd_dp6_sieve(o: argparse.Namespace) -> int:
 def _cmd_bilinear(o: argparse.Namespace) -> int:
     if o.M < 1 or o.N < 1:
         raise ValueError("M and N must be >= 1")
-    if (o.M + 1) // 2 * o.N > _CELLS_LIMIT:
-        raise ValueError(f"--M, --N: the table of (M+1)/2 N = {(o.M + 1) // 2 * o.N} cells"
+    if (cells := (o.M + 1) // 2 * o.N) > _CELLS_LIMIT:
+        raise ValueError(f"--M, --N: the table of (M+1)/2 N = {cells} cells"
                          f" exceeds the cap of 2^27 cells")
     _check_seeds(o)
     rows = []
