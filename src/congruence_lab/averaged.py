@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .congruence import BoundarySpec, Interval, class_sums, distortion, eps_power, linear_class
 
 SCHEMES = ("all-ones", "factorized", "joint")
+WORK_LIMIT = 10**9  # cell_sums: (U, 2U] x (V, 2V] x (W, 2W] cells times the integers of J
 
 _MASK = (1 << 64) - 1
 _TAG_DU, _TAG_DV, _TAG_DJOINT, _TAG_E = 1, 2, 3, 4
@@ -65,7 +66,6 @@ class AveragedFamily:
     J: Interval
     bounds: BoundarySpec
     scheme: str = "all-ones"
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("U", "V", "W"):
@@ -99,35 +99,30 @@ class AveragedFamily:
                         out.append((u, v, w))
         return out
 
-    def d_coeff(self, u: int, v: int) -> complex:
+    def d_coeff(self, seed: int, u: int, v: int) -> complex:
         if self.scheme == "all-ones":
             return 1 + 0j
         if self.scheme == "factorized":
-            return unit_disc_point(self.seed, _TAG_DU, u) * unit_disc_point(
-                self.seed, _TAG_DV, v
-            )
-        return unit_disc_point(self.seed, _TAG_DJOINT, u, v)
+            return unit_disc_point(seed, _TAG_DU, u) * unit_disc_point(seed, _TAG_DV, v)
+        return unit_disc_point(seed, _TAG_DJOINT, u, v)
 
-    def e_coeff(self, w: int) -> complex:
+    def e_coeff(self, seed: int, w: int) -> complex:
         if self.scheme == "all-ones":
             return 1 + 0j
-        return unit_disc_point(self.seed, _TAG_E, w)
-
-
-def _work_estimate(family: AveragedFamily) -> int:
-    n = math.prod(len(Interval(P, P).integers()) for P in (family.U, family.V, family.W))
-    return n * max(len(family.J.integers()), 1)
+        return unit_disc_point(seed, _TAG_E, w)
 
 
 def cell_sums(family: AveragedFamily) -> list[tuple[int, int, int, int, Fraction]]:
     """(u, v, w, n, mt) for every cell, in cell order: n the exact count of
     r u^l x + s v^m y^2 = 0 (mod tw) over J between the boundaries, mt its
-    main term.  Neither reads the seed or the scheme, so one table serves
-    every seed of a family.  The cells of one w share the modulus tw and,
-    the boundaries being the same in every cell, the main term: they are
-    counted together, in one class_sums walk per w."""
-    if _work_estimate(family) > 10**9:
-        raise ValueError("family too large: estimated work exceeds 1e9 steps")
+    main term.  The cells of one w share the modulus tw and, the boundaries
+    being the same in every cell, the main term: they are counted together,
+    in one class_sums walk per w.  Refused before any count: an estimated
+    work above WORK_LIMIT steps."""
+    work = math.prod(len(Interval(P, P).integers()) for P in (family.U, family.V, family.W))
+    if (work := work * max(len(family.J.integers()), 1)) > WORK_LIMIT:
+        raise ValueError(f"--U, --V, --W, --Y: the family's estimated work of {work} steps"
+                         f" (cells times the integers of J) exceeds the cap of 1e9 steps")
     cells = family.cells()
     by_w: dict[int, list[int]] = {}
     for i, (_, _, w) in enumerate(cells):
@@ -141,27 +136,6 @@ def cell_sums(family: AveragedFamily) -> list[tuple[int, int, int, int, Fraction
         for i, n in zip(rows, counts):
             table[i] = (*cells[i], n, mt)
     return table
-
-
-def _weighted_sums(family: AveragedFamily, cells: list) -> tuple[complex, complex]:
-    """(S, M) over the cell_sums table, each accumulated in cell order and
-    skipping its own zero terms.  d_coeff and e_coeff are taken once per
-    distinct (u, v) and w of the call; the weights keep their bits."""
-    S = M = 0j
-    d: dict[tuple[int, int], complex] = {}
-    e: dict[int, complex] = {}
-    for u, v, w, n, mt in cells:
-        if n or mt:
-            if (u, v) not in d:
-                d[u, v] = family.d_coeff(u, v)
-            if w not in e:
-                e[w] = family.e_coeff(w)
-            weight = d[u, v] * e[w]
-            if n:
-                S += weight * n
-            if mt:
-                M += weight * float(mt)
-    return S, M
 
 
 # ---- error budget ----
@@ -301,6 +275,7 @@ def dominance_report(family: AveragedFamily, epsilon: float) -> DominanceReport:
 
 class AveragedReport(NamedTuple):
     family: AveragedFamily
+    seed: int
     H: float
     epsilon: float
     S: complex
@@ -312,22 +287,32 @@ class AveragedReport(NamedTuple):
 
 
 def avg_report(
-    family: AveragedFamily, H: float, epsilon: float, cells: list | None = None
-) -> AveragedReport:
-    """Exact weighted sum vs predicted main term vs error budget.  cells is
-    the cell_sums table of the family, built here when not given; families
-    that differ only in seed or scheme share it."""
-    S, M = _weighted_sums(family, cell_sums(family) if cells is None else cells)
+    family: AveragedFamily, H: float, epsilon: float, seeds: Iterable[int] = (0,)
+) -> list[AveragedReport]:
+    """Exact weighted sum S vs predicted main term M vs error budget, one
+    report per seed, in order.  The budget, which refuses H and epsilon,
+    comes first; the cell_sums table is built once for every seed.  S and M
+    are each accumulated in cell order, skipping their own zero terms, and
+    d_coeff and e_coeff are taken once per distinct (u, v) and w of a seed."""
     budget = error_budget(family, H, epsilon)
+    cells = cell_sums(family)
     denom = budget.first_O + budget.T_envelope
-    return AveragedReport(
-        family,
-        H,
-        epsilon,
-        S,
-        M,
-        budget.first_O,
-        budget.T_envelope,
-        abs(S - M) / denom,
-        budget.hcond_ok,
-    )
+    out = []
+    for seed in seeds:
+        S = M = 0j
+        d: dict[tuple[int, int], complex] = {}
+        e: dict[int, complex] = {}
+        for u, v, w, n, mt in cells:
+            if n or mt:
+                if (u, v) not in d:
+                    d[u, v] = family.d_coeff(seed, u, v)
+                if w not in e:
+                    e[w] = family.e_coeff(seed, w)
+                weight = d[u, v] * e[w]
+                if n:
+                    S += weight * n
+                if mt:
+                    M += weight * float(mt)
+        out.append(AveragedReport(family, seed, H, epsilon, S, M, budget.first_O,
+                                  budget.T_envelope, abs(S - M) / denom, budget.hcond_ok))
+    return out

@@ -191,6 +191,9 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
     if o.primes_up_to >= 2**31:
         raise ValueError(f"--primes-up-to must be < 2^31, as count_exact needs q < 2^31,"
                          f" got {o.primes_up_to}")
+    if o.primes_up_to > _PRIMES_LIMIT:
+        raise ValueError(f"--primes-up-to must be <= 2^20, as the scan keeps a report and a"
+                         f" row for every prime until it writes, got {o.primes_up_to}")
     for name, coefficient in (("a", o.a), ("b", o.b)):
         if coefficient == 0:
             raise ValueError(f"--{name} must be nonzero, got 0")
@@ -207,6 +210,7 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
     return 0
 
 
+_PRIMES_LIMIT = 1 << 20  # count-scan: 82,025 primes, a report and a row of about 1.9 KB each
 _DRAW_CHUNK = 1 << 14  # doubles per getrandbits call of random_floats
 _SAMPLES_LIMIT = 1 << 26  # vaaler samples: 16 bytes each at the peak of random_floats, 1 GiB
 _CELLS_LIMIT = 1 << 27  # bilinear (M+1)/2 N: an int8 table and an int64 temporary, 1.2 GB
@@ -244,28 +248,16 @@ def _cmd_vaaler(o: argparse.Namespace) -> int:
 
 def _cmd_avg_scan(o: argparse.Namespace) -> int:
     _check_seeds(o)
-    family_args = dict(
-        l=o.l, m=o.m, r=o.r, s=o.s, t=o.t, U=o.U, V=o.V, W=o.W,
-        J=congruence.Interval(o.y0, o.Y),
-        bounds=congruence.box_bounds(o.X),
-        scheme=o.scheme,
-    )
-    # H and the cell counts read no seed, so every seed shares them
-    first = averaged.AveragedFamily(seed=o.seed, **family_args)
-    H = averaged.suggest_H(first, o.epsilon) if o.H is None else o.H
-    averaged.error_budget(first, H, o.epsilon)  # refuses H and epsilon before any count
-    cells = averaged.cell_sums(first)
-    rows = []
-    for seed in range(o.seed, o.seed + o.seeds):
-        fam = averaged.AveragedFamily(seed=seed, **family_args)
-        rep = averaged.avg_report(fam, H, o.epsilon, cells)
-        rows.append(reports.averaged_row(rep))
-        print(
-            f"seed {seed}: |S - M| = {abs(rep.S - rep.M)!r}  "
-            f"budget = {rep.first_O + rep.T_envelope!r}  ratio = {rep.ratio!r}"
-        )
+    fam = averaged.AveragedFamily(l=o.l, m=o.m, r=o.r, s=o.s, t=o.t, U=o.U, V=o.V, W=o.W,
+                                  J=congruence.Interval(o.y0, o.Y),
+                                  bounds=congruence.box_bounds(o.X), scheme=o.scheme)
+    H = averaged.suggest_H(fam, o.epsilon) if o.H is None else o.H
+    reps = averaged.avg_report(fam, H, o.epsilon, range(o.seed, o.seed + o.seeds))
+    for rep in reps:
+        print(f"seed {rep.seed}: |S - M| = {abs(rep.S - rep.M)!r}  "
+              f"budget = {rep.first_O + rep.T_envelope!r}  ratio = {rep.ratio!r}")
     _emit(o, "averaged congruence sums: exact weighted sum vs main term vs budget",
-          reports.AVERAGED_FIELDS, rows)
+          reports.AVERAGED_FIELDS, [reports.averaged_row(rep) for rep in reps])
     return 0
 
 

@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import factorize, is_prime, mobius, phi
+from .arith import factorize, is_prime, mobius
 
 log = logging.getLogger("congruence_lab")
 
@@ -53,6 +53,7 @@ _BLOCK_PAIRS = 1 << 14  # (alpha1, alpha2) pairs per _family block, whole rows
 _BLOCK_CELLS = 1 << 18  # int8 cells per l_t_count block, whole rows
 _GRID_CELLS = 1 << 16  # (w, z) cells per w1_min_c1 block, whole rows
 _GRID_TOL = 1e-9  # w1_min_c1 recomputes the cells this close to the grid maximum
+W2_D_LIMIT = 2**16  # w2_sum's largest d_max: one pass over the sieve sequence per d
 
 
 def icbrt(n: int) -> int:
@@ -348,21 +349,26 @@ class SieveSequence(NamedTuple):
         return sum(self.a.values())
 
 
-def build_sieve_sequence(B: int, q: int) -> SieveSequence:
-    """The sequence a_n for one window prime q; n = alpha1 alpha2 |alpha3| is
-    formed in int64, so budgets where it could reach 2^63 are refused."""
+def _normalization(B: int, q: int) -> Fraction:
+    """X = phi(q) B / (4 q^2) for a prime q in (B^{1/3}/2, B^{1/3}], else refused."""
     if not is_prime(q):
         raise ValueError("q must be prime")
     if q**3 > B or 8 * q**3 <= B:
         raise ValueError("q must lie in (B^{1/3}/2, B^{1/3}]")
+    return Fraction((q - 1) * B, 4 * q * q)  # phi(q) = q - 1
+
+
+def build_sieve_sequence(B: int, q: int) -> SieveSequence:
+    """The sequence a_n for one window prime q; n = alpha1 alpha2 |alpha3| is
+    formed in int64, so budgets where it could reach 2^63 are refused."""
+    X = _normalization(B, q)
     a1max, a2max = _alpha_bounds(B)
     if a1max * a2max * (a2max // q + 1) >= 2**63:
         raise ValueError(f"budget B = {B} too large: alpha1 alpha2 |alpha3| may overflow int64")
     products = [a1 * a2 * np.abs(a3) for a1, a2, a3 in _family(B, q)]
     ns, counts = np.unique(np.concatenate([np.zeros(0, np.int64), *products]),
                            return_counts=True)
-    return SieveSequence(B, q, Fraction(phi(q) * B, 4 * q * q),
-                         dict(zip(ns.tolist(), counts.tolist())))
+    return SieveSequence(B, q, X, dict(zip(ns.tolist(), counts.tolist())))
 
 
 def rho(d: int, q: int) -> Fraction:
@@ -409,18 +415,27 @@ def sieve_threshold(kappa: int, mu: float, beta: float) -> float:
     return mu - 1 + (mu - kappa) * (1 - 1 / beta) + (kappa + 1) * math.log(beta)
 
 
-def w2_sum(
-    seq: SieveSequence, tau_level: float = 0.4, c2: float = 1.0
-) -> dict[str, float]:
-    """Remainder mass sum_{d <= X^tau / log^{c2} X} mu^2(d) 4^omega(d) |R_d|,
-    with the comparison scale X / log^4 X."""
-    X = float(seq.X)
+def _d_max(X: float, tau_level: float, c2: float) -> float:
+    """d_max = X^tau / log^c2 X, refused unless X > 1 and 1 <= d_max <= W2_D_LIMIT."""
     if X <= 1:
         raise ValueError("normalization X must exceed 1")
     d_max = X**tau_level / math.log(X) ** c2
     if d_max < 1:
         raise ValueError(f"d_max = X^tau / log^c2 X = {d_max!r} is below 1, so the"
                          f" remainder sum is empty: raise tau (--tau) or lower c2 (--c2)")
+    if d_max > W2_D_LIMIT:
+        raise ValueError(f"d_max = X^tau / log^c2 X = {d_max!r} exceeds the cap of 2^16:"
+                         f" lower tau (--tau) or raise c2 (--c2)")
+    return d_max
+
+
+def w2_sum(
+    seq: SieveSequence, tau_level: float = 0.4, c2: float = 1.0
+) -> dict[str, float]:
+    """Remainder mass sum_{d <= X^tau / log^{c2} X} mu^2(d) 4^omega(d) |R_d|,
+    with the comparison scale X / log^4 X."""
+    X = float(seq.X)
+    d_max = _d_max(X, tau_level, c2)
     total = 0.0
     d = 1
     while d <= d_max:
@@ -508,7 +523,7 @@ def sieve_condition_report(
     Refused before any work: a rho table bound below 1 (an empty table), a
     level tau <= 0, c2 < 0 (which would raise the level X^tau / log^c2 X
     above X^tau), mu <= 0, a grid bound z_max < 5 (fewer than two odd
-    primes) and a factor bound t < 0."""
+    primes), a factor bound t < 0 and a d_max outside [1, W2_D_LIMIT]."""
     if rho_table_max < 1:
         raise ValueError(f"rho_table_max (--rho-max) must be >= 1, got {rho_table_max}")
     if tau_level <= 0:
@@ -521,6 +536,7 @@ def sieve_condition_report(
         raise ValueError(f"z_max (--z-max) must be >= 5, got {z_max}")
     if t < 0:
         raise ValueError(f"t (--t) must be >= 0, got {t}")
+    _d_max(float(_normalization(B, q)), tau_level, c2)
     seq = build_sieve_sequence(B, q)
     table = {
         str(d): _ratio(rho(d, q)) for d in range(1, rho_table_max + 1) if mobius(d) != 0

@@ -65,7 +65,7 @@ def box_row(report: CountReport, timings: bool = False) -> tuple:
 def averaged_row(report: AveragedReport) -> tuple:
     fam = report.family
     return (fam.l, fam.m, fam.r, fam.s, fam.t, fam.U, fam.V, fam.W, fam.J.length,
-            fam.scheme, fam.seed, report.H, report.epsilon, report.S.real, report.S.imag,
+            fam.scheme, report.seed, report.H, report.epsilon, report.S.real, report.S.imag,
             report.M.real, report.M.imag, report.first_O, report.T_envelope, report.ratio)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -31,7 +30,7 @@ def _family(**kw):
     base = dict(
         l=1, m=1, r=1, s=1, t=3, U=1, V=1, W=Fraction(1, 2),
         J=cg.Interval(0, 10), bounds=cg.box_bounds(5),
-        scheme="all-ones", seed=0,
+        scheme="all-ones",
     )
     base.update(kw)
     return av.AveragedFamily(**base)
@@ -39,11 +38,11 @@ def _family(**kw):
 
 def _sums(fam):
     # (S, M) of avg_report, which neither H nor epsilon changes
-    rep = av.avg_report(fam, 1.0, 0.0)
+    (rep,) = av.avg_report(fam, 1.0, 0.0)
     return rep.S, rep.M
 
 
-def _cell_loop(fam):
+def _cell_loop(fam, seed):
     # (S, M) by a per-cell, per-y recomputation of both sums in the
     # accumulation order of avg_report
     S = M = 0j
@@ -57,9 +56,9 @@ def _cell_loop(fam):
                 n += max(0, (bounds.upper(y) - c) // q - (bounds.lower(y) - c) // q)
                 mt += bounds.upper(y) - bounds.lower(y)
         if n:
-            S += fam.d_coeff(u, v) * fam.e_coeff(w) * n
+            S += fam.d_coeff(seed, u, v) * fam.e_coeff(seed, w) * n
         if mt:
-            M += fam.d_coeff(u, v) * fam.e_coeff(w) * float(mt / q)
+            M += fam.d_coeff(seed, u, v) * fam.e_coeff(seed, w) * float(mt / q)
     return S, M
 
 
@@ -89,22 +88,22 @@ def test_family_validation():
 
 def test_all_ones_coefficients_are_one():
     fam = _family()
-    assert fam.d_coeff(2, 2) == 1
-    assert fam.e_coeff(1) == 1
+    assert fam.d_coeff(0, 2, 2) == 1
+    assert fam.e_coeff(0, 1) == 1
 
 
 def test_factorized_coefficients_split():
-    fam = _family(scheme="factorized", U=2, V=2, seed=5)
+    fam = _family(scheme="factorized", U=2, V=2)
     du = {u: av.unit_disc_point(5, 1, u) for u in (3, 4)}
     dv = {v: av.unit_disc_point(5, 2, v) for v in (3, 4)}
     for u in (3, 4):
         for v in (3, 4):
-            assert fam.d_coeff(u, v) == du[u] * dv[v]
+            assert fam.d_coeff(5, u, v) == du[u] * dv[v]
 
 
 def test_joint_coefficients_do_not_split():
-    fam = _family(scheme="joint", U=2, V=2, seed=5)
-    vals = {(u, v): fam.d_coeff(u, v) for u in (3, 4) for v in (3, 4)}
+    fam = _family(scheme="joint", U=2, V=2)
+    vals = {(u, v): fam.d_coeff(5, u, v) for u in (3, 4) for v in (3, 4)}
     prod_form = vals[(3, 3)] * vals[(4, 4)]
     cross = vals[(3, 4)] * vals[(4, 3)]
     assert prod_form != cross  # a rank-one table would make these equal
@@ -251,16 +250,18 @@ def test_dominance_report_warns_on_large_cells():
 def test_work_estimate_guard():
     fam = _family(U=3000, V=3000, W=3000, t=1,
                   J=cg.Interval(0, 10**6), bounds=cg.box_bounds(10**6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="estimated work of 27000000000000000 steps .* exceeds"
+                                         " the cap of 1e9 steps"):
         av.cell_sums(fam)
 
 
 def test_avg_report_consistency():
     fam = _family(scheme="joint", t=5, U=2, V=2, W=2,
-                  J=cg.Interval(0, 30), bounds=cg.box_bounds(5), seed=3)
+                  J=cg.Interval(0, 30), bounds=cg.box_bounds(5))
     H = av.suggest_H(fam, 0.05)
-    rep = av.avg_report(fam, H, 0.05)
-    assert (rep.S, rep.M) == _cell_loop(fam)
+    (rep,) = av.avg_report(fam, H, 0.05, seeds=(3,))
+    assert rep.seed == 3
+    assert (rep.S, rep.M) == _cell_loop(fam, 3)
     denom = rep.first_O + rep.T_envelope
     assert rep.ratio == pytest.approx(abs(rep.S - rep.M) / denom)
 
@@ -270,39 +271,34 @@ def test_avg_report_affine_bounds_match_cell_loop():
     # per-y recomputation of both sums in the old accumulation order
     bounds = cg.BoundarySpec(Fraction(-3, 2), Fraction(1, 3), 20, Fraction(-1, 4))
     fam = _family(scheme="joint", t=5, U=2, V=2, W=2, l=2, m=1, r=3, s=-2,
-                  J=cg.Interval(Fraction(-7, 2), 40), bounds=bounds, seed=11)
-    S, M = _cell_loop(fam)
-    rep = av.avg_report(fam, 10.0, 0.05)
+                  J=cg.Interval(Fraction(-7, 2), 40), bounds=bounds)
+    S, M = _cell_loop(fam, 11)
+    (rep,) = av.avg_report(fam, 10.0, 0.05, seeds=(11,))
     assert (rep.S, rep.M) == (S, M)
     assert av.char_length(fam) == float(bounds.upper(Fraction(-7, 2))
                                         - bounds.lower(Fraction(-7, 2)))
 
 
 def test_one_boundary_walk_per_cell(monkeypatch):
-    # one _numerators walk per distinct modulus tw, and none at all for a
-    # second seed given the table of the first
-    calls = []
-    numerators = cg._numerators
-
-    def counted(*args):
-        calls.append(args)
-        return numerators(*args)
-
-    monkeypatch.setattr(cg, "_numerators", counted)
+    # one _numerators walk per distinct modulus tw and one error_budget per
+    # call, however many seeds it reports
+    calls, budgets = [], []
+    numerators, error_budget = cg._numerators, av.error_budget
+    monkeypatch.setattr(cg, "_numerators", lambda *args: calls.append(args) or numerators(*args))
+    monkeypatch.setattr(av, "error_budget",
+                        lambda *args: budgets.append(args) or error_budget(*args))
     fam = _family(scheme="factorized", t=7, U=3, V=3, W=2,
-                  J=cg.Interval(0, 30), bounds=cg.box_bounds(5), seed=3)
+                  J=cg.Interval(0, 30), bounds=cg.box_bounds(5))
     cells = fam.cells()
     moduli = {7 * w for _, _, w in cells}
-    rep = av.avg_report(fam, 10.0, 0.05)
+    reps = av.avg_report(fam, 10.0, 0.05, seeds=(3, 4))
     assert sorted(args[0] for args in calls) == sorted(moduli)
     assert len(cells) > len(moduli) > 1
-    table = av.cell_sums(fam)
-    other = dataclasses.replace(fam, seed=4)
-    want = av.avg_report(other, 10.0, 0.05)
+    assert budgets == [(fam, 10.0, 0.05)]
+    assert reps == [*av.avg_report(fam, 10.0, 0.05, seeds=(3,)),
+                    *av.avg_report(fam, 10.0, 0.05, seeds=(4,))]
+    assert [rep.seed for rep in reps] == [3, 4] and reps[0].S != reps[1].S
     calls.clear()
-    assert av.avg_report(fam, 10.0, 0.05, table) == rep
-    assert av.avg_report(other, 10.0, 0.05, table) == want
-    assert calls == []
     cg.boundary_report(1, 1, 7, cg.BoundarySpec(0, 1, 3, 2), cg.Interval(0, 20), H=4)
     assert len(calls) == 1
 
@@ -312,31 +308,30 @@ def test_weights_taken_once_per_distinct_key(scheme, monkeypatch):
     # the report keeps the bits of the per-cell weight loop, while d_coeff
     # and e_coeff run once per distinct (u, v) and w of the nonzero cells
     bounds = cg.BoundarySpec(-2, Fraction(1, 3), 20, Fraction(-1, 4))
-    fam = _family(scheme=scheme, t=7, U=3, V=3, W=2, J=cg.Interval(-4, 30),
-                  bounds=bounds, seed=3)
+    fam = _family(scheme=scheme, t=7, U=3, V=3, W=2, J=cg.Interval(-4, 30), bounds=bounds)
     table = av.cell_sums(fam)
     S = M = 0j
     for u, v, w, n, mt in table:
         if n or mt:
-            weight = fam.d_coeff(u, v) * fam.e_coeff(w)
+            weight = fam.d_coeff(3, u, v) * fam.e_coeff(3, w)
             if n:
                 S += weight * n
             if mt:
                 M += weight * float(mt)
     budget = av.error_budget(fam, 10.0, 0.05)
-    want = av.AveragedReport(fam, 10.0, 0.05, S, M, budget.first_O, budget.T_envelope,
+    want = av.AveragedReport(fam, 3, 10.0, 0.05, S, M, budget.first_O, budget.T_envelope,
                              abs(S - M) / (budget.first_O + budget.T_envelope),
                              budget.hcond_ok)
     d_keys, e_keys = [], []
     d_coeff, e_coeff = av.AveragedFamily.d_coeff, av.AveragedFamily.e_coeff
-    monkeypatch.setattr(av.AveragedFamily, "d_coeff",
-                        lambda self, u, v: d_keys.append((u, v)) or d_coeff(self, u, v))
-    monkeypatch.setattr(av.AveragedFamily, "e_coeff",
-                        lambda self, w: e_keys.append(w) or e_coeff(self, w))
-    assert av.avg_report(fam, 10.0, 0.05, table) == want
+    monkeypatch.setattr(av.AveragedFamily, "d_coeff", lambda self, seed, u, v:
+                        d_keys.append((seed, u, v)) or d_coeff(self, seed, u, v))
+    monkeypatch.setattr(av.AveragedFamily, "e_coeff", lambda self, seed, w:
+                        e_keys.append((seed, w)) or e_coeff(self, seed, w))
+    assert av.avg_report(fam, 10.0, 0.05, seeds=(3,)) == [want]
     live = [(u, v, w) for u, v, w, n, mt in table if n or mt]
-    assert sorted(d_keys) == sorted({(u, v) for u, v, _ in live})
-    assert sorted(e_keys) == sorted({w for *_, w in live})
+    assert sorted(d_keys) == sorted({(3, u, v) for u, v, _ in live})
+    assert sorted(e_keys) == sorted({(3, w) for *_, w in live})
     assert len(live) > len(d_keys) > len(e_keys) > 1
 
 

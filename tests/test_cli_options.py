@@ -86,6 +86,10 @@ REFUSALS = {
                             " remainder sum is empty: raise tau (--tau) or lower c2 (--c2)"),
     "empty remainder sum key": (["dp6-sieve", "--B", "1500", "--tau", "0.3", "--out", "x.csv"],
                                 "c2 = 2\n", "d_max = X^tau / log^c2 X = 0.21523336859822245"),
+    "remainder level beyond the cap": (
+        ["dp6-sieve", "--B", "1000000", "--q", "97", "--tau", "3", "--out", "x.csv"], None,
+        "d_max = X^tau / log^c2 X = 2115718330.0800161 exceeds the cap of 2^16: lower tau"
+        " (--tau) or raise c2 (--c2)"),
     "nan H flag": (["avg-scan", "--H", "nan", "--out", "x.csv"], None,
                    "argument --H: must be a finite number, got 'nan'"),
     "infinite H flag": (["avg-scan", "--H", "inf"], None,
@@ -112,6 +116,10 @@ REFUSALS = {
                                        " q < 2^31, got 2147483648"),
     "prime bound beyond int32 key": (["count-scan"], "primes-up-to = 2147483648\n",
                                      "--primes-up-to must be < 2^31"),
+    "prime bound beyond the cap": (["count-scan", "--primes-up-to", str(2**20 + 1), "--out",
+                                    "x.csv"], None,
+                                   "--primes-up-to must be <= 2^20, as the scan keeps a report"
+                                   " and a row for every prime until it writes, got 1048577"),
     "negative sieve factor bound": (["dp6-sieve", "--t", "-1", "--out", "x.csv"], None,
                                     "t (--t) must be >= 0, got -1"),
     "negative sieve factor bound key": (["dp6-sieve"], "t = -3\n", "t (--t) must be >= 0, got -3"),
@@ -131,6 +139,11 @@ REFUSALS = {
     "avg-scan epsilon overflow at given H": (["avg-scan", "--epsilon", "1e300", "--H", "2"],
                                              None, "epsilon is too large"),
     "zero avg-scan H": (["avg-scan", "--H", "0", "--out", "x.csv"], None, "H must be positive"),
+    "avg-scan work beyond the cap": (["avg-scan", "--U", "1000000", "--V", "1000", "--out",
+                                      "x.csv"], None,
+                                     "--U, --V, --W, --Y: the family's estimated work of"
+                                     " 8000000000 steps (cells times the integers of J) exceeds"
+                                     " the cap of 1e9 steps"),
     "bilinear epsilon overflow": (["bilinear", "--epsilon", "1e300", "--out", "x.csv"], None,
                                   "epsilon is too large"),
     "count bound beyond float": (["count", "--a", "1", "--b", "1", "--q", "5", "--X", "1e300",
@@ -186,7 +199,8 @@ def test_refused_before_any_output(case, tmp_path, capsys, monkeypatch):
 # cases whose refusal would otherwise come after a prime sieve, a cell count,
 # a sieve sequence, a Jacobi table, a box count or a draw of vaaler samples
 BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
-               "negative sieve factor bound",
+               "prime bound beyond the cap", "negative sieve factor bound",
+               "empty remainder sum", "empty remainder sum key", "remainder level beyond the cap",
                "avg-scan epsilon overflow at given H", "zero avg-scan H",
                "bilinear epsilon overflow", "count bound beyond float",
                "count main term beyond float", "scan count bound beyond float at a later q",
@@ -205,6 +219,15 @@ def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
                          (cli.congruence, "count_exact"), (cli, "random_floats")):
         monkeypatch.setattr(module, name, no_work)
     test_refused_before_any_output(case, tmp_path, capsys, monkeypatch)
+
+
+def test_avg_scan_work_cap_refused_before_any_count(tmp_path, capsys, monkeypatch):
+    # cell_sums itself holds the cap, so the count below it is the one patched
+    def no_work(*args):
+        raise AssertionError("cells were counted before the work cap was checked")
+
+    monkeypatch.setattr(cli.averaged, "class_sums", no_work)
+    test_refused_before_any_output("avg-scan work beyond the cap", tmp_path, capsys, monkeypatch)
 
 
 def test_flag_and_config_values_agree(tmp_path, capsys, monkeypatch):

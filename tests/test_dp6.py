@@ -521,6 +521,8 @@ def test_w2_sum_shape():
     assert out["implied_c3"] == pytest.approx(out["sum"] / out["comparison_scale"])
     with pytest.raises(ValueError, match=r"d_max = .* is below 1.*--tau.*--c2"):
         dp6.w2_sum(seq, tau_level=0.01)
+    with pytest.raises(ValueError, match=r"d_max = .* exceeds the cap of 2\^16.*--tau.*--c2"):
+        dp6.w2_sum(seq, tau_level=4.0)
 
 
 def test_w1_min_c1():
@@ -584,6 +586,8 @@ def test_sieve_condition_report_is_json_ready():
     (dict(mu=-2.5), r"\(--mu\) must be > 0, got -2.5"),
     (dict(z_max=4), r"\(--z-max\) must be >= 5, got 4"),
     (dict(t=-1), r"t \(--t\) must be >= 0, got -1"),
+    (dict(tau_level=0.01), r"d_max = X\^tau / log\^c2 X = .* is below 1"),
+    (dict(tau_level=4.0), r"d_max = X\^tau / log\^c2 X = .* exceeds the cap of 2\^16"),
 ])
 def test_sieve_condition_report_refuses_before_any_work(kwargs, message, monkeypatch):
     def no_work(*args):

@@ -42,12 +42,13 @@ def test_averaged_row_fields():
         l=1, m=1, r=1, s=1, t=3, U=1, V=1, W=Fraction(1, 2),
         J=cg.Interval(0, 10), bounds=cg.box_bounds(5),
     )
-    rep = av.avg_report(fam, H=4, epsilon=0.05)
+    (rep,) = av.avg_report(fam, H=4, epsilon=0.05, seeds=(7,))
     row = reports.averaged_row(rep)
     assert len(row) == len(reports.AVERAGED_FIELDS)
     row = dict(zip(reports.AVERAGED_FIELDS, row))
     assert row["W"] == Fraction(1, 2)
     assert row["scheme"] == "all-ones"
+    assert row["seed"] == 7
     assert row["S_im"] == 0.0
 
 
