@@ -11,19 +11,21 @@ where T(s, t) counts the unit pairs x <= s, y <= t with -a x^e = b y^f
 unit y residues, each block sieved by one strided write per prime of q
 into a boolean mask.  For e = 1 each unit y fixes the one class x = c_y =
 -a^{-1} b y^f mod q, so the blocks are all it holds, and T(q, t), the
-number of unit y <= t, is sum mu(d) floor(t/d) over d | rad(q): when
-rx = 0 no block is walked at all.  Otherwise half a walk does: (q - y)^f =
-(-1)^f y^f, so the mirror q - y has the class c_y for even f and q - c_y
-for odd f, and the floor(q/2) residues y <= q/2 (their units only) decide
-T(rx, ry) and T(rx, q) for every unit of [1, q), at two floor_mods per
-unit for f = 2.  For e >= 2 it also fills one int32
-table of y-counts per key (4 bytes per residue) and reads it at the
-x-keys.  O(q) time at most, q < 2^31 so every residue product fits in
+number of unit y <= t, is phi(q) for t = q and sum mu(d) floor(t/d) over
+d | rad(q) for t = ry: when rx = 0 no block is walked at all.  Otherwise
+half a walk does: (q - y)^f = (-1)^f y^f, so the mirror q - y has the
+class c_y for even f and q - c_y for odd f, and the floor(q/2) residues
+y <= q/2 (their units only) decide T(rx, ry) and T(rx, q) for every unit
+of [1, q), at two floor_mods per unit for f = 2.  For e >= 2 it also fills
+one int32 table of y-counts per key (4 bytes per residue) and reads it at
+the x-keys.  O(q) time at most, q < 2^31 so every residue product fits in
 int64, and the T are combined in Python ints, so counts stay exact for any
 rational box.  Every int64 reduction mod q is arith.floor_mod, x - x // q
 * q: numpy divides by a scalar with a multiply and a shift, where % takes
-one hardware divide per element.  Boxes get a main-term/error-envelope
-split phi(q) X Y / q^2 + O(...).
+one hardware divide per element.  Boxes get a main-term/error-envelope split
+phi(q) X Y / q^2 + O(...).  box_report and scan_boxes factor each q once and
+check every box's count bound, main term and envelope before the first
+count; a box's seconds cover its forms and count.
 
 Regions whose x-range depends on y through slowly varying boundary functions
 are counted through the floor identity
@@ -60,7 +62,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import factorize, floor_mod, log1n, mod_inv, phi, sigma_half_inv, tau
+from .arith import factorize, floor_mod, log1n, mod_inv, phi
 
 log = logging.getLogger("congruence_lab")
 
@@ -87,12 +89,12 @@ class CongruenceInstance:
     f: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "X", Fraction(self.X))
-        object.__setattr__(self, "Y", Fraction(self.Y))
+        object.__setattr__(self, "X", X := Fraction(self.X))
+        object.__setattr__(self, "Y", Y := Fraction(self.Y))
         _check_coefficients(self.a, self.b, self.q)
         if self.e < 1 or self.f < 1:
             raise ValueError("exponents e, f must be >= 1")
-        if self.X < 1 or self.Y < 1:
+        if X.numerator < X.denominator or Y.numerator < Y.denominator:  # X < 1 or Y < 1
             raise ValueError("box sides X, Y must be >= 1")
         if self.e >= 2 and self.q > _TABLE_Q_LIMIT:
             raise ValueError(f"e >= 2 (--e) needs q (--q) <= 2^28 for count_exact's 4q-byte"
@@ -127,10 +129,10 @@ def _units(lo: int, hi: int, primes: list[int], dtype=np.int64) -> Iterator[np.n
 
 def _unit_count(t: int, primes: list[int]) -> int:
     # #{1 <= y <= t : no p in primes divides y} = sum over d | prod(primes)
-    # of mu(d) floor(t / d), 2^len(primes) terms (at most 2^9 for q < 2^31)
+    # of mu(d) floor(t / d), over the d <= t only (a larger d adds 0)
     terms = [(1, 1)]  # (d, mu(d))
     for p in primes:
-        terms += [(d * p, -mu) for d, mu in terms]
+        terms += [(d * p, -mu) for d, mu in terms if d * p <= t]
     return sum(mu * (t // d) for d, mu in terms)
 
 
@@ -200,8 +202,8 @@ def count_exact(inst: CongruenceInstance) -> int:
     primes of q in blocks of _BLOCK.
 
     For e = 1 each unit y fixes one unit x, the class c_y = -a^{-1} b y^f mod
-    q, so T(q, t) is the number of unit y <= t, taken in closed form by
-    inclusion-exclusion over the primes of q, and T(rx, t) the number of
+    q, so T(q, t) is the number of unit y <= t (phi(q) for t = q, else by
+    inclusion-exclusion over the primes of q), and T(rx, t) the number of
     those with c_y <= rx.  y and q - y share their class (even f) or mirror
     it to q - c_y (odd f), so the y walked are the units y <= floor(q/2)
     only, and only when rx > 0 (rx = 0 covers q = 1 and every X that is a
@@ -213,16 +215,19 @@ def count_exact(inst: CongruenceInstance) -> int:
     rational X and Y and any signs of a and b.  q must satisfy 1 <= q <
     2^31: ValueError naming q otherwise, before anything is allocated.
     """
+    _check_modulus(inst.q)
+    return _count(inst, [p for p, _ in factorize(inst.q).factors], phi(inst.q))
+
+
+def _count(inst: CongruenceInstance, primes: list[int], phi_q: int) -> int:
+    # count_exact of a checked modulus, given its primes and phi(q)
     q = inst.q
-    _check_modulus(q)
     Qx, rx = divmod(inst.X.numerator // inst.X.denominator, q)
     Qy, ry = divmod(inst.Y.numerator // inst.Y.denominator, q)
-    primes = [p for p, _ in factorize(q).factors]
     if inst.e == 1:
         k = -mod_inv(inst.a, q) * inst.b % q
         t_rr, t_rq = _class_hits(k, inst.f, q, rx, ry, primes) if rx else (0, 0)
-        t_qr, t_qq = _unit_count(ry, primes), _unit_count(q, primes)
-        return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
+        return Qx * Qy * phi_q + Qx * _unit_count(ry, primes) + Qy * t_rq + t_rr
     ka, kb = -inst.a % q, inst.b % q
     table = np.zeros(q, dtype=np.int32)
     sums = []  # (T(rx, t), T(q, t)) for t = ry, then t = q
@@ -244,24 +249,42 @@ def count_exact(inst: CongruenceInstance) -> int:
     return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
 
 
+def _modulus(q: int) -> tuple[list[int], int, int, float]:
+    # (primes, phi, tau, sigma_{-1/2}) of q from one factorize(q), sigma summed as in arith
+    factors = factorize(q).factors
+    phi_q, divs = q, [1]
+    for p, e in factors:
+        phi_q -= phi_q // p
+        divs += [d * p**k for k in range(1, e + 1) for d in divs]
+    divs.sort()
+    return [p for p, _ in factors], phi_q, len(divs), sum([1.0 / math.sqrt(d) for d in divs])
+
+
+def _completed_term(c: float, q: int, Y: float, tau_q: int, sigma_q: float) -> float:
+    # the completed Gauss sums of both envelopes, multiplied left to right
+    return c * sigma_q * (Y / math.sqrt(q) * tau_q + math.sqrt(q) * log1n(q))
+
+
+def _closed_forms(inst: CongruenceInstance, modulus: tuple) -> tuple[float, float]:
+    # (main term, envelope) of an e = 1, f = 2 box, left to right; each side a
+    # float once, as numerator / denominator, the rounding of float(Fraction)
+    if (inst.e, inst.f) != (1, 2):
+        raise ValueError("main term and error envelope are for e = 1, f = 2")
+    q = inst.q
+    _, phi_q, tau_q, sigma_q = modulus
+    X, Y = inst.X.numerator / inst.X.denominator, inst.Y.numerator / inst.Y.denominator
+    return (phi_q * X * Y / q**2,
+            X / q * tau_q + _completed_term(log1n(q), q, Y, tau_q, sigma_q))
+
+
 def main_term(inst: CongruenceInstance) -> float:
     """phi(q) X Y / q^2 (linear-quadratic pairing only)."""
-    if (inst.e, inst.f) != (1, 2):
-        raise ValueError("main term is for e = 1, f = 2")
-    return phi(inst.q) * float(inst.X) * float(inst.Y) / inst.q**2
-
-
-def _completed_term(c: float, q: int, Y: float) -> float:
-    # the completed Gauss sums of both envelopes, multiplied left to right
-    return c * sigma_half_inv(q) * (Y / math.sqrt(q) * tau(q) + math.sqrt(q) * log1n(q))
+    return _closed_forms(inst, _modulus(inst.q))[0]
 
 
 def error_envelope(inst: CongruenceInstance) -> float:
     """Envelope X/q tau(q) + L(q) sigma_{-1/2}(q) (Y/sqrt(q) tau(q) + sqrt(q) L(q))."""
-    if (inst.e, inst.f) != (1, 2):
-        raise ValueError("error envelope is for e = 1, f = 2")
-    q = inst.q
-    return float(inst.X) / q * tau(q) + _completed_term(log1n(q), q, float(inst.Y))
+    return _closed_forms(inst, _modulus(inst.q))[1]
 
 
 class CountReport(NamedTuple):
@@ -276,36 +299,38 @@ class CountReport(NamedTuple):
 _FLOAT_MAX = int(sys.float_info.max)
 
 
-def _check_count_bound(inst: CongruenceInstance) -> None:
-    # exact - main_term converts the count to a float, so its trivial bound
-    # floor(Y) (floor(X) // q + 1) must be one: each y <= Y fixes one class
-    # of x mod q, and a class holds at most floor(X) // q + 1 of the x <= X
-    X, Y = inst.X.numerator // inst.X.denominator, inst.Y.numerator // inst.Y.denominator
-    if Y * (X // inst.q + 1) > _FLOAT_MAX:
-        raise ValueError(f"box sides X, Y are too large at q = {inst.q}: the count bound"
-                         f" floor(Y) (floor(X) // q + 1) is outside float range")
+def _reports(instances: list[CongruenceInstance]) -> list[CountReport]:
+    # every count bound (exact - main makes the count a float; each y <= Y has
+    # one class of x mod q, so at most floor(X) // q + 1 of the x <= X), then
+    # every main term and envelope, is checked before the first count
+    for inst in instances:
+        X, Y = inst.X.numerator // inst.X.denominator, inst.Y.numerator // inst.Y.denominator
+        if Y * (X // inst.q + 1) > _FLOAT_MAX:
+            raise ValueError(f"box sides X, Y are too large at q = {inst.q}: the count bound"
+                             f" floor(Y) (floor(X) // q + 1) is outside float range")
+    forms = []
+    for inst in instances:
+        t0 = time.perf_counter()
+        modulus = _modulus(inst.q)
+        main, env = _closed_forms(inst, modulus)
+        if not (math.isfinite(main) and math.isfinite(env)):
+            raise ValueError(f"box sides X, Y are too large at q = {inst.q}: main term {main!r},"
+                             f" envelope {env!r}, outside float range")
+        forms.append((modulus, main, env, time.perf_counter() - t0))
+    reps = []
+    for inst, ((primes, phi_q, _, _), main, env, seconds) in zip(instances, forms):
+        t0 = time.perf_counter()
+        exact = _count(inst, primes, phi_q)
+        seconds += time.perf_counter() - t0
+        reps.append(CountReport(inst, exact, main, env, abs(exact - main) / env, seconds))
+    return reps
 
 
 def box_report(inst: CongruenceInstance) -> CountReport:
     """Exact count, main term, envelope and |exact - main|/envelope of an
-    e = 1, f = 2 box.  Refused (ValueError naming X, Y) before the count
-    when the count's trivial bound floor(Y) (floor(X) // q + 1), the main
-    term or the envelope is outside float range."""
-    _check_count_bound(inst)
-    return _report(inst)
-
-
-def _report(inst: CongruenceInstance) -> CountReport:
-    # box_report of a box whose count bound is checked
-    t0 = time.perf_counter()
-    main = main_term(inst)
-    env = error_envelope(inst)
-    if not (math.isfinite(main) and math.isfinite(env)):
-        raise ValueError(f"box sides X, Y are too large at q = {inst.q}: main term {main!r},"
-                         f" envelope {env!r}, outside float range")
-    exact = count_exact(inst)
-    seconds = time.perf_counter() - t0
-    return CountReport(inst, exact, main, env, abs(exact - main) / env, seconds)
+    e = 1, f = 2 box: scan_boxes of one box, with the same refusals."""
+    _check_modulus(inst.q)
+    return _reports([inst])[0]
 
 
 def scan_boxes(
@@ -319,9 +344,8 @@ def scan_boxes(
     family of moduli, in input order; a side left None is the modulus q
     itself.  Refused (ValueError) before any count: a or b = 0, a fixed
     side below 1, a modulus below 1 or of 2^31 or more (naming q), and a
-    box whose count bound floor(Y) (floor(X) // q + 1) is outside float
-    range; a main term or envelope outside float range is refused by
-    box_report before its own box is counted.  The moduli with gcd(ab, q)
+    box whose count bound floor(Y) (floor(X) // q + 1), main term or
+    envelope is outside float range (naming q).  The moduli with gcd(ab, q)
     != 1 are skipped with a log line."""
     if a == 0 or b == 0:
         raise ValueError("coefficients a, b must be nonzero")
@@ -335,9 +359,7 @@ def scan_boxes(
             log.warning("skipping q=%d: a*b must be coprime to q", q)
             continue
         instances.append(CongruenceInstance(a, b, q, q if X is None else X, q if Y is None else Y))
-    for inst in instances:
-        _check_count_bound(inst)
-    return [_report(inst) for inst in instances]
+    return _reports(instances)
 
 
 # ---- regions sliced by boundary functions of y ----
@@ -494,7 +516,8 @@ def boundary_report(
     main = float(mt)
     Y = float(J.length)
     delta = distortion(H, bounds, J, q)
-    env = Y / H + _completed_term(delta * log1n(H), q, Y)
+    _, _, tau_q, sigma_q = _modulus(q)
+    env = Y / H + _completed_term(delta * log1n(H), q, Y, tau_q, sigma_q)
     seconds = time.perf_counter() - t0
     return BoundaryReport(exact, main, env, abs(exact - main) / env, H, delta, seconds)
 

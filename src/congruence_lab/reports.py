@@ -3,10 +3,10 @@
 A report row is a tuple of values in the order of its *_FIELDS schema.
 write_report formats every cell once, as a string, by fmt, and the JSON
 mirror stores those same strings, so CSV -> JSON -> CSV is byte-identical.
-Floats use repr (shortest round-trip form), rationals use num/den, booleans
-use true/false.  Wall-clock columns are written as 0.0 unless timings are
-explicitly requested, keeping default output byte-identical across runs and
-machines.
+fmt goes by a cell's exact type: floats use repr (shortest round-trip form),
+rationals num/den, booleans true/false; other types (numpy's float64 too)
+raise TypeError.  Wall-clock columns are written as 0.0 unless timings are
+requested, keeping default output byte-identical across runs and machines.
 """
 
 from __future__ import annotations
@@ -39,20 +39,17 @@ BILINEAR_FIELDS = ("M", "N", "seed", "epsilon", "abs_sum", "bound", "ratio")
 VAALER_FIELDS = ("H", "samples", "seed", "violations", "worst_slack")
 
 
+class _Formats(dict):
+    def __missing__(self, kind):
+        raise TypeError(f"no stable format for {kind.__name__}")
+
+
+_FORMATS = _Formats({bool: lambda value: "true" if value else "false", int: str, float: repr,
+                     Fraction: str, str: str})  # str(Fraction(n, 1)) is str(n)
+
+
 def fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, str):
-        return value
-    raise TypeError(f"no stable format for {type(value).__name__}")
+    return _FORMATS[type(value)](value)
 
 
 def box_row(report: CountReport, timings: bool = False) -> tuple:
@@ -167,10 +164,10 @@ def write_report(
     fields: Iterable[str],
     rows: list[Sequence],
 ) -> None:
-    """Write rows of values, each in field order, with every cell through
-    fmt; a row with more or fewer values than fields raises ValueError."""
+    """Write rows of values, each in field order, each cell as fmt formats
+    it; a row with more or fewer values than fields raises ValueError."""
     fields = list(fields)
-    cells = [[fmt(value) for value in row] for row in rows]
+    cells = [[_FORMATS[type(value)](value) for value in row] for row in rows]
     for row in cells:
         if len(row) != len(fields):
             raise ValueError(f"report row of {len(row)} values for {len(fields)} fields: {row}")

@@ -156,6 +156,9 @@ REFUSALS = {
     "scan count bound beyond float at a later q": (
         ["count-scan", "--q-list", "1000003,5", "--x", "1e300", "--y", "1e10", "--out", "x.csv"],
         None, "box sides X, Y are too large at q = 5"),
+    "scan main term beyond float at a later q": (
+        ["count-scan", "--q-list", "3,1000000007", "--x", "1e150", "--y", "1e150", "--out",
+         "x.csv"], None, "at q = 1000000007: main term inf"),
     "avg-scan H t U V W beyond float": (["avg-scan", "--H", "1e308", "--out", "x.csv"], None,
                                         "H t U V W = inf is outside float range: lower H (--H)"),
     "avg-scan budget beyond float key": (["avg-scan", "--out", "x.csv"], "H = 1e-320\n",
@@ -204,6 +207,7 @@ BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "avg-scan epsilon overflow at given H", "zero avg-scan H",
                "bilinear epsilon overflow", "count bound beyond float",
                "count main term beyond float", "scan count bound beyond float at a later q",
+               "scan main term beyond float at a later q",
                "avg-scan H t U V W beyond float", "avg-scan budget beyond float key",
                "vaaler samples beyond the cap", "bilinear table beyond the cap",
                "general count modulus beyond the table cap")

@@ -376,6 +376,48 @@ def test_scan_boxes_takes_plain_values():
         cg.count_exact(cg.CongruenceInstance(2, -3, q, q, Fraction(7, 2))) for q in (5, 7)]
 
 
+def test_modulus_matches_arith():
+    # the one factorization behind the box forms gives arith's own values
+    for q in range(1, 5000):
+        primes, phi, tau, sigma = cg._modulus(q)
+        assert primes == [p for p, _ in arith.factorize(q).factors], q
+        assert (phi, tau, sigma) == (arith.phi(q), arith.tau(q), arith.sigma_half_inv(q)), q
+        assert cg._unit_count(q, primes) == arith.phi(q), q
+
+
+def test_scan_boxes_matches_box_report_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    side = st.none() | st.fractions(min_value=1, max_value=10**6, max_denominator=50)
+    coefficient = st.integers(-10**4, 10**4).filter(bool)
+    tau, sigma, L, sqrt = arith.tau, arith.sigma_half_inv, arith.log1n, math.sqrt
+
+    # primes, squarefree and square-heavy moduli alike (tau 2, 64 and 81 below)
+    modulus = st.integers(1, 10**5 - 1) | st.sampled_from([99991, 30030, 44100])
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(qs=st.lists(modulus, min_size=1, max_size=3),
+                      a=coefficient, b=coefficient, X=side, Y=side)
+    def check(qs, a, b, X, Y):
+        reps = cg.scan_boxes(qs, a, b, X, Y)
+        kept = [q for q in qs if math.gcd(a * b, q) == 1]
+        assert [r.instance.q for r in reps] == kept
+        for q, rep in zip(kept, reps):
+            inst = cg.CongruenceInstance(a, b, q, q if X is None else X, q if Y is None else Y)
+            one = cg.box_report(inst)
+            assert rep.instance == one.instance == inst
+            assert rep.exact == one.exact == cg.count_exact(inst)
+            # the forms as literal expressions of arith's values, left to right
+            x, y = float(inst.X), float(inst.Y)
+            main = arith.phi(q) * x * y / q**2
+            env = x / q * tau(q) + L(q) * sigma(q) * (y / sqrt(q) * tau(q) + sqrt(q) * L(q))
+            for got in (rep, one):
+                assert [v.hex() for v in got[2:5]] == [
+                    main.hex(), env.hex(), (abs(rep.exact - main) / env).hex()]
+
+    check()
+
+
 # ---- boundary counting ----
 
 def test_interval():

@@ -25,6 +25,13 @@ def test_fmt():
         reports.fmt([1, 2])
 
 
+@pytest.mark.parametrize("value", [np.float64(0.1), np.int64(3)])
+def test_fmt_refuses_numpy_scalars(value):
+    # np.float64 subclasses float, yet its repr differs across numpy versions
+    with pytest.raises(TypeError, match=f"no stable format for {type(value).__name__}"):
+        reports.fmt(value)
+
+
 def test_box_row_fields_and_timings():
     rep = cg.box_report(cg.CongruenceInstance(1, 1, 5, 10, 10))
     row = reports.box_row(rep)
