@@ -6,8 +6,8 @@ cofactor is 1 or a prime and is recorded without a primality test; only a
 cofactor left at the 10^6 bound goes to Brent's variant of Pollard rho with a
 deterministic Miller-Rabin test (fixed witness set, exact for all n < 2**64).
 factorize keeps its last result (a one-entry cache), because callers ask for
-the same n several times in a row: count_exact the primes and phi of one q,
-and w2_sum mobius and Omega of one d.  Sharing the result
+the same n several times in a row: box_report derives phi, tau and the
+divisors of one q, and w2_sum mobius and Omega of one d.  Sharing the result
 is safe, since a Factorization is a tuple that holds only tuples of ints.  The
 cache is typed, so an int and a numpy integer of one value do not share it.
 Everything in this module is exact; the intended operating range is

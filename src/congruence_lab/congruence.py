@@ -62,7 +62,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import factorize, floor_mod, log1n, mod_inv, phi
+from .arith import factorize, floor_mod, log1n, mod_inv, phi, sigma_half_inv, tau
 
 log = logging.getLogger("congruence_lab")
 
@@ -89,12 +89,14 @@ class CongruenceInstance:
     f: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "X", X := Fraction(self.X))
-        object.__setattr__(self, "Y", Y := Fraction(self.Y))
+        X, Y = Fraction(self.X), Fraction(self.Y)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
         _check_coefficients(self.a, self.b, self.q)
         if self.e < 1 or self.f < 1:
             raise ValueError("exponents e, f must be >= 1")
-        if X.numerator < X.denominator or Y.numerator < Y.denominator:  # X < 1 or Y < 1
+        # X < 1 or Y < 1 as int compares, cheaper than Fraction's in a box scan
+        if X.numerator < X.denominator or Y.numerator < Y.denominator:
             raise ValueError("box sides X, Y must be >= 1")
         if self.e >= 2 and self.q > _TABLE_Q_LIMIT:
             raise ValueError(f"e >= 2 (--e) needs q (--q) <= 2^28 for count_exact's 4q-byte"
@@ -249,29 +251,19 @@ def _count(inst: CongruenceInstance, primes: list[int], phi_q: int) -> int:
     return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
 
 
-def _modulus(q: int) -> tuple[list[int], int, int, float]:
-    # (primes, phi, tau, sigma_{-1/2}) of q from one factorize(q), sigma summed as in arith
-    factors = factorize(q).factors
-    phi_q, divs = q, [1]
-    for p, e in factors:
-        phi_q -= phi_q // p
-        divs += [d * p**k for k in range(1, e + 1) for d in divs]
-    divs.sort()
-    return [p for p, _ in factors], phi_q, len(divs), sum([1.0 / math.sqrt(d) for d in divs])
-
-
 def _completed_term(c: float, q: int, Y: float, tau_q: int, sigma_q: float) -> float:
     # the completed Gauss sums of both envelopes, multiplied left to right
     return c * sigma_q * (Y / math.sqrt(q) * tau_q + math.sqrt(q) * log1n(q))
 
 
-def _closed_forms(inst: CongruenceInstance, modulus: tuple) -> tuple[float, float]:
-    # (main term, envelope) of an e = 1, f = 2 box, left to right; each side a
-    # float once, as numerator / denominator, the rounding of float(Fraction)
+def _closed_forms(inst: CongruenceInstance, phi_q: int, tau_q: int, sigma_q: float
+                  ) -> tuple[float, float]:
+    # (main term, envelope) of an e = 1, f = 2 box, left to right, given phi,
+    # tau and sigma_{-1/2} of q; each side a float once, as numerator /
+    # denominator, the division float(Fraction) does
     if (inst.e, inst.f) != (1, 2):
         raise ValueError("main term and error envelope are for e = 1, f = 2")
     q = inst.q
-    _, phi_q, tau_q, sigma_q = modulus
     X, Y = inst.X.numerator / inst.X.denominator, inst.Y.numerator / inst.Y.denominator
     return (phi_q * X * Y / q**2,
             X / q * tau_q + _completed_term(log1n(q), q, Y, tau_q, sigma_q))
@@ -279,12 +271,14 @@ def _closed_forms(inst: CongruenceInstance, modulus: tuple) -> tuple[float, floa
 
 def main_term(inst: CongruenceInstance) -> float:
     """phi(q) X Y / q^2 (linear-quadratic pairing only)."""
-    return _closed_forms(inst, _modulus(inst.q))[0]
+    q = inst.q
+    return _closed_forms(inst, phi(q), tau(q), sigma_half_inv(q))[0]
 
 
 def error_envelope(inst: CongruenceInstance) -> float:
     """Envelope X/q tau(q) + L(q) sigma_{-1/2}(q) (Y/sqrt(q) tau(q) + sqrt(q) L(q))."""
-    return _closed_forms(inst, _modulus(inst.q))[1]
+    q = inst.q
+    return _closed_forms(inst, phi(q), tau(q), sigma_half_inv(q))[1]
 
 
 class CountReport(NamedTuple):
@@ -311,14 +305,16 @@ def _reports(instances: list[CongruenceInstance]) -> list[CountReport]:
     forms = []
     for inst in instances:
         t0 = time.perf_counter()
-        modulus = _modulus(inst.q)
-        main, env = _closed_forms(inst, modulus)
+        # one factorize(q): phi, tau and sigma_half_inv hit its one-entry cache
+        q = inst.q
+        primes, phi_q = [p for p, _ in factorize(q).factors], phi(q)
+        main, env = _closed_forms(inst, phi_q, tau(q), sigma_half_inv(q))
         if not (math.isfinite(main) and math.isfinite(env)):
-            raise ValueError(f"box sides X, Y are too large at q = {inst.q}: main term {main!r},"
+            raise ValueError(f"box sides X, Y are too large at q = {q}: main term {main!r},"
                              f" envelope {env!r}, outside float range")
-        forms.append((modulus, main, env, time.perf_counter() - t0))
+        forms.append((primes, phi_q, main, env, time.perf_counter() - t0))
     reps = []
-    for inst, ((primes, phi_q, _, _), main, env, seconds) in zip(instances, forms):
+    for inst, (primes, phi_q, main, env, seconds) in zip(instances, forms):
         t0 = time.perf_counter()
         exact = _count(inst, primes, phi_q)
         seconds += time.perf_counter() - t0
@@ -516,8 +512,7 @@ def boundary_report(
     main = float(mt)
     Y = float(J.length)
     delta = distortion(H, bounds, J, q)
-    _, _, tau_q, sigma_q = _modulus(q)
-    env = Y / H + _completed_term(delta * log1n(H), q, Y, tau_q, sigma_q)
+    env = Y / H + _completed_term(delta * log1n(H), q, Y, tau(q), sigma_half_inv(q))
     seconds = time.perf_counter() - t0
     return BoundaryReport(exact, main, env, abs(exact - main) / env, H, delta, seconds)
 

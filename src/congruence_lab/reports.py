@@ -44,6 +44,8 @@ class _Formats(dict):
         raise TypeError(f"no stable format for {kind.__name__}")
 
 
+# one formatter per exact cell type; write_report looks cells up here inline,
+# as a call to fmt per cell costs box-scan a measurable share of its wall time
 _FORMATS = _Formats({bool: lambda value: "true" if value else "false", int: str, float: repr,
                      Fraction: str, str: str})  # str(Fraction(n, 1)) is str(n)
 

@@ -376,13 +376,10 @@ def test_scan_boxes_takes_plain_values():
         cg.count_exact(cg.CongruenceInstance(2, -3, q, q, Fraction(7, 2))) for q in (5, 7)]
 
 
-def test_modulus_matches_arith():
-    # the one factorization behind the box forms gives arith's own values
+def test_unit_count_of_q_is_phi():
+    # count_exact takes T(q, q) as phi(q): the inclusion-exclusion it replaced agrees
     for q in range(1, 5000):
-        primes, phi, tau, sigma = cg._modulus(q)
-        assert primes == [p for p, _ in arith.factorize(q).factors], q
-        assert (phi, tau, sigma) == (arith.phi(q), arith.tau(q), arith.sigma_half_inv(q)), q
-        assert cg._unit_count(q, primes) == arith.phi(q), q
+        assert cg._unit_count(q, [p for p, _ in arith.factorize(q).factors]) == arith.phi(q), q
 
 
 def test_scan_boxes_matches_box_report_property():
