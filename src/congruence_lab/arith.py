@@ -182,6 +182,19 @@ def floor_mod(x, q: int):
     return x - x // q * q
 
 
+# Moduli below this keep every product of two residues below 2^62, inside
+# int64: the bound of count_exact, the int64 boundary counts and gauss_brute.
+MODULUS_LIMIT = 1 << 31
+# Entries of any 2-D temporary of a kernel (2 MiB in float64 or int64).
+BLOCK_CELLS = 1 << 18
+
+
+def block_rows(width: int) -> int:
+    """Rows per block of a 2-D temporary whose rows hold width entries: as
+    many as BLOCK_CELLS allows, and at least one."""
+    return max(1, BLOCK_CELLS // max(width, 1))
+
+
 # ---- symbols and inverses ----
 
 def jacobi(a: int, m: int) -> int:

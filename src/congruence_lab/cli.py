@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import averaged, congruence, dp6, gausssum, reports, sawtooth
+from . import arith, averaged, congruence, dp6, gausssum, reports, sawtooth
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -188,7 +188,7 @@ def _cmd_count(o: argparse.Namespace) -> int:
 def _cmd_count_scan(o: argparse.Namespace) -> int:
     if o.primes_up_to < 2:
         raise ValueError(f"--primes-up-to must be >= 2, got {o.primes_up_to}")
-    if o.primes_up_to >= 2**31:
+    if o.primes_up_to >= arith.MODULUS_LIMIT:
         raise ValueError(f"--primes-up-to must be < 2^31, as count_exact needs q < 2^31,"
                          f" got {o.primes_up_to}")
     if o.primes_up_to > _PRIMES_LIMIT:
@@ -304,6 +304,9 @@ def _cmd_bilinear(o: argparse.Namespace) -> int:
         raise ValueError(f"--M, --N: the table of (M+1)/2 N = {cells} cells"
                          f" exceeds the cap of 2^27 cells")
     _check_seeds(o)
+    if o.seeds * cells > _CELLS_LIMIT:
+        raise ValueError(f"--seeds: {o.seeds} seeds times the table of (M+1)/2 N = {cells}"
+                         f" cells exceeds the cap of 2^27 cells")
     rows = []
     for seed in range(o.seed, o.seed + o.seeds):
         rng = random.Random(seed)
@@ -395,8 +398,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Every option of args.command, from its flag, else its config key,
     else its default.  Refuses config keys the command does not declare,
-    missing required options, --format or --timings without --out and an
-    --out whose directory does not exist."""
+    missing required options, --format or --timings without --out,
+    --primes-up-to with --q-list and an --out whose directory does not
+    exist."""
     _, _, options = _COMMANDS[args.command]
     given = vars(args)
     cfg = load_config(given["config"]) if "config" in given else {}
@@ -415,9 +419,12 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
         else:
             values[o.dest] = None if o.default is None else o.convert(o.default)
     out = values.get("out")
+    named = {o.name for o in options if o.dest in given or o.name in cfg}
     for name in ("format", "timings"):
-        if out is None and (name in given or name in cfg):
+        if out is None and name in named:
             raise ValueError(f"--{name} applies only with --out")
+    if {"primes-up-to", "q-list"} <= named:
+        raise ValueError("--primes-up-to applies only without --q-list")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise ValueError(f"--out {out!r}: directory {os.path.dirname(out)!r} does not exist")
     return argparse.Namespace(**values)

@@ -62,17 +62,16 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import factorize, floor_mod, log1n, mod_inv, phi, sigma_half_inv, tau
+from .arith import (MODULUS_LIMIT, block_rows, factorize, floor_mod, log1n, mod_inv, phi,
+                    sigma_half_inv, tau)
 
 log = logging.getLogger("congruence_lab")
 
 RationalLike = int | float | Fraction
 
 _BLOCK = 1 << 14  # residues per block of count_exact and the boundary counts
-_Q_LIMIT = 1 << 31  # count_exact moduli: products of residues fit in int64
 _TABLE_Q_LIMIT = 1 << 28  # count_exact moduli for e >= 2: a 4q-byte int32 table, 1 GiB
 _WIDE = 1 << 62  # int64 paths keep every value, and every block sum, below this
-_CELLS = 1 << 18  # entries of one (classes x y-block) temporary of class_sums
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def _check_coefficients(a: int, b: int, q: int) -> None:
 
 
 def _check_modulus(q: int) -> None:
-    if not 1 <= q < _Q_LIMIT:
+    if not 1 <= q < MODULUS_LIMIT:
         raise ValueError(f"count_exact needs 1 <= q < 2^31, got q = {q}")
 
 
@@ -427,7 +426,7 @@ def _numerators(q: int, bounds: BoundarySpec, J: Interval) -> tuple[int, Iterato
     ys = J.integers()
     Y = max(abs(ys.start), abs(ys.stop - 1))
     top = max(abs(A0), abs(A1)) + max(abs(B0), abs(B1), 1) * Y + q * D
-    dtype = np.int64 if q < _Q_LIMIT and _BLOCK * top < _WIDE else object
+    dtype = np.int64 if q < MODULUS_LIMIT and _BLOCK * top < _WIDE else object
     blocks = _units(ys.start, ys.stop - 1, [p for p, _ in factorize(q).factors], dtype)
     return D, ((y, A0 + B0 * y, A1 + B1 * y) for y in blocks)
 
@@ -449,11 +448,11 @@ def class_sums(
     <= f_hi(y) and x = ks[i] y^2 (mod q): each y adds the positive part of
     floor((hi_n - c D)/(q D)) - floor((lo_n - c D)/(q D)), c = ks[i] y^2 mod
     q, with lo_n/D, hi_n/D the boundary values in the int64 or object
-    blocks of _numerators.  Each block is taken for up to _CELLS // len(block)
-    classes at a time, so no (classes x block) temporary exceeds _CELLS
-    entries.  main = (1/q) sum_y (f_hi - f_lo)(y), the same for every k, is
-    the sum of hi_n - lo_n over q D.  Both are exact: block sums are
-    combined in Python ints and Fractions."""
+    blocks of _numerators.  Each block is taken for up to
+    arith.block_rows(len(block)) classes at a time, so no (classes x block)
+    temporary exceeds arith.BLOCK_CELLS entries.  main = (1/q) sum_y (f_hi -
+    f_lo)(y), the same for every k, is the sum of hi_n - lo_n over q D.
+    Both are exact: block sums are combined in Python ints and Fractions."""
     ks = [k % q for k in ks]  # in [0, q), so int64 products stay below 2^62
     D, blocks = _numerators(q, bounds, J)
     qD = q * D
@@ -461,7 +460,7 @@ def class_sums(
     width = Fraction(0)
     for y, lo_n, hi_n in blocks:
         kv = np.array(ks, dtype=y.dtype)[:, None]
-        rows = max(1, _CELLS // max(len(y), 1))
+        rows = block_rows(len(y))
         residues = floor_mod(y, q)  # J may lie anywhere; _x_classes needs [0, q]
         for i in range(0, len(ks), rows):
             cD = _x_classes(residues, kv[i : i + rows], 2, q) * D

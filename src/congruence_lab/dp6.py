@@ -44,14 +44,12 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import factorize, is_prime, mobius
+from .arith import block_rows, factorize, is_prime, mobius
 
 log = logging.getLogger("congruence_lab")
 
 BETA_3 = 6.640859  # sieving limit for the dimension-3 weighted sieve
 _BLOCK_PAIRS = 1 << 14  # (alpha1, alpha2) pairs per _family block, whole rows
-_BLOCK_CELLS = 1 << 18  # int8 cells per l_t_count block, whole rows
-_GRID_CELLS = 1 << 16  # (w, z) cells per w1_min_c1 block, whole rows
 _GRID_TOL = 1e-9  # w1_min_c1 recomputes the cells this close to the grid maximum
 W2_D_LIMIT = 2**16  # w2_sum's largest d_max: one pass over the sieve sequence per d
 
@@ -305,7 +303,7 @@ def l_t_count(B: int, q: int, t: int) -> int:
     windows = np.lib.stride_tricks.sliding_window_view(T, K)
     # every real cell passes at t >= 3L, so the int8 subtraction is exact
     room = np.minimum(min(t, 3 * L) - om[rows], 2 * L - 2)
-    step = max(1, _BLOCK_CELLS // K)
+    step = block_rows(K)
     total = 0
     for i in range(0, rows.size, step):
         cells = mt[:, s[i : i + step]]
@@ -471,7 +469,8 @@ def w1_min_c1(q: int, z_max: int = 1000) -> dict[str, float]:
     so the two values of one cell differ by delta < 1e-14 (2.8e-15 seen).
     The cell largest by math is then within 2 delta of the numpy maximum,
     far inside the tolerance.  Memory: a few float64 and intp temporaries
-    per cell of a block, which holds at most _GRID_CELLS cells or one row."""
+    per cell of a block, which holds at most arith.BLOCK_CELLS cells or one
+    row."""
     if not is_prime(q):
         raise ValueError("q must be prime")
     ps = [p for p in sieve_primes(z_max) if p > 2]
@@ -484,7 +483,7 @@ def w1_min_c1(q: int, z_max: int = 1000) -> dict[str, float]:
     log_p = [math.log(p) for p in ps]
     S, L = np.array(prefix), np.array(log_p)
     n = len(ps)
-    rows = max(1, _GRID_CELLS // n)
+    rows = block_rows(n)
     near: list[tuple[float, int, int]] = []  # (c, w index, z index) near a block maximum
     for a in range(0, n - 1, rows):
         i, j = np.triu_indices(min(rows, n - 1 - a), 1, n - a)

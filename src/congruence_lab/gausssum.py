@@ -19,11 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import floor_mod, jacobi, mod_inv, unit_symbols
+from .arith import MODULUS_LIMIT, floor_mod, jacobi, mod_inv, unit_symbols
 
 _TWO_PI = 2.0 * math.pi
 _BLOCK = 1 << 13  # n per block of gauss_brute: its cos and sin lists are held together
-_BRUTE_LIMIT = 1 << 31  # gauss_brute's moduli stay below this
 
 
 def _e(phase: Fraction) -> complex:
@@ -62,7 +61,7 @@ def gauss_brute(s: int, t: int, u: int) -> complex:
     """
     if u < 1:
         raise ValueError("modulus u must be positive")
-    if u >= _BRUTE_LIMIT:
+    if u >= MODULUS_LIMIT:
         raise ValueError(f"gauss_brute needs u < 2^31, got u = {u}")
     s, t = s % u, t % u
     re = im = 0.0

@@ -14,23 +14,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from .arith import block_rows
+
 _TWO_PI = 2.0 * math.pi
-_ROWS = 1 << 12  # x values per block of the N x H temporaries
 _BLOCK = 1 << 14  # x values per block of the majorant screen
 MAX_SCREEN_H = 10**6  # largest H for which slack_error_bound is derived
 
 
 def _row_sums(xs, hs: np.ndarray, f, w: np.ndarray) -> np.ndarray:
-    # sum_h w_h f(2 pi h x) at each x, over blocks of _ROWS rows of the x-by-h
-    # outer product; each row is summed alone, so the blocks change no value
+    # sum_h w_h f(2 pi h x) at each x, over blocks of block_rows(H) rows of
+    # the x-by-h outer product; each row is summed alone, so the blocks change
+    # no value
     xs = np.ravel(xs)
     out = np.empty(xs.size)
-    for i in range(0, xs.size, _ROWS):
-        out[i : i + _ROWS] = (f(_TWO_PI * np.outer(xs[i : i + _ROWS], hs)) * w).sum(axis=1)
+    rows = block_rows(hs.size)
+    for i in range(0, xs.size, rows):
+        out[i : i + rows] = (f(_TWO_PI * np.outer(xs[i : i + rows], hs)) * w).sum(axis=1)
     return out
 
 
@@ -75,7 +77,6 @@ class VaalerPolynomial:
         return -_row_sums(xs, hs, np.sin, self.sine_weights)
 
 
-@lru_cache(maxsize=None)
 def vaaler_polynomial(H: int) -> VaalerPolynomial:
     if H < 1:
         raise ValueError("H must be >= 1")

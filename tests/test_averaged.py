@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from congruence_lab import arith
 from congruence_lab import averaged as av
 from congruence_lab import congruence as cg
 
@@ -363,10 +364,10 @@ def test_cell_sums_match_per_cell_properties(monkeypatch):
                       lo=st.tuples(value, slope), width=st.tuples(value, slope),
                       y0=value, length=st.fractions(min_value=Fraction(1, 5), max_value=70,
                                                     max_denominator=5),
-                      cap=st.sampled_from([1, 37, cg._CELLS]))
+                      cap=st.sampled_from([1, 37, arith.BLOCK_CELLS]))
     def check(l, m, r, s, t, U, V, W, lo, width, y0, length, cap):
         hypothesis.assume(math.gcd(r * s, t) == 1)
-        monkeypatch.setattr(cg, "_CELLS", cap)
+        monkeypatch.setattr(arith, "BLOCK_CELLS", cap)
         J = cg.Interval(y0, length)
         # hi = lo + width, shifted up so that hi >= lo at both ends of J
         gap = min(width[0] + width[1] * y for y in (J.y0, J.y0 + J.length))
@@ -384,7 +385,7 @@ def test_cell_sums_across_blocks_and_row_cap():
     J = cg.Interval(Fraction(-13, 2), cg._BLOCK + 40)
     bounds = cg.BoundarySpec(Fraction(-5, 3), Fraction(1, 7), 90, Fraction(2, 5))
     fam = _family(t=11, U=8, V=8, W=Fraction(1, 2), r=3, s=-2, l=2, J=J, bounds=bounds)
-    assert len(fam.cells()) == 49 > cg._CELLS // cg._BLOCK
+    assert len(fam.cells()) == 49 > arith.block_rows(cg._BLOCK)
     assert next(cg._numerators(11, bounds, J)[1])[0].dtype == np.int64
     _check_cell_sums(fam)
 

@@ -205,9 +205,12 @@ def test_json_output_round_trip(tmp_path, capsys):
 
 
 def test_timings_column_opt_in(tmp_path, capsys):
-    out_path = tmp_path / "timed.csv"
-    assert run(["count", "--a", "1", "--b", "1", "--q", "5", "--X", "10",
-                "--Y", "10", "--out", str(out_path), "--timings"]) == 0
-    capsys.readouterr()
-    _, _, rows = oracles.parse_csv_text(out_path.read_text())
-    assert float(rows[0]["seconds"]) >= 0.0
+    # the switch, or its config key in any spelling of true
+    (tmp_path / "t.cfg").write_text("timings = yes\n")
+    for switch in (["--timings"], ["--config", str(tmp_path / "t.cfg")]):
+        out_path = tmp_path / "timed.csv"
+        assert run(["count", "--a", "1", "--b", "1", "--q", "5", "--X", "10",
+                    "--Y", "10", "--out", str(out_path), *switch]) == 0
+        capsys.readouterr()
+        _, _, rows = oracles.parse_csv_text(out_path.read_text())
+        assert float(rows[0]["seconds"]) >= 0.0

@@ -173,6 +173,33 @@ REFUSALS = {
         ["count", "--a", "1", "--b", "1", "--q", str(2**28 + 3), "--X", "10", "--Y", "10",
          "--e", "2"], None,
         "e >= 2 (--e) needs q (--q) <= 2^28 for count_exact's 4q-byte table, got q = 268435459"),
+    "prime bound with a q list": (["count-scan", "--primes-up-to", "50", "--q-list", "7,11"],
+                                  None, "--primes-up-to applies only without --q-list"),
+    "prime bound key with a q list": (["count-scan", "--q-list", "7,11", "--out", "x.csv"],
+                                      "primes-up-to = 50\n",
+                                      "--primes-up-to applies only without --q-list"),
+    "bilinear seeds beyond the cap": (["bilinear", "--seeds", str(2**14 + 1), "--out", "x.csv"],
+                                      None, "--seeds: 16385 seeds times the table of (M+1)/2 N ="
+                                            " 8192 cells exceeds the cap of 2^27 cells"),
+    "avg-scan seeds beyond the cap": (["avg-scan", "--U", "16", "--V", "16", "--W", "16",
+                                       "--seeds", "4097", "--out", "x.csv"], None,
+                                      "--seeds, --U, --V, --W: 4097 seeds times the family's"
+                                      " estimated 4096 cells exceeds the cap of 2^24 weighted"
+                                      " cells"),
+    "zero bilinear M": (["bilinear", "--M", "0", "--out", "x.csv"], None,
+                        "M and N must be >= 1"),
+    "zero point budget": (["dp6-enumerate", "--B", "0", "--out", "x.csv"], None,
+                          "budget B must be positive"),
+    "negative point factor bound": (["dp6-enumerate", "--B", "1000", "--t", "-1", "--out",
+                                     "x.csv"], None, "factor bound t must be nonnegative"),
+    "zero avg-scan X": (["avg-scan", "--X", "0", "--out", "x.csv"], None, "X must be positive"),
+    "negative avg-scan epsilon": (["avg-scan", "--epsilon", "-0.5", "--out", "x.csv"], None,
+                                  "epsilon must be nonnegative"),
+    "negative avg-scan epsilon at given H": (["avg-scan", "--epsilon", "-0.5", "--H", "2",
+                                              "--out", "x.csv"], None,
+                                             "epsilon must be nonnegative"),
+    "timings key not a boolean": (["count", *BOX, "--out", "x.csv"], "timings = maybe\n",
+                                  "config key 'timings': invalid bool value 'maybe'"),
 }
 
 
@@ -210,7 +237,9 @@ BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "scan main term beyond float at a later q",
                "avg-scan H t U V W beyond float", "avg-scan budget beyond float key",
                "vaaler samples beyond the cap", "bilinear table beyond the cap",
-               "general count modulus beyond the table cap")
+               "general count modulus beyond the table cap", "prime bound with a q list",
+               "prime bound key with a q list", "bilinear seeds beyond the cap",
+               "avg-scan seeds beyond the cap")
 
 
 @pytest.mark.parametrize("case", BEFORE_WORK)

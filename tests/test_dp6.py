@@ -227,6 +227,16 @@ def test_point_blocks_refuse_a_corrupted_row(corrupt, failure, monkeypatch, caps
     assert row in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: dp6.l_t_count(1000, 7, -1), "factor bound t must be nonnegative"),
+    (lambda: dp6._check_block(1000, 11, np.zeros((1, 12), dtype=np.int64)),
+     r"family prime q = 11 must be a prime in \(B\^\{1/3\}/2, B\^\{1/3\}\]"),
+], ids=["l_t_count t < 0", "block prime outside the window"])
+def test_kernels_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_point_blocks_int64_budget_limit():
     limit = dp6.POINT_BUDGET_LIMIT
     assert limit == 2**31
@@ -559,7 +569,7 @@ def test_w1_min_c1_blocks_agree(monkeypatch):
     # the grid in blocks of one or a few rows has the bits of the grid in one block
     whole = dp6.w1_min_c1(97, 300)["min_c1"]
     for cells in (1, 200):
-        monkeypatch.setattr(dp6, "_GRID_CELLS", cells)
+        monkeypatch.setattr(arith, "BLOCK_CELLS", cells)
         assert dp6.w1_min_c1(97, 300)["min_c1"].hex() == whole.hex()
 
 
@@ -588,6 +598,7 @@ def test_sieve_condition_report_is_json_ready():
     (dict(t=-1), r"t \(--t\) must be >= 0, got -1"),
     (dict(tau_level=0.01), r"d_max = X\^tau / log\^c2 X = .* is below 1"),
     (dict(tau_level=4.0), r"d_max = X\^tau / log\^c2 X = .* exceeds the cap of 2\^16"),
+    (dict(B=16, q=2), r"normalization X must exceed 1"),  # X = phi(2) 16 / (4 * 2^2)
 ])
 def test_sieve_condition_report_refuses_before_any_work(kwargs, message, monkeypatch):
     def no_work(*args):
@@ -595,7 +606,7 @@ def test_sieve_condition_report_refuses_before_any_work(kwargs, message, monkeyp
 
     monkeypatch.setattr(dp6, "build_sieve_sequence", no_work)
     with pytest.raises(ValueError, match=message):
-        dp6.sieve_condition_report(1000, 7, **kwargs)
+        dp6.sieve_condition_report(**{"B": 1000, "q": 7, **kwargs})
 
 
 def test_sieve_condition_report_smallest_grid_and_zero_c2():

@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from congruence_lab import sawtooth
+from congruence_lab import arith, sawtooth
 
 import oracles
 
@@ -102,8 +103,8 @@ def test_vector_paths_match_term_by_term_sums():
 def test_row_blocks_match_one_piece_outer_products():
     # the vector paths evaluate the x-by-h outer product in blocks of rows;
     # each row sums alone, so they equal the one-piece products bit for bit
-    xs = np.random.default_rng(3).random(3 * sawtooth._ROWS + 17)
     H = 64
+    xs = np.random.default_rng(3).random(3 * arith.block_rows(H) + 17)
     hs = np.arange(1, H + 1, dtype=np.float64)
     poly = sawtooth.vaaler_polynomial(H)
     w = np.array([2.0 * c.imag for c in poly.coeffs])
@@ -112,6 +113,25 @@ def test_row_blocks_match_one_piece_outer_products():
     w = 2.0 * (1.0 - hs / (H + 1))
     one_piece = (1.0 + (np.cos(2.0 * math.pi * np.outer(xs, hs)) * w).sum(axis=1)) / (H + 1)
     assert np.array_equal(sawtooth.fejer_majorant_many(xs, H), one_piece)
+
+
+def test_row_sums_hold_one_block_budget_at_large_H(monkeypatch):
+    # at H = 20,000 a block is block_rows(H) = 13 rows, so each x-by-h
+    # temporary stays near 2 MiB however many x a call holds (512 x at once
+    # would take 80 MB); one row per block gives the same bits
+    H = 20_000
+    xs = np.random.default_rng(5).random(512)
+    poly = sawtooth.vaaler_polynomial(H)
+    tracemalloc.start()
+    try:
+        values = poly.evaluate_many(xs), sawtooth.fejer_majorant_many(xs, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    monkeypatch.setattr(arith, "BLOCK_CELLS", 1)
+    assert np.array_equal(values[0], poly.evaluate_many(xs))
+    assert np.array_equal(values[1], sawtooth.fejer_majorant_many(xs, H))
 
 
 def _inline_slack(xs, H):
