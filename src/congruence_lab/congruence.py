@@ -58,6 +58,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -534,6 +535,9 @@ class BilinearResult(NamedTuple):
     N: int
 
 
+# bilinear runs every seed at one (M, N), so one table is cached, read-only:
+# (M + 1)/2 N bytes held until a call at another (M, N).
+@lru_cache(maxsize=1)
 def _jacobi_table(M: int, N: int) -> np.ndarray:
     """int8 table of the Jacobi symbols (n/m), row (m - 1)/2 for odd m <= M,
     column n - 1 for n <= N.  Row 1 is all ones; a prime row is its Legendre
@@ -560,6 +564,7 @@ def _jacobi_table(M: int, N: int) -> np.ndarray:
         r = np.arange(1, m, dtype=np.int64)
         legendre[r * r % m] = 1
         table[i] = legendre[n % m]
+    table.flags.writeable = False
     return table
 
 

@@ -52,6 +52,7 @@ BETA_3 = 6.640859  # sieving limit for the dimension-3 weighted sieve
 _BLOCK_PAIRS = 1 << 14  # (alpha1, alpha2) pairs per _family block, whole rows
 _GRID_TOL = 1e-9  # w1_min_c1 recomputes the cells this close to the grid maximum
 W2_D_LIMIT = 2**16  # w2_sum's largest d_max: one pass over the sieve sequence per d
+Z_MAX_LIMIT = 10**5  # dp6-sieve's largest z_max: w1_min_c1 takes pi(z_max)^2 / 2 grid cells
 
 
 def icbrt(n: int) -> int:
@@ -522,7 +523,8 @@ def sieve_condition_report(
     Refused before any work: a rho table bound below 1 (an empty table), a
     level tau <= 0, c2 < 0 (which would raise the level X^tau / log^c2 X
     above X^tau), mu <= 0, a grid bound z_max < 5 (fewer than two odd
-    primes), a factor bound t < 0 and a d_max outside [1, W2_D_LIMIT]."""
+    primes) or above Z_MAX_LIMIT, a factor bound t < 0 and a d_max outside
+    [1, W2_D_LIMIT]."""
     if rho_table_max < 1:
         raise ValueError(f"rho_table_max (--rho-max) must be >= 1, got {rho_table_max}")
     if tau_level <= 0:
@@ -533,6 +535,8 @@ def sieve_condition_report(
         raise ValueError(f"mu (--mu) must be > 0, got {mu}")
     if z_max < 5:
         raise ValueError(f"z_max (--z-max) must be >= 5, got {z_max}")
+    if z_max > Z_MAX_LIMIT:
+        raise ValueError(f"z_max (--z-max) must be <= 10^5, the grid cap, got {z_max}")
     if t < 0:
         raise ValueError(f"t (--t) must be >= 0, got {t}")
     _d_max(float(_normalization(B, q)), tau_level, c2)

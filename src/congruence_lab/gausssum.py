@@ -22,7 +22,7 @@ import numpy as np
 from .arith import MODULUS_LIMIT, floor_mod, jacobi, mod_inv, unit_symbols
 
 _TWO_PI = 2.0 * math.pi
-_BLOCK = 1 << 13  # n per block of gauss_brute: its cos and sin lists are held together
+_BLOCK = 1 << 13  # n per block of gauss_brute: its cos and sin arrays, 64 KB each
 
 
 def _e(phase: Fraction) -> complex:
@@ -48,6 +48,15 @@ class GaussSumValue(NamedTuple):
     phase: Fraction
 
 
+def _kahan(xs: memoryview, s: float, c: float) -> tuple[float, float]:
+    # one Kahan chain over xs in order: the running sum s and its compensation c
+    for x in xs:
+        x -= c
+        c = ((v := s + x) - s) - x
+        s = v
+    return s, c
+
+
 def gauss_brute(s: int, t: int, u: int) -> complex:
     """Direct evaluation with compensated (Kahan) summation.
 
@@ -57,7 +66,8 @@ def gauss_brute(s: int, t: int, u: int) -> complex:
     product stays below 2^62 while u < 2^31, and larger u is refused.  Each
     term is then the cos and sin of the exact small angle 2 pi k / u, taken
     by numpy over the block, and the real and imaginary parts are
-    Kahan-summed in order of n, two chains in one loop.
+    Kahan-summed in order of n by two chains that never read each other,
+    each its own loop over a memoryview of its block's float64 array.
     """
     if u < 1:
         raise ValueError("modulus u must be positive")
@@ -69,15 +79,8 @@ def gauss_brute(s: int, t: int, u: int) -> complex:
     for lo in range(1, u + 1, _BLOCK):
         n = np.arange(lo, min(lo + _BLOCK, u + 1), dtype=np.int64)
         ang = _TWO_PI * floor_mod(s * floor_mod(n * n, u) + t * n, u) / u
-        for x, y in zip(np.cos(ang).tolist(), np.sin(ang).tolist()):
-            x -= cre
-            v = re + x
-            cre = (v - re) - x
-            re = v
-            y -= cim
-            v = im + y
-            cim = (v - im) - y
-            im = v
+        re, cre = _kahan(memoryview(np.cos(ang)), re, cre)
+        im, cim = _kahan(memoryview(np.sin(ang)), im, cim)
     return complex(re, im)
 
 

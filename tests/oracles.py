@@ -104,6 +104,26 @@ def reciprocity_check(s: int, u: int) -> tuple[complex, complex, float]:
     return lhs, rhs, abs(lhs - rhs)
 
 
+def kahan_brute(s: int, t: int, u: int) -> complex:
+    """G(s, t; u) by the per-n loop gauss_brute replaced: Python-int
+    exponents, the same angle and Kahan order, so the two agree bit for
+    bit."""
+    re = im = 0.0
+    cre = cim = 0.0
+    for n in range(1, u + 1):
+        k = (s * n * n + t * n) % u
+        ang = 2.0 * math.pi * k / u
+        x = math.cos(ang) - cre
+        v = re + x
+        cre = (v - re) - x
+        re = v
+        y = math.sin(ang) - cim
+        w = im + y
+        cim = (w - im) - y
+        im = w
+    return complex(re, im)
+
+
 # ---- whole-grid evaluation (all coprime s, all shifts t, fixed u) ----
 
 def coprime_residues(u: int) -> list[int]:

@@ -174,6 +174,18 @@ def test_bilinear_command(tmp_path, capsys):
         assert float(row["ratio"]) < 1.0
 
 
+def test_bilinear_builds_one_table_for_every_seed(capsys):
+    # the table depends on (M, N) only, so three seeds read one cached build
+    congruence._jacobi_table.cache_clear()
+    assert run(["bilinear", "--M", "63", "--N", "50", "--seeds", "3"]) == 0
+    capsys.readouterr()
+    info = congruence._jacobi_table.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    table = congruence._jacobi_table(63, 50)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "box.cfg"
     cfg.write_text("# box fixture\na = 1\nb = 1\nq = 5\nX = 10\nY = 10\n")

@@ -111,6 +111,8 @@ REFUSALS = {
     "zero mu": (["dp6-sieve", "--mu", "0", "--out", "x.csv"], None, "(--mu) must be > 0, got 0.0"),
     "grid bound below 5 key": (["dp6-sieve", "--out", "x.csv"], "z-max = 2\n",
                                "(--z-max) must be >= 5, got 2"),
+    "grid bound beyond the cap": (["dp6-sieve", "--z-max", "10000000", "--out", "x.csv"], None,
+                                  "z_max (--z-max) must be <= 10^5, the grid cap, got 10000000"),
     "prime bound beyond int32": (["count-scan", "--primes-up-to", "2147483648", "--out", "x.csv"],
                                  None, "--primes-up-to must be < 2^31, as count_exact needs"
                                        " q < 2^31, got 2147483648"),
@@ -239,7 +241,7 @@ BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "vaaler samples beyond the cap", "bilinear table beyond the cap",
                "general count modulus beyond the table cap", "prime bound with a q list",
                "prime bound key with a q list", "bilinear seeds beyond the cap",
-               "avg-scan seeds beyond the cap")
+               "avg-scan seeds beyond the cap", "grid bound beyond the cap")
 
 
 @pytest.mark.parametrize("case", BEFORE_WORK)

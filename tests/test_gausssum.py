@@ -137,28 +137,9 @@ def test_brute_kahan_is_stable_for_large_u():
     assert abs(val - math.sqrt(u)) < 1e-8
 
 
-def _kahan_brute(s, t, u):
-    # the per-n loop gauss_brute replaced: Python-int exponents, same angle
-    # and Kahan order, so the two agree bit for bit
-    re = im = 0.0
-    cre = cim = 0.0
-    for n in range(1, u + 1):
-        k = (s * n * n + t * n) % u
-        ang = 2.0 * math.pi * k / u
-        x = math.cos(ang) - cre
-        v = re + x
-        cre = (v - re) - x
-        re = v
-        y = math.sin(ang) - cim
-        w = im + y
-        cim = (w - im) - y
-        im = w
-    return complex(re, im)
-
-
 def _same_bits(s, t, u):
     # repr tells -0.0 from 0.0 and shows every bit of both parts
-    got, want = gausssum.gauss_brute(s, t, u), _kahan_brute(s, t, u)
+    got, want = gausssum.gauss_brute(s, t, u), oracles.kahan_brute(s, t, u)
     assert repr(got) == repr(want), (s, t, u, got, want)
 
 
@@ -173,11 +154,15 @@ def test_brute_matches_per_term_loop():
         _same_bits(s, t, u)
 
     check()
-    # blocks of n start at 1, 2^14 + 1, ...: moduli at, just past and well
+    # blocks of n start at 1, 2^13 + 1, ...: moduli at, just past and well
     # past a block edge, the last spanning four blocks
     for u in (gausssum._BLOCK, gausssum._BLOCK + 1, gausssum._BLOCK + 3,
               3 * gausssum._BLOCK + 5):
         _same_bits(-7, 11, u)
+    # eleven blocks, the last holding 7 n: each chain carries its sum and
+    # compensation across ten block edges (at this s and t, dropping either
+    # chain's compensation at a block edge changes the bits)
+    _same_bits(-7, -11, 10 * gausssum._BLOCK + 7)
     _same_bits(0, 0, 1)  # every term is cos(0) = 1, sin(0) = +0.0
 
 
