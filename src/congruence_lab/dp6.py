@@ -25,10 +25,11 @@ points and the sieve sequence read it, and the points look up Omega per
 block through _omega.  point_blocks, the one point enumerator, turns the
 family into checked int64 column blocks (q, alphas, surface coordinates,
 Omega) that dp6-enumerate streams to its output without building a Python
-object per point.  The counts L_t need no point: l_t_count reads each
-alpha1 row of the family as two int8 slices of the Omega table, a column of
-it for alpha2 and a contiguous run for alpha3.  rho is computed as its
-Euler product.
+object per point.  The counts L_t need no point: _l_t_counts reads each
+alpha1 row as an int8 column of the Omega table and a run of one alpha3
+table built once per budget; l_t_count is its one-prime case, and
+m_t_growth sieves Omega once, for its largest budget.  rho is computed as
+its Euler product.
 
 All window and height comparisons are exact integer inequalities
 (8 q^3 > B instead of q > B^{1/3} and so on); no floating-point cube roots.
@@ -82,8 +83,16 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-# Callers work through one budget at a time, so one table is cached: 1 byte
-# per entry, limit = B^{2/3}/2 entries for the budget B, plus the pad tail.
+def _padded(limit: int, head: np.ndarray | int) -> np.ndarray:
+    # head (limit + 1 entries, or one value for all) and the pad tail of limit
+    om = np.full(limit + 1 + math.isqrt(2 * limit) + 2, 2 * limit.bit_length() - 1,
+                 dtype=np.int8)
+    om[: limit + 1] = head
+    return om
+
+
+# One table is cached, since callers work through one budget at a time and
+# m_t_growth through its largest: 1 byte per n <= B^{2/3}/2, then the pad.
 @lru_cache(maxsize=1)
 def _omega_upto(limit: int) -> np.ndarray:
     # om[n] = number of prime factors of n with multiplicity for n <= limit;
@@ -92,12 +101,10 @@ def _omega_upto(limit: int) -> np.ndarray:
     # sqrt(limit).  A tail of isqrt(2 limit) + 2 pads 2L - 1, L =
     # limit.bit_length(), follows: for limit = B^{2/3}/2 every window prime
     # q <= B^{1/3} has q <= isqrt(2 limit) + 1, so the table covers q K,
-    # K = limit // q + 1, and l_t_count reads it as a (K, q) view.  The
+    # K = limit // q + 1, and _l_t_counts reads it as a (K, q) view.  The
     # cached table is read-only; limit < 2^32 keeps rem in uint32.
-    om = np.full(limit + 1 + math.isqrt(2 * limit) + 2, 2 * limit.bit_length() - 1,
-                 dtype=np.int8)
+    om = _padded(limit, 0)
     head = om[: limit + 1]
-    head[:] = 0
     rem = np.arange(limit + 1, dtype=np.uint32)
     for p in sieve_primes(math.isqrt(limit)):
         pk = p
@@ -267,19 +274,8 @@ def _check_count_budget(B: int) -> None:
 def l_t_count(B: int, q: int, t: int) -> int:
     """Count of almost-prime family points for one prime q (no lifting).
 
-    q beyond B^{1/3} contributes nothing and returns 0 with a log line.
-
-    Row alpha1 of the family has alpha2 = s + k q and alpha3 = k - z for
-    0 <= k < K = a2max // q + 1, with s = alpha1^2 mod q and z = alpha1^2 // q
-    (see _family), so its two Omega terms are int8 slices of two tables:
-    column s of M, the Omega table read as a (K, q) matrix with
-    M[k, s] = Omega(s + k q), and the window T[Z - z : Z - z + K] of
-    T[j] = Omega(|j - Z|), Z the largest z.  A block of rows is a block of
-    columns of M, to which the transposed windows are added.  A pad that
-    exceeds every real two-term sum fills the cells beyond a2max and T[Z]
-    (alpha3 = 0), and each row compares its sums against t - Omega(alpha1)
-    clamped to the largest real sum, so pad cells never count.  No alpha2
-    array is built.
+    q beyond B^{1/3} contributes nothing and returns 0 with a log line;
+    otherwise this is the one-prime case of _l_t_counts.
     """
     _check_count_budget(B)
     if not is_prime(q):
@@ -289,28 +285,52 @@ def l_t_count(B: int, q: int, t: int) -> int:
     if q**3 > B:
         log.info("l_t_count: q=%d exceeds B^{1/3}, count is 0", q)
         return 0
+    return _l_t_counts(B, [q], t, _omega_upto(_alpha_bounds(B)[1]))[0]
+
+
+def _l_t_counts(B: int, qs: Sequence[int], t: int, om: np.ndarray) -> list[int]:
+    """L_t of each prime 2 <= q <= B^{1/3} in qs, from om, the Omega table
+    of B (_omega_upto(a2max) or a byte-equal copy).
+
+    Row alpha1 of the family of q has alpha2 = s + k q and alpha3 = k - z
+    for 0 <= k < K = a2max // q + 1, s = alpha1^2 mod q, z = alpha1^2 // q
+    (see _family), so its Omega terms are int8 slices of two tables: column
+    s of M, om read as a (K, q) matrix, and the window G[Z - z : Z - z + K]
+    of G[Z + j] = Omega(|j|), Z the largest z of any q in qs.  A block of
+    rows is a block of columns of M, to which the transposed windows are
+    added.  A pad above every real two-term sum fills the cells beyond a2max
+    and G[Z] (alpha3 = 0), and each row compares its sums with t -
+    Omega(alpha1) clamped to the largest real sum, so pad cells never count.
+    G and the row bounds are formed once for all of qs.
+    """
+    if not qs:
+        return []
     a1max, a2max = _alpha_bounds(B)
-    om = _omega_upto(a2max)
     L = a2max.bit_length()
-    pad = 2 * L - 1
-    K = a2max // q + 1
-    mt = om[: q * K].reshape(K, q)  # a view: the pad tail of om covers q K
     rows = np.arange(1, a1max + 1, dtype=np.int64)
-    rows = rows[rows % q != 0]
-    s, z = rows * rows % q, rows * rows // q
-    Z = int(z[-1])
-    T = np.empty(Z + K, dtype=np.int8)
-    T[:Z], T[Z], T[Z + 1 :] = om[Z:0:-1], pad, om[1:K]
-    windows = np.lib.stride_tricks.sliding_window_view(T, K)
+    sq = rows * rows
     # every real cell passes at t >= 3L, so the int8 subtraction is exact
     room = np.minimum(min(t, 3 * L) - om[rows], 2 * L - 2)
-    step = block_rows(K)
-    total = 0
-    for i in range(0, rows.size, step):
-        cells = mt[:, s[i : i + step]]
-        cells += windows[Z - z[i : i + step]].T
-        total += int(np.count_nonzero(cells <= room[None, i : i + step]))
-    return total
+    Z, Kmax = a1max * a1max // min(qs), a2max // min(qs) + 1
+    G = np.empty(Z + Kmax, dtype=np.int8)
+    G[:Z], G[Z], G[Z + 1 :] = om[Z:0:-1], 2 * L - 1, om[1:Kmax]
+    wide = np.lib.stride_tricks.sliding_window_view(G, Kmax)
+    counts = []
+    for q in qs:
+        K = a2max // q + 1
+        mt = om[: q * K].reshape(K, q)  # a view: the pad tail of om covers q K
+        s, start, rq = sq % q, Z - sq // q, room
+        if a1max >= q:  # rows divisible by q are not in the family
+            keep = s != 0
+            s, start, rq = s[keep], start[keep], rq[keep]
+        step = block_rows(K)
+        total = 0
+        for i in range(0, s.size, step):
+            cells = mt[:, s[i : i + step]]
+            cells += wide[start[i : i + step], :K].T
+            total += int(np.count_nonzero(cells <= rq[None, i : i + step]))
+        counts.append(total)
+    return counts
 
 
 class GrowthRow(NamedTuple):
@@ -326,9 +346,14 @@ def m_t_growth(B_values: Sequence[int], t: int) -> list[GrowthRow]:
         _check_count_budget(B)
     if t < 0:
         raise ValueError("factor bound t must be nonnegative")
+    # one sieve: a smaller budget counts from the head of the largest table
+    top = max((_alpha_bounds(B)[1] for B in B_values), default=0)
+    base = _omega_upto(top)
     rows = []
     for B in B_values:
-        total = sum(l_t_count(B, q, t) for q in prime_window(B))
+        a2max = _alpha_bounds(B)[1]
+        om = base if a2max == top else _padded(a2max, base[: a2max + 1])
+        total = sum(_l_t_counts(B, prime_window(B), t, om))
         rows.append(GrowthRow(B, t, total, total * math.log(B) ** 5 / B))
     return rows
 

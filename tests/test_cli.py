@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from congruence_lab import cli, congruence, reports
+from congruence_lab import cli, congruence, dp6, reports
 
 import oracles
 
@@ -184,6 +184,14 @@ def test_bilinear_builds_one_table_for_every_seed(capsys):
     table = congruence._jacobi_table(63, 50)
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 0
+
+
+def test_dp6_growth_sieves_once_for_every_budget(capsys):
+    # the smaller budgets count from the head of the largest budget's table
+    dp6._omega_upto.cache_clear()
+    assert run(["dp6-growth", "--B-list", "1000000,100000000,1000000000"]) == 0
+    capsys.readouterr()
+    assert dp6._omega_upto.cache_info().misses == 1
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

@@ -373,6 +373,56 @@ def test_l_t_count_alpha3_zero_beyond_the_row(monkeypatch):
     assert dp6.l_t_count(1000, q, 10**6) == _family_size(1000, q)
 
 
+def test_l_t_counts_match_l_t_count_and_family():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(data=st.data(),
+                      Bs=st.lists(st.one_of(st.integers(1, 7), st.integers(8, 10**7)),
+                                  min_size=1, max_size=3),
+                      t=st.integers(0, 70))
+    def check(data, Bs, t):
+        Bs += data.draw(st.lists(st.sampled_from(Bs), max_size=2))  # repeated budgets
+        top = max(dp6._alpha_bounds(B)[1] for B in Bs)
+        base = np.array(dp6._omega_upto(top))  # a copy: l_t_count evicts the cached table
+        for B in Bs:
+            # the table of B as a padded head of the largest budget's table
+            a2max = dp6._alpha_bounds(B)[1]
+            om = np.concatenate([base[: a2max + 1], np.full(
+                math.isqrt(2 * a2max) + 2, 2 * a2max.bit_length() - 1, dtype=np.int8)])
+            # every prime up to B^{1/3}, the window and below it; none for B < 8
+            primes = dp6.sieve_primes(dp6.icbrt(B))
+            qs = data.draw(st.lists(st.sampled_from(primes), max_size=4)) if primes else []
+            expected = [dp6.l_t_count(B, q, t) for q in qs]
+            assert dp6._l_t_counts(B, qs, t, om) == expected
+            assert expected == [_l_t_family(B, q, t) for q in qs]
+        rows = dp6.m_t_growth(Bs, t)
+        assert [r.count for r in rows] == [
+            sum(_l_t_family(B, q, t) for q in dp6.prime_window(B)) for B in Bs]
+
+    check()
+
+
+def test_m_t_growth_counts_from_padded_heads_of_one_table(monkeypatch):
+    tables = {}
+    count = dp6._l_t_counts
+
+    def recording(B, qs, t, om):
+        tables[B] = np.array(om)
+        return count(B, qs, t, om)
+
+    monkeypatch.setattr(dp6, "_l_t_counts", recording)
+    dp6._omega_upto.cache_clear()
+    rows = dp6.m_t_growth([10**6, 10**8, 7, 10**5, 10**6], 12)
+    assert dp6._omega_upto.cache_info().misses == 1
+    assert [r.count for r in rows[:3]] == [33689, 2723055, 0]
+    assert sorted(tables) == [7, 10**5, 10**6, 10**8]
+    for B, om in tables.items():
+        table = dp6._omega_upto(dp6._alpha_bounds(B)[1])
+        assert om.dtype == table.dtype and om.tobytes() == table.tobytes(), B
+
+
 def test_l_t_count_int8_budget_limit(monkeypatch):
     B = 2**50  # a2max = icbrt(2^97) >= 2^32
     assert dp6._alpha_bounds(B)[1] >= dp6.COUNT_ALPHA2_LIMIT
@@ -380,9 +430,10 @@ def test_l_t_count_int8_budget_limit(monkeypatch):
         dp6.l_t_count(B, 2, 12)
 
     def no_work(*args):
-        raise AssertionError("l_t_count ran before the arguments were checked")
+        raise AssertionError("m_t_growth sieved or counted before the arguments were checked")
 
-    monkeypatch.setattr(dp6, "l_t_count", no_work)
+    monkeypatch.setattr(dp6, "_l_t_counts", no_work)
+    monkeypatch.setattr(dp6, "_omega_upto", no_work)
     with pytest.raises(ValueError, match=f"B = {B} too large"):
         dp6.m_t_growth([1000, B], 12)
     with pytest.raises(ValueError, match="factor bound t must be nonnegative"):

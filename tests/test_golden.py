@@ -6,7 +6,10 @@ The recorded files are the reference: a change that alters any of them
 alters user-visible output.  After an intended output change, rewrite them
 with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+which records the named cases only, or every case when no name is given, and
+exits nonzero on an unknown name.
 """
 
 import contextlib
@@ -56,6 +59,8 @@ CASES = {
     # the three budgets of the bench dp6-family workload's dp6-growth op
     "dp6-growth-bench": (["dp6-growth", "--B-list", "1000000,100000000,1000000000",
                           "--t", "12"], []),
+    # one budget past the bench sizes, on every numpy the package supports
+    "dp6-growth-1e10": (["dp6-growth", "--B-list", "10000000000", "--t", "12"], []),
     "dp6-sieve": (["dp6-sieve", "--B", "1000", "--q", "7", "--z-max", "100",
                    "--rho-max", "10"], []),
     "dp6-sieve-out": (["dp6-sieve", "--B", "1500", "--q", "7", "--tau", "0.7", "--c2", "0.5",
@@ -93,7 +98,10 @@ def test_golden_output(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    for case in sorted(CASES):
+    unknown = sorted(set(sys.argv[1:]) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden case: {', '.join(unknown)}")
+    for case in sorted(set(sys.argv[1:]) or CASES):
         with tempfile.TemporaryDirectory() as tmp:
             code, stdout, files = run_case(case, Path(tmp))
         if code != 0:
