@@ -1,15 +1,18 @@
 """Exact integer arithmetic: factorization, multiplicative functions, symbols.
 
 Factorization does trial division by 2, 3, 5 and the 6k +/- 1 wheel up to
-min(sqrt(x), 10^6), x the cofactor left.  When the wheel passes sqrt(x), the
-cofactor is 1 or a prime and is recorded without a primality test; only a
-cofactor left at the 10^6 bound goes to Brent's variant of Pollard rho with a
-deterministic Miller-Rabin test (fixed witness set, exact for all n < 2**64).
-factorize keeps its last result (a one-entry cache), because callers ask for
-the same n several times in a row: box_report derives phi, tau and the
-divisors of one q, and w2_sum mobius and Omega of one d.  Sharing the result
-is safe, since a Factorization is a tuple that holds only tuples of ints.  The
-cache is typed, so an int and a numpy integer of one value do not share it.
+min(sqrt(x), 10^6), x the cofactor left, two wheel candidates per step of a
+range.  When the wheel passes sqrt(x), the cofactor is 1 or a prime and is
+recorded without a primality test; only a cofactor left at the 10^6 bound
+goes to Brent's variant of Pollard rho with a deterministic Miller-Rabin test
+(fixed witness set, exact for all n < 2**64).  A Factorization carries the
+divisor functions (divisors, tau, phi, sigma_{-1/2}), and the module-level
+ones read them from factorize(n).  factorize keeps its last result (a
+one-entry cache), because callers ask for the same n several times in a row:
+count_exact takes the primes and phi of one q, and w2_sum mobius and Omega
+of one d.  Sharing the result is safe, since a Factorization is a tuple that
+holds only tuples of ints.  The cache is typed, so an int and a numpy
+integer of one value do not share it.
 Everything in this module is exact; the intended operating range is
 1 <= n < 2**63.
 """
@@ -19,6 +22,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_BOUND = 1_000_000
@@ -80,10 +85,37 @@ def _brent_rho(n: int) -> int:
 
 
 class Factorization(NamedTuple):
-    """A positive integer together with its sorted prime factorization."""
+    """A positive integer together with its sorted prime factorization, and
+    the divisor functions read from it."""
 
     n: int
     factors: tuple[tuple[int, int], ...]
+
+    def divisors(self) -> list[int]:
+        ds = [1]
+        for p, e in self.factors:
+            ds = [d * p**k for d in ds for k in range(e + 1)]
+        return sorted(ds)
+
+    def tau(self) -> int:
+        out = 1
+        for _, e in self.factors:
+            out *= e + 1
+        return out
+
+    def phi(self) -> int:
+        out = self.n
+        for p, _ in self.factors:
+            out -= out // p
+        return out
+
+    def sigma_half_inv(self) -> float:
+        # added left to right in ascending d, the order sum() took up to
+        # Python 3.11 (3.12 compensates float sums)
+        out = 0.0
+        for d in self.divisors():
+            out += 1.0 / math.sqrt(d)
+        return out
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -96,15 +128,23 @@ def factorize(n: int) -> Factorization:
         while x % p == 0:
             found[p] = found.get(p, 0) + 1
             x //= p
-    # 6k +/- 1 wheel up to the trial bound
+    # 6k +/- 1 wheel up to the trial bound, in pairs d, d + 4 with d = 1
+    # (mod 6); a pair that divides nothing costs two remainders.  Any divisor
+    # found is a prime, all smaller primes being divided out already
     d = 7
-    step = 4
     while d * d <= x and d <= _TRIAL_BOUND:
-        while x % d == 0:
-            found[d] = found.get(d, 0) + 1
-            x //= d
-        d += step
-        step = 6 - step
+        top = min(math.isqrt(x), _TRIAL_BOUND)
+        for d in range(d, top + 1, 6):
+            if not (x % d and x % (d + 4)):
+                break
+        else:  # no divisor up to top: d * d > x unless top is the bound
+            d = top + 1
+            break
+        for p in (d, d + 4):
+            while x % p == 0:
+                found[p] = found.get(p, 0) + 1
+                x //= p
+        d += 6
     if d * d <= x:  # stopped at the trial bound: x may be composite
         stack = [x]
     else:  # the wheel passed sqrt(x), so x is 1 or a prime
@@ -126,33 +166,24 @@ def factorize(n: int) -> Factorization:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, sorted."""
-    ds = [1]
-    for p, e in factorize(n).factors:
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
+    return factorize(n).divisors()
 
 
 # ---- multiplicative and additive functions ----
 
 def tau(n: int) -> int:
     """Number of divisors."""
-    out = 1
-    for _, e in factorize(n).factors:
-        out *= e + 1
-    return out
+    return factorize(n).tau()
 
 
 def sigma_half_inv(n: int) -> float:
     """sum over d | n of d**(-1/2)."""
-    return sum(1.0 / math.sqrt(d) for d in divisors(n))
+    return factorize(n).sigma_half_inv()
 
 
 def phi(n: int) -> int:
     """Euler totient."""
-    out = n
-    for p, _ in factorize(n).factors:
-        out -= out // p
-    return out
+    return factorize(n).phi()
 
 
 def mobius(n: int) -> int:
@@ -178,8 +209,11 @@ def floor_mod(x, q: int):
     ints; x // q * q lies in (x - q, x], so |x| + q fitting the dtype keeps
     it exact.  numpy divides int64 by a scalar with a multiply and a shift,
     where % takes one hardware divide per element, so on int64 blocks this
-    costs about half of x % q."""
-    return x - x // q * q
+    costs about half of x % q.  An array result reuses the buffer of x // q,
+    the one temporary allocated."""
+    r = x // q
+    r *= q
+    return np.subtract(x, r, out=r) if isinstance(r, np.ndarray) else x - r
 
 
 # Moduli below this keep every product of two residues below 2^62, inside

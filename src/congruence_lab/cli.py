@@ -201,6 +201,10 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
         if side is not None and side < 1:
             raise ValueError(f"--{name} must be q or a rational >= 1, got {side}")
     qs = dp6.sieve_primes(o.primes_up_to) if o.q_list is None else o.q_list
+    # an out-of-range modulus is left to scan_boxes, which names it
+    if all(1 <= q < arith.MODULUS_LIMIT and math.gcd(o.a * o.b, q) != 1 for q in qs):
+        raise ValueError(f"--a, --b: a*b = {o.a * o.b} shares a factor with every modulus q,"
+                         f" so no box is left to count")
     reps = congruence.scan_boxes(qs, o.a, o.b, o.x, o.y)
     rows = [reports.box_row(r, o.timings) for r in reps]
     worst = max((r.ratio for r in reps), default=0.0)

@@ -16,16 +16,22 @@ d | rad(q) for t = ry: when rx = 0 no block is walked at all.  Otherwise
 half a walk does: (q - y)^f = (-1)^f y^f, so the mirror q - y has the
 class c_y for even f and q - c_y for odd f, and the floor(q/2) residues
 y <= q/2 (their units only) decide T(rx, ry) and T(rx, q) for every unit
-of [1, q), at two floor_mods per unit for f = 2.  For e >= 2 it also fills
+of [1, q).  A block's classes are one floor_mod of the exact int64 product
+k y^f while max(k) max(y)^f < 2^62 (for f = 2 every q below about 2.6e6),
+else y^f is reduced first and the product again.  For e >= 2 it also fills
 one int32 table of y-counts per key (4 bytes per residue) and reads it at
 the x-keys.  O(q) time at most, q < 2^31 so every residue product fits in
 int64, and the T are combined in Python ints, so counts stay exact for any
 rational box.  Every int64 reduction mod q is arith.floor_mod, x - x // q
 * q: numpy divides by a scalar with a multiply and a shift, where % takes
 one hardware divide per element.  Boxes get a main-term/error-envelope split
-phi(q) X Y / q^2 + O(...).  box_report and scan_boxes factor each q once and
-check every box's count bound, main term and envelope before the first
-count; a box's seconds cover its forms and count.
+phi(q) X Y / q^2 + O(...).  box_report and scan_boxes share one body that
+checks every box's count bound, main term and envelope before the first
+count, in array passes: each distinct q is factored once, with phi, tau and
+sigma_{-1/2} read from that factorization; the forms and ratios of all
+boxes are float64 expressions in the scalar order, of the same bits; a box
+with rx = 0 is counted in closed form, and only the others walk.  A box's
+seconds are its count and an equal share of the batch's checks and forms.
 
 Regions whose x-range depends on y through slowly varying boundary functions
 are counted through the floor identity
@@ -63,7 +69,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import (MODULUS_LIMIT, block_rows, factorize, floor_mod, log1n, mod_inv, phi,
+from .arith import (MODULUS_LIMIT, block_rows, factorize, floor_mod, log1n, mod_inv,
                     sigma_half_inv, tau)
 
 log = logging.getLogger("congruence_lab")
@@ -89,7 +95,9 @@ class CongruenceInstance:
     f: int = 2
 
     def __post_init__(self):
-        X, Y = Fraction(self.X), Fraction(self.Y)
+        # a Fraction side is kept as given, so the boxes of a scan share theirs
+        X = self.X if type(self.X) is Fraction else Fraction(self.X)
+        Y = self.Y if type(self.Y) is Fraction else Fraction(self.Y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         _check_coefficients(self.a, self.b, self.q)
@@ -120,13 +128,15 @@ def _check_modulus(q: int) -> None:
 def _units(lo: int, hi: int, primes: list[int], dtype=np.int64) -> Iterator[np.ndarray]:
     # the integers in [lo, hi] prime to every p in primes, in ascending
     # blocks: each p strikes its multiples start + (-start % p) + j p from a
-    # mask by one strided write; start is added after the cast, so object
-    # blocks hold Python ints however far lo lies beyond int64
+    # mask by one strided write; start is added in place after the cast, so
+    # object blocks hold Python ints however far lo lies beyond int64
     for start in range(lo, hi + 1, _BLOCK):
         keep = np.ones(min(_BLOCK, hi + 1 - start), dtype=bool)
         for p in primes:
             keep[-start % p :: p] = False
-        yield np.flatnonzero(keep).astype(dtype) + start
+        y = np.flatnonzero(keep).astype(dtype, copy=False)
+        y += start
+        yield y
 
 
 def _unit_count(t: int, primes: list[int]) -> int:
@@ -134,6 +144,8 @@ def _unit_count(t: int, primes: list[int]) -> int:
     # of mu(d) floor(t / d), over the d <= t only (a larger d adds 0)
     terms = [(1, 1)]  # (d, mu(d))
     for p in primes:
+        if p > t:  # the primes ascend, so no later d p is <= t either
+            break
         terms += [(d * p, -mu) for d, mu in terms if d * p <= t]
     return sum(mu * (t // d) for d, mu in terms)
 
@@ -158,7 +170,12 @@ def _powmod(r: np.ndarray, k: int, q: int) -> np.ndarray:
 def _x_classes(y: np.ndarray, k, f: int, q: int) -> np.ndarray:
     # c_y = k y^f mod q, k = -a^{-1} b mod q, for y in [0, q]: the one class
     # of x in [0, q) with a x + b y^f = 0 (mod q), for every unit y of the
-    # block; a column of k gives one row per k
+    # block; a column of k gives one row per k.  While max(k) max(y)^f <
+    # 2^62 the product k y^f is exact in int64 and reduced once; otherwise
+    # y^f is reduced first (_powmod), and the product again
+    top = int(k.max()) if isinstance(k, np.ndarray) else k
+    if top * int(y.max(initial=0)) ** f < _WIDE:
+        return floor_mod(k * y**f, q)
     return floor_mod(k * _powmod(y, f, q), q)
 
 
@@ -218,18 +235,14 @@ def count_exact(inst: CongruenceInstance) -> int:
     2^31: ValueError naming q otherwise, before anything is allocated.
     """
     _check_modulus(inst.q)
-    return _count(inst, [p for p, _ in factorize(inst.q).factors], phi(inst.q))
-
-
-def _count(inst: CongruenceInstance, primes: list[int], phi_q: int) -> int:
-    # count_exact of a checked modulus, given its primes and phi(q)
     q = inst.q
-    Qx, rx = divmod(inst.X.numerator // inst.X.denominator, q)
-    Qy, ry = divmod(inst.Y.numerator // inst.Y.denominator, q)
+    fac = factorize(q)
+    primes = [p for p, _ in fac.factors]
+    X, Y = inst.X.numerator // inst.X.denominator, inst.Y.numerator // inst.Y.denominator
     if inst.e == 1:
-        k = -mod_inv(inst.a, q) * inst.b % q
-        t_rr, t_rq = _class_hits(k, inst.f, q, rx, ry, primes) if rx else (0, 0)
-        return Qx * Qy * phi_q + Qx * _unit_count(ry, primes) + Qy * t_rq + t_rr
+        return _linear_count(inst, X, Y, primes, fac.phi())
+    Qx, rx = divmod(X, q)
+    Qy, ry = divmod(Y, q)
     ka, kb = -inst.a % q, inst.b % q
     table = np.zeros(q, dtype=np.int32)
     sums = []  # (T(rx, t), T(q, t)) for t = ry, then t = q
@@ -251,34 +264,67 @@ def _count(inst: CongruenceInstance, primes: list[int], phi_q: int) -> int:
     return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
 
 
-def _completed_term(c: float, q: int, Y: float, tau_q: int, sigma_q: float) -> float:
-    # the completed Gauss sums of both envelopes, multiplied left to right
-    return c * sigma_q * (Y / math.sqrt(q) * tau_q + math.sqrt(q) * log1n(q))
-
-
-def _closed_forms(inst: CongruenceInstance, phi_q: int, tau_q: int, sigma_q: float
-                  ) -> tuple[float, float]:
-    # (main term, envelope) of an e = 1, f = 2 box, left to right, given phi,
-    # tau and sigma_{-1/2} of q; each side a float once, as numerator /
-    # denominator, the division float(Fraction) does
-    if (inst.e, inst.f) != (1, 2):
-        raise ValueError("main term and error envelope are for e = 1, f = 2")
+def _linear_count(inst: CongruenceInstance, X: int, Y: int, primes: list[int], phi_q: int
+                  ) -> int:
+    # count_exact of an e = 1 box of floor sides X, Y, given the primes of q
+    # and phi(q): closed form when rx = 0, else the half walk of _class_hits
     q = inst.q
-    X, Y = inst.X.numerator / inst.X.denominator, inst.Y.numerator / inst.Y.denominator
-    return (phi_q * X * Y / q**2,
-            X / q * tau_q + _completed_term(log1n(q), q, Y, tau_q, sigma_q))
+    Qx, rx = divmod(X, q)
+    Qy, ry = divmod(Y, q)
+    t_rr, t_rq = (_class_hits(-mod_inv(inst.a, q) * inst.b % q, inst.f, q, rx, ry, primes)
+                  if rx else (0, 0))
+    return Qx * Qy * phi_q + Qx * _unit_count(ry, primes) + Qy * t_rq + t_rr
+
+
+def _completed_term(c, root_q, L_q, Y, tau_q, sigma_q):
+    # the completed Gauss sums of both envelopes, multiplied left to right,
+    # elementwise on float64 arrays as on floats; root_q = sqrt(q), L_q = log1n(q)
+    return c * sigma_q * (Y / root_q * tau_q + root_q * L_q)
+
+
+def _moduli(instances: Sequence[CongruenceInstance]
+            ) -> tuple[dict[int, tuple[list[int], int]], np.ndarray]:
+    # each distinct q factored once: q -> (its primes, phi(q)), and the
+    # float64 columns q, q^2, phi(q), tau(q), sigma_{-1/2}(q), log1n(q) of
+    # every box, each integer rounded once, as Python rounds an int that
+    # meets a float
+    counts, values, forms = {}, {}, []
+    for inst in instances:
+        q = inst.q
+        if q not in values:
+            fac = factorize(q)
+            counts[q] = ([p for p, _ in fac.factors], fac.phi())
+            values[q] = (q, q * q, counts[q][1], fac.tau(), fac.sigma_half_inv(), log1n(q))
+        forms += values[q]
+    return counts, np.array(forms, dtype=np.float64).reshape(-1, 6).T
+
+
+def _closed_forms(instances: Sequence[CongruenceInstance], columns: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    # (main terms, envelopes) of e = 1, f = 2 boxes as float64 arrays, given
+    # the _moduli columns: each formed left to right as its scalar
+    # expression, so of the same bits; each side a float once, as numerator /
+    # denominator, the division float(Fraction) does.  An overflow gives inf,
+    # for the caller to refuse
+    if any((inst.e, inst.f) != (1, 2) for inst in instances):
+        raise ValueError("main term and error envelope are for e = 1, f = 2")
+    q, q2, phi_q, tau_q, sigma_q, L_q = columns
+    X = np.array([inst.X.numerator / inst.X.denominator for inst in instances], dtype=np.float64)
+    Y = np.array([inst.Y.numerator / inst.Y.denominator for inst in instances], dtype=np.float64)
+    root = np.sqrt(q)
+    with np.errstate(over="ignore"):
+        return (phi_q * X * Y / q2,
+                X / q * tau_q + _completed_term(L_q, root, L_q, Y, tau_q, sigma_q))
 
 
 def main_term(inst: CongruenceInstance) -> float:
     """phi(q) X Y / q^2 (linear-quadratic pairing only)."""
-    q = inst.q
-    return _closed_forms(inst, phi(q), tau(q), sigma_half_inv(q))[0]
+    return float(_closed_forms([inst], _moduli([inst])[1])[0][0])
 
 
 def error_envelope(inst: CongruenceInstance) -> float:
     """Envelope X/q tau(q) + L(q) sigma_{-1/2}(q) (Y/sqrt(q) tau(q) + sqrt(q) L(q))."""
-    q = inst.q
-    return _closed_forms(inst, phi(q), tau(q), sigma_half_inv(q))[1]
+    return float(_closed_forms([inst], _moduli([inst])[1])[1][0])
 
 
 class CountReport(NamedTuple):
@@ -296,30 +342,32 @@ _FLOAT_MAX = int(sys.float_info.max)
 def _reports(instances: list[CongruenceInstance]) -> list[CountReport]:
     # every count bound (exact - main makes the count a float; each y <= Y has
     # one class of x mod q, so at most floor(X) // q + 1 of the x <= X), then
-    # every main term and envelope, is checked before the first count
-    for inst in instances:
-        X, Y = inst.X.numerator // inst.X.denominator, inst.Y.numerator // inst.Y.denominator
+    # every main term and envelope, is checked before the first count.  The
+    # forms are one array pass over the boxes; a box's seconds are its count
+    # and an equal share of all the work before the first count
+    t0 = time.perf_counter()
+    floors = [(inst.X.numerator // inst.X.denominator, inst.Y.numerator // inst.Y.denominator)
+              for inst in instances]
+    for inst, (X, Y) in zip(instances, floors):
         if Y * (X // inst.q + 1) > _FLOAT_MAX:
             raise ValueError(f"box sides X, Y are too large at q = {inst.q}: the count bound"
                              f" floor(Y) (floor(X) // q + 1) is outside float range")
-    forms = []
-    for inst in instances:
+    counts, columns = _moduli(instances)
+    main, env = _closed_forms(instances, columns)
+    bad = np.flatnonzero(~(np.isfinite(main) & np.isfinite(env)))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"box sides X, Y are too large at q = {instances[i].q}: main term"
+                         f" {float(main[i])!r}, envelope {float(env[i])!r}, outside float range")
+    share = (time.perf_counter() - t0) / max(len(instances), 1)
+    exact, seconds = [], []
+    for inst, (X, Y) in zip(instances, floors):
         t0 = time.perf_counter()
-        # one factorize(q): phi, tau and sigma_half_inv hit its one-entry cache
-        q = inst.q
-        primes, phi_q = [p for p, _ in factorize(q).factors], phi(q)
-        main, env = _closed_forms(inst, phi_q, tau(q), sigma_half_inv(q))
-        if not (math.isfinite(main) and math.isfinite(env)):
-            raise ValueError(f"box sides X, Y are too large at q = {q}: main term {main!r},"
-                             f" envelope {env!r}, outside float range")
-        forms.append((primes, phi_q, main, env, time.perf_counter() - t0))
-    reps = []
-    for inst, (primes, phi_q, main, env, seconds) in zip(instances, forms):
-        t0 = time.perf_counter()
-        exact = _count(inst, primes, phi_q)
-        seconds += time.perf_counter() - t0
-        reps.append(CountReport(inst, exact, main, env, abs(exact - main) / env, seconds))
-    return reps
+        exact.append(_linear_count(inst, X, Y, *counts[inst.q]))
+        seconds.append(share + (time.perf_counter() - t0))
+    ratio = np.abs(np.array(exact, dtype=np.float64) - main) / env
+    return list(map(CountReport, instances, exact, main.tolist(), env.tolist(), ratio.tolist(),
+                    seconds))
 
 
 def box_report(inst: CongruenceInstance) -> CountReport:
@@ -349,12 +397,15 @@ def scan_boxes(
         raise ValueError("box sides X, Y must be >= 1")
     for q in q_values:
         _check_modulus(q)
+    X, Y = (None if side is None else Fraction(side) for side in (X, Y))
     instances = []
     for q in q_values:
         if math.gcd(a * b, q) != 1:
             log.warning("skipping q=%d: a*b must be coprime to q", q)
             continue
-        instances.append(CongruenceInstance(a, b, q, q if X is None else X, q if Y is None else Y))
+        side = Fraction(q)
+        instances.append(CongruenceInstance(a, b, q, side if X is None else X,
+                                            side if Y is None else Y))
     return _reports(instances)
 
 
@@ -512,7 +563,8 @@ def boundary_report(
     main = float(mt)
     Y = float(J.length)
     delta = distortion(H, bounds, J, q)
-    env = Y / H + _completed_term(delta * log1n(H), q, Y, tau(q), sigma_half_inv(q))
+    env = Y / H + _completed_term(delta * log1n(H), math.sqrt(q), log1n(q), Y, tau(q),
+                                  sigma_half_inv(q))
     seconds = time.perf_counter() - t0
     return BoundaryReport(exact, main, env, abs(exact - main) / env, H, delta, seconds)
 

@@ -202,6 +202,9 @@ REFUSALS = {
                                              "epsilon must be nonnegative"),
     "timings key not a boolean": (["count", *BOX, "--out", "x.csv"], "timings = maybe\n",
                                   "config key 'timings': invalid bool value 'maybe'"),
+    "no scanned modulus prime to ab": (["count-scan", "--q-list", "6", "--a", "2", "--b", "1",
+                                        "--out", "x.csv"], None,
+                                       "--a, --b: a*b = 2 shares a factor with every modulus q"),
 }
 
 
@@ -241,7 +244,8 @@ BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "vaaler samples beyond the cap", "bilinear table beyond the cap",
                "general count modulus beyond the table cap", "prime bound with a q list",
                "prime bound key with a q list", "bilinear seeds beyond the cap",
-               "avg-scan seeds beyond the cap", "grid bound beyond the cap")
+               "avg-scan seeds beyond the cap", "grid bound beyond the cap",
+               "no scanned modulus prime to ab")
 
 
 @pytest.mark.parametrize("case", BEFORE_WORK)
@@ -251,7 +255,8 @@ def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
 
     for module, name in ((cli.dp6, "sieve_primes"), (cli.averaged, "cell_sums"),
                          (cli.dp6, "build_sieve_sequence"), (cli.congruence, "_jacobi_table"),
-                         (cli.congruence, "count_exact"), (cli, "random_floats")):
+                         (cli.congruence, "count_exact"), (cli.congruence, "_linear_count"),
+                         (cli, "random_floats")):
         monkeypatch.setattr(module, name, no_work)
     test_refused_before_any_output(case, tmp_path, capsys, monkeypatch)
 

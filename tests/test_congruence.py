@@ -2,7 +2,9 @@ import functools
 import logging
 import math
 import random
+import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -363,6 +365,7 @@ def test_scan_boxes_refuses_bad_values_before_any_count(kwargs, message, monkeyp
         raise AssertionError("a box was counted before the values were checked")
 
     monkeypatch.setattr(cg, "count_exact", no_work)
+    monkeypatch.setattr(cg, "_linear_count", no_work)
     with pytest.raises(ValueError, match=message):
         cg.scan_boxes([5, 7], **kwargs)
 
@@ -413,6 +416,138 @@ def test_scan_boxes_matches_box_report_property():
                     main.hex(), env.hex(), (abs(rep.exact - main) / env).hex()]
 
     check()
+
+
+def _literal_forms(inst):
+    # main term, envelope: the scalar expressions, left to right, with
+    # sigma_{-1/2} added over the ascending divisors here
+    q, x, y = inst.q, float(inst.X), float(inst.Y)
+    sigma = 0.0
+    for d in arith.divisors(q):
+        sigma += 1.0 / math.sqrt(d)
+    L, tau, root = arith.log1n(q), arith.tau(q), math.sqrt(q)
+    main = arith.phi(q) * x * y / q**2
+    return main, x / q * tau + L * sigma * (y / root * tau + root * L)
+
+
+# a box that passes the count bound but whose main term overflows a float
+_OVERFLOWING = cg.CongruenceInstance(1, 1, 1000000007, 10**150, 10**150)
+
+
+def test_batch_reports_match_oracles_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # q = 1, primes, squarefree and square-heavy moduli, small and large
+    modulus = (st.integers(1, 200) | st.integers(1, 10**5)
+               | st.sampled_from([1, 2, 97, 99991, 30030, 44100, 2**10, 3**7 * 5**2]))
+    side = st.none() | st.fractions(min_value=1, max_value=400, max_denominator=7)
+    coefficient = st.integers(-10**4, 10**4).filter(bool)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(base=st.lists(modulus, min_size=1, max_size=20),
+                      repeats=st.lists(st.integers(0, 19), max_size=20),
+                      a=coefficient, b=coefficient, X=side, Y=side)
+    def check(base, repeats, a, b, X, Y):
+        qs = base + [base[i % len(base)] for i in repeats]  # up to 40, with repeats
+        insts = [cg.CongruenceInstance(a, b, q, q if X is None else X, q if Y is None else Y)
+                 for q in qs if math.gcd(a * b, q) == 1]
+        hypothesis.assume(insts)
+        reps = cg._reports(insts)
+        assert [r.instance for r in reps] == insts
+        for inst, rep in zip(insts, reps):
+            small = inst.q <= 200 and inst.X * inst.Y <= 4000
+            assert rep.exact == (oracles.count_exact_naive(inst) if small
+                                 else cg.count_exact(inst)), inst
+            main, env = _literal_forms(inst)
+            assert [v.hex() for v in rep[2:5]] == [
+                main.hex(), env.hex(), (abs(rep.exact - main) / env).hex()]
+        # a non-finite middle box is named before any box is counted
+        middle = len(insts) // 2
+        with mock.patch.object(cg, "_linear_count", side_effect=AssertionError("counted")):
+            with pytest.raises(ValueError, match="at q = 1000000007: main term inf"):
+                cg._reports(insts[:middle] + [_OVERFLOWING] + insts[middle:])
+
+    check()
+
+
+def test_batch_reports_walk_only_boxes_with_a_remainder(monkeypatch):
+    # X = q and X = 2q leave rx = 0: closed form; X = 10 leaves rx = 10
+    walked = []
+    hits = cg._class_hits
+    monkeypatch.setattr(cg, "_class_hits", lambda *args: walked.append(args[2]) or hits(*args))
+    reps = cg.scan_boxes([11, 13, 17], 1, 1, None, 30)
+    reps += [cg.box_report(cg.CongruenceInstance(1, 1, 19, 38, 30))]
+    assert walked == []
+    reps += cg.scan_boxes([23, 29], 1, 1, 10, 30)
+    assert walked == [23, 29]
+    for rep in reps:
+        assert rep.exact == oracles.count_exact_naive(rep.instance)
+
+
+def test_batch_seconds_add_up_to_no_more_than_the_scan():
+    # each box: its own count plus an equal share of the checks and forms
+    t0 = time.perf_counter()
+    reps = cg.scan_boxes([11, 13, 17, 30031], 1, 1, 10, None)
+    elapsed = time.perf_counter() - t0
+    assert all(rep.seconds > 0 for rep in reps)
+    assert sum(rep.seconds for rep in reps) <= elapsed
+
+
+def _classes_oracle(y, ks, f, q):
+    return [[k * int(v) ** f % q for v in y] for k in ks]
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_x_classes_on_both_sides_of_the_int64_guard(f, monkeypatch):
+    reduced = []
+    powmod = cg._powmod
+    monkeypatch.setattr(cg, "_powmod", lambda r, k, q: reduced.append(q) or powmod(r, k, q))
+    q = 2**31 - 1
+    k = q - 2
+    # the largest y with k y^f < 2^62 takes one reduction, the next one two;
+    # for f = 1 every int64 y <= q is below the guard
+    top = next(t for t in range(q, 0, -1) if k * t**f < 2**62) if f == 1 else (
+        int(((2**62 - 1) // k) ** (1 / f)) + 2)
+    while k * top**f >= 2**62:
+        top -= 1
+    for y_max, wide in [(top, False), (top + 1, True)]:
+        if y_max > q:
+            continue
+        y = np.array([1, 2, y_max // 3, y_max - 1, y_max], dtype=np.int64)
+        for kv, ks in [(k, [k]), (np.array([[3], [k]], dtype=np.int64), [3, k])]:
+            reduced.clear()
+            got = cg._x_classes(y, kv, f, q)
+            assert np.atleast_2d(got).tolist() == _classes_oracle(y, ks, f, q), (f, y_max)
+            assert bool(reduced) == wide, (f, y_max)
+    # object blocks: Python ints, on both sides of the guard
+    big = 2**61 - 1
+    for y_max in (7, 2**20, big - 1):
+        y = np.array([1, 5, y_max], dtype=object)
+        for kv, ks in [(big - 2, [big - 2]), (np.array([[1], [9]], dtype=object), [1, 9])]:
+            reduced.clear()
+            got = cg._x_classes(y, kv, f, big)
+            assert np.atleast_2d(got).tolist() == _classes_oracle(y, ks, f, big)
+            assert bool(reduced) == (max(ks) * y_max**f >= 2**62), (f, y_max, ks)
+
+
+def test_class_sums_straddle_the_int64_guard(monkeypatch):
+    # q^3 > 2^62 > q (q - 1)^2 / 4: blocks of small residues take one
+    # reduction, the blocks past isqrt(2^62 / (q - 1)) take two
+    q = 2_000_003
+    assert arith.is_prime(q)
+    threshold = math.isqrt((2**62 - 1) // (q - 1))
+    J = cg.Interval(threshold - 20_000, 40_000)
+    bounds = cg.BoundarySpec(Fraction(-7, 3), Fraction(1, 5), 3 * q + Fraction(1, 7), 2)
+    assert _block_dtype(q, bounds, J) == np.int64
+    reduced = []
+    powmod = cg._powmod
+    monkeypatch.setattr(cg, "_powmod", lambda r, k, q: reduced.append(q) or powmod(r, k, q))
+    ks = [q - 1, 5]
+    counts, main = cg.class_sums(ks, q, bounds, J)
+    assert 0 < len(reduced) < len(range(J.integers().start, J.integers().stop, cg._BLOCK))
+    # the loop oracle's class -a^{-1} b y^2 is k y^2 for a = -1, b = k
+    assert counts == [count_boundaries_loop(-1, k, q, bounds, J) for k in ks]
+    assert main == main_term_boundaries_loop(-1, 1, q, bounds, J)
 
 
 # ---- boundary counting ----
