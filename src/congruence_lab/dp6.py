@@ -20,16 +20,14 @@ pattern are described by the multiplicative function rho below, and the
 weighted sieve needs t above a threshold computed from the dimension-3
 sieving limit beta_3.
 
-One kernel, _family, enumerates the family of a prime q in int64 blocks; the
-points and the sieve sequence read it, and the points look up Omega per
-block through _omega.  point_blocks, the one point enumerator, turns the
-family into checked int64 column blocks (q, alphas, surface coordinates,
-Omega) that dp6-enumerate streams to its output without building a Python
-object per point.  The counts L_t need no point: _l_t_counts reads each
-alpha1 row as an int8 column of the Omega table and a run of one alpha3
-table built once per budget; l_t_count is its one-prime case, and
-m_t_growth sieves Omega once, for its largest budget.  rho is computed as
-its Euler product.
+One block loop, _cell_blocks, walks the family as int8 cells Omega(alpha2)
++ Omega(|alpha3|), padded where there is no point, and serves three readers:
+the counts L_t (_l_t_counts, whose one-prime case is l_t_count; m_t_growth
+sieves Omega once, for its largest budget), point_blocks, the one point
+enumerator, which turns the real cells into checked int64 column blocks
+(q, alphas, surface coordinates, Omega) that dp6-enumerate streams out with
+no Python object per point, and build_sieve_sequence, which reads the real
+cells of a zero table and so sieves no Omega.  rho is its Euler product.
 
 All window and height comparisons are exact integer inequalities
 (8 q^3 > B instead of q > B^{1/3} and so on); no floating-point cube roots.
@@ -50,7 +48,6 @@ from .arith import block_rows, factorize, is_prime, mobius
 log = logging.getLogger("congruence_lab")
 
 BETA_3 = 6.640859  # sieving limit for the dimension-3 weighted sieve
-_BLOCK_PAIRS = 1 << 14  # (alpha1, alpha2) pairs per _family block, whole rows
 _GRID_TOL = 1e-9  # w1_min_c1 recomputes the cells this close to the grid maximum
 W2_D_LIMIT = 2**16  # w2_sum's largest d_max: one pass over the sieve sequence per d
 Z_MAX_LIMIT = 10**5  # dp6-sieve's largest z_max: w1_min_c1 takes pi(z_max)^2 / 2 grid cells
@@ -91,8 +88,8 @@ def _padded(limit: int, head: np.ndarray | int) -> np.ndarray:
     return om
 
 
-# One table is cached, since callers work through one budget at a time and
-# m_t_growth through its largest: 1 byte per n <= B^{2/3}/2, then the pad.
+# One table is cached, since the counts and points work through one budget
+# at a time and m_t_growth through its largest: 1 byte per n <= B^{2/3}/2, then the pad.
 @lru_cache(maxsize=1)
 def _omega_upto(limit: int) -> np.ndarray:
     # om[n] = number of prime factors of n with multiplicity for n <= limit;
@@ -101,7 +98,7 @@ def _omega_upto(limit: int) -> np.ndarray:
     # sqrt(limit).  A tail of isqrt(2 limit) + 2 pads 2L - 1, L =
     # limit.bit_length(), follows: for limit = B^{2/3}/2 every window prime
     # q <= B^{1/3} has q <= isqrt(2 limit) + 1, so the table covers q K,
-    # K = limit // q + 1, and _l_t_counts reads it as a (K, q) view.  The
+    # K = limit // q + 1, and _cell_blocks reads it as a (K, q) view.  The
     # cached table is read-only; limit < 2^32 keeps rem in uint32.
     om = _padded(limit, 0)
     head = om[: limit + 1]
@@ -142,36 +139,59 @@ def _alpha_bounds(B: int) -> tuple[int, int]:
     return icbrt(B // 8), icbrt(B * B // 8)
 
 
-def _family(B: int, q: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """The family points of one prime q <= B^{1/3} as int64 blocks
-    (alpha1, alpha2, alpha3) in (alpha1, alpha2) order.
+def _cell_blocks(B: int, qs: Sequence[int], om: np.ndarray,
+                 entries: int = 1) -> Iterator[tuple]:
+    """The family of each prime 2 <= q <= B^{1/3} in qs as blocks (q,
+    alpha1, s, z, cells) of arith.block_rows(entries K) whole alpha1 rows,
+    from om: _padded(a2max, head), e.g. the Omega table of B.
 
-    A block holds whole alpha1 rows, about _BLOCK_PAIRS pairs.  Row alpha1
-    has alpha2 = s + k q for 0 <= k < n, s = alpha1^2 mod q, so alpha3 =
-    (s - alpha1^2)/q + k = k - z with z = alpha1^2 // q.  Skipping alpha3 = 0
-    splits the row into two runs, alpha3 < 0 and alpha3 > 0.
+    Row alpha1 of the family of q has alpha2 = s + k q and alpha3 = k - z
+    for 0 <= k < K = a2max // q + 1, s = alpha1^2 mod q, z = alpha1^2 // q,
+    so cells[k, i] = om[alpha2] + om[|alpha3|] of row alpha1[i] sums two
+    int8 slices: column s of om read as a (K, q) matrix, and the window
+    G[Z - z : Z - z + K] of G[Z + j] = om[|j|], Z the largest z of any q in
+    qs; G is formed once for all of qs.  The pad 2L - 1, L =
+    a2max.bit_length(), fills the cells beyond a2max and G[Z] (alpha3 = 0),
+    so the family points are the cells <= 2L - 2, the largest real sum.
     """
+    if not qs:
+        return
     a1max, a2max = _alpha_bounds(B)
     rows = np.arange(1, a1max + 1, dtype=np.int64)
-    rows = rows[rows % q != 0]
-    step = max(1, _BLOCK_PAIRS // (a2max // q + 1))
-    for i in range(0, rows.size, step):
-        a1 = np.repeat(rows[i : i + step], 2)  # one entry per run
-        sq = a1 * a1
-        z = sq // q
-        n = (a2max - sq % q) // q + 1
-        neg = np.arange(a1.size) % 2 == 0
-        lens = np.where(neg, np.minimum(z, n), np.maximum(n - z - 1, 0))
-        ends = np.cumsum(lens)
-        a3 = np.arange(ends[-1]) + np.repeat(np.where(neg, -z, 1) - ends + lens, lens)
-        yield np.repeat(a1, lens), np.repeat(sq, lens) + q * a3, a3
+    sq = rows * rows
+    Z, Kmax = a1max * a1max // min(qs), a2max // min(qs) + 1
+    G = np.empty(Z + Kmax, dtype=np.int8)
+    G[:Z], G[Z], G[Z + 1 :] = om[Z:0:-1], 2 * a2max.bit_length() - 1, om[1:Kmax]
+    wide = np.lib.stride_tricks.sliding_window_view(G, Kmax)
+    for q in qs:
+        K = a2max // q + 1
+        mt = om[: q * K].reshape(K, q)  # a view: the pad tail of om covers q K
+        a1, s, z = rows, sq % q, sq // q
+        if a1max >= q:  # rows divisible by q are not in the family
+            keep = s != 0
+            a1, s, z = a1[keep], s[keep], z[keep]
+        step = block_rows(entries * K)
+        for i in range(0, a1.size, step):
+            rs = slice(i, i + step)
+            cells = mt[:, s[rs]]
+            cells += wide[Z - z[rs], :K].T
+            yield q, a1[rs], s[rs], z[rs], cells
 
 
-def _omega(B: int, a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
-    # Omega(alpha1 alpha2 |alpha3|), prime factors with multiplicity, for a
-    # block of _family(B, q); summed in the table's int8, each term < 42
-    om = _omega_upto(max(_alpha_bounds(B)[1], 1))
-    return om[a1] + om[a2] + om[np.abs(a3)]
+def _real_cells(B: int, q: int, a1, s, z, cells) -> tuple[np.ndarray, ...]:
+    # (alpha1, alpha2, alpha3, cell) of the real cells of a _cell_blocks block
+    # in (alpha1, alpha2) order.  With f = i K + k the flat index of cell k of
+    # row i in cells.T, alpha2 = (s - q i K) + q f and alpha3 = f - (z + i K).
+    cells = cells.T.copy()
+    f = np.flatnonzero(cells <= 2 * _alpha_bounds(B)[1].bit_length() - 2)
+    head = np.arange(a1.size + 1, dtype=np.int64) * cells.shape[1]
+    per_row = np.diff(np.searchsorted(f, head))  # f is sorted
+    head = head[:-1]
+    cell = cells.ravel()[f]
+    a2 = q * f
+    a2 += np.repeat(s - q * head, per_row)
+    f -= np.repeat(z + head, per_row)
+    return np.repeat(a1, per_row), a2, f, cell
 
 
 # point_blocks refuses budgets at or above this, so that its checks are exact
@@ -186,11 +206,11 @@ def point_blocks(B: int, t: int) -> Iterator[np.ndarray]:
         (q, alpha1, alpha2, alpha3, x0, ..., x6, Omega)
 
     in lexicographic order in (q, alpha1, alpha2), where x = pi(eta, alpha)
-    at eta = (1, 1, 1, q), alpha = (alpha1, -alpha2, alpha3).  Every block is
-    checked before it is yielded (see _check_block): q prime in its window,
-    the alpha windows, coprimality to q, alpha3 nonzero, the torsor
-    equation, both quadrics and height <= B.  B, t and the int64 limit
-    B < 2^31 are checked before any work."""
+    at eta = (1, 1, 1, q), alpha = (alpha1, -alpha2, alpha3).  Every family
+    row, Omega > t included, is checked before its block is yielded (see
+    _check_block): q prime in its window, the alpha windows, coprimality to
+    q, alpha3 nonzero, the torsor equation, both quadrics and height <= B.
+    B, t and the int64 limit B < 2^31 are checked before any work."""
     if B < 1:
         raise ValueError("budget B must be positive")
     if t < 0:
@@ -202,16 +222,20 @@ def point_blocks(B: int, t: int) -> Iterator[np.ndarray]:
 
 
 def _point_blocks(B: int, t: int) -> Iterator[np.ndarray]:
-    for q in prime_window(B):
-        for a1, a2, a3 in _family(B, q):
-            block = np.empty((a1.size, 12), dtype=np.int64)
-            block[:, 0] = q
-            block[:, 1], block[:, 2], block[:, 3] = a1, a2, a3
-            for j, x in enumerate(_monomials((1, 1, 1, q), (a1, -a2, a3))):
-                block[:, 4 + j] = x
-            _check_block(B, q, block)
-            block[:, 11] = _omega(B, a1, a2, a3)
-            yield block[block[:, 11] <= t]
+    # Every real cell becomes a row and is checked; only then are the rows
+    # with Omega > t dropped.  A row's 12 int64 columns and its temporaries
+    # stay below 48 int64 values, so a block stays within 2^18 of them.
+    om = _omega_upto(_alpha_bounds(B)[1])
+    for q, *rows in _cell_blocks(B, prime_window(B), om, 48):
+        a1, a2, a3, cell = _real_cells(B, q, *rows)
+        block = np.empty((a1.size, 12), dtype=np.int64)
+        block[:, 0] = q
+        block[:, 1], block[:, 2], block[:, 3] = a1, a2, a3
+        for j, x in enumerate(_monomials((1, 1, 1, q), (a1, -a2, a3))):
+            block[:, 4 + j] = x
+        _check_block(B, q, block)
+        block[:, 11] = cell + om[a1]
+        yield block[block[:, 11] <= t]
 
 
 def _check_block(B: int, q: int, block: np.ndarray) -> None:
@@ -289,48 +313,17 @@ def l_t_count(B: int, q: int, t: int) -> int:
 
 
 def _l_t_counts(B: int, qs: Sequence[int], t: int, om: np.ndarray) -> list[int]:
-    """L_t of each prime 2 <= q <= B^{1/3} in qs, from om, the Omega table
-    of B (_omega_upto(a2max) or a byte-equal copy).
-
-    Row alpha1 of the family of q has alpha2 = s + k q and alpha3 = k - z
-    for 0 <= k < K = a2max // q + 1, s = alpha1^2 mod q, z = alpha1^2 // q
-    (see _family), so its Omega terms are int8 slices of two tables: column
-    s of M, om read as a (K, q) matrix, and the window G[Z - z : Z - z + K]
-    of G[Z + j] = Omega(|j|), Z the largest z of any q in qs.  A block of
-    rows is a block of columns of M, to which the transposed windows are
-    added.  A pad above every real two-term sum fills the cells beyond a2max
-    and G[Z] (alpha3 = 0), and each row compares its sums with t -
-    Omega(alpha1) clamped to the largest real sum, so pad cells never count.
-    G and the row bounds are formed once for all of qs.
-    """
-    if not qs:
-        return []
-    a1max, a2max = _alpha_bounds(B)
-    L = a2max.bit_length()
-    rows = np.arange(1, a1max + 1, dtype=np.int64)
-    sq = rows * rows
-    # every real cell passes at t >= 3L, so the int8 subtraction is exact
-    room = np.minimum(min(t, 3 * L) - om[rows], 2 * L - 2)
-    Z, Kmax = a1max * a1max // min(qs), a2max // min(qs) + 1
-    G = np.empty(Z + Kmax, dtype=np.int8)
-    G[:Z], G[Z], G[Z + 1 :] = om[Z:0:-1], 2 * L - 1, om[1:Kmax]
-    wide = np.lib.stride_tricks.sliding_window_view(G, Kmax)
-    counts = []
-    for q in qs:
-        K = a2max // q + 1
-        mt = om[: q * K].reshape(K, q)  # a view: the pad tail of om covers q K
-        s, start, rq = sq % q, Z - sq // q, room
-        if a1max >= q:  # rows divisible by q are not in the family
-            keep = s != 0
-            s, start, rq = s[keep], start[keep], rq[keep]
-        step = block_rows(K)
-        total = 0
-        for i in range(0, s.size, step):
-            cells = mt[:, s[i : i + step]]
-            cells += wide[start[i : i + step], :K].T
-            total += int(np.count_nonzero(cells <= rq[None, i : i + step]))
-        counts.append(total)
-    return counts
+    """L_t of each prime 2 <= q <= B^{1/3} in qs (a repeated prime is walked
+    once), from om, the Omega table of B (_omega_upto(a2max) or a byte-equal
+    copy): each row compares its cells of _cell_blocks with t - Omega(alpha1)
+    clamped to the largest real sum 2L - 2, so pad cells never count."""
+    L = _alpha_bounds(B)[1].bit_length()
+    counts = dict.fromkeys(qs, 0)
+    for q, a1, _, _, cells in _cell_blocks(B, list(counts), om):
+        # every real cell passes at t >= 3L, so the int8 subtraction is exact
+        room = np.minimum(min(t, 3 * L) - om[a1], 2 * L - 2)
+        counts[q] += int(np.count_nonzero(cells <= room))
+    return [counts[q] for q in qs]
 
 
 class GrowthRow(NamedTuple):
@@ -389,7 +382,11 @@ def build_sieve_sequence(B: int, q: int) -> SieveSequence:
     a1max, a2max = _alpha_bounds(B)
     if a1max * a2max * (a2max // q + 1) >= 2**63:
         raise ValueError(f"budget B = {B} too large: alpha1 alpha2 |alpha3| may overflow int64")
-    products = [a1 * a2 * np.abs(a3) for a1, a2, a3 in _family(B, q)]
+    # the real cells of a zero head are the family points, with no Omega sieve;
+    # a cell takes under 8 int64 values on its way to its product
+    blocks = _cell_blocks(B, [q], _padded(a2max, 0), 8)
+    products = [a1 * a2 * np.abs(a3) for a1, a2, a3, _ in
+                (_real_cells(B, *block) for block in blocks)]
     ns, counts = np.unique(np.concatenate([np.zeros(0, np.int64), *products]),
                            return_counts=True)
     return SieveSequence(B, q, X, dict(zip(ns.tolist(), counts.tolist())))

@@ -6,7 +6,8 @@ pointwise Vaaler majorant check; the literal double-loop box count and
 the full walk of every unit y that count_exact halved for e = 1; the
 scalar double loop of the dp6 density-grid constant; the dp6 torsor,
 surface and family points as checked dataclasses, the monomial map
-between them, the family by direct loops, and the brute local density of
+between them, the family by direct loops and as the repeat-based int64
+blocks that dp6 walked before its cell blocks, and the brute local density of
 the family at a prime; small arithmetic helpers (product of a
 factorization, radical, phi(n)/n, Omega and omega, dispatch by name)."""
 
@@ -33,6 +34,7 @@ from congruence_lab.arith import (
     tau,
 )
 from congruence_lab.congruence import CongruenceInstance, _unit_count, _units, _x_classes
+from congruence_lab import dp6
 from congruence_lab.dp6 import icbrt, prime_window, rho, sieve_primes
 from congruence_lab.gausssum import GaussSumValue, _branch, _e, gauss_brute
 from congruence_lab.reports import fmt
@@ -386,6 +388,43 @@ def points_oracle(B: int, t: int) -> Iterator[PointRecord]:
                 if omega <= t:
                     torsor = special_to_torsor(sp)
                     yield PointRecord(sp, torsor, pi_map(torsor), omega)
+
+
+# the repeat-based enumerator that dp6 used before its cell blocks, kept as a
+# second, independent walk of the family
+_BLOCK_PAIRS = 1 << 14  # (alpha1, alpha2) pairs per family_blocks block, whole rows
+
+
+def family_blocks(B: int, q: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The family points of one prime q <= B^{1/3} as int64 blocks
+    (alpha1, alpha2, alpha3) in (alpha1, alpha2) order.
+
+    A block holds whole alpha1 rows, about _BLOCK_PAIRS pairs.  Row alpha1
+    has alpha2 = s + k q for 0 <= k < n, s = alpha1^2 mod q, so alpha3 =
+    (s - alpha1^2)/q + k = k - z with z = alpha1^2 // q.  Skipping alpha3 = 0
+    splits the row into two runs, alpha3 < 0 and alpha3 > 0.
+    """
+    a1max, a2max = dp6._alpha_bounds(B)  # read at call time, so a test may patch it
+    rows = np.arange(1, a1max + 1, dtype=np.int64)
+    rows = rows[rows % q != 0]
+    step = max(1, _BLOCK_PAIRS // (a2max // q + 1))
+    for i in range(0, rows.size, step):
+        a1 = np.repeat(rows[i : i + step], 2)  # one entry per run
+        sq = a1 * a1
+        z = sq // q
+        n = (a2max - sq % q) // q + 1
+        neg = np.arange(a1.size) % 2 == 0
+        lens = np.where(neg, np.minimum(z, n), np.maximum(n - z - 1, 0))
+        ends = np.cumsum(lens)
+        a3 = np.arange(ends[-1]) + np.repeat(np.where(neg, -z, 1) - ends + lens, lens)
+        yield np.repeat(a1, lens), np.repeat(sq, lens) + q * a3, a3
+
+
+def family_omega(B: int, a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
+    # Omega(alpha1 alpha2 |alpha3|), prime factors with multiplicity, for a
+    # block of family_blocks(B, q); summed in the table's int8, each term < 42
+    om = dp6._omega_upto(max(dp6._alpha_bounds(B)[1], 1))
+    return om[a1] + om[a2] + om[np.abs(a3)]
 
 
 # ---- arithmetic helpers ----

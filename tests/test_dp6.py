@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -187,39 +188,85 @@ def test_point_blocks_match_dataclass_path(t, tmp_path, capsys):
     assert f"B = {B}, t = {t}: {len(records)} points\n" in capsys.readouterr().out
 
 
+def test_point_blocks_match_points_oracle_and_counts():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(B=st.integers(1, 10**5), t=st.integers(0, 70))
+    def check(B, t):
+        rows = _point_rows(B, t)
+        assert rows == [[r.special.q, r.special.alpha1, r.special.alpha2, r.special.alpha3,
+                         *r.surface.x, r.omega] for r in oracles.points_oracle(B, t)]
+        assert len(rows) == sum(dp6.l_t_count(B, q, t) for q in dp6.prime_window(B))
+
+    check()
+
+
+@pytest.mark.parametrize("B", [10**6, 10**7])
+def test_point_blocks_stream_within_one_block_budget(B):
+    # README "dp6 points": while point_blocks streams, it holds the Omega
+    # table (and the table's uint32 sieve temporary) and one block of under
+    # arith.BLOCK_CELLS int64 values; at 1e7 the blocks are cut by that budget
+    a2max = dp6._alpha_bounds(B)[1]
+    dp6._omega_upto.cache_clear()
+    tracemalloc.start()
+    try:
+        count = sum(len(block) for block in dp6.point_blocks(B, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == dp6.m_t_growth([B], 12)[0].count
+    table = a2max + 1 + math.isqrt(2 * a2max) + 2
+    assert peak <= table + 4 * (a2max + 1) + 8 * arith.BLOCK_CELLS, peak
+
+
 def _corrupt_first_block(monkeypatch, corrupt):
-    # _family as it is, except that corrupt edits the first block of the
-    # first window prime
-    family = dp6._family
+    # _cell_blocks as it is, except that corrupt edits row alpha1 = 2 (index
+    # 1) of the first block of the first window prime
+    blocks = dp6._cell_blocks
 
-    def corrupted(B, q):
-        for i, (a1, a2, a3) in enumerate(family(B, q)):
-            if i == 0 and q == dp6.prime_window(B)[0]:
-                a1, a2, a3 = a1.copy(), a2.copy(), a3.copy()
-                corrupt(B, a1, a2, a3)
-            yield a1, a2, a3
+    def corrupted(B, qs, om, *args):
+        for q, a1, s, z, cells in blocks(B, qs, om, *args):
+            if q == dp6.prime_window(B)[0] and a1[0] == 1:
+                a1, s, z, cells = a1.copy(), s.copy(), z.copy(), cells.copy()
+                corrupt(B, a1, s, z, cells, 1)
+            yield q, a1, s, z, cells
 
-    monkeypatch.setattr(dp6, "_family", corrupted)
-
-
-def _bump_alpha2(B, a1, a2, a3):
-    a2[3] += 1
+    monkeypatch.setattr(dp6, "_cell_blocks", corrupted)
 
 
-def _alpha1_out_of_window(B, a1, a2, a3):
-    a1[3] = dp6.icbrt(B // 8) + 1
+def _bump_alpha2(B, a1, s, z, cells, i):
+    s[i] += 1
+
+
+def _alpha1_out_of_window(B, a1, s, z, cells, i):
+    a1[i] = dp6.icbrt(B // 8) + 1
+
+
+def _real_alpha3_zero(B, a1, s, z, cells, i):
+    # the alpha3 = 0 cell of the row as a real one with the largest real
+    # sum: its point has Omega > 12, so point_blocks(B, 12) drops it
+    cells[z[i], i] = 2 * dp6._alpha_bounds(B)[1].bit_length() - 2
 
 
 @pytest.mark.parametrize("corrupt, failure", [
     (_bump_alpha2, "alpha2 must be alpha1^2 (mod q)"),
     (_alpha1_out_of_window, "alpha1 must lie in (0, B^{1/3}/2]"),
+    (_real_alpha3_zero, "alpha3 must be nonzero"),
 ])
 def test_point_blocks_refuse_a_corrupted_row(corrupt, failure, monkeypatch, capsys):
     B = 10**4
     q = dp6.prime_window(B)[0]
     _corrupt_first_block(monkeypatch, corrupt)
-    a1, a2, a3 = (int(c[3]) for c in next(dp6._family(B, q)))
-    row = f"q = {q}, (alpha1, alpha2, alpha3) = ({a1}, {a2}, {a3})"
+    om = dp6._omega_upto(dp6._alpha_bounds(B)[1])
+    _, a1, s, z, cells = next(dp6._cell_blocks(B, [q], om))
+    # the first real cell of the corrupted row, as point_blocks reads it
+    largest = 2 * dp6._alpha_bounds(B)[1].bit_length() - 2
+    k = next(k for k in range(len(cells)) if cells[k, 1] <= largest)
+    row = f"q = {q}, (alpha1, alpha2, alpha3) = ({a1[1]}, {s[1] + k * q}, {k - z[1]})"
+    if corrupt is _real_alpha3_zero:
+        assert k == z[1] and cells[k, 1] + om[a1[1]] > 12  # a row that is dropped
     with pytest.raises(ValueError) as err:
         list(dp6.point_blocks(B, 12))
     assert row in str(err.value) and failure in str(err.value)
@@ -297,15 +344,16 @@ def test_l_t_count_matches_brute_scan():
 
 
 def _l_t_family(B, q, t):
-    # the masked count over the _family blocks that l_t_count replaced
+    # the masked count over the blocks of the second enumerator, the
+    # repeat-based one of tests/oracles
     if q**3 > B:
         return 0
-    return sum(int(np.count_nonzero(dp6._omega(B, *block) <= t))
-               for block in dp6._family(B, q))
+    return sum(int(np.count_nonzero(oracles.family_omega(B, *block) <= t))
+               for block in oracles.family_blocks(B, q))
 
 
 def _family_size(B, q):
-    return sum(block[0].size for block in dp6._family(B, q))
+    return sum(block[0].size for block in oracles.family_blocks(B, q))
 
 
 def test_l_t_count_matches_family_count():
@@ -331,7 +379,8 @@ def test_l_t_count_every_window_prime_and_t():
     def check(B):
         for q in dp6.prime_window(B):
             om = np.concatenate([np.zeros(0, np.int8),
-                                 *(dp6._omega(B, *block) for block in dp6._family(B, q))])
+                                 *(oracles.family_omega(B, *block)
+                                   for block in oracles.family_blocks(B, q))])
             for t in range(16):
                 assert dp6.l_t_count(B, q, t) == int(np.count_nonzero(om <= t)), (q, t)
 
@@ -404,6 +453,14 @@ def test_l_t_counts_match_l_t_count_and_family():
     check()
 
 
+def test_l_t_counts_repeated_prime():
+    B = 10**6
+    om = dp6._omega_upto(dp6._alpha_bounds(B)[1])
+    qs = [59, 97, 59, 2, 97, 97]
+    assert dp6._l_t_counts(B, qs, 12, om) == [_l_t_family(B, q, 12) for q in qs]
+    assert dp6._l_t_counts(B, [97, 97], 10**6, om) == [_family_size(B, 97)] * 2
+
+
 def test_m_t_growth_counts_from_padded_heads_of_one_table(monkeypatch):
     tables = {}
     count = dp6._l_t_counts
@@ -453,16 +510,32 @@ def test_build_sieve_sequence():
         dp6.build_sieve_sequence(1000, 6)
 
 
+def _sieve_counter(B, q):
+    a1max, a2max = dp6.icbrt(B // 8), dp6.icbrt(B * B // 8)
+    return dict(Counter(
+        a1 * a2 * abs((a2 - a1 * a1) // q)
+        for a1 in range(1, a1max + 1) if a1 % q
+        for a2 in range(a1 * a1 % q, a2max + 1, q) if a2 != a1 * a1
+    ))
+
+
 @pytest.mark.parametrize("B", [10**4, 10**5])
 def test_sieve_sequence_matches_counter(B):
-    a1max, a2max = dp6.icbrt(B // 8), dp6.icbrt(B * B // 8)
     for q in dp6.prime_window(B):
-        expected = Counter(
-            a1 * a2 * abs((a2 - a1 * a1) // q)
-            for a1 in range(1, a1max + 1) if a1 % q
-            for a2 in range(a1 * a1 % q, a2max + 1, q) if a2 != a1 * a1
-        )
-        assert dp6.build_sieve_sequence(B, q).a == dict(expected), q
+        assert dp6.build_sieve_sequence(B, q).a == _sieve_counter(B, q), q
+
+
+def test_sieve_sequence_matches_counter_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(B=st.integers(8, 2 * 10**5))
+    def check(B):
+        for q in dp6.prime_window(B):
+            assert dp6.build_sieve_sequence(B, q).a == _sieve_counter(B, q), q
+
+    check()
 
 
 def test_sieve_sequence_refuses_int64_overflow():
