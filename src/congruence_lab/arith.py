@@ -7,12 +7,9 @@ recorded without a primality test; only a cofactor left at the 10^6 bound
 goes to Brent's variant of Pollard rho with a deterministic Miller-Rabin test
 (fixed witness set, exact for all n < 2**64).  A Factorization carries the
 divisor functions (divisors, tau, phi, sigma_{-1/2}), and the module-level
-ones read them from factorize(n).  factorize keeps its last result (a
-one-entry cache), because callers ask for the same n several times in a row:
-count_exact takes the primes and phi of one q, and w2_sum mobius and Omega
-of one d.  Sharing the result is safe, since a Factorization is a tuple that
-holds only tuples of ints.  The cache is typed, so an int and a numpy
-integer of one value do not share it.
+ones read them from factorize(n), each factoring n afresh: a caller that
+needs several of them for one n factors it once and reads them all from
+that Factorization.
 Everything in this module is exact; the intended operating range is
 1 <= n < 2**63.
 """
@@ -20,7 +17,6 @@ Everything in this module is exact; the intended operating range is
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -118,7 +114,6 @@ class Factorization(NamedTuple):
         return out
 
 
-@lru_cache(maxsize=1, typed=True)
 def factorize(n: int) -> Factorization:
     if n < 1:
         raise ValueError("factorize requires n >= 1")

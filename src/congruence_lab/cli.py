@@ -266,14 +266,14 @@ def _cmd_avg_scan(o: argparse.Namespace) -> int:
 
 
 def _cmd_dp6_enumerate(o: argparse.Namespace) -> int:
-    # the checked int64 blocks are kept (96 bytes a point) and written as they are
-    blocks = list(dp6.point_blocks(o.B, o.t))
-    count = sum(len(block) for block in blocks)
+    # the checked int64 blocks stream to the writer, which counts them
+    blocks = dp6.point_blocks(o.B, o.t)
+    count = (reports.write_table(o.out, o.format,
+                                 "almost-prime surface points from the q-window torsor family",
+                                 reports.POINT_FIELDS, blocks)
+             if o.out else sum(len(block) for block in blocks))
     print(f"B = {o.B}, t = {o.t}: {count} points")
     if o.out:
-        reports.write_table(o.out, o.format,
-                            "almost-prime surface points from the q-window torsor family",
-                            reports.POINT_FIELDS, blocks)
         print(f"wrote {count} rows to {o.out}")
     return 0
 

@@ -25,9 +25,10 @@ int64, and the T are combined in Python ints, so counts stay exact for any
 rational box.  Every int64 reduction mod q is arith.floor_mod, x - x // q
 * q: numpy divides by a scalar with a multiply and a shift, where % takes
 one hardware divide per element.  Boxes get a main-term/error-envelope split
-phi(q) X Y / q^2 + O(...).  box_report and scan_boxes share one body that
-checks every box's count bound, main term and envelope before the first
-count, in array passes: each distinct q is factored once, with phi, tau and
+phi(q) X Y / q^2 + O(...).  box_report and scan_boxes check their inputs
+once and share one body, which takes plain boxes (q, X, Y) and checks every
+box's count bound, main term and envelope before the first count, in array
+passes: each distinct q is factored once, with phi, tau and
 sigma_{-1/2} read from that factorization; the forms and ratios of all
 boxes are float64 expressions in the scalar order, of the same bits; a box
 with rx = 0 is counted in closed form, and only the others walk.  A box's
@@ -69,8 +70,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import (MODULUS_LIMIT, block_rows, factorize, floor_mod, log1n, mod_inv,
-                    sigma_half_inv, tau)
+from .arith import MODULUS_LIMIT, block_rows, factorize, floor_mod, log1n, mod_inv
 
 log = logging.getLogger("congruence_lab")
 
@@ -95,16 +95,12 @@ class CongruenceInstance:
     f: int = 2
 
     def __post_init__(self):
-        # a Fraction side is kept as given, so the boxes of a scan share theirs
-        X = self.X if type(self.X) is Fraction else Fraction(self.X)
-        Y = self.Y if type(self.Y) is Fraction else Fraction(self.Y)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "X", Fraction(self.X))
+        object.__setattr__(self, "Y", Fraction(self.Y))
         _check_coefficients(self.a, self.b, self.q)
         if self.e < 1 or self.f < 1:
             raise ValueError("exponents e, f must be >= 1")
-        # X < 1 or Y < 1 as int compares, cheaper than Fraction's in a box scan
-        if X.numerator < X.denominator or Y.numerator < Y.denominator:
+        if self.X < 1 or self.Y < 1:
             raise ValueError("box sides X, Y must be >= 1")
         if self.e >= 2 and self.q > _TABLE_Q_LIMIT:
             raise ValueError(f"e >= 2 (--e) needs q (--q) <= 2^28 for count_exact's 4q-byte"
@@ -240,7 +236,7 @@ def count_exact(inst: CongruenceInstance) -> int:
     primes = [p for p, _ in fac.factors]
     X, Y = inst.X.numerator // inst.X.denominator, inst.Y.numerator // inst.Y.denominator
     if inst.e == 1:
-        return _linear_count(inst, X, Y, primes, fac.phi())
+        return _linear_count(inst.a, inst.b, q, inst.f, X, Y, primes, fac.phi())
     Qx, rx = divmod(X, q)
     Qy, ry = divmod(Y, q)
     ka, kb = -inst.a % q, inst.b % q
@@ -264,15 +260,13 @@ def count_exact(inst: CongruenceInstance) -> int:
     return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
 
 
-def _linear_count(inst: CongruenceInstance, X: int, Y: int, primes: list[int], phi_q: int
-                  ) -> int:
-    # count_exact of an e = 1 box of floor sides X, Y, given the primes of q
-    # and phi(q): closed form when rx = 0, else the half walk of _class_hits
-    q = inst.q
+def _linear_count(a: int, b: int, q: int, f: int, X: int, Y: int, primes: list[int],
+                  phi_q: int) -> int:
+    # count_exact of a x + b y^f = 0 (mod q) on the box of floor sides X, Y, given
+    # the primes of q and phi(q): closed form when rx = 0, else _class_hits
     Qx, rx = divmod(X, q)
     Qy, ry = divmod(Y, q)
-    t_rr, t_rq = (_class_hits(-mod_inv(inst.a, q) * inst.b % q, inst.f, q, rx, ry, primes)
-                  if rx else (0, 0))
+    t_rr, t_rq = _class_hits(-mod_inv(a, q) * b % q, f, q, rx, ry, primes) if rx else (0, 0)
     return Qx * Qy * phi_q + Qx * _unit_count(ry, primes) + Qy * t_rq + t_rr
 
 
@@ -282,15 +276,13 @@ def _completed_term(c, root_q, L_q, Y, tau_q, sigma_q):
     return c * sigma_q * (Y / root_q * tau_q + root_q * L_q)
 
 
-def _moduli(instances: Sequence[CongruenceInstance]
-            ) -> tuple[dict[int, tuple[list[int], int]], np.ndarray]:
+def _moduli(qs: Sequence[int]) -> tuple[dict[int, tuple[list[int], int]], np.ndarray]:
     # each distinct q factored once: q -> (its primes, phi(q)), and the
     # float64 columns q, q^2, phi(q), tau(q), sigma_{-1/2}(q), log1n(q) of
-    # every box, each integer rounded once, as Python rounds an int that
+    # every q, each integer rounded once, as Python rounds an int that
     # meets a float
     counts, values, forms = {}, {}, []
-    for inst in instances:
-        q = inst.q
+    for q in qs:
         if q not in values:
             fac = factorize(q)
             counts[q] = ([p for p, _ in fac.factors], fac.phi())
@@ -299,36 +291,49 @@ def _moduli(instances: Sequence[CongruenceInstance]
     return counts, np.array(forms, dtype=np.float64).reshape(-1, 6).T
 
 
-def _closed_forms(instances: Sequence[CongruenceInstance], columns: np.ndarray
+def _closed_forms(boxes: Sequence[tuple[int, Fraction, Fraction]], columns: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    # (main terms, envelopes) of e = 1, f = 2 boxes as float64 arrays, given
-    # the _moduli columns: each formed left to right as its scalar
-    # expression, so of the same bits; each side a float once, as numerator /
-    # denominator, the division float(Fraction) does.  An overflow gives inf,
-    # for the caller to refuse
-    if any((inst.e, inst.f) != (1, 2) for inst in instances):
-        raise ValueError("main term and error envelope are for e = 1, f = 2")
+    # (main terms, envelopes) of e = 1, f = 2 boxes (q, X, Y) as float64
+    # arrays, given the _moduli columns: each formed left to right as its
+    # scalar expression, so of the same bits; each side a float once, as
+    # numerator / denominator, the division float(Fraction) does.  An
+    # overflow gives inf, for the caller to refuse
     q, q2, phi_q, tau_q, sigma_q, L_q = columns
-    X = np.array([inst.X.numerator / inst.X.denominator for inst in instances], dtype=np.float64)
-    Y = np.array([inst.Y.numerator / inst.Y.denominator for inst in instances], dtype=np.float64)
+    X = np.array([X.numerator / X.denominator for _, X, _ in boxes], dtype=np.float64)
+    Y = np.array([Y.numerator / Y.denominator for _, _, Y in boxes], dtype=np.float64)
     root = np.sqrt(q)
     with np.errstate(over="ignore"):
         return (phi_q * X * Y / q2,
                 X / q * tau_q + _completed_term(L_q, root, L_q, Y, tau_q, sigma_q))
 
 
+def _linear_box(inst: CongruenceInstance) -> tuple[int, Fraction, Fraction]:
+    # the box (q, X, Y) of an instance that main terms and envelopes apply to
+    if (inst.e, inst.f) != (1, 2):
+        raise ValueError("main term and error envelope are for e = 1, f = 2")
+    return inst.q, inst.X, inst.Y
+
+
 def main_term(inst: CongruenceInstance) -> float:
     """phi(q) X Y / q^2 (linear-quadratic pairing only)."""
-    return float(_closed_forms([inst], _moduli([inst])[1])[0][0])
+    return float(_closed_forms([_linear_box(inst)], _moduli([inst.q])[1])[0][0])
 
 
 def error_envelope(inst: CongruenceInstance) -> float:
     """Envelope X/q tau(q) + L(q) sigma_{-1/2}(q) (Y/sqrt(q) tau(q) + sqrt(q) L(q))."""
-    return float(_closed_forms([inst], _moduli([inst])[1])[1][0])
+    return float(_closed_forms([_linear_box(inst)], _moduli([inst.q])[1])[1][0])
 
 
 class CountReport(NamedTuple):
-    instance: CongruenceInstance
+    """A box of a x + b y^2 = 0 (mod q) and its report: one CSV row."""
+
+    a: int
+    b: int
+    q: int
+    e: int
+    f: int
+    X: Fraction
+    Y: Fraction
     exact: int
     main_term: float
     envelope: float
@@ -339,42 +344,42 @@ class CountReport(NamedTuple):
 _FLOAT_MAX = int(sys.float_info.max)
 
 
-def _reports(instances: list[CongruenceInstance]) -> list[CountReport]:
-    # every count bound (exact - main makes the count a float; each y <= Y has
+def _reports(a: int, b: int, boxes: list[tuple[int, Fraction, Fraction]]) -> list[CountReport]:
+    # boxes (q, X, Y) with 1 <= q < 2^31 prime to a b and Fraction sides >= 1.
+    # Every count bound (exact - main makes the count a float; each y <= Y has
     # one class of x mod q, so at most floor(X) // q + 1 of the x <= X), then
     # every main term and envelope, is checked before the first count.  The
-    # forms are one array pass over the boxes; a box's seconds are its count
-    # and an equal share of all the work before the first count
+    # forms are one array pass; a box's seconds are its count and an equal
+    # share of all the work before the first count
     t0 = time.perf_counter()
-    floors = [(inst.X.numerator // inst.X.denominator, inst.Y.numerator // inst.Y.denominator)
-              for inst in instances]
-    for inst, (X, Y) in zip(instances, floors):
-        if Y * (X // inst.q + 1) > _FLOAT_MAX:
-            raise ValueError(f"box sides X, Y are too large at q = {inst.q}: the count bound"
+    floors = [(X.numerator // X.denominator, Y.numerator // Y.denominator) for _, X, Y in boxes]
+    for (q, _, _), (X, Y) in zip(boxes, floors):
+        if Y * (X // q + 1) > _FLOAT_MAX:
+            raise ValueError(f"box sides X, Y are too large at q = {q}: the count bound"
                              f" floor(Y) (floor(X) // q + 1) is outside float range")
-    counts, columns = _moduli(instances)
-    main, env = _closed_forms(instances, columns)
+    counts, columns = _moduli([q for q, _, _ in boxes])
+    main, env = _closed_forms(boxes, columns)
     bad = np.flatnonzero(~(np.isfinite(main) & np.isfinite(env)))
     if len(bad):
         i = bad[0]
-        raise ValueError(f"box sides X, Y are too large at q = {instances[i].q}: main term"
+        raise ValueError(f"box sides X, Y are too large at q = {boxes[i][0]}: main term"
                          f" {float(main[i])!r}, envelope {float(env[i])!r}, outside float range")
-    share = (time.perf_counter() - t0) / max(len(instances), 1)
+    share = (time.perf_counter() - t0) / max(len(boxes), 1)
     exact, seconds = [], []
-    for inst, (X, Y) in zip(instances, floors):
+    for (q, _, _), (X, Y) in zip(boxes, floors):
         t0 = time.perf_counter()
-        exact.append(_linear_count(inst, X, Y, *counts[inst.q]))
+        exact.append(_linear_count(a, b, q, 2, X, Y, *counts[q]))
         seconds.append(share + (time.perf_counter() - t0))
     ratio = np.abs(np.array(exact, dtype=np.float64) - main) / env
-    return list(map(CountReport, instances, exact, main.tolist(), env.tolist(), ratio.tolist(),
-                    seconds))
+    return [CountReport(a, b, q, 1, 2, X, Y, n, m, v, r, s) for (q, X, Y), n, m, v, r, s
+            in zip(boxes, exact, main.tolist(), env.tolist(), ratio.tolist(), seconds)]
 
 
 def box_report(inst: CongruenceInstance) -> CountReport:
     """Exact count, main term, envelope and |exact - main|/envelope of an
     e = 1, f = 2 box: scan_boxes of one box, with the same refusals."""
     _check_modulus(inst.q)
-    return _reports([inst])[0]
+    return _reports(inst.a, inst.b, [_linear_box(inst)])[0]
 
 
 def scan_boxes(
@@ -398,15 +403,14 @@ def scan_boxes(
     for q in q_values:
         _check_modulus(q)
     X, Y = (None if side is None else Fraction(side) for side in (X, Y))
-    instances = []
+    boxes = []
     for q in q_values:
         if math.gcd(a * b, q) != 1:
             log.warning("skipping q=%d: a*b must be coprime to q", q)
             continue
         side = Fraction(q)
-        instances.append(CongruenceInstance(a, b, q, side if X is None else X,
-                                            side if Y is None else Y))
-    return _reports(instances)
+        boxes.append((q, side if X is None else X, side if Y is None else Y))
+    return _reports(a, b, boxes)
 
 
 # ---- regions sliced by boundary functions of y ----
@@ -563,8 +567,9 @@ def boundary_report(
     main = float(mt)
     Y = float(J.length)
     delta = distortion(H, bounds, J, q)
-    env = Y / H + _completed_term(delta * log1n(H), math.sqrt(q), log1n(q), Y, tau(q),
-                                  sigma_half_inv(q))
+    fac = factorize(q)
+    env = Y / H + _completed_term(delta * log1n(H), math.sqrt(q), log1n(q), Y, fac.tau(),
+                                  fac.sigma_half_inv())
     seconds = time.perf_counter() - t0
     return BoundaryReport(exact, main, env, abs(exact - main) / env, H, delta, seconds)
 

@@ -27,7 +27,8 @@ sieves Omega once, for its largest budget), point_blocks, the one point
 enumerator, which turns the real cells into checked int64 column blocks
 (q, alphas, surface coordinates, Omega) that dp6-enumerate streams out with
 no Python object per point, and build_sieve_sequence, which reads the real
-cells of a zero table and so sieves no Omega.  rho is its Euler product.
+cells of a zero table and so sieves no Omega; no table outlives its call.
+rho is its Euler product; sieve_condition_report factors each d just once.
 
 All window and height comparisons are exact integer inequalities
 (8 q^3 > B instead of q > B^{1/3} and so on); no floating-point cube roots.
@@ -38,12 +39,11 @@ from __future__ import annotations
 import logging
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import block_rows, factorize, is_prime, mobius
+from .arith import block_rows, factorize, is_prime
 
 log = logging.getLogger("congruence_lab")
 
@@ -88,9 +88,6 @@ def _padded(limit: int, head: np.ndarray | int) -> np.ndarray:
     return om
 
 
-# One table is cached, since the counts and points work through one budget
-# at a time and m_t_growth through its largest: 1 byte per n <= B^{2/3}/2, then the pad.
-@lru_cache(maxsize=1)
 def _omega_upto(limit: int) -> np.ndarray:
     # om[n] = number of prime factors of n with multiplicity for n <= limit;
     # om[0] unused.  Only the primes p <= sqrt(limit) are sieved; what is
@@ -99,7 +96,7 @@ def _omega_upto(limit: int) -> np.ndarray:
     # limit.bit_length(), follows: for limit = B^{2/3}/2 every window prime
     # q <= B^{1/3} has q <= isqrt(2 limit) + 1, so the table covers q K,
     # K = limit // q + 1, and _cell_blocks reads it as a (K, q) view.  The
-    # cached table is read-only; limit < 2^32 keeps rem in uint32.
+    # table is read-only, as _cell_blocks hands out views; limit < 2^32 keeps rem in uint32.
     om = _padded(limit, 0)
     head = om[: limit + 1]
     rem = np.arange(limit + 1, dtype=np.uint32)
@@ -299,7 +296,8 @@ def l_t_count(B: int, q: int, t: int) -> int:
     """Count of almost-prime family points for one prime q (no lifting).
 
     q beyond B^{1/3} contributes nothing and returns 0 with a log line;
-    otherwise this is the one-prime case of _l_t_counts.
+    otherwise this is the one-prime case of _l_t_counts, and each call
+    sieves its own Omega table of B.
     """
     _check_count_budget(B)
     if not is_prime(q):
@@ -355,15 +353,17 @@ def m_t_growth(B_values: Sequence[int], t: int) -> list[GrowthRow]:
 
 class SieveSequence(NamedTuple):
     """Multiplicities a_n = #{family points with alpha1 alpha2 |alpha3| = n}
-    for one prime q, with the normalization X = phi(q) B / (4 q^2)."""
+    for one prime q, with the normalization X = phi(q) B / (4 q^2): int64 arrays of
+    the distinct n ascending and their a_n, for a (B, q) build_sieve_sequence checked."""
 
     B: int
     q: int
     X: Fraction
-    a: dict[int, int]
+    n: np.ndarray
+    a: np.ndarray
 
     def total(self) -> int:
-        return sum(self.a.values())
+        return int(self.a.sum())
 
 
 def _normalization(B: int, q: int) -> Fraction:
@@ -387,9 +387,8 @@ def build_sieve_sequence(B: int, q: int) -> SieveSequence:
     blocks = _cell_blocks(B, [q], _padded(a2max, 0), 8)
     products = [a1 * a2 * np.abs(a3) for a1, a2, a3, _ in
                 (_real_cells(B, *block) for block in blocks)]
-    ns, counts = np.unique(np.concatenate([np.zeros(0, np.int64), *products]),
-                           return_counts=True)
-    return SieveSequence(B, q, X, dict(zip(ns.tolist(), counts.tolist())))
+    return SieveSequence(B, q, X, *np.unique(np.concatenate([np.zeros(0, np.int64), *products]),
+                                             return_counts=True))
 
 
 def rho(d: int, q: int) -> Fraction:
@@ -403,16 +402,11 @@ def rho(d: int, q: int) -> Fraction:
     shared with e1 and e2.  It is multiplicative in d, rho(p) = 3 - 2/p for
     p != q and rho(q) = 1 + 1/q, and is computed as that Euler product.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if mobius(d) == 0:
-        raise ValueError("d must be squarefree")
+    if d < 1 or not (found := _euler(d, q)):
+        raise ValueError("d must be a positive squarefree integer")
     if not is_prime(q):
         raise ValueError("q must be prime")
-    out = Fraction(1)
-    for p, _ in factorize(d).factors:
-        out *= _rho_factor(p, q)
-    return out
+    return found[1]
 
 
 def _rho_factor(p: int, q: int) -> Fraction:
@@ -420,12 +414,25 @@ def _rho_factor(p: int, q: int) -> Fraction:
     return 1 + Fraction(1, q) if p == q else 3 - Fraction(2, p)
 
 
+def _euler(d: int, q: int) -> tuple[int, Fraction] | None:
+    # (omega(d), rho(d)) from one factorize(d), for d >= 1 and a prime q, or
+    # None when its exponents show that d is not squarefree
+    factors = factorize(d).factors
+    if any(e > 1 for _, e in factors):
+        return None
+    return len(factors), math.prod((_rho_factor(p, q) for p, _ in factors), start=Fraction(1))
+
+
 def sum_over_d(seq: SieveSequence, d: int) -> tuple[int, float, float]:
     """(exact sum of a_n over d | n, predicted rho(d)/d X, remainder)."""
-    if d < 1 or mobius(d) == 0:
+    if d < 1 or not (found := _euler(d, seq.q)):
         raise ValueError("d must be a positive squarefree integer")
-    exact = sum(c for n, c in seq.a.items() if n % d == 0)
-    predicted = float(rho(d, seq.q) / d * seq.X)
+    return _sum_over_d(seq, d, found[1])
+
+
+def _sum_over_d(seq: SieveSequence, d: int, rho_d: Fraction) -> tuple[int, float, float]:
+    exact = int(seq.a[seq.n % d == 0].sum())
+    predicted = float(rho_d / d * seq.X)
     return exact, predicted, exact - predicted
 
 
@@ -455,15 +462,19 @@ def w2_sum(
 ) -> dict[str, float]:
     """Remainder mass sum_{d <= X^tau / log^{c2} X} mu^2(d) 4^omega(d) |R_d|,
     with the comparison scale X / log^4 X."""
+    d_max = _d_max(float(seq.X), tau_level, c2)
+    rhos = {d: found for d in range(1, int(d_max) + 1) if (found := _euler(d, seq.q))}
+    return _w2_sum(seq, tau_level, c2, d_max, rhos)
+
+
+def _w2_sum(seq: SieveSequence, tau_level: float, c2: float, d_max: float,
+            rhos: dict[int, tuple[int, Fraction]]) -> dict[str, float]:
+    # w2_sum given d_max and the _euler of each squarefree d <= d_max, ascending
     X = float(seq.X)
-    d_max = _d_max(X, tau_level, c2)
     total = 0.0
-    d = 1
-    while d <= d_max:
-        if mobius(d) != 0:
-            _, _, rem = sum_over_d(seq, d)
-            total += 4 ** len(factorize(d).factors) * abs(rem)
-        d += 1
+    for d, (omega, rho_d) in rhos.items():
+        if d <= d_max:
+            total += 4**omega * abs(_sum_over_d(seq, d, rho_d)[2])
     scale = X / math.log(X) ** 4
     return {
         "tau": tau_level,
@@ -561,11 +572,11 @@ def sieve_condition_report(
         raise ValueError(f"z_max (--z-max) must be <= 10^5, the grid cap, got {z_max}")
     if t < 0:
         raise ValueError(f"t (--t) must be >= 0, got {t}")
-    _d_max(float(_normalization(B, q)), tau_level, c2)
+    d_max = _d_max(float(_normalization(B, q)), tau_level, c2)
     seq = build_sieve_sequence(B, q)
-    table = {
-        str(d): _ratio(rho(d, q)) for d in range(1, rho_table_max + 1) if mobius(d) != 0
-    }
+    rhos = {d: found for d in range(1, max(rho_table_max, int(d_max)) + 1)
+            if (found := _euler(d, q))}
+    table = {str(d): _ratio(rho_d) for d, (_, rho_d) in rhos.items() if d <= rho_table_max}
     threshold = sieve_threshold(3, mu, BETA_3)
     return {
         "B": B,
@@ -574,8 +585,8 @@ def sieve_condition_report(
         "X_float": float(seq.X),
         "points_total": seq.total(),
         "rho_table": table,
-        "rho_at_q": _ratio(rho(q, q)),
-        "w2": w2_sum(seq, tau_level, c2),
+        "rho_at_q": _ratio(_rho_factor(q, q)),
+        "w2": _w2_sum(seq, tau_level, c2, d_max, rhos),
         "w1": {
             **w1_min_c1(q, z_max),
             "note": "p = 2 excluded: every sequence element is even",

@@ -21,10 +21,7 @@ from .averaged import AveragedReport
 from .congruence import CountReport
 from .dp6 import GrowthRow
 
-BOX_FIELDS = (
-    "a", "b", "q", "e", "f", "X", "Y",
-    "exact", "main_term", "envelope", "ratio", "seconds",
-)
+BOX_FIELDS = CountReport._fields
 AVERAGED_FIELDS = (
     "l", "m", "r", "s", "t", "U", "V", "W", "Y", "scheme", "seed",
     "H", "epsilon", "S_re", "S_im", "M_re", "M_im",
@@ -55,10 +52,7 @@ def fmt(value) -> str:
 
 
 def box_row(report: CountReport, timings: bool = False) -> tuple:
-    inst = report.instance
-    return (inst.a, inst.b, inst.q, inst.e, inst.f, inst.X, inst.Y, report.exact,
-            report.main_term, report.envelope, report.ratio,
-            report.seconds if timings else 0.0)
+    return report if timings else report._replace(seconds=0.0)
 
 
 def averaged_row(report: AveragedReport) -> tuple:
@@ -138,21 +132,6 @@ def _csv_lines(fields: list[str], block) -> str:
     return text
 
 
-def _write_csv(fh, description: str, fields: list[str],
-               blocks: Iterable[np.ndarray | Sequence[Sequence[str]]]) -> None:
-    fh.write(f"# {description}\n")
-    fh.write(_csv_lines(fields, [fields]))
-    for block in blocks:
-        fh.write(_csv_lines(fields, block))
-
-
-def _json_table(description: str, fields: list[str],
-                blocks: Iterable[np.ndarray | Sequence[Sequence[str]]]) -> str:
-    rows = [dict(zip(fields, map(str, row))) for block in blocks
-            for row in (block.tolist() if isinstance(block, np.ndarray) else block)]
-    return json_dump({"description": description, "fields": fields, "rows": rows})
-
-
 def json_dump(doc) -> str:
     """The JSON text of every report: two-space indent, trailing newline.
     A nan or infinite float raises ValueError, as JSON has no such value."""
@@ -182,19 +161,28 @@ def write_table(
     description: str,
     fields: Iterable[str],
     blocks: Iterable[np.ndarray | Sequence[Sequence[str]]],
-) -> None:
-    """Write a table given as blocks of rows: integer ndarrays or rows of
-    str cells.  CSV is written block by block, so only one block's text need
-    exist at a time; a str cell that would need quoting raises ValueError
-    naming its field, before its block is written."""
+) -> int:
+    """Write a table given as blocks of rows, integer ndarrays or rows of
+    str cells, and return its number of rows.  CSV is written block by
+    block, so only one block and its text need exist at a time (JSON holds
+    every row until it writes); a str cell that would need quoting raises
+    ValueError naming its field, before its block is written."""
     fields = list(fields)
     if fmt_name == "csv":
         with open(path, "w", newline="") as fh:
-            _write_csv(fh, description, fields, blocks)
-    elif fmt_name == "json":
-        write_text(path, _json_table(description, fields, blocks))
-    else:
-        raise ValueError(f"unknown output format {fmt_name!r}")
+            fh.write(f"# {description}\n")
+            fh.write(_csv_lines(fields, [fields]))
+            rows = 0
+            for block in blocks:
+                fh.write(_csv_lines(fields, block))
+                rows += len(block)
+            return rows
+    if fmt_name == "json":
+        rows = [dict(zip(fields, map(str, row))) for block in blocks
+                for row in (block.tolist() if isinstance(block, np.ndarray) else block)]
+        write_text(path, json_dump({"description": description, "fields": fields, "rows": rows}))
+        return len(rows)
+    raise ValueError(f"unknown output format {fmt_name!r}")
 
 
 def write_text(path: str, text: str) -> None:

@@ -4,7 +4,8 @@ sum reciprocity, whole-grid evaluation and the assembled closed form; the
 Fourier partial sum of the sawtooth, the pointwise Fejer majorant and a
 pointwise Vaaler majorant check; the literal double-loop box count and
 the full walk of every unit y that count_exact halved for e = 1; the
-scalar double loop of the dp6 density-grid constant; the dp6 torsor,
+scalar double loop of the dp6 density-grid constant; the dp6 remainder
+sums by a scan of the sieve sequence held as a dict; the dp6 torsor,
 surface and family points as checked dataclasses, the monomial map
 between them, the family by direct loops and as the repeat-based int64
 blocks that dp6 walked before its cell blocks, and the brute local density of
@@ -261,6 +262,33 @@ def w1_min_c1_loop(q: int, z_max: int) -> float:
             needed = (lhs / (log_p[j] / log_w) ** 3 - 1) * log_w
             worst = max(worst, needed)
     return worst
+
+
+def sum_over_d_scan(a: Mapping[int, int], q: int, X: Fraction, d: int
+                    ) -> tuple[int, float, float]:
+    """dp6.sum_over_d over the sequence given as a dict n -> a_n: (exact sum
+    of a_n over d | n, predicted rho(d)/d X, remainder)."""
+    exact = sum(c for n, c in a.items() if n % d == 0)
+    predicted = float(rho(d, q) / d * X)
+    return exact, predicted, exact - predicted
+
+
+def w2_sum_scan(a: Mapping[int, int], q: int, X: Fraction, tau_level: float, c2: float
+                ) -> dict[str, float]:
+    """dp6.w2_sum over the sequence given as a dict n -> a_n, one
+    sum_over_d_scan per d <= d_max with mobius(d) != 0, in ascending d."""
+    Xf = float(X)
+    d_max = Xf**tau_level / math.log(Xf) ** c2
+    total = 0.0
+    d = 1
+    while d <= d_max:
+        if mobius(d) != 0:
+            _, _, rem = sum_over_d_scan(a, q, X, d)
+            total += 4 ** len(factorize(d).factors) * abs(rem)
+        d += 1
+    scale = Xf / math.log(Xf) ** 4
+    return {"tau": tau_level, "c2": c2, "d_max": d_max, "sum": total,
+            "comparison_scale": scale, "implied_c3": total / scale}
 
 
 # ---- dp6 torsor and surface points ----

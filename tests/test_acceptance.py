@@ -95,7 +95,7 @@ def test_criterion_04_main_term_scan():
     print("    q    exact   main_term   envelope       |exact-main|/envelope")
     for r in reps[:: max(1, len(reps) // 8)]:
         print(
-            f"    {r.instance.q:<4} {r.exact:<7} {r.main_term:<11.1f}"
+            f"    {r.q:<4} {r.exact:<7} {r.main_term:<11.1f}"
             f" {r.envelope:<14.6f} {r.ratio!r}"
         )
     ok = worst <= 50.0 and elapsed < 120.0

@@ -27,18 +27,23 @@ def test_factorize_reconstructs():
 
 
 def test_factorize_cache_matches_uncached():
-    # 1000003 * 1000033 leaves a composite cofactor at the trial bound
+    # factorize keeps no result, so repeated and interleaved calls give the
+    # factorization of their own n; 1000003 * 1000033 leaves a composite
+    # cofactor at the trial bound
     big = 1000003 * 1000033
+    want = {1: (), 12: ((2, 2), (3, 1)), 97: ((97, 1),), big: ((1000003, 1), (1000033, 1)),
+            2**61 - 1: ((2**61 - 1, 1),),
+            600851475143: ((71, 1), (839, 1), (1471, 1), (6857, 1))}
     ns = [1, 12, 12, 97, 1, big, 12, big, big, 2**61 - 1, 97, 97, 1, 600851475143, 12]
     for n in ns:
-        assert arith.factorize(n) == arith.factorize.__wrapped__(n), n
-    # the cache is typed: a numpy integer does not hand its result to an int
+        assert arith.factorize(n) == arith.Factorization(n, want[n]), n
+    # n keeps its type: a numpy integer's result is not an int's
     assert type(arith.factorize(np.int64(12)).n) is np.int64
     assert type(arith.factorize(12).n) is int
-    # a refused n leaves the cache in use
+    # a refused n leaves the next call unaffected
     with pytest.raises(ValueError):
         arith.factorize(0)
-    assert arith.factorize(97) == arith.factorize.__wrapped__(97)
+    assert arith.factorize(97) == arith.Factorization(97, want[97])
 
 
 def test_factorize_rejects_nonpositive():

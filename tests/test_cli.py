@@ -186,12 +186,49 @@ def test_bilinear_builds_one_table_for_every_seed(capsys):
         table[0, 0] = 0
 
 
-def test_dp6_growth_sieves_once_for_every_budget(capsys):
+def _spy(monkeypatch, module, name):
+    # the arguments of every call of module.name, which still does its work
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_dp6_growth_sieves_once_for_every_budget(capsys, monkeypatch):
     # the smaller budgets count from the head of the largest budget's table
-    dp6._omega_upto.cache_clear()
+    sieves = _spy(monkeypatch, dp6, "_omega_upto")
     assert run(["dp6-growth", "--B-list", "1000000,100000000,1000000000"]) == 0
     capsys.readouterr()
-    assert dp6._omega_upto.cache_info().misses == 1
+    assert sieves == [(dp6._alpha_bounds(10**9)[1],)]
+
+
+@pytest.mark.parametrize("argv, tables", [
+    (["dp6-enumerate", "--B", "1000000"], 1),
+    (["dp6-sieve", "--B", "1000000", "--q", "97"], 0),  # a zero table, no Omega
+])
+def test_dp6_commands_sieve_omega_at_most_once(argv, tables, capsys, monkeypatch):
+    sieves = _spy(monkeypatch, dp6, "_omega_upto")
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(sieves) == tables
+
+
+@pytest.mark.parametrize("argv", [
+    ["dp6-sieve", "--B", "1000000", "--q", "59", "--rho-max", "210", "--z-max", "1000"],
+    ["dp6-sieve", "--B", "1000000", "--q", "97", "--tau", "0.9", "--c2", "0", "--rho-max", "30"],
+])
+def test_dp6_sieve_factors_each_d_once(argv, capsys, monkeypatch):
+    # the rho table and the remainder sum share one factorization per d
+    factored = _spy(monkeypatch, dp6, "factorize")
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    top = max(int(argv[argv.index("--rho-max") + 1]), int(report["w2"]["d_max"]))
+    assert sorted(factored) == [(d,) for d in range(1, top + 1)]
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

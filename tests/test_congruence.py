@@ -350,7 +350,7 @@ def test_box_report_exact_prime_square():
 def test_scan_boxes_skips_bad_instances(caplog):
     with caplog.at_level(logging.WARNING, logger="congruence_lab"):
         reps = cg.scan_boxes([5, 6, 9], a=3, b=1)
-    assert [r.instance.q for r in reps] == [5]
+    assert [r.q for r in reps] == [5]
     assert "skipping" in caplog.text
 
 
@@ -373,10 +373,21 @@ def test_scan_boxes_refuses_bad_values_before_any_count(kwargs, message, monkeyp
 def test_scan_boxes_takes_plain_values():
     # None is the modulus itself; a fixed side is the same for every q
     reps = cg.scan_boxes([5, 7], 2, -3, None, Fraction(7, 2))
-    assert [(r.instance.X, r.instance.Y) for r in reps] == [(5, Fraction(7, 2)),
-                                                           (7, Fraction(7, 2))]
+    assert [(r.X, r.Y) for r in reps] == [(5, Fraction(7, 2)), (7, Fraction(7, 2))]
     assert [r.exact for r in reps] == [
         cg.count_exact(cg.CongruenceInstance(2, -3, q, q, Fraction(7, 2))) for q in (5, 7)]
+
+
+def test_scan_boxes_builds_no_instance(monkeypatch):
+    # the scan checks a, b, the sides and the moduli once and hands on plain boxes
+    def no_instance(self):
+        raise AssertionError("scan_boxes built a CongruenceInstance")
+
+    want = [tuple(r) for r in cg.scan_boxes([5, 7, 30031], 2, 3, Fraction(21, 2), None)]
+    monkeypatch.setattr(cg.CongruenceInstance, "__post_init__", no_instance)
+    reps = cg.scan_boxes([5, 7, 30031], 2, 3, Fraction(21, 2), None)
+    assert [r[:10] for r in reps] == [r[:10] for r in want]
+    assert [r[:7] for r in reps] == [(2, 3, q, 1, 2, Fraction(21, 2), q) for q in (5, 7, 30031)]
 
 
 def test_unit_count_of_q_is_phi():
@@ -401,18 +412,19 @@ def test_scan_boxes_matches_box_report_property():
     def check(qs, a, b, X, Y):
         reps = cg.scan_boxes(qs, a, b, X, Y)
         kept = [q for q in qs if math.gcd(a * b, q) == 1]
-        assert [r.instance.q for r in reps] == kept
+        assert [r.q for r in reps] == kept
         for q, rep in zip(kept, reps):
             inst = cg.CongruenceInstance(a, b, q, q if X is None else X, q if Y is None else Y)
             one = cg.box_report(inst)
-            assert rep.instance == one.instance == inst
+            box = (inst.a, inst.b, inst.q, inst.e, inst.f, inst.X, inst.Y)
+            assert rep[:7] == one[:7] == box
             assert rep.exact == one.exact == cg.count_exact(inst)
             # the forms as literal expressions of arith's values, left to right
             x, y = float(inst.X), float(inst.Y)
             main = arith.phi(q) * x * y / q**2
             env = x / q * tau(q) + L(q) * sigma(q) * (y / sqrt(q) * tau(q) + sqrt(q) * L(q))
             for got in (rep, one):
-                assert [v.hex() for v in got[2:5]] == [
+                assert [v.hex() for v in got[8:11]] == [
                     main.hex(), env.hex(), (abs(rep.exact - main) / env).hex()]
 
     check()
@@ -430,8 +442,8 @@ def _literal_forms(inst):
     return main, x / q * tau + L * sigma * (y / root * tau + root * L)
 
 
-# a box that passes the count bound but whose main term overflows a float
-_OVERFLOWING = cg.CongruenceInstance(1, 1, 1000000007, 10**150, 10**150)
+# a box (q, X, Y) that passes the count bound but whose main term overflows a float
+_OVERFLOWING = (1000000007, Fraction(10**150), Fraction(10**150))
 
 
 def test_batch_reports_match_oracles_property():
@@ -452,20 +464,21 @@ def test_batch_reports_match_oracles_property():
         insts = [cg.CongruenceInstance(a, b, q, q if X is None else X, q if Y is None else Y)
                  for q in qs if math.gcd(a * b, q) == 1]
         hypothesis.assume(insts)
-        reps = cg._reports(insts)
-        assert [r.instance for r in reps] == insts
+        boxes = [(inst.q, inst.X, inst.Y) for inst in insts]
+        reps = cg._reports(a, b, boxes)
+        assert [r[:7] for r in reps] == [(a, b, q, 1, 2, X, Y) for q, X, Y in boxes]
         for inst, rep in zip(insts, reps):
             small = inst.q <= 200 and inst.X * inst.Y <= 4000
             assert rep.exact == (oracles.count_exact_naive(inst) if small
                                  else cg.count_exact(inst)), inst
             main, env = _literal_forms(inst)
-            assert [v.hex() for v in rep[2:5]] == [
+            assert [v.hex() for v in rep[8:11]] == [
                 main.hex(), env.hex(), (abs(rep.exact - main) / env).hex()]
         # a non-finite middle box is named before any box is counted
         middle = len(insts) // 2
         with mock.patch.object(cg, "_linear_count", side_effect=AssertionError("counted")):
             with pytest.raises(ValueError, match="at q = 1000000007: main term inf"):
-                cg._reports(insts[:middle] + [_OVERFLOWING] + insts[middle:])
+                cg._reports(a, b, boxes[:middle] + [_OVERFLOWING] + boxes[middle:])
 
     check()
 
@@ -481,7 +494,8 @@ def test_batch_reports_walk_only_boxes_with_a_remainder(monkeypatch):
     reps += cg.scan_boxes([23, 29], 1, 1, 10, 30)
     assert walked == [23, 29]
     for rep in reps:
-        assert rep.exact == oracles.count_exact_naive(rep.instance)
+        inst = cg.CongruenceInstance(rep.a, rep.b, rep.q, rep.X, rep.Y)
+        assert rep.exact == oracles.count_exact_naive(inst)
 
 
 def test_batch_seconds_add_up_to_no_more_than_the_scan():

@@ -209,7 +209,6 @@ def test_point_blocks_stream_within_one_block_budget(B):
     # table (and the table's uint32 sieve temporary) and one block of under
     # arith.BLOCK_CELLS int64 values; at 1e7 the blocks are cut by that budget
     a2max = dp6._alpha_bounds(B)[1]
-    dp6._omega_upto.cache_clear()
     tracemalloc.start()
     try:
         count = sum(len(block) for block in dp6.point_blocks(B, 12))
@@ -219,6 +218,50 @@ def test_point_blocks_stream_within_one_block_budget(B):
     assert count == dp6.m_t_growth([B], 12)[0].count
     table = a2max + 1 + math.isqrt(2 * a2max) + 2
     assert peak <= table + 4 * (a2max + 1) + 8 * arith.BLOCK_CELLS, peak
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dp6_enumerate_streams_within_the_point_bound(tmp_path, capsys):
+    # README "dp6 points": the streaming bound of point_blocks plus one
+    # block's CSV text and digit-kernel temporaries, under 5 (w + 2) + 16
+    # bytes for each of at most 12 BLOCK_CELLS // 48 cells, w the digits of
+    # the widest cell (every |x_i| <= B); all the blocks at once would take
+    # 96 bytes a point
+    B = 10**7
+    out = tmp_path / "points.csv"
+    peak = _traced_peak(lambda: cli.main(["dp6-enumerate", "--B", str(B), "--out", str(out)]))
+    count = dp6.m_t_growth([B], 12)[0].count
+    assert capsys.readouterr().out == (f"B = {B}, t = 12: {count} points\n"
+                                       f"wrote {count} rows to {out}\n")
+    a2max = dp6._alpha_bounds(B)[1]
+    table = a2max + 1 + math.isqrt(2 * a2max) + 2
+    text = 12 * (arith.BLOCK_CELLS // 48) * (5 * (len(str(B)) + 2) + 16)
+    bound = table + 4 * (a2max + 1) + 8 * arith.BLOCK_CELLS + text
+    assert peak <= bound < 96 * count, (peak, bound)
+
+
+@pytest.mark.parametrize("budgets", [[10**6, 10**8, 10**9], [10**5, 10**7, 10**4]])
+def test_m_t_growth_peak_matches_the_readme_formula(budgets):
+    # README "dp6 counts": the largest budget's table, 5 bytes per entry of
+    # sieve temporaries (uint32 cofactors and a bool mask), the padded heads
+    # of two smaller budgets, G and three int8 or bool blocks
+    peak = _traced_peak(lambda: dp6.m_t_growth(budgets, 12))
+    bounds = {B: dp6._alpha_bounds(B) for B in budgets}
+    top = max(a2max for _, a2max in bounds.values())
+    table = top + 1 + math.isqrt(2 * top) + 2
+    heads = sorted(a2max + 1 + math.isqrt(2 * a2max) + 2 for _, a2max in bounds.values())
+    G = max(a1max**2 // min(dp6.prime_window(B)) + a2max // min(dp6.prime_window(B)) + 1
+            for B, (a1max, a2max) in bounds.items())
+    assert peak >= table + 5 * (top + 1)  # the sieve is the peak
+    assert peak <= table + 5 * (top + 1) + 2 * heads[-2] + G + 3 * arith.BLOCK_CELLS, peak
 
 
 def _corrupt_first_block(monkeypatch, corrupt):
@@ -255,7 +298,7 @@ def _real_alpha3_zero(B, a1, s, z, cells, i):
     (_alpha1_out_of_window, "alpha1 must lie in (0, B^{1/3}/2]"),
     (_real_alpha3_zero, "alpha3 must be nonzero"),
 ])
-def test_point_blocks_refuse_a_corrupted_row(corrupt, failure, monkeypatch, capsys):
+def test_point_blocks_refuse_a_corrupted_row(corrupt, failure, monkeypatch, capsys, tmp_path):
     B = 10**4
     q = dp6.prime_window(B)[0]
     _corrupt_first_block(monkeypatch, corrupt)
@@ -272,6 +315,10 @@ def test_point_blocks_refuse_a_corrupted_row(corrupt, failure, monkeypatch, caps
     assert row in str(err.value) and failure in str(err.value)
     assert cli.main(["dp6-enumerate", "--B", str(B)]) == 2
     assert row in capsys.readouterr().err
+    # streaming to a file, the failing block stops the command before it prints
+    assert cli.main(["dp6-enumerate", "--B", str(B), "--out", str(tmp_path / "p.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and row in err
 
 
 @pytest.mark.parametrize("call, message", [
@@ -434,7 +481,7 @@ def test_l_t_counts_match_l_t_count_and_family():
     def check(data, Bs, t):
         Bs += data.draw(st.lists(st.sampled_from(Bs), max_size=2))  # repeated budgets
         top = max(dp6._alpha_bounds(B)[1] for B in Bs)
-        base = np.array(dp6._omega_upto(top))  # a copy: l_t_count evicts the cached table
+        base = dp6._omega_upto(top)
         for B in Bs:
             # the table of B as a padded head of the largest budget's table
             a2max = dp6._alpha_bounds(B)[1]
@@ -470,13 +517,15 @@ def test_m_t_growth_counts_from_padded_heads_of_one_table(monkeypatch):
         return count(B, qs, t, om)
 
     monkeypatch.setattr(dp6, "_l_t_counts", recording)
-    dp6._omega_upto.cache_clear()
+    sieve = dp6._omega_upto
+    sieved = []
+    monkeypatch.setattr(dp6, "_omega_upto", lambda limit: sieved.append(limit) or sieve(limit))
     rows = dp6.m_t_growth([10**6, 10**8, 7, 10**5, 10**6], 12)
-    assert dp6._omega_upto.cache_info().misses == 1
+    assert sieved == [dp6._alpha_bounds(10**8)[1]]
     assert [r.count for r in rows[:3]] == [33689, 2723055, 0]
     assert sorted(tables) == [7, 10**5, 10**6, 10**8]
     for B, om in tables.items():
-        table = dp6._omega_upto(dp6._alpha_bounds(B)[1])
+        table = sieve(dp6._alpha_bounds(B)[1])
         assert om.dtype == table.dtype and om.tobytes() == table.tobytes(), B
 
 
@@ -503,7 +552,8 @@ def test_build_sieve_sequence():
     seq = dp6.build_sieve_sequence(1000, 7)
     assert seq.X == Fraction(1500, 49)
     assert seq.total() == 31
-    assert all(n > 0 and n % 2 == 0 for n in seq.a)
+    assert (seq.n > 0).all() and (seq.n % 2 == 0).all() and (seq.a > 0).all()
+    assert (np.diff(seq.n) > 0).all() and seq.n.dtype == seq.a.dtype == np.int64
     with pytest.raises(ValueError):
         dp6.build_sieve_sequence(1000, 11)
     with pytest.raises(ValueError):
@@ -519,10 +569,14 @@ def _sieve_counter(B, q):
     ))
 
 
+def _as_dict(seq):
+    return dict(zip(seq.n.tolist(), seq.a.tolist()))
+
+
 @pytest.mark.parametrize("B", [10**4, 10**5])
 def test_sieve_sequence_matches_counter(B):
     for q in dp6.prime_window(B):
-        assert dp6.build_sieve_sequence(B, q).a == _sieve_counter(B, q), q
+        assert _as_dict(dp6.build_sieve_sequence(B, q)) == _sieve_counter(B, q), q
 
 
 def test_sieve_sequence_matches_counter_property():
@@ -533,7 +587,7 @@ def test_sieve_sequence_matches_counter_property():
     @hypothesis.given(B=st.integers(8, 2 * 10**5))
     def check(B):
         for q in dp6.prime_window(B):
-            assert dp6.build_sieve_sequence(B, q).a == _sieve_counter(B, q), q
+            assert _as_dict(dp6.build_sieve_sequence(B, q)) == _sieve_counter(B, q), q
 
     check()
 
@@ -554,6 +608,49 @@ def test_sum_over_d():
     assert exact2 == 31  # every element is even
     with pytest.raises(ValueError):
         dp6.sum_over_d(seq, 4)
+
+
+def _check_sieve_report(B, q, tau_level, c2, rho_max):
+    # sieve_condition_report, w2_sum and sum_over_d against the dict scans of
+    # tests/oracles over the sequence by direct loops, floats by float.hex
+    a = _sieve_counter(B, q)
+    X = Fraction((q - 1) * B, 4 * q * q)
+    kwargs = dict(tau_level=tau_level, c2=c2, z_max=5, rho_table_max=rho_max)
+    Xf = float(X)
+    if Xf <= 1 or not 1 <= Xf**tau_level / math.log(Xf) ** c2 <= dp6.W2_D_LIMIT:
+        with pytest.raises(ValueError):
+            dp6.sieve_condition_report(B, q, **kwargs)
+        return
+    want = oracles.w2_sum_scan(a, q, X, tau_level, c2)
+    rep = dp6.sieve_condition_report(B, q, **kwargs)
+    seq = dp6.build_sieve_sequence(B, q)
+    assert rep["points_total"] == seq.total() == sum(a.values())
+    assert rep["rho_table"] == {str(d): f"{dp6.rho(d, q).numerator}/{dp6.rho(d, q).denominator}"
+                                for d in range(1, rho_max + 1) if arith.mobius(d)}
+    for got in (rep["w2"], dp6.w2_sum(seq, tau_level, c2)):
+        assert got.keys() == want.keys()
+        assert [float(v).hex() for v in got.values()] == [float(v).hex() for v in want.values()]
+    for d in (1, 2, 3, 6, 30, q, 210):
+        assert dp6.sum_over_d(seq, d) == oracles.sum_over_d_scan(a, q, X, d), d
+
+
+def test_sieve_report_matches_dict_scan_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(B=st.integers(8, 2 * 10**5), tau_level=st.floats(0.05, 1.2),
+                      c2=st.floats(0.0, 2.0), rho_max=st.integers(1, 300))
+    def check(B, tau_level, c2, rho_max):
+        for q in dp6.prime_window(B):
+            _check_sieve_report(B, q, tau_level, c2, rho_max)
+
+    check()
+
+
+@pytest.mark.parametrize("tau_level, c2", [(0.4, 1.0), (0.9, 0.0), (0.05, 0.0), (0.7, 2.5)])
+def test_sieve_report_matches_dict_scan_at_bench_budget(tau_level, c2):
+    _check_sieve_report(10**6, 97, tau_level, c2, 210)
 
 
 _mobius, _radical, _divisors, _phi_star = (

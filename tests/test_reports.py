@@ -33,6 +33,9 @@ def test_fmt_refuses_numpy_scalars(value):
 
 
 def test_box_row_fields_and_timings():
+    # a CountReport is the CSV row, so its fields are the header
+    assert reports.BOX_FIELDS == cg.CountReport._fields == (
+        "a", "b", "q", "e", "f", "X", "Y", "exact", "main_term", "envelope", "ratio", "seconds")
     rep = cg.box_report(cg.CongruenceInstance(1, 1, 5, 10, 10))
     row = reports.box_row(rep)
     assert len(row) == len(reports.BOX_FIELDS)
