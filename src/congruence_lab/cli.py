@@ -141,8 +141,8 @@ _TIMINGS = Option("timings", bool, "false")
 
 def _emit(o: argparse.Namespace, description: str, fields, rows) -> None:
     if o.out:
-        reports.write_report(o.out, o.format, description, fields, rows)
-        print(f"wrote {len(rows)} rows to {o.out}")
+        count = reports.write_table(o.out, o.format, description, fields, [rows])
+        print(f"wrote {count} rows to {o.out}")
 
 
 def _check_seeds(o: argparse.Namespace) -> None:
@@ -217,6 +217,7 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
 _PRIMES_LIMIT = 1 << 20  # count-scan: 82,025 primes, a report and a row of about 1.9 KB each
 _DRAW_CHUNK = 1 << 14  # doubles per getrandbits call of random_floats
 _SAMPLES_LIMIT = 1 << 26  # vaaler samples: 16 bytes each at the peak of random_floats, 1 GiB
+_SCREEN_LIMIT = 1 << 30  # vaaler H samples: one Clenshaw multiply-add per screened term
 _CELLS_LIMIT = 1 << 27  # bilinear (M+1)/2 N: an int8 table and an int64 temporary, 1.2 GB
 
 
@@ -239,8 +240,16 @@ def random_floats(seed: int, n: int) -> np.ndarray:
 
 
 def _cmd_vaaler(o: argparse.Namespace) -> int:
+    # majorant_slack's own checks of H, made before the samples are drawn
+    if o.H < 1:
+        raise ValueError("H must be >= 1")
+    if o.H > sawtooth.MAX_SCREEN_H:
+        raise ValueError(f"majorant_slack needs H <= {sawtooth.MAX_SCREEN_H}, got H = {o.H}")
     if not 1 <= o.samples <= _SAMPLES_LIMIT:
         raise ValueError(f"--samples must be in [1, 2^26], got {o.samples}")
+    if o.H * o.samples > _SCREEN_LIMIT:
+        raise ValueError(f"--H, --samples: H times samples = {o.H * o.samples} screened terms"
+                         f" exceeds the cap of 2^30")
     xs = random_floats(o.seed, o.samples)
     violations, worst = sawtooth.majorant_slack(xs, o.H)
     print(f"H = {o.H}: {violations} violations in {o.samples} samples;"

@@ -1,7 +1,7 @@
 """Deterministic CSV and JSON emission for every report type.
 
 A report row is a tuple of values in the order of its *_FIELDS schema.
-write_report formats every cell once, as a string, by fmt, and the JSON
+write_table formats every cell once, as a string, by fmt, and the JSON
 mirror stores those same strings, so CSV -> JSON -> CSV is byte-identical.
 fmt goes by a cell's exact type: floats use repr (shortest round-trip form),
 rationals num/den, booleans true/false; other types (numpy's float64 too)
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,16 +23,10 @@ from .congruence import CountReport
 from .dp6 import GrowthRow
 
 BOX_FIELDS = CountReport._fields
-AVERAGED_FIELDS = (
-    "l", "m", "r", "s", "t", "U", "V", "W", "Y", "scheme", "seed",
-    "H", "epsilon", "S_re", "S_im", "M_re", "M_im",
-    "first_O", "T_envelope", "ratio",
-)
+AVERAGED_FIELDS = ("l", "m", "r", "s", "t", "U", "V", "W", "Y", "scheme", "seed", "H", "epsilon",
+                   "S_re", "S_im", "M_re", "M_im", "first_O", "T_envelope", "ratio")
 GROWTH_FIELDS = GrowthRow._fields
-POINT_FIELDS = (
-    "q", "a1", "a2", "a3",
-    "x0", "x1", "x2", "x3", "x4", "x5", "x6", "Omega",
-)
+POINT_FIELDS = ("q", "a1", "a2", "a3", "x0", "x1", "x2", "x3", "x4", "x5", "x6", "Omega")
 BILINEAR_FIELDS = ("M", "N", "seed", "epsilon", "abs_sum", "bound", "ratio")
 VAALER_FIELDS = ("H", "samples", "seed", "violations", "worst_slack")
 
@@ -41,7 +36,7 @@ class _Formats(dict):
         raise TypeError(f"no stable format for {kind.__name__}")
 
 
-# one formatter per exact cell type; write_report looks cells up here inline,
+# one formatter per exact cell type; write_table looks cells up here inline,
 # as a call to fmt per cell costs box-scan a measurable share of its wall time
 _FORMATS = _Formats({bool: lambda value: "true" if value else "false", int: str, float: repr,
                      Fraction: str, str: str})  # str(Fraction(n, 1)) is str(n)
@@ -65,11 +60,11 @@ def averaged_row(report: AveragedReport) -> tuple:
 # ---- serialization ----
 #
 # A table is written from blocks of rows in field order.  A block is either an
-# integer ndarray, one row per table row, or a sequence of rows of str cells
-# (fmt output).  An integer block becomes its CSV text by _int_csv, a str
-# block in one %-formatting call.  The CSV writer never quotes, so it
-# refuses a str cell that csv would have to quote: one holding ',', '"', CR
-# or LF, or the lone cell "" of a one-column row.
+# integer ndarray, one row per table row, or a sequence of rows of values (a
+# str cell formats as itself).  An integer block becomes its CSV text by
+# _int_csv, any block its CSV or JSON text in one %-formatting call.  The CSV
+# writer never quotes, so it refuses a cell that csv would have to quote: one
+# holding ',', '"', CR or LF, or the lone cell "" of a one-column row.
 
 _MINUS, _COMMA, _NEWLINE = (np.uint8(ord(c)) for c in "-,\n")
 
@@ -115,13 +110,22 @@ def _int_csv(block: np.ndarray) -> str:
     return flat[flat != 0].tobytes().decode("ascii")
 
 
+def _value_cells(k: int, block: Sequence[Sequence]) -> list[str]:
+    """The cells of value rows, each as fmt formats it, refusing a ragged row."""
+    for row in block:
+        if len(row) != k:
+            raise ValueError(f"report row of {len(row)} values for {k} fields:"
+                             f" {[fmt(value) for value in row]}")
+    return [_FORMATS[type(value)](value) for row in block for value in row]
+
+
 def _csv_lines(fields: list[str], block) -> str:
     n, k = len(block), len(fields)
     if isinstance(block, np.ndarray):
         if block.ndim != 2 or block.shape[1] != k:
             raise ValueError(f"integer block of shape {block.shape} for {k} fields")
         return _int_csv(block)
-    cells = [cell for row in block for cell in row]
+    cells = _value_cells(k, block)
     text = (",".join(["%s"] * k) + "\n") * n % tuple(cells)
     # the template alone writes n (k - 1) commas and n newlines
     if (text.count(",") + text.count("\n") != n * k or '"' in text or "\r" in text
@@ -132,57 +136,53 @@ def _csv_lines(fields: list[str], block) -> str:
     return text
 
 
+def _json_rows(fields: list[str], block) -> str:
+    """A block's rows as json_dump indents them, joined by ',\n'; each cell
+    a JSON string, escaped by json.dumps (an integer's CSV text needs none)."""
+    if isinstance(block, np.ndarray):
+        cells, cell = _csv_lines(fields, block).replace(",", "\n").split(), '"%s"'
+    else:
+        cells, cell = list(map(json.dumps, _value_cells(len(fields), block))), "%s"
+    row = ",\n".join(f"      {json.dumps(f).replace('%', '%%')}: {cell}" for f in fields)
+    return ",\n".join([f"    {{\n{row}\n    }}"] * len(block)) % tuple(cells)
+
+
 def json_dump(doc) -> str:
     """The JSON text of every report: two-space indent, trailing newline.
     A nan or infinite float raises ValueError, as JSON has no such value."""
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def write_report(
-    path: str,
-    fmt_name: str,
-    description: str,
-    fields: Iterable[str],
-    rows: list[Sequence],
-) -> None:
-    """Write rows of values, each in field order, each cell as fmt formats
-    it; a row with more or fewer values than fields raises ValueError."""
-    fields = list(fields)
-    cells = [[_FORMATS[type(value)](value) for value in row] for row in rows]
-    for row in cells:
-        if len(row) != len(fields):
-            raise ValueError(f"report row of {len(row)} values for {len(fields)} fields: {row}")
-    write_table(path, fmt_name, description, fields, [cells])
-
-
-def write_table(
-    path: str,
-    fmt_name: str,
-    description: str,
-    fields: Iterable[str],
-    blocks: Iterable[np.ndarray | Sequence[Sequence[str]]],
-) -> int:
+def write_table(path: str, fmt_name: str, description: str, fields: Iterable[str],
+                blocks: Iterable[np.ndarray | Sequence[Sequence]]) -> int:
     """Write a table given as blocks of rows, integer ndarrays or rows of
-    str cells, and return its number of rows.  CSV is written block by
-    block, so only one block and its text need exist at a time (JSON holds
-    every row until it writes); a str cell that would need quoting raises
-    ValueError naming its field, before its block is written."""
+    values, block by block, and return its number of rows; the JSON is
+    json_dump's text of the whole table.  ValueError is raised before the
+    file is opened for an unknown format or a bad first block, and before a
+    later block is written for a bad one: one of the wrong shape, a ragged
+    row or a cell that CSV would quote."""
     fields = list(fields)
     if fmt_name == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# {description}\n")
-            fh.write(_csv_lines(fields, [fields]))
-            rows = 0
-            for block in blocks:
-                fh.write(_csv_lines(fields, block))
-                rows += len(block)
-            return rows
-    if fmt_name == "json":
-        rows = [dict(zip(fields, map(str, row))) for block in blocks
-                for row in (block.tolist() if isinstance(block, np.ndarray) else block)]
-        write_text(path, json_dump({"description": description, "fields": fields, "rows": rows}))
-        return len(rows)
-    raise ValueError(f"unknown output format {fmt_name!r}")
+        head, lines = f"# {description}\n" + _csv_lines(fields, [fields]), _csv_lines
+        lead = sep = close = empty = ""
+    elif fmt_name == "json":
+        # the whole table's text with no rows, cut where its rows begin
+        table = {"description": description, "fields": fields, "rows": []}
+        head, end = json_dump(table).rsplit("[]", 1)
+        lines, lead, sep, close, empty = _json_rows, "[\n", ",\n", "\n  ]" + end, "[]" + end
+    else:
+        raise ValueError(f"unknown output format {fmt_name!r}")
+    texts = ((lines(fields, block), len(block)) for block in blocks)
+    texts = chain([next(texts, ("", 0))], texts)  # the first text is made before the file opens
+    rows = 0
+    with open(path, "w", newline="") as fh:
+        fh.write(head)
+        for text, n in texts:
+            if text:
+                fh.write((sep if rows else lead) + text)
+            rows += n
+        fh.write(close if rows else empty)
+    return rows
 
 
 def write_text(path: str, text: str) -> None:

@@ -167,6 +167,15 @@ REFUSALS = {
                                          "budget UVWY/H = inf, T_envelope = "),
     "vaaler samples beyond the cap": (["vaaler", "--H", "8", "--samples", str(2**26 + 1)], None,
                                       "--samples must be in [1, 2^26], got 67108865"),
+    "zero vaaler H": (["vaaler", "--H", "0", "--samples", "1000", "--out", "x.csv"], None,
+                      "H must be >= 1"),
+    "vaaler H beyond the screen bound": (["vaaler", "--H", "1000001", "--samples", "1000",
+                                          "--out", "x.csv"], None,
+                                         "needs H <= 1000000, got H = 1000001"),
+    "vaaler screened terms beyond the cap": (["vaaler", "--H", "1025", "--samples", str(2**20),
+                                              "--out", "x.csv"], None,
+                                             "--H, --samples: H times samples = 1074790400"
+                                             " screened terms exceeds the cap of 2^30"),
     "bilinear table beyond the cap": (["bilinear", "--M", "16383", "--N", "16385", "--out",
                                        "x.csv"], None,
                                       "--M, --N: the table of (M+1)/2 N = 134225920 cells"
@@ -241,7 +250,8 @@ BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "count main term beyond float", "scan count bound beyond float at a later q",
                "scan main term beyond float at a later q",
                "avg-scan H t U V W beyond float", "avg-scan budget beyond float key",
-               "vaaler samples beyond the cap", "bilinear table beyond the cap",
+               "vaaler samples beyond the cap", "zero vaaler H", "vaaler H beyond the screen bound",
+               "vaaler screened terms beyond the cap", "bilinear table beyond the cap",
                "general count modulus beyond the table cap", "prime bound with a q list",
                "prime bound key with a q list", "bilinear seeds beyond the cap",
                "avg-scan seeds beyond the cap", "grid bound beyond the cap",

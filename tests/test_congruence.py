@@ -3,6 +3,7 @@ import logging
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -113,6 +114,25 @@ def test_count_exact_matches_loop_across_blocks(q, e, f, rx, ry):
 def test_count_exact_huge_box_is_exact():
     inst = cg.CongruenceInstance(3, -5, 97, Fraction(10**40 + 1, 3), 10**30 + 7, 2, 3)
     assert cg.count_exact(inst) == count_exact_loop(inst)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("q", [1_000_003, 4_000_037])
+def test_general_count_peak_matches_the_readme_formula(q):
+    # README "Conventions": e >= 2 holds one int32 table of q keys, 4 bytes
+    # per residue, plus the temporaries of one block of _BLOCK residues,
+    # under 80 bytes each
+    inst = cg.CongruenceInstance(3, 5, q, q, q, 2, 2)
+    peak = _traced_peak(lambda: cg.count_exact(inst))
+    assert 4 * q <= peak <= 4 * q + 80 * cg._BLOCK, peak
 
 
 # ---- the unit sieve and the closed-form unit count ----
@@ -886,3 +906,15 @@ def test_bilinear_complex_coefficients_match_loop():
         reals = [z.real for z in b]
         loop = bilinear_loop(a, reals)
         assert abs(cg.bilinear_jacobi(a, reals).value - loop) <= 1e-12 * abs(loop)
+
+
+@pytest.mark.parametrize("M, N", [(511, 512), (2047, 1024)])
+def test_bilinear_peak_matches_the_readme_formula(M, N):
+    # README "Conventions": the int8 table of (M + 1)/2 N Jacobi symbols and
+    # one int64 temporary of its shape, 9 bytes an entry, plus vectors of
+    # length M or N (the least-prime-factor sieve, n, the coefficients)
+    rows = (M + 1) // 2
+    a, b = [1] * rows, [(-1) ** n for n in range(N)]
+    cg._jacobi_table.cache_clear()
+    peak = _traced_peak(lambda: cg.bilinear_jacobi(a, b))
+    assert 9 * rows * N <= peak <= 9 * rows * N + 32 * (M + N), peak

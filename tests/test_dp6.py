@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -246,6 +247,28 @@ def test_dp6_enumerate_streams_within_the_point_bound(tmp_path, capsys):
     text = 12 * (arith.BLOCK_CELLS // 48) * (5 * (len(str(B)) + 2) + 16)
     bound = table + 4 * (a2max + 1) + 8 * arith.BLOCK_CELLS + text
     assert peak <= bound < 96 * count, (peak, bound)
+
+
+@pytest.mark.parametrize("B", [10**6, 10**7])
+def test_dp6_enumerate_json_streams_within_one_block_and_its_text(B, tmp_path, capsys):
+    # README "dp6 points": the streaming bound of point_blocks plus, for each
+    # of at most 12 BLOCK_CELLS // 48 cells, 3 w + 133 bytes (w the digits of
+    # B): its str cell and two pointers (w + 66), the row template (23), its
+    # JSON text and the previous block's (w + 22 each); every point held as a
+    # dict of str cells, as the whole-table JSON would hold it, takes more
+    out = tmp_path / "points.json"
+    argv = ["dp6-enumerate", "--B", str(B), "--format", "json", "--out", str(out)]
+    peak = _traced_peak(lambda: cli.main(argv))
+    count = dp6.m_t_growth([B], 12)[0].count
+    assert capsys.readouterr().out == (f"B = {B}, t = 12: {count} points\n"
+                                       f"wrote {count} rows to {out}\n")
+    a2max = dp6._alpha_bounds(B)[1]
+    table = a2max + 1 + math.isqrt(2 * a2max) + 2
+    text = 12 * (arith.BLOCK_CELLS // 48) * (3 * len(str(B)) + 133)
+    bound = table + 4 * (a2max + 1) + 8 * arith.BLOCK_CELLS + text
+    row = dict(zip(reports.POINT_FIELDS, map(str, next(dp6.point_blocks(B, 12))[0].tolist())))
+    held = count * (sys.getsizeof(row) + sum(map(sys.getsizeof, row.values())))
+    assert peak <= bound < held, (peak, bound, held)
 
 
 @pytest.mark.parametrize("budgets", [[10**6, 10**8, 10**9], [10**5, 10**7, 10**4]])

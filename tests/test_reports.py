@@ -105,17 +105,17 @@ def test_json_dump_refuses_non_finite_floats():
 
 def test_write_report(tmp_path):
     path = tmp_path / "out.csv"
-    reports.write_report(str(path), "csv", "demo", ["a"], [(1,)])
+    reports.write_table(str(path), "csv", "demo", ["a"], [[(1,)]])
     assert path.read_text() == "# demo\na\n1\n"
     with pytest.raises(ValueError):
-        reports.write_report(str(path), "xml", "demo", ["a"], [])
+        reports.write_table(str(path), "xml", "demo", ["a"], [])
 
 
 def test_write_report_refuses_ragged_rows(tmp_path):
     # 4 cells fill a 2-field template exactly, so only the row check sees it
     path = tmp_path / "out.csv"
     with pytest.raises(ValueError, match=r"report row of 3 values for 2 fields: \['1', '2', '3'\]"):
-        reports.write_report(str(path), "csv", "demo", ["a", "b"], [(1, 2, 3), (4,)])
+        reports.write_table(str(path), "csv", "demo", ["a", "b"], [[(1, 2, 3), (4,)]])
     assert not path.exists()
 
 
@@ -123,10 +123,10 @@ def test_write_report_formats_each_cell(tmp_path):
     fields = ["n", "x", "flag", "r", "name"]
     rows = [(3, Fraction(21, 2), True, 0.1, "joint"), (-1, Fraction(4), False, 1 / 3, "all-ones")]
     path = tmp_path / "out.csv"
-    reports.write_report(str(path), "csv", "demo", fields, rows)
+    reports.write_table(str(path), "csv", "demo", fields, [rows])
     assert path.read_text() == ("# demo\nn,x,flag,r,name\n3,21/2,true,0.1,joint\n"
                                 f"-1,4,false,{1 / 3!r},all-ones\n")
-    reports.write_report(str(path), "json", "demo", fields, rows)
+    reports.write_table(str(path), "json", "demo", fields, [rows])
     assert oracles.parse_json_text(path.read_text())[2][1] == dict(
         n="-1", x="4", flag="false", r=repr(1 / 3), name="all-ones")
 
@@ -228,3 +228,50 @@ def test_csv_refuses_cells_that_need_quoting(bad, tmp_path):
         reports.write_table(str(path), "csv", "demo", ["a", bad], [])
     with pytest.raises(ValueError, match="CSV field 'a': cell ''"):
         reports.write_table(str(path), "csv", "demo", ["a"], [[["1"], [""]]])
+
+
+def test_json_streams_the_json_dump_of_the_whole_table(tmp_path):
+    # write_table writes JSON block by block; its bytes are json_dump's text
+    # of the whole table, every cell the string fmt makes of it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    text = st.text(st.one_of(st.sampled_from('"\\%,\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                             st.characters()), max_size=5)
+    value = st.one_of(st.booleans(), st.integers(), st.floats(), st.fractions(), text)
+    int64 = st.one_of(st.sampled_from([-2**63, 2**63 - 1]), st.integers(-2**63, 2**63 - 1))
+    edges = np.array([[-2**63, 2**63 - 1], [0, -1]], dtype=np.int64)
+    many = [edges, [], np.empty((0, 2), dtype=np.int64), [['say "hi"', "a\\b\x01"]]] * 30
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data(), fields=st.lists(text, min_size=1, max_size=5, unique=True),
+                      description=text)
+    @hypothesis.example(data=None, fields=["a", "b%s"], description="many blocks")
+    @hypothesis.example(data=False, fields=["a"], description="")
+    def check(data, fields, description):
+        k = len(fields)
+        if data is None:
+            blocks = many
+        elif data is False:
+            blocks = [[], np.empty((0, 1), dtype=np.int64)]
+        else:
+            value_rows = st.lists(st.lists(value, min_size=k, max_size=k), max_size=4)
+            ints = hnp.arrays(np.int64, st.tuples(st.integers(0, 4), st.just(k)),
+                              elements=int64)
+            blocks = data.draw(st.lists(st.one_of(value_rows, ints), max_size=12))
+        rows = [row for block in blocks
+                for row in (block.tolist() if isinstance(block, np.ndarray) else block)]
+        table = {"description": description, "fields": fields,
+                 "rows": [dict(zip(fields, map(reports.fmt, row))) for row in rows]}
+        path = tmp_path / "table.json"
+        assert reports.write_table(str(path), "json", description, fields, blocks) == len(rows)
+        assert path.read_bytes() == reports.json_dump(table).encode("ascii")
+
+    check()
+
+
+def test_unknown_format_leaves_no_file(tmp_path):
+    path = tmp_path / "out.xml"
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        reports.write_table(str(path), "xml", "demo", ["a"], [[(1,)]])
+    assert not path.exists()
