@@ -21,7 +21,6 @@ from .averaged import (
     AveragedReport,
     avg_report,
     delta_H,
-    dominance_report,
     error_budget,
     suggest_H,
     unit_disc_point,
@@ -32,7 +31,6 @@ from .congruence import (
     CountReport,
     Interval,
     bilinear_jacobi,
-    boundary_report,
     boundary_sums,
     box_bounds,
     box_report,

@@ -8,7 +8,8 @@ gcd(rsuv, tw) = 1, and sums weights d_{u,v} e_w times the exact count for
 with y in J and x between boundary functions.  The predicted main term
 replaces each count by (tw)^{-1} sum_y (f_hi - f_lo); the error budget is
 the pair (UVWY/H, T_envelope) where T_envelope carries the Delta_H
-distortion, a cell-structure term, and the large-modulus term Z.
+distortion (delta_H: what the boundaries' slope costs at the modulus
+scale tW), a cell-structure term, and the large-modulus term Z.
 
 Coefficient values are drawn deterministically from the closed unit disc by
 a splitmix64 hash of (seed, role, indices): the same (seed, cell) always
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .congruence import BoundarySpec, Interval, class_sums, distortion, eps_power, linear_class
+from .congruence import BoundarySpec, Interval, class_sums, eps_power, linear_class
 
 SCHEMES = ("all-ones", "factorized", "joint")
 WORK_LIMIT = 10**9  # cell_sums: (U, 2U] x (V, 2V] x (W, 2W] cells times the integers of J
@@ -149,17 +150,14 @@ def cell_sums(family: AveragedFamily) -> list[tuple[int, int, int, int, Fraction
 # ---- error budget ----
 
 def delta_H(family: AveragedFamily, H: float) -> float:
-    """Delta_H = 1 + H T Y / (tW), congruence.distortion at the modulus
-    scale tW: T is the derivative bound of the family's boundaries, which
-    are the same in every cell and so move with y only."""
+    """Delta_H = 1 + H T Y / (tW), what boundaries of slope up to T cost the
+    H-truncated envelope at the modulus scale tW: T is the derivative bound
+    of the family's boundaries, which are the same in every cell and so move
+    with y only, and Y the length of J."""
     if H <= 0:
         raise ValueError("H must be positive")
-    return distortion(H, family.bounds, family.J, family.t * float(family.W))
-
-
-def _structured_Z(family: AveragedFamily) -> bool:
-    # weights that factor (all but the joint scheme) over cells with UV >= tW
-    return family.scheme != "joint" and family.U * family.V >= family.t * family.W
+    T = family.bounds.derivative_bound
+    return 1.0 + H * float(T) * float(family.J.length) / (family.t * float(family.W))
 
 
 def _frac_half(k: int) -> float:
@@ -196,7 +194,8 @@ def error_budget(family: AveragedFamily, H: float, epsilon: float) -> ErrorBudge
     t = family.t
     tW = t * W
     delta = delta_H(family, H)
-    if _structured_Z(family):
+    # weights that factor (all but the joint scheme) over cells with UV >= tW
+    if family.scheme != "joint" and family.U * family.V >= family.t * family.W:
         Z = math.sqrt((tW + U) * (tW + V)) * math.sqrt(U * V) * W
     else:
         Z = math.sqrt(tW) * U * V * W
@@ -241,44 +240,6 @@ def suggest_H(family: AveragedFamily, epsilon: float) -> float:
     if X > tW:
         raise ValueError("suggest_H requires X <= tW")
     return eps_power(tW, 1.0 + epsilon) / X
-
-
-class DominanceReport(NamedTuple):
-    q0: float
-    X: float
-    Z_structured: float
-    main_ok: bool
-    t_ok: bool
-    warnings: tuple[str, ...]
-
-
-def dominance_report(family: AveragedFamily, epsilon: float) -> DominanceReport:
-    """Checks that the modulus scale q0 = tW is small enough for the budget
-    to fall below the main term: q0^{1+eps} <= min(U^{2{l/2}} V^{2{m/2}} X^2, Z)
-    and q0^eps sqrt(t) <= X, with X = char_length(family) (refused unless
-    positive) and Z = (UV)^{1/4} (XY)^{1/2} for factorizing weights with UV
-    >= tW, (XY)^{2/3} otherwise.  Outside the regime U, V <= tW the verdicts
-    still evaluate but carry warnings."""
-    X = _length(family)
-    U, V = float(family.U), float(family.V)
-    Y = float(family.J.length)
-    q0 = family.t * float(family.W)
-    warnings = []
-    if U > q0:
-        warnings.append("U exceeds tW; dominance conditions are outside their regime")
-    if V > q0:
-        warnings.append("V exceeds tW; dominance conditions are outside their regime")
-    if _structured_Z(family):
-        Z = (U * V) ** 0.25 * math.sqrt(X * Y)
-    else:
-        Z = (X * Y) ** (2.0 / 3.0)
-    lhs_main = eps_power(q0, 1.0 + epsilon)
-    rhs_main = min(
-        U ** (2.0 * _frac_half(family.l)) * V ** (2.0 * _frac_half(family.m)) * X * X,
-        Z,
-    )
-    t_ok = eps_power(q0, epsilon) * math.sqrt(family.t) <= X
-    return DominanceReport(q0, X, Z, lhs_main <= rhs_main, t_ok, tuple(warnings))
 
 
 class AveragedReport(NamedTuple):

@@ -50,8 +50,8 @@ integer floor division of (D f(y) - c D) by q D; a block is int64 when q <
 2^31 and _BLOCK times the largest value formed stays below 2^62 (so
 per-block sums cannot overflow either), and object dtype of Python ints
 otherwise, with the same code.  Counts are Python ints, main terms exact
-Fractions.  These regions get the H-truncated envelope with the Delta_H
-distortion factor.
+Fractions.  The Delta_H factor that the boundary slopes cost an
+H-truncated envelope is taken in averaged.error_budget.
 
 Bilinear sums of Jacobi symbols (n/m) read one int8 table of the symbols for
 odd m <= M and n <= N, (M + 1)/2 * N bytes.
@@ -270,12 +270,6 @@ def _linear_count(a: int, b: int, q: int, f: int, X: int, Y: int, primes: list[i
     return Qx * Qy * phi_q + Qx * _unit_count(ry, primes) + Qy * t_rq + t_rr
 
 
-def _completed_term(c, root_q, L_q, Y, tau_q, sigma_q):
-    # the completed Gauss sums of both envelopes, multiplied left to right,
-    # elementwise on float64 arrays as on floats; root_q = sqrt(q), L_q = log1n(q)
-    return c * sigma_q * (Y / root_q * tau_q + root_q * L_q)
-
-
 def _moduli(qs: Sequence[int]) -> tuple[dict[int, tuple[list[int], int]], np.ndarray]:
     # each distinct q factored once: q -> (its primes, phi(q)), and the
     # float64 columns q, q^2, phi(q), tau(q), sigma_{-1/2}(q), log1n(q) of
@@ -304,7 +298,7 @@ def _closed_forms(boxes: Sequence[tuple[int, Fraction, Fraction]], columns: np.n
     root = np.sqrt(q)
     with np.errstate(over="ignore"):
         return (phi_q * X * Y / q2,
-                X / q * tau_q + _completed_term(L_q, root, L_q, Y, tau_q, sigma_q))
+                X / q * tau_q + L_q * sigma_q * (Y / root * tau_q + root * L_q))
 
 
 def _linear_box(inst: CongruenceInstance) -> tuple[int, Fraction, Fraction]:
@@ -534,44 +528,6 @@ def boundary_sums(
     <= f_hi(y), and (1/q) sum_{y in J, (y, q) = 1} (f_hi - f_lo)(y)."""
     (count,), main = class_sums([linear_class(a, b, q)], q, bounds, J)
     return count, main
-
-
-class BoundaryReport(NamedTuple):
-    exact: int
-    main_term: float
-    envelope: float
-    ratio: float
-    H: int
-    delta_H: float
-    seconds: float
-
-
-def distortion(H: float, bounds: BoundarySpec, J: Interval, q: float) -> float:
-    """Delta_H = 1 + H T Y / q, T the derivative bound of bounds and Y the
-    length of J: what boundaries of slope up to T cost the H-truncated
-    envelope.  The one Delta_H of boundary_report and averaged.delta_H."""
-    return 1.0 + H * float(bounds.derivative_bound) * float(J.length) / q
-
-
-def boundary_report(
-    a: int, b: int, q: int, bounds: BoundarySpec, J: Interval, H: int
-) -> BoundaryReport:
-    """Exact count against the truncation-H envelope
-
-    Y/H + Delta_H L(H) sigma_{-1/2}(q) (Y/sqrt(q) tau(q) + sqrt(q) L(q)),
-    Delta_H = distortion(H, bounds, J, q)."""
-    if H < 1:
-        raise ValueError("H must be >= 1")
-    t0 = time.perf_counter()
-    exact, mt = boundary_sums(a, b, q, bounds, J)
-    main = float(mt)
-    Y = float(J.length)
-    delta = distortion(H, bounds, J, q)
-    fac = factorize(q)
-    env = Y / H + _completed_term(delta * log1n(H), math.sqrt(q), log1n(q), Y, fac.tau(),
-                                  fac.sigma_half_inv())
-    seconds = time.perf_counter() - t0
-    return BoundaryReport(exact, main, env, abs(exact - main) / env, H, delta, seconds)
 
 
 def eps_power(x: float, p: float) -> float:

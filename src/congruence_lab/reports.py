@@ -181,6 +181,7 @@ def write_table(path: str, fmt_name: str, description: str, fields: Iterable[str
             if text:
                 fh.write((sep if rows else lead) + text)
             rows += n
+            del text  # or it lives on while the next block's text is made
         fh.write(close if rows else empty)
     return rows
 

@@ -155,14 +155,13 @@ def test_delta_h_affine_frozen():
 
 
 def test_delta_h_is_the_boundary_report_distortion():
-    # sloped boundaries, modulus tW = 14 and an integer H: the one Delta_H
-    # of both envelopes, bit for bit
+    # sloped boundaries, modulus tW = 14 and an integer H: 1 + H T Y / (tW)
+    # bit for bit, T the larger slope and Y the length of J
     bounds = cg.BoundarySpec(Fraction(-3, 2), Fraction(1, 3), 60, Fraction(5, 4))
     J = cg.Interval(Fraction(-7, 2), 40)
     fam = _family(t=7, W=2, J=J, bounds=bounds)
     for H in (1, 4, 9):
-        want = cg.boundary_report(1, 3, 14, bounds, J, H).delta_H
-        assert av.delta_H(fam, H) == want == 1.0 + H * 1.25 * 40 / 14
+        assert av.delta_H(fam, H) == 1.0 + H * 1.25 * 40 / 14
     with pytest.raises(ValueError, match="H must be positive"):
         av.delta_H(fam, 0)
 
@@ -180,8 +179,7 @@ def test_error_budget_refuses_a_zero_width_family():
 def test_epsilon_powers_that_overflow_are_refused():
     fam = _family(bounds=cg.box_bounds(1))
     for call in (lambda: av.error_budget(fam, 10.0, 1e300),
-                 lambda: av.suggest_H(fam, 1e300),
-                 lambda: av.dominance_report(fam, 1e300)):
+                 lambda: av.suggest_H(fam, 1e300)):
         with pytest.raises(ValueError, match="epsilon is too large"):
             call()
     assert av.error_budget(fam, 10.0, 50.0).T_envelope > 1e50
@@ -229,23 +227,6 @@ def test_char_length_uses_cell_corners():
     fam = _family(bounds=cg.BoundarySpec(0, 0, 0, 1))
     # widest upper boundary over corner y = 10 is 10
     assert av.char_length(fam) == pytest.approx(10.0)
-
-
-def test_dominance_report_clean():
-    fam = av.AveragedFamily(
-        l=1, m=1, r=1, s=1, t=1, U=25, V=25, W=100,
-        J=cg.Interval(0, 10**6), bounds=cg.box_bounds(100),
-    )
-    rep = av.dominance_report(fam, epsilon=0.01)
-    assert rep.main_ok is True
-    assert rep.t_ok is True
-    assert rep.warnings == ()
-
-
-def test_dominance_report_warns_on_large_cells():
-    fam = _family(U=4, t=1, W=Fraction(1, 2), bounds=cg.box_bounds(Fraction(1, 2)))
-    rep = av.dominance_report(fam, epsilon=0.05)
-    assert any("exceeds" in w for w in rep.warnings)
 
 
 def test_work_estimate_guard():
@@ -300,7 +281,7 @@ def test_one_boundary_walk_per_cell(monkeypatch):
                     *av.avg_report(fam, 10.0, 0.05, seeds=(4,))]
     assert [rep.seed for rep in reps] == [3, 4] and reps[0].S != reps[1].S
     calls.clear()
-    cg.boundary_report(1, 1, 7, cg.BoundarySpec(0, 1, 3, 2), cg.Interval(0, 20), H=4)
+    cg.boundary_sums(1, 1, 7, cg.BoundarySpec(0, 1, 3, 2), cg.Interval(0, 20))
     assert len(calls) == 1
 
 

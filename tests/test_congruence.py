@@ -1,4 +1,3 @@
-import functools
 import logging
 import math
 import random
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 from congruence_lab import arith
+from congruence_lab import averaged as av
 from congruence_lab import congruence as cg
 
 import oracles
@@ -133,6 +133,20 @@ def test_general_count_peak_matches_the_readme_formula(q):
     inst = cg.CongruenceInstance(3, 5, q, q, q, 2, 2)
     peak = _traced_peak(lambda: cg.count_exact(inst))
     assert 4 * q <= peak <= 4 * q + 80 * cg._BLOCK, peak
+
+
+@pytest.mark.parametrize("classes, q", [(4, 1_000_003), (100, 1_000_003), (100, 30030)])
+def test_class_sums_peak_matches_the_readme_formula(classes, q):
+    # README "Conventions": blocks of at most n units y, each taken for r =
+    # min(classes, block_rows(n)) classes at a time; at most four (r x n)
+    # int64 temporaries, six int64 vectors of _BLOCK entries and 100 bytes a
+    # class, and at least three of those temporaries at once
+    J = cg.Interval(0, 3 * cg._BLOCK)
+    n = max(len(y) for y in cg._units(1, 3 * cg._BLOCK, _primes(q)))
+    r = min(classes, arith.block_rows(n))
+    bounds = cg.BoundarySpec(0, 1, 10**6, 2)
+    peak = _traced_peak(lambda: cg.class_sums(range(1, classes + 1), q, bounds, J))
+    assert 3 * 8 * r * n <= peak <= 8 * (4 * r * n + 6 * cg._BLOCK) + 100 * classes, peak
 
 
 # ---- the unit sieve and the closed-form unit count ----
@@ -631,9 +645,8 @@ def test_empty_and_invalid_boundaries():
     ((1, 1, 0, cg.box_bounds(5), cg.Interval(0, 10)), "q must be a positive integer"),
 ], ids=["a = 0", "crossed boundaries", "q = 0"])
 def test_main_term_boundaries_refuses_what_count_refuses(args, message):
-    for kernel in (cg.boundary_sums, functools.partial(cg.boundary_report, H=4)):
-        with pytest.raises(ValueError, match=message):
-            kernel(*args)
+    with pytest.raises(ValueError, match=message):
+        cg.boundary_sums(*args)
 
 
 def test_boundary_spec_is_four_rationals_with_a_derived_slope_bound():
@@ -653,11 +666,16 @@ def test_boundary_spec_is_four_rationals_with_a_derived_slope_bound():
         cg.BoundarySpec(0, 0, 12, 0, Fraction(0))
 
 
+def _delta_H(H, bounds, J, q):
+    # Delta_H of boundaries bounds over J at the modulus scale q = tW
+    fam = av.AveragedFamily(l=1, m=1, r=1, s=1, t=q, U=1, V=1, W=1, J=J, bounds=bounds)
+    return av.delta_H(fam, H)
+
+
 def test_boundary_report_distortion_reads_the_slopes():
     # equal slopes of 5 on J = (0, 1000]: T = 5, not 0, so Delta_H = 1 + H T Y / q
     bounds = cg.BoundarySpec(0, 5, 100, 5)
-    rep = cg.boundary_report(1, 1, 101, bounds, cg.Interval(0, 1000), H=8)
-    assert rep.delta_H == 1 + 8 * 5 * 1000 / 101
+    assert _delta_H(8, bounds, cg.Interval(0, 1000), 101) == 1 + 8 * 5 * 1000 / 101
 
 
 # ---- the per-y loop as an oracle for the boundary block kernels ----
@@ -775,38 +793,18 @@ def test_boundary_kernels_empty_interval():
     assert cg.boundary_sums(1, 1, 5, bounds, J) == (0, 0)
 
 
-def test_boundary_report():
-    bounds = cg.BoundarySpec(0, 0, 0, 1)
-    rep = cg.boundary_report(1, 1, 3, bounds, cg.Interval(0, 6), H=3)
-    assert rep.exact == 4
-    assert rep.main_term == pytest.approx(4.0)
-    assert rep.delta_H == pytest.approx(1 + 3 * 1 * 6 / 3)
-    assert rep.envelope > 0
-    assert rep.ratio == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        cg.boundary_report(1, 1, 3, bounds, cg.Interval(0, 6), H=0)
-
-
 @pytest.mark.parametrize("q", [30030, 59838])
 def test_envelopes_keep_their_float_bits(q):
     # the envelopes as literal expressions, multiplied left to right
     tau, sigma, L, sqrt = arith.tau, arith.sigma_half_inv, arith.log1n, math.sqrt
-    J = cg.Interval(0, 500)
-    bounds = cg.BoundarySpec(0, Fraction(1, 3), 100, Fraction(1, 2))
-    Y, T = float(J.length), float(bounds.derivative_bound)
-    for H in (1, 7, 64):
-        delta = 1.0 + H * T * Y / q
-        env = Y / H + delta * L(H) * sigma(q) * (Y / sqrt(q) * tau(q) + sqrt(q) * L(q))
-        assert cg.boundary_report(1, 1, q, bounds, J, H).envelope == env
     inst = cg.CongruenceInstance(1, 1, q, Fraction(q, 3), 500)
-    X = float(inst.X)
+    X, Y = float(inst.X), float(inst.Y)
     env = X / q * tau(q) + L(q) * sigma(q) * (Y / sqrt(q) * tau(q) + sqrt(q) * L(q))
     assert cg.error_envelope(inst) == env
 
 
 def test_boundary_report_box_has_no_distortion():
-    rep = cg.boundary_report(1, 1, 5, cg.box_bounds(10), cg.Interval(0, 10), H=5)
-    assert rep.delta_H == 1.0
+    assert _delta_H(5, cg.box_bounds(10), cg.Interval(0, 10), 5) == 1.0
 
 
 # ---- bilinear sums ----
@@ -845,8 +843,8 @@ def test_bilinear_refuses_an_overflowing_epsilon_before_the_table(monkeypatch):
 
 def test_distortion_of_box_and_sloped_bounds():
     J = cg.Interval(0, 12)
-    assert cg.distortion(50, cg.box_bounds(7), J, 5) == 1.0
-    assert cg.distortion(3, cg.BoundarySpec(0, Fraction(-1, 2), 9, Fraction(1, 4)), J, 8) == 3.25
+    assert _delta_H(50, cg.box_bounds(7), J, 5) == 1.0
+    assert _delta_H(3, cg.BoundarySpec(0, Fraction(-1, 2), 9, Fraction(1, 4)), J, 8) == 3.25
 
 
 def bilinear_loop(a_coeffs, b_coeffs):

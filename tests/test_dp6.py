@@ -252,10 +252,11 @@ def test_dp6_enumerate_streams_within_the_point_bound(tmp_path, capsys):
 @pytest.mark.parametrize("B", [10**6, 10**7])
 def test_dp6_enumerate_json_streams_within_one_block_and_its_text(B, tmp_path, capsys):
     # README "dp6 points": the streaming bound of point_blocks plus, for each
-    # of at most 12 BLOCK_CELLS // 48 cells, 3 w + 133 bytes (w the digits of
-    # B): its str cell and two pointers (w + 66), the row template (23), its
-    # JSON text and the previous block's (w + 22 each); every point held as a
-    # dict of str cells, as the whole-table JSON would hold it, takes more
+    # of at most 12 BLOCK_CELLS // 48 cells, 2 w + 111 bytes (w the digits of
+    # B): its str cell and two pointers (w + 66), the row template (23) and
+    # its JSON text (w + 22), the previous block's text being dropped before
+    # the next is made; every point held as a dict of str cells, as the
+    # whole-table JSON would hold it, takes more
     out = tmp_path / "points.json"
     argv = ["dp6-enumerate", "--B", str(B), "--format", "json", "--out", str(out)]
     peak = _traced_peak(lambda: cli.main(argv))
@@ -264,7 +265,7 @@ def test_dp6_enumerate_json_streams_within_one_block_and_its_text(B, tmp_path, c
                                        f"wrote {count} rows to {out}\n")
     a2max = dp6._alpha_bounds(B)[1]
     table = a2max + 1 + math.isqrt(2 * a2max) + 2
-    text = 12 * (arith.BLOCK_CELLS // 48) * (3 * len(str(B)) + 133)
+    text = 12 * (arith.BLOCK_CELLS // 48) * (2 * len(str(B)) + 111)
     bound = table + 4 * (a2max + 1) + 8 * arith.BLOCK_CELLS + text
     row = dict(zip(reports.POINT_FIELDS, map(str, next(dp6.point_blocks(B, 12))[0].tolist())))
     held = count * (sys.getsizeof(row) + sum(map(sys.getsizeof, row.values())))
