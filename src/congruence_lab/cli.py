@@ -3,8 +3,9 @@
 Each subcommand declares its options once, in _COMMANDS: name, converter,
 default or required, and allowed values.  The argument parser, --help and
 config-file handling all come from that table, so a subcommand accepts only
-its own options.  main builds the parser of the invoked subcommand only;
---help, a missing command and an unknown one get the parser of all of them.
+its own options.  main parses a plain argv (the command, then its own flags
+in full, each with a valid value) by one walk over that table; argparse
+parses everything else and words --help and every usage error.
 Values come from flags or from a flat key=value config file (--config);
 flags win over config values, which win over defaults.  A config key the
 subcommand does not declare, or one given twice, is refused, and config
@@ -380,20 +381,15 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of command alone when one is named."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand; main runs it on what _plain_args
+    leaves: help, usage errors, abbreviations, --flag=value, values with -."""
     parser = argparse.ArgumentParser(
         prog="congruence-lab",
         description="exact congruence counting, Gauss sums, and almost-prime points",
     )
-    # a pruned parser still names every command in its usage line; the full
-    # one keeps the default, which its "required" and "invalid choice"
-    # errors call "command"
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
         # unset flags stay off the namespace, so resolve() sees what was given
         p = sub.add_parser(name, help=help_text, description=help_text,
                            argument_default=argparse.SUPPRESS)
@@ -406,6 +402,38 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             else:
                 p.add_argument(f"--{o.name}", type=o.kind, choices=o.choices, help=note)
     return parser
+
+
+# command -> "--name" -> its Option, --config included: the flags _plain_args takes
+_FLAGS = {name: {f"--{o.name}": o for o in (Option("config", str), *options)}
+          for name, (_, _, options) in _COMMANDS.items()}
+
+
+def _plain_args(command: str, argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) for a plain argv: command, then its
+    own flags in full, each with a value that converts, is one of its choices
+    and does not start with - (a switch takes none).  Else None, for argparse."""
+    flags = _FLAGS[command]
+    values = {"command": command}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        o = flags.get(token)
+        if o is None:
+            return None
+        if o.kind is bool:
+            values[o.dest] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = o.kind(text)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if o.choices and value not in o.choices:
+            return None
+        values[o.dest] = value
+    return argparse.Namespace(**values)
 
 
 def resolve(args: argparse.Namespace) -> argparse.Namespace:
@@ -445,10 +473,9 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # help, a missing command and an unknown one get the full parser
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = (command and _plain_args(command, argv)) or build_parser().parse_args(argv)
         handler, _, _ = _COMMANDS[args.command]
         return handler(resolve(args))
     except (ValueError, OSError) as exc:

@@ -378,7 +378,11 @@ def _normalization(B: int, q: int) -> Fraction:
 def build_sieve_sequence(B: int, q: int) -> SieveSequence:
     """The sequence a_n for one window prime q; n = alpha1 alpha2 |alpha3| is
     formed in int64, so budgets where it could reach 2^63 are refused."""
-    X = _normalization(B, q)
+    return _sieve_sequence(B, q, _normalization(B, q))
+
+
+def _sieve_sequence(B: int, q: int, X: Fraction) -> SieveSequence:
+    # build_sieve_sequence for a window prime q and its X = _normalization(B, q)
     a1max, a2max = _alpha_bounds(B)
     if a1max * a2max * (a2max // q + 1) >= 2**63:
         raise ValueError(f"budget B = {B} too large: alpha1 alpha2 |alpha3| may overflow int64")
@@ -507,6 +511,11 @@ def w1_min_c1(q: int, z_max: int = 1000) -> dict[str, float]:
     row."""
     if not is_prime(q):
         raise ValueError("q must be prime")
+    return _w1_min_c1(q, z_max)
+
+
+def _w1_min_c1(q: int, z_max: int) -> dict[str, float]:
+    # w1_min_c1 for a prime q
     ps = [p for p in sieve_primes(z_max) if p > 2]
     if len(ps) < 2:
         raise ValueError("z_max too small for a grid")
@@ -572,8 +581,9 @@ def sieve_condition_report(
         raise ValueError(f"z_max (--z-max) must be <= 10^5, the grid cap, got {z_max}")
     if t < 0:
         raise ValueError(f"t (--t) must be >= 0, got {t}")
-    d_max = _d_max(float(_normalization(B, q)), tau_level, c2)
-    seq = build_sieve_sequence(B, q)
+    X = _normalization(B, q)  # the one check of q; the bodies below trust it
+    d_max = _d_max(float(X), tau_level, c2)
+    seq = _sieve_sequence(B, q, X)
     rhos = {d: found for d in range(1, max(rho_table_max, int(d_max)) + 1)
             if (found := _euler(d, q))}
     table = {str(d): _ratio(rho_d) for d, (_, rho_d) in rhos.items() if d <= rho_table_max}
@@ -588,7 +598,7 @@ def sieve_condition_report(
         "rho_at_q": _ratio(_rho_factor(q, q)),
         "w2": _w2_sum(seq, tau_level, c2, d_max, rhos),
         "w1": {
-            **w1_min_c1(q, z_max),
+            **_w1_min_c1(q, z_max),
             "note": "p = 2 excluded: every sequence element is even",
         },
         "threshold": {

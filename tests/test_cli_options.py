@@ -264,7 +264,7 @@ def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
         raise AssertionError("work began before the arguments were checked")
 
     for module, name in ((cli.dp6, "sieve_primes"), (cli.averaged, "cell_sums"),
-                         (cli.dp6, "build_sieve_sequence"), (cli.congruence, "_jacobi_table"),
+                         (cli.dp6, "_sieve_sequence"), (cli.congruence, "_jacobi_table"),
                          (cli.congruence, "count_exact"), (cli.congruence, "_linear_count"),
                          (cli, "random_floats")):
         monkeypatch.setattr(module, name, no_work)
@@ -314,29 +314,92 @@ SAMPLES = {
 }
 
 
-def test_pruned_parser_parses_like_the_full_one():
-    assert list(SAMPLES) == list(cli._COMMANDS)
+def test_plain_walk_parses_like_argparse():
+    # whenever the walk answers, it answers what argparse would; the draws
+    # mix every command's flags with forms it must leave to argparse
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    flags = sorted({flag for table in cli._FLAGS.values() for flag in table})
+    flag = st.sampled_from([*flags, "-h", "--help", "--bogus", "--prim", "--B", "--Y=10"])
+    choices = sorted({c for t in cli._FLAGS.values() for o in t.values() for c in o.choices or ()})
+    value = st.sampled_from(["0", "-1", "nan", "inf", "1e400", "1/0", "q", "", ",", *choices,
+                             "bogus", "-", "--", "1", "7", "3/2", "0.5", "5,7", "1000"])
+    item = st.one_of(st.tuples(flag, value), st.tuples(flag), st.tuples(value))
+    argvs = st.builds(lambda name, items: [name, *(token for i in items for token in i)],
+                      st.sampled_from(list(cli._COMMANDS)), st.lists(item, max_size=6))
     full = cli.build_parser()
-    for name, argv in SAMPLES.items():
-        assert cli.build_parser(name).parse_args(argv) == full.parse_args(argv), name
+
+    def check(argv):
+        args = cli._plain_args(argv[0], argv)
+        if args is not None:
+            assert args == full.parse_args(argv)
+
+    for argv in SAMPLES.values():
+        check = hypothesis.example(argv=argv)(check)
+    hypothesis.settings(max_examples=1000, deadline=None, derandomize=True)(
+        hypothesis.given(argv=argvs)(check))()
 
 
 @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
-def test_pruned_parser_holds_only_its_command(name, capsys):
-    other = next(n for n in SAMPLES if n != name)
-    with pytest.raises(SystemExit):
-        cli.build_parser(name).parse_args(SAMPLES[other])
-    assert "invalid choice" in capsys.readouterr().err
+def test_flag_of_another_command_is_left_to_argparse(name, capsys):
+    own = cli._FLAGS[name]
+    # a flag that is not one of name's, nor an abbreviation argparse would take
+    flag = next(f for table in cli._FLAGS.values() for f in table
+                if not any(g.startswith(f) for g in own))
+    argv = [name, flag, "1"]
+    assert cli._plain_args(name, argv) is None
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag} 1" in err
+
+
+def test_plain_argv_never_builds_the_parser(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.cfg").write_text("t = 5\n")
+
+    def no_parser():
+        raise AssertionError("argparse ran on a plain argv")
+
+    assert list(SAMPLES) == list(cli._COMMANDS)
+    for argv in SAMPLES.values():
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_plain_args", lambda command, argv: None)
+            want = run(argv, capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", no_parser)
+            assert run(argv, capsys) == want, argv
+        assert want[0] in (0, 2), argv
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["count", "--no-such-flag"],
                                   ["avg-scan", "--scheme", "bogus"], ["gauss", "--help"],
-                                  ["-h", "count"]],
+                                  ["-h", "count"], ["count", *BOX, "--e"],
+                                  ["gauss", "--s", "x", "--t", "0", "--u", "5"],
+                                  ["count-scan", "--timings", "yes"]],
                          ids=lambda argv: " ".join(argv) or "no arguments")
-def test_usage_and_errors_match_the_full_parser(argv, capsys, monkeypatch):
-    pruned = run(argv, capsys)
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
-    full = run(argv, capsys)
-    assert pruned == full
-    assert pruned[1] or pruned[2]
+def test_usage_and_errors_match_the_full_parser(argv, capsys):
+    command = argv[0] if argv and argv[0] in cli._COMMANDS else None
+    assert command is None or cli._plain_args(command, argv) is None
+    got = run(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert got == (exc.value.code, *capsys.readouterr())
+    assert got[1] or got[2]
+
+
+def test_argparse_only_forms_still_work(tmp_path, capsys, monkeypatch):
+    # an abbreviation, --flag=value and a negative value, which the walk
+    # leaves to argparse, parse as their plain forms do
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.cfg").write_text("a = -1\n")
+    pairs = [(["count-scan", "--prim", "50", "--out", "a.csv"],
+              ["count-scan", "--primes-up-to", "50", "--out", "b.csv"]),
+             (["count", *BOX[:-2], "--Y=10"], ["count", *BOX]),
+             (["count", "--a", "-1", *BOX[2:]], ["count", *BOX[2:], "--config", "a.cfg"])]
+    for other, plain in pairs:
+        assert cli._plain_args(other[0], other) is None
+        assert cli._plain_args(plain[0], plain) is not None
+        got, want = run(other, capsys), run(plain, capsys)
+        assert got[0] == want[0] == 0
+        assert got[1].replace("a.csv", "b.csv") == want[1]
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -850,9 +850,20 @@ def test_sieve_condition_report_refuses_before_any_work(kwargs, message, monkeyp
     def no_work(*args):
         raise AssertionError("the sieve sequence was built before the arguments were checked")
 
-    monkeypatch.setattr(dp6, "build_sieve_sequence", no_work)
+    monkeypatch.setattr(dp6, "_sieve_sequence", no_work)
     with pytest.raises(ValueError, match=message):
         dp6.sieve_condition_report(**{"B": 1000, "q": 7, **kwargs})
+
+
+def test_sieve_condition_report_checks_q_once(monkeypatch):
+    # the report checks q at its entry, and the bodies it calls trust it
+    seen = []
+    monkeypatch.setattr(dp6, "is_prime", lambda n: seen.append(n) or arith.is_prime(n))
+    assert cli.main(["dp6-sieve", "--B", "1000000", "--q", "97", "--rho-max", "210"]) == 0
+    assert seen == [97]
+    for check in (lambda: dp6.build_sieve_sequence(1000000, 98), lambda: dp6.w1_min_c1(98)):
+        with pytest.raises(ValueError, match="q must be prime"):
+            check()
 
 
 def test_sieve_condition_report_smallest_grid_and_zero_c2():

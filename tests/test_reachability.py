@@ -27,9 +27,11 @@ DELEGATING = {
     "congruence.boundary_sums",  # class_sums, which averaged.cell_sums runs
     "congruence.error_envelope",  # _closed_forms, which _reports runs
     "congruence.main_term",  # _closed_forms, which _reports runs
+    "dp6.build_sieve_sequence",  # _sieve_sequence, which sieve_condition_report runs
     "dp6.l_t_count",  # _l_t_counts, which m_t_growth runs
     "dp6.rho",  # _euler, which sieve_condition_report runs
     "dp6.sum_over_d",  # _sum_over_d, which _w2_sum runs
+    "dp6.w1_min_c1",  # _w1_min_c1, which sieve_condition_report runs
     "dp6.w2_sum",  # _w2_sum, which sieve_condition_report runs
     "sawtooth.VaalerPolynomial.evaluate",  # evaluate_many, which majorant_slack runs
 }
