@@ -114,11 +114,15 @@ class AveragedFamily:
         return unit_disc_point(seed, _TAG_E, w)
 
 
+def _size(ys: range) -> int:
+    return ys.stop - ys.start  # len(ys) raises OverflowError past sys.maxsize
+
+
 def _checked_cells(family: AveragedFamily) -> int:
     # the number of (u, v, w) in (U, 2U] x (V, 2V] x (W, 2W], before the gcd
     # conditions drop any, once that times the integers of J is within WORK_LIMIT
-    cells = math.prod(len(Interval(P, P).integers()) for P in (family.U, family.V, family.W))
-    if (work := cells * max(len(family.J.integers()), 1)) > WORK_LIMIT:
+    cells = math.prod(_size(Interval(P, P).integers()) for P in (family.U, family.V, family.W))
+    if (work := cells * max(_size(family.J.integers()), 1)) > WORK_LIMIT:
         raise ValueError(f"--U, --V, --W, --Y: the family's estimated work of {work} steps"
                          f" (cells times the integers of J) exceeds the cap of 1e9 steps")
     return cells

@@ -1,11 +1,12 @@
 """Command line front end.
 
 Each subcommand declares its options once, in _COMMANDS: name, converter,
-default or required, and allowed values.  The argument parser, --help and
-config-file handling all come from that table, so a subcommand accepts only
-its own options.  main parses a plain argv (the command, then its own flags
-in full, each with a valid value) by one walk over that table; argparse
-parses everything else and words --help and every usage error.
+default or required, and allowed values; every option takes a value, and
+none is a switch.  The argument parser, --help and config-file handling all
+come from that table, so a subcommand accepts only its own options.  main
+parses a plain argv (the command, then its own flags in full, each with a
+valid value) by one walk over that table; argparse parses everything else
+and words --help and every usage error.
 Values come from flags or from a flat key=value config file (--config);
 flags win over config values, which win over defaults.  A config key the
 subcommand does not declare, or one given twice, is refused, and config
@@ -50,14 +51,6 @@ def load_config(path: str) -> dict[str, str]:
 
 
 # ---- converters: text -> value, ValueError on bad text ----
-
-def _boolean(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
 
 def finite_float(text: str) -> float:
     """float(text), refused when it is nan or infinite: no float option has
@@ -104,7 +97,7 @@ class Option:
     type and is converted like any flag value; None leaves the option unset."""
 
     name: str
-    kind: Callable[[str], object]  # bool makes a switch: --name sets it
+    kind: Callable[[str], object]
     default: str | None = None
     required: bool = False
     choices: tuple[str, ...] | None = None
@@ -113,12 +106,9 @@ class Option:
     def dest(self) -> str:
         return self.name.replace("-", "_")
 
-    def convert(self, text: str):
-        return _boolean(text) if self.kind is bool else self.kind(text)
-
     def from_config(self, text: str):
         try:
-            value = self.convert(text)
+            value = self.kind(text)
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"config key {self.name!r}: {exc}") from None
         except ValueError:
@@ -137,7 +127,6 @@ def _req(name: str, kind) -> Option:
 
 _OUT = (Option("out", str), Option("format", str, "csv", choices=("csv", "json")))
 _SEEDS = (Option("seed", int, "0"), Option("seeds", int, "1"))
-_TIMINGS = Option("timings", bool, "false")
 
 
 def _emit(o: argparse.Namespace, description: str, fields, rows) -> None:
@@ -178,7 +167,7 @@ def _cmd_count(o: argparse.Namespace) -> int:
         print(f"envelope  = {rep.envelope!r}")
         print(f"ratio     = {rep.ratio!r}")
         _emit(o, "congruence box counts: exact vs main term and error envelope",
-              reports.BOX_FIELDS, [reports.box_row(rep, o.timings)])
+              reports.BOX_FIELDS, [rep])
     else:
         exact = congruence.count_exact(inst)
         print(f"exact     = {exact}")
@@ -207,11 +196,10 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
         raise ValueError(f"--a, --b: a*b = {o.a * o.b} shares a factor with every modulus q,"
                          f" so no box is left to count")
     reps = congruence.scan_boxes(qs, o.a, o.b, o.x, o.y)
-    rows = [reports.box_row(r, o.timings) for r in reps]
     worst = max((r.ratio for r in reps), default=0.0)
     print(f"instances = {len(reps)}   max |exact - main|/envelope = {worst!r}")
     _emit(o, "congruence box counts: exact vs main term and error envelope",
-          reports.BOX_FIELDS, rows)
+          reports.BOX_FIELDS, reps)
     return 0
 
 
@@ -344,12 +332,12 @@ _COMMANDS = {
     "count": (_cmd_count, "one exact box count with main term and envelope", (
         _req("a", int), _req("b", int), _req("q", int),
         _req("X", fraction), _req("Y", fraction),
-        Option("e", int, "1"), Option("f", int, "2"), _TIMINGS, *_OUT,
+        Option("e", int, "1"), Option("f", int, "2"), *_OUT,
     )),
     "count-scan": (_cmd_count_scan, "box counts over a family of moduli", (
         Option("primes-up-to", int, "100"), Option("q-list", int_list),
         Option("a", int, "1"), Option("b", int, "1"),
-        Option("x", box_side, "q"), Option("y", box_side, "q"), _TIMINGS, *_OUT,
+        Option("x", box_side, "q"), Option("y", box_side, "q"), *_OUT,
     )),
     "vaaler": (_cmd_vaaler, "sawtooth approximation majorant check", (
         _req("H", int), Option("samples", int, "100000"), Option("seed", int, "0"), *_OUT,
@@ -397,10 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         " flags win over it")
         for o in options:
             note = "required" if o.required else (o.default and f"default: {o.default}")
-            if o.kind is bool:
-                p.add_argument(f"--{o.name}", action="store_const", const=True, help=note)
-            else:
-                p.add_argument(f"--{o.name}", type=o.kind, choices=o.choices, help=note)
+            p.add_argument(f"--{o.name}", type=o.kind, choices=o.choices, help=note)
     return parser
 
 
@@ -412,7 +397,7 @@ _FLAGS = {name: {f"--{o.name}": o for o in (Option("config", str), *options)}
 def _plain_args(command: str, argv: list[str]) -> argparse.Namespace | None:
     """build_parser().parse_args(argv) for a plain argv: command, then its
     own flags in full, each with a value that converts, is one of its choices
-    and does not start with - (a switch takes none).  Else None, for argparse."""
+    and does not start with -.  Else None, for argparse."""
     flags = _FLAGS[command]
     values = {"command": command}
     tokens = iter(argv[1:])
@@ -420,9 +405,6 @@ def _plain_args(command: str, argv: list[str]) -> argparse.Namespace | None:
         o = flags.get(token)
         if o is None:
             return None
-        if o.kind is bool:
-            values[o.dest] = True
-            continue
         text = next(tokens, None)
         if text is None or text.startswith("-"):
             return None
@@ -439,9 +421,8 @@ def _plain_args(command: str, argv: list[str]) -> argparse.Namespace | None:
 def resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Every option of args.command, from its flag, else its config key,
     else its default.  Refuses config keys the command does not declare,
-    missing required options, --format or --timings without --out,
-    --primes-up-to with --q-list and an --out whose directory does not
-    exist."""
+    missing required options, --format without --out, --primes-up-to with
+    --q-list and an --out whose directory does not exist."""
     _, _, options = _COMMANDS[args.command]
     given = vars(args)
     cfg = load_config(given["config"]) if "config" in given else {}
@@ -458,12 +439,11 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
         elif o.required:
             raise ValueError(f"missing required option --{o.name}")
         else:
-            values[o.dest] = None if o.default is None else o.convert(o.default)
+            values[o.dest] = None if o.default is None else o.kind(o.default)
     out = values.get("out")
     named = {o.name for o in options if o.dest in given or o.name in cfg}
-    for name in ("format", "timings"):
-        if out is None and name in named:
-            raise ValueError(f"--{name} applies only with --out")
+    if out is None and "format" in named:
+        raise ValueError("--format applies only with --out")
     if {"primes-up-to", "q-list"} <= named:
         raise ValueError("--primes-up-to applies only without --q-list")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):

@@ -31,8 +31,8 @@ box's count bound, main term and envelope before the first count, in array
 passes: each distinct q is factored once, with phi, tau and
 sigma_{-1/2} read from that factorization; the forms and ratios of all
 boxes are float64 expressions in the scalar order, of the same bits; a box
-with rx = 0 is counted in closed form, and only the others walk.  A box's
-seconds are its count and an equal share of the batch's checks and forms.
+with rx = 0 is counted in closed form, and only the others walk.  No
+report reads the clock: the seconds column of a CountReport is always 0.0.
 
 Regions whose x-range depends on y through slowly varying boundary functions
 are counted through the floor identity
@@ -62,7 +62,6 @@ from __future__ import annotations
 import logging
 import math
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -319,7 +318,10 @@ def error_envelope(inst: CongruenceInstance) -> float:
 
 
 class CountReport(NamedTuple):
-    """A box of a x + b y^2 = 0 (mod q) and its report: one CSV row."""
+    """A box of a x + b y^2 = 0 (mod q) and its report: one CSV row.
+
+    seconds is a retired column, always 0.0.  It is kept so that every CSV
+    and JSON table and every recorded digest of these rows keeps its bytes."""
 
     a: int
     b: int
@@ -332,7 +334,7 @@ class CountReport(NamedTuple):
     main_term: float
     envelope: float
     ratio: float
-    seconds: float
+    seconds: float = 0.0
 
 
 _FLOAT_MAX = int(sys.float_info.max)
@@ -343,9 +345,7 @@ def _reports(a: int, b: int, boxes: list[tuple[int, Fraction, Fraction]]) -> lis
     # Every count bound (exact - main makes the count a float; each y <= Y has
     # one class of x mod q, so at most floor(X) // q + 1 of the x <= X), then
     # every main term and envelope, is checked before the first count.  The
-    # forms are one array pass; a box's seconds are its count and an equal
-    # share of all the work before the first count
-    t0 = time.perf_counter()
+    # forms are one array pass
     floors = [(X.numerator // X.denominator, Y.numerator // Y.denominator) for _, X, Y in boxes]
     for (q, _, _), (X, Y) in zip(boxes, floors):
         if Y * (X // q + 1) > _FLOAT_MAX:
@@ -358,15 +358,11 @@ def _reports(a: int, b: int, boxes: list[tuple[int, Fraction, Fraction]]) -> lis
         i = bad[0]
         raise ValueError(f"box sides X, Y are too large at q = {boxes[i][0]}: main term"
                          f" {float(main[i])!r}, envelope {float(env[i])!r}, outside float range")
-    share = (time.perf_counter() - t0) / max(len(boxes), 1)
-    exact, seconds = [], []
-    for (q, _, _), (X, Y) in zip(boxes, floors):
-        t0 = time.perf_counter()
-        exact.append(_linear_count(a, b, q, 2, X, Y, *counts[q]))
-        seconds.append(share + (time.perf_counter() - t0))
+    exact = [_linear_count(a, b, q, 2, X, Y, *counts[q])
+             for (q, _, _), (X, Y) in zip(boxes, floors)]
     ratio = np.abs(np.array(exact, dtype=np.float64) - main) / env
-    return [CountReport(a, b, q, 1, 2, X, Y, n, m, v, r, s) for (q, X, Y), n, m, v, r, s
-            in zip(boxes, exact, main.tolist(), env.tolist(), ratio.tolist(), seconds)]
+    return [CountReport(a, b, q, 1, 2, X, Y, n, m, v, r) for (q, X, Y), n, m, v, r
+            in zip(boxes, exact, main.tolist(), env.tolist(), ratio.tolist())]
 
 
 def box_report(inst: CongruenceInstance) -> CountReport:

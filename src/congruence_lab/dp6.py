@@ -448,16 +448,25 @@ def sieve_threshold(kappa: int, mu: float, beta: float) -> float:
 
 
 def _d_max(X: float, tau_level: float, c2: float) -> float:
-    """d_max = X^tau / log^c2 X, refused unless X > 1 and 1 <= d_max <= W2_D_LIMIT."""
+    """d_max = X^tau / log^c2 X, refused unless X > 1 and 1 <= d_max <= W2_D_LIMIT;
+    e^(log d_max), or inf, where X^tau or log^c2 X alone leaves float range."""
     if X <= 1:
         raise ValueError("normalization X must exceed 1")
-    d_max = X**tau_level / math.log(X) ** c2
+    log_x = math.log(X)
+    try:
+        d_max = X**tau_level / log_x**c2
+    except (OverflowError, ZeroDivisionError):
+        scale = max(abs(tau_level), abs(c2))  # so log d_max overflows to +-inf, never nan
+        log_d = scale * (tau_level / scale * log_x - c2 / scale * math.log(log_x))
+        d_max = math.exp(log_d) if log_d < 709 else math.inf
+    # for log X < 1, log^c2 X falls as c2 grows, so a larger c2 raises d_max
+    c2_up, c2_down = ("raise", "lower") if log_x < 1 else ("lower", "raise")
     if d_max < 1:
         raise ValueError(f"d_max = X^tau / log^c2 X = {d_max!r} is below 1, so the"
-                         f" remainder sum is empty: raise tau (--tau) or lower c2 (--c2)")
+                         f" remainder sum is empty: raise tau (--tau) or {c2_up} c2 (--c2)")
     if d_max > W2_D_LIMIT:
         raise ValueError(f"d_max = X^tau / log^c2 X = {d_max!r} exceeds the cap of 2^16:"
-                         f" lower tau (--tau) or raise c2 (--c2)")
+                         f" lower tau (--tau) or {c2_down} c2 (--c2)")
     return d_max
 
 

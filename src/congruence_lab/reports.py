@@ -5,8 +5,8 @@ write_table formats every cell once, as a string, by fmt, and the JSON
 mirror stores those same strings, so CSV -> JSON -> CSV is byte-identical.
 fmt goes by a cell's exact type: floats use repr (shortest round-trip form),
 rationals num/den, booleans true/false; other types (numpy's float64 too)
-raise TypeError.  Wall-clock columns are written as 0.0 unless timings are
-requested, keeping default output byte-identical across runs and machines.
+raise TypeError.  A CountReport is its own box row, and its retired
+seconds column is always 0.0, so no output depends on the clock.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ _FORMATS = _Formats({bool: lambda value: "true" if value else "false", int: str,
 
 def fmt(value) -> str:
     return _FORMATS[type(value)](value)
-
-
-def box_row(report: CountReport, timings: bool = False) -> tuple:
-    return report if timings else report._replace(seconds=0.0)
 
 
 def averaged_row(report: AveragedReport) -> tuple:

@@ -57,12 +57,6 @@ class VaalerPolynomial:
     H: int
     coeffs: tuple[complex, ...]
 
-    def coefficient(self, h: int) -> complex:
-        if h == 0 or abs(h) > self.H:
-            return 0j
-        a = self.coeffs[abs(h) - 1]
-        return a if h > 0 else a.conjugate()
-
     def evaluate(self, x: float) -> float:
         return float(self.evaluate_many(np.array([x]))[0])
 

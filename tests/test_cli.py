@@ -259,15 +259,3 @@ def test_json_output_round_trip(tmp_path, capsys):
     desc, fields, rows = oracles.parse_json_text(out_path.read_text())
     assert rows[0]["exact"] == "16"
     assert oracles.csv_text(desc, fields, rows).startswith("# congruence box counts")
-
-
-def test_timings_column_opt_in(tmp_path, capsys):
-    # the switch, or its config key in any spelling of true
-    (tmp_path / "t.cfg").write_text("timings = yes\n")
-    for switch in (["--timings"], ["--config", str(tmp_path / "t.cfg")]):
-        out_path = tmp_path / "timed.csv"
-        assert run(["count", "--a", "1", "--b", "1", "--q", "5", "--X", "10",
-                    "--Y", "10", "--out", str(out_path), *switch]) == 0
-        capsys.readouterr()
-        _, _, rows = oracles.parse_csv_text(out_path.read_text())
-        assert float(rows[0]["seconds"]) >= 0.0

@@ -1,3 +1,7 @@
+import itertools
+import os
+import re
+
 import pytest
 
 from congruence_lab import cli
@@ -47,9 +51,9 @@ REFUSALS = {
     "out for general exponents": (["count", *BOX, "--e", "2", "--f", "2", "--out", "x.csv"],
                                   None, "--out applies only to e = 1, f = 2"),
     "timings for general exponents": (["count", *BOX, "--e", "2", "--f", "2", "--timings"],
-                                      None, "--timings applies only with --out"),
+                                      None, "unrecognized arguments: --timings"),
     "timings without out": (["count-scan", "--timings"], None,
-                            "--timings applies only with --out"),
+                            "unrecognized arguments: --timings"),
     "format flag without out": (["count", *BOX, "--format", "json"], None,
                                 "--format applies only with --out"),
     "format key without out": (["count", *BOX], "format = json\n",
@@ -86,6 +90,17 @@ REFUSALS = {
                             " remainder sum is empty: raise tau (--tau) or lower c2 (--c2)"),
     "empty remainder sum key": (["dp6-sieve", "--B", "1500", "--tau", "0.3", "--out", "x.csv"],
                                 "c2 = 2\n", "d_max = X^tau / log^c2 X = 0.21523336859822245"),
+    "remainder level overflowing float": (["dp6-sieve", "--tau", "4096", "--out", "x.csv"],
+                                          None, "d_max = X^tau / log^c2 X = inf exceeds the cap"
+                                          " of 2^16: lower tau (--tau) or raise c2 (--c2)"),
+    "remainder level underflowing float": (["dp6-sieve", "--c2", "1e300", "--out", "x.csv"],
+                                           None, "d_max = X^tau / log^c2 X = 0.0 is below 1, so"
+                                           " the remainder sum is empty: raise tau (--tau) or"
+                                           " lower c2 (--c2)"),
+    "remainder level beyond the cap with log X below 1": (
+        ["dp6-sieve", "--B", "27", "--q", "3", "--c2", "2000", "--out", "x.csv"], None,
+        "d_max = X^tau / log^c2 X = inf exceeds the cap of 2^16: lower tau (--tau) or lower c2"
+        " (--c2)"),
     "remainder level beyond the cap": (
         ["dp6-sieve", "--B", "1000000", "--q", "97", "--tau", "3", "--out", "x.csv"], None,
         "d_max = X^tau / log^c2 X = 2115718330.0800161 exceeds the cap of 2^16: lower tau"
@@ -146,6 +161,8 @@ REFUSALS = {
                                      "--U, --V, --W, --Y: the family's estimated work of"
                                      " 8000000000 steps (cells times the integers of J) exceeds"
                                      " the cap of 1e9 steps"),
+    "avg-scan Y beyond the work cap": (["avg-scan", "--Y", "1e300", "--out", "x.csv"], None,
+                                       f"the family's estimated work of {10**300} steps"),
     "bilinear epsilon overflow": (["bilinear", "--epsilon", "1e300", "--out", "x.csv"], None,
                                   "epsilon is too large"),
     "count bound beyond float": (["count", "--a", "1", "--b", "1", "--q", "5", "--X", "1e300",
@@ -210,7 +227,7 @@ REFUSALS = {
                                               "--out", "x.csv"], None,
                                              "epsilon must be nonnegative"),
     "timings key not a boolean": (["count", *BOX, "--out", "x.csv"], "timings = maybe\n",
-                                  "config key 'timings': invalid bool value 'maybe'"),
+                                  "config key 'timings' is not an option of count"),
     "no scanned modulus prime to ab": (["count-scan", "--q-list", "6", "--a", "2", "--b", "1",
                                         "--out", "x.csv"], None,
                                        "--a, --b: a*b = 2 shares a factor with every modulus q"),
@@ -245,7 +262,10 @@ def test_refused_before_any_output(case, tmp_path, capsys, monkeypatch):
 BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "prime bound beyond the cap", "negative sieve factor bound",
                "empty remainder sum", "empty remainder sum key", "remainder level beyond the cap",
+               "remainder level overflowing float", "remainder level underflowing float",
+               "remainder level beyond the cap with log X below 1",
                "avg-scan epsilon overflow at given H", "zero avg-scan H",
+               "avg-scan Y beyond the work cap",
                "bilinear epsilon overflow", "count bound beyond float",
                "count main term beyond float", "scan count bound beyond float at a later q",
                "scan main term beyond float at a later q",
@@ -300,10 +320,10 @@ def test_help_lists_only_own_options(capsys):
     assert "--scheme" not in out and "--out" not in out
 
 
-# one argv per command, touching a converter, a choice or a switch where it has one
+# one argv per command, touching a converter or a choice where it has one
 SAMPLES = {
     "gauss": ["gauss", "--s", "3", "--t", "1", "--u", "20"],
-    "count": ["count", *BOX, "--f", "3", "--timings", "--out", "x.csv"],
+    "count": ["count", *BOX, "--f", "3", "--out", "x.csv"],
     "count-scan": ["count-scan", "--q-list", "5,7", "--x", "q", "--y", "3/2"],
     "vaaler": ["vaaler", "--H", "8", "--samples", "10", "--format", "json"],
     "avg-scan": ["avg-scan", "--scheme", "factorized", "--H", "2.5", "--U", "2"],
@@ -403,3 +423,116 @@ def test_argparse_only_forms_still_work(tmp_path, capsys, monkeypatch):
         assert got[0] == want[0] == 0
         assert got[1].replace("a.csv", "b.csv") == want[1]
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+# ---- fuzz: any argv or config drawn from the option table exits 0 or 2 ----
+
+# the values a draw takes for an option, by its converter: a few that run
+# fast, and the edge values every converter must refuse or survive
+POOLS = {
+    int: ["0", "-1", "1", "2", "3", "5", "7", "27", "97", "1000", "4096", "2.5", "1e300", "nan"],
+    cli.fraction: ["0", "-1", "1", "3/2", "10", "1/0", "4096", "1e300", "1e400", "nan"],
+    cli.finite_float: ["0", "-1", "0.05", "0.5", "3", "2000", "4096", "1e300", "nan", "inf",
+                       "-inf"],
+    cli.int_list: ["", ",", "0", "-5", "5,7", "1000,2000", "4096"],
+    cli.box_side: ["q", "0", "1/2", "1", "3/2", "10", "4096", "1e300", "nan"],
+    str: ["out.txt", "missing/out.txt"],  # --out, the one option of kind str without choices
+}
+# sizes just above each cap, each refused before any work
+ABOVE_CAP = {
+    ("gauss", "u"): [str(2**31)],
+    ("count", "q"): [str(2**31 + 11)],
+    ("count-scan", "primes-up-to"): [str(2**20 + 1), str(2**31)],
+    ("count-scan", "q-list"): [f"15,{2**31 + 11}"],
+    ("vaaler", "H"): [str(10**6 + 1)],
+    ("vaaler", "samples"): [str(2**26 + 1)],
+    ("dp6-enumerate", "B"): [str(2**31)],
+    ("dp6-growth", "B-list"): [f"1000,{2**50}"],
+    ("dp6-sieve", "z-max"): [str(10**5 + 1)],
+    ("bilinear", "M"): [str(2**28)],
+    ("bilinear", "seeds"): [str(2**14 + 1)],
+    ("avg-scan", "seeds"): [str(2**24 + 1)],
+}
+# sizes drawn without 1000 and 4096, at which an accepted draw takes 0.2 s or more
+SMALL_ONLY = {("vaaler", "samples"), ("bilinear", "seeds"), ("avg-scan", "W")}
+# an option no draw sets takes this value, for the required ones and for a
+# default that would make the draw slow
+UNDRAWN = {
+    "gauss": {"s": "3", "t": "1", "u": "20"},
+    "count": {"a": "1", "b": "1", "q": "5", "X": "10", "Y": "10"},
+    "vaaler": {"H": "8", "samples": "64"},
+    "dp6-enumerate": {"B": "1000"},
+}
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def _pool(command, o):
+    if o.choices:
+        return [*o.choices, "bogus"]
+    return [value for value in POOLS[o.kind] + ABOVE_CAP.get((command, o.name), [])
+            if not (value in ("1000", "4096") and (command, o.name) in SMALL_ONLY)]
+
+
+def _draws(st, command):
+    # lists of (name, value, in the config file or as a flag); the names of
+    # a deleted flag and of no option are drawn too, and a key drawn twice
+    # into the config file is a repeated key
+    options = cli._COMMANDS[command][2]
+    item = st.one_of(
+        *(st.tuples(st.just(o.name), st.sampled_from(_pool(command, o)), st.booleans())
+          for o in options),
+        st.tuples(st.sampled_from(["timings", "bogus"]), st.just("1"), st.booleans()))
+    return st.lists(item, max_size=6)
+
+
+def _draw_argv(command, items, workdir):
+    # the argv of a draw, its config lines written to workdir/opts.cfg
+    config = [f"{name} = {value}\n" for name, value, in_config in items if in_config]
+    argv = [command]
+    for name, value, in_config in items:
+        if not in_config:
+            argv += [f"--{name}", value]
+    drawn = {name for name, _, _ in items}
+    for name, value in UNDRAWN.get(command, {}).items():
+        if name not in drawn:
+            argv += [f"--{name}", value]
+    if config:
+        (workdir / "opts.cfg").write_text("".join(config))
+        argv += ["--config", "opts.cfg"]
+    return argv
+
+
+# draws that once exited 1: dp6-sieve's d_max left float range, as X^tau
+# overflowed, log^c2 X overflowed, or log^c2 X fell to 0 at X = 3/2; and
+# avg-scan took len() of the 10^300 integers of J
+EXITED_1 = {
+    "dp6-sieve": [[("tau", "4096", False)], [("c2", "1e300", True)],
+                  [("B", "27", False), ("q", "3", False), ("c2", "2000", False)]],
+    "avg-scan": [[("Y", "1e300", False)]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_fuzzed_options_exit_0_or_2(command, tmp_path, capsys, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    monkeypatch.chdir(tmp_path)
+    count = itertools.count()
+
+    def check(items):
+        workdir = tmp_path / str(next(count))
+        workdir.mkdir()
+        os.chdir(workdir)
+        argv = _draw_argv(command, items, workdir)
+        code, out, err = run(argv, capsys)
+        assert code in (0, 2), (argv, err)
+        files = [path for path in workdir.rglob("*") if path.name != "opts.cfg"]
+        if code == 2:
+            assert files == [], (argv, err)
+        else:
+            for text in [out, *(path.read_text() for path in files)]:
+                assert not NON_FINITE.search(text), (argv, text)
+
+    for items in EXITED_1.get(command, []):
+        check = hypothesis.example(items=items)(check)
+    hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)(
+        hypothesis.given(items=_draws(hypothesis.strategies, command))(check))()

@@ -4,10 +4,11 @@ A name-based walk over the package's ASTs starts from cli.main and every
 module-level statement that is not a definition or an import.  A bare name
 reaches the module-level definition it names in its own module, or the one
 it was imported from; `module.name` reaches the definition in that package
-module; any other `.name` reaches every method of that name.  A reached
-class also runs its dunder methods.  What stays unreached is only the
-delegating scalar cases, each a check plus a call into a body that a
-command runs.
+module; any other call `x.name(...)` reaches every method of that name, and
+any other read of `x.name` every property of that name, so reading a field
+runs no method.  A reached class also runs its dunder methods.  What stays
+unreached is only the delegating scalar cases, each a check plus a call
+into a body that a command runs.
 """
 
 import ast
@@ -67,11 +68,16 @@ def _imports(tree):
     return out
 
 
+def _is_property(node):
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+
+
 def _references(mod, nodes, imports, defs, methods):
     # the definitions that a bare name, a module attribute or a method
     # attribute in nodes can reach
     out = set()
     for root in nodes:
+        called = {id(node.func) for node in ast.walk(root) if isinstance(node, ast.Call)}
         for node in ast.walk(root):
             if not isinstance(getattr(node, "ctx", None), ast.Load):
                 continue  # a bound name, as a NamedTuple field, calls nothing
@@ -88,7 +94,8 @@ def _references(mod, nodes, imports, defs, methods):
                     if (target[0], node.attr) in defs:
                         out.add((target[0], node.attr))
                 else:
-                    out |= methods.get(node.attr, set())
+                    out |= {key for key in methods.get(node.attr, ())
+                            if id(node) in called or _is_property(defs[key])}
     return out
 
 

@@ -36,15 +36,13 @@ def test_box_row_fields_and_timings():
     # a CountReport is the CSV row, so its fields are the header
     assert reports.BOX_FIELDS == cg.CountReport._fields == (
         "a", "b", "q", "e", "f", "X", "Y", "exact", "main_term", "envelope", "ratio", "seconds")
+    # the retired seconds column reads no clock
     rep = cg.box_report(cg.CongruenceInstance(1, 1, 5, 10, 10))
-    row = reports.box_row(rep)
-    assert len(row) == len(reports.BOX_FIELDS)
-    row = dict(zip(reports.BOX_FIELDS, row))
+    assert len(rep) == len(reports.BOX_FIELDS)
+    row = rep._asdict()
     assert row["exact"] == 16
     assert row["main_term"] == 16.0
     assert row["seconds"] == 0.0
-    timed = dict(zip(reports.BOX_FIELDS, reports.box_row(rep, timings=True)))
-    assert timed["seconds"] == rep.seconds
 
 
 def test_averaged_row_fields():

