@@ -49,7 +49,7 @@ log = logging.getLogger("congruence_lab")
 
 BETA_3 = 6.640859  # sieving limit for the dimension-3 weighted sieve
 _GRID_TOL = 1e-9  # w1_min_c1 recomputes the cells this close to the grid maximum
-W2_D_LIMIT = 2**16  # w2_sum's largest d_max: one pass over the sieve sequence per d
+W2_D_LIMIT = 2**16  # largest d_max and rho table bound: one pass over the sieve sequence per d
 Z_MAX_LIMIT = 10**5  # dp6-sieve's largest z_max: w1_min_c1 takes pi(z_max)^2 / 2 grid cells
 
 
@@ -367,11 +367,15 @@ class SieveSequence(NamedTuple):
 
 
 def _normalization(B: int, q: int) -> Fraction:
-    """X = phi(q) B / (4 q^2) for a prime q in (B^{1/3}/2, B^{1/3}], else refused."""
+    """X = phi(q) B / (4 q^2) for a prime q in (B^{1/3}/2, B^{1/3}], else
+    refused, as is a budget B where alpha1 alpha2 |alpha3| could reach 2^63."""
     if not is_prime(q):
         raise ValueError("q must be prime")
     if q**3 > B or 8 * q**3 <= B:
         raise ValueError("q must lie in (B^{1/3}/2, B^{1/3}]")
+    a1max, a2max = _alpha_bounds(B)
+    if a1max * a2max * (a2max // q + 1) >= 2**63:
+        raise ValueError(f"budget B = {B} too large: alpha1 alpha2 |alpha3| may overflow int64")
     return Fraction((q - 1) * B, 4 * q * q)  # phi(q) = q - 1
 
 
@@ -382,10 +386,8 @@ def build_sieve_sequence(B: int, q: int) -> SieveSequence:
 
 
 def _sieve_sequence(B: int, q: int, X: Fraction) -> SieveSequence:
-    # build_sieve_sequence for a window prime q and its X = _normalization(B, q)
-    a1max, a2max = _alpha_bounds(B)
-    if a1max * a2max * (a2max // q + 1) >= 2**63:
-        raise ValueError(f"budget B = {B} too large: alpha1 alpha2 |alpha3| may overflow int64")
+    # build_sieve_sequence for a (B, q) that _normalization passed, and its X
+    a2max = _alpha_bounds(B)[1]
     # the real cells of a zero head are the family points, with no Omega sieve;
     # a cell takes under 8 int64 values on its way to its product
     blocks = _cell_blocks(B, [q], _padded(a2max, 0), 8)
@@ -574,10 +576,13 @@ def sieve_condition_report(
     Refused before any work: a rho table bound below 1 (an empty table), a
     level tau <= 0, c2 < 0 (which would raise the level X^tau / log^c2 X
     above X^tau), mu <= 0, a grid bound z_max < 5 (fewer than two odd
-    primes) or above Z_MAX_LIMIT, a factor bound t < 0 and a d_max outside
-    [1, W2_D_LIMIT]."""
+    primes) or above Z_MAX_LIMIT, a factor bound t < 0, a rho table bound or
+    d_max outside [1, W2_D_LIMIT], and a (B, q) that _normalization refuses."""
     if rho_table_max < 1:
         raise ValueError(f"rho_table_max (--rho-max) must be >= 1, got {rho_table_max}")
+    if rho_table_max > W2_D_LIMIT:
+        raise ValueError(f"rho_table_max (--rho-max) must be <= 2^16, the cap of d_max,"
+                         f" got {rho_table_max}")
     if tau_level <= 0:
         raise ValueError(f"tau_level (--tau) must be > 0, got {tau_level}")
     if c2 < 0:

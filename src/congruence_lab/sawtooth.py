@@ -5,9 +5,9 @@ pointwise by the Fejer kernel average
 
     |psi(x) - V_H(x)| <= (H+1)^{-1} sum_{|h| <= H} (1 - |h|/(H+1)) e(hx).
 
-The coefficients of V_H are a_h = i * J(h/(H+1)) / (2 pi h) with
-J(x) = pi x (1 - |x|) cot(pi x) + |x|; they are purely imaginary,
-conjugate-symmetric, and satisfy |a_h| <= 1/(pi |h|).
+Its coefficients a_h = i J(h/(H+1)) / (2 pi h), J(x) = pi x (1 - |x|) cot(pi x)
++ |x| in (0, 1), are purely imaginary and conjugate-symmetric, so V_H(x) =
+-sum_{h=1}^H w_h sin(2 pi h x) with sine weights w_h = 2 Im a_h in (0, 1/(pi h)).
 """
 
 from __future__ import annotations
@@ -47,26 +47,19 @@ def _taper(t: float) -> float:
     return math.pi * t * (1.0 - t) / math.tan(math.pi * t) + t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VaalerPolynomial:
-    """Degree-H approximation to psi with Fejer-majorized error.
-
-    coeffs[h-1] holds a_h for h = 1..H; a_{-h} is the conjugate and a_0 = 0.
-    """
+    """Degree-H approximation to psi with Fejer-majorized error, held as its
+    sine weights: sine_weights[h-1] = w_h for h = 1..H, a read-only float64
+    array, so V_H(x) = -sum_h w_h sin(2 pi h x) and the record takes 8 H bytes."""
 
     H: int
-    coeffs: tuple[complex, ...]
+    sine_weights: np.ndarray
 
     def evaluate(self, x: float) -> float:
         return float(self.evaluate_many(np.array([x]))[0])
 
-    @property
-    def sine_weights(self) -> np.ndarray:
-        """w_h = 2 Im a_h for h = 1..H, so V_H(x) = -sum_h w_h sin(2 pi h x)."""
-        return np.array([2.0 * c.imag for c in self.coeffs])
-
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        # real form of sum_{1<=|h|<=H} a_h e(hx) with a_h = i w_h/(2 pi h)
         hs = np.arange(1, self.H + 1, dtype=np.float64)
         return -_row_sums(xs, hs, np.sin, self.sine_weights)
 
@@ -74,10 +67,10 @@ class VaalerPolynomial:
 def vaaler_polynomial(H: int) -> VaalerPolynomial:
     if H < 1:
         raise ValueError("H must be >= 1")
-    coeffs = tuple(
-        1j * _taper(h / (H + 1)) / (_TWO_PI * h) for h in range(1, H + 1)
-    )
-    return VaalerPolynomial(H, coeffs)
+    w = np.fromiter((2.0 * (_taper(h / (H + 1)) / (_TWO_PI * h)) for h in range(1, H + 1)),
+                    np.float64, H)
+    w.flags.writeable = False
+    return VaalerPolynomial(H, w)
 
 
 def fejer_majorant_many(xs: np.ndarray, H: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Test-only reference code: table text built and parsed with the csv and
 json modules, independently of the writer in congruence_lab.reports; Gauss
 sum reciprocity, whole-grid evaluation and the assembled closed form; the
-Fourier partial sum of the sawtooth, the pointwise Fejer majorant and a
-pointwise Vaaler majorant check; the literal double-loop box count and
+Fourier partial sum of the sawtooth, the pointwise Fejer majorant, a
+pointwise Vaaler majorant check, and the Vaaler sine weights from complex
+coefficients and at 40 digits; the literal double-loop box count and
 the full walk of every unit y that count_exact halved for e = 1; the
 scalar double loop of the dp6 density-grid constant; the dp6 remainder
 sums by a scan of the sieve sequence held as a dict; the dp6 torsor,
@@ -39,7 +40,7 @@ from congruence_lab import dp6
 from congruence_lab.dp6 import icbrt, prime_window, rho, sieve_primes
 from congruence_lab.gausssum import GaussSumValue, _branch, _e, gauss_brute
 from congruence_lab.reports import fmt
-from congruence_lab.sawtooth import fejer_majorant_many, psi, vaaler_polynomial
+from congruence_lab.sawtooth import _TWO_PI, _taper, fejer_majorant_many, psi, vaaler_polynomial
 
 
 def point_row(rec: PointRecord) -> dict[str, str]:
@@ -191,6 +192,27 @@ def vaaler_check(x: float, H: int, slack: float = 0.0) -> bool:
     """Does |psi(x) - V_H(x)| <= majorant(x) + slack hold at x?"""
     poly = vaaler_polynomial(H)
     return bool(abs(psi(x) - poly.evaluate(x)) <= fejer_majorant(x, H) + slack)
+
+
+def complex_sine_weights(H: int) -> np.ndarray:
+    """w_h = 2 Im a_h from the complex coefficients a_h = i J(h/(H+1)) / (2 pi h),
+    formed as complex numbers, one at a time."""
+    return np.array([2.0 * (1j * _taper(h / (H + 1)) / (_TWO_PI * h)).imag
+                     for h in range(1, H + 1)])
+
+
+def sine_weights_mp(H: int) -> list:
+    """w_h = J(h/(H+1)) / (pi h), J(x) = pi x (1 - x) cot(pi x) + x, as mpf
+    values at 40 significant digits, for h = 1..H."""
+    import mpmath  # sympy's dependency, so installed with the test extra
+
+    with mpmath.workdps(40):
+        pi = mpmath.pi
+        weights = []
+        for h in range(1, H + 1):
+            x = mpmath.mpf(h) / (H + 1)
+            weights.append((pi * x * (1 - x) * mpmath.cot(pi * x) + x) / (pi * h))
+        return weights
 
 
 # ---- counts and densities by brute force ----

@@ -7,6 +7,9 @@ import pytest
 from congruence_lab import cli
 
 BOX = ["--a", "1", "--b", "1", "--q", "5", "--X", "10", "--Y", "10"]
+# the first prime above 10^155 (test_huge_q_is_the_next_prime checks it with
+# sympy): with B = q^3 it is a window prime whose X leaves float range
+HUGE_Q = 10**155 + 189
 
 # (argv, config file text or None, text the error message must contain)
 REFUSALS = {
@@ -83,6 +86,12 @@ REFUSALS = {
                                "config key 'H' is given twice, on lines 1 and 3"),
     "empty rho table": (["dp6-sieve", "--rho-max", "0", "--out", "x.csv"], None,
                         "(--rho-max) must be >= 1, got 0"),
+    "rho table beyond the cap": (["dp6-sieve", "--rho-max", "65537", "--out", "x.csv"], None,
+                                 "rho_table_max (--rho-max) must be <= 2^16, the cap of d_max,"
+                                 " got 65537"),
+    "window prime beyond the int64 budget": (
+        ["dp6-sieve", "--B", str(HUGE_Q**3), "--q", str(HUGE_Q), "--out", "x.csv"], None,
+        "too large: alpha1 alpha2 |alpha3| may overflow int64"),
     "zero tau level": (["dp6-sieve", "--tau", "0"], None, "(--tau) must be > 0, got 0.0"),
     "negative tau level key": (["dp6-sieve"], "tau = -0.5\n", "(--tau) must be > 0, got -0.5"),
     "empty remainder sum": (["dp6-sieve", "--tau", "0.01", "--out", "x.csv"], None,
@@ -275,7 +284,13 @@ BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "general count modulus beyond the table cap", "prime bound with a q list",
                "prime bound key with a q list", "bilinear seeds beyond the cap",
                "avg-scan seeds beyond the cap", "grid bound beyond the cap",
+               "rho table beyond the cap", "window prime beyond the int64 budget",
                "no scanned modulus prime to ab")
+
+
+def test_huge_q_is_the_next_prime():
+    sympy = pytest.importorskip("sympy")
+    assert sympy.nextprime(10**155) == HUGE_Q
 
 
 @pytest.mark.parametrize("case", BEFORE_WORK)
@@ -449,6 +464,7 @@ ABOVE_CAP = {
     ("dp6-enumerate", "B"): [str(2**31)],
     ("dp6-growth", "B-list"): [f"1000,{2**50}"],
     ("dp6-sieve", "z-max"): [str(10**5 + 1)],
+    ("dp6-sieve", "rho-max"): [str(2**16 + 1)],
     ("bilinear", "M"): [str(2**28)],
     ("bilinear", "seeds"): [str(2**14 + 1)],
     ("avg-scan", "seeds"): [str(2**24 + 1)],

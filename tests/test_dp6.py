@@ -845,6 +845,7 @@ def test_sieve_condition_report_is_json_ready():
     (dict(tau_level=4.0), r"d_max = X\^tau / log\^c2 X = .* exceeds the cap of 2\^16"),
     (dict(B=16, q=2), r"normalization X must exceed 1"),  # X = phi(2) 16 / (4 * 2^2)
     (dict(z_max=dp6.Z_MAX_LIMIT + 1), r"\(--z-max\) must be <= 10\^5, the grid cap, got 100001"),
+    (dict(rho_table_max=dp6.W2_D_LIMIT + 1), r"\(--rho-max\) must be <= 2\^16, the cap of d_max"),
 ])
 def test_sieve_condition_report_refuses_before_any_work(kwargs, message, monkeypatch):
     def no_work(*args):

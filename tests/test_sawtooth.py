@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from congruence_lab import arith, sawtooth
+from congruence_lab import arith, cli, sawtooth
 
 import oracles
 
@@ -32,12 +32,37 @@ def test_fourier_partial_sum_converges():
 
 
 def test_coefficients_structure():
-    # coeffs holds a_1..a_H; a_{-h} is the conjugate of a_h by construction
+    # w_h = J(h/(H+1)) / (pi h) with J in (0, 1), held as a read-only array
     poly = sawtooth.vaaler_polynomial(16)
-    assert len(poly.coeffs) == 16
-    for h, a in enumerate(poly.coeffs, 1):
-        assert a.real == 0.0  # purely imaginary
-        assert abs(a) <= 1 / (math.pi * h) + 1e-15
+    w = poly.sine_weights
+    assert w.dtype == np.float64 and w.shape == (16,)
+    for h, wh in enumerate(w.tolist(), 1):
+        assert 0.0 < wh <= 1 / (math.pi * h) + 2e-15
+    assert not w.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 0.0
+
+
+@pytest.mark.parametrize("H", [1, 8, 64, 1000, 20_000, 200_000])
+def test_sine_weights_match_complex_coefficients(H):
+    # 2 Im(i T / D) = 2 (T / D) bit for bit: the real weights equal those
+    # taken from the complex coefficients a_h
+    got = sawtooth.vaaler_polynomial(H).sine_weights
+    assert np.array_equal(got.view(np.uint64), oracles.complex_sine_weights(H).view(np.uint64))
+
+
+@pytest.mark.parametrize("H", [1, 2, 7, 16, 64, 1000, 4096, 20_000])
+def test_sine_weights_within_bound_of_40_digit_reference(H):
+    # fl(pi x) near pi makes cot ill-conditioned, so J(h/(H+1)) carries an
+    # absolute error up to about (H + 1) u near h = H; the weight w_h carries
+    # it divided by pi h (measured: at most 0.67 (H + 1) u / (pi h))
+    mpmath = pytest.importorskip("mpmath")
+    got = sawtooth.vaaler_polynomial(H).sine_weights.tolist()
+    ref = oracles.sine_weights_mp(H)
+    with mpmath.workdps(40):
+        worst = max(abs(mpmath.mpf(w) - r) * mpmath.pi * h
+                    for h, (w, r) in enumerate(zip(got, ref), 1))
+    assert worst <= (H + 1) * mpmath.mpf(2) ** -53
 
 
 def test_evaluate_many_matches_scalar():
@@ -89,7 +114,7 @@ def test_vector_paths_match_term_by_term_sums():
     for H in (1, 5, 16):
         poly = sawtooth.vaaler_polynomial(H)
         for x, v, f in zip(xs, poly.evaluate_many(xs), sawtooth.fejer_majorant_many(xs, H)):
-            ref_v = sum(2.0 * poly.coeffs[h - 1].imag * -math.sin(2 * math.pi * h * x)
+            ref_v = sum(poly.sine_weights[h - 1] * -math.sin(2 * math.pi * h * x)
                         for h in range(1, H + 1))
             ref_f = (1.0 + sum(2.0 * (1.0 - h / (H + 1)) * math.cos(2 * math.pi * h * x)
                                for h in range(1, H + 1))) / (H + 1)
@@ -105,7 +130,7 @@ def test_row_blocks_match_one_piece_outer_products():
     xs = np.random.default_rng(3).random(3 * arith.block_rows(H) + 17)
     hs = np.arange(1, H + 1, dtype=np.float64)
     poly = sawtooth.vaaler_polynomial(H)
-    w = np.array([2.0 * c.imag for c in poly.coeffs])
+    w = poly.sine_weights
     one_piece = -(np.sin(2.0 * math.pi * np.outer(xs, hs)) * w).sum(axis=1)
     assert np.array_equal(poly.evaluate_many(xs), one_piece)
     w = 2.0 * (1.0 - hs / (H + 1))
@@ -130,6 +155,21 @@ def test_row_sums_hold_one_block_budget_at_large_H(monkeypatch):
     monkeypatch.setattr(arith, "BLOCK_CELLS", 1)
     assert np.array_equal(values[0], poly.evaluate_many(xs))
     assert np.array_equal(values[1], sawtooth.fejer_majorant_many(xs, H))
+
+
+@pytest.mark.parametrize("H, n", [(20_000, 512), (200_000, 16)])
+def test_majorant_slack_traced_peak_within_stated_figure(H, n):
+    # README "Conventions": the weights (8 H bytes) and the screen's list of
+    # them (32 H), or the weights, the row sums' hs and Fejer weights (16 H)
+    # and two x-by-h blocks, plus 80 bytes per x and 2^17 bytes
+    xs = cli.random_floats(1, n)
+    tracemalloc.start()
+    try:
+        sawtooth.majorant_slack(xs, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(40 * H, 24 * H + 16 * H * arith.block_rows(H)) + 80 * n + 2**17
 
 
 def _inline_slack(xs, H):
