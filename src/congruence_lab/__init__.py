@@ -31,28 +31,22 @@ from .congruence import (
     CountReport,
     Interval,
     bilinear_jacobi,
-    boundary_sums,
     box_bounds,
     box_report,
     count_exact,
-    error_envelope,
-    main_term,
     scan_boxes,
 )
 from .dp6 import (
     BETA_3,
     GrowthRow,
     SieveSequence,
-    build_sieve_sequence,
     icbrt,
-    l_t_count,
     m_t_growth,
     point_blocks,
     prime_window,
     rho,
     sieve_condition_report,
     sieve_threshold,
-    sum_over_d,
 )
 from .gausssum import (
     GaussSumValue,

@@ -422,7 +422,8 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Every option of args.command, from its flag, else its config key,
     else its default.  Refuses config keys the command does not declare,
     missing required options, --format without --out, --primes-up-to with
-    --q-list and an --out whose directory does not exist."""
+    --q-list and an --out that is empty, is a directory or lies in a
+    directory that does not exist."""
     _, _, options = _COMMANDS[args.command]
     given = vars(args)
     cfg = load_config(given["config"]) if "config" in given else {}
@@ -446,6 +447,10 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError("--format applies only with --out")
     if {"primes-up-to", "q-list"} <= named:
         raise ValueError("--primes-up-to applies only without --q-list")
+    if out == "":
+        raise ValueError("--out is empty: it must name a file")
+    if out is not None and os.path.isdir(out):
+        raise ValueError(f"--out {out!r} is a directory: it must name a file")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise ValueError(f"--out {out!r}: directory {os.path.dirname(out)!r} does not exist")
     return argparse.Namespace(**values)

@@ -43,15 +43,15 @@ c = k y^2 mod q with k = -a^{-1} b mod q, over ascending blocks of the y in
 J prime to q.  The main term replaces each such count by (R - L)/q.
 class_sums takes the counts of a whole vector of classes k and their one
 shared main term from one walk of these blocks, in (classes x block) pieces
-of at most 2^18 entries (2 MiB in int64); boundary_sums is its one-class
-case.  The boundaries are the two lines of a BoundarySpec, so their values
-are integer numerators over one common denominator D, and each block is one
-integer floor division of (D f(y) - c D) by q D; a block is int64 when q <
-2^31 and _BLOCK times the largest value formed stays below 2^62 (so
-per-block sums cannot overflow either), and object dtype of Python ints
-otherwise, with the same code.  Counts are Python ints, main terms exact
-Fractions.  The Delta_H factor that the boundary slopes cost an
-H-truncated envelope is taken in averaged.error_budget.
+of at most 2^18 entries (2 MiB in int64).  The boundaries are the two lines
+of a BoundarySpec, so their values are integer numerators over one common
+denominator D, and each block is one integer floor division of (D f(y) - c
+D) by q D; a block is int64 when q < 2^31 and _BLOCK times the largest value
+formed stays below 2^62 (so per-block sums cannot overflow either), and
+object dtype of Python ints otherwise, with the same code.  Counts are
+Python ints, main terms exact Fractions.  The Delta_H factor that the
+boundary slopes cost an H-truncated envelope is taken in
+averaged.error_budget.
 
 Bilinear sums of Jacobi symbols (n/m) read one int8 table of the symbols for
 odd m <= M and n <= N, (M + 1)/2 * N bytes.
@@ -300,23 +300,6 @@ def _closed_forms(boxes: Sequence[tuple[int, Fraction, Fraction]], columns: np.n
                 X / q * tau_q + L_q * sigma_q * (Y / root * tau_q + root * L_q))
 
 
-def _linear_box(inst: CongruenceInstance) -> tuple[int, Fraction, Fraction]:
-    # the box (q, X, Y) of an instance that main terms and envelopes apply to
-    if (inst.e, inst.f) != (1, 2):
-        raise ValueError("main term and error envelope are for e = 1, f = 2")
-    return inst.q, inst.X, inst.Y
-
-
-def main_term(inst: CongruenceInstance) -> float:
-    """phi(q) X Y / q^2 (linear-quadratic pairing only)."""
-    return float(_closed_forms([_linear_box(inst)], _moduli([inst.q])[1])[0][0])
-
-
-def error_envelope(inst: CongruenceInstance) -> float:
-    """Envelope X/q tau(q) + L(q) sigma_{-1/2}(q) (Y/sqrt(q) tau(q) + sqrt(q) L(q))."""
-    return float(_closed_forms([_linear_box(inst)], _moduli([inst.q])[1])[1][0])
-
-
 class CountReport(NamedTuple):
     """A box of a x + b y^2 = 0 (mod q) and its report: one CSV row.
 
@@ -366,10 +349,14 @@ def _reports(a: int, b: int, boxes: list[tuple[int, Fraction, Fraction]]) -> lis
 
 
 def box_report(inst: CongruenceInstance) -> CountReport:
-    """Exact count, main term, envelope and |exact - main|/envelope of an
-    e = 1, f = 2 box: scan_boxes of one box, with the same refusals."""
+    """Exact count, main term phi(q) X Y / q^2, envelope X/q tau(q) + L(q)
+    sigma_{-1/2}(q) (Y/sqrt(q) tau(q) + sqrt(q) L(q)) and |exact -
+    main|/envelope of an e = 1, f = 2 box: scan_boxes of one box, with the
+    same refusals."""
     _check_modulus(inst.q)
-    return _reports(inst.a, inst.b, [_linear_box(inst)])[0]
+    if (inst.e, inst.f) != (1, 2):
+        raise ValueError("main term and error envelope are for e = 1, f = 2")
+    return _reports(inst.a, inst.b, [(inst.q, inst.X, inst.Y)])[0]
 
 
 def scan_boxes(
@@ -514,16 +501,6 @@ def class_sums(
             counts[i : i + rows] += np.maximum(n, 0).sum(axis=1).astype(object)
         width += Fraction((hi_n - lo_n).sum())
     return counts.tolist(), width / qD
-
-
-def boundary_sums(
-    a: int, b: int, q: int, bounds: BoundarySpec, J: Interval
-) -> tuple[int, Fraction]:
-    """(count, main) of class_sums for the one class of a x + b y^2 = 0
-    (mod q): the exact number of x, y with gcd(xy, q) = 1 and f_lo(y) < x
-    <= f_hi(y), and (1/q) sum_{y in J, (y, q) = 1} (f_hi - f_lo)(y)."""
-    (count,), main = class_sums([linear_class(a, b, q)], q, bounds, J)
-    return count, main
 
 
 def eps_power(x: float, p: float) -> float:

@@ -22,13 +22,15 @@ sieving limit beta_3.
 
 One block loop, _cell_blocks, walks the family as int8 cells Omega(alpha2)
 + Omega(|alpha3|), padded where there is no point, and serves three readers:
-the counts L_t (_l_t_counts, whose one-prime case is l_t_count; m_t_growth
-sieves Omega once, for its largest budget), point_blocks, the one point
-enumerator, which turns the real cells into checked int64 column blocks
-(q, alphas, surface coordinates, Omega) that dp6-enumerate streams out with
-no Python object per point, and build_sieve_sequence, which reads the real
+the counts L_t of dp6-growth (_l_t_counts; m_t_growth sieves Omega once, for
+its largest budget), point_blocks, the one point enumerator, which turns the
+real cells into checked int64 column blocks (q, alphas, surface coordinates,
+Omega) that dp6-enumerate streams out with no Python object per point, and
+the sieve sequence of dp6-sieve (_sieve_sequence), which reads the real
 cells of a zero table and so sieves no Omega; no table outlives its call.
-rho is its Euler product; sieve_condition_report factors each d just once.
+rho is its Euler product; sieve_condition_report, the body of dp6-sieve,
+checks (B, q) once and factors each d just once, for its rho table, its
+remainder sum W2 (_w2_sum) and its density-grid constant W1 (_w1_min_c1).
 
 All window and height comparisons are exact integer inequalities
 (8 q^3 > B instead of q > B^{1/3} and so on); no floating-point cube roots.
@@ -36,7 +38,6 @@ All window and height comparisons are exact integer inequalities
 
 from __future__ import annotations
 
-import logging
 import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
@@ -45,12 +46,10 @@ import numpy as np
 
 from .arith import block_rows, factorize, is_prime
 
-log = logging.getLogger("congruence_lab")
-
 BETA_3 = 6.640859  # sieving limit for the dimension-3 weighted sieve
-_GRID_TOL = 1e-9  # w1_min_c1 recomputes the cells this close to the grid maximum
+_GRID_TOL = 1e-9  # _w1_min_c1 recomputes the cells this close to the grid maximum
 W2_D_LIMIT = 2**16  # largest d_max and rho table bound: one pass over the sieve sequence per d
-Z_MAX_LIMIT = 10**5  # dp6-sieve's largest z_max: w1_min_c1 takes pi(z_max)^2 / 2 grid cells
+Z_MAX_LIMIT = 10**5  # dp6-sieve's largest z_max: _w1_min_c1 takes pi(z_max)^2 / 2 grid cells
 
 
 def icbrt(n: int) -> int:
@@ -274,13 +273,13 @@ def _check_block(B: int, q: int, block: np.ndarray) -> None:
                          f" ({a1[i]}, {a2[i]}, {a3[i]}): {failed}")
 
 
-# l_t_count refuses budgets whose alpha2 bound reaches this, so that its int8
-# sums cannot wrap (see _check_count_budget)
+# m_t_growth refuses budgets whose alpha2 bound reaches this, so that the int8
+# sums of _l_t_counts cannot wrap (see _check_count_budget)
 COUNT_ALPHA2_LIMIT = 2**32
 
 
 def _check_count_budget(B: int) -> None:
-    """Refuse a budget that l_t_count cannot count exactly in int8.
+    """Refuse a budget that _l_t_counts cannot count exactly in int8.
 
     Every 1 <= n <= a2max has Omega(n) <= L - 1 with L = a2max.bit_length(),
     so a real two-term sum is at most 2L - 2 and the pad 2L - 1 exceeds it.
@@ -290,24 +289,6 @@ def _check_count_budget(B: int) -> None:
     if _alpha_bounds(B)[1] >= COUNT_ALPHA2_LIMIT:
         raise ValueError(f"budget B = {B} too large: almost-prime counts sum int8"
                          f" Omega entries, which needs B^{{2/3}}/2 < 2^32")
-
-
-def l_t_count(B: int, q: int, t: int) -> int:
-    """Count of almost-prime family points for one prime q (no lifting).
-
-    q beyond B^{1/3} contributes nothing and returns 0 with a log line;
-    otherwise this is the one-prime case of _l_t_counts, and each call
-    sieves its own Omega table of B.
-    """
-    _check_count_budget(B)
-    if not is_prime(q):
-        raise ValueError("q must be prime")
-    if t < 0:
-        raise ValueError("factor bound t must be nonnegative")
-    if q**3 > B:
-        log.info("l_t_count: q=%d exceeds B^{1/3}, count is 0", q)
-        return 0
-    return _l_t_counts(B, [q], t, _omega_upto(_alpha_bounds(B)[1]))[0]
 
 
 def _l_t_counts(B: int, qs: Sequence[int], t: int, om: np.ndarray) -> list[int]:
@@ -354,7 +335,7 @@ def m_t_growth(B_values: Sequence[int], t: int) -> list[GrowthRow]:
 class SieveSequence(NamedTuple):
     """Multiplicities a_n = #{family points with alpha1 alpha2 |alpha3| = n}
     for one prime q, with the normalization X = phi(q) B / (4 q^2): int64 arrays of
-    the distinct n ascending and their a_n, for a (B, q) build_sieve_sequence checked."""
+    the distinct n ascending and their a_n, for a (B, q) that _normalization passed."""
 
     B: int
     q: int
@@ -379,14 +360,9 @@ def _normalization(B: int, q: int) -> Fraction:
     return Fraction((q - 1) * B, 4 * q * q)  # phi(q) = q - 1
 
 
-def build_sieve_sequence(B: int, q: int) -> SieveSequence:
-    """The sequence a_n for one window prime q; n = alpha1 alpha2 |alpha3| is
-    formed in int64, so budgets where it could reach 2^63 are refused."""
-    return _sieve_sequence(B, q, _normalization(B, q))
-
-
 def _sieve_sequence(B: int, q: int, X: Fraction) -> SieveSequence:
-    # build_sieve_sequence for a (B, q) that _normalization passed, and its X
+    # the sequence a_n for a (B, q) that _normalization passed, and its X;
+    # n = alpha1 alpha2 |alpha3| is formed in int64, which that check ensures
     a2max = _alpha_bounds(B)[1]
     # the real cells of a zero head are the family points, with no Omega sieve;
     # a cell takes under 8 int64 values on its way to its product
@@ -429,19 +405,6 @@ def _euler(d: int, q: int) -> tuple[int, Fraction] | None:
     return len(factors), math.prod((_rho_factor(p, q) for p, _ in factors), start=Fraction(1))
 
 
-def sum_over_d(seq: SieveSequence, d: int) -> tuple[int, float, float]:
-    """(exact sum of a_n over d | n, predicted rho(d)/d X, remainder)."""
-    if d < 1 or not (found := _euler(d, seq.q)):
-        raise ValueError("d must be a positive squarefree integer")
-    return _sum_over_d(seq, d, found[1])
-
-
-def _sum_over_d(seq: SieveSequence, d: int, rho_d: Fraction) -> tuple[int, float, float]:
-    exact = int(seq.a[seq.n % d == 0].sum())
-    predicted = float(rho_d / d * seq.X)
-    return exact, predicted, exact - predicted
-
-
 def sieve_threshold(kappa: int, mu: float, beta: float) -> float:
     """mu - 1 + (mu - kappa)(1 - 1/beta) + (kappa + 1) log beta."""
     if kappa < 1 or beta <= 1 or mu <= 0:
@@ -472,24 +435,18 @@ def _d_max(X: float, tau_level: float, c2: float) -> float:
     return d_max
 
 
-def w2_sum(
-    seq: SieveSequence, tau_level: float = 0.4, c2: float = 1.0
-) -> dict[str, float]:
-    """Remainder mass sum_{d <= X^tau / log^{c2} X} mu^2(d) 4^omega(d) |R_d|,
-    with the comparison scale X / log^4 X."""
-    d_max = _d_max(float(seq.X), tau_level, c2)
-    rhos = {d: found for d in range(1, int(d_max) + 1) if (found := _euler(d, seq.q))}
-    return _w2_sum(seq, tau_level, c2, d_max, rhos)
-
-
 def _w2_sum(seq: SieveSequence, tau_level: float, c2: float, d_max: float,
             rhos: dict[int, tuple[int, Fraction]]) -> dict[str, float]:
-    # w2_sum given d_max and the _euler of each squarefree d <= d_max, ascending
+    # Remainder mass sum_{d <= d_max} mu^2(d) 4^omega(d) |R_d|, R_d = sum of
+    # a_n over d | n minus rho(d)/d X, with the comparison scale X / log^4 X,
+    # given d_max = X^tau / log^c2 X and the _euler of each squarefree d <=
+    # d_max, ascending
     X = float(seq.X)
     total = 0.0
     for d, (omega, rho_d) in rhos.items():
         if d <= d_max:
-            total += 4**omega * abs(_sum_over_d(seq, d, rho_d)[2])
+            exact = int(seq.a[seq.n % d == 0].sum())
+            total += 4**omega * abs(exact - float(rho_d / d * seq.X))
     scale = X / math.log(X) ** 4
     return {
         "tau": tau_level,
@@ -501,11 +458,12 @@ def _w2_sum(seq: SieveSequence, tau_level: float, c2: float, d_max: float,
     }
 
 
-def w1_min_c1(q: int, z_max: int = 1000) -> dict[str, float]:
+def _w1_min_c1(q: int, z_max: int) -> dict[str, float]:
     """Smallest admissible c1 on a prime grid for the dimension-3 density
     condition prod_{w <= p < z} (1 - rho(p)/p)^{-1} <= (log z/log w)^3
-    (1 + c1/log w).  p = 2 is excluded: rho(2) = 2, matching the fact that
-    every sequence element is even, so the product diverges at 2.
+    (1 + c1/log w), for a prime q.  p = 2 is excluded: rho(2) = 2, matching
+    the fact that every sequence element is even, so the product diverges
+    at 2.
 
     min_c1 = max(0, max over primes w < z of c(w, z)), c(w, z) = (exp(-(S_z
     - S_w)) / (log z/log w)^3 - 1) log w, S the prefix sums of log(1 -
@@ -520,13 +478,6 @@ def w1_min_c1(q: int, z_max: int = 1000) -> dict[str, float]:
     far inside the tolerance.  Memory: a few float64 and intp temporaries
     per cell of a block, which holds at most arith.BLOCK_CELLS cells or one
     row."""
-    if not is_prime(q):
-        raise ValueError("q must be prime")
-    return _w1_min_c1(q, z_max)
-
-
-def _w1_min_c1(q: int, z_max: int) -> dict[str, float]:
-    # w1_min_c1 for a prime q
     ps = [p for p in sieve_primes(z_max) if p > 2]
     if len(ps) < 2:
         raise ValueError("z_max too small for a grid")

@@ -56,9 +56,6 @@ class VaalerPolynomial:
     H: int
     sine_weights: np.ndarray
 
-    def evaluate(self, x: float) -> float:
-        return float(self.evaluate_many(np.array([x]))[0])
-
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         hs = np.arange(1, self.H + 1, dtype=np.float64)
         return -_row_sums(xs, hs, np.sin, self.sine_weights)

@@ -191,7 +191,8 @@ def fejer_majorant(x: float, H: int) -> float:
 def vaaler_check(x: float, H: int, slack: float = 0.0) -> bool:
     """Does |psi(x) - V_H(x)| <= majorant(x) + slack hold at x?"""
     poly = vaaler_polynomial(H)
-    return bool(abs(psi(x) - poly.evaluate(x)) <= fejer_majorant(x, H) + slack)
+    v = float(poly.evaluate_many(np.array([x]))[0])
+    return bool(abs(psi(x) - v) <= fejer_majorant(x, H) + slack)
 
 
 def complex_sine_weights(H: int) -> np.ndarray:
@@ -269,7 +270,7 @@ def rho_oracle_prime(p: int, q: int) -> tuple[Fraction, Fraction]:
 
 
 def w1_min_c1_loop(q: int, z_max: int) -> float:
-    """dp6.w1_min_c1's min_c1 by the scalar double loop over every prime
+    """dp6._w1_min_c1's min_c1 by the scalar double loop over every prime
     pair w < z of the grid, in math's order of operations."""
     ps = [p for p in sieve_primes(z_max) if p > 2]
     logs = [math.log(float(1 - rho(p, q) / p)) for p in ps]
@@ -288,8 +289,9 @@ def w1_min_c1_loop(q: int, z_max: int) -> float:
 
 def sum_over_d_scan(a: Mapping[int, int], q: int, X: Fraction, d: int
                     ) -> tuple[int, float, float]:
-    """dp6.sum_over_d over the sequence given as a dict n -> a_n: (exact sum
-    of a_n over d | n, predicted rho(d)/d X, remainder)."""
+    """The term of one d in dp6-sieve's remainder sum, over the sequence
+    given as a dict n -> a_n: (exact sum of a_n over d | n, predicted
+    rho(d)/d X, remainder)."""
     exact = sum(c for n, c in a.items() if n % d == 0)
     predicted = float(rho(d, q) / d * X)
     return exact, predicted, exact - predicted
@@ -297,8 +299,9 @@ def sum_over_d_scan(a: Mapping[int, int], q: int, X: Fraction, d: int
 
 def w2_sum_scan(a: Mapping[int, int], q: int, X: Fraction, tau_level: float, c2: float
                 ) -> dict[str, float]:
-    """dp6.w2_sum over the sequence given as a dict n -> a_n, one
-    sum_over_d_scan per d <= d_max with mobius(d) != 0, in ascending d."""
+    """dp6-sieve's remainder sum W2 over the sequence given as a dict n ->
+    a_n, one sum_over_d_scan per d <= d_max with mobius(d) != 0, in
+    ascending d."""
     Xf = float(X)
     d_max = Xf**tau_level / math.log(Xf) ** c2
     total = 0.0

@@ -281,7 +281,7 @@ def test_one_boundary_walk_per_cell(monkeypatch):
                     *av.avg_report(fam, 10.0, 0.05, seeds=(4,))]
     assert [rep.seed for rep in reps] == [3, 4] and reps[0].S != reps[1].S
     calls.clear()
-    cg.boundary_sums(1, 1, 7, cg.BoundarySpec(0, 1, 3, 2), cg.Interval(0, 20))
+    _one_class(1, 1, 7, cg.BoundarySpec(0, 1, 3, 2), cg.Interval(0, 20))
     assert len(calls) == 1
 
 
@@ -317,11 +317,17 @@ def test_weights_taken_once_per_distinct_key(scheme, monkeypatch):
     assert len(live) > len(d_keys) > len(e_keys) > 1
 
 
-# ---- cell_sums against per-cell boundary_sums ----
+# ---- cell_sums against per-cell class_sums ----
+
+def _one_class(a, b, q, bounds, J):
+    # (count, main) of class_sums for the one class of a x + b y^2 = 0 (mod q)
+    (count,), main = cg.class_sums([cg.linear_class(a, b, q)], q, bounds, J)
+    return count, main
+
 
 def _per_cell(fam):
-    return [(u, v, w, *cg.boundary_sums(fam.r * u**fam.l, fam.s * v**fam.m, fam.t * w,
-                                        fam.bounds, fam.J))
+    return [(u, v, w, *_one_class(fam.r * u**fam.l, fam.s * v**fam.m, fam.t * w,
+                                  fam.bounds, fam.J))
             for u, v, w in fam.cells()]
 
 
@@ -384,7 +390,7 @@ def test_cell_sums_object_path():
 def test_class_sums_of_no_class_and_unreduced_classes():
     bounds = cg.BoundarySpec(0, 1, 5, 1)
     J = cg.Interval(0, 12)
-    n, mt = cg.boundary_sums(1, 1, 7, bounds, J)
+    n, mt = _one_class(1, 1, 7, bounds, J)
     assert cg.class_sums([], 7, bounds, J) == ([], mt)
     # k = 6 is the class of (a, b) = (1, 1); classes are taken mod q
     assert cg.class_sums([6, 6 + 7 * 2**40, -1, -7 * 2**70 + 6], 7, bounds, J) == ([n] * 4, mt)

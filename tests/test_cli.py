@@ -174,6 +174,18 @@ def test_bilinear_command(tmp_path, capsys):
         assert float(row["ratio"]) < 1.0
 
 
+def test_bilinear_even_M_counts_the_odd_m_below_it(tmp_path, capsys):
+    # an even --M counts the odd m <= M - 1 and reports M - 1 in the M
+    # column: --M 512 writes the table of --M 511, byte for byte
+    even, odd = tmp_path / "even.csv", tmp_path / "odd.csv"
+    assert run(["bilinear", "--M", "512", "--N", "8", "--seeds", "2", "--out", str(even)]) == 0
+    assert run(["bilinear", "--M", "511", "--N", "8", "--seeds", "2", "--out", str(odd)]) == 0
+    capsys.readouterr()
+    _, _, rows = oracles.parse_csv_text(even.read_text())
+    assert [row["M"] for row in rows] == ["511", "511"]
+    assert even.read_bytes() == odd.read_bytes()
+
+
 def test_bilinear_builds_one_table_for_every_seed(capsys):
     # the table depends on (M, N) only, so three seeds read one cached build
     congruence._jacobi_table.cache_clear()

@@ -237,6 +237,13 @@ REFUSALS = {
                                              "epsilon must be nonnegative"),
     "timings key not a boolean": (["count", *BOX, "--out", "x.csv"], "timings = maybe\n",
                                   "config key 'timings' is not an option of count"),
+    "empty out flag": (["count-scan", "--primes-up-to", "20", "--out", "", "--format", "json"],
+                       None, "--out is empty"),
+    "empty out key": (["dp6-sieve"], "out =\n", "--out is empty"),
+    "directory out flag": (["count-scan", "--primes-up-to", "200", "--out", "."], None,
+                           "--out '.' is a directory"),
+    "directory out key": (["dp6-enumerate", "--B", "1000000"], "out = .\n",
+                          "--out '.' is a directory"),
     "no scanned modulus prime to ab": (["count-scan", "--q-list", "6", "--a", "2", "--b", "1",
                                         "--out", "x.csv"], None,
                                        "--a, --b: a*b = 2 shares a factor with every modulus q"),
@@ -285,7 +292,8 @@ BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "prime bound key with a q list", "bilinear seeds beyond the cap",
                "avg-scan seeds beyond the cap", "grid bound beyond the cap",
                "rho table beyond the cap", "window prime beyond the int64 budget",
-               "no scanned modulus prime to ab")
+               "no scanned modulus prime to ab", "empty out flag", "empty out key",
+               "directory out flag", "directory out key")
 
 
 def test_huge_q_is_the_next_prime():

@@ -253,15 +253,21 @@ def test_count_exact_linear_huge_box_is_exact():
         assert cg.count_exact(inst) == count_exact_loop(inst)
 
 
+def _one_class(a, b, q, bounds, J):
+    # (count, main) of class_sums for the one class of a x + b y^2 = 0 (mod q)
+    (count,), main = cg.class_sums([cg.linear_class(a, b, q)], q, bounds, J)
+    return count, main
+
+
 @pytest.mark.parametrize("q", [300007, 300300, 299999])
 def test_count_exact_linear_matches_boundary_walk(q):
-    # boundary_sums counts per y by floor division at its class c_y, with
+    # class_sums counts per y by floor division at its class c_y, with
     # no split of the box into T(s, t); it shares only _units and _x_classes
     a, b = -1231, 23
     X = Fraction(10**12 + 1, 3)
     for Y in (q, Fraction(2 * q, 3), q - Fraction(1, 2), Fraction(q, 2**14)):
         inst = cg.CongruenceInstance(a, b, q, X, Y)
-        walk = cg.boundary_sums(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0]
+        walk = _one_class(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0]
         assert cg.count_exact(inst) == walk, Y
 
 
@@ -351,7 +357,7 @@ def test_count_exact_properties():
         inst = cg.CongruenceInstance(a, b, q, X, Y, e, f)
         assert cg.count_exact(inst) == oracles.count_exact_naive(inst)
         box = cg.CongruenceInstance(a, b, q, X, Y)  # e = 1, f = 2
-        assert cg.boundary_sums(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0] == (
+        assert _one_class(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0] == (
             cg.count_exact(box))
 
     check()
@@ -363,13 +369,13 @@ def test_naive_guard():
 
 
 def test_main_term_and_envelope_frozen():
-    inst = cg.CongruenceInstance(1, 1, 5, 10, 10)
-    assert cg.main_term(inst) == pytest.approx(16.0)
-    assert cg.error_envelope(inst) == pytest.approx(37.58210085976404, rel=1e-12)
-    inst4 = cg.CongruenceInstance(1, 1, 4, 4, 4)
-    assert cg.error_envelope(inst4) == pytest.approx(35.74730297018444, rel=1e-12)
-    with pytest.raises(ValueError):
-        cg.main_term(cg.CongruenceInstance(1, 1, 5, 5, 5, e=2, f=2))
+    rep = cg.box_report(cg.CongruenceInstance(1, 1, 5, 10, 10))
+    assert rep.main_term == pytest.approx(16.0)
+    assert rep.envelope == pytest.approx(37.58210085976404, rel=1e-12)
+    rep4 = cg.box_report(cg.CongruenceInstance(1, 1, 4, 4, 4))
+    assert rep4.envelope == pytest.approx(35.74730297018444, rel=1e-12)
+    with pytest.raises(ValueError, match="main term and error envelope are for e = 1, f = 2"):
+        cg.box_report(cg.CongruenceInstance(1, 1, 5, 5, 5, e=2, f=2))
 
 
 def test_box_report_exact_prime_square():
@@ -609,7 +615,7 @@ def test_box_bounds_reduce_to_box_count():
         X = rng.randint(1, 60)
         Y = rng.randint(1, 60)
         inst = cg.CongruenceInstance(a, b, q, X, Y)
-        n = cg.boundary_sums(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0]
+        n = _one_class(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0]
         assert n == cg.count_exact(inst)
         done += 1
 
@@ -617,16 +623,16 @@ def test_box_bounds_reduce_to_box_count():
 def test_triangle_region():
     # x + y^2 = 0 (mod 3), 0 < x <= y, y <= 6: solutions counted by hand
     bounds = cg.BoundarySpec(0, 0, 0, 1)
-    assert cg.boundary_sums(1, 1, 3, bounds, cg.Interval(0, 6)) == (4, Fraction(4))
+    assert _one_class(1, 1, 3, bounds, cg.Interval(0, 6)) == (4, Fraction(4))
 
 
 def test_empty_and_invalid_boundaries():
     flat = cg.BoundarySpec(5, 0, 5, 0)
-    assert cg.boundary_sums(1, 1, 5, flat, cg.Interval(0, 10))[0] == 0
+    assert _one_class(1, 1, 5, flat, cg.Interval(0, 10))[0] == 0
     with pytest.raises(ValueError):
-        cg.boundary_sums(1, 1, 5, cg.BoundarySpec(3, 0, 1, 0), cg.Interval(0, 10))
+        _one_class(1, 1, 5, cg.BoundarySpec(3, 0, 1, 0), cg.Interval(0, 10))
     with pytest.raises(ValueError):
-        cg.boundary_sums(2, 1, 4, cg.box_bounds(5), cg.Interval(0, 5))
+        _one_class(2, 1, 4, cg.box_bounds(5), cg.Interval(0, 5))
 
 
 @pytest.mark.parametrize("args, message", [
@@ -636,15 +642,15 @@ def test_empty_and_invalid_boundaries():
 ], ids=["a = 0", "crossed boundaries", "q = 0"])
 def test_main_term_boundaries_refuses_what_count_refuses(args, message):
     with pytest.raises(ValueError, match=message):
-        cg.boundary_sums(*args)
+        _one_class(*args)
 
 
 def test_boundary_spec_is_four_rationals_with_a_derived_slope_bound():
     # the constant spec (0, 0, 12, 0) is the box (0, 12]
     spec = cg.BoundarySpec(0, 0, 12, 0)
     assert spec == cg.box_bounds(12) and spec.derivative_bound == 0
-    exact = cg.boundary_sums(1, 1, 7, cg.box_bounds(12), cg.Interval(0, 9))[0]
-    assert cg.boundary_sums(1, 1, 7, spec, cg.Interval(0, 9))[0] == exact
+    exact = _one_class(1, 1, 7, cg.box_bounds(12), cg.Interval(0, 9))[0]
+    assert _one_class(1, 1, 7, spec, cg.Interval(0, 9))[0] == exact
     sloped = cg.BoundarySpec(Fraction(-3), Fraction(-7, 2), 0.5, 2)
     assert sloped.derivative_bound == Fraction(7, 2)
     assert (sloped.lower(2), sloped.upper(2)) == (-10, Fraction(9, 2))
@@ -696,7 +702,7 @@ def main_term_boundaries_loop(a, b, q, bounds, J):
 
 
 def _check_boundary_kernels(a, b, q, bounds, J):
-    n, mt = cg.boundary_sums(a, b, q, bounds, J)
+    n, mt = _one_class(a, b, q, bounds, J)
     assert type(n) is int
     assert n == count_boundaries_loop(a, b, q, bounds, J)
     assert type(mt) is Fraction
@@ -780,7 +786,7 @@ def test_boundaries_on_a_half_integer_interval_match_loop():
 def test_boundary_kernels_empty_interval():
     J = cg.Interval(Fraction(1, 3), Fraction(1, 3))  # no integer in (1/3, 2/3]
     bounds = cg.BoundarySpec(0, 1, 5, 1)
-    assert cg.boundary_sums(1, 1, 5, bounds, J) == (0, 0)
+    assert _one_class(1, 1, 5, bounds, J) == (0, 0)
 
 
 @pytest.mark.parametrize("q", [30030, 59838])
@@ -790,7 +796,7 @@ def test_envelopes_keep_their_float_bits(q):
     inst = cg.CongruenceInstance(1, 1, q, Fraction(q, 3), 500)
     X, Y = float(inst.X), float(inst.Y)
     env = X / q * tau(q) + L(q) * sigma(q) * (Y / sqrt(q) * tau(q) + sqrt(q) * L(q))
-    assert cg.error_envelope(inst) == env
+    assert cg.box_report(inst).envelope == env
 
 
 def test_boundary_report_box_has_no_distortion():

@@ -199,7 +199,7 @@ def test_point_blocks_match_points_oracle_and_counts():
         rows = _point_rows(B, t)
         assert rows == [[r.special.q, r.special.alpha1, r.special.alpha2, r.special.alpha3,
                          *r.surface.x, r.omega] for r in oracles.points_oracle(B, t)]
-        assert len(rows) == sum(dp6.l_t_count(B, q, t) for q in dp6.prime_window(B))
+        assert len(rows) == dp6.m_t_growth([B], t)[0].count
 
     check()
 
@@ -346,10 +346,9 @@ def test_point_blocks_refuse_a_corrupted_row(corrupt, failure, monkeypatch, caps
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: dp6.l_t_count(1000, 7, -1), "factor bound t must be nonnegative"),
     (lambda: dp6._check_block(1000, 11, np.zeros((1, 12), dtype=np.int64)),
      r"family prime q = 11 must be a prime in \(B\^\{1/3\}/2, B\^\{1/3\}\]"),
-], ids=["l_t_count t < 0", "block prime outside the window"])
+], ids=["block prime outside the window"])
 def test_kernels_refuse_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -364,13 +363,15 @@ def test_point_blocks_int64_budget_limit():
             dp6.point_blocks(B, 12)
 
 
+def _l_t(B, q, t):
+    # L_t of one prime q <= B^{1/3}, from the Omega table of B alone
+    return dp6._l_t_counts(B, [q], t, dp6._omega_upto(dp6._alpha_bounds(B)[1]))[0]
+
+
 def test_l_t_count_matches_enumeration():
-    assert dp6.l_t_count(1000, 7, 12) == 31
-    assert dp6.l_t_count(1000, 11, 12) == 0  # q^3 > B
-    with pytest.raises(ValueError):
-        dp6.l_t_count(1000, 6, 12)
+    assert _l_t(1000, 7, 12) == 31
     B = 10**4
-    per_q = {q: dp6.l_t_count(B, q, 12) for q in dp6.prime_window(B)}
+    per_q = {q: _l_t(B, q, 12) for q in dp6.prime_window(B)}
     rows = _point_rows(B, 12)
     assert per_q == Counter(row[0] for row in rows)
     assert sum(per_q.values()) == len(rows)
@@ -406,10 +407,11 @@ def test_l_t_count_matches_brute_scan():
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(B=st.integers(1, 12_000), q=st.sampled_from(dp6.sieve_primes(30)),
-                      t=st.integers(0, 14))
-    def check(B, q, t):
-        assert dp6.l_t_count(B, q, t) == _l_t_brute(B, q, t)
+    @hypothesis.given(data=st.data(), B=st.integers(8, 12_000), t=st.integers(0, 14))
+    def check(data, B, t):
+        # every prime up to B^{1/3}, the window and below it
+        q = data.draw(st.sampled_from(dp6.sieve_primes(dp6.icbrt(B))))
+        assert _l_t(B, q, t) == _l_t_brute(B, q, t)
 
     check()
 
@@ -436,7 +438,7 @@ def test_l_t_count_matches_family_count():
     def check(data, B, t):
         # every prime up to B^{1/3}, the window and below it (2 for B < 8)
         q = data.draw(st.sampled_from(dp6.sieve_primes(max(dp6.icbrt(B), 2))))
-        assert dp6.l_t_count(B, q, t) == _l_t_family(B, q, t)
+        assert _l_t(B, q, t) == _l_t_family(B, q, t)
 
     check()
 
@@ -453,13 +455,13 @@ def test_l_t_count_every_window_prime_and_t():
                                  *(oracles.family_omega(B, *block)
                                    for block in oracles.family_blocks(B, q))])
             for t in range(16):
-                assert dp6.l_t_count(B, q, t) == int(np.count_nonzero(om <= t)), (q, t)
+                assert _l_t(B, q, t) == int(np.count_nonzero(om <= t)), (q, t)
 
     check()
 
 
 def test_omega_tail_covers_every_count_view():
-    # l_t_count reads om[:q K] as a (K, q) view, K = a2max // q + 1, for
+    # _cell_blocks reads om[:q K] as a (K, q) view, K = a2max // q + 1, for
     # every prime q <= icbrt(B); q K <= a2max + q, so the largest q decides
     budgets = set(range(1, 20_000)) | {2**49, 2**50 // 3}
     budgets |= {r**3 + d for r in range(2, 3000) for d in (-1, 0, 1)}
@@ -473,8 +475,8 @@ def test_omega_tail_covers_every_count_view():
 @pytest.mark.parametrize("B, q", [(1000, 7), (10**6, 2), (10**6, 59), (10**6, 97),
                                   (10**8, 409)])
 def test_l_t_count_fixed_cases(B, q):
-    assert dp6.l_t_count(B, q, 12) == _l_t_family(B, q, 12)
-    assert dp6.l_t_count(B, q, 10**6) == _family_size(B, q)
+    assert _l_t(B, q, 12) == _l_t_family(B, q, 12)
+    assert _l_t(B, q, 10**6) == _family_size(B, q)
 
 
 def test_l_t_count_alpha3_zero_beyond_the_row(monkeypatch):
@@ -489,8 +491,8 @@ def test_l_t_count_alpha3_zero_beyond_the_row(monkeypatch):
     z, n = a1 * a1 // q, (50 - a1 * a1 % q) // q + 1
     assert (z >= n).any()
     for t in (0, 3, 6, 12, 10**6):
-        assert dp6.l_t_count(1000, q, t) == _l_t_family(1000, q, t)
-    assert dp6.l_t_count(1000, q, 10**6) == _family_size(1000, q)
+        assert _l_t(1000, q, t) == _l_t_family(1000, q, t)
+    assert _l_t(1000, q, 10**6) == _family_size(1000, q)
 
 
 def test_l_t_counts_match_l_t_count_and_family():
@@ -514,7 +516,7 @@ def test_l_t_counts_match_l_t_count_and_family():
             # every prime up to B^{1/3}, the window and below it; none for B < 8
             primes = dp6.sieve_primes(dp6.icbrt(B))
             qs = data.draw(st.lists(st.sampled_from(primes), max_size=4)) if primes else []
-            expected = [dp6.l_t_count(B, q, t) for q in qs]
+            expected = [_l_t(B, q, t) for q in qs]
             assert dp6._l_t_counts(B, qs, t, om) == expected
             assert expected == [_l_t_family(B, q, t) for q in qs]
         rows = dp6.m_t_growth(Bs, t)
@@ -557,7 +559,7 @@ def test_l_t_count_int8_budget_limit(monkeypatch):
     B = 2**50  # a2max = icbrt(2^97) >= 2^32
     assert dp6._alpha_bounds(B)[1] >= dp6.COUNT_ALPHA2_LIMIT
     with pytest.raises(ValueError, match=f"B = {B} too large"):
-        dp6.l_t_count(B, 2, 12)
+        dp6._check_count_budget(B)
 
     def no_work(*args):
         raise AssertionError("m_t_growth sieved or counted before the arguments were checked")
@@ -572,16 +574,21 @@ def test_l_t_count_int8_budget_limit(monkeypatch):
 
 # ---- sieve sequence and densities ----
 
+def _sequence(B, q):
+    # the sieve sequence of dp6-sieve, after its one check of (B, q)
+    return dp6._sieve_sequence(B, q, dp6._normalization(B, q))
+
+
 def test_build_sieve_sequence():
-    seq = dp6.build_sieve_sequence(1000, 7)
+    seq = _sequence(1000, 7)
     assert seq.X == Fraction(1500, 49)
     assert seq.total() == 31
     assert (seq.n > 0).all() and (seq.n % 2 == 0).all() and (seq.a > 0).all()
     assert (np.diff(seq.n) > 0).all() and seq.n.dtype == seq.a.dtype == np.int64
-    with pytest.raises(ValueError):
-        dp6.build_sieve_sequence(1000, 11)
-    with pytest.raises(ValueError):
-        dp6.build_sieve_sequence(1000, 6)
+    with pytest.raises(ValueError, match=r"q must lie in \(B\^\{1/3\}/2, B\^\{1/3\}\]"):
+        dp6._normalization(1000, 11)
+    with pytest.raises(ValueError, match="q must be prime"):
+        dp6._normalization(1000, 6)
 
 
 def _sieve_counter(B, q):
@@ -600,7 +607,7 @@ def _as_dict(seq):
 @pytest.mark.parametrize("B", [10**4, 10**5])
 def test_sieve_sequence_matches_counter(B):
     for q in dp6.prime_window(B):
-        assert _as_dict(dp6.build_sieve_sequence(B, q)) == _sieve_counter(B, q), q
+        assert _as_dict(_sequence(B, q)) == _sieve_counter(B, q), q
 
 
 def test_sieve_sequence_matches_counter_property():
@@ -611,7 +618,7 @@ def test_sieve_sequence_matches_counter_property():
     @hypothesis.given(B=st.integers(8, 2 * 10**5))
     def check(B):
         for q in dp6.prime_window(B):
-            assert _as_dict(dp6.build_sieve_sequence(B, q)) == _sieve_counter(B, q), q
+            assert _as_dict(_sequence(B, q)) == _sieve_counter(B, q), q
 
     check()
 
@@ -619,24 +626,29 @@ def test_sieve_sequence_matches_counter_property():
 def test_sieve_sequence_refuses_int64_overflow():
     B = 10**15
     with pytest.raises(ValueError, match=f"B = {B}"):
-        dp6.build_sieve_sequence(B, dp6.prime_window(B)[0])
+        dp6._normalization(B, dp6.prime_window(B)[0])
+
+
+def _remainder_term(seq, d):
+    # 4^omega(d) |R_d| of one squarefree d, as the remainder sum takes it
+    return dp6._w2_sum(seq, 0.4, 1.0, d, {d: dp6._euler(d, seq.q)})["sum"]
 
 
 def test_sum_over_d():
-    seq = dp6.build_sieve_sequence(1000, 7)
-    exact, predicted, rem = dp6.sum_over_d(seq, 1)
-    assert exact == 31
-    assert predicted == pytest.approx(30.612244897959183)
-    assert rem == pytest.approx(0.387755102040817)
-    exact2, _, _ = dp6.sum_over_d(seq, 2)
-    assert exact2 == 31  # every element is even
-    with pytest.raises(ValueError):
-        dp6.sum_over_d(seq, 4)
+    seq = _sequence(1000, 7)
+    # d = 1: the a_n sum to 31, against the prediction X = 1500/49
+    assert seq.total() == 31
+    assert float(seq.X) == pytest.approx(30.612244897959183)
+    assert _remainder_term(seq, 1) == pytest.approx(0.387755102040817)
+    # d = 2: every element is even, so the sum is 31 again, against rho(2)/2 X = X
+    assert (seq.n % 2 == 0).all()
+    assert _remainder_term(seq, 2) == pytest.approx(4 * 0.387755102040817)
 
 
 def _check_sieve_report(B, q, tau_level, c2, rho_max):
-    # sieve_condition_report, w2_sum and sum_over_d against the dict scans of
-    # tests/oracles over the sequence by direct loops, floats by float.hex
+    # sieve_condition_report and single remainder terms against the dict
+    # scans of tests/oracles over the sequence by direct loops, floats by
+    # float.hex
     a = _sieve_counter(B, q)
     X = Fraction((q - 1) * B, 4 * q * q)
     kwargs = dict(tau_level=tau_level, c2=c2, z_max=5, rho_table_max=rho_max)
@@ -647,15 +659,16 @@ def _check_sieve_report(B, q, tau_level, c2, rho_max):
         return
     want = oracles.w2_sum_scan(a, q, X, tau_level, c2)
     rep = dp6.sieve_condition_report(B, q, **kwargs)
-    seq = dp6.build_sieve_sequence(B, q)
+    seq = _sequence(B, q)
     assert rep["points_total"] == seq.total() == sum(a.values())
     assert rep["rho_table"] == {str(d): f"{dp6.rho(d, q).numerator}/{dp6.rho(d, q).denominator}"
                                 for d in range(1, rho_max + 1) if arith.mobius(d)}
-    for got in (rep["w2"], dp6.w2_sum(seq, tau_level, c2)):
-        assert got.keys() == want.keys()
-        assert [float(v).hex() for v in got.values()] == [float(v).hex() for v in want.values()]
+    assert rep["w2"].keys() == want.keys()
+    assert [float(v).hex() for v in rep["w2"].values()] == [float(v).hex() for v in want.values()]
     for d in (1, 2, 3, 6, 30, q, 210):
-        assert dp6.sum_over_d(seq, d) == oracles.sum_over_d_scan(a, q, X, d), d
+        _, _, rem = oracles.sum_over_d_scan(a, q, X, d)
+        term = 4 ** len(arith.factorize(d).factors) * abs(rem)
+        assert _remainder_term(seq, d).hex() == term.hex(), d
 
 
 def test_sieve_report_matches_dict_scan_property():
@@ -768,30 +781,30 @@ def test_sieve_threshold():
 
 
 def test_w2_sum_shape():
-    seq = dp6.build_sieve_sequence(1000, 7)
-    out = dp6.w2_sum(seq)
+    out = dp6.sieve_condition_report(1000, 7, z_max=5)["w2"]
     assert out["tau"] == 0.4
     assert out["d_max"] < 4
     assert out["sum"] >= 0
     assert out["implied_c3"] == pytest.approx(out["sum"] / out["comparison_scale"])
+    X = float(Fraction(1500, 49))
     with pytest.raises(ValueError, match=r"d_max = .* is below 1.*--tau.*--c2"):
-        dp6.w2_sum(seq, tau_level=0.01)
+        dp6._d_max(X, 0.01, 1.0)
     with pytest.raises(ValueError, match=r"d_max = .* exceeds the cap of 2\^16.*--tau.*--c2"):
-        dp6.w2_sum(seq, tau_level=4.0)
+        dp6._d_max(X, 4.0, 1.0)
 
 
 def test_w1_min_c1():
-    out = dp6.w1_min_c1(7, z_max=200)
+    out = dp6._w1_min_c1(7, 200)
     assert out["min_c1"] >= 0
     with pytest.raises(ValueError):
-        dp6.w1_min_c1(7, z_max=3)
+        dp6._w1_min_c1(7, 3)
 
 
 @pytest.mark.parametrize("z_max", [5, 7, 30, 100, 1000, 3000])
 def test_w1_min_c1_has_the_bits_of_the_double_loop(z_max):
     # every window prime of the bench budget, q = 2, 3, 5 and one prime past the window
     for q in sorted({*dp6.prime_window(10**6), 2, 3, 5, 73, 97, 101}):
-        got = dp6.w1_min_c1(q, z_max)["min_c1"]
+        got = dp6._w1_min_c1(q, z_max)["min_c1"]
         assert got.hex() == oracles.w1_min_c1_loop(q, z_max).hex(), q
 
 
@@ -799,23 +812,21 @@ def test_w1_min_c1_takes_the_euler_factors_without_rho(monkeypatch):
     # rho's own Euler factors, with q checked once for primality
     assert all(dp6._rho_factor(p, 7) == oracles.rho_oracle_prime(p, 7)[0] * p for p in (3, 11))
     assert dp6._rho_factor(7, 7) == dp6.rho(7, 7) == 1 + Fraction(1, 7)
-    want = dp6.w1_min_c1(83)
+    want = dp6._w1_min_c1(83, 1000)
 
     def no_call(*args):
-        raise AssertionError("w1_min_c1 called rho")
+        raise AssertionError("_w1_min_c1 called rho")
 
     monkeypatch.setattr(dp6, "rho", no_call)
-    assert dp6.w1_min_c1(83) == want
-    with pytest.raises(ValueError, match="q must be prime"):
-        dp6.w1_min_c1(4)
+    assert dp6._w1_min_c1(83, 1000) == want
 
 
 def test_w1_min_c1_blocks_agree(monkeypatch):
     # the grid in blocks of one or a few rows has the bits of the grid in one block
-    whole = dp6.w1_min_c1(97, 300)["min_c1"]
+    whole = dp6._w1_min_c1(97, 300)["min_c1"]
     for cells in (1, 200):
         monkeypatch.setattr(arith, "BLOCK_CELLS", cells)
-        assert dp6.w1_min_c1(97, 300)["min_c1"].hex() == whole.hex()
+        assert dp6._w1_min_c1(97, 300)["min_c1"].hex() == whole.hex()
 
 
 def test_sieve_condition_report_is_json_ready():
@@ -862,9 +873,8 @@ def test_sieve_condition_report_checks_q_once(monkeypatch):
     monkeypatch.setattr(dp6, "is_prime", lambda n: seen.append(n) or arith.is_prime(n))
     assert cli.main(["dp6-sieve", "--B", "1000000", "--q", "97", "--rho-max", "210"]) == 0
     assert seen == [97]
-    for check in (lambda: dp6.build_sieve_sequence(1000000, 98), lambda: dp6.w1_min_c1(98)):
-        with pytest.raises(ValueError, match="q must be prime"):
-            check()
+    with pytest.raises(ValueError, match="q must be prime"):
+        dp6._normalization(1000000, 98)
 
 
 def test_sieve_condition_report_smallest_grid_and_zero_c2():
