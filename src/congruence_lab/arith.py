@@ -1,17 +1,17 @@
 """Exact integer arithmetic: factorization, multiplicative functions, symbols.
 
 Factorization does trial division by 2, 3, 5 and the 6k +/- 1 wheel up to
-min(sqrt(x), 10^6), x the cofactor left, two wheel candidates per step of a
-range.  When the wheel passes sqrt(x), the cofactor is 1 or a prime and is
-recorded without a primality test; only a cofactor left at the 10^6 bound
-goes to Brent's variant of Pollard rho with a deterministic Miller-Rabin test
-(fixed witness set, exact for all n < 2**64).  A Factorization carries the
-divisor functions (divisors, tau, phi, sigma_{-1/2}), and the module-level
-ones read them from factorize(n), each factoring n afresh: a caller that
-needs several of them for one n factors it once and reads them all from
-that Factorization.
-Everything in this module is exact; the intended operating range is
-1 <= n < 2**63.
+sqrt(x), x the cofactor left, two wheel candidates per step of a range;
+the cofactor left when the wheel passes sqrt(x) is 1 or a prime.  That is
+complete only on a bounded domain, so factorize and is_prime (read from
+factorize) take 1 <= n < MODULUS_LIMIT = 2^31, where the wheel stops below
+46,341, and refuse a larger n.  A Factorization carries the divisor
+functions (divisors, tau, phi, sigma_{-1/2}), and the module-level ones
+read them from factorize(n), each factoring n afresh: a caller that needs
+several of them for one n factors it once and reads them all from that
+Factorization.  Everything in this module is exact; Factorization, jacobi,
+mod_inv, floor_mod and unit_symbols factor nothing and take integers of
+any size.
 """
 
 from __future__ import annotations
@@ -20,64 +20,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_TRIAL_BOUND = 1_000_000
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 2**64."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int) -> int:
-    # returns a nontrivial factor of composite odd n
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 1000):
-        y, r, q, g = 2, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"cycle search failed for {n}")
 
 
 class Factorization(NamedTuple):
@@ -115,48 +57,42 @@ class Factorization(NamedTuple):
 
 
 def factorize(n: int) -> Factorization:
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
+    """The prime factorization of 1 <= n < 2^31 (MODULUS_LIMIT) by trial
+    division; any other n is refused by ValueError naming 2^31."""
+    if not 1 <= n < MODULUS_LIMIT:
+        raise ValueError(f"factorize needs 1 <= n < 2^31, got n = {n}")
     x = n
     found: dict[int, int] = {}
     for p in (2, 3, 5):
         while x % p == 0:
             found[p] = found.get(p, 0) + 1
             x //= p
-    # 6k +/- 1 wheel up to the trial bound, in pairs d, d + 4 with d = 1
-    # (mod 6); a pair that divides nothing costs two remainders.  Any divisor
-    # found is a prime, all smaller primes being divided out already
+    # 6k +/- 1 wheel up to sqrt(x), in pairs d, d + 4 with d = 1 (mod 6); a
+    # pair that divides nothing costs two remainders.  Any divisor found is a
+    # prime, all smaller primes being divided out already
     d = 7
-    while d * d <= x and d <= _TRIAL_BOUND:
-        top = min(math.isqrt(x), _TRIAL_BOUND)
-        for d in range(d, top + 1, 6):
+    while d * d <= x:
+        for d in range(d, math.isqrt(x) + 1, 6):
             if not (x % d and x % (d + 4)):
                 break
-        else:  # no divisor up to top: d * d > x unless top is the bound
-            d = top + 1
+        else:  # no divisor up to sqrt(x)
             break
         for p in (d, d + 4):
             while x % p == 0:
                 found[p] = found.get(p, 0) + 1
                 x //= p
         d += 6
-    if d * d <= x:  # stopped at the trial bound: x may be composite
-        stack = [x]
-    else:  # the wheel passed sqrt(x), so x is 1 or a prime
-        stack = []
-        if x > 1:
-            found[x] = 1
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            found[m] = found.get(m, 0) + 1
-            continue
-        g = _brent_rho(m)
-        stack.append(g)
-        stack.append(m // g)
+    if x > 1:  # the wheel passed sqrt(x), so x is a prime
+        found[x] = 1
     return Factorization(n, tuple(sorted(found.items())))
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, read from factorize(n): n < 2^31 (MODULUS_LIMIT),
+    and larger n is refused as factorize refuses it."""
+    if n < 2:
+        return False
+    return factorize(n).factors == ((n, 1),)
 
 
 def divisors(n: int) -> list[int]:
@@ -212,7 +148,9 @@ def floor_mod(x, q: int):
 
 
 # Moduli below this keep every product of two residues below 2^62, inside
-# int64: the bound of count_exact, the int64 boundary counts and gauss_brute.
+# int64: the bound of count_exact, the boundary counts (class_sums) and
+# gauss_brute.  It is also the domain of factorize and is_prime, whose trial
+# division is complete below it, and so of every modulus a command factors.
 MODULUS_LIMIT = 1 << 31
 # Entries of any 2-D temporary of a kernel (2 MiB in float64 or int64).
 BLOCK_CELLS = 1 << 18

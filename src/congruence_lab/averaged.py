@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from .arith import MODULUS_LIMIT
 from .congruence import BoundarySpec, Interval, class_sums, eps_power, linear_class
 
 SCHEMES = ("all-ones", "factorized", "joint")
@@ -57,6 +58,12 @@ def unit_disc_point(seed: int, tag: int, *indices: int) -> complex:
 
 @dataclass(frozen=True)
 class AveragedFamily:
+    """The family of congruences r u^l x + s v^m y^2 = 0 (mod tw) over the
+    dyadic cells (u, v, w), y in J and x between bounds.  Refused when it is
+    made: exponents below 1, r or s zero, t below 1 or not prime to r s, U,
+    V or W below 1/2, an unknown scheme, and a largest modulus t floor(2W)
+    of 2^31 or more, beyond the moduli that class_sums factors."""
+
     l: int
     m: int
     r: int
@@ -82,6 +89,9 @@ class AveragedFamily:
             raise ValueError("r*s must be coprime to t")
         if min(self.U, self.V, self.W) < Fraction(1, 2):
             raise ValueError("dyadic parameters U, V, W must be >= 1/2")
+        if (q := self.t * math.floor(2 * self.W)) >= MODULUS_LIMIT:
+            raise ValueError(f"t (--t) times floor(2W) (--W), the largest modulus tw, must be"
+                             f" below 2^31, got {q}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown coefficient scheme {self.scheme!r}")
 

@@ -178,9 +178,6 @@ def _cmd_count(o: argparse.Namespace) -> int:
 def _cmd_count_scan(o: argparse.Namespace) -> int:
     if o.primes_up_to < 2:
         raise ValueError(f"--primes-up-to must be >= 2, got {o.primes_up_to}")
-    if o.primes_up_to >= arith.MODULUS_LIMIT:
-        raise ValueError(f"--primes-up-to must be < 2^31, as count_exact needs q < 2^31,"
-                         f" got {o.primes_up_to}")
     if o.primes_up_to > _PRIMES_LIMIT:
         raise ValueError(f"--primes-up-to must be <= 2^20, as the scan keeps a report and a"
                          f" row for every prime until it writes, got {o.primes_up_to}")

@@ -46,10 +46,11 @@ shared main term from one walk of these blocks, in (classes x block) pieces
 of at most 2^18 entries (2 MiB in int64).  The boundaries are the two lines
 of a BoundarySpec, so their values are integer numerators over one common
 denominator D, and each block is one integer floor division of (D f(y) - c
-D) by q D; a block is int64 when q < 2^31 and _BLOCK times the largest value
-formed stays below 2^62 (so per-block sums cannot overflow either), and
-object dtype of Python ints otherwise, with the same code.  Counts are
-Python ints, main terms exact Fractions.  The Delta_H factor that the
+D) by q D.  The modulus must satisfy 1 <= q < 2^31, the domain of
+factorize; a block is int64 when _BLOCK times the largest value formed
+stays below 2^62 (so per-block sums cannot overflow either), and object
+dtype of Python ints otherwise, with the same code.  Counts are Python
+ints, main terms exact Fractions.  The Delta_H factor that the
 boundary slopes cost an H-truncated envelope is taken in
 averaged.error_budget.
 
@@ -117,7 +118,7 @@ def _check_coefficients(a: int, b: int, q: int) -> None:
 
 def _check_modulus(q: int) -> None:
     if not 1 <= q < MODULUS_LIMIT:
-        raise ValueError(f"count_exact needs 1 <= q < 2^31, got q = {q}")
+        raise ValueError(f"the modulus must satisfy 1 <= q < 2^31, got q = {q}")
 
 
 def _units(lo: int, hi: int, primes: list[int], dtype=np.int64) -> Iterator[np.ndarray]:
@@ -448,9 +449,9 @@ def _numerators(q: int, bounds: BoundarySpec, J: Interval) -> tuple[int, Iterato
     (y, lo_n, hi_n) with f_lo(y) = lo_n/D and f_hi(y) = hi_n/D.
 
     The numerators are A + B y over the lcm D of the denominators of the
-    four rationals, int64 when q < 2^31 and _BLOCK times the largest of
-    |A| + max(|B|, 1) |y| + q D over J stays below 2^62, object dtype
-    otherwise.  Boundaries that cross on J are refused."""
+    four rationals, int64 when _BLOCK times the largest of |A| + max(|B|,
+    1) |y| + q D over J stays below 2^62, object dtype otherwise (q < 2^31
+    is checked by class_sums).  Boundaries that cross on J are refused."""
     if any(bounds.upper(y) < bounds.lower(y) for y in (J.y0, J.y0 + J.length)):
         raise ValueError("upper boundary below lower boundary on J")
     coeffs = (bounds.lo_intercept, bounds.lo_slope, bounds.hi_intercept, bounds.hi_slope)
@@ -459,7 +460,7 @@ def _numerators(q: int, bounds: BoundarySpec, J: Interval) -> tuple[int, Iterato
     ys = J.integers()
     Y = max(abs(ys.start), abs(ys.stop - 1))
     top = max(abs(A0), abs(A1)) + max(abs(B0), abs(B1), 1) * Y + q * D
-    dtype = np.int64 if q < MODULUS_LIMIT and _BLOCK * top < _WIDE else object
+    dtype = np.int64 if _BLOCK * top < _WIDE else object
     blocks = _units(ys.start, ys.stop - 1, [p for p, _ in factorize(q).factors], dtype)
     return D, ((y, A0 + B0 * y, A1 + B1 * y) for y in blocks)
 
@@ -485,7 +486,10 @@ def class_sums(
     arith.block_rows(len(block)) classes at a time, so no (classes x block)
     temporary exceeds arith.BLOCK_CELLS entries.  main = (1/q) sum_y (f_hi -
     f_lo)(y), the same for every k, is the sum of hi_n - lo_n over q D.
-    Both are exact: block sums are combined in Python ints and Fractions."""
+    Both are exact: block sums are combined in Python ints and Fractions.
+    q must satisfy 1 <= q < 2^31, the domain of factorize, which gives its
+    primes: ValueError naming q otherwise, before the walk."""
+    _check_modulus(q)
     ks = [k % q for k in ks]  # in [0, q), so int64 products stay below 2^62
     D, blocks = _numerators(q, bounds, J)
     qD = q * D

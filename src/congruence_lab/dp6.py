@@ -245,7 +245,7 @@ def _check_block(B: int, q: int, block: np.ndarray) -> None:
     so x3 x4, x0 x5 and x6^2 stay below 2^62 and x5 (x3 + x4) below 2^63.
     Every other row fails one of those exact predicates, whatever the rest
     of its values wrapped to."""
-    if not is_prime(q) or q**3 > B or 8 * q**3 <= B:
+    if q**3 > B or 8 * q**3 <= B or not is_prime(q):
         raise ValueError(f"family prime q = {q} must be a prime in (B^{{1/3}}/2, B^{{1/3}}]")
     a1max, a2max = _alpha_bounds(B)
     a1, a2, a3 = block[:, 1], block[:, 2], block[:, 3]
@@ -349,14 +349,16 @@ class SieveSequence(NamedTuple):
 
 def _normalization(B: int, q: int) -> Fraction:
     """X = phi(q) B / (4 q^2) for a prime q in (B^{1/3}/2, B^{1/3}], else
-    refused, as is a budget B where alpha1 alpha2 |alpha3| could reach 2^63."""
-    if not is_prime(q):
-        raise ValueError("q must be prime")
+    refused, as is a budget B where alpha1 alpha2 |alpha3| could reach 2^63.
+    The window and the budget are checked first: a q that passes both is
+    below 2^17, inside the domain of is_prime."""
     if q**3 > B or 8 * q**3 <= B:
         raise ValueError("q must lie in (B^{1/3}/2, B^{1/3}]")
     a1max, a2max = _alpha_bounds(B)
     if a1max * a2max * (a2max // q + 1) >= 2**63:
         raise ValueError(f"budget B = {B} too large: alpha1 alpha2 |alpha3| may overflow int64")
+    if not is_prime(q):
+        raise ValueError("q must be prime")
     return Fraction((q - 1) * B, 4 * q * q)  # phi(q) = q - 1
 
 

@@ -14,9 +14,9 @@ def test_factorize_examples():
     assert arith.factorize(1).factors == ()
     assert arith.factorize(12).factors == ((2, 2), (3, 1))
     assert arith.factorize(97).factors == ((97, 1),)
-    assert arith.factorize(600851475143).factors == (
-        (71, 1), (839, 1), (1471, 1), (6857, 1),
-    )
+    # 71 * 839 * 1471 * 6857 lies beyond 2^31, where trial division is not run
+    with pytest.raises(ValueError, match=r"n < 2\^31, got n = 600851475143"):
+        arith.factorize(600851475143)
 
 
 def test_factorize_reconstructs():
@@ -28,15 +28,17 @@ def test_factorize_reconstructs():
 
 def test_factorize_cache_matches_uncached():
     # factorize keeps no result, so repeated and interleaved calls give the
-    # factorization of their own n; 1000003 * 1000033 leaves a composite
-    # cofactor at the trial bound
+    # factorization of their own n, and the n at or beyond 2^31 among them
+    # are refused each time
     big = 1000003 * 1000033
-    want = {1: (), 12: ((2, 2), (3, 1)), 97: ((97, 1),), big: ((1000003, 1), (1000033, 1)),
-            2**61 - 1: ((2**61 - 1, 1),),
-            600851475143: ((71, 1), (839, 1), (1471, 1), (6857, 1))}
+    want = {1: (), 12: ((2, 2), (3, 1)), 97: ((97, 1),)}
     ns = [1, 12, 12, 97, 1, big, 12, big, big, 2**61 - 1, 97, 97, 1, 600851475143, 12]
     for n in ns:
-        assert arith.factorize(n) == arith.Factorization(n, want[n]), n
+        if n in want:
+            assert arith.factorize(n) == arith.Factorization(n, want[n]), n
+        else:
+            with pytest.raises(ValueError, match=rf"n < 2\^31, got n = {n}"):
+                arith.factorize(n)
     # n keeps its type: a numpy integer's result is not an int's
     assert type(arith.factorize(np.int64(12)).n) is np.int64
     assert type(arith.factorize(12).n) is int
@@ -54,8 +56,15 @@ def test_factorize_rejects_nonpositive():
 
 
 def test_factorize_large_semiprime():
-    p, q = 1000003, 1000033
-    assert arith.factorize(p * q).factors == ((p, 1), (q, 1))
+    # both primes of each product lie past sqrt(2^31), so it is refused.
+    # psi_12 passes Miller-Rabin to the first twelve prime bases (Jiang and
+    # Deng 2014), so a factorizer that trusts that test beyond 2^64 returns
+    # it as a prime cofactor of 2 psi_12
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    for n in (1000003 * 1000033, 2 * psi12):
+        with pytest.raises(ValueError, match=rf"n < 2\^31, got n = {n}"):
+            arith.factorize(n)
 
 
 def test_is_prime_against_trial_division():
@@ -69,9 +78,11 @@ def test_is_prime_against_trial_division():
 
 
 def test_is_prime_large():
-    assert arith.is_prime(2**61 - 1)
-    assert not arith.is_prime(2**61 + 1)
-    assert not arith.is_prime(3825123056546413051)  # strong pseudoprime to small bases
+    # a prime, a composite and a strong pseudoprime to small bases, all
+    # beyond 2^31
+    for n in (2**61 - 1, 2**61 + 1, 3825123056546413051):
+        with pytest.raises(ValueError, match=rf"n < 2\^31, got n = {n}"):
+            arith.is_prime(n)
 
 
 def test_divisors():
@@ -190,8 +201,8 @@ def test_unit_symbols():
 def _sympy_and_moduli():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(1414)
-    ns = list(range(1, 3000)) + [rng.randrange(1, 2**32) for _ in range(100)]
-    ns += [p * q for p, q in ((1000003, 1000033), (2**31 - 1, 65537), (99991, 99991))]
+    ns = list(range(1, 3000)) + [rng.randrange(1, 2**31) for _ in range(100)]
+    ns += [32749 * 65537, 46309 * 46327, 2**31 - 1]
     return sympy, rng, ns
 
 
@@ -202,20 +213,22 @@ def test_factorize_against_sympy():
 
 
 def test_factorize_trial_bound_edges_against_sympy():
-    # the wheel stops either past sqrt of the cofactor (the cofactor is then
-    # 1 or a prime, recorded untested) or at the trial bound 10^6 (the
-    # cofactor goes to Miller-Rabin and rho); these n sit on both sides
+    # 46327, 46337 and 46349 are the primes next to sqrt(2^31): the wheel's
+    # last step decides 46327^2, 46337^2 and 46327 * 46337, 2^31 - 3 = 5 *
+    # 19 * 22605091 leaves a prime cofactor, 2^31 - 1 is prime; 46337 *
+    # 46349 and 2^31 itself are refused
     sympy = pytest.importorskip("sympy")
-    p, r = 1000003, 999983  # the primes next to 10^6
-    ns = [p * p, r * r, r * p, r * 1000000000039, 2 * 3 * r * p,
-          1000000000039, 999999999989, 7 * 1000000000039]
-    for n in ns:
+    for n in (46327**2, 46337**2, 46327 * 46337, 2**31 - 3, 2**31 - 1):
         assert dict(arith.factorize(n).factors) == sympy.factorint(n), n
+    assert arith.factorize(2**31 - 3).factors == ((5, 1), (19, 1), (22605091, 1))
+    for n in (46337 * 46349, 2**31):
+        with pytest.raises(ValueError, match=rf"n < 2\^31, got n = {n}"):
+            arith.factorize(n)
 
 
 def test_is_prime_against_sympy():
     sympy, rng, ns = _sympy_and_moduli()
-    for n in ns + [rng.randrange(1, 2**64) | 1 for _ in range(2000)]:
+    for n in [*ns, *range(5000), *(rng.randrange(1, 2**31) | 1 for _ in range(2000))]:
         assert arith.is_prime(n) == sympy.isprime(n), n
 
 

@@ -87,6 +87,20 @@ def test_family_validation():
         _family(scheme="mystery")
 
 
+def test_family_moduli_stay_below_2_31():
+    # the largest modulus is t floor(2W): 2^31 - 1 and 2^31 - 2 are made and
+    # counted, 2^31 is refused, as is 3 psi_12 (psi_12 a strong pseudoprime
+    # to twelve bases)
+    for t, W in [(2**31 - 1, Fraction(1, 2)), (2**30 - 1, 1)]:
+        fam = _family(t=t, U=Fraction(1, 2), V=Fraction(1, 2), W=W)
+        assert [t * w for *_, w in fam.cells()] == [2**31 - 1 - (W == 1)]
+        _check_cell_sums(fam)
+    for t, W in [(2**30, 1), (2**31, Fraction(1, 2)), (318665857834031151167461, 1.5)]:
+        q = t * math.floor(2 * Fraction(W))
+        with pytest.raises(ValueError, match=rf"\(--t\) .* \(--W\), .* below 2\^31, got {q}"):
+            _family(t=t, W=W)
+
+
 def test_all_ones_coefficients_are_one():
     fam = _family()
     assert fam.d_coeff(0, 2, 2) == 1

@@ -138,10 +138,11 @@ REFUSALS = {
     "grid bound beyond the cap": (["dp6-sieve", "--z-max", "10000000", "--out", "x.csv"], None,
                                   "z_max (--z-max) must be <= 10^5, the grid cap, got 10000000"),
     "prime bound beyond int32": (["count-scan", "--primes-up-to", "2147483648", "--out", "x.csv"],
-                                 None, "--primes-up-to must be < 2^31, as count_exact needs"
-                                       " q < 2^31, got 2147483648"),
+                                 None, "--primes-up-to must be <= 2^20, as the scan keeps a"
+                                       " report and a row for every prime until it writes, got"
+                                       " 2147483648"),
     "prime bound beyond int32 key": (["count-scan"], "primes-up-to = 2147483648\n",
-                                     "--primes-up-to must be < 2^31"),
+                                     "--primes-up-to must be <= 2^20"),
     "prime bound beyond the cap": (["count-scan", "--primes-up-to", str(2**20 + 1), "--out",
                                     "x.csv"], None,
                                    "--primes-up-to must be <= 2^20, as the scan keeps a report"
@@ -206,6 +207,12 @@ REFUSALS = {
                                        "x.csv"], None,
                                       "--M, --N: the table of (M+1)/2 N = 134225920 cells"
                                       " exceeds the cap of 2^27 cells"),
+    # t floor(2W) = 3 psi_12, psi_12 a strong pseudoprime to twelve bases
+    "avg-scan modulus beyond int32": (
+        ["avg-scan", "--t", "318665857834031151167461", "--U", "3/2", "--V", "3/2", "--W", "3/2",
+         "--y0", "399165290219", "--Y", "4", "--X", "1", "--H", "1", "--scheme", "all-ones"],
+        None, "t (--t) times floor(2W) (--W), the largest modulus tw, must be below 2^31, got"
+              " 955997573502093453502383"),
     "general count modulus beyond the table cap": (
         ["count", "--a", "1", "--b", "1", "--q", str(2**28 + 3), "--X", "10", "--Y", "10",
          "--e", "2"], None,
@@ -293,7 +300,8 @@ BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "avg-scan seeds beyond the cap", "grid bound beyond the cap",
                "rho table beyond the cap", "window prime beyond the int64 budget",
                "no scanned modulus prime to ab", "empty out flag", "empty out key",
-               "directory out flag", "directory out key")
+               "directory out flag", "directory out key",
+               "avg-scan modulus beyond int32")
 
 
 def test_huge_q_is_the_next_prime():
@@ -476,6 +484,7 @@ ABOVE_CAP = {
     ("bilinear", "M"): [str(2**28)],
     ("bilinear", "seeds"): [str(2**14 + 1)],
     ("avg-scan", "seeds"): [str(2**24 + 1)],
+    ("avg-scan", "t"): [str(2**30)],  # t floor(2W) = 2^31 at the default W = 1
 }
 # sizes drawn without 1000 and 4096, at which an accepted draw takes 0.2 s or more
 SMALL_ONLY = {("vaaler", "samples"), ("bilinear", "seeds"), ("avg-scan", "W")}

@@ -749,11 +749,12 @@ def test_boundary_kernels_across_blocks(q):
 
 def test_boundary_kernels_object_path():
     J = cg.Interval(-40, 120)
-    # a modulus beyond 2^31: c = k y^2 mod q no longer fits int64 products
-    q = 2**61 - 1
+    # a modulus beyond 2^31 is refused before the walk, as factorize gives
+    # the primes of q only below 2^31
     bounds = cg.BoundarySpec(Fraction(-10**19, 7), Fraction(3, 2), Fraction(10**20, 3), 5)
-    assert _block_dtype(q, bounds, J) == object
-    _check_boundary_kernels(3, -5, q, bounds, J)
+    for q in (2**61 - 1, 2**31, 0):
+        with pytest.raises(ValueError, match=rf"1 <= q < 2\^31, got q = {q}"):
+            cg.class_sums([3], q, bounds, J)
     # a small modulus with numerators near 2^62
     bounds = cg.BoundarySpec(-(2**62), Fraction(-(10**17), 3), 2**62 + 5, 10**17)
     assert _block_dtype(97, bounds, J) == object
