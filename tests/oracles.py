@@ -1,6 +1,7 @@
 """Test-only reference code: table text built and parsed with the csv and
 json modules, independently of the writer in congruence_lab.reports; Gauss
-sum reciprocity, whole-grid evaluation and the assembled closed form; the
+sum reciprocity, whole-grid evaluation, the assembled closed form and the
+sum at 40 digits; the
 Fourier partial sum of the sawtooth, the pointwise Fejer majorant, a
 pointwise Vaaler majorant check, and the Vaaler sine weights from complex
 coefficients and at 40 digits; the literal double-loop box count and
@@ -19,6 +20,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -126,6 +128,17 @@ def kahan_brute(s: int, t: int, u: int) -> complex:
         cim = (w - im) - y
         im = w
     return complex(re, im)
+
+
+def gauss_sum_mp(s: int, t: int, u: int):
+    """G(s, t; u) as an mpc at 40 significant digits: the exponents
+    k = (s n^2 + t n) mod u as Python ints, and e(k / u) taken once for each
+    residue k that some n in 1..u hits, times the number of such n."""
+    import mpmath  # sympy's dependency, so installed with the test extra
+
+    hits = Counter((s * n * n + t * n) % u for n in range(1, u + 1))
+    with mpmath.workdps(40):
+        return mpmath.fsum(m * mpmath.expjpi(mpmath.mpf(2 * k) / u) for k, m in hits.items())
 
 
 # ---- whole-grid evaluation (all coprime s, all shifts t, fixed u) ----

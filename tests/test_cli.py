@@ -22,6 +22,31 @@ def test_gauss_matches(capsys):
     assert "match = True" in out
 
 
+def test_gauss_stdout_appears_once_through_a_pipe(capsys):
+    # the forked child of gauss_brute leaves by os._exit, so it never writes
+    # the stdout buffer it shares with the parent
+    argv = ["gauss", "--s", "3", "--t", "5", "--u", "300007"]
+    assert run(argv) == 0
+    want = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(cli.__file__))  # the directory holding the package
+    # a block-buffered stdout, as on a pipe by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-m", "congruence_lab.cli", *argv], env=env,
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want.encode()
+    lines = want.splitlines()
+    assert len(lines) == len(set(lines)) == 4
+    # text still in the buffer at the fork, on a host allowed two CPUs or not
+    code = ("import os; os.sched_getaffinity = lambda pid: {0, 1}; print('before');"
+            " from congruence_lab import gausssum; gausssum.gauss_brute(3, 5, 300007);"
+            " print('after')")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"before\nafter\n"
+
+
 def test_gauss_missing_required(capsys):
     assert run(["gauss", "--t", "0", "--u", "5"]) == 2
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -131,10 +132,12 @@ def test_reciprocity_preconditions():
 
 
 def test_brute_kahan_is_stable_for_large_u():
-    # magnitude law survives a long direct summation
-    u = 3001  # prime, 1 mod 4
-    val = gausssum.gauss_brute(1, 0, u)
-    assert abs(val - math.sqrt(u)) < 1e-8
+    # magnitude law survives a long direct summation, below and above the
+    # threshold of the forked path
+    assert 3001 < gausssum._FORK_MIN_U <= 65537
+    for u in (3001, 65537):  # primes, 1 mod 4
+        val = gausssum.gauss_brute(1, 0, u)
+        assert abs(val - math.sqrt(u)) < 1e-8, u
 
 
 def _same_bits(s, t, u):
@@ -185,3 +188,102 @@ def test_numpy_trig_matches_libm_on_block_angles():
 def test_brute_refuses_moduli_beyond_int64_exponents():
     with pytest.raises(ValueError, match=r"u < 2\^31, got u = 2147483648"):
         gausssum.gauss_brute(1, 0, 2**31)
+
+
+# README "Conventions": per part, gauss_brute is within 23 u 2^-53 of G and
+# gauss_closed within 64 sqrt(2u) 2^-53
+def _brute_bound(u):
+    return 23 * u * 2.0**-53
+
+
+def _closed_bound(u):
+    return 64 * math.sqrt(2 * u) * 2.0**-53
+
+
+@pytest.mark.parametrize("s, t, u", [
+    (3, 5, 997), (3, 5, 10007),  # odd u
+    (5, 3, 19998),  # u = 2 mod 4, odd t: |G| = sqrt(2u)
+    (3, 5, 1000), (7, 2, 20000),  # 4 | u: G = 0 for odd t, |G| = sqrt(2u) for even t
+])
+def test_brute_and_closed_within_stated_bounds_of_40_digit_sum(s, t, u):
+    mpmath = pytest.importorskip("mpmath")
+    ref = oracles.gauss_sum_mp(s, t, u)
+    brute = gausssum.gauss_brute(s, t, u)
+    closed = gausssum.gauss_closed(s, t, u).value
+    with mpmath.workdps(40):
+        for name, got, bound in (("brute", brute, _brute_bound(u)),
+                                 ("closed", closed, _closed_bound(u))):
+            for part, x, r in (("re", got.real, ref.real), ("im", got.imag, ref.imag)):
+                err = abs(mpmath.mpf(x) - r)
+                assert err <= bound, (name, part, s, t, u, float(err), bound)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """gauss_brute on a process allowed two CPUs, whatever the host has; the
+    list records each fork."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(gausssum.os, "fork", counted)
+    monkeypatch.setattr(gausssum.os, "sched_getaffinity", lambda pid: {0, 1})
+    return calls
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_brute_matches_per_term_loop(forks):
+    # just below, at and past the threshold: past it, each chain carries its
+    # sum and compensation across block edges in its own process
+    m = gausssum._FORK_MIN_U
+    for u, n_forks in ((m - 1, 0), (m, 1), (m + 3 * gausssum._BLOCK + 5, 2)):
+        _same_bits(-7, 11, u)
+        assert len(forks) == n_forks, u
+        _no_child_left()
+
+
+def test_forked_brute_equals_serial(forks, monkeypatch):
+    u = 300_007
+    forked = gausssum.gauss_brute(123456789, -987654321, u)
+    assert len(forks) == 1
+    _no_child_left()
+    monkeypatch.setattr(gausssum.os, "sched_getaffinity", lambda pid: {0})
+    serial = gausssum.gauss_brute(123456789, -987654321, u)
+    assert len(forks) == 1
+    assert repr(forked) == repr(serial)
+
+
+def _failing_chain(monkeypatch, failing_trig):
+    chains = gausssum._chains
+
+    def fail(trigs, s, t, u):
+        if failing_trig in trigs:
+            raise ZeroDivisionError(f"{failing_trig.__name__} chain")
+        return chains(trigs, s, t, u)
+
+    monkeypatch.setattr(gausssum, "_chains", fail)
+
+
+def test_forked_brute_reaps_the_child_when_the_cosine_chain_raises(forks, monkeypatch):
+    _failing_chain(monkeypatch, np.cos)
+    with pytest.raises(ZeroDivisionError, match="cos chain"):
+        gausssum.gauss_brute(3, 5, 300_007)
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_forked_brute_raises_when_the_sine_chain_fails(forks, monkeypatch):
+    pid = os.getpid()
+    _failing_chain(monkeypatch, np.sin)
+    with pytest.raises(RuntimeError, match="sine chain's child failed"):
+        gausssum.gauss_brute(3, 5, 300_007)
+    # the child left by os._exit: only this process goes on running the tests
+    assert os.getpid() == pid and forks == [pid]
+    _no_child_left()
