@@ -33,7 +33,6 @@ from .congruence import (
     bilinear_jacobi,
     box_bounds,
     box_report,
-    count_exact,
     scan_boxes,
 )
 from .dp6 import (

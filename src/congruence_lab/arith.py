@@ -148,7 +148,7 @@ def floor_mod(x, q: int):
 
 
 # Moduli below this keep every product of two residues below 2^62, inside
-# int64: the bound of count_exact, the boundary counts (class_sums) and
+# int64: the bound of the box count, the boundary counts (class_sums) and
 # gauss_brute.  It is also the domain of factorize and is_prime, whose trial
 # division is complete below it, and so of every modulus a command factors.
 MODULUS_LIMIT = 1 << 31

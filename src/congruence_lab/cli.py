@@ -157,21 +157,13 @@ def _cmd_gauss(o: argparse.Namespace) -> int:
 
 
 def _cmd_count(o: argparse.Namespace) -> int:
-    inst = congruence.CongruenceInstance(o.a, o.b, o.q, o.X, o.Y, o.e, o.f)
-    if (inst.e, inst.f) != (1, 2) and o.out:
-        raise ValueError(f"--out applies only to e = 1, f = 2, got e = {inst.e}, f = {inst.f}")
-    if (inst.e, inst.f) == (1, 2):
-        rep = congruence.box_report(inst)
-        print(f"exact     = {rep.exact}")
-        print(f"main_term = {rep.main_term!r}")
-        print(f"envelope  = {rep.envelope!r}")
-        print(f"ratio     = {rep.ratio!r}")
-        _emit(o, "congruence box counts: exact vs main term and error envelope",
-              reports.BOX_FIELDS, [rep])
-    else:
-        exact = congruence.count_exact(inst)
-        print(f"exact     = {exact}")
-        print("main_term = (defined only for e=1, f=2)")
+    rep = congruence.box_report(congruence.CongruenceInstance(o.a, o.b, o.q, o.X, o.Y))
+    print(f"exact     = {rep.exact}")
+    print(f"main_term = {rep.main_term!r}")
+    print(f"envelope  = {rep.envelope!r}")
+    print(f"ratio     = {rep.ratio!r}")
+    _emit(o, "congruence box counts: exact vs main term and error envelope",
+          reports.BOX_FIELDS, [rep])
     return 0
 
 
@@ -328,8 +320,7 @@ _COMMANDS = {
     )),
     "count": (_cmd_count, "one exact box count with main term and envelope", (
         _req("a", int), _req("b", int), _req("q", int),
-        _req("X", fraction), _req("Y", fraction),
-        Option("e", int, "1"), Option("f", int, "2"), *_OUT,
+        _req("X", fraction), _req("Y", fraction), *_OUT,
     )),
     "count-scan": (_cmd_count_scan, "box counts over a family of moduli", (
         Option("primes-up-to", int, "100"), Option("q-list", int_list),

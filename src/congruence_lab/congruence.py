@@ -1,4 +1,4 @@
-"""Exact counting for a x^e + b y^f = 0 (mod q) over boxes and sliced regions.
+"""Exact counting for a x + b y^2 = 0 (mod q) over boxes and sliced regions.
 
 The box counter enumerates no lattice points.  Only floor(X) and floor(Y)
 matter: with floor(X) = Qx q + rx and floor(Y) = Qy q + ry, a unit residue c
@@ -6,33 +6,30 @@ in [1, q] has Qx + [c <= rx] members in (0, X], so the count is
 
     Qx Qy T(q, q) + Qx T(q, ry) + Qy T(rx, q) + T(rx, ry),
 
-where T(s, t) counts the unit pairs x <= s, y <= t with -a x^e = b y^f
-(mod q).  count_exact evaluates the four T over ascending numpy blocks of
-unit y residues, each block sieved by one strided write per prime of q
-into a boolean mask.  For e = 1 each unit y fixes the one class x = c_y =
--a^{-1} b y^f mod q, so the blocks are all it holds, and T(q, t), the
-number of unit y <= t, is phi(q) for t = q and sum mu(d) floor(t/d) over
-d | rad(q) for t = ry: when rx = 0 no block is walked at all.  Otherwise
-half a walk does: (q - y)^f = (-1)^f y^f, so the mirror q - y has the
-class c_y for even f and q - c_y for odd f, and the floor(q/2) residues
-y <= q/2 (their units only) decide T(rx, ry) and T(rx, q) for every unit
-of [1, q).  A block's classes are one floor_mod of the exact int64 product
-k y^f while max(k) max(y)^f < 2^62 (for f = 2 every q below about 2.6e6),
-else y^f is reduced first and the product again.  For e >= 2 it also fills
-one int32 table of y-counts per key (4 bytes per residue) and reads it at
-the x-keys.  O(q) time at most, q < 2^31 so every residue product fits in
-int64, and the T are combined in Python ints, so counts stay exact for any
-rational box.  Every int64 reduction mod q is arith.floor_mod, x - x // q
-* q: numpy divides by a scalar with a multiply and a shift, where % takes
-one hardware divide per element.  Boxes get a main-term/error-envelope split
-phi(q) X Y / q^2 + O(...).  box_report and scan_boxes check their inputs
-once and share one body, which takes plain boxes (q, X, Y) and checks every
-box's count bound, main term and envelope before the first count, in array
-passes: each distinct q is factored once, with phi, tau and
-sigma_{-1/2} read from that factorization; the forms and ratios of all
-boxes are float64 expressions in the scalar order, of the same bits; a box
-with rx = 0 is counted in closed form, and only the others walk.  No
-report reads the clock: the seconds column of a CountReport is always 0.0.
+where T(s, t) counts the unit pairs x <= s, y <= t with -a x = b y^2
+(mod q).  Each unit y fixes the one class x = c_y = -a^{-1} b y^2 mod q,
+so T(q, t), the number of unit y <= t, is phi(q) for t = q and sum mu(d)
+floor(t/d) over d | rad(q) for t = ry: when rx = 0 no residue is walked at
+all.  Otherwise half a walk does: (q - y)^2 = y^2 (mod q), so the mirror
+q - y has the class c_y, and the floor(q/2) residues y <= q/2 (their units
+only), in ascending numpy blocks each sieved by one strided write per
+prime of q into a boolean mask, decide T(rx, ry) and T(rx, q) for every
+unit of [1, q).  A block's classes are one floor_mod of the exact int64
+product k y^2 while max(k) max(y)^2 < 2^62 (every q below about 2.6e6),
+else y^2 is reduced first and the product again.  O(q) time at most, q <
+2^31 so every residue product fits in int64, and the T are combined in
+Python ints, so counts stay exact for any rational box.  Every int64
+reduction mod q is arith.floor_mod, x - x // q * q: numpy divides by a
+scalar with a multiply and a shift, where % takes one hardware divide per
+element.  Boxes get a main-term/error-envelope split phi(q) X Y / q^2 +
+O(...).  box_report and scan_boxes check their inputs once and share one
+body, which takes plain boxes (q, X, Y) and checks every box's count
+bound, main term and envelope before the first count, in array passes:
+each distinct q is factored once, with phi, tau and sigma_{-1/2} read from
+that factorization; the forms and ratios of all boxes are float64
+expressions in the scalar order, of the same bits; a box with rx = 0 is
+counted in closed form, and only the others walk.  No report reads the
+clock: the seconds column of a CountReport is always 0.0.
 
 Regions whose x-range depends on y through slowly varying boundary functions
 are counted through the floor identity
@@ -76,35 +73,27 @@ log = logging.getLogger("congruence_lab")
 
 RationalLike = int | float | Fraction
 
-_BLOCK = 1 << 14  # residues per block of count_exact and the boundary counts
-_TABLE_Q_LIMIT = 1 << 28  # count_exact moduli for e >= 2: a 4q-byte int32 table, 1 GiB
+_BLOCK = 1 << 14  # residues per block of the box and boundary counts
 _WIDE = 1 << 62  # int64 paths keep every value, and every block sum, below this
 
 
 @dataclass(frozen=True)
 class CongruenceInstance:
     """One counting problem: pairs 0 < x <= X, 0 < y <= Y, gcd(xy, q) = 1
-    with a x^e + b y^f = 0 (mod q)."""
+    with a x + b y^2 = 0 (mod q)."""
 
     a: int
     b: int
     q: int
     X: Fraction
     Y: Fraction
-    e: int = 1
-    f: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "X", Fraction(self.X))
         object.__setattr__(self, "Y", Fraction(self.Y))
         _check_coefficients(self.a, self.b, self.q)
-        if self.e < 1 or self.f < 1:
-            raise ValueError("exponents e, f must be >= 1")
         if self.X < 1 or self.Y < 1:
             raise ValueError("box sides X, Y must be >= 1")
-        if self.e >= 2 and self.q > _TABLE_Q_LIMIT:
-            raise ValueError(f"e >= 2 (--e) needs q (--q) <= 2^28 for count_exact's 4q-byte"
-                             f" table, got q = {self.q}")
 
 
 def _check_coefficients(a: int, b: int, q: int) -> None:
@@ -146,127 +135,51 @@ def _unit_count(t: int, primes: list[int]) -> int:
     return sum(mu * (t // d) for d, mu in terms)
 
 
-def _powmod(r: np.ndarray, k: int, q: int) -> np.ndarray:
-    # r^k mod q for k >= 1 and r in [0, q], by repeated squaring from the
-    # lowest set bit of k, so r^2 costs one product; with q < 2^31 every
-    # product is < 2^62.  r itself is not reduced: for k = 1 it comes back
-    # as it is, which the callers' own reduction of k r^f absorbs
-    base = r
-    while not k & 1:
-        base = floor_mod(base * base, q)
-        k >>= 1
-    out = base
-    while k := k >> 1:
-        base = floor_mod(base * base, q)
-        if k & 1:
-            out = floor_mod(out * base, q)
-    return out
-
-
-def _x_classes(y: np.ndarray, k, f: int, q: int) -> np.ndarray:
-    # c_y = k y^f mod q, k = -a^{-1} b mod q, for y in [0, q]: the one class
-    # of x in [0, q) with a x + b y^f = 0 (mod q), for every unit y of the
-    # block; a column of k gives one row per k.  While max(k) max(y)^f <
-    # 2^62 the product k y^f is exact in int64 and reduced once; otherwise
-    # y^f is reduced first (_powmod), and the product again
+def _x_classes(y: np.ndarray, k, q: int) -> np.ndarray:
+    # c_y = k y^2 mod q, k = -a^{-1} b mod q, for y in [0, q]: the one class
+    # of x in [0, q) with a x + b y^2 = 0 (mod q), for every unit y of the
+    # block; a column of k gives one row per k.  While max(k) max(y)^2 <
+    # 2^62 the product k y^2 is exact in int64 and reduced once; otherwise
+    # y^2 is reduced first, and the product again
     top = int(k.max()) if isinstance(k, np.ndarray) else k
-    if top * int(y.max(initial=0)) ** f < _WIDE:
-        return floor_mod(k * y**f, q)
-    return floor_mod(k * _powmod(y, f, q), q)
+    if top * int(y.max(initial=0)) ** 2 < _WIDE:
+        return floor_mod(k * y**2, q)
+    return floor_mod(k * floor_mod(y * y, q), q)
 
 
-def _class_hits(k: int, f: int, q: int, rx: int, ry: int, primes: list[int]) -> tuple[int, int]:
-    """(G(ry), G(q)), G(m) = #{unit y <= m : c_y <= rx}, c_y = k y^f mod q,
+def _class_hits(k: int, q: int, rx: int, ry: int, primes: list[int]) -> tuple[int, int]:
+    """(G(ry), G(q)), G(m) = #{unit y <= m : c_y <= rx}, c_y = k y^2 mod q,
     from one walk of the units y <= floor(q/2); q > 1 and 0 <= rx, ry < q.
 
-    (q - y)^f = (-1)^f y^f, so the mirror q - y of a walked y has the class
-    c_y for even f and q - c_y for odd f (c_y is a unit, never 0).  The units
-    of [1, q) are the walked y <= floor((q-1)/2) and the mirrors of the
-    walked y <= floor(q/2), so with low(m) and mirror(m) the walked y <= m
-    whose own or mirrored class is <= rx,
+    (q - y)^2 = y^2 (mod q), so the mirror q - y of a walked y has the
+    class c_y.  The units of [1, q) are the walked y <= floor((q-1)/2) and
+    the mirrors of the walked y <= floor(q/2), so with hits(m) the walked
+    y <= m whose class is <= rx,
 
-        G(q) = low(floor((q-1)/2)) + mirror(floor(q/2)),
-        G(ry) = low(ry) for ry <= floor(q/2), else G(q) - mirror(q - 1 - ry),
+        G(q) = hits(floor((q-1)/2)) + hits(floor(q/2)),
+        G(ry) = hits(ry) for ry <= floor(q/2), else G(q) - hits(q - 1 - ry),
 
     the units above ry being the mirrors of the units y <= q - 1 - ry."""
     half = q // 2
-    low = {(q - 1) // 2: 0}
-    mirror = {half: 0}
-    if ry <= half:
-        low[ry] = 0
-    else:
-        mirror[q - 1 - ry] = 0
+    hits = dict.fromkeys({(q - 1) // 2, half, ry if ry <= half else q - 1 - ry}, 0)
     for y in _units(1, half, primes):
-        c = _x_classes(y, k, f, q)
-        hit = c <= rx
-        mirrored = hit if f % 2 == 0 else c >= q - rx
-        del c  # the int64 classes would otherwise live on while the next block is built
-        for cuts, mask in ((low, hit), (mirror, mirrored)):
-            for m in cuts:
-                cuts[m] += int(np.count_nonzero(mask[: np.searchsorted(y, m, side="right")]))
-    whole = low[(q - 1) // 2] + mirror[half]
-    return (low[ry] if ry <= half else whole - mirror[q - 1 - ry]), whole
+        hit = _x_classes(y, k, q) <= rx
+        for m in hits:
+            hits[m] += int(np.count_nonzero(hit[: np.searchsorted(y, m, side="right")]))
+    whole = hits[(q - 1) // 2] + hits[half]
+    return (hits[ry] if ry <= half else whole - hits[q - 1 - ry]), whole
 
 
-def count_exact(inst: CongruenceInstance) -> int:
-    """Exact solution count: Qx Qy T(q, q) + Qx T(q, ry) + Qy T(rx, q) + T(rx, ry).
-
-    floor(X) = Qx q + rx and floor(Y) = Qy q + ry; T(s, t) counts unit pairs
-    x <= s, y <= t with -a x^e = b y^f (mod q).  The residues 1..q (q stands
-    for the class 0, a unit only when q = 1) are sieved for units by the
-    primes of q in blocks of _BLOCK.
-
-    For e = 1 each unit y fixes one unit x, the class c_y = -a^{-1} b y^f mod
-    q, so T(q, t) is the number of unit y <= t (phi(q) for t = q, else by
-    inclusion-exclusion over the primes of q), and T(rx, t) the number of
-    those with c_y <= rx.  y and q - y share their class (even f) or mirror
-    it to q - c_y (odd f), so the y walked are the units y <= floor(q/2)
-    only, and only when rx > 0 (rx = 0 covers q = 1 and every X that is a
-    multiple of q); see _class_hits.  For e >= 2, x -> -a x^e is not a
-    bijection on the units, so an int32 table of length q counts the unit y
-    per key b y^f mod q, y <= ry first and then the rest, and after each
-    fill the x-keys -a x^e mod q are gathered from it (4 bytes per residue,
-    q <= 2^28 by CongruenceInstance).  O(q) time at most, exact for any
-    rational X and Y and any signs of a and b.  q must satisfy 1 <= q <
-    2^31: ValueError naming q otherwise, before anything is allocated.
-    """
-    _check_modulus(inst.q)
-    q = inst.q
-    fac = factorize(q)
-    primes = [p for p, _ in fac.factors]
-    X, Y = inst.X.numerator // inst.X.denominator, inst.Y.numerator // inst.Y.denominator
-    if inst.e == 1:
-        return _linear_count(inst.a, inst.b, q, inst.f, X, Y, primes, fac.phi())
-    Qx, rx = divmod(X, q)
-    Qy, ry = divmod(Y, q)
-    ka, kb = -inst.a % q, inst.b % q
-    table = np.zeros(q, dtype=np.int32)
-    sums = []  # (T(rx, t), T(q, t)) for t = ry, then t = q
-    for y_lo, y_hi in ((1, ry), (ry + 1, q)):
-        if y_lo > y_hi:  # ry = 0: no y, so no x walk
-            sums.append((0, 0))
-            continue
-        for y in _units(y_lo, y_hi, primes):
-            keys, counts = np.unique(floor_mod(kb * _powmod(y, inst.f, q), q),
-                                     return_counts=True)
-            table[keys] += counts
-        below = whole = 0
-        for x in _units(1, q, primes):
-            hits = table[floor_mod(ka * _powmod(x, inst.e, q), q)]
-            whole += int(hits.sum())
-            below += int(hits[: np.searchsorted(x, rx, side="right")].sum())
-        sums.append((below, whole))
-    (t_rr, t_qr), (t_rq, t_qq) = sums
-    return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
-
-
-def _linear_count(a: int, b: int, q: int, f: int, X: int, Y: int, primes: list[int],
+def _linear_count(a: int, b: int, q: int, X: int, Y: int, primes: list[int],
                   phi_q: int) -> int:
-    # count_exact of a x + b y^f = 0 (mod q) on the box of floor sides X, Y, given
-    # the primes of q and phi(q): closed form when rx = 0, else _class_hits
+    # the exact count of a x + b y^2 = 0 (mod q) on the box of floor sides X,
+    # Y, given the primes of q and phi(q): Qx Qy phi(q) + Qx T(q, ry) + Qy
+    # T(rx, q) + T(rx, ry), T(q, ry) in closed form, the T(rx, .) from
+    # _class_hits when rx > 0 (rx = 0 covers q = 1 and every X that is a
+    # multiple of q)
     Qx, rx = divmod(X, q)
     Qy, ry = divmod(Y, q)
-    t_rr, t_rq = _class_hits(-mod_inv(a, q) * b % q, f, q, rx, ry, primes) if rx else (0, 0)
+    t_rr, t_rq = _class_hits(-mod_inv(a, q) * b % q, q, rx, ry, primes) if rx else (0, 0)
     return Qx * Qy * phi_q + Qx * _unit_count(ry, primes) + Qy * t_rq + t_rr
 
 
@@ -342,7 +255,7 @@ def _reports(a: int, b: int, boxes: list[tuple[int, Fraction, Fraction]]) -> lis
         i = bad[0]
         raise ValueError(f"box sides X, Y are too large at q = {boxes[i][0]}: main term"
                          f" {float(main[i])!r}, envelope {float(env[i])!r}, outside float range")
-    exact = [_linear_count(a, b, q, 2, X, Y, *counts[q])
+    exact = [_linear_count(a, b, q, X, Y, *counts[q])
              for (q, _, _), (X, Y) in zip(boxes, floors)]
     ratio = np.abs(np.array(exact, dtype=np.float64) - main) / env
     return [CountReport(a, b, q, 1, 2, X, Y, n, m, v, r) for (q, X, Y), n, m, v, r
@@ -352,11 +265,9 @@ def _reports(a: int, b: int, boxes: list[tuple[int, Fraction, Fraction]]) -> lis
 def box_report(inst: CongruenceInstance) -> CountReport:
     """Exact count, main term phi(q) X Y / q^2, envelope X/q tau(q) + L(q)
     sigma_{-1/2}(q) (Y/sqrt(q) tau(q) + sqrt(q) L(q)) and |exact -
-    main|/envelope of an e = 1, f = 2 box: scan_boxes of one box, with the
-    same refusals."""
+    main|/envelope of a box: scan_boxes of one box, with the same
+    refusals."""
     _check_modulus(inst.q)
-    if (inst.e, inst.f) != (1, 2):
-        raise ValueError("main term and error envelope are for e = 1, f = 2")
     return _reports(inst.a, inst.b, [(inst.q, inst.X, inst.Y)])[0]
 
 
@@ -500,7 +411,7 @@ def class_sums(
         rows = block_rows(len(y))
         residues = floor_mod(y, q)  # J may lie anywhere; _x_classes needs [0, q]
         for i in range(0, len(ks), rows):
-            cD = _x_classes(residues, kv[i : i + rows], 2, q) * D
+            cD = _x_classes(residues, kv[i : i + rows], q) * D
             n = (hi_n - cD) // qD - (lo_n - cD) // qD
             counts[i : i + rows] += np.maximum(n, 0).sum(axis=1).astype(object)
         width += Fraction((hi_n - lo_n).sum())

@@ -5,7 +5,7 @@ sum at 40 digits; the
 Fourier partial sum of the sawtooth, the pointwise Fejer majorant, a
 pointwise Vaaler majorant check, and the Vaaler sine weights from complex
 coefficients and at 40 digits; the literal double-loop box count and
-the full walk of every unit y that count_exact halved for e = 1; the
+the full walk of every unit y that the box count halves; the
 scalar double loop of the dp6 density-grid constant; the dp6 remainder
 sums by a scan of the sieve sequence held as a dict; the dp6 torsor,
 surface and family points as checked dataclasses, the monomial map
@@ -37,7 +37,7 @@ from congruence_lab.arith import (
     sigma_half_inv,
     tau,
 )
-from congruence_lab.congruence import CongruenceInstance, _unit_count, _units, _x_classes
+from congruence_lab.congruence import CongruenceInstance, _unit_count, _units
 from congruence_lab import dp6
 from congruence_lab.dp6 import icbrt, prime_window, rho, sieve_primes
 from congruence_lab.gausssum import GaussSumValue, _branch, _e, gauss_brute
@@ -238,20 +238,18 @@ def count_exact_naive(inst: CongruenceInstance) -> int:
     a, b, q = inst.a, inst.b, inst.q
     total = 0
     for x in range(1, int(inst.X // 1) + 1):
-        axe = a * x**inst.e
+        ax = a * x
         for y in range(1, int(inst.Y // 1) + 1):
-            if (axe + b * y**inst.f) % q == 0 and math.gcd(x * y, q) == 1:
+            if (ax + b * y * y) % q == 0 and math.gcd(x * y, q) == 1:
                 total += 1
     return total
 
 
 def count_exact_full_walk(inst: CongruenceInstance) -> int:
-    """count_exact for e = 1 by the walk it used before the mirror identity:
-    every unit y in [1, q], those y <= ry first and then the rest, each hit
-    when its own class c_y = -a^{-1} b y^f mod q is <= rx.  Twice the units
-    of count_exact's half walk, with no mirror and no parity of f."""
-    if inst.e != 1:
-        raise ValueError("the full walk is for e = 1")
+    """The box count by the walk it used before the mirror identity: every
+    unit y in [1, q], those y <= ry first and then the rest, each hit when
+    its own class c_y = -a^{-1} b y^2 mod q, taken here by int64 %, is <=
+    rx.  Twice the units of the half walk, with no mirror."""
     q = inst.q
     Qx, rx = divmod(int(inst.X // 1), q)
     Qy, ry = divmod(int(inst.Y // 1), q)
@@ -262,7 +260,7 @@ def count_exact_full_walk(inst: CongruenceInstance) -> int:
     for y_lo, y_hi in ((1, ry), (ry + 1, q)):
         if rx:
             for y in _units(y_lo, y_hi, primes):
-                below += int(np.count_nonzero(_x_classes(y, k, inst.f, q) <= rx))
+                below += int(np.count_nonzero(k * (y * y % q) % q <= rx))
         sums.append((below, _unit_count(y_hi, primes)))
     (t_rr, t_qr), (t_rq, t_qq) = sums
     return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr

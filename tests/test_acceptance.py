@@ -58,8 +58,8 @@ def test_criterion_02_reciprocity():
 
 
 def test_criterion_03_exact_counter_vs_naive():
-    fx1 = congruence.count_exact(congruence.CongruenceInstance(1, 1, 5, 10, 10))
-    fx2 = congruence.count_exact(congruence.CongruenceInstance(2, -1, 7, 7, 7))
+    fx1 = congruence.box_report(congruence.CongruenceInstance(1, 1, 5, 10, 10)).exact
+    fx2 = congruence.box_report(congruence.CongruenceInstance(2, -1, 7, 7, 7)).exact
     rng = random.Random(30303)
     mismatches = 0
     done = 0
@@ -72,7 +72,7 @@ def test_criterion_03_exact_counter_vs_naive():
         inst = congruence.CongruenceInstance(
             a, b, q, rng.randint(1, 200), rng.randint(1, 200)
         )
-        if congruence.count_exact(inst) != oracles.count_exact_naive(inst):
+        if congruence.box_report(inst).exact != oracles.count_exact_naive(inst):
             mismatches += 1
         done += 1
     ok = fx1 == 16 and fx2 == 6 and mismatches == 0
@@ -296,11 +296,11 @@ def test_criterion_10_averaged_sums():
                 )
                 total = 0
                 for (u, v, w) in fam.cells():
-                    total += congruence.count_exact(
+                    total += congruence.box_report(
                         congruence.CongruenceInstance(
                             r * u**l, s * v**m, t * w, Fraction(9, 2), 50
                         )
-                    )
+                    ).exact
                 if averaged.avg_report(fam, 1.0, 0.0)[0].S != complex(total):
                     mismatches += 1
                 cases += 1

@@ -68,10 +68,16 @@ def test_count_fixture(capsys, tmp_path):
 
 
 def test_count_general_exponents(capsys):
-    assert run(["count", "--a", "1", "--b", "1", "--q", "5",
-                "--X", "10", "--Y", "10", "--e", "1", "--f", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "defined only for e=1, f=2" in out
+    # count counts a x + b y^2 only: --e is no flag of it, and argparse reads
+    # --f as an abbreviation of --format, whose choices refuse an exponent
+    box = ["count", "--a", "1", "--b", "1", "--q", "5", "--X", "10", "--Y", "10"]
+    for flags, message in ((["--e", "1"], "unrecognized arguments: --e 1"),
+                           (["--f", "3"], "argument --format: invalid choice: '3'")):
+        with pytest.raises(SystemExit) as exc:
+            run([*box, *flags])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert message in err
 
 
 def test_count_precondition_failure(capsys):
@@ -275,7 +281,7 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "exact     = 16" in out
 
-    expected = congruence.count_exact(congruence.CongruenceInstance(1, 1, 5, 20, 10))
+    expected = oracles.count_exact_naive(congruence.CongruenceInstance(1, 1, 5, 20, 10))
     assert run(["count", "--config", str(cfg), "--X", "20"]) == 0
     out = capsys.readouterr().out
     assert f"exact     = {expected}" in out

@@ -51,10 +51,12 @@ REFUSALS = {
                                      "q < 2^31, got q = 2147483659"),
     "scanned modulus zero": (["count-scan", "--q-list", "0,5"], None, "got q = 0"),
     "scanned modulus negative": (["count-scan", "--q-list", "5,-7"], None, "got q = -7"),
+    # count has no exponent flags: --e is unrecognized, and --f abbreviates --format
     "out for general exponents": (["count", *BOX, "--e", "2", "--f", "2", "--out", "x.csv"],
-                                  None, "--out applies only to e = 1, f = 2"),
-    "timings for general exponents": (["count", *BOX, "--e", "2", "--f", "2", "--timings"],
-                                      None, "unrecognized arguments: --timings"),
+                                  None, "argument --format: invalid choice: '2'"),
+    "timings for general exponents": (["count", *BOX, "--e", "2", "--timings"],
+                                      None, "unrecognized arguments: --e 2 --timings"),
+    "exponent key": (["count", *BOX], "e = 2\n", "config key 'e' is not an option of count"),
     "timings without out": (["count-scan", "--timings"], None,
                             "unrecognized arguments: --timings"),
     "format flag without out": (["count", *BOX, "--format", "json"], None,
@@ -215,8 +217,7 @@ REFUSALS = {
               " 955997573502093453502383"),
     "general count modulus beyond the table cap": (
         ["count", "--a", "1", "--b", "1", "--q", str(2**28 + 3), "--X", "10", "--Y", "10",
-         "--e", "2"], None,
-        "e >= 2 (--e) needs q (--q) <= 2^28 for count_exact's 4q-byte table, got q = 268435459"),
+         "--e", "2"], None, "unrecognized arguments: --e 2"),
     "prime bound with a q list": (["count-scan", "--primes-up-to", "50", "--q-list", "7,11"],
                                   None, "--primes-up-to applies only without --q-list"),
     "prime bound key with a q list": (["count-scan", "--q-list", "7,11", "--out", "x.csv"],
@@ -316,8 +317,7 @@ def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
 
     for module, name in ((cli.dp6, "sieve_primes"), (cli.averaged, "cell_sums"),
                          (cli.dp6, "_sieve_sequence"), (cli.congruence, "_jacobi_table"),
-                         (cli.congruence, "count_exact"), (cli.congruence, "_linear_count"),
-                         (cli, "random_floats")):
+                         (cli.congruence, "_linear_count"), (cli, "random_floats")):
         monkeypatch.setattr(module, name, no_work)
     test_refused_before_any_output(case, tmp_path, capsys, monkeypatch)
 
@@ -354,7 +354,7 @@ def test_help_lists_only_own_options(capsys):
 # one argv per command, touching a converter or a choice where it has one
 SAMPLES = {
     "gauss": ["gauss", "--s", "3", "--t", "1", "--u", "20"],
-    "count": ["count", *BOX, "--f", "3", "--out", "x.csv"],
+    "count": ["count", *BOX, "--out", "x.csv", "--format", "json"],
     "count-scan": ["count-scan", "--q-list", "5,7", "--x", "q", "--y", "3/2"],
     "vaaler": ["vaaler", "--H", "8", "--samples", "10", "--format", "json"],
     "avg-scan": ["avg-scan", "--scheme", "factorized", "--H", "2.5", "--U", "2"],

@@ -15,11 +15,24 @@ from congruence_lab import congruence as cg
 import oracles
 
 
+def _count(inst):
+    # the one box count, as count and count-scan run it
+    return cg.box_report(inst).exact
+
+
+def _huge_count(inst):
+    # the box count of a box whose main term box_report refuses as beyond float range
+    fac = arith.factorize(inst.q)
+    return cg._linear_count(inst.a, inst.b, inst.q, inst.X.numerator // inst.X.denominator,
+                            inst.Y.numerator // inst.Y.denominator,
+                            [p for p, _ in fac.factors], fac.phi())
+
+
 def test_box_fixtures():
-    assert cg.count_exact(cg.CongruenceInstance(1, 1, 5, 10, 10)) == 16
-    assert cg.count_exact(cg.CongruenceInstance(2, -1, 7, 7, 7)) == 6
+    assert _count(cg.CongruenceInstance(1, 1, 5, 10, 10)) == 16
+    assert _count(cg.CongruenceInstance(2, -1, 7, 7, 7)) == 6
     # q = 1: every pair counts
-    assert cg.count_exact(cg.CongruenceInstance(1, 1, 1, 7, 9)) == 63
+    assert _count(cg.CongruenceInstance(1, 1, 1, 7, 9)) == 63
 
 
 def test_instance_validation():
@@ -31,8 +44,6 @@ def test_instance_validation():
         cg.CongruenceInstance(5, 1, 5, 5, 5)  # gcd(ab, q) > 1
     with pytest.raises(ValueError):
         cg.CongruenceInstance(1, 1, 5, Fraction(1, 2), 5)  # X < 1
-    with pytest.raises(ValueError):
-        cg.CongruenceInstance(1, 1, 5, 5, 5, e=0)
 
 
 def test_count_matches_naive_seeded():
@@ -44,12 +55,10 @@ def test_count_matches_naive_seeded():
         b = rng.randint(-30, 30)
         if a == 0 or b == 0 or math.gcd(a * b, q) != 1:
             continue
-        e = rng.randint(1, 3)
-        f = rng.randint(1, 3)
         X = rng.randint(1, 120)
         Y = rng.randint(1, 120)
-        inst = cg.CongruenceInstance(a, b, q, X, Y, e, f)
-        assert cg.count_exact(inst) == oracles.count_exact_naive(inst), inst
+        inst = cg.CongruenceInstance(a, b, q, X, Y)
+        assert _count(inst) == oracles.count_exact_naive(inst), inst
         done += 1
 
 
@@ -58,14 +67,14 @@ def test_count_with_fractional_box_sides():
     naive = oracles.count_exact_naive(
         cg.CongruenceInstance(1, 1, 5, 10, 9)
     )  # only integer parts matter
-    assert cg.count_exact(inst) == naive
+    assert _count(inst) == naive
 
 
 # ---- the per-residue loop as an oracle for the block kernel ----
 
 def count_exact_loop(inst):
-    """The per-residue loop count_exact used to be: one gcd, one pow and one
-    Fraction floor-division per residue."""
+    """The per-residue loop the box count used to be: one gcd, one pow and
+    one Fraction floor-division per residue."""
     a, b, q = inst.a, inst.b, inst.q
     if q == 1:
         return int(inst.X // 1) * int(inst.Y // 1)
@@ -76,43 +85,44 @@ def count_exact_loop(inst):
     acc = [0] * q
     for y0 in range(1, q):
         if math.gcd(y0, q) == 1:
-            acc[b * pow(y0, inst.f, q) % q] += class_count(y0, inst.Y)
+            acc[b * pow(y0, 2, q) % q] += class_count(y0, inst.Y)
     total = 0
     for x0 in range(1, q):
         if math.gcd(x0, q) == 1:
-            total += class_count(x0, inst.X) * acc[-a * pow(x0, inst.e, q) % q]
+            total += class_count(x0, inst.X) * acc[-a * x0 % q]
     return total
 
 
-EXPONENT_PAIRS = [(e, f) for e in range(1, 5) for f in range(1, 5)]
-# moduli spanning several blocks; the first six share out all 16 exponent pairs
+# moduli spanning several blocks
 MULTI_BLOCK = [2**14 - 1, 2**14 + 1, 30030, 60060, 90090, 3 * 2**14 + 7]
 # remainders floor(side) mod q just below, at and just above block edges
 EDGES = [cg._BLOCK - 1, cg._BLOCK, cg._BLOCK + 1, 2 * cg._BLOCK, 2 * cg._BLOCK + 1, 1, 0]
 
 
 def _multi_block_cases():
+    # three (rx, ry) pairs of edges per modulus, each pair a different one
     for i, q in enumerate(MULTI_BLOCK):
-        for j, (e, f) in enumerate(EXPONENT_PAIRS[i :: len(MULTI_BLOCK)]):
-            yield q, e, f, EDGES[(i + j) % len(EDGES)], EDGES[(i + 2 * j + 1) % len(EDGES)]
-    yield 100_003, 1, 2, 3 * cg._BLOCK, 3 * cg._BLOCK + 1  # a prime near 1e5
+        for j in range(3):
+            yield q, EDGES[(i + j) % len(EDGES)], EDGES[(i + 2 * j + 1) % len(EDGES)]
+    yield 100_003, 3 * cg._BLOCK, 3 * cg._BLOCK + 1  # a prime near 1e5
 
 
-@pytest.mark.parametrize("q, e, f, rx, ry", list(_multi_block_cases()))
-def test_count_exact_matches_loop_across_blocks(q, e, f, rx, ry):
+@pytest.mark.parametrize("q, rx, ry", list(_multi_block_cases()))
+def test_count_exact_matches_loop_across_blocks(q, rx, ry):
     a, b = -1231, -19  # prime to every q above
     # floor(X) = 2q + rx and floor(Y) = 5q + ry (remainders reduced mod q)
     X = 2 * q + rx % q + Fraction(2, 3)
     Y = 5 * q + ry % q + Fraction(6, 7)
-    inst = cg.CongruenceInstance(a, b, q, X, Y, e, f)
-    exact = cg.count_exact(inst)
+    inst = cg.CongruenceInstance(a, b, q, X, Y)
+    exact = _count(inst)
     assert type(exact) is int
     assert exact == count_exact_loop(inst)
 
 
 def test_count_exact_huge_box_is_exact():
-    inst = cg.CongruenceInstance(3, -5, 97, Fraction(10**40 + 1, 3), 10**30 + 7, 2, 3)
-    assert cg.count_exact(inst) == count_exact_loop(inst)
+    # sides far beyond float range, where box_report refuses the main term
+    inst = cg.CongruenceInstance(3, -5, 97, Fraction(10**400 + 1, 3), 10**330 + 7)
+    assert _huge_count(inst) == count_exact_loop(inst)
 
 
 def _traced_peak(run):
@@ -125,13 +135,15 @@ def _traced_peak(run):
 
 
 @pytest.mark.parametrize("q", [1_000_003, 4_000_037])
-def test_general_count_peak_matches_the_readme_formula(q):
-    # README "Conventions": e >= 2 holds one int32 table of q keys, 4 bytes
-    # per residue, plus the temporaries of one block of _BLOCK residues,
-    # under 80 bytes each
-    inst = cg.CongruenceInstance(3, 5, q, q, q, 2, 2)
-    peak = _traced_peak(lambda: cg.count_exact(inst))
-    assert 4 * q <= peak <= 4 * q + 80 * cg._BLOCK, peak
+def test_box_count_peak_is_one_block(q):
+    # README "Conventions": the box count holds no table, only the
+    # temporaries of one block of _BLOCK residues, under 40 bytes each, on
+    # both sides of the int64 guard (q about 2.6e6)
+    fac = arith.factorize(q)
+    primes = [p for p, _ in fac.factors]
+    peak = _traced_peak(lambda: cg._linear_count(3, 5, q, q + q // 3, q + q // 5, primes,
+                                                 fac.phi()))
+    assert peak <= 40 * cg._BLOCK, peak
 
 
 @pytest.mark.parametrize("classes, q", [(4, 1_000_003), (100, 1_000_003), (100, 30030)])
@@ -197,49 +209,44 @@ def test_unit_count_matches_direct_count(q):
 
 @pytest.mark.parametrize("q", [30030, 2 * 30030, 7 * 30030, 510510])
 def test_count_exact_zero_remainders_match_loop(q):
-    # floor(X) or floor(Y) a multiple of q: for e = 1 and rx = 0 no y is walked
-    for e, X, Y in ((1, 3 * q, 2 * q + 12345),  # rx = 0
-                    (1, q + 12345, 4 * q),  # ry = 0
-                    (1, 2 * q, q),  # rx = ry = 0
-                    (2, 3 * q, 2 * q + 17)):  # rx = 0 on the key-table path
-        inst = cg.CongruenceInstance(-1, 19, q, X, Y, e, 2)
-        exact = cg.count_exact(inst)
+    # floor(X) or floor(Y) a multiple of q: when rx = 0 no y is walked
+    for X, Y in ((3 * q, 2 * q + 12345),  # rx = 0
+                 (q + 12345, 4 * q),  # ry = 0
+                 (2 * q, q)):  # rx = ry = 0
+        inst = cg.CongruenceInstance(-1, 19, q, X, Y)
+        exact = _count(inst)
         assert type(exact) is int
-        assert exact == count_exact_loop(inst), (e, X, Y)
+        assert exact == count_exact_loop(inst), (X, Y)
 
 
-# ---- the e = 1 path: x = c_y solved per unit y, no key table ----
-
-def _lin(a, b, q, X, Y, f):
-    return cg.CongruenceInstance(a, b, q, Fraction(X), Fraction(Y), 1, f)
-
+# ---- x = c_y solved per unit y: the cases of the box split ----
 
 LINEAR_CASES = {
-    "Qx = Qy = 0": _lin(3, 5, 101, Fraction(57, 2), Fraction(88, 3), 2),
-    "Qx = 0": _lin(3, 5, 101, Fraction(57, 2), 3 * 101 + 40, 2),
-    "Qy = 0": _lin(3, 5, 101, 4 * 101 + 7, Fraction(99, 4), 2),
-    "rx = 0, Qy = 0": _lin(3, 5, 101, 101, Fraction(99, 4), 2),
-    "ry = 0": _lin(-7, 11, 2**14 + 1, 2 * (2**14 + 1) + 5, 3 * (2**14 + 1), 2),
-    "rx = ry = 0": _lin(-7, 11, 2**14 + 1, 2**14 + 1, 2 * (2**14 + 1), 3),
-    "q = 1": _lin(4, -9, 1, Fraction(7, 2), Fraction(29, 4), 2),
-    "q = 1, f = 3": _lin(-4, 9, 1, 1, 13, 3),
-    "q = 2": _lin(1, 1, 2, Fraction(15, 2), 9, 2),
-    "q = 2, negative": _lin(-3, -5, 2, 1, Fraction(11, 3), 3),
-    "negative a": _lin(-1231, 19, 30031, 2 * 30031 + 17, 30031 + 2**14 + 1, 2),
-    "negative b": _lin(1231, -19, 30031, 30031 - 1, 4 * 30031 + 2**14, 2),
-    "negative a and b": _lin(-1231, -19, 9973, Fraction(3 * 9973 + 1, 2), Fraction(50001, 7), 2),
-    "f = 1": _lin(-5, 7, 30031, 2 * 30031 + 2**14, 30031 + 2**14 - 1, 1),
-    "f = 1, small": _lin(5, -7, 12, 30, Fraction(47, 2), 1),
-    "f = 3": _lin(5, -7, 9973, 9973 + 2**13, Fraction(7 * 9973, 3), 3),
-    "f = 3, composite": _lin(-3, -7, 2**14 + 1, 2**14, 2**15 + 7, 3),
-    "f = 4": _lin(17, -19, 30030, 30030 + 29999, 2 * 30030 + 1, 4),
+    "Qx = Qy = 0": (3, 5, 101, Fraction(57, 2), Fraction(88, 3)),
+    "Qx = 0": (3, 5, 101, Fraction(57, 2), 3 * 101 + 40),
+    "Qy = 0": (3, 5, 101, 4 * 101 + 7, Fraction(99, 4)),
+    "rx = 0, Qy = 0": (3, 5, 101, 101, Fraction(99, 4)),
+    "ry = 0": (-7, 11, 2**14 + 1, 2 * (2**14 + 1) + 5, 3 * (2**14 + 1)),
+    "rx = ry = 0": (-7, 11, 2**14 + 1, 2**14 + 1, 2 * (2**14 + 1)),
+    "q = 1": (4, -9, 1, Fraction(7, 2), Fraction(29, 4)),
+    "q = 1, X = 1": (-4, 9, 1, 1, 13),
+    "q = 2": (1, 1, 2, Fraction(15, 2), 9),
+    "q = 2, negative": (-3, -5, 2, 1, Fraction(11, 3)),
+    "negative a": (-1231, 19, 30031, 2 * 30031 + 17, 30031 + 2**14 + 1),
+    "negative b": (1231, -19, 30031, 30031 - 1, 4 * 30031 + 2**14),
+    "negative a and b": (-1231, -19, 9973, Fraction(3 * 9973 + 1, 2), Fraction(50001, 7)),
+    "rx = 2^14, ry = 2^14 - 1": (-5, 7, 30031, 2 * 30031 + 2**14, 30031 + 2**14 - 1),
+    "q = 12": (5, -7, 12, 30, Fraction(47, 2)),
+    "Y = 7q/3": (5, -7, 9973, 9973 + 2**13, Fraction(7 * 9973, 3)),
+    "rx = q - 1, q = 2^14 + 1": (-3, -7, 2**14 + 1, 2**14, 2**15 + 7),
+    "rx = q - 1, q = 30030": (17, -19, 30030, 30030 + 29999, 2 * 30030 + 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
 def test_count_exact_linear_matches_loop(case):
-    inst = LINEAR_CASES[case]
-    exact = cg.count_exact(inst)
+    inst = cg.CongruenceInstance(*LINEAR_CASES[case])
+    exact = _count(inst)
     assert type(exact) is int
     assert exact == count_exact_loop(inst)
     if inst.X * inst.Y <= 10**5:
@@ -247,10 +254,8 @@ def test_count_exact_linear_matches_loop(case):
 
 
 def test_count_exact_linear_huge_box_is_exact():
-    for f in (1, 2, 3):
-        inst = cg.CongruenceInstance(-3, 5, 9973, Fraction(10**40 + 1, 3),
-                                     Fraction(10**39 + 7, 11), 1, f)
-        assert cg.count_exact(inst) == count_exact_loop(inst)
+    inst = cg.CongruenceInstance(-3, 5, 9973, Fraction(10**40 + 1, 3), Fraction(10**39 + 7, 11))
+    assert _count(inst) == count_exact_loop(inst)
 
 
 def _one_class(a, b, q, bounds, J):
@@ -268,10 +273,10 @@ def test_count_exact_linear_matches_boundary_walk(q):
     for Y in (q, Fraction(2 * q, 3), q - Fraction(1, 2), Fraction(q, 2**14)):
         inst = cg.CongruenceInstance(a, b, q, X, Y)
         walk = _one_class(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0]
-        assert cg.count_exact(inst) == walk, Y
+        assert _count(inst) == walk, Y
 
 
-# ---- the e = 1 half walk: units y <= q/2 and their mirrors q - y ----
+# ---- the half walk: units y <= q/2 and their mirrors q - y ----
 
 def _mirror_cuts(q):
     # ry at the cuts of the half walk: none, the last low y, the last walked
@@ -297,18 +302,17 @@ def test_count_exact_half_walk_matches_naive_property():
     frac = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5, 6)])
 
     @hypothesis.settings(max_examples=150, deadline=None)
-    @hypothesis.given(data=st.data(), f=st.integers(1, 4), a=st.integers(-999, 999),
-                      b=st.integers(-999, 999), Qx=st.integers(0, 3), Qy=st.integers(0, 3),
-                      fx=frac, fy=frac)
-    def check(data, f, a, b, Qx, Qy, fx, fy):
+    @hypothesis.given(data=st.data(), a=st.integers(-999, 999), b=st.integers(-999, 999),
+                      Qx=st.integers(0, 3), Qy=st.integers(0, 3), fx=frac, fy=frac)
+    def check(data, a, b, Qx, Qy, fx, fy):
         q = data.draw(st.one_of(st.sampled_from(HALF_WALK_Q), st.integers(1, 400)), "q")
         ry = data.draw(st.one_of(st.sampled_from(_mirror_cuts(q)), st.integers(0, q - 1)), "ry")
         rx = data.draw(st.one_of(st.sampled_from([0, q - 1]), st.integers(0, q - 1)), "rx")
         # a box side below one period needs a remainder >= 1
         Qx, Qy = max(Qx, rx == 0), max(Qy, ry == 0)
         inst = cg.CongruenceInstance(_unit_near(a, q), _unit_near(b, q), q,
-                                     Qx * q + rx + fx, Qy * q + ry + fy, 1, f)
-        exact = cg.count_exact(inst)
+                                     Qx * q + rx + fx, Qy * q + ry + fy)
+        exact = _count(inst)
         assert type(exact) is int
         assert exact == oracles.count_exact_naive(inst)
 
@@ -321,13 +325,10 @@ def test_count_exact_half_walk_matches_full_walk(q):
     # struck) and a prime near 3e5, at every mirror cut of ry
     assert arith.is_prime(299993)
     a, b = -1231, 29
-    for f in (1, 2, 3, 4):
-        for ry in _mirror_cuts(q):
-            for rx in (q - 1, q // 3):
-                inst = cg.CongruenceInstance(a, b, q, 2 * q + rx + Fraction(1, 2),
-                                             3 * q + ry, 1, f)
-                exact = cg.count_exact(inst)
-                assert exact == oracles.count_exact_full_walk(inst), (f, ry, rx)
+    for ry in _mirror_cuts(q):
+        for rx in (q - 1, q // 3):
+            inst = cg.CongruenceInstance(a, b, q, 2 * q + rx + Fraction(1, 2), 3 * q + ry)
+            assert _count(inst) == oracles.count_exact_full_walk(inst), (ry, rx)
 
 
 def test_scan_boxes_refuses_nonpositive_modulus():
@@ -339,7 +340,7 @@ def test_scan_boxes_refuses_nonpositive_modulus():
 def test_count_exact_refuses_modulus_beyond_int32():
     inst = cg.CongruenceInstance(1, 1, 2**31, 5, 5)
     with pytest.raises(ValueError, match="2147483648"):
-        cg.count_exact(inst)
+        cg.box_report(inst)
     with pytest.raises(ValueError, match="2147483659"):
         cg.scan_boxes([15, 2**31 + 11])
 
@@ -351,14 +352,13 @@ def test_count_exact_properties():
 
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(q=st.integers(1, 40), a=st.integers(-60, 60), b=st.integers(-60, 60),
-                      X=side, Y=side, e=st.integers(1, 4), f=st.integers(1, 4))
-    def check(q, a, b, X, Y, e, f):
+                      X=side, Y=side)
+    def check(q, a, b, X, Y):
         hypothesis.assume(a * b != 0 and math.gcd(a * b, q) == 1)
-        inst = cg.CongruenceInstance(a, b, q, X, Y, e, f)
-        assert cg.count_exact(inst) == oracles.count_exact_naive(inst)
-        box = cg.CongruenceInstance(a, b, q, X, Y)  # e = 1, f = 2
-        assert _one_class(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0] == (
-            cg.count_exact(box))
+        inst = cg.CongruenceInstance(a, b, q, X, Y)
+        exact = _count(inst)
+        assert exact == oracles.count_exact_naive(inst)
+        assert _one_class(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0] == exact
 
     check()
 
@@ -374,8 +374,6 @@ def test_main_term_and_envelope_frozen():
     assert rep.envelope == pytest.approx(37.58210085976404, rel=1e-12)
     rep4 = cg.box_report(cg.CongruenceInstance(1, 1, 4, 4, 4))
     assert rep4.envelope == pytest.approx(35.74730297018444, rel=1e-12)
-    with pytest.raises(ValueError, match="main term and error envelope are for e = 1, f = 2"):
-        cg.box_report(cg.CongruenceInstance(1, 1, 5, 5, 5, e=2, f=2))
 
 
 def test_box_report_exact_prime_square():
@@ -403,7 +401,6 @@ def test_scan_boxes_refuses_bad_values_before_any_count(kwargs, message, monkeyp
     def no_work(*args):
         raise AssertionError("a box was counted before the values were checked")
 
-    monkeypatch.setattr(cg, "count_exact", no_work)
     monkeypatch.setattr(cg, "_linear_count", no_work)
     with pytest.raises(ValueError, match=message):
         cg.scan_boxes([5, 7], **kwargs)
@@ -414,7 +411,8 @@ def test_scan_boxes_takes_plain_values():
     reps = cg.scan_boxes([5, 7], 2, -3, None, Fraction(7, 2))
     assert [(r.X, r.Y) for r in reps] == [(5, Fraction(7, 2)), (7, Fraction(7, 2))]
     assert [r.exact for r in reps] == [
-        cg.count_exact(cg.CongruenceInstance(2, -3, q, q, Fraction(7, 2))) for q in (5, 7)]
+        oracles.count_exact_naive(cg.CongruenceInstance(2, -3, q, q, Fraction(7, 2)))
+        for q in (5, 7)]
 
 
 def test_scan_boxes_builds_no_instance(monkeypatch):
@@ -430,7 +428,7 @@ def test_scan_boxes_builds_no_instance(monkeypatch):
 
 
 def test_unit_count_of_q_is_phi():
-    # count_exact takes T(q, q) as phi(q): the inclusion-exclusion it replaced agrees
+    # the box count takes T(q, q) as phi(q): the inclusion-exclusion it replaced agrees
     for q in range(1, 5000):
         assert cg._unit_count(q, [p for p, _ in arith.factorize(q).factors]) == arith.phi(q), q
 
@@ -455,9 +453,9 @@ def test_scan_boxes_matches_box_report_property():
         for q, rep in zip(kept, reps):
             inst = cg.CongruenceInstance(a, b, q, q if X is None else X, q if Y is None else Y)
             one = cg.box_report(inst)
-            box = (inst.a, inst.b, inst.q, inst.e, inst.f, inst.X, inst.Y)
+            box = (inst.a, inst.b, inst.q, 1, 2, inst.X, inst.Y)
             assert rep[:7] == one[:7] == box
-            assert rep.exact == one.exact == cg.count_exact(inst)
+            assert rep.exact == one.exact == oracles.count_exact_full_walk(inst)
             # the forms as literal expressions of arith's values, left to right
             x, y = float(inst.X), float(inst.Y)
             main = arith.phi(q) * x * y / q**2
@@ -509,7 +507,7 @@ def test_batch_reports_match_oracles_property():
         for inst, rep in zip(insts, reps):
             small = inst.q <= 200 and inst.X * inst.Y <= 4000
             assert rep.exact == (oracles.count_exact_naive(inst) if small
-                                 else cg.count_exact(inst)), inst
+                                 else oracles.count_exact_full_walk(inst)), inst
             main, env = _literal_forms(inst)
             assert [v.hex() for v in rep[8:11]] == [
                 main.hex(), env.hex(), (abs(rep.exact - main) / env).hex()]
@@ -526,7 +524,7 @@ def test_batch_reports_walk_only_boxes_with_a_remainder(monkeypatch):
     # X = q and X = 2q leave rx = 0: closed form; X = 10 leaves rx = 10
     walked = []
     hits = cg._class_hits
-    monkeypatch.setattr(cg, "_class_hits", lambda *args: walked.append(args[2]) or hits(*args))
+    monkeypatch.setattr(cg, "_class_hits", lambda *args: walked.append(args[1]) or hits(*args))
     reps = cg.scan_boxes([11, 13, 17], 1, 1, None, 30)
     reps += [cg.box_report(cg.CongruenceInstance(1, 1, 19, 38, 30))]
     assert walked == []
@@ -537,41 +535,42 @@ def test_batch_reports_walk_only_boxes_with_a_remainder(monkeypatch):
         assert rep.exact == oracles.count_exact_naive(inst)
 
 
-def _classes_oracle(y, ks, f, q):
-    return [[k * int(v) ** f % q for v in y] for k in ks]
+def _classes_oracle(y, ks, q):
+    return [[k * int(v) ** 2 % q for v in y] for k in ks]
 
 
-@pytest.mark.parametrize("f", [1, 2, 3])
-def test_x_classes_on_both_sides_of_the_int64_guard(f, monkeypatch):
-    reduced = []
-    powmod = cg._powmod
-    monkeypatch.setattr(cg, "_powmod", lambda r, k, q: reduced.append(q) or powmod(r, k, q))
+def _count_reductions(monkeypatch):
+    # the moduli of every floor_mod call congruence makes from here on
+    reductions = []
+    reduce = cg.floor_mod
+    monkeypatch.setattr(cg, "floor_mod", lambda x, q: reductions.append(q) or reduce(x, q))
+    return reductions
+
+
+def test_x_classes_on_both_sides_of_the_int64_guard(monkeypatch):
+    reductions = _count_reductions(monkeypatch)
     q = 2**31 - 1
     k = q - 2
-    # the largest y with k y^f < 2^62 takes one reduction, the next one two;
-    # for f = 1 every int64 y <= q is below the guard
-    top = next(t for t in range(q, 0, -1) if k * t**f < 2**62) if f == 1 else (
-        int(((2**62 - 1) // k) ** (1 / f)) + 2)
-    while k * top**f >= 2**62:
-        top -= 1
+    # the largest y with k y^2 < 2^62 takes one reduction, the next one two
+    top = math.isqrt((2**62 - 1) // k)
+    assert k * top**2 < 2**62 <= k * (top + 1) ** 2
     for y_max, wide in [(top, False), (top + 1, True)]:
-        if y_max > q:
-            continue
         y = np.array([1, 2, y_max // 3, y_max - 1, y_max], dtype=np.int64)
         for kv, ks in [(k, [k]), (np.array([[3], [k]], dtype=np.int64), [3, k])]:
-            reduced.clear()
-            got = cg._x_classes(y, kv, f, q)
-            assert np.atleast_2d(got).tolist() == _classes_oracle(y, ks, f, q), (f, y_max)
-            assert bool(reduced) == wide, (f, y_max)
+            reductions.clear()
+            got = cg._x_classes(y, kv, q)
+            assert np.atleast_2d(got).tolist() == _classes_oracle(y, ks, q), y_max
+            assert reductions == [q] * (1 + wide), y_max
     # object blocks: Python ints, on both sides of the guard
     big = 2**61 - 1
     for y_max in (7, 2**20, big - 1):
         y = np.array([1, 5, y_max], dtype=object)
         for kv, ks in [(big - 2, [big - 2]), (np.array([[1], [9]], dtype=object), [1, 9])]:
-            reduced.clear()
-            got = cg._x_classes(y, kv, f, big)
-            assert np.atleast_2d(got).tolist() == _classes_oracle(y, ks, f, big)
-            assert bool(reduced) == (max(ks) * y_max**f >= 2**62), (f, y_max, ks)
+            reductions.clear()
+            got = cg._x_classes(y, kv, big)
+            assert np.atleast_2d(got).tolist() == _classes_oracle(y, ks, big)
+            wide = max(ks) * y_max**2 >= 2**62
+            assert reductions == [big] * (1 + wide), (y_max, ks)
 
 
 def test_class_sums_straddle_the_int64_guard(monkeypatch):
@@ -583,12 +582,12 @@ def test_class_sums_straddle_the_int64_guard(monkeypatch):
     J = cg.Interval(threshold - 20_000, 40_000)
     bounds = cg.BoundarySpec(Fraction(-7, 3), Fraction(1, 5), 3 * q + Fraction(1, 7), 2)
     assert _block_dtype(q, bounds, J) == np.int64
-    reduced = []
-    powmod = cg._powmod
-    monkeypatch.setattr(cg, "_powmod", lambda r, k, q: reduced.append(q) or powmod(r, k, q))
+    reductions = _count_reductions(monkeypatch)
     ks = [q - 1, 5]
     counts, main = cg.class_sums(ks, q, bounds, J)
-    assert 0 < len(reduced) < len(range(J.integers().start, J.integers().stop, cg._BLOCK))
+    # every block reduces its y once, then its classes once, or twice past the guard
+    blocks = len(range(J.integers().start, J.integers().stop, cg._BLOCK))
+    assert 2 * blocks < len(reductions) < 3 * blocks
     # the loop oracle's class -a^{-1} b y^2 is k y^2 for a = -1, b = k
     assert counts == [count_boundaries_loop(-1, k, q, bounds, J) for k in ks]
     assert main == main_term_boundaries_loop(-1, 1, q, bounds, J)
@@ -616,7 +615,7 @@ def test_box_bounds_reduce_to_box_count():
         Y = rng.randint(1, 60)
         inst = cg.CongruenceInstance(a, b, q, X, Y)
         n = _one_class(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0]
-        assert n == cg.count_exact(inst)
+        assert n == _count(inst)
         done += 1
 
 

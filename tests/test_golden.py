@@ -34,8 +34,6 @@ CASES = {
                     "--Y", "77", "--out", "count.json", "--format", "json"], ["count.json"]),
     "count-config": (["count", "--config", "{golden}/count.cfg", "--X", "41/3",
                       "--out", "count-config.csv"], ["count-config.csv"]),
-    "count-general": (["count", "--a", "1", "--b", "2", "--q", "11", "--X", "30",
-                       "--Y", "20", "--e", "3", "--f", "2"], []),
     "count-scan": (["count-scan", "--primes-up-to", "60", "--a", "2", "--b", "3",
                     "--out", "scan.csv"], ["scan.csv"]),
     "count-scan-qlist": (["count-scan", "--q-list", "15,21,22,35,143", "--a", "2",

@@ -24,7 +24,7 @@ TESTS = Path(__file__).resolve().parent
 ORACLES = {
     "arith.divisors": "test_dp6.py",  # the defining triple sum of rho
     "arith.mobius": "test_dp6.py",  # the squarefree d of the rho table
-    "arith.phi": "test_congruence.py",  # the unit counts of count_exact
+    "arith.phi": "test_congruence.py",  # the unit counts of the box count
     "arith.sigma_half_inv": "test_congruence.py",  # the envelopes of box_report
     "arith.tau": "test_congruence.py",  # the envelopes of box_report
     "dp6.rho": "test_acceptance.py",  # the multiplicativity of the Euler product
