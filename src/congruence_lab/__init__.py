@@ -4,16 +4,11 @@ families, and almost-prime point searches on a sextic del Pezzo surface."""
 
 from .arith import (
     Factorization,
-    divisors,
     factorize,
     is_prime,
     jacobi,
     log1n,
-    mobius,
     mod_inv,
-    phi,
-    sigma_half_inv,
-    tau,
     unit_symbols,
 )
 from .averaged import (
@@ -43,7 +38,6 @@ from .dp6 import (
     m_t_growth,
     point_blocks,
     prime_window,
-    rho,
     sieve_condition_report,
     sieve_threshold,
 )

@@ -6,9 +6,8 @@ the cofactor left when the wheel passes sqrt(x) is 1 or a prime.  That is
 complete only on a bounded domain, so factorize and is_prime (read from
 factorize) take 1 <= n < MODULUS_LIMIT = 2^31, where the wheel stops below
 46,341, and refuse a larger n.  A Factorization carries the divisor
-functions (divisors, tau, phi, sigma_{-1/2}), and the module-level ones
-read them from factorize(n), each factoring n afresh: a caller that needs
-several of them for one n factors it once and reads them all from that
+functions (divisors, tau, phi, sigma_{-1/2}): a caller that needs several
+of them for one n factors it once and reads them all from that
 Factorization.  Everything in this module is exact; Factorization, jacobi,
 mod_inv, floor_mod and unit_symbols factor nothing and take integers of
 any size.
@@ -93,37 +92,6 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     return factorize(n).factors == ((n, 1),)
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted."""
-    return factorize(n).divisors()
-
-
-# ---- multiplicative and additive functions ----
-
-def tau(n: int) -> int:
-    """Number of divisors."""
-    return factorize(n).tau()
-
-
-def sigma_half_inv(n: int) -> float:
-    """sum over d | n of d**(-1/2)."""
-    return factorize(n).sigma_half_inv()
-
-
-def phi(n: int) -> int:
-    """Euler totient."""
-    return factorize(n).phi()
-
-
-def mobius(n: int) -> int:
-    out = 1
-    for _, e in factorize(n).factors:
-        if e > 1:
-            return 0
-        out = -out
-    return out
 
 
 def log1n(n: int) -> float:

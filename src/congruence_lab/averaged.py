@@ -185,7 +185,6 @@ class ErrorBudget(NamedTuple):
     Z: float
     T_envelope: float
     first_O: float
-    hcond_ok: bool
 
 
 def error_budget(family: AveragedFamily, H: float, epsilon: float) -> ErrorBudget:
@@ -193,16 +192,16 @@ def error_budget(family: AveragedFamily, H: float, epsilon: float) -> ErrorBudge
 
     T_envelope = Delta_H (Y/sqrt(tW) (U^{1-{l/2}} V^{1-{m/2}} W + U V sqrt(W))
                  + Z) (H t U V W)^eps, with Z depending on whether the
-    weights factor and the cells outgrow the modulus.  hcond_ok records
-    whether H >= tW/X, X = char_length(family).  Refused (ValueError): H <= 0,
-    epsilon < 0, an epsilon whose power overflows a float, X <= 0, and an
-    H t U V W or a budget part outside float range.
+    weights factor and the cells outgrow the modulus.  Refused (ValueError):
+    H <= 0, epsilon < 0, an epsilon whose power overflows a float, a
+    characteristic length X = char_length(family) <= 0, and an H t U V W or
+    a budget part outside float range.
     """
     if H <= 0:
         raise ValueError("H must be positive")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    X = _length(family)
+    _length(family)  # refuses a characteristic length X <= 0
     U, V, W = float(family.U), float(family.V), float(family.W)
     Y = float(family.J.length)
     t = family.t
@@ -225,7 +224,7 @@ def error_budget(family: AveragedFamily, H: float, epsilon: float) -> ErrorBudge
     if not (math.isfinite(T) and math.isfinite(first_O)):
         raise ValueError(f"budget UVWY/H = {first_O!r}, T_envelope = {T!r} is outside float"
                          f" range: change H (--H) or epsilon (--epsilon)")
-    return ErrorBudget(H, epsilon, delta, Z, T, first_O, H >= tW / X)
+    return ErrorBudget(H, epsilon, delta, Z, T, first_O)
 
 
 def char_length(family: AveragedFamily) -> float:
@@ -266,7 +265,6 @@ class AveragedReport(NamedTuple):
     first_O: float
     T_envelope: float
     ratio: float
-    hcond_ok: bool
 
 
 def avg_report(
@@ -303,5 +301,5 @@ def avg_report(
                 if mt:
                     M += weight * float(mt)
         out.append(AveragedReport(family, seed, H, epsilon, S, M, budget.first_O,
-                                  budget.T_envelope, abs(S - M) / denom, budget.hcond_ok))
+                                  budget.T_envelope, abs(S - M) / denom))
     return out

@@ -359,7 +359,8 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand; main runs it on what _plain_args
-    leaves: help, usage errors, abbreviations, --flag=value, values with -."""
+    leaves: help, usage errors, --flag=value, values with -.  A prefix of a
+    flag is no flag: it is refused as an unrecognized argument."""
     parser = argparse.ArgumentParser(
         prog="congruence-lab",
         description="exact congruence counting, Gauss sums, and almost-prime points",
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, options) in _COMMANDS.items():
         # unset flags stay off the namespace, so resolve() sees what was given
         p = sub.add_parser(name, help=help_text, description=help_text,
-                           argument_default=argparse.SUPPRESS)
+                           argument_default=argparse.SUPPRESS, allow_abbrev=False)
         p.add_argument("--config", help="key = value file of this command's options;"
                                         " flags win over it")
         for o in options:

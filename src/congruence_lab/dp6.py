@@ -16,7 +16,7 @@ The lower-bound family fixes eta = (1, 1, 1, q) with q prime in the window
 lifts to a surface point of height at most B.  Points whose coordinate
 product alpha1 alpha2 |alpha3| has at most t prime factors (with
 multiplicity) are the almost-prime ones; densities of the divisibility
-pattern are described by the multiplicative function rho below, and the
+pattern are described by the multiplicative function rho (_euler), and the
 weighted sieve needs t above a threshold computed from the dimension-3
 sieving limit beta_3.
 
@@ -28,8 +28,8 @@ real cells into checked int64 column blocks (q, alphas, surface coordinates,
 Omega) that dp6-enumerate streams out with no Python object per point, and
 the sieve sequence of dp6-sieve (_sieve_sequence), which reads the real
 cells of a zero table and so sieves no Omega; no table outlives its call.
-rho is its Euler product; sieve_condition_report, the body of dp6-sieve,
-checks (B, q) once and factors each d just once, for its rho table, its
+_euler is rho's Euler product; sieve_condition_report (dp6-sieve) checks
+(B, q) once and factors each d just once, for its rho table, its
 remainder sum W2 (_w2_sum) and its density-grid constant W1 (_w1_min_c1).
 
 All window and height comparisons are exact integer inequalities
@@ -375,32 +375,19 @@ def _sieve_sequence(B: int, q: int, X: Fraction) -> SieveSequence:
                                              return_counts=True))
 
 
-def rho(d: int, q: int) -> Fraction:
-    """Local divisibility density scale, defined as a sum over triples
-    (e1, e2, e3) supported exactly on the primes of squarefree d, gcd(e1 e2, q) = 1,
-
-      rho(d) = mu(d) d sum mu(e1) mu(e2) mu(e3) (e1,e2,e3)/(e1 e2 e3)
-               * sum_{l | f3} (1/l) phi*(f3/l) / phi*((f3/l, q)),
-
-    where f3 = e3 / ((e1,e2,e3) (e1',e3') (e2',e3')) strips the parts of e3
-    shared with e1 and e2.  It is multiplicative in d, rho(p) = 3 - 2/p for
-    p != q and rho(q) = 1 + 1/q, and is computed as that Euler product.
-    """
-    if d < 1 or not (found := _euler(d, q)):
-        raise ValueError("d must be a positive squarefree integer")
-    if not is_prime(q):
-        raise ValueError("q must be prime")
-    return found[1]
-
-
 def _rho_factor(p: int, q: int) -> Fraction:
     # rho(p) for prime p and q: the Euler factor of rho at p
     return 1 + Fraction(1, q) if p == q else 3 - Fraction(2, p)
 
 
 def _euler(d: int, q: int) -> tuple[int, Fraction] | None:
-    # (omega(d), rho(d)) from one factorize(d), for d >= 1 and a prime q, or
-    # None when its exponents show that d is not squarefree
+    # (omega(d), rho(d)) for d >= 1 and a prime q, rho(d) the product of
+    # _rho_factor over one factorize(d), or None when its exponents show that
+    # d is not squarefree.  The density rho, multiplicative in d, is defined
+    # over the triples (e1, e2, e3) with lcm d and gcd(e1 e2, q) = 1 as
+    #   rho(d) = mu(d) d sum mu(e1) mu(e2) mu(e3) (e1,e2,e3)/(e1 e2 e3)
+    #            * sum_{l | f3} (1/l) phi*(f3/l) / phi*((f3/l, q)),
+    # f3 = e3 / ((e1,e2,e3) (e1',e3') (e2',e3')) the part of e3 apart from e1, e2
     factors = factorize(d).factors
     if any(e > 1 for _, e in factors):
         return None

@@ -11,8 +11,10 @@ sums by a scan of the sieve sequence held as a dict; the dp6 torsor,
 surface and family points as checked dataclasses, the monomial map
 between them, the family by direct loops and as the repeat-based int64
 blocks that dp6 walked before its cell blocks, and the brute local density of
-the family at a prime; small arithmetic helpers (product of a
-factorization, radical, phi(n)/n, Omega and omega, dispatch by name)."""
+the family at a prime; the product of a factorization, and the divisor
+functions and arithmetic helpers by trial loops that never call
+arith.factorize (the prime factors, divisors, tau, phi, sigma_{-1/2}, mu,
+phi(n)/n, Omega and omega)."""
 
 from __future__ import annotations
 
@@ -27,19 +29,10 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from congruence_lab.arith import (
-    Factorization,
-    factorize,
-    is_prime,
-    log1n,
-    mobius,
-    phi,
-    sigma_half_inv,
-    tau,
-)
+from congruence_lab.arith import Factorization, factorize, is_prime
 from congruence_lab.congruence import CongruenceInstance, _unit_count, _units
 from congruence_lab import dp6
-from congruence_lab.dp6 import icbrt, prime_window, rho, sieve_primes
+from congruence_lab.dp6 import icbrt, prime_window, sieve_primes
 from congruence_lab.gausssum import GaussSumValue, _branch, _e, gauss_brute
 from congruence_lab.reports import fmt
 from congruence_lab.sawtooth import _TWO_PI, _taper, fejer_majorant_many, psi, vaaler_polynomial
@@ -267,8 +260,9 @@ def count_exact_full_walk(inst: CongruenceInstance) -> int:
 
 
 def rho_oracle_prime(p: int, q: int) -> tuple[Fraction, Fraction]:
-    """(brute density, rho(p)/p) for a prime p not dividing 2q: the brute
-    side counts pairs (a1, a2) mod p with a1 a2 (a2 - a1^2) = 0 (mod p)."""
+    """(brute density, rho(p)/p) for a prime p not dividing 2q, rho(p) the
+    Euler factor dp6._rho_factor: the brute side counts pairs (a1, a2) mod p
+    with a1 a2 (a2 - a1^2) = 0 (mod p)."""
     if not is_prime(p):
         raise ValueError("p must be prime")
     if p == 2 or p == q:
@@ -277,14 +271,14 @@ def rho_oracle_prime(p: int, q: int) -> tuple[Fraction, Fraction]:
     A1 = a1[:, None]
     A2 = a1[None, :]
     mask = (A1 == 0) | (A2 == 0) | ((A2 - A1 * A1) % p == 0)
-    return Fraction(int(mask.sum()), p * p), rho(p, q) / p
+    return Fraction(int(mask.sum()), p * p), dp6._rho_factor(p, q) / p
 
 
 def w1_min_c1_loop(q: int, z_max: int) -> float:
     """dp6._w1_min_c1's min_c1 by the scalar double loop over every prime
     pair w < z of the grid, in math's order of operations."""
     ps = [p for p in sieve_primes(z_max) if p > 2]
-    logs = [math.log(float(1 - rho(p, q) / p)) for p in ps]
+    logs = [math.log(float(1 - dp6._rho_factor(p, q) / p)) for p in ps]
     prefix = [0.0]
     for v in logs:
         prefix.append(prefix[-1] + v)
@@ -302,9 +296,9 @@ def sum_over_d_scan(a: Mapping[int, int], q: int, X: Fraction, d: int
                     ) -> tuple[int, float, float]:
     """The term of one d in dp6-sieve's remainder sum, over the sequence
     given as a dict n -> a_n: (exact sum of a_n over d | n, predicted
-    rho(d)/d X, remainder)."""
+    rho(d)/d X, remainder), for a squarefree d and rho(d) from dp6._euler."""
     exact = sum(c for n, c in a.items() if n % d == 0)
-    predicted = float(rho(d, q) / d * X)
+    predicted = float(dp6._euler(d, q)[1] / d * X)
     return exact, predicted, exact - predicted
 
 
@@ -312,7 +306,7 @@ def w2_sum_scan(a: Mapping[int, int], q: int, X: Fraction, tau_level: float, c2:
                 ) -> dict[str, float]:
     """dp6-sieve's remainder sum W2 over the sequence given as a dict n ->
     a_n, one sum_over_d_scan per d <= d_max with mobius(d) != 0, in
-    ascending d."""
+    ascending d; mu and omega by the trial loop."""
     Xf = float(X)
     d_max = Xf**tau_level / math.log(Xf) ** c2
     total = 0.0
@@ -320,7 +314,7 @@ def w2_sum_scan(a: Mapping[int, int], q: int, X: Fraction, tau_level: float, c2:
     while d <= d_max:
         if mobius(d) != 0:
             _, _, rem = sum_over_d_scan(a, q, X, d)
-            total += 4 ** len(factorize(d).factors) * abs(rem)
+            total += 4 ** little_omega(d) * abs(rem)
         d += 1
     scale = Xf / math.log(Xf) ** 4
     return {"tau": tau_level, "c2": c2, "d_max": d_max, "sum": total,
@@ -501,47 +495,91 @@ def reconstruct(f: Factorization) -> int:
     return out
 
 
+def prime_factors(n: int) -> dict[int, int]:
+    """{p: e} for n >= 1 by dividing out each trial divisor d = 2, 3, 5, 7,
+    ... while d^2 <= the cofactor: a composite d divides nothing, its primes
+    being gone, and the cofactor left above 1 is a prime."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending, by a trial loop over d <= sqrt(n)
+    that takes both d and n // d."""
+    small, large = [], []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    return small + large[::-1]
+
+
+def tau(n: int) -> int:
+    """The number of divisors, as the length of divisors(n)."""
+    return len(divisors(n))
+
+
+_GCD_COUNT_LIMIT = 10**4  # phi counts gcds up to here, and asks sympy above
+
+
+def phi(n: int) -> int:
+    """Euler's totient: the k in [1, n] with gcd(k, n) = 1, counted for n <=
+    10^4, and sympy.totient, which factors n by its own means, above."""
+    if n <= _GCD_COUNT_LIMIT:
+        return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    import sympy  # installed with the test extra
+
+    return int(sympy.totient(n))
+
+
+def sigma_half_inv(n: int) -> float:
+    """The sum of 1/sqrt(d) over the divisors of n, added left to right in
+    ascending d: the order, and so the bits, Factorization.sigma_half_inv
+    must reproduce."""
+    out = 0.0
+    for d in divisors(n):
+        out += 1.0 / math.sqrt(d)
+    return out
+
+
+def sigma_half_inv_mp(n: int):
+    """sigma_{-1/2}(n) as an mpf at 40 significant digits, over divisors(n)."""
+    import mpmath  # sympy's dependency, so installed with the test extra
+
+    with mpmath.workdps(40):
+        return mpmath.fsum(1 / mpmath.sqrt(d) for d in divisors(n))
+
+
+def mobius(n: int) -> int:
+    """The Moebius function, from prime_factors."""
+    factors = prime_factors(n)
+    return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
+
+
 def phi_star(n: int) -> Fraction:
     """phi(n)/n as an exact fraction; multiplicative with value 1 - 1/p at prime powers."""
     out = Fraction(1)
-    for p, _ in factorize(n).factors:
+    for p in prime_factors(n):
         out *= Fraction(p - 1, p)
     return out
 
 
 def big_omega(n: int) -> int:
     """Number of prime factors with multiplicity."""
-    return sum(e for _, e in factorize(n).factors)
+    return sum(prime_factors(n).values())
 
 
 def little_omega(n: int) -> int:
     """Number of distinct prime factors."""
-    return len(factorize(n).factors)
-
-
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n."""
-    out = 1
-    for p, _ in factorize(n).factors:
-        out *= p
-    return out
-
-
-_KINDS = {
-    "tau": tau,
-    "sigma_half_inv": sigma_half_inv,
-    "phi": phi,
-    "phi_star": phi_star,
-    "mobius": mobius,
-    "big_omega": big_omega,
-    "little_omega": little_omega,
-    "L": log1n,
-}
-
-
-def arith_function(kind: str, n: int):
-    """Dispatch by name; kinds: tau, sigma_half_inv, phi, phi_star, mobius,
-    big_omega, little_omega, L."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown arithmetic function kind {kind!r}")
-    return _KINDS[kind](n)
+    return len(prime_factors(n))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from congruence_lab import arith, averaged, congruence, dp6, sawtooth
+from congruence_lab import averaged, congruence, dp6, sawtooth
 
 import oracles
 
@@ -167,12 +167,12 @@ def test_criterion_07_local_density_oracle():
             mismatches += 1
         checks += 1
     for d1 in range(2, 51):
-        if arith.mobius(d1) == 0:
+        if oracles.mobius(d1) == 0:
             continue
         for d2 in range(2, 100 // d1 + 1):
-            if arith.mobius(d2) == 0 or math.gcd(d1, d2) != 1:
+            if oracles.mobius(d2) == 0 or math.gcd(d1, d2) != 1:
                 continue
-            if dp6.rho(d1 * d2, q) != dp6.rho(d1, q) * dp6.rho(d2, q):
+            if dp6._euler(d1 * d2, q)[1] != dp6._euler(d1, q)[1] * dp6._euler(d2, q)[1]:
                 mismatches += 1
             checks += 1
     ok = mismatches == 0

@@ -86,28 +86,74 @@ def test_is_prime_large():
 
 
 def test_divisors():
-    assert arith.divisors(1) == [1]
-    assert arith.divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert arith.divisors(49) == [1, 7, 49]
+    for div in (lambda n: arith.factorize(n).divisors(), oracles.divisors):
+        assert div(1) == [1]
+        assert div(12) == [1, 2, 3, 4, 6, 12]
+        assert div(49) == [1, 7, 49]
 
 
 def test_multiplicative_values():
-    assert arith.tau(12) == 6
-    assert arith.phi(1) == 1
-    assert arith.phi(10) == 4
+    for n, tau, phi in ((1, 1, 1), (10, 4, 4), (12, 6, 4)):
+        assert arith.factorize(n).tau() == oracles.tau(n) == tau
+        assert arith.factorize(n).phi() == oracles.phi(n) == phi
+    assert oracles.phi(10**4 + 1) == 72 * 136  # 10001 = 73 * 137, past the gcd count
     assert oracles.phi_star(6) == Fraction(1, 3)
-    assert arith.mobius(1) == 1
-    assert arith.mobius(30) == -1
-    assert arith.mobius(12) == 0
+    assert oracles.mobius(1) == 1
+    assert oracles.mobius(30) == -1
+    assert oracles.mobius(12) == 0
+    assert oracles.prime_factors(360) == {2: 3, 3: 2, 5: 1}
     assert oracles.big_omega(12) == 3
     assert oracles.little_omega(12) == 2
-    assert arith.sigma_half_inv(4) == pytest.approx(1 + 2**-0.5 + 0.5)
-    assert oracles.radical(12) == 6
+    assert arith.factorize(4).sigma_half_inv() == pytest.approx(1 + 2**-0.5 + 0.5)
+    assert oracles.sigma_half_inv(4) == 1 + 2**-0.5 + 0.5
 
 
 def test_phi_star_matches_phi():
     for n in range(1, 2000):
-        assert oracles.phi_star(n) == Fraction(arith.phi(n), n)
+        assert oracles.phi_star(n) == Fraction(arith.factorize(n).phi(), n)
+
+
+# the largest n with 1600 divisors, a squarefree primorial, a prime, the
+# square of the prime next below sqrt(2^31), and a power of two
+_EDGES = (2095133040, 223092870, 2**31 - 1, 46337**2, 2**30)
+
+
+def test_factorization_matches_trial_loops_property():
+    # every divisor function a Factorization carries, and mu read from its
+    # factors, against the trial loops of tests/oracles, which never call
+    # factorize; sigma_{-1/2} bit for bit, the two adding the same terms in
+    # the same order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # n with many small prime powers: products of primes up to 13
+    smooth = st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=24).map(math.prod)
+    n_below = st.integers(1, 2**31 - 1) | smooth.filter(lambda n: n < 2**31)
+
+    def check(n):
+        fac = arith.factorize(n)
+        assert fac.divisors() == oracles.divisors(n)
+        assert fac.tau() == oracles.tau(n)
+        assert fac.phi() == oracles.phi(n)
+        assert fac.sigma_half_inv() == oracles.sigma_half_inv(n)
+        squarefree = all(e == 1 for _, e in fac.factors)
+        assert (-1) ** len(fac.factors) * squarefree == oracles.mobius(n)
+
+    for n in _EDGES:
+        check = hypothesis.example(n=n)(check)
+    hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)(
+        hypothesis.given(n=n_below)(check))()
+
+
+def test_sigma_half_inv_against_40_digits():
+    # tau(n) positive terms, each 1/sqrt(d) within two roundings, added left
+    # to right: the float sum is within (tau(n) + 2) 2^-53 sigma_{-1/2}(n)
+    # of the exact one (README, Conventions); 14.1 units of 2^-53 sigma the
+    # largest error seen, at n = 2095133040 with tau(n) = 1600
+    for n in (*_EDGES, 720720, 735134400, 1396755360, 2**31 - 3, 1):
+        fac = arith.factorize(n)
+        want = oracles.sigma_half_inv_mp(n)
+        err = float(abs(want - fac.sigma_half_inv()) / want) * 2.0**53
+        assert err <= fac.tau() + 2, n
 
 
 def test_log1n():
@@ -115,14 +161,6 @@ def test_log1n():
     assert arith.log1n(1) == pytest.approx(math.log(2))
     with pytest.raises(ValueError):
         arith.log1n(-1)
-
-
-def test_arith_function_dispatch():
-    assert oracles.arith_function("tau", 12) == 6
-    assert oracles.arith_function("phi_star", 6) == Fraction(1, 3)
-    assert oracles.arith_function("L", 4) == pytest.approx(math.log(5))
-    with pytest.raises(ValueError):
-        oracles.arith_function("nope", 3)
 
 
 def test_jacobi_against_euler_criterion():

@@ -185,9 +185,6 @@ def test_error_budget_refuses_a_zero_width_family():
     assert av.char_length(fam) == 0.0
     with pytest.raises(ValueError, match="characteristic length X must be positive"):
         av.error_budget(fam, 10.0, 0.05)
-    # hcond_ok reads char_length: H >= tW / X, here tW = 3/2 and X = 5
-    assert av.error_budget(_family(), 0.3, 0.05).hcond_ok is True
-    assert av.error_budget(_family(), 0.29, 0.05).hcond_ok is False
 
 
 def test_epsilon_powers_that_overflow_are_refused():
@@ -206,7 +203,6 @@ def test_error_budget_frozen():
     assert budget.Z == pytest.approx(0.6123724356957945)
     assert budget.T_envelope == pytest.approx(11.986244452721285)
     assert budget.first_O == pytest.approx(0.5)
-    assert budget.hcond_ok is True
 
 
 def test_error_budget_structured_z_branch():
@@ -216,12 +212,6 @@ def test_error_budget_structured_z_branch():
     tW = 1.0
     expect = math.sqrt((tW + 2) * (tW + 2)) * math.sqrt(2 * 2) * 1.0
     assert budget.Z == pytest.approx(expect)
-
-
-def test_error_budget_hcond_false():
-    fam = _family(t=100, W=2, bounds=cg.box_bounds(5))
-    budget = av.error_budget(fam, H=1, epsilon=0.05)
-    assert budget.hcond_ok is False
 
 
 def test_suggest_h_values():
@@ -316,8 +306,7 @@ def test_weights_taken_once_per_distinct_key(scheme, monkeypatch):
                 M += weight * float(mt)
     budget = av.error_budget(fam, 10.0, 0.05)
     want = av.AveragedReport(fam, 3, 10.0, 0.05, S, M, budget.first_O, budget.T_envelope,
-                             abs(S - M) / (budget.first_O + budget.T_envelope),
-                             budget.hcond_ok)
+                             abs(S - M) / (budget.first_O + budget.T_envelope))
     d_keys, e_keys = [], []
     d_coeff, e_coeff = av.AveragedFamily.d_coeff, av.AveragedFamily.e_coeff
     monkeypatch.setattr(av.AveragedFamily, "d_coeff", lambda self, seed, u, v:

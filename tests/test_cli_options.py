@@ -51,9 +51,10 @@ REFUSALS = {
                                      "q < 2^31, got q = 2147483659"),
     "scanned modulus zero": (["count-scan", "--q-list", "0,5"], None, "got q = 0"),
     "scanned modulus negative": (["count-scan", "--q-list", "5,-7"], None, "got q = -7"),
-    # count has no exponent flags: --e is unrecognized, and --f abbreviates --format
+    # count has no exponent flags, and a prefix of a flag is no flag: --e and
+    # --f are both unrecognized
     "out for general exponents": (["count", *BOX, "--e", "2", "--f", "2", "--out", "x.csv"],
-                                  None, "argument --format: invalid choice: '2'"),
+                                  None, "unrecognized arguments: --e 2 --f 2"),
     "timings for general exponents": (["count", *BOX, "--e", "2", "--timings"],
                                       None, "unrecognized arguments: --e 2 --timings"),
     "exponent key": (["count", *BOX], "e = 2\n", "config key 'e' is not an option of count"),
@@ -393,15 +394,17 @@ def test_plain_walk_parses_like_argparse():
 
 @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
 def test_flag_of_another_command_is_left_to_argparse(name, capsys):
+    # every flag that is not one of name's, prefixes of name's own flags
+    # (such as --B of dp6-growth's --B-list) included, is refused as unrecognized
     own = cli._FLAGS[name]
-    # a flag that is not one of name's, nor an abbreviation argparse would take
-    flag = next(f for table in cli._FLAGS.values() for f in table
-                if not any(g.startswith(f) for g in own))
-    argv = [name, flag, "1"]
-    assert cli._plain_args(name, argv) is None
-    code, out, err = run(argv, capsys)
-    assert code == 2 and out == ""
-    assert f"unrecognized arguments: {flag} 1" in err
+    flags = sorted({f for table in cli._FLAGS.values() for f in table} - own.keys())
+    assert flags
+    for flag in flags:
+        argv = [name, flag, "1"]
+        assert cli._plain_args(name, argv) is None
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} 1" in err
 
 
 def test_plain_argv_never_builds_the_parser(tmp_path, capsys, monkeypatch):
@@ -439,21 +442,25 @@ def test_usage_and_errors_match_the_full_parser(argv, capsys):
 
 
 def test_argparse_only_forms_still_work(tmp_path, capsys, monkeypatch):
-    # an abbreviation, --flag=value and a negative value, which the walk
-    # leaves to argparse, parse as their plain forms do
+    # --flag=value and a negative value, which the walk leaves to argparse,
+    # parse as their plain forms do; an abbreviation, also left to argparse,
+    # is refused by name before any output
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a.cfg").write_text("a = -1\n")
-    pairs = [(["count-scan", "--prim", "50", "--out", "a.csv"],
-              ["count-scan", "--primes-up-to", "50", "--out", "b.csv"]),
-             (["count", *BOX[:-2], "--Y=10"], ["count", *BOX]),
+    pairs = [(["count", *BOX[:-2], "--Y=10"], ["count", *BOX]),
              (["count", "--a", "-1", *BOX[2:]], ["count", *BOX[2:], "--config", "a.cfg"])]
     for other, plain in pairs:
         assert cli._plain_args(other[0], other) is None
         assert cli._plain_args(plain[0], plain) is not None
         got, want = run(other, capsys), run(plain, capsys)
         assert got[0] == want[0] == 0
-        assert got[1].replace("a.csv", "b.csv") == want[1]
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert got[1] == want[1]
+    abbreviated = ["count-scan", "--prim", "50", "--out", "a.csv"]
+    assert cli._plain_args(abbreviated[0], abbreviated) is None
+    code, out, err = run(abbreviated, capsys)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --prim 50" in err
+    assert not (tmp_path / "a.csv").exists()
 
 
 # ---- fuzz: any argv or config drawn from the option table exits 0 or 2 ----

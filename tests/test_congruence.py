@@ -203,7 +203,7 @@ def test_unit_count_matches_direct_count(q):
     for t in sorted({0, 1, 2, 29, 30, 31, 1000, 30029, 30030, 30031, 10**5} | {min(q, 10**5)}):
         direct = sum(1 for y in range(1, t + 1) if math.gcd(y, q) == 1)
         assert cg._unit_count(t, primes) == direct, (q, t)
-    assert cg._unit_count(q, primes) == arith.phi(q)
+    assert cg._unit_count(q, primes) == oracles.phi(q)
     assert type(cg._unit_count(q, primes)) is int
 
 
@@ -430,7 +430,8 @@ def test_scan_boxes_builds_no_instance(monkeypatch):
 def test_unit_count_of_q_is_phi():
     # the box count takes T(q, q) as phi(q): the inclusion-exclusion it replaced agrees
     for q in range(1, 5000):
-        assert cg._unit_count(q, [p for p, _ in arith.factorize(q).factors]) == arith.phi(q), q
+        fac = arith.factorize(q)
+        assert cg._unit_count(q, [p for p, _ in fac.factors]) == fac.phi(), q
 
 
 def test_scan_boxes_matches_box_report_property():
@@ -438,7 +439,7 @@ def test_scan_boxes_matches_box_report_property():
     st = hypothesis.strategies
     side = st.none() | st.fractions(min_value=1, max_value=10**6, max_denominator=50)
     coefficient = st.integers(-10**4, 10**4).filter(bool)
-    tau, sigma, L, sqrt = arith.tau, arith.sigma_half_inv, arith.log1n, math.sqrt
+    tau, sigma, L, sqrt = oracles.tau, oracles.sigma_half_inv, arith.log1n, math.sqrt
 
     # primes, squarefree and square-heavy moduli alike (tau 2, 64 and 81 below)
     modulus = st.integers(1, 10**5 - 1) | st.sampled_from([99991, 30030, 44100])
@@ -456,9 +457,9 @@ def test_scan_boxes_matches_box_report_property():
             box = (inst.a, inst.b, inst.q, 1, 2, inst.X, inst.Y)
             assert rep[:7] == one[:7] == box
             assert rep.exact == one.exact == oracles.count_exact_full_walk(inst)
-            # the forms as literal expressions of arith's values, left to right
+            # the forms as literal expressions of the trial-loop values, left to right
             x, y = float(inst.X), float(inst.Y)
-            main = arith.phi(q) * x * y / q**2
+            main = oracles.phi(q) * x * y / q**2
             env = x / q * tau(q) + L(q) * sigma(q) * (y / sqrt(q) * tau(q) + sqrt(q) * L(q))
             for got in (rep, one):
                 assert [v.hex() for v in got[8:11]] == [
@@ -468,14 +469,12 @@ def test_scan_boxes_matches_box_report_property():
 
 
 def _literal_forms(inst):
-    # main term, envelope: the scalar expressions, left to right, with
-    # sigma_{-1/2} added over the ascending divisors here
+    # main term, envelope: the scalar expressions, left to right, of the
+    # divisor functions by the trial loops of tests/oracles
     q, x, y = inst.q, float(inst.X), float(inst.Y)
-    sigma = 0.0
-    for d in arith.divisors(q):
-        sigma += 1.0 / math.sqrt(d)
-    L, tau, root = arith.log1n(q), arith.tau(q), math.sqrt(q)
-    main = arith.phi(q) * x * y / q**2
+    sigma = oracles.sigma_half_inv(q)
+    L, tau, root = arith.log1n(q), oracles.tau(q), math.sqrt(q)
+    main = oracles.phi(q) * x * y / q**2
     return main, x / q * tau + L * sigma * (y / root * tau + root * L)
 
 
@@ -792,7 +791,7 @@ def test_boundary_kernels_empty_interval():
 @pytest.mark.parametrize("q", [30030, 59838])
 def test_envelopes_keep_their_float_bits(q):
     # the envelopes as literal expressions, multiplied left to right
-    tau, sigma, L, sqrt = arith.tau, arith.sigma_half_inv, arith.log1n, math.sqrt
+    tau, sigma, L, sqrt = oracles.tau, oracles.sigma_half_inv, arith.log1n, math.sqrt
     inst = cg.CongruenceInstance(1, 1, q, Fraction(q, 3), 500)
     X, Y = float(inst.X), float(inst.Y)
     env = X / q * tau(q) + L(q) * sigma(q) * (Y / sqrt(q) * tau(q) + sqrt(q) * L(q))

@@ -661,8 +661,8 @@ def _check_sieve_report(B, q, tau_level, c2, rho_max):
     rep = dp6.sieve_condition_report(B, q, **kwargs)
     seq = _sequence(B, q)
     assert rep["points_total"] == seq.total() == sum(a.values())
-    assert rep["rho_table"] == {str(d): f"{dp6.rho(d, q).numerator}/{dp6.rho(d, q).denominator}"
-                                for d in range(1, rho_max + 1) if arith.mobius(d)}
+    assert rep["rho_table"] == {str(d): f"{_rho(d, q).numerator}/{_rho(d, q).denominator}"
+                                for d in range(1, rho_max + 1) if oracles.mobius(d)}
     assert rep["w2"].keys() == want.keys()
     assert [float(v).hex() for v in rep["w2"].values()] == [float(v).hex() for v in want.values()]
     for d in (1, 2, 3, 6, 30, q, 210):
@@ -690,14 +690,20 @@ def test_sieve_report_matches_dict_scan_at_bench_budget(tau_level, c2):
     _check_sieve_report(10**6, 97, tau_level, c2, 210)
 
 
-_mobius, _radical, _divisors, _phi_star = (
+def _rho(d, q):
+    # rho(d) of a squarefree d, as the rho table of dp6-sieve takes it
+    return dp6._euler(d, q)[1]
+
+
+_mobius, _divisors, _phi_star = (
     functools.lru_cache(maxsize=None)(f)
-    for f in (arith.mobius, oracles.radical, arith.divisors, oracles.phi_star)
+    for f in (oracles.mobius, oracles.divisors, oracles.phi_star)
 )
 
 
 def _rho_triple_sum(d, q):
-    # the defining sum of rho, term by term (see the dp6.rho docstring)
+    # the defining sum of rho, term by term (see the comment of dp6._euler),
+    # over the trial loops of tests/oracles
     divs = _divisors(d)
     total = Fraction(0)
     for e1 in divs:
@@ -705,7 +711,7 @@ def _rho_triple_sum(d, q):
             if math.gcd(e1 * e2, q) != 1:
                 continue
             for e3 in divs:
-                if _radical(e1 * e2 * e3) != d:
+                if math.lcm(e1, e2, e3) != d:  # supported on every prime of d
                     continue
                 k = math.gcd(math.gcd(e1, e2), e3)
                 k13 = math.gcd(e1 // k, e3 // k)
@@ -723,42 +729,66 @@ def _rho_triple_sum(d, q):
 
 
 def test_rho_euler_product_matches_triple_sum():
-    pairs = [(d, q) for d in range(1, 400) if arith.mobius(d)
+    pairs = [(d, q) for d in range(1, 400) if oracles.mobius(d)
              for q in (2, 3, 5, 7, 11, 13, 53, 73, 97)]
     assert len(pairs) == 2187
     for d, q in pairs:
-        assert dp6.rho(d, q) == _rho_triple_sum(d, q), (d, q)
+        assert _rho(d, q) == _rho_triple_sum(d, q), (d, q)
+
+
+def test_euler_matches_triple_sum_property():
+    # _euler(d, q) for d < 2^31: None exactly when the trial loop finds a
+    # square factor, and otherwise omega(d) and the defining triple sum,
+    # which takes 8^omega(d) terms and so is run for omega(d) <= 4
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 97]), max_size=12).map(math.prod)
+    d_below = st.integers(1, 2**31 - 1) | small.filter(lambda d: d < 2**31)
+    q_prime = st.sampled_from([2, 3, 5, 7, 11, 13, 97, 46337, 2**31 - 1])
+
+    def check(d, q):
+        factors = oracles.prime_factors(d)
+        found = dp6._euler(d, q)
+        if oracles.mobius(d) == 0:
+            assert found is None
+            return
+        assert found[0] == len(factors)
+        if len(factors) <= 4:
+            assert found[1] == _rho_triple_sum(d, q)
+
+    for d, q in ((1, 7), (4, 7), (97 * 46337, 46337), (2 * 3 * 5 * 7, 7), (2**31 - 1, 2**31 - 1)):
+        check = hypothesis.example(d=d, q=q)(check)
+    hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)(
+        hypothesis.given(d=d_below, q=q_prime)(check))()
 
 
 def test_rho_frozen_values():
     q = 7
-    assert dp6.rho(1, q) == 1
-    assert dp6.rho(2, q) == 2
-    assert dp6.rho(3, q) == Fraction(7, 3)
-    assert dp6.rho(5, q) == Fraction(13, 5)
-    assert dp6.rho(7, q) == Fraction(8, 7)
-    assert dp6.rho(15, q) == Fraction(91, 15)
-    assert dp6.rho(6, q) == Fraction(14, 3)
+    assert _rho(1, q) == 1
+    assert _rho(2, q) == 2
+    assert _rho(3, q) == Fraction(7, 3)
+    assert _rho(5, q) == Fraction(13, 5)
+    assert _rho(7, q) == Fraction(8, 7)
+    assert _rho(15, q) == Fraction(91, 15)
+    assert _rho(6, q) == Fraction(14, 3)
 
 
 def test_rho_prime_formula_and_multiplicativity():
     q = 7
     for p in [3, 5, 11, 13, 199]:
-        assert dp6.rho(p, q) == 3 - Fraction(2, p)
-    assert dp6.rho(q, q) == 1 + Fraction(1, q)
+        assert _rho(p, q) == 3 - Fraction(2, p)
+    assert _rho(q, q) == 1 + Fraction(1, q)
     pairs = [(2, 3), (3, 5), (5, 6), (7, 10), (2, 21)]
     for d1, d2 in pairs:
         assert math.gcd(d1, d2) == 1
-        assert dp6.rho(d1 * d2, q) == dp6.rho(d1, q) * dp6.rho(d2, q)
+        assert _rho(d1 * d2, q) == _rho(d1, q) * _rho(d2, q)
 
 
 def test_rho_validation():
-    with pytest.raises(ValueError):
-        dp6.rho(4, 7)  # not squarefree
-    with pytest.raises(ValueError):
-        dp6.rho(3, 15)  # composite q
-    with pytest.raises(ValueError):
-        dp6.rho(0, 7)
+    # rho is taken only on squarefree d: _euler answers None for any other
+    # d (q is checked once, by _normalization, before dp6-sieve factors a d)
+    for d in (4, 12, 49, 2**30, 46337**2):
+        assert dp6._euler(d, 7) is None, d
 
 
 def test_rho_oracle_prime():
@@ -811,13 +841,13 @@ def test_w1_min_c1_has_the_bits_of_the_double_loop(z_max):
 def test_w1_min_c1_takes_the_euler_factors_without_rho(monkeypatch):
     # rho's own Euler factors, with q checked once for primality
     assert all(dp6._rho_factor(p, 7) == oracles.rho_oracle_prime(p, 7)[0] * p for p in (3, 11))
-    assert dp6._rho_factor(7, 7) == dp6.rho(7, 7) == 1 + Fraction(1, 7)
+    assert dp6._rho_factor(7, 7) == _rho(7, 7) == 1 + Fraction(1, 7)
     want = dp6._w1_min_c1(83, 1000)
 
     def no_call(*args):
-        raise AssertionError("_w1_min_c1 called rho")
+        raise AssertionError("_w1_min_c1 called rho's Euler product")
 
-    monkeypatch.setattr(dp6, "rho", no_call)
+    monkeypatch.setattr(dp6, "_euler", no_call)
     assert dp6._w1_min_c1(83, 1000) == want
 
 

@@ -6,9 +6,9 @@ reaches the module-level definition it names in its own module, or the one
 it was imported from; `module.name` reaches the definition in that package
 module; any other call `x.name(...)` reaches every method of that name, and
 any other read of `x.name` every property of that name, so reading a field
-runs no method.  A reached class also runs its dunder methods.  What stays
-unreached is only the test oracles: scalar functions that tests compare the
-bodies the commands run against.
+runs no method.  A reached class also runs its dunder methods.  No public
+name is exempt: a reference body that tests compare against lives in
+tests/oracles.py, not in the package.
 """
 
 import ast
@@ -17,18 +17,6 @@ from pathlib import Path
 import congruence_lab
 
 PACKAGE = Path(congruence_lab.__file__).parent
-TESTS = Path(__file__).resolve().parent
-
-# the public names no command reaches, each with a test file that compares
-# against it
-ORACLES = {
-    "arith.divisors": "test_dp6.py",  # the defining triple sum of rho
-    "arith.mobius": "test_dp6.py",  # the squarefree d of the rho table
-    "arith.phi": "test_congruence.py",  # the unit counts of the box count
-    "arith.sigma_half_inv": "test_congruence.py",  # the envelopes of box_report
-    "arith.tau": "test_congruence.py",  # the envelopes of box_report
-    "dp6.rho": "test_acceptance.py",  # the multiplicativity of the Euler product
-}
 
 
 def _modules():
@@ -131,26 +119,4 @@ def test_every_public_definition_runs_in_some_command():
     defs, reached = reached_names()
     public = {key for key in defs if not any(part.startswith("_") for part in key[1].split("."))}
     unreached = {f"{mod}.{name}" for mod, name in public - reached}
-    assert unreached == set(ORACLES)
-
-
-def _package_names_read(path):
-    # the (module, name) pairs a test file imports from a package module or
-    # reads as an attribute of one
-    tree = ast.parse(path.read_text())
-    modules, names = {}, set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "congruence_lab":
-            modules |= {alias.asname or alias.name: alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("congruence_lab."):
-            names |= {(node.module.split(".")[1], alias.name) for alias in node.names}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in modules):
-            names.add((modules[node.value.id], node.attr))
-    return names
-
-
-def test_every_oracle_is_read_by_a_test():
-    for name, test_file in ORACLES.items():
-        assert tuple(name.split(".")) in _package_names_read(TESTS / test_file), name
+    assert unreached == set()
