@@ -33,7 +33,6 @@ from .congruence import (
 from .dp6 import (
     BETA_3,
     GrowthRow,
-    SieveSequence,
     icbrt,
     m_t_growth,
     point_blocks,

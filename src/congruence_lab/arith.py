@@ -94,6 +94,18 @@ def is_prime(n: int) -> bool:
     return factorize(n).factors == ((n, 1),)
 
 
+def sieve_primes(limit: int) -> list[int]:
+    """The primes p <= limit, ascending, by the sieve of Eratosthenes."""
+    if limit < 2:
+        return []
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return [i for i, f in enumerate(flags) if f]
+
+
 def log1n(n: int) -> float:
     """The smoothed logarithm log(n + 1) used by all error envelopes."""
     if n < 0:

@@ -163,7 +163,7 @@ def _cmd_count(o: argparse.Namespace) -> int:
     print(f"envelope  = {rep.envelope!r}")
     print(f"ratio     = {rep.ratio!r}")
     _emit(o, "congruence box counts: exact vs main term and error envelope",
-          reports.BOX_FIELDS, [rep])
+          congruence.CountReport._fields, [rep])
     return 0
 
 
@@ -179,16 +179,19 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
     for name, side in (("x", o.x), ("y", o.y)):
         if side is not None and side < 1:
             raise ValueError(f"--{name} must be q or a rational >= 1, got {side}")
-    qs = dp6.sieve_primes(o.primes_up_to) if o.q_list is None else o.q_list
+    qs = arith.sieve_primes(o.primes_up_to) if o.q_list is None else o.q_list
     # an out-of-range modulus is left to scan_boxes, which names it
-    if all(1 <= q < arith.MODULUS_LIMIT and math.gcd(o.a * o.b, q) != 1 for q in qs):
+    shared = [q for q in qs if 1 <= q < arith.MODULUS_LIMIT and math.gcd(o.a * o.b, q) != 1]
+    if len(shared) == len(qs):
         raise ValueError(f"--a, --b: a*b = {o.a * o.b} shares a factor with every modulus q,"
                          f" so no box is left to count")
     reps = congruence.scan_boxes(qs, o.a, o.b, o.x, o.y)
+    for q in shared:  # the moduli scan_boxes skipped
+        print(f"skipping q={q}: a*b must be coprime to q", file=sys.stderr)
     worst = max((r.ratio for r in reps), default=0.0)
     print(f"instances = {len(reps)}   max |exact - main|/envelope = {worst!r}")
     _emit(o, "congruence box counts: exact vs main term and error envelope",
-          reports.BOX_FIELDS, reps)
+          congruence.CountReport._fields, reps)
     return 0
 
 
@@ -217,6 +220,9 @@ def random_floats(seed: int, n: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+VAALER_FIELDS = ("H", "samples", "seed", "violations", "worst_slack")
+
+
 def _cmd_vaaler(o: argparse.Namespace) -> int:
     # majorant_slack's own checks of H, made before the samples are drawn
     if o.H < 1:
@@ -233,8 +239,12 @@ def _cmd_vaaler(o: argparse.Namespace) -> int:
     print(f"H = {o.H}: {violations} violations in {o.samples} samples;"
           f" worst slack = {worst!r}")
     _emit(o, "sawtooth approximation: majorant violations at random points",
-          reports.VAALER_FIELDS, [(o.H, o.samples, o.seed, violations, worst)])
+          VAALER_FIELDS, [(o.H, o.samples, o.seed, violations, worst)])
     return 0
+
+
+AVERAGED_FIELDS = ("l", "m", "r", "s", "t", "U", "V", "W", "Y", "scheme", "seed", "H", "epsilon",
+                   "S_re", "S_im", "M_re", "M_im", "first_O", "T_envelope", "ratio")
 
 
 def _cmd_avg_scan(o: argparse.Namespace) -> int:
@@ -248,7 +258,10 @@ def _cmd_avg_scan(o: argparse.Namespace) -> int:
         print(f"seed {rep.seed}: |S - M| = {abs(rep.S - rep.M)!r}  "
               f"budget = {rep.first_O + rep.T_envelope!r}  ratio = {rep.ratio!r}")
     _emit(o, "averaged congruence sums: exact weighted sum vs main term vs budget",
-          reports.AVERAGED_FIELDS, [reports.averaged_row(rep) for rep in reps])
+          AVERAGED_FIELDS, [(fam.l, fam.m, fam.r, fam.s, fam.t, fam.U, fam.V, fam.W, fam.J.length,
+                             fam.scheme, rep.seed, rep.H, rep.epsilon, rep.S.real, rep.S.imag,
+                             rep.M.real, rep.M.imag, rep.first_O, rep.T_envelope, rep.ratio)
+                            for rep in reps])
     return 0
 
 
@@ -257,7 +270,7 @@ def _cmd_dp6_enumerate(o: argparse.Namespace) -> int:
     blocks = dp6.point_blocks(o.B, o.t)
     count = (reports.write_table(o.out, o.format,
                                  "almost-prime surface points from the q-window torsor family",
-                                 reports.POINT_FIELDS, blocks)
+                                 dp6.POINT_FIELDS, blocks)
              if o.out else sum(len(block) for block in blocks))
     print(f"B = {o.B}, t = {o.t}: {count} points")
     if o.out:
@@ -271,7 +284,7 @@ def _cmd_dp6_growth(o: argparse.Namespace) -> int:
         print(f"B = {row.B:>12}  count = {row.count:>10}  "
               f"count*log(B)^5/B = {row.normalized!r}")
     _emit(o, "almost-prime point counts by budget with log-power normalization",
-          reports.GROWTH_FIELDS, rows)
+          dp6.GrowthRow._fields, rows)
     return 0
 
 
@@ -286,6 +299,9 @@ def _cmd_dp6_sieve(o: argparse.Namespace) -> int:
     else:
         print(text, end="")
     return 0
+
+
+BILINEAR_FIELDS = ("M", "N", "seed", "epsilon", "abs_sum", "bound", "ratio")
 
 
 def _cmd_bilinear(o: argparse.Namespace) -> int:
@@ -309,7 +325,7 @@ def _cmd_bilinear(o: argparse.Namespace) -> int:
               f"bound = {res.bound!r}  ratio = {ratio!r}")
         rows.append((res.M, res.N, seed, o.epsilon, abs(res.value), res.bound, ratio))
     _emit(o, "bilinear Jacobi-symbol sums vs cancellation benchmark",
-          reports.BILINEAR_FIELDS, rows)
+          BILINEAR_FIELDS, rows)
     return 0
 
 

@@ -57,7 +57,6 @@ odd m <= M and n <= N, (M + 1)/2 * N bytes.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -68,8 +67,6 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .arith import MODULUS_LIMIT, block_rows, factorize, floor_mod, log1n, mod_inv
-
-log = logging.getLogger("congruence_lab")
 
 RationalLike = int | float | Fraction
 
@@ -200,11 +197,11 @@ def _moduli(qs: Sequence[int]) -> tuple[dict[int, tuple[list[int], int]], np.nda
 
 def _closed_forms(boxes: Sequence[tuple[int, Fraction, Fraction]], columns: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    # (main terms, envelopes) of e = 1, f = 2 boxes (q, X, Y) as float64
-    # arrays, given the _moduli columns: each formed left to right as its
-    # scalar expression, so of the same bits; each side a float once, as
-    # numerator / denominator, the division float(Fraction) does.  An
-    # overflow gives inf, for the caller to refuse
+    # (main terms, envelopes) of boxes (q, X, Y) as float64 arrays, given
+    # the _moduli columns: each formed left to right as its scalar
+    # expression, so of the same bits; each side a float once, as numerator
+    # / denominator, the division float(Fraction) does.  An overflow gives
+    # inf, for the caller to refuse
     q, q2, phi_q, tau_q, sigma_q, L_q = columns
     X = np.array([X.numerator / X.denominator for _, X, _ in boxes], dtype=np.float64)
     Y = np.array([Y.numerator / Y.denominator for _, _, Y in boxes], dtype=np.float64)
@@ -284,7 +281,7 @@ def scan_boxes(
     side below 1, a modulus below 1 or of 2^31 or more (naming q), and a
     box whose count bound floor(Y) (floor(X) // q + 1), main term or
     envelope is outside float range (naming q).  The moduli with gcd(ab, q)
-    != 1 are skipped with a log line."""
+    != 1 are skipped, with no output."""
     if a == 0 or b == 0:
         raise ValueError("coefficients a, b must be nonzero")
     if any(side is not None and side < 1 for side in (X, Y)):
@@ -294,11 +291,9 @@ def scan_boxes(
     X, Y = (None if side is None else Fraction(side) for side in (X, Y))
     boxes = []
     for q in q_values:
-        if math.gcd(a * b, q) != 1:
-            log.warning("skipping q=%d: a*b must be coprime to q", q)
-            continue
-        side = Fraction(q)
-        boxes.append((q, side if X is None else X, side if Y is None else Y))
+        if math.gcd(a * b, q) == 1:
+            side = Fraction(q)
+            boxes.append((q, side if X is None else X, side if Y is None else Y))
     return _reports(a, b, boxes)
 
 

@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import block_rows, factorize, is_prime
+from .arith import block_rows, factorize, is_prime, sieve_primes
 
 BETA_3 = 6.640859  # sieving limit for the dimension-3 weighted sieve
 _GRID_TOL = 1e-9  # _w1_min_c1 recomputes the cells this close to the grid maximum
@@ -66,17 +66,6 @@ def icbrt(n: int) -> int:
         if s >= r:
             return r
         r = s
-
-
-def sieve_primes(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i, f in enumerate(flags) if f]
 
 
 def _padded(limit: int, head: np.ndarray | int) -> np.ndarray:
@@ -193,6 +182,8 @@ def _real_cells(B: int, q: int, a1, s, z, cells) -> tuple[np.ndarray, ...]:
 # point_blocks refuses budgets at or above this, so that its checks are exact
 # in int64 (see _check_block)
 POINT_BUDGET_LIMIT = 2**31
+# the columns of a point_blocks row, as its tables name them
+POINT_FIELDS = ("q", "a1", "a2", "a3", "x0", "x1", "x2", "x3", "x4", "x5", "x6", "Omega")
 
 
 def point_blocks(B: int, t: int) -> Iterator[np.ndarray]:
@@ -332,21 +323,6 @@ def m_t_growth(B_values: Sequence[int], t: int) -> list[GrowthRow]:
 
 # ---- sieve sequence and local densities ----
 
-class SieveSequence(NamedTuple):
-    """Multiplicities a_n = #{family points with alpha1 alpha2 |alpha3| = n}
-    for one prime q, with the normalization X = phi(q) B / (4 q^2): int64 arrays of
-    the distinct n ascending and their a_n, for a (B, q) that _normalization passed."""
-
-    B: int
-    q: int
-    X: Fraction
-    n: np.ndarray
-    a: np.ndarray
-
-    def total(self) -> int:
-        return int(self.a.sum())
-
-
 def _normalization(B: int, q: int) -> Fraction:
     """X = phi(q) B / (4 q^2) for a prime q in (B^{1/3}/2, B^{1/3}], else
     refused, as is a budget B where alpha1 alpha2 |alpha3| could reach 2^63.
@@ -362,17 +338,18 @@ def _normalization(B: int, q: int) -> Fraction:
     return Fraction((q - 1) * B, 4 * q * q)  # phi(q) = q - 1
 
 
-def _sieve_sequence(B: int, q: int, X: Fraction) -> SieveSequence:
-    # the sequence a_n for a (B, q) that _normalization passed, and its X;
-    # n = alpha1 alpha2 |alpha3| is formed in int64, which that check ensures
+def _sieve_sequence(B: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    # (n, a) for a (B, q) that _normalization passed: int64 arrays of the
+    # distinct n = alpha1 alpha2 |alpha3| of the family points of q,
+    # ascending, and their multiplicities a_n, formed in int64, which that
+    # check ensures
     a2max = _alpha_bounds(B)[1]
     # the real cells of a zero head are the family points, with no Omega sieve;
     # a cell takes under 8 int64 values on its way to its product
     blocks = _cell_blocks(B, [q], _padded(a2max, 0), 8)
     products = [a1 * a2 * np.abs(a3) for a1, a2, a3, _ in
                 (_real_cells(B, *block) for block in blocks)]
-    return SieveSequence(B, q, X, *np.unique(np.concatenate([np.zeros(0, np.int64), *products]),
-                                             return_counts=True))
+    return np.unique(np.concatenate([np.zeros(0, np.int64), *products]), return_counts=True)
 
 
 def _rho_factor(p: int, q: int) -> Fraction:
@@ -424,19 +401,18 @@ def _d_max(X: float, tau_level: float, c2: float) -> float:
     return d_max
 
 
-def _w2_sum(seq: SieveSequence, tau_level: float, c2: float, d_max: float,
-            rhos: dict[int, tuple[int, Fraction]]) -> dict[str, float]:
+def _w2_sum(n: np.ndarray, a: np.ndarray, X: Fraction, tau_level: float, c2: float,
+            d_max: float, rhos: dict[int, tuple[int, Fraction]]) -> dict[str, float]:
     # Remainder mass sum_{d <= d_max} mu^2(d) 4^omega(d) |R_d|, R_d = sum of
     # a_n over d | n minus rho(d)/d X, with the comparison scale X / log^4 X,
-    # given d_max = X^tau / log^c2 X and the _euler of each squarefree d <=
-    # d_max, ascending
-    X = float(seq.X)
+    # given the sieve sequence (n, a), d_max = X^tau / log^c2 X and the
+    # _euler of each squarefree d <= d_max, ascending
     total = 0.0
     for d, (omega, rho_d) in rhos.items():
         if d <= d_max:
-            exact = int(seq.a[seq.n % d == 0].sum())
-            total += 4**omega * abs(exact - float(rho_d / d * seq.X))
-    scale = X / math.log(X) ** 4
+            exact = int(a[n % d == 0].sum())
+            total += 4**omega * abs(exact - float(rho_d / d * X))
+    scale = float(X) / math.log(float(X)) ** 4
     return {
         "tau": tau_level,
         "c2": c2,
@@ -537,7 +513,7 @@ def sieve_condition_report(
         raise ValueError(f"t (--t) must be >= 0, got {t}")
     X = _normalization(B, q)  # the one check of q; the bodies below trust it
     d_max = _d_max(float(X), tau_level, c2)
-    seq = _sieve_sequence(B, q, X)
+    n, a = _sieve_sequence(B, q)
     rhos = {d: found for d in range(1, max(rho_table_max, int(d_max)) + 1)
             if (found := _euler(d, q))}
     table = {str(d): _ratio(rho_d) for d, (_, rho_d) in rhos.items() if d <= rho_table_max}
@@ -545,12 +521,12 @@ def sieve_condition_report(
     return {
         "B": B,
         "q": q,
-        "X": _ratio(seq.X),
-        "X_float": float(seq.X),
-        "points_total": seq.total(),
+        "X": _ratio(X),
+        "X_float": float(X),
+        "points_total": int(a.sum()),
         "rho_table": table,
         "rho_at_q": _ratio(_rho_factor(q, q)),
-        "w2": _w2_sum(seq, tau_level, c2, d_max, rhos),
+        "w2": _w2_sum(n, a, X, tau_level, c2, d_max, rhos),
         "w1": {
             **_w1_min_c1(q, z_max),
             "note": "p = 2 excluded: every sequence element is even",

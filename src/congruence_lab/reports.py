@@ -1,12 +1,13 @@
 """Deterministic CSV and JSON emission for every report type.
 
-A report row is a tuple of values in the order of its *_FIELDS schema.
-write_table formats every cell once, as a string, by fmt, and the JSON
-mirror stores those same strings, so CSV -> JSON -> CSV is byte-identical.
+A report row is a tuple of values in the order of the fields its caller
+passes: each table's fields are declared where its rows are built, and
+this module imports nothing from the package.  write_table formats every
+cell once, as a string, by fmt, and the JSON mirror stores those same
+strings, so CSV -> JSON -> CSV is byte-identical.
 fmt goes by a cell's exact type: floats use repr (shortest round-trip form),
 rationals num/den, booleans true/false; other types (numpy's float64 too)
-raise TypeError.  A CountReport is its own box row, and its retired
-seconds column is always 0.0, so no output depends on the clock.
+raise TypeError.
 """
 
 from __future__ import annotations
@@ -17,18 +18,6 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .averaged import AveragedReport
-from .congruence import CountReport
-from .dp6 import GrowthRow
-
-BOX_FIELDS = CountReport._fields
-AVERAGED_FIELDS = ("l", "m", "r", "s", "t", "U", "V", "W", "Y", "scheme", "seed", "H", "epsilon",
-                   "S_re", "S_im", "M_re", "M_im", "first_O", "T_envelope", "ratio")
-GROWTH_FIELDS = GrowthRow._fields
-POINT_FIELDS = ("q", "a1", "a2", "a3", "x0", "x1", "x2", "x3", "x4", "x5", "x6", "Omega")
-BILINEAR_FIELDS = ("M", "N", "seed", "epsilon", "abs_sum", "bound", "ratio")
-VAALER_FIELDS = ("H", "samples", "seed", "violations", "worst_slack")
 
 
 class _Formats(dict):
@@ -44,13 +33,6 @@ _FORMATS = _Formats({bool: lambda value: "true" if value else "false", int: str,
 
 def fmt(value) -> str:
     return _FORMATS[type(value)](value)
-
-
-def averaged_row(report: AveragedReport) -> tuple:
-    fam = report.family
-    return (fam.l, fam.m, fam.r, fam.s, fam.t, fam.U, fam.V, fam.W, fam.J.length,
-            fam.scheme, report.seed, report.H, report.epsilon, report.S.real, report.S.imag,
-            report.M.real, report.M.imag, report.first_O, report.T_envelope, report.ratio)
 
 
 # ---- serialization ----

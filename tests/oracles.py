@@ -29,10 +29,10 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from congruence_lab.arith import Factorization, factorize, is_prime
+from congruence_lab.arith import Factorization, factorize, is_prime, sieve_primes
 from congruence_lab.congruence import CongruenceInstance, _unit_count, _units
 from congruence_lab import dp6
-from congruence_lab.dp6 import icbrt, prime_window, sieve_primes
+from congruence_lab.dp6 import icbrt, prime_window
 from congruence_lab.gausssum import GaussSumValue, _branch, _e, gauss_brute
 from congruence_lab.reports import fmt
 from congruence_lab.sawtooth import _TWO_PI, _taper, fejer_majorant_many, psi, vaaler_polynomial

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from congruence_lab import averaged, congruence, dp6, sawtooth
+from congruence_lab import arith, averaged, congruence, dp6, sawtooth
 
 import oracles
 
@@ -87,7 +87,7 @@ def test_criterion_03_exact_counter_vs_naive():
 
 def test_criterion_04_main_term_scan():
     start = time.perf_counter()
-    qs = dp6.sieve_primes(500)
+    qs = arith.sieve_primes(500)
     reps = congruence.scan_boxes(qs)
     elapsed = time.perf_counter() - start
     worst = max(r.ratio for r in reps)
@@ -159,7 +159,7 @@ def test_criterion_07_local_density_oracle():
     q = 7
     mismatches = 0
     checks = 0
-    for p in dp6.sieve_primes(200):
+    for p in arith.sieve_primes(200):
         if p in (2, q):
             continue
         brute, formula = oracles.rho_oracle_prime(p, q)
@@ -190,7 +190,7 @@ def _oracle_family_points(B: int, t: int) -> set[tuple[int, int, int]]:
     pts = set()
     a1max = dp6.icbrt(B // 8)
     a2max = dp6.icbrt(B * B // 8)
-    for q in dp6.sieve_primes(dp6.icbrt(B)):
+    for q in arith.sieve_primes(dp6.icbrt(B)):
         if 8 * q**3 <= B:
             continue
         for a1 in range(1, a1max + 1):

@@ -156,6 +156,12 @@ def test_sigma_half_inv_against_40_digits():
         assert err <= fac.tau() + 2, n
 
 
+def test_sieve_primes():
+    assert arith.sieve_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert arith.sieve_primes(1) == []
+    assert len(arith.sieve_primes(10**4)) == 1229
+
+
 def test_log1n():
     assert arith.log1n(0) == 0.0
     assert arith.log1n(1) == pytest.approx(math.log(2))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from congruence_lab import cli, congruence, dp6, reports
+from congruence_lab import cli, congruence, dp6
 
 import oracles
 
@@ -62,7 +62,7 @@ def test_count_fixture(capsys, tmp_path):
     assert "exact     = 16" in out
     assert "wrote 1 rows" in out
     desc, fields, rows = oracles.parse_csv_text(out_path.read_text())
-    assert list(fields) == list(reports.BOX_FIELDS)
+    assert list(fields) == list(congruence.CountReport._fields)
     assert rows[0]["exact"] == "16"
     assert rows[0]["seconds"] == "0.0"
 
@@ -171,7 +171,7 @@ def test_dp6_enumerate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "31 points" in out
     _, fields, rows = oracles.parse_csv_text(out_path.read_text())
-    assert list(fields) == list(reports.POINT_FIELDS)
+    assert list(fields) == list(dp6.POINT_FIELDS)
     assert len(rows) == 31
     assert rows[0]["x5"] == "343"
 

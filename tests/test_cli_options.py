@@ -316,7 +316,8 @@ def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("work began before the arguments were checked")
 
-    for module, name in ((cli.dp6, "sieve_primes"), (cli.averaged, "cell_sums"),
+    for module, name in ((cli.arith, "sieve_primes"), (cli.dp6, "sieve_primes"),
+                         (cli.averaged, "cell_sums"),
                          (cli.dp6, "_sieve_sequence"), (cli.congruence, "_jacobi_table"),
                          (cli.congruence, "_linear_count"), (cli, "random_floats")):
         monkeypatch.setattr(module, name, no_work)

@@ -1,4 +1,3 @@
-import logging
 import math
 import random
 import tracemalloc
@@ -8,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from congruence_lab import arith
+from congruence_lab import arith, cli
 from congruence_lab import averaged as av
 from congruence_lab import congruence as cg
 
@@ -368,6 +367,54 @@ def test_naive_guard():
         oracles.count_exact_naive(cg.CongruenceInstance(1, 1, 5, 10**5, 10**4))
 
 
+# q = 1, the primes 2, 65521 and 2^31 - 1, and composites of many divisors (tau up to 1600)
+_FORM_Q = [1, 2, 2**31 - 1, 2095133040, 735134400, 1396755360, 720720, 65521]
+
+
+def _closed_form_errors(boxes):
+    # (main term, envelope) relative errors of the box reports' float forms,
+    # in units of 2^-53, against the exact Fraction phi(q) X Y / q^2 and a
+    # 40-digit mpmath envelope X/q tau + L sigma (Y/sqrt(q) tau + sqrt(q) L),
+    # L = log(q + 1), with phi, tau and sigma_{-1/2} from the oracles
+    import mpmath  # sympy's dependency, so installed with the test extra
+
+    _, columns = cg._moduli([q for q, _, _ in boxes])
+    main, env = cg._closed_forms(boxes, columns)
+    out = []
+    with mpmath.workdps(40):
+        for (q, X, Y), m, v in zip(boxes, main.tolist(), env.tolist()):
+            exact = Fraction(oracles.phi(q)) * X * Y / q**2
+            tau, sigma = oracles.tau(q), oracles.sigma_half_inv_mp(q)
+            x, y = (mpmath.mpf(s.numerator) / s.denominator for s in (X, Y))
+            root, L = mpmath.sqrt(q), mpmath.log(q + 1)
+            want = x / q * tau + L * sigma * (y / root * tau + root * L)
+            out.append((float(abs(Fraction(m) - exact) / exact) * 2.0**53,
+                        float(abs(v - want) / want) * 2.0**53, tau))
+    return out
+
+
+def test_main_term_and_envelope_within_stated_bounds_of_exact_values():
+    # README, Conventions: the main term within 6.001 2^-53 of phi(q) X Y / q^2
+    # and the envelope within (tau(q) + 13) 2^-53 of its exact value, both
+    # relative, for q < 2^31 and sides in [1, 10^140]
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    q = st.one_of(st.sampled_from(_FORM_Q), st.integers(1, 2**31 - 1),
+                  st.integers(1, 2**31 - 2).map(sympy.nextprime))
+    side = st.one_of(st.fractions(min_value=1, max_value=10**6, max_denominator=10**6),
+                     st.fractions(min_value=1, max_value=10**140, max_denominator=10**20))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(boxes=st.lists(st.tuples(q, side, side), min_size=1, max_size=4))
+    def check(boxes):
+        for (main_err, env_err, tau), box in zip(_closed_form_errors(boxes), boxes):
+            assert main_err <= 6.001, box
+            assert env_err <= tau + 13, box
+
+    check()
+
+
 def test_main_term_and_envelope_frozen():
     rep = cg.box_report(cg.CongruenceInstance(1, 1, 5, 10, 10))
     assert rep.main_term == pytest.approx(16.0)
@@ -384,11 +431,17 @@ def test_box_report_exact_prime_square():
     assert rep.ratio == pytest.approx(0.0)
 
 
-def test_scan_boxes_skips_bad_instances(caplog):
-    with caplog.at_level(logging.WARNING, logger="congruence_lab"):
-        reps = cg.scan_boxes([5, 6, 9], a=3, b=1)
+def test_scan_boxes_skips_bad_instances(capsys):
+    # scan_boxes skips a modulus not prime to a b and writes nothing;
+    # count-scan names each skipped modulus on stderr, in input order
+    reps = cg.scan_boxes([5, 6, 9], a=3, b=1)
     assert [r.q for r in reps] == [5]
-    assert "skipping" in caplog.text
+    assert capsys.readouterr() == ("", "")
+    assert cli.main(["count-scan", "--q-list", "5,6,9", "--a", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("instances = 1 ")
+    assert err == ("skipping q=6: a*b must be coprime to q\n"
+                   "skipping q=9: a*b must be coprime to q\n")
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from congruence_lab import arith, cli, dp6, reports
+from congruence_lab import arith, cli, dp6
 
 import oracles
 
@@ -38,12 +38,6 @@ def test_icbrt_beyond_float_range():
     for n in (10**400, 10**399 - 1):
         r = dp6.icbrt(n)
         assert r**3 <= n < (r + 1) ** 3
-
-
-def test_sieve_primes():
-    assert dp6.sieve_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert dp6.sieve_primes(1) == []
-    assert len(dp6.sieve_primes(10**4)) == 1229
 
 
 def test_omega_table_matches_scalar():
@@ -184,7 +178,7 @@ def test_point_blocks_match_dataclass_path(t, tmp_path, capsys):
         argv = ["dp6-enumerate", "--B", str(B), "--t", str(t), "--out", str(out),
                 "--format", fmt_name]
         assert cli.main(argv) == 0
-        assert out.read_text() == to_text(_POINTS_DESCRIPTION, reports.POINT_FIELDS,
+        assert out.read_text() == to_text(_POINTS_DESCRIPTION, dp6.POINT_FIELDS,
                                           point_rows)
     assert f"B = {B}, t = {t}: {len(records)} points\n" in capsys.readouterr().out
 
@@ -267,7 +261,7 @@ def test_dp6_enumerate_json_streams_within_one_block_and_its_text(B, tmp_path, c
     table = a2max + 1 + math.isqrt(2 * a2max) + 2
     text = 12 * (arith.BLOCK_CELLS // 48) * (2 * len(str(B)) + 111)
     bound = table + 4 * (a2max + 1) + 8 * arith.BLOCK_CELLS + text
-    row = dict(zip(reports.POINT_FIELDS, map(str, next(dp6.point_blocks(B, 12))[0].tolist())))
+    row = dict(zip(dp6.POINT_FIELDS, map(str, next(dp6.point_blocks(B, 12))[0].tolist())))
     held = count * (sys.getsizeof(row) + sum(map(sys.getsizeof, row.values())))
     assert peak <= bound < held, (peak, bound, held)
 
@@ -410,7 +404,7 @@ def test_l_t_count_matches_brute_scan():
     @hypothesis.given(data=st.data(), B=st.integers(8, 12_000), t=st.integers(0, 14))
     def check(data, B, t):
         # every prime up to B^{1/3}, the window and below it
-        q = data.draw(st.sampled_from(dp6.sieve_primes(dp6.icbrt(B))))
+        q = data.draw(st.sampled_from(arith.sieve_primes(dp6.icbrt(B))))
         assert _l_t(B, q, t) == _l_t_brute(B, q, t)
 
     check()
@@ -437,7 +431,7 @@ def test_l_t_count_matches_family_count():
     @hypothesis.given(data=st.data(), B=st.integers(1, 10**8), t=st.integers(0, 70))
     def check(data, B, t):
         # every prime up to B^{1/3}, the window and below it (2 for B < 8)
-        q = data.draw(st.sampled_from(dp6.sieve_primes(max(dp6.icbrt(B), 2))))
+        q = data.draw(st.sampled_from(arith.sieve_primes(max(dp6.icbrt(B), 2))))
         assert _l_t(B, q, t) == _l_t_family(B, q, t)
 
     check()
@@ -514,7 +508,7 @@ def test_l_t_counts_match_l_t_count_and_family():
             om = np.concatenate([base[: a2max + 1], np.full(
                 math.isqrt(2 * a2max) + 2, 2 * a2max.bit_length() - 1, dtype=np.int8)])
             # every prime up to B^{1/3}, the window and below it; none for B < 8
-            primes = dp6.sieve_primes(dp6.icbrt(B))
+            primes = arith.sieve_primes(dp6.icbrt(B))
             qs = data.draw(st.lists(st.sampled_from(primes), max_size=4)) if primes else []
             expected = [_l_t(B, q, t) for q in qs]
             assert dp6._l_t_counts(B, qs, t, om) == expected
@@ -575,16 +569,17 @@ def test_l_t_count_int8_budget_limit(monkeypatch):
 # ---- sieve sequence and densities ----
 
 def _sequence(B, q):
-    # the sieve sequence of dp6-sieve, after its one check of (B, q)
-    return dp6._sieve_sequence(B, q, dp6._normalization(B, q))
+    # the sieve sequence (n, a) of dp6-sieve and its X, after its one check of (B, q)
+    X = dp6._normalization(B, q)
+    return (*dp6._sieve_sequence(B, q), X)
 
 
 def test_build_sieve_sequence():
-    seq = _sequence(1000, 7)
-    assert seq.X == Fraction(1500, 49)
-    assert seq.total() == 31
-    assert (seq.n > 0).all() and (seq.n % 2 == 0).all() and (seq.a > 0).all()
-    assert (np.diff(seq.n) > 0).all() and seq.n.dtype == seq.a.dtype == np.int64
+    n, a, X = _sequence(1000, 7)
+    assert X == Fraction(1500, 49)
+    assert a.sum() == 31
+    assert (n > 0).all() and (n % 2 == 0).all() and (a > 0).all()
+    assert (np.diff(n) > 0).all() and n.dtype == a.dtype == np.int64
     with pytest.raises(ValueError, match=r"q must lie in \(B\^\{1/3\}/2, B\^\{1/3\}\]"):
         dp6._normalization(1000, 11)
     with pytest.raises(ValueError, match="q must be prime"):
@@ -601,7 +596,8 @@ def _sieve_counter(B, q):
 
 
 def _as_dict(seq):
-    return dict(zip(seq.n.tolist(), seq.a.tolist()))
+    n, a, _ = seq
+    return dict(zip(n.tolist(), a.tolist()))
 
 
 @pytest.mark.parametrize("B", [10**4, 10**5])
@@ -629,20 +625,20 @@ def test_sieve_sequence_refuses_int64_overflow():
         dp6._normalization(B, dp6.prime_window(B)[0])
 
 
-def _remainder_term(seq, d):
+def _remainder_term(seq, q, d):
     # 4^omega(d) |R_d| of one squarefree d, as the remainder sum takes it
-    return dp6._w2_sum(seq, 0.4, 1.0, d, {d: dp6._euler(d, seq.q)})["sum"]
+    return dp6._w2_sum(*seq, 0.4, 1.0, d, {d: dp6._euler(d, q)})["sum"]
 
 
 def test_sum_over_d():
-    seq = _sequence(1000, 7)
+    seq = n, a, X = _sequence(1000, 7)
     # d = 1: the a_n sum to 31, against the prediction X = 1500/49
-    assert seq.total() == 31
-    assert float(seq.X) == pytest.approx(30.612244897959183)
-    assert _remainder_term(seq, 1) == pytest.approx(0.387755102040817)
+    assert a.sum() == 31
+    assert float(X) == pytest.approx(30.612244897959183)
+    assert _remainder_term(seq, 7, 1) == pytest.approx(0.387755102040817)
     # d = 2: every element is even, so the sum is 31 again, against rho(2)/2 X = X
-    assert (seq.n % 2 == 0).all()
-    assert _remainder_term(seq, 2) == pytest.approx(4 * 0.387755102040817)
+    assert (n % 2 == 0).all()
+    assert _remainder_term(seq, 7, 2) == pytest.approx(4 * 0.387755102040817)
 
 
 def _check_sieve_report(B, q, tau_level, c2, rho_max):
@@ -660,7 +656,8 @@ def _check_sieve_report(B, q, tau_level, c2, rho_max):
     want = oracles.w2_sum_scan(a, q, X, tau_level, c2)
     rep = dp6.sieve_condition_report(B, q, **kwargs)
     seq = _sequence(B, q)
-    assert rep["points_total"] == seq.total() == sum(a.values())
+    assert seq[2] == X
+    assert rep["points_total"] == seq[1].sum() == sum(a.values())
     assert rep["rho_table"] == {str(d): f"{_rho(d, q).numerator}/{_rho(d, q).denominator}"
                                 for d in range(1, rho_max + 1) if oracles.mobius(d)}
     assert rep["w2"].keys() == want.keys()
@@ -668,7 +665,7 @@ def _check_sieve_report(B, q, tau_level, c2, rho_max):
     for d in (1, 2, 3, 6, 30, q, 210):
         _, _, rem = oracles.sum_over_d_scan(a, q, X, d)
         term = 4 ** len(arith.factorize(d).factors) * abs(rem)
-        assert _remainder_term(seq, d).hex() == term.hex(), d
+        assert _remainder_term(seq, q, d).hex() == term.hex(), d
 
 
 def test_sieve_report_matches_dict_scan_property():

@@ -1,4 +1,5 @@
-"""Every public function, class and method in src/ runs in some command.
+"""Every public function, class and method in src/ runs in some command,
+and the package modules keep their layers.
 
 A name-based walk over the package's ASTs starts from cli.main and every
 module-level statement that is not a definition or an import.  A bare name
@@ -9,6 +10,11 @@ any other read of `x.name` every property of that name, so reading a field
 runs no method.  A reached class also runs its dunder methods.  No public
 name is exempt: a reference body that tests compare against lives in
 tests/oracles.py, not in the package.
+
+The layers: arith and reports import no package module; congruence, dp6,
+gausssum and sawtooth import arith alone, and averaged arith and
+congruence; only cli, which may import any, prints, logs or reads
+sys.stdout or sys.stderr.
 """
 
 import ast
@@ -120,3 +126,65 @@ def test_every_public_definition_runs_in_some_command():
     public = {key for key in defs if not any(part.startswith("_") for part in key[1].split("."))}
     unreached = {f"{mod}.{name}" for mod, name in public - reached}
     assert unreached == set()
+
+
+# module -> the package modules it may import; cli and __init__ may import any
+LAYERS = {
+    "arith": set(), "reports": set(),
+    "congruence": {"arith"}, "dp6": {"arith"}, "gausssum": {"arith"}, "sawtooth": {"arith"},
+    "averaged": {"arith", "congruence"},
+}
+
+
+def _package_imports(tree, modules):
+    # the package modules that the imports of tree name, at any depth; an
+    # import of the package itself, or of a name from its __init__, is __init__
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "congruence_lab" if node.level else node.module
+            if node.level and node.module:
+                base += f".{node.module}"
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for parts in (name.split(".") for name in names):
+            if parts[0] == "congruence_lab":
+                out.add(parts[1] if len(parts) > 1 and parts[1] in modules else "__init__")
+    return out
+
+
+def test_modules_import_only_their_lower_layers():
+    trees = _modules()
+    assert set(trees) - {"cli", "__init__"} == set(LAYERS)
+    imported = {mod: _package_imports(trees[mod], trees) for mod in LAYERS}
+    assert {mod: names - LAYERS[mod] for mod, names in imported.items()} == dict.fromkeys(
+        LAYERS, set())
+
+
+def _talk(tree):
+    # the lines that call print, import logging or read sys.stdout or sys.stderr
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[0] == "logging" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").split(".")[0] == "logging" or (
+                node.module == "sys" and any(a.name in ("stdout", "stderr") for a in node.names))
+        elif isinstance(node, ast.Call):
+            hit = isinstance(node.func, ast.Name) and node.func.id == "print"
+        elif isinstance(node, ast.Attribute):
+            hit = (isinstance(node.value, ast.Name) and node.value.id == "sys"
+                   and node.attr in ("stdout", "stderr"))
+        else:
+            continue
+        if hit:
+            out.append(node.lineno)
+    return out
+
+
+def test_only_cli_talks_to_the_user():
+    talk = {mod: _talk(tree) for mod, tree in _modules().items() if mod != "cli"}
+    assert {mod: lines for mod, lines in talk.items() if lines} == {}

@@ -6,7 +6,7 @@ import pytest
 
 from congruence_lab import averaged as av
 from congruence_lab import congruence as cg
-from congruence_lab import dp6, reports
+from congruence_lab import cli, dp6, reports
 
 import oracles
 
@@ -34,39 +34,47 @@ def test_fmt_refuses_numpy_scalars(value):
 
 def test_box_row_fields_and_timings():
     # a CountReport is the CSV row, so its fields are the header
-    assert reports.BOX_FIELDS == cg.CountReport._fields == (
+    assert cg.CountReport._fields == (
         "a", "b", "q", "e", "f", "X", "Y", "exact", "main_term", "envelope", "ratio", "seconds")
     # the retired seconds column reads no clock
     rep = cg.box_report(cg.CongruenceInstance(1, 1, 5, 10, 10))
-    assert len(rep) == len(reports.BOX_FIELDS)
+    assert len(rep) == len(cg.CountReport._fields)
     row = rep._asdict()
     assert row["exact"] == 16
     assert row["main_term"] == 16.0
     assert row["seconds"] == 0.0
 
 
-def test_averaged_row_fields():
+def test_averaged_row_fields(tmp_path, capsys):
+    # avg-scan writes each AveragedReport as one row of cli.AVERAGED_FIELDS
     fam = av.AveragedFamily(
         l=1, m=1, r=1, s=1, t=3, U=1, V=1, W=Fraction(1, 2),
         J=cg.Interval(0, 10), bounds=cg.box_bounds(5),
     )
-    (rep,) = av.avg_report(fam, H=4, epsilon=0.05, seeds=(7,))
-    row = reports.averaged_row(rep)
-    assert len(row) == len(reports.AVERAGED_FIELDS)
-    row = dict(zip(reports.AVERAGED_FIELDS, row))
-    assert row["W"] == Fraction(1, 2)
+    (rep,) = av.avg_report(fam, H=4.0, epsilon=0.05, seeds=(7,))
+    out = tmp_path / "avg.csv"
+    assert cli.main(["avg-scan", "--W", "1/2", "--Y", "10", "--X", "5", "--H", "4",
+                     "--seed", "7", "--scheme", "all-ones", "--out", str(out)]) == 0
+    capsys.readouterr()
+    _, fields, (row,) = oracles.parse_csv_text(out.read_text())
+    assert tuple(fields) == cli.AVERAGED_FIELDS
+    assert row["W"] == "1/2"
+    assert row["Y"] == "10"
     assert row["scheme"] == "all-ones"
-    assert row["seed"] == 7
-    assert row["S_im"] == 0.0
+    assert row["seed"] == "7"
+    assert row["S_im"] == "0.0"
+    assert [row[f] for f in ("S_re", "M_re", "M_im", "first_O", "T_envelope", "ratio")] == [
+        reports.fmt(v) for v in (rep.S.real, rep.M.real, rep.M.imag, rep.first_O,
+                                 rep.T_envelope, rep.ratio)]
 
 
 def test_growth_and_point_rows():
     rows = dp6.m_t_growth([1000], 12)
-    assert reports.GROWTH_FIELDS == dp6.GrowthRow._fields == ("B", "t", "count", "normalized")
+    assert dp6.GrowthRow._fields == ("B", "t", "count", "normalized")
     assert rows[0].count == 31
 
     prow = oracles.point_row(next(oracles.points_oracle(1000, 12)))
-    assert tuple(prow) == reports.POINT_FIELDS
+    assert tuple(prow) == dp6.POINT_FIELDS
     assert prow["x5"] == "343"
     assert prow["Omega"] == "3"
 
