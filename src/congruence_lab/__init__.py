@@ -22,12 +22,10 @@ from .averaged import (
 )
 from .congruence import (
     BoundarySpec,
-    CongruenceInstance,
     CountReport,
     Interval,
     bilinear_jacobi,
     box_bounds,
-    box_report,
     scan_boxes,
 )
 from .dp6 import (

@@ -74,7 +74,7 @@ class AveragedFamily:
     W: Fraction
     J: Interval
     bounds: BoundarySpec
-    scheme: str = "all-ones"
+    scheme: str
 
     def __post_init__(self):
         for name in ("U", "V", "W"):
@@ -268,7 +268,7 @@ class AveragedReport(NamedTuple):
 
 
 def avg_report(
-    family: AveragedFamily, H: float, epsilon: float, seeds: Sequence[int] = (0,)
+    family: AveragedFamily, H: float, epsilon: float, seeds: Sequence[int]
 ) -> list[AveragedReport]:
     """Exact weighted sum S vs predicted main term M vs error budget, one
     report per seed, in order.  The budget, which refuses H and epsilon,

@@ -157,13 +157,16 @@ def _cmd_gauss(o: argparse.Namespace) -> int:
 
 
 def _cmd_count(o: argparse.Namespace) -> int:
-    rep = congruence.box_report(congruence.CongruenceInstance(o.a, o.b, o.q, o.X, o.Y))
+    reps = congruence.scan_boxes([o.q], o.a, o.b, o.X, o.Y)
+    if not reps:  # scan_boxes skipped the one modulus, before any count
+        raise ValueError("a*b must be coprime to q")
+    (rep,) = reps
     print(f"exact     = {rep.exact}")
     print(f"main_term = {rep.main_term!r}")
     print(f"envelope  = {rep.envelope!r}")
     print(f"ratio     = {rep.ratio!r}")
     _emit(o, "congruence box counts: exact vs main term and error envelope",
-          congruence.CountReport._fields, [rep])
+          congruence.CountReport._fields, reps)
     return 0
 
 
@@ -199,7 +202,10 @@ _PRIMES_LIMIT = 1 << 20  # count-scan: 82,025 primes, a report and a row of abou
 _DRAW_CHUNK = 1 << 14  # doubles per getrandbits call of random_floats
 _SAMPLES_LIMIT = 1 << 26  # vaaler samples: 16 bytes each at the peak of random_floats, 1 GiB
 _SCREEN_LIMIT = 1 << 30  # vaaler H samples: one Clenshaw multiply-add per screened term
-_CELLS_LIMIT = 1 << 27  # bilinear (M+1)/2 N: an int8 table and an int64 temporary, 1.2 GB
+# bilinear (M+1)/2 N: an int8 table and its int64 copy in the product, 1.2 GB; the
+# least-prime-factor sieve of the table adds 8 (M + 1) bytes, 512 KiB under _M_LIMIT
+_CELLS_LIMIT = 1 << 27
+_M_LIMIT = 1 << 16  # bilinear M: the table's prime rows take about sum(p <= M) p steps
 
 
 def random_floats(seed: int, n: int) -> np.ndarray:
@@ -310,20 +316,27 @@ def _cmd_bilinear(o: argparse.Namespace) -> int:
     if (cells := (o.M + 1) // 2 * o.N) > _CELLS_LIMIT:
         raise ValueError(f"--M, --N: the table of (M+1)/2 N = {cells} cells"
                          f" exceeds the cap of 2^27 cells")
+    if o.M > _M_LIMIT:
+        raise ValueError(f"--M must be <= 2^16, as the Jacobi table's prime rows take about"
+                         f" the sum of the primes p <= M steps to build, got {o.M}")
     _check_seeds(o)
     if o.seeds * cells > _CELLS_LIMIT:
         raise ValueError(f"--seeds: {o.seeds} seeds times the table of (M+1)/2 N = {cells}"
                          f" cells exceeds the cap of 2^27 cells")
-    rows = []
-    for seed in range(o.seed, o.seed + o.seeds):
+    seeds = range(o.seed, o.seed + o.seeds)
+    a, b = [], []
+    for seed in seeds:
         rng = random.Random(seed)
-        a = [rng.choice((-1, 1)) for _ in range((o.M + 1) // 2)]
-        b = [rng.choice((-1, 1)) for _ in range(o.N)]
-        res = congruence.bilinear_jacobi(a, b, o.epsilon)
-        ratio = abs(res.value) / res.bound
-        print(f"seed {seed}: |sum| = {abs(res.value)!r}  "
-              f"bound = {res.bound!r}  ratio = {ratio!r}")
-        rows.append((res.M, res.N, seed, o.epsilon, abs(res.value), res.bound, ratio))
+        a.append([rng.choice((-1, 1)) for _ in range((o.M + 1) // 2)])
+        b.append([rng.choice((-1, 1)) for _ in range(o.N)])
+    res = congruence.bilinear_jacobi(np.array(a, dtype=np.int64).T,
+                                     np.array(b, dtype=np.int64).T, o.epsilon)
+    rows = []
+    for seed, value in zip(seeds, res.values.tolist()):
+        abs_sum = float(abs(value))
+        ratio = abs_sum / res.bound
+        print(f"seed {seed}: |sum| = {abs_sum!r}  bound = {res.bound!r}  ratio = {ratio!r}")
+        rows.append((res.M, res.N, seed, o.epsilon, abs_sum, res.bound, ratio))
     _emit(o, "bilinear Jacobi-symbol sums vs cancellation benchmark",
           BILINEAR_FIELDS, rows)
     return 0

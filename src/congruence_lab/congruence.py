@@ -22,14 +22,15 @@ Python ints, so counts stay exact for any rational box.  Every int64
 reduction mod q is arith.floor_mod, x - x // q * q: numpy divides by a
 scalar with a multiply and a shift, where % takes one hardware divide per
 element.  Boxes get a main-term/error-envelope split phi(q) X Y / q^2 +
-O(...).  box_report and scan_boxes check their inputs once and share one
-body, which takes plain boxes (q, X, Y) and checks every box's count
-bound, main term and envelope before the first count, in array passes:
-each distinct q is factored once, with phi, tau and sigma_{-1/2} read from
-that factorization; the forms and ratios of all boxes are float64
-expressions in the scalar order, of the same bits; a box with rx = 0 is
-counted in closed form, and only the others walk.  No report reads the
-clock: the seconds column of a CountReport is always 0.0.
+O(...).  scan_boxes, the one entry of the box count (count runs it on one
+modulus), checks its inputs once and hands plain boxes (q, X, Y) to one
+body, which checks every box's count bound, main term and envelope before
+the first count, in array passes: each distinct q is factored once, with
+phi, tau and sigma_{-1/2} read from that factorization; the forms and
+ratios of all boxes are float64 expressions in the scalar order, of the
+same bits; a box with rx = 0 is counted in closed form, and only the
+others walk.  No report reads the clock: the seconds column of a
+CountReport is always 0.0.
 
 Regions whose x-range depends on y through slowly varying boundary functions
 are counted through the floor identity
@@ -52,7 +53,8 @@ boundary slopes cost an H-truncated envelope is taken in
 averaged.error_budget.
 
 Bilinear sums of Jacobi symbols (n/m) read one int8 table of the symbols for
-odd m <= M and n <= N, (M + 1)/2 * N bytes.
+odd m <= M and n <= N, (M + 1)/2 * N bytes, built per call and shared by
+every column of sign coefficients the call is given.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -72,34 +73,6 @@ RationalLike = int | float | Fraction
 
 _BLOCK = 1 << 14  # residues per block of the box and boundary counts
 _WIDE = 1 << 62  # int64 paths keep every value, and every block sum, below this
-
-
-@dataclass(frozen=True)
-class CongruenceInstance:
-    """One counting problem: pairs 0 < x <= X, 0 < y <= Y, gcd(xy, q) = 1
-    with a x + b y^2 = 0 (mod q)."""
-
-    a: int
-    b: int
-    q: int
-    X: Fraction
-    Y: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "X", Fraction(self.X))
-        object.__setattr__(self, "Y", Fraction(self.Y))
-        _check_coefficients(self.a, self.b, self.q)
-        if self.X < 1 or self.Y < 1:
-            raise ValueError("box sides X, Y must be >= 1")
-
-
-def _check_coefficients(a: int, b: int, q: int) -> None:
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    if a == 0 or b == 0:
-        raise ValueError("coefficients a, b must be nonzero")
-    if math.gcd(a * b, q) != 1:
-        raise ValueError("a*b must be coprime to q")
 
 
 def _check_modulus(q: int) -> None:
@@ -259,21 +232,8 @@ def _reports(a: int, b: int, boxes: list[tuple[int, Fraction, Fraction]]) -> lis
             in zip(boxes, exact, main.tolist(), env.tolist(), ratio.tolist())]
 
 
-def box_report(inst: CongruenceInstance) -> CountReport:
-    """Exact count, main term phi(q) X Y / q^2, envelope X/q tau(q) + L(q)
-    sigma_{-1/2}(q) (Y/sqrt(q) tau(q) + sqrt(q) L(q)) and |exact -
-    main|/envelope of a box: scan_boxes of one box, with the same
-    refusals."""
-    _check_modulus(inst.q)
-    return _reports(inst.a, inst.b, [(inst.q, inst.X, inst.Y)])[0]
-
-
 def scan_boxes(
-    q_values: Sequence[int],
-    a: int = 1,
-    b: int = 1,
-    X: RationalLike | None = None,
-    Y: RationalLike | None = None,
+    q_values: Sequence[int], a: int, b: int, X: RationalLike | None, Y: RationalLike | None
 ) -> list[CountReport]:
     """Box reports of a x + b y^2 = 0 (mod q) on (0, X] x (0, Y] over a
     family of moduli, in input order; a side left None is the modulus q
@@ -374,7 +334,12 @@ def _numerators(q: int, bounds: BoundarySpec, J: Interval) -> tuple[int, Iterato
 def linear_class(a: int, b: int, q: int) -> int:
     """k = -a^{-1} b mod q, so that a x + b y^2 = 0 (mod q) holds exactly
     for x = k y^2 (mod q); (a, b, q) is checked first."""
-    _check_coefficients(a, b, q)
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    if a == 0 or b == 0:
+        raise ValueError("coefficients a, b must be nonzero")
+    if math.gcd(a * b, q) != 1:
+        raise ValueError("a*b must be coprime to q")
     return -mod_inv(a, q) * b % q
 
 
@@ -425,15 +390,12 @@ def eps_power(x: float, p: float) -> float:
 # ---- bilinear sums of Jacobi symbols ----
 
 class BilinearResult(NamedTuple):
-    value: complex
+    values: np.ndarray
     bound: float
     M: int
     N: int
 
 
-# bilinear runs every seed at one (M, N), so one table is cached, read-only:
-# (M + 1)/2 N bytes held until a call at another (M, N).
-@lru_cache(maxsize=1)
 def _jacobi_table(M: int, N: int) -> np.ndarray:
     """int8 table of the Jacobi symbols (n/m), row (m - 1)/2 for odd m <= M,
     column n - 1 for n <= N.  Row 1 is all ones; a prime row is its Legendre
@@ -460,37 +422,33 @@ def _jacobi_table(M: int, N: int) -> np.ndarray:
         r = np.arange(1, m, dtype=np.int64)
         legendre[r * r % m] = 1
         table[i] = legendre[n % m]
-    table.flags.writeable = False
     return table
 
 
-def bilinear_jacobi(
-    a_coeffs: Sequence[complex],
-    b_coeffs: Sequence[complex],
-    epsilon: float = 0.05,
-) -> BilinearResult:
-    """sum over odd m <= M, n <= N of a_m b_n (n/m), with the cancellation
-    benchmark (MN)^eps (M sqrt(N) + sqrt(M) N).
+def bilinear_jacobi(a: np.ndarray, b: np.ndarray, epsilon: float) -> BilinearResult:
+    """For each column s, the sum over odd m <= M, n <= N of a[(m - 1)/2, s]
+    b[n - 1, s] (n/m), with the cancellation benchmark (MN)^eps (M sqrt(N) +
+    sqrt(M) N) that every column shares.
 
-    a_coeffs[i] weights m = 2i + 1; b_coeffs[j] weights n = j + 1.  The sum
-    is a . (T b) with T the int8 table of (n/m) ((M + 1)/2 * N bytes, plus
-    one temporary of that shape in the coefficients' dtype).  Integer
-    coefficients are summed exactly, in int64 while max|a| max|b| M N stays
-    below 2^62 and in Python ints otherwise; float and complex coefficients
-    in float arithmetic.  An epsilon whose (MN)^eps overflows a float is
-    refused before the table is built.
+    a and b are int arrays of signs +1 and -1, of shapes ((M + 1)/2, S) and
+    (N, S): column s holds the coefficients of one seed.  values is the
+    int64 array ((T b) * a).sum(axis=0), T the int8 table of (n/m) ((M +
+    1)/2 * N bytes, plus its int64 copy in the product), exact as each |sum|
+    is at most (M + 1)/2 * N.  Refused by ValueError: an empty array, seed
+    counts that differ, an entry other than +1 or -1, a negative epsilon and
+    an epsilon whose (MN)^eps overflows a float, all before the table is
+    built.
     """
-    if not len(a_coeffs) or not len(b_coeffs):
-        raise ValueError("coefficient sequences must be nonempty")
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2 or not a.size or not b.size or a.shape[1] != b.shape[1]:
+        raise ValueError(f"coefficients must be nonempty arrays of shapes ((M + 1)/2, S) and"
+                         f" (N, S), got {a.shape} and {b.shape}")
+    if not all(c.dtype.kind in "iu" and (np.abs(c) == 1).all() for c in (a, b)):
+        raise ValueError("coefficients must be integers +1 or -1")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    a, b = np.asarray(a_coeffs), np.asarray(b_coeffs)
     M = 2 * len(a) - 1
     N = len(b)
     bound = eps_power(M * N, epsilon) * (M * math.sqrt(N) + math.sqrt(M) * N)
-    if a.dtype.kind in "biu" and b.dtype.kind in "biu":
-        top = max(abs(int(a.min())), int(a.max())) * max(abs(int(b.min())), int(b.max()))
-        dtype = np.int64 if top * len(a) * N < _WIDE else object
-        a, b = a.astype(dtype), b.astype(dtype)
-    total = complex(a @ (_jacobi_table(M, N) @ b))
-    return BilinearResult(total, bound, M, N)
+    values = ((_jacobi_table(M, N) @ b.astype(np.int64, copy=False)) * a).sum(axis=0)
+    return BilinearResult(values, bound, M, N)

@@ -478,14 +478,8 @@ def _ratio(x: Fraction) -> str:
 
 
 def sieve_condition_report(
-    B: int,
-    q: int,
-    tau_level: float = 0.4,
-    c2: float = 1.0,
-    z_max: int = 1000,
-    rho_table_max: int = 30,
-    t: int = 12,
-    mu: float = 4.0,
+    B: int, q: int, tau_level: float, c2: float, z_max: int, rho_table_max: int, t: int,
+    mu: float
 ) -> dict:
     """Everything the weighted sieve needs, JSON-ready: the rho table, the
     remainder sum, the density-grid constant, and the almost-prime threshold.

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from congruence_lab.arith import Factorization, factorize, is_prime, sieve_primes
-from congruence_lab.congruence import CongruenceInstance, _unit_count, _units
+from congruence_lab.congruence import _unit_count, _units
 from congruence_lab import dp6
 from congruence_lab.dp6 import icbrt, prime_window
 from congruence_lab.gausssum import GaussSumValue, _branch, _e, gauss_brute
@@ -224,30 +224,28 @@ def sine_weights_mp(H: int) -> list:
 
 # ---- counts and densities by brute force ----
 
-def count_exact_naive(inst: CongruenceInstance) -> int:
-    """Literal double loop over the box; cross-check only."""
-    if inst.X * inst.Y > 2 * 10**7:
+def count_exact_naive(a: int, b: int, q: int, X, Y) -> int:
+    """Literal double loop over the box (0, X] x (0, Y]; cross-check only."""
+    if X * Y > 2 * 10**7:
         raise ValueError("naive counter refused: box too large")
-    a, b, q = inst.a, inst.b, inst.q
     total = 0
-    for x in range(1, int(inst.X // 1) + 1):
+    for x in range(1, int(X // 1) + 1):
         ax = a * x
-        for y in range(1, int(inst.Y // 1) + 1):
+        for y in range(1, int(Y // 1) + 1):
             if (ax + b * y * y) % q == 0 and math.gcd(x * y, q) == 1:
                 total += 1
     return total
 
 
-def count_exact_full_walk(inst: CongruenceInstance) -> int:
+def count_exact_full_walk(a: int, b: int, q: int, X, Y) -> int:
     """The box count by the walk it used before the mirror identity: every
     unit y in [1, q], those y <= ry first and then the rest, each hit when
     its own class c_y = -a^{-1} b y^2 mod q, taken here by int64 %, is <=
     rx.  Twice the units of the half walk, with no mirror."""
-    q = inst.q
-    Qx, rx = divmod(int(inst.X // 1), q)
-    Qy, ry = divmod(int(inst.Y // 1), q)
+    Qx, rx = divmod(int(X // 1), q)
+    Qy, ry = divmod(int(Y // 1), q)
     primes = [p for p, _ in factorize(q).factors]
-    k = -pow(inst.a, -1, q) * inst.b % q
+    k = -pow(a, -1, q) * b % q
     sums = []  # (T(rx, t), T(q, t)) for t = ry, then t = q
     below = 0
     for y_lo, y_hi in ((1, ry), (ry + 1, q)):

@@ -58,8 +58,8 @@ def test_criterion_02_reciprocity():
 
 
 def test_criterion_03_exact_counter_vs_naive():
-    fx1 = congruence.box_report(congruence.CongruenceInstance(1, 1, 5, 10, 10)).exact
-    fx2 = congruence.box_report(congruence.CongruenceInstance(2, -1, 7, 7, 7)).exact
+    fx1 = congruence.scan_boxes([5], 1, 1, 10, 10)[0].exact
+    fx2 = congruence.scan_boxes([7], 2, -1, 7, 7)[0].exact
     rng = random.Random(30303)
     mismatches = 0
     done = 0
@@ -69,10 +69,9 @@ def test_criterion_03_exact_counter_vs_naive():
         b = rng.randint(-40, 40)
         if a == 0 or b == 0 or math.gcd(a * b, q) != 1:
             continue
-        inst = congruence.CongruenceInstance(
-            a, b, q, rng.randint(1, 200), rng.randint(1, 200)
-        )
-        if congruence.box_report(inst).exact != oracles.count_exact_naive(inst):
+        X, Y = rng.randint(1, 200), rng.randint(1, 200)
+        if congruence.scan_boxes([q], a, b, X, Y)[0].exact != oracles.count_exact_naive(
+                a, b, q, X, Y):
             mismatches += 1
         done += 1
     ok = fx1 == 16 and fx2 == 6 and mismatches == 0
@@ -88,7 +87,7 @@ def test_criterion_03_exact_counter_vs_naive():
 def test_criterion_04_main_term_scan():
     start = time.perf_counter()
     qs = arith.sieve_primes(500)
-    reps = congruence.scan_boxes(qs)
+    reps = congruence.scan_boxes(qs, 1, 1, None, None)
     elapsed = time.perf_counter() - start
     worst = max(r.ratio for r in reps)
     print("  trend (prime q, box X = Y = q, a = b = 1):")
@@ -133,18 +132,17 @@ def test_criterion_05_sawtooth_majorant():
 
 def test_criterion_06_bilinear_cancellation():
     worst = 0.0
-    runs = 0
     for size in (64, 128, 256):
+        a, b = [], []  # the signs of seed s are column s
         for seed in range(20):
             rng = random.Random(seed)
-            a = [rng.choice((-1, 1)) for _ in range(size // 2)]
-            b = [rng.choice((-1, 1)) for _ in range(size)]
-            res = congruence.bilinear_jacobi(a, b, 0.05)
-            bound = 8 * (size * size) ** 0.05 * (
-                size * math.sqrt(size) + math.sqrt(size) * size
-            )
-            worst = max(worst, abs(res.value) / bound)
-            runs += 1
+            a.append([rng.choice((-1, 1)) for _ in range(size // 2)])
+            b.append([rng.choice((-1, 1)) for _ in range(size)])
+        res = congruence.bilinear_jacobi(np.array(a).T, np.array(b).T, 0.05)
+        bound = 8 * (size * size) ** 0.05 * (
+            size * math.sqrt(size) + math.sqrt(size) * size
+        )
+        worst = max(worst, int(np.abs(res.values).max()) / bound)
     ok = worst <= 1.0
     _verdict(
         6,
@@ -293,15 +291,14 @@ def test_criterion_10_averaged_sums():
                     U=Fraction(3, 2), V=Fraction(1, 2), W=Fraction(3, 2),
                     J=congruence.Interval(0, 50),
                     bounds=congruence.box_bounds(Fraction(9, 2)),
+                    scheme="all-ones",
                 )
                 total = 0
                 for (u, v, w) in fam.cells():
-                    total += congruence.box_report(
-                        congruence.CongruenceInstance(
-                            r * u**l, s * v**m, t * w, Fraction(9, 2), 50
-                        )
-                    ).exact
-                if averaged.avg_report(fam, 1.0, 0.0)[0].S != complex(total):
+                    total += congruence.scan_boxes(
+                        [t * w], r * u**l, s * v**m, Fraction(9, 2), 50
+                    )[0].exact
+                if averaged.avg_report(fam, 1.0, 0.0, (0,))[0].S != complex(total):
                     mismatches += 1
                 cases += 1
 

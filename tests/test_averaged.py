@@ -39,7 +39,7 @@ def _family(**kw):
 
 def _sums(fam):
     # (S, M) of avg_report, which neither H nor epsilon changes
-    (rep,) = av.avg_report(fam, 1.0, 0.0)
+    (rep,) = av.avg_report(fam, 1.0, 0.0, (0,))
     return rep.S, rep.M
 
 
@@ -127,8 +127,7 @@ def test_joint_coefficients_do_not_split():
 def test_exact_sum_matches_direct_count():
     fam = _family()
     # single cell (2,2,1): a = 2, b = 2, q = 3, box 0 < x <= 5, 0 < y <= 10
-    inst = cg.CongruenceInstance(2, 2, 3, 5, 10)
-    assert _sums(fam)[0] == complex(cg.box_report(inst).exact)
+    assert _sums(fam)[0] == complex(cg.scan_boxes([3], 2, 2, 5, 10)[0].exact)
 
 
 def test_exact_sum_oracle_mini_grid():
@@ -142,10 +141,7 @@ def test_exact_sum_oracle_mini_grid():
                 assert cells, (l, m, t, r, s)
                 total = 0
                 for (u, v, w) in cells:
-                    inst = cg.CongruenceInstance(
-                        r * u**l, s * v**m, t * w, 4, 8
-                    )
-                    total += cg.box_report(inst).exact
+                    total += cg.scan_boxes([t * w], r * u**l, s * v**m, 4, 8)[0].exact
                 assert _sums(fam)[0] == complex(total), (l, m, t, r, s)
 
 

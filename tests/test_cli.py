@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,16 +218,27 @@ def test_bilinear_even_M_counts_the_odd_m_below_it(tmp_path, capsys):
     assert even.read_bytes() == odd.read_bytes()
 
 
-def test_bilinear_builds_one_table_for_every_seed(capsys):
-    # the table depends on (M, N) only, so three seeds read one cached build
-    congruence._jacobi_table.cache_clear()
+def test_bilinear_builds_one_table_for_every_seed(capsys, monkeypatch):
+    # the table depends on (M, N) only, and the seeds are the columns of one call
+    tables = _spy(monkeypatch, congruence, "_jacobi_table")
     assert run(["bilinear", "--M", "63", "--N", "50", "--seeds", "3"]) == 0
     capsys.readouterr()
-    info = congruence._jacobi_table.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    table = congruence._jacobi_table(63, 50)
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0] = 0
+    assert tables == [(63, 50)]
+
+
+def test_bilinear_holds_no_table_after_the_command(capsys):
+    # nothing is cached: the table of (M + 1)/2 N bytes is freed when the command returns
+    cells = 512 * 1024
+    tracemalloc.start()
+    try:
+        assert run(["bilinear", "--M", "1023", "--N", "1024", "--seeds", "2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+        held = max((trace.size for trace in tracemalloc.take_snapshot().traces), default=0)
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak >= 9 * cells  # the table and its int64 copy in the product
+    assert held < cells // 8, held
 
 
 def _spy(monkeypatch, module, name):
@@ -281,7 +293,7 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "exact     = 16" in out
 
-    expected = oracles.count_exact_naive(congruence.CongruenceInstance(1, 1, 5, 20, 10))
+    expected = oracles.count_exact_naive(1, 1, 5, 20, 10)
     assert run(["count", "--config", str(cfg), "--X", "20"]) == 0
     out = capsys.readouterr().out
     assert f"exact     = {expected}" in out

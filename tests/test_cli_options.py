@@ -253,6 +253,11 @@ REFUSALS = {
                            "--out '.' is a directory"),
     "directory out key": (["dp6-enumerate", "--B", "1000000"], "out = .\n",
                           "--out '.' is a directory"),
+    "count modulus not prime to ab": (["count", "--a", "2", "--b", "1", "--q", "4", "--X", "10",
+                                       "--Y", "10", "--out", "x.csv"], None,
+                                      "a*b must be coprime to q"),
+    "bilinear M beyond the build cap": (["bilinear", "--M", str(2**16 + 1), "--N", "1", "--out",
+                                         "x.csv"], None, "--M must be <= 2^16"),
     "no scanned modulus prime to ab": (["count-scan", "--q-list", "6", "--a", "2", "--b", "1",
                                         "--out", "x.csv"], None,
                                        "--a, --b: a*b = 2 shares a factor with every modulus q"),
@@ -303,7 +308,8 @@ BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "rho table beyond the cap", "window prime beyond the int64 budget",
                "no scanned modulus prime to ab", "empty out flag", "empty out key",
                "directory out flag", "directory out key",
-               "avg-scan modulus beyond int32")
+               "avg-scan modulus beyond int32", "count modulus not prime to ab",
+               "bilinear M beyond the build cap")
 
 
 def test_huge_q_is_the_next_prime():
@@ -489,7 +495,7 @@ ABOVE_CAP = {
     ("dp6-growth", "B-list"): [f"1000,{2**50}"],
     ("dp6-sieve", "z-max"): [str(10**5 + 1)],
     ("dp6-sieve", "rho-max"): [str(2**16 + 1)],
-    ("bilinear", "M"): [str(2**28)],
+    ("bilinear", "M"): [str(2**16 + 1), str(2**28)],
     ("bilinear", "seeds"): [str(2**14 + 1)],
     ("avg-scan", "seeds"): [str(2**24 + 1)],
     ("avg-scan", "t"): [str(2**30)],  # t floor(2W) = 2^31 at the default W = 1

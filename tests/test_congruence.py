@@ -14,35 +14,35 @@ from congruence_lab import congruence as cg
 import oracles
 
 
-def _count(inst):
-    # the one box count, as count and count-scan run it
-    return cg.box_report(inst).exact
+def _one_box(a, b, q, X, Y):
+    # the report of one box, as count runs it: a scan of the one modulus q
+    return cg.scan_boxes([q], a, b, X, Y)[0]
 
 
-def _huge_count(inst):
-    # the box count of a box whose main term box_report refuses as beyond float range
-    fac = arith.factorize(inst.q)
-    return cg._linear_count(inst.a, inst.b, inst.q, inst.X.numerator // inst.X.denominator,
-                            inst.Y.numerator // inst.Y.denominator,
-                            [p for p, _ in fac.factors], fac.phi())
+def _count(a, b, q, X, Y):
+    return _one_box(a, b, q, X, Y).exact
+
+
+def _huge_count(a, b, q, X, Y):
+    # the box count of a box whose main term scan_boxes refuses as beyond float range
+    fac = arith.factorize(q)
+    return cg._linear_count(a, b, q, int(X // 1), int(Y // 1), [p for p, _ in fac.factors],
+                            fac.phi())
 
 
 def test_box_fixtures():
-    assert _count(cg.CongruenceInstance(1, 1, 5, 10, 10)) == 16
-    assert _count(cg.CongruenceInstance(2, -1, 7, 7, 7)) == 6
+    assert _count(1, 1, 5, 10, 10) == 16
+    assert _count(2, -1, 7, 7, 7) == 6
     # q = 1: every pair counts
-    assert _count(cg.CongruenceInstance(1, 1, 1, 7, 9)) == 63
+    assert _count(1, 1, 1, 7, 9) == 63
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError):
-        cg.CongruenceInstance(1, 1, 0, 5, 5)
-    with pytest.raises(ValueError):
-        cg.CongruenceInstance(0, 1, 5, 5, 5)
-    with pytest.raises(ValueError):
-        cg.CongruenceInstance(5, 1, 5, 5, 5)  # gcd(ab, q) > 1
-    with pytest.raises(ValueError):
-        cg.CongruenceInstance(1, 1, 5, Fraction(1, 2), 5)  # X < 1
+    # the one-box scan refuses what count refuses, and skips a q not prime to ab
+    for a, b, q, X, Y in [(1, 1, 0, 5, 5), (0, 1, 5, 5, 5), (1, 1, 5, Fraction(1, 2), 5)]:
+        with pytest.raises(ValueError):
+            cg.scan_boxes([q], a, b, X, Y)
+    assert cg.scan_boxes([5], 5, 1, 5, 5) == []  # gcd(ab, q) > 1
 
 
 def test_count_matches_naive_seeded():
@@ -56,27 +56,23 @@ def test_count_matches_naive_seeded():
             continue
         X = rng.randint(1, 120)
         Y = rng.randint(1, 120)
-        inst = cg.CongruenceInstance(a, b, q, X, Y)
-        assert _count(inst) == oracles.count_exact_naive(inst), inst
+        box = (a, b, q, X, Y)
+        assert _count(*box) == oracles.count_exact_naive(*box), box
         done += 1
 
 
 def test_count_with_fractional_box_sides():
-    inst = cg.CongruenceInstance(1, 1, 5, Fraction(21, 2), Fraction(19, 2))
-    naive = oracles.count_exact_naive(
-        cg.CongruenceInstance(1, 1, 5, 10, 9)
-    )  # only integer parts matter
-    assert _count(inst) == naive
+    naive = oracles.count_exact_naive(1, 1, 5, 10, 9)  # only integer parts matter
+    assert _count(1, 1, 5, Fraction(21, 2), Fraction(19, 2)) == naive
 
 
 # ---- the per-residue loop as an oracle for the block kernel ----
 
-def count_exact_loop(inst):
+def count_exact_loop(a, b, q, X, Y):
     """The per-residue loop the box count used to be: one gcd, one pow and
     one Fraction floor-division per residue."""
-    a, b, q = inst.a, inst.b, inst.q
     if q == 1:
-        return int(inst.X // 1) * int(inst.Y // 1)
+        return int(X // 1) * int(Y // 1)
 
     def class_count(c, bound):  # #{0 < x <= bound : x = c (mod q)}, c in [0, q)
         return (bound - c) // q - (0 - c) // q
@@ -84,11 +80,11 @@ def count_exact_loop(inst):
     acc = [0] * q
     for y0 in range(1, q):
         if math.gcd(y0, q) == 1:
-            acc[b * pow(y0, 2, q) % q] += class_count(y0, inst.Y)
+            acc[b * pow(y0, 2, q) % q] += class_count(y0, Y)
     total = 0
     for x0 in range(1, q):
         if math.gcd(x0, q) == 1:
-            total += class_count(x0, inst.X) * acc[-a * x0 % q]
+            total += class_count(x0, X) * acc[-a * x0 % q]
     return total
 
 
@@ -112,16 +108,15 @@ def test_count_exact_matches_loop_across_blocks(q, rx, ry):
     # floor(X) = 2q + rx and floor(Y) = 5q + ry (remainders reduced mod q)
     X = 2 * q + rx % q + Fraction(2, 3)
     Y = 5 * q + ry % q + Fraction(6, 7)
-    inst = cg.CongruenceInstance(a, b, q, X, Y)
-    exact = _count(inst)
+    exact = _count(a, b, q, X, Y)
     assert type(exact) is int
-    assert exact == count_exact_loop(inst)
+    assert exact == count_exact_loop(a, b, q, X, Y)
 
 
 def test_count_exact_huge_box_is_exact():
-    # sides far beyond float range, where box_report refuses the main term
-    inst = cg.CongruenceInstance(3, -5, 97, Fraction(10**400 + 1, 3), 10**330 + 7)
-    assert _huge_count(inst) == count_exact_loop(inst)
+    # sides far beyond float range, where scan_boxes refuses the main term
+    box = (3, -5, 97, Fraction(10**400 + 1, 3), 10**330 + 7)
+    assert _huge_count(*box) == count_exact_loop(*box)
 
 
 def _traced_peak(run):
@@ -212,10 +207,9 @@ def test_count_exact_zero_remainders_match_loop(q):
     for X, Y in ((3 * q, 2 * q + 12345),  # rx = 0
                  (q + 12345, 4 * q),  # ry = 0
                  (2 * q, q)):  # rx = ry = 0
-        inst = cg.CongruenceInstance(-1, 19, q, X, Y)
-        exact = _count(inst)
+        exact = _count(-1, 19, q, X, Y)
         assert type(exact) is int
-        assert exact == count_exact_loop(inst), (X, Y)
+        assert exact == count_exact_loop(-1, 19, q, X, Y), (X, Y)
 
 
 # ---- x = c_y solved per unit y: the cases of the box split ----
@@ -244,17 +238,17 @@ LINEAR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
 def test_count_exact_linear_matches_loop(case):
-    inst = cg.CongruenceInstance(*LINEAR_CASES[case])
-    exact = _count(inst)
+    box = LINEAR_CASES[case]
+    exact = _count(*box)
     assert type(exact) is int
-    assert exact == count_exact_loop(inst)
-    if inst.X * inst.Y <= 10**5:
-        assert exact == oracles.count_exact_naive(inst)
+    assert exact == count_exact_loop(*box)
+    if box[3] * box[4] <= 10**5:
+        assert exact == oracles.count_exact_naive(*box)
 
 
 def test_count_exact_linear_huge_box_is_exact():
-    inst = cg.CongruenceInstance(-3, 5, 9973, Fraction(10**40 + 1, 3), Fraction(10**39 + 7, 11))
-    assert _count(inst) == count_exact_loop(inst)
+    box = (-3, 5, 9973, Fraction(10**40 + 1, 3), Fraction(10**39 + 7, 11))
+    assert _count(*box) == count_exact_loop(*box)
 
 
 def _one_class(a, b, q, bounds, J):
@@ -270,9 +264,8 @@ def test_count_exact_linear_matches_boundary_walk(q):
     a, b = -1231, 23
     X = Fraction(10**12 + 1, 3)
     for Y in (q, Fraction(2 * q, 3), q - Fraction(1, 2), Fraction(q, 2**14)):
-        inst = cg.CongruenceInstance(a, b, q, X, Y)
         walk = _one_class(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0]
-        assert _count(inst) == walk, Y
+        assert _count(a, b, q, X, Y) == walk, Y
 
 
 # ---- the half walk: units y <= q/2 and their mirrors q - y ----
@@ -309,11 +302,10 @@ def test_count_exact_half_walk_matches_naive_property():
         rx = data.draw(st.one_of(st.sampled_from([0, q - 1]), st.integers(0, q - 1)), "rx")
         # a box side below one period needs a remainder >= 1
         Qx, Qy = max(Qx, rx == 0), max(Qy, ry == 0)
-        inst = cg.CongruenceInstance(_unit_near(a, q), _unit_near(b, q), q,
-                                     Qx * q + rx + fx, Qy * q + ry + fy)
-        exact = _count(inst)
+        box = (_unit_near(a, q), _unit_near(b, q), q, Qx * q + rx + fx, Qy * q + ry + fy)
+        exact = _count(*box)
         assert type(exact) is int
-        assert exact == oracles.count_exact_naive(inst)
+        assert exact == oracles.count_exact_naive(*box)
 
     check()
 
@@ -326,22 +318,21 @@ def test_count_exact_half_walk_matches_full_walk(q):
     a, b = -1231, 29
     for ry in _mirror_cuts(q):
         for rx in (q - 1, q // 3):
-            inst = cg.CongruenceInstance(a, b, q, 2 * q + rx + Fraction(1, 2), 3 * q + ry)
-            assert _count(inst) == oracles.count_exact_full_walk(inst), (ry, rx)
+            box = (a, b, q, 2 * q + rx + Fraction(1, 2), 3 * q + ry)
+            assert _count(*box) == oracles.count_exact_full_walk(*box), (ry, rx)
 
 
 def test_scan_boxes_refuses_nonpositive_modulus():
     for q in (0, -7):
         with pytest.raises(ValueError, match=f"got q = {q}"):
-            cg.scan_boxes([5, q])
+            cg.scan_boxes([5, q], 1, 1, None, None)
 
 
 def test_count_exact_refuses_modulus_beyond_int32():
-    inst = cg.CongruenceInstance(1, 1, 2**31, 5, 5)
     with pytest.raises(ValueError, match="2147483648"):
-        cg.box_report(inst)
+        _one_box(1, 1, 2**31, 5, 5)
     with pytest.raises(ValueError, match="2147483659"):
-        cg.scan_boxes([15, 2**31 + 11])
+        cg.scan_boxes([15, 2**31 + 11], 1, 1, None, None)
 
 
 def test_count_exact_properties():
@@ -354,9 +345,8 @@ def test_count_exact_properties():
                       X=side, Y=side)
     def check(q, a, b, X, Y):
         hypothesis.assume(a * b != 0 and math.gcd(a * b, q) == 1)
-        inst = cg.CongruenceInstance(a, b, q, X, Y)
-        exact = _count(inst)
-        assert exact == oracles.count_exact_naive(inst)
+        exact = _count(a, b, q, X, Y)
+        assert exact == oracles.count_exact_naive(a, b, q, X, Y)
         assert _one_class(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0] == exact
 
     check()
@@ -364,7 +354,7 @@ def test_count_exact_properties():
 
 def test_naive_guard():
     with pytest.raises(ValueError):
-        oracles.count_exact_naive(cg.CongruenceInstance(1, 1, 5, 10**5, 10**4))
+        oracles.count_exact_naive(1, 1, 5, 10**5, 10**4)
 
 
 # q = 1, the primes 2, 65521 and 2^31 - 1, and composites of many divisors (tau up to 1600)
@@ -416,16 +406,16 @@ def test_main_term_and_envelope_within_stated_bounds_of_exact_values():
 
 
 def test_main_term_and_envelope_frozen():
-    rep = cg.box_report(cg.CongruenceInstance(1, 1, 5, 10, 10))
+    rep = _one_box(1, 1, 5, 10, 10)
     assert rep.main_term == pytest.approx(16.0)
     assert rep.envelope == pytest.approx(37.58210085976404, rel=1e-12)
-    rep4 = cg.box_report(cg.CongruenceInstance(1, 1, 4, 4, 4))
+    rep4 = _one_box(1, 1, 4, 4, 4)
     assert rep4.envelope == pytest.approx(35.74730297018444, rel=1e-12)
 
 
 def test_box_report_exact_prime_square():
     # X = Y = q prime, a = b = 1: exact count equals the main term
-    rep = cg.box_report(cg.CongruenceInstance(1, 1, 13, 13, 13))
+    rep = _one_box(1, 1, 13, 13, 13)
     assert rep.exact == 12
     assert rep.main_term == pytest.approx(12.0)
     assert rep.ratio == pytest.approx(0.0)
@@ -434,7 +424,7 @@ def test_box_report_exact_prime_square():
 def test_scan_boxes_skips_bad_instances(capsys):
     # scan_boxes skips a modulus not prime to a b and writes nothing;
     # count-scan names each skipped modulus on stderr, in input order
-    reps = cg.scan_boxes([5, 6, 9], a=3, b=1)
+    reps = cg.scan_boxes([5, 6, 9], 3, 1, None, None)
     assert [r.q for r in reps] == [5]
     assert capsys.readouterr() == ("", "")
     assert cli.main(["count-scan", "--q-list", "5,6,9", "--a", "3"]) == 0
@@ -456,7 +446,7 @@ def test_scan_boxes_refuses_bad_values_before_any_count(kwargs, message, monkeyp
 
     monkeypatch.setattr(cg, "_linear_count", no_work)
     with pytest.raises(ValueError, match=message):
-        cg.scan_boxes([5, 7], **kwargs)
+        cg.scan_boxes([5, 7], **{"a": 1, "b": 1, "X": None, "Y": None, **kwargs})
 
 
 def test_scan_boxes_takes_plain_values():
@@ -464,20 +454,8 @@ def test_scan_boxes_takes_plain_values():
     reps = cg.scan_boxes([5, 7], 2, -3, None, Fraction(7, 2))
     assert [(r.X, r.Y) for r in reps] == [(5, Fraction(7, 2)), (7, Fraction(7, 2))]
     assert [r.exact for r in reps] == [
-        oracles.count_exact_naive(cg.CongruenceInstance(2, -3, q, q, Fraction(7, 2)))
+        oracles.count_exact_naive(2, -3, q, q, Fraction(7, 2))
         for q in (5, 7)]
-
-
-def test_scan_boxes_builds_no_instance(monkeypatch):
-    # the scan checks a, b, the sides and the moduli once and hands on plain boxes
-    def no_instance(self):
-        raise AssertionError("scan_boxes built a CongruenceInstance")
-
-    want = [tuple(r) for r in cg.scan_boxes([5, 7, 30031], 2, 3, Fraction(21, 2), None)]
-    monkeypatch.setattr(cg.CongruenceInstance, "__post_init__", no_instance)
-    reps = cg.scan_boxes([5, 7, 30031], 2, 3, Fraction(21, 2), None)
-    assert [r[:10] for r in reps] == [r[:10] for r in want]
-    assert [r[:7] for r in reps] == [(2, 3, q, 1, 2, Fraction(21, 2), q) for q in (5, 7, 30031)]
 
 
 def test_unit_count_of_q_is_phi():
@@ -487,7 +465,7 @@ def test_unit_count_of_q_is_phi():
         assert cg._unit_count(q, [p for p, _ in fac.factors]) == fac.phi(), q
 
 
-def test_scan_boxes_matches_box_report_property():
+def test_scan_boxes_matches_one_box_scans_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     side = st.none() | st.fractions(min_value=1, max_value=10**6, max_denominator=50)
@@ -505,13 +483,12 @@ def test_scan_boxes_matches_box_report_property():
         kept = [q for q in qs if math.gcd(a * b, q) == 1]
         assert [r.q for r in reps] == kept
         for q, rep in zip(kept, reps):
-            inst = cg.CongruenceInstance(a, b, q, q if X is None else X, q if Y is None else Y)
-            one = cg.box_report(inst)
-            box = (inst.a, inst.b, inst.q, 1, 2, inst.X, inst.Y)
-            assert rep[:7] == one[:7] == box
-            assert rep.exact == one.exact == oracles.count_exact_full_walk(inst)
+            box = (a, b, q, Fraction(q if X is None else X), Fraction(q if Y is None else Y))
+            one = _one_box(*box)
+            assert rep[:7] == one[:7] == (a, b, q, 1, 2, *box[3:])
+            assert rep.exact == one.exact == oracles.count_exact_full_walk(*box)
             # the forms as literal expressions of the trial-loop values, left to right
-            x, y = float(inst.X), float(inst.Y)
+            x, y = float(box[3]), float(box[4])
             main = oracles.phi(q) * x * y / q**2
             env = x / q * tau(q) + L(q) * sigma(q) * (y / sqrt(q) * tau(q) + sqrt(q) * L(q))
             for got in (rep, one):
@@ -521,10 +498,10 @@ def test_scan_boxes_matches_box_report_property():
     check()
 
 
-def _literal_forms(inst):
+def _literal_forms(q, X, Y):
     # main term, envelope: the scalar expressions, left to right, of the
     # divisor functions by the trial loops of tests/oracles
-    q, x, y = inst.q, float(inst.X), float(inst.Y)
+    x, y = float(X), float(Y)
     sigma = oracles.sigma_half_inv(q)
     L, tau, root = arith.log1n(q), oracles.tau(q), math.sqrt(q)
     main = oracles.phi(q) * x * y / q**2
@@ -550,21 +527,20 @@ def test_batch_reports_match_oracles_property():
                       a=coefficient, b=coefficient, X=side, Y=side)
     def check(base, repeats, a, b, X, Y):
         qs = base + [base[i % len(base)] for i in repeats]  # up to 40, with repeats
-        insts = [cg.CongruenceInstance(a, b, q, q if X is None else X, q if Y is None else Y)
+        boxes = [(q, Fraction(q if X is None else X), Fraction(q if Y is None else Y))
                  for q in qs if math.gcd(a * b, q) == 1]
-        hypothesis.assume(insts)
-        boxes = [(inst.q, inst.X, inst.Y) for inst in insts]
+        hypothesis.assume(boxes)
         reps = cg._reports(a, b, boxes)
         assert [r[:7] for r in reps] == [(a, b, q, 1, 2, X, Y) for q, X, Y in boxes]
-        for inst, rep in zip(insts, reps):
-            small = inst.q <= 200 and inst.X * inst.Y <= 4000
-            assert rep.exact == (oracles.count_exact_naive(inst) if small
-                                 else oracles.count_exact_full_walk(inst)), inst
-            main, env = _literal_forms(inst)
+        for box, rep in zip(boxes, reps):
+            small = box[0] <= 200 and box[1] * box[2] <= 4000
+            assert rep.exact == (oracles.count_exact_naive(a, b, *box) if small
+                                 else oracles.count_exact_full_walk(a, b, *box)), box
+            main, env = _literal_forms(*box)
             assert [v.hex() for v in rep[8:11]] == [
                 main.hex(), env.hex(), (abs(rep.exact - main) / env).hex()]
         # a non-finite middle box is named before any box is counted
-        middle = len(insts) // 2
+        middle = len(boxes) // 2
         with mock.patch.object(cg, "_linear_count", side_effect=AssertionError("counted")):
             with pytest.raises(ValueError, match="at q = 1000000007: main term inf"):
                 cg._reports(a, b, boxes[:middle] + [_OVERFLOWING] + boxes[middle:])
@@ -578,13 +554,12 @@ def test_batch_reports_walk_only_boxes_with_a_remainder(monkeypatch):
     hits = cg._class_hits
     monkeypatch.setattr(cg, "_class_hits", lambda *args: walked.append(args[1]) or hits(*args))
     reps = cg.scan_boxes([11, 13, 17], 1, 1, None, 30)
-    reps += [cg.box_report(cg.CongruenceInstance(1, 1, 19, 38, 30))]
+    reps += [_one_box(1, 1, 19, 38, 30)]
     assert walked == []
     reps += cg.scan_boxes([23, 29], 1, 1, 10, 30)
     assert walked == [23, 29]
     for rep in reps:
-        inst = cg.CongruenceInstance(rep.a, rep.b, rep.q, rep.X, rep.Y)
-        assert rep.exact == oracles.count_exact_naive(inst)
+        assert rep.exact == oracles.count_exact_naive(rep.a, rep.b, rep.q, rep.X, rep.Y)
 
 
 def _classes_oracle(y, ks, q):
@@ -665,9 +640,8 @@ def test_box_bounds_reduce_to_box_count():
             continue
         X = rng.randint(1, 60)
         Y = rng.randint(1, 60)
-        inst = cg.CongruenceInstance(a, b, q, X, Y)
         n = _one_class(a, b, q, cg.box_bounds(X), cg.Interval(0, Y))[0]
-        assert n == _count(inst)
+        assert n == _count(a, b, q, X, Y)
         done += 1
 
 
@@ -715,7 +689,8 @@ def test_boundary_spec_is_four_rationals_with_a_derived_slope_bound():
 
 def _delta_H(H, bounds, J, q):
     # Delta_H of boundaries bounds over J at the modulus scale q = tW
-    fam = av.AveragedFamily(l=1, m=1, r=1, s=1, t=q, U=1, V=1, W=1, J=J, bounds=bounds)
+    fam = av.AveragedFamily(l=1, m=1, r=1, s=1, t=q, U=1, V=1, W=1, J=J, bounds=bounds,
+                            scheme="all-ones")
     return av.delta_H(fam, H)
 
 
@@ -845,10 +820,9 @@ def test_boundary_kernels_empty_interval():
 def test_envelopes_keep_their_float_bits(q):
     # the envelopes as literal expressions, multiplied left to right
     tau, sigma, L, sqrt = oracles.tau, oracles.sigma_half_inv, arith.log1n, math.sqrt
-    inst = cg.CongruenceInstance(1, 1, q, Fraction(q, 3), 500)
-    X, Y = float(inst.X), float(inst.Y)
+    X, Y = float(Fraction(q, 3)), 500.0
     env = X / q * tau(q) + L(q) * sigma(q) * (Y / sqrt(q) * tau(q) + sqrt(q) * L(q))
-    assert cg.box_report(inst).envelope == env
+    assert _one_box(1, 1, q, Fraction(q, 3), 500).envelope == env
 
 
 def test_boundary_report_box_has_no_distortion():
@@ -857,24 +831,45 @@ def test_boundary_report_box_has_no_distortion():
 
 # ---- bilinear sums ----
 
+def _signs(*columns):
+    # int64 sign columns, one per seed, from lists of +1 and -1
+    return np.array(columns, dtype=np.int64).T
+
+
 def test_bilinear_all_ones_small():
     # m in {1, 3}: inner sums are 3 and (1/3)+(2/3)+(3/3) = 1 - 1 + 0 = 0
-    res = cg.bilinear_jacobi([1, 1], [1, 1, 1])
-    assert res.value == 3
+    res = cg.bilinear_jacobi(_signs([1, 1]), _signs([1, 1, 1]), 0.05)
+    assert res.values.tolist() == [3]
     assert res.M == 3 and res.N == 3
     assert res.bound == pytest.approx(9**0.05 * (3 * math.sqrt(3) + math.sqrt(3) * 3))
 
 
 def test_bilinear_trivial_m():
-    res = cg.bilinear_jacobi([1], [1, 1, 1, 1])
-    assert res.value == 4  # (n/1) = 1 for all n
+    res = cg.bilinear_jacobi(_signs([1]), _signs([1, 1, 1, 1]), 0.05)
+    assert res.values.tolist() == [4]  # (n/1) = 1 for all n
 
 
-def test_bilinear_validation():
-    with pytest.raises(ValueError):
-        cg.bilinear_jacobi([], [1])
-    with pytest.raises(ValueError):
-        cg.bilinear_jacobi([1], [1], epsilon=-0.1)
+def test_bilinear_validation(monkeypatch):
+    # each refused before the table is built
+    def no_work(*args):
+        raise AssertionError("the Jacobi table was built before the arguments were checked")
+
+    monkeypatch.setattr(cg, "_jacobi_table", no_work)
+    one = _signs([1])
+    for a, b, epsilon, message in [
+        (np.ones((0, 1), dtype=np.int64), one, 0.05, "nonempty arrays"),  # no m
+        (one, np.ones((3, 0), dtype=np.int64), 0.05, "nonempty arrays"),  # no seed
+        ([1, 1], one, 0.05, r"got \(2,\) and \(1, 1\)"),  # one-dimensional
+        (_signs([1, 1], [1, -1]), _signs([1, 1]), 0.05, r"got \(2, 2\) and \(2, 1\)"),
+        (_signs([1, 2]), one, 0.05, r"\+1 or -1"),
+        (_signs([1, 0]), one, 0.05, r"\+1 or -1"),
+        (one, np.full((1, 1), -128, dtype=np.int8), 0.05, r"\+1 or -1"),  # |-128| wraps
+        (one, np.ones((1, 1)), 0.05, r"\+1 or -1"),  # float entries
+        (one, np.ones((1, 1), dtype=bool), 0.05, r"\+1 or -1"),
+        (one, one, -0.1, "epsilon must be nonnegative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            cg.bilinear_jacobi(a, b, epsilon)
 
 
 def test_bilinear_refuses_an_overflowing_epsilon_before_the_table(monkeypatch):
@@ -883,10 +878,10 @@ def test_bilinear_refuses_an_overflowing_epsilon_before_the_table(monkeypatch):
 
     monkeypatch.setattr(cg, "_jacobi_table", no_work)
     with pytest.raises(ValueError, match=r"epsilon is too large: 25 \*\* 1e\+300"):
-        cg.bilinear_jacobi([1, -1, 1], [1] * 5, epsilon=1e300)
+        cg.bilinear_jacobi(_signs([1, -1, 1]), _signs([1] * 5), 1e300)
     # one cell: (MN)^eps = 1 for any epsilon, so nothing overflows
     monkeypatch.undo()
-    assert cg.bilinear_jacobi([1], [1], epsilon=1e300).bound == 2.0
+    assert cg.bilinear_jacobi(_signs([1]), _signs([1]), 1e300).bound == 2.0
 
 
 def test_distortion_of_box_and_sloped_bounds():
@@ -896,13 +891,11 @@ def test_distortion_of_box_and_sloped_bounds():
 
 
 def bilinear_loop(a_coeffs, b_coeffs):
-    """The double loop bilinear_jacobi used to be: one arith.jacobi call per
-    (m, n)."""
-    total = 0j
+    """The double loop bilinear_jacobi used to be, for one seed: one
+    arith.jacobi call per (m, n), in Python ints."""
+    total = 0
     for i, am in enumerate(a_coeffs):
-        if am == 0:
-            continue
-        inner = 0j
+        inner = 0
         for j, bn in enumerate(b_coeffs):
             inner += bn * arith.jacobi(j + 1, 2 * i + 1)
         total += am * inner
@@ -919,48 +912,26 @@ def test_jacobi_table_matches_jacobi():
 
 
 def test_bilinear_matches_loop_for_signs():
+    # several seeds in one call: column s is the loop over seed s's signs
     rng = random.Random(5)
-    for rows, N in [(1, 1), (2, 3), (37, 41), (150, 300)]:
-        a = [rng.choice((-1, 1)) for _ in range(rows)]
-        b = [rng.choice((-1, 1)) for _ in range(N)]
-        value = cg.bilinear_jacobi(a, b).value
-        loop = bilinear_loop(a, b)
-        assert value == loop
-        assert (math.copysign(1, value.imag), abs(value)) == (
-            math.copysign(1, loop.imag), abs(loop))
-
-
-def test_bilinear_large_integer_coefficients_are_exact():
-    a = [3**40, -(2**62), 7, 0, 5]
-    b = [2**61 + 1, -3, 2**63 + 9, 11]
-    assert cg.bilinear_jacobi(a, b).value == bilinear_loop(a, b)
-    # int64 inputs whose sum could overflow int64 take Python ints
-    big = [2**40] * 40
-    assert cg.bilinear_jacobi(big, big).value == bilinear_loop(big, big)
-    # narrow integer dtypes are summed in int64, not in their own width
-    signs = np.ones(200, dtype=np.int8)
-    assert cg.bilinear_jacobi(signs, signs).value == bilinear_loop(signs.tolist(), signs.tolist())
-
-
-def test_bilinear_complex_coefficients_match_loop():
-    rng = random.Random(8)
-    for rows, N in [(3, 5), (64, 128), (150, 300)]:
-        a = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rows)]
-        b = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(N)]
-        loop = bilinear_loop(a, b)
-        assert abs(cg.bilinear_jacobi(a, b).value - loop) <= 1e-12 * abs(loop)
-        reals = [z.real for z in b]
-        loop = bilinear_loop(a, reals)
-        assert abs(cg.bilinear_jacobi(a, reals).value - loop) <= 1e-12 * abs(loop)
+    for rows, N, seeds in [(1, 1, 1), (2, 3, 4), (37, 41, 3), (150, 300, 5)]:
+        a = [[rng.choice((-1, 1)) for _ in range(rows)] for _ in range(seeds)]
+        b = [[rng.choice((-1, 1)) for _ in range(N)] for _ in range(seeds)]
+        b[0] = [1] * N  # row m = 1 of T b is then N, past int8 at N = 300
+        res = cg.bilinear_jacobi(_signs(*a), _signs(*b), 0.05)
+        assert res.values.dtype == np.int64 and res.values.shape == (seeds,)
+        assert res.values.tolist() == [bilinear_loop(a_s, b_s) for a_s, b_s in zip(a, b)]
+        # int8 signs are summed in int64, not in their own width
+        narrow = cg.bilinear_jacobi(_signs(*a).astype(np.int8), _signs(*b).astype(np.int8), 0.05)
+        assert narrow.values.tolist() == res.values.tolist()
 
 
 @pytest.mark.parametrize("M, N", [(511, 512), (2047, 1024)])
 def test_bilinear_peak_matches_the_readme_formula(M, N):
     # README "Conventions": the int8 table of (M + 1)/2 N Jacobi symbols and
-    # one int64 temporary of its shape, 9 bytes an entry, plus vectors of
+    # its int64 copy in the product, 9 bytes an entry, plus vectors of
     # length M or N (the least-prime-factor sieve, n, the coefficients)
     rows = (M + 1) // 2
-    a, b = [1] * rows, [(-1) ** n for n in range(N)]
-    cg._jacobi_table.cache_clear()
-    peak = _traced_peak(lambda: cg.bilinear_jacobi(a, b))
+    a, b = _signs([1] * rows), _signs([(-1) ** n for n in range(N)])
+    peak = _traced_peak(lambda: cg.bilinear_jacobi(a, b, 0.05))
     assert 9 * rows * N <= peak <= 9 * rows * N + 32 * (M + N), peak

@@ -647,7 +647,7 @@ def _check_sieve_report(B, q, tau_level, c2, rho_max):
     # float.hex
     a = _sieve_counter(B, q)
     X = Fraction((q - 1) * B, 4 * q * q)
-    kwargs = dict(tau_level=tau_level, c2=c2, z_max=5, rho_table_max=rho_max)
+    kwargs = dict(tau_level=tau_level, c2=c2, z_max=5, rho_table_max=rho_max, t=12, mu=4.0)
     Xf = float(X)
     if Xf <= 1 or not 1 <= Xf**tau_level / math.log(Xf) ** c2 <= dp6.W2_D_LIMIT:
         with pytest.raises(ValueError):
@@ -808,7 +808,7 @@ def test_sieve_threshold():
 
 
 def test_w2_sum_shape():
-    out = dp6.sieve_condition_report(1000, 7, z_max=5)["w2"]
+    out = dp6.sieve_condition_report(1000, 7, 0.4, 1.0, 5, 30, 12, 4.0)["w2"]
     assert out["tau"] == 0.4
     assert out["d_max"] < 4
     assert out["sum"] >= 0
@@ -857,7 +857,7 @@ def test_w1_min_c1_blocks_agree(monkeypatch):
 
 
 def test_sieve_condition_report_is_json_ready():
-    rep = dp6.sieve_condition_report(1000, 7, z_max=100, rho_table_max=10)
+    rep = dp6.sieve_condition_report(1000, 7, 0.4, 1.0, 100, 10, 12, 4.0)
     text = json.dumps(rep)
     back = json.loads(text)
     assert back["points_total"] == 31
@@ -891,7 +891,9 @@ def test_sieve_condition_report_refuses_before_any_work(kwargs, message, monkeyp
 
     monkeypatch.setattr(dp6, "_sieve_sequence", no_work)
     with pytest.raises(ValueError, match=message):
-        dp6.sieve_condition_report(**{"B": 1000, "q": 7, **kwargs})
+        dp6.sieve_condition_report(**{"B": 1000, "q": 7, "tau_level": 0.4, "c2": 1.0,
+                                      "z_max": 1000, "rho_table_max": 30, "t": 12, "mu": 4.0,
+                                      **kwargs})
 
 
 def test_sieve_condition_report_checks_q_once(monkeypatch):
@@ -905,6 +907,6 @@ def test_sieve_condition_report_checks_q_once(monkeypatch):
 
 
 def test_sieve_condition_report_smallest_grid_and_zero_c2():
-    rep = dp6.sieve_condition_report(1000, 7, c2=0.0, z_max=5, rho_table_max=1)
+    rep = dp6.sieve_condition_report(1000, 7, 0.4, 0.0, 5, 1, 12, 4.0)
     assert rep["w1"]["z_max"] == 5 and rep["w1"]["min_c1"] >= 0
     assert rep["w2"]["d_max"] == pytest.approx(float(Fraction(1500, 49)) ** 0.4)

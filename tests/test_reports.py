@@ -37,7 +37,7 @@ def test_box_row_fields_and_timings():
     assert cg.CountReport._fields == (
         "a", "b", "q", "e", "f", "X", "Y", "exact", "main_term", "envelope", "ratio", "seconds")
     # the retired seconds column reads no clock
-    rep = cg.box_report(cg.CongruenceInstance(1, 1, 5, 10, 10))
+    (rep,) = cg.scan_boxes([5], 1, 1, 10, 10)
     assert len(rep) == len(cg.CountReport._fields)
     row = rep._asdict()
     assert row["exact"] == 16
@@ -49,7 +49,7 @@ def test_averaged_row_fields(tmp_path, capsys):
     # avg-scan writes each AveragedReport as one row of cli.AVERAGED_FIELDS
     fam = av.AveragedFamily(
         l=1, m=1, r=1, s=1, t=3, U=1, V=1, W=Fraction(1, 2),
-        J=cg.Interval(0, 10), bounds=cg.box_bounds(5),
+        J=cg.Interval(0, 10), bounds=cg.box_bounds(5), scheme="all-ones",
     )
     (rep,) = av.avg_report(fam, H=4.0, epsilon=0.05, seeds=(7,))
     out = tmp_path / "avg.csv"
