@@ -1,16 +1,16 @@
 """Exact integer arithmetic: factorization, multiplicative functions, symbols.
 
-Factorization does trial division by 2, 3, 5 and the 6k +/- 1 wheel up to
-sqrt(x), x the cofactor left, two wheel candidates per step of a range;
-the cofactor left when the wheel passes sqrt(x) is 1 or a prime.  That is
-complete only on a bounded domain, so factorize and is_prime (read from
-factorize) take 1 <= n < MODULUS_LIMIT = 2^31, where the wheel stops below
-46,341, and refuse a larger n.  A Factorization carries the divisor
-functions (divisors, tau, phi, sigma_{-1/2}): a caller that needs several
-of them for one n factors it once and reads them all from that
-Factorization.  Everything in this module is exact; Factorization, jacobi,
-mod_inv, floor_mod and unit_symbols factor nothing and take integers of
-any size.
+Factorization is trial division by the primes of one table, built at import
+by sieve_primes: the 4,792 primes up to isqrt(2^31 - 1) = 46,340, taken in
+order until p^2 exceeds the cofactor x left; the x left then is 1 or a
+prime.  That is complete only on a bounded domain, so factorize and
+is_prime (read from factorize) take 1 <= n < MODULUS_LIMIT = 2^31, whose
+square roots the table covers, and refuse a larger n.  A Factorization
+carries the divisor functions (divisors, tau, phi, sigma_{-1/2}): a caller
+that needs several of them for one n factors it once and reads them all
+from that Factorization.  Everything in this module is exact;
+Factorization, jacobi, mod_inv, floor_mod and unit_symbols factor nothing
+and take integers of any size.
 """
 
 from __future__ import annotations
@@ -55,35 +55,45 @@ class Factorization(NamedTuple):
         return out
 
 
+def sieve_primes(limit: int) -> list[int]:
+    """The primes p <= limit, ascending, by the sieve of Eratosthenes;
+    limit >= 0."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = False
+    return np.flatnonzero(flags).tolist()
+
+
+# Moduli below this keep every product of two residues below 2^62, inside
+# int64: the bound of the box count, the boundary counts (class_sums) and
+# gauss_brute.  It is also the domain of factorize and is_prime, whose trial
+# division is complete below it, and so of every modulus a command factors.
+MODULUS_LIMIT = 1 << 31
+# The trial divisors of factorize: every prime up to sqrt(n) for n < 2^31.
+_TRIAL_PRIMES = tuple(sieve_primes(math.isqrt(MODULUS_LIMIT - 1)))
+
+
 def factorize(n: int) -> Factorization:
     """The prime factorization of 1 <= n < 2^31 (MODULUS_LIMIT) by trial
     division; any other n is refused by ValueError naming 2^31."""
     if not 1 <= n < MODULUS_LIMIT:
         raise ValueError(f"factorize needs 1 <= n < 2^31, got n = {n}")
     x = n
-    found: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while x % p == 0:
-            found[p] = found.get(p, 0) + 1
-            x //= p
-    # 6k +/- 1 wheel up to sqrt(x), in pairs d, d + 4 with d = 1 (mod 6); a
-    # pair that divides nothing costs two remainders.  Any divisor found is a
-    # prime, all smaller primes being divided out already
-    d = 7
-    while d * d <= x:
-        for d in range(d, math.isqrt(x) + 1, 6):
-            if not (x % d and x % (d + 4)):
-                break
-        else:  # no divisor up to sqrt(x)
+    found = []
+    for p in _TRIAL_PRIMES:
+        if p * p > x:
             break
-        for p in (d, d + 4):
+        if x % p == 0:
+            e = 0
             while x % p == 0:
-                found[p] = found.get(p, 0) + 1
+                e += 1
                 x //= p
-        d += 6
-    if x > 1:  # the wheel passed sqrt(x), so x is a prime
-        found[x] = 1
-    return Factorization(n, tuple(sorted(found.items())))
+            found.append((p, e))
+    if x > 1:  # no prime up to sqrt(x) divides x, so x is a prime
+        found.append((x, 1))
+    return Factorization(n, tuple(found))
 
 
 def is_prime(n: int) -> bool:
@@ -92,18 +102,6 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     return factorize(n).factors == ((n, 1),)
-
-
-def sieve_primes(limit: int) -> list[int]:
-    """The primes p <= limit, ascending, by the sieve of Eratosthenes."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i, f in enumerate(flags) if f]
 
 
 def log1n(n: int) -> float:
@@ -127,11 +125,6 @@ def floor_mod(x, q: int):
     return np.subtract(x, r, out=r) if isinstance(r, np.ndarray) else x - r
 
 
-# Moduli below this keep every product of two residues below 2^62, inside
-# int64: the bound of the box count, the boundary counts (class_sums) and
-# gauss_brute.  It is also the domain of factorize and is_prime, whose trial
-# division is complete below it, and so of every modulus a command factors.
-MODULUS_LIMIT = 1 << 31
 # Entries of any 2-D temporary of a kernel (2 MiB in float64 or int64).
 BLOCK_CELLS = 1 << 18
 

@@ -67,7 +67,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import MODULUS_LIMIT, block_rows, factorize, floor_mod, log1n, mod_inv
+from .arith import MODULUS_LIMIT, block_rows, factorize, floor_mod, log1n, mod_inv, sieve_primes
 
 RationalLike = int | float | Fraction
 
@@ -149,7 +149,7 @@ def _linear_count(a: int, b: int, q: int, X: int, Y: int, primes: list[int],
     # multiple of q)
     Qx, rx = divmod(X, q)
     Qy, ry = divmod(Y, q)
-    t_rr, t_rq = _class_hits(-mod_inv(a, q) * b % q, q, rx, ry, primes) if rx else (0, 0)
+    t_rr, t_rq = _class_hits(linear_class(a, b, q), q, rx, ry, primes) if rx else (0, 0)
     return Qx * Qy * phi_q + Qx * _unit_count(ry, primes) + Qy * t_rq + t_rr
 
 
@@ -403,11 +403,10 @@ def _jacobi_table(M: int, N: int) -> np.ndarray:
     n mod p; a composite row is the product of the rows of p and m/p, p its
     least prime factor."""
     rows = (M + 1) // 2
-    spf = np.zeros(M + 1, dtype=np.int64)  # least prime factor of odd composites
-    for p in range(3, math.isqrt(M) + 1, 2):
-        if not spf[p]:
-            tail = spf[p * p :: 2 * p]
-            tail[tail == 0] = p
+    # least prime factor of odd composites, the least written last
+    spf = np.zeros(M + 1, dtype=np.int64)
+    for p in reversed(sieve_primes(math.isqrt(M))[1:]):
+        spf[p * p :: 2 * p] = p
     n = np.arange(1, N + 1, dtype=np.int64)
     table = np.empty((rows, N), dtype=np.int8)
     table[0] = 1

@@ -29,8 +29,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from congruence_lab.arith import Factorization, factorize, is_prime, sieve_primes
-from congruence_lab.congruence import _unit_count, _units
+from congruence_lab.arith import Factorization
 from congruence_lab import dp6
 from congruence_lab.dp6 import icbrt, prime_window
 from congruence_lab.gausssum import GaussSumValue, _branch, _e, gauss_brute
@@ -239,29 +238,31 @@ def count_exact_naive(a: int, b: int, q: int, X, Y) -> int:
 
 def count_exact_full_walk(a: int, b: int, q: int, X, Y) -> int:
     """The box count by the walk it used before the mirror identity: every
-    unit y in [1, q], those y <= ry first and then the rest, each hit when
-    its own class c_y = -a^{-1} b y^2 mod q, taken here by int64 %, is <=
-    rx.  Twice the units of the half walk, with no mirror."""
+    unit y in [1, q], each hit when its own class c_y = -a^{-1} b y^2 mod q,
+    taken here by int64 %, is <= rx; the units and hits up to ry counted
+    apart.  Twice the units of the half walk, with no mirror.  The units are
+    the y with gcd(y, q) = 1, found as the y that no divisor d > 1 of q
+    divides, the divisors by the trial loop of divisors: at q = 9,699,690
+    their strided writes took 0.06 s where np.gcd over [1, q] took 1.2 s."""
     Qx, rx = divmod(int(X // 1), q)
     Qy, ry = divmod(int(Y // 1), q)
-    primes = [p for p, _ in factorize(q).factors]
     k = -pow(a, -1, q) * b % q
-    sums = []  # (T(rx, t), T(q, t)) for t = ry, then t = q
-    below = 0
-    for y_lo, y_hi in ((1, ry), (ry + 1, q)):
-        if rx:
-            for y in _units(y_lo, y_hi, primes):
-                below += int(np.count_nonzero(k * (y * y % q) % q <= rx))
-        sums.append((below, _unit_count(y_hi, primes)))
-    (t_rr, t_qr), (t_rq, t_qq) = sums
-    return Qx * Qy * t_qq + Qx * t_qr + Qy * t_rq + t_rr
+    unit = np.ones(q + 1, dtype=bool)
+    unit[0] = False
+    for d in divisors(q)[1:]:
+        unit[::d] = False
+    y = np.flatnonzero(unit)
+    hit = k * (y * y % q) % q <= rx if rx else np.zeros(len(y), dtype=bool)
+    low = y <= ry
+    t_rr, t_rq, t_qr = (int(np.count_nonzero(m)) for m in (hit & low, hit, low))
+    return Qx * Qy * len(y) + Qx * t_qr + Qy * t_rq + t_rr
 
 
 def rho_oracle_prime(p: int, q: int) -> tuple[Fraction, Fraction]:
     """(brute density, rho(p)/p) for a prime p not dividing 2q, rho(p) the
     Euler factor dp6._rho_factor: the brute side counts pairs (a1, a2) mod p
     with a1 a2 (a2 - a1^2) = 0 (mod p)."""
-    if not is_prime(p):
+    if p < 2 or prime_factors(p) != {p: 1}:
         raise ValueError("p must be prime")
     if p == 2 or p == q:
         raise ValueError("oracle requires p coprime to 2q")
@@ -274,8 +275,9 @@ def rho_oracle_prime(p: int, q: int) -> tuple[Fraction, Fraction]:
 
 def w1_min_c1_loop(q: int, z_max: int) -> float:
     """dp6._w1_min_c1's min_c1 by the scalar double loop over every prime
-    pair w < z of the grid, in math's order of operations."""
-    ps = [p for p in sieve_primes(z_max) if p > 2]
+    pair w < z of the grid, in math's order of operations; the odd primes
+    p <= z_max by trial division."""
+    ps = [p for p in range(3, z_max + 1, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
     logs = [math.log(float(1 - dp6._rho_factor(p, q) / p)) for p in ps]
     prefix = [0.0]
     for v in logs:
@@ -396,7 +398,7 @@ class SpecialPoint:
         B = self.budget
         if B < 1:
             raise ValueError("budget B must be positive")
-        if not is_prime(self.q):
+        if self.q < 2 or prime_factors(self.q) != {self.q: 1}:
             raise ValueError("q must be prime")
         if self.q**3 > B or 8 * self.q**3 <= B:
             raise ValueError("q must lie in (B^{1/3}/2, B^{1/3}]")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -162,6 +163,23 @@ def test_sieve_primes():
     assert len(arith.sieve_primes(10**4)) == 1229
 
 
+def _trial_primes(limit):
+    # the n <= limit that no smaller prime up to sqrt(n) divides
+    primes = []
+    for n in range(2, limit + 1):
+        if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, primes)):
+            primes.append(n)
+    return primes
+
+
+def test_sieve_primes_against_trial_division():
+    for limit in (0, 1, 2, 3, 4, 25, 46340, 10**5):
+        got = arith.sieve_primes(limit)
+        assert got == _trial_primes(limit), limit
+        assert all(type(p) is int for p in got)
+    assert len(arith.sieve_primes(2**20)) == 82025
+
+
 def test_log1n():
     assert arith.log1n(0) == 0.0
     assert arith.log1n(1) == pytest.approx(math.log(2))
@@ -256,11 +274,22 @@ def test_factorize_against_sympy():
         assert dict(arith.factorize(n).factors) == sympy.factorint(n), n
 
 
+def test_trial_table_is_the_primes_up_to_sqrt_2_31():
+    # factorize divides by this table alone, so it must hold every prime p
+    # with p^2 < 2^31 and no other number
+    sympy = pytest.importorskip("sympy")
+    table = arith._TRIAL_PRIMES
+    assert type(table) is tuple
+    assert table == tuple(sympy.primerange(2, 46341))
+    assert len(table) == 4792 and table[-1] == 46337
+    assert sympy.nextprime(table[-1]) ** 2 > arith.MODULUS_LIMIT
+
+
 def test_factorize_trial_bound_edges_against_sympy():
-    # 46327, 46337 and 46349 are the primes next to sqrt(2^31): the wheel's
-    # last step decides 46327^2, 46337^2 and 46327 * 46337, 2^31 - 3 = 5 *
-    # 19 * 22605091 leaves a prime cofactor, 2^31 - 1 is prime; 46337 *
-    # 46349 and 2^31 itself are refused
+    # 46327, 46337 and 46349 are the primes next to sqrt(2^31): 46327 and
+    # 46337, the last two primes of the trial table, decide 46327^2, 46337^2
+    # and 46327 * 46337, 2^31 - 3 = 5 * 19 * 22605091 leaves a prime
+    # cofactor, 2^31 - 1 is prime; 46337 * 46349 and 2^31 itself are refused
     sympy = pytest.importorskip("sympy")
     for n in (46327**2, 46337**2, 46327 * 46337, 2**31 - 3, 2**31 - 1):
         assert dict(arith.factorize(n).factors) == sympy.factorint(n), n
