@@ -1,16 +1,18 @@
 """Exact integer arithmetic: factorization, multiplicative functions, symbols.
 
 Factorization is trial division by the primes of one table, built at import
-by sieve_primes: the 4,792 primes up to isqrt(2^31 - 1) = 46,340, taken in
-order until p^2 exceeds the cofactor x left; the x left then is 1 or a
-prime.  That is complete only on a bounded domain, so factorize and
-is_prime (read from factorize) take 1 <= n < MODULUS_LIMIT = 2^31, whose
-square roots the table covers, and refuse a larger n.  A Factorization
-carries the divisor functions (divisors, tau, phi, sigma_{-1/2}): a caller
-that needs several of them for one n factors it once and reads them all
-from that Factorization.  Everything in this module is exact;
-Factorization, jacobi, mod_inv, floor_mod and unit_symbols factor nothing
-and take integers of any size.
+by sieve_primes: the 4,792 primes up to isqrt(2^31 - 1) = 46,340.  An array
+of moduli is divided by the table's primes up to isqrt of its largest
+element, as outer-product floor_mod passes of at most BLOCK_CELLS cells;
+the cofactor each modulus keeps after its primes up to its square root are
+divided out is then 1 or a prime.  That is complete only on a bounded
+domain, so factor_array, factorize (its one-element case) and is_prime
+(read from factorize) take 1 <= n < MODULUS_LIMIT = 2^31, whose square
+roots the table covers, and refuse a larger n.  divisor_functions reads
+phi, tau and sigma_{-1/2} of every modulus from one factor_array, in array
+passes.  Everything in this module is exact; Factorization, jacobi,
+mod_inv, floor_mod and unit_symbols factor nothing and take integers of any
+size.
 """
 
 from __future__ import annotations
@@ -22,37 +24,10 @@ import numpy as np
 
 
 class Factorization(NamedTuple):
-    """A positive integer together with its sorted prime factorization, and
-    the divisor functions read from it."""
+    """A positive integer together with its sorted prime factorization."""
 
     n: int
     factors: tuple[tuple[int, int], ...]
-
-    def divisors(self) -> list[int]:
-        ds = [1]
-        for p, e in self.factors:
-            ds = [d * p**k for d in ds for k in range(e + 1)]
-        return sorted(ds)
-
-    def tau(self) -> int:
-        out = 1
-        for _, e in self.factors:
-            out *= e + 1
-        return out
-
-    def phi(self) -> int:
-        out = self.n
-        for p, _ in self.factors:
-            out -= out // p
-        return out
-
-    def sigma_half_inv(self) -> float:
-        # added left to right in ascending d, the order sum() took up to
-        # Python 3.11 (3.12 compensates float sums)
-        out = 0.0
-        for d in self.divisors():
-            out += 1.0 / math.sqrt(d)
-        return out
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -64,51 +39,6 @@ def sieve_primes(limit: int) -> list[int]:
         if flags[i]:
             flags[i * i :: i] = False
     return np.flatnonzero(flags).tolist()
-
-
-# Moduli below this keep every product of two residues below 2^62, inside
-# int64: the bound of the box count, the boundary counts (class_sums) and
-# gauss_brute.  It is also the domain of factorize and is_prime, whose trial
-# division is complete below it, and so of every modulus a command factors.
-MODULUS_LIMIT = 1 << 31
-# The trial divisors of factorize: every prime up to sqrt(n) for n < 2^31.
-_TRIAL_PRIMES = tuple(sieve_primes(math.isqrt(MODULUS_LIMIT - 1)))
-
-
-def factorize(n: int) -> Factorization:
-    """The prime factorization of 1 <= n < 2^31 (MODULUS_LIMIT) by trial
-    division; any other n is refused by ValueError naming 2^31."""
-    if not 1 <= n < MODULUS_LIMIT:
-        raise ValueError(f"factorize needs 1 <= n < 2^31, got n = {n}")
-    x = n
-    found = []
-    for p in _TRIAL_PRIMES:
-        if p * p > x:
-            break
-        if x % p == 0:
-            e = 0
-            while x % p == 0:
-                e += 1
-                x //= p
-            found.append((p, e))
-    if x > 1:  # no prime up to sqrt(x) divides x, so x is a prime
-        found.append((x, 1))
-    return Factorization(n, tuple(found))
-
-
-def is_prime(n: int) -> bool:
-    """Whether n is prime, read from factorize(n): n < 2^31 (MODULUS_LIMIT),
-    and larger n is refused as factorize refuses it."""
-    if n < 2:
-        return False
-    return factorize(n).factors == ((n, 1),)
-
-
-def log1n(n: int) -> float:
-    """The smoothed logarithm log(n + 1) used by all error envelopes."""
-    if n < 0:
-        raise ValueError("log1n requires n >= 0")
-    return math.log(n + 1)
 
 
 def floor_mod(x, q: int):
@@ -135,6 +65,130 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_CELLS // max(width, 1))
 
 
+# Moduli below this keep every product of two residues below 2^62, inside
+# int64: the bound of the box count, the boundary counts (class_sums) and
+# gauss_brute.  It is also the domain of factor_array, factorize and
+# is_prime, whose trial division is complete below it, and so of every
+# modulus a command factors.
+MODULUS_LIMIT = 1 << 31
+# The trial divisors of factor_array: every prime up to sqrt(n) for n < 2^31.
+_TRIAL_PRIMES = np.array(sieve_primes(math.isqrt(MODULUS_LIMIT - 1)), dtype=np.int64)
+
+
+def factor_array(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, p, e): the prime factorizations of the moduli n, each 1 <= n
+    < 2^31 (MODULUS_LIMIT), by trial division; the prime powers of n[i] are
+    p[j]^e[j] for start[i] <= j < start[i + 1], primes ascending.  All three
+    are int64 arrays.  The moduli are divided by every trial prime up to
+    isqrt(max(n)) in blocks of arith.block_rows(primes) moduli, so no block
+    holds more than BLOCK_CELLS cells.  Any n outside [1, 2^31) is refused
+    by ValueError naming 2^31 and the first such n."""
+    n = np.asarray(n)
+    if n.size and not (n.min() >= 1 and n.max() < MODULUS_LIMIT):
+        bad = next(v for v in n.tolist() if not 1 <= v < MODULUS_LIMIT)
+        raise ValueError(f"factorize needs 1 <= n < 2^31, got n = {bad}")
+    n = n.astype(np.int64, copy=False).reshape(-1)
+    top = int(n.max()) if len(n) else 1
+    primes = _TRIAL_PRIMES[: np.searchsorted(_TRIAL_PRIMES, math.isqrt(top), side="right")]
+    rows = block_rows(len(primes))
+    at, p = [], []
+    for lo in range(0, len(n), rows):
+        block = n[lo : lo + rows]
+        # the primes up to the square root of this block's largest modulus
+        trial = primes[: np.searchsorted(primes, math.isqrt(int(block.max())), side="right")]
+        i, j = np.nonzero(floor_mod(block[:, None], trial) == 0)
+        at.append(i + lo)
+        p.append(trial[j])
+    at = np.concatenate([np.zeros(0, np.int64), *at])
+    p = np.concatenate([np.zeros(0, np.int64), *p])
+    # the exponent of each prime found: divide it out while it divides
+    e = np.zeros_like(p)
+    rest = n[at]
+    left = np.ones(len(p), dtype=bool)
+    while left.any():
+        e += left
+        rest[left] //= p[left]
+        left &= floor_mod(rest, p) == 0
+    cofactor = n.copy()
+    np.floor_divide.at(cofactor, at, p**e)
+    # a cofactor above 1 is a prime beyond every prime found for its modulus
+    big = np.flatnonzero(cofactor > 1)
+    at = np.concatenate([at, big])
+    order = np.argsort(at, kind="stable")
+    p = np.concatenate([p, cofactor[big]])[order]
+    e = np.concatenate([e, np.ones(len(big), np.int64)])[order]
+    start = np.searchsorted(at[order], np.arange(len(n) + 1))
+    return start, p, e
+
+
+def factorize(n: int) -> Factorization:
+    """The prime factorization of 1 <= n < 2^31 (MODULUS_LIMIT): the
+    one-element case of factor_array, whose ValueError refuses any other n."""
+    _, p, e = factor_array([n])
+    return Factorization(n, tuple(zip(p.tolist(), e.tolist())))
+
+
+def divisor_functions(n: np.ndarray, start: np.ndarray, p: np.ndarray, e: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phi, tau, sigma_{-1/2}) of the moduli n, given their factor_array:
+    int64, int64 and float64 arrays.
+
+    sigma_{-1/2}(n) adds 1.0 / sqrt(d) over the divisors d of n left to
+    right in ascending d, so it has the bits of that scalar loop: the
+    divisors of a block of moduli are the rows of one matrix, tau(n) mixed-
+    radix digits a row, sorted, with the pads past tau(n) set to +inf,
+    whose 1.0 / sqrt is +0.0, and the columns are added in order.  Each
+    block holds at most BLOCK_CELLS cells (block_rows(max tau) rows)."""
+    m = len(n)
+    at = np.repeat(np.arange(m), start[1:] - start[:-1])
+    tau, rad, phi = np.ones(m, np.int64), np.ones(m, np.int64), np.ones(m, np.int64)
+    np.multiply.at(tau, at, e + 1)
+    np.multiply.at(rad, at, p)
+    np.multiply.at(phi, at, p - 1)
+    phi *= n // rad
+    # the prime powers of modulus i by slot, padded with 1^0
+    slots = int((start[1:] - start[:-1]).max()) if m else 0
+    P, E = np.ones((m, slots), np.int64), np.zeros((m, slots), np.int64)
+    slot = np.arange(len(p)) - start[at]
+    P[at, slot], E[at, slot] = p, e
+    width = int(tau.max()) if m else 1
+    rows = block_rows(width)
+    column = np.arange(width)
+    sigma = np.zeros(m)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        d = np.ones((hi - lo, width), np.int64)
+        rest = np.zeros_like(d)
+        rest += column
+        for s in range(slots):
+            radix = E[lo:hi, s, None] + 1
+            d *= P[lo:hi, s, None] ** (rest % radix)
+            rest //= radix
+        d = d.astype(np.float64)
+        d[column >= tau[lo:hi, None]] = np.inf
+        d.sort(axis=1)
+        terms = 1.0 / np.sqrt(d)
+        total = sigma[lo:hi]
+        for c in range(width):
+            total += terms[:, c]
+    return phi, tau, sigma
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, read from factorize(n): n < 2^31 (MODULUS_LIMIT),
+    and larger n is refused as factorize refuses it."""
+    if n < 2:
+        return False
+    return factorize(n).factors == ((n, 1),)
+
+
+def log1n(n: int) -> float:
+    """The smoothed logarithm log(n + 1) used by all error envelopes."""
+    if n < 0:
+        raise ValueError("log1n requires n >= 0")
+    return math.log(n + 1)
+
+
 # ---- symbols and inverses ----
 
 def jacobi(a: int, m: int) -> int:
@@ -153,6 +207,26 @@ def jacobi(a: int, m: int) -> int:
             result = -result
         a %= m
     return result if m == 1 else 0
+
+
+def legendre_symbols(z: np.ndarray, p: int) -> np.ndarray:
+    """The Legendre symbols (z/p), -1, 0 or 1, of an int64 array z >= 0 and
+    an odd prime p < 2^31, by Euler's criterion: z^((p-1)/2) mod p by
+    repeated squaring, each product of two residues below p < 2^31 so below
+    2^62, and each reduction a floor_mod."""
+    base = floor_mod(z, p)
+    out = np.ones_like(base)
+    e = (p - 1) // 2
+    while e:
+        if e & 1:
+            out *= base
+            out = floor_mod(out, p)
+        e >>= 1
+        if e:
+            base *= base
+            base = floor_mod(base, p)
+    out[out > 1] = -1
+    return out
 
 
 def mod_inv(a: int, q: int) -> int:

@@ -10,27 +10,31 @@ where T(s, t) counts the unit pairs x <= s, y <= t with -a x = b y^2
 (mod q).  Each unit y fixes the one class x = c_y = -a^{-1} b y^2 mod q,
 so T(q, t), the number of unit y <= t, is phi(q) for t = q and sum mu(d)
 floor(t/d) over d | rad(q) for t = ry: when rx = 0 no residue is walked at
-all.  Otherwise half a walk does: (q - y)^2 = y^2 (mod q), so the mirror
-q - y has the class c_y, and the floor(q/2) residues y <= q/2 (their units
-only), in ascending numpy blocks each sieved by one strided write per
-prime of q into a boolean mask, decide T(rx, ry) and T(rx, q) for every
-unit of [1, q).  A block's classes are one floor_mod of the exact int64
-product k y^2 while max(k) max(y)^2 < 2^62 (every q below about 2.6e6),
-else y^2 is reduced first and the product again.  O(q) time at most, q <
-2^31 so every residue product fits in int64, and the T are combined in
-Python ints, so counts stay exact for any rational box.  Every int64
-reduction mod q is arith.floor_mod, x - x // q * q: numpy divides by a
-scalar with a multiply and a shift, where % takes one hardware divide per
-element.  Boxes get a main-term/error-envelope split phi(q) X Y / q^2 +
-O(...).  scan_boxes, the one entry of the box count (count runs it on one
-modulus), checks its inputs once and hands plain boxes (q, X, Y) to one
-body, which checks every box's count bound, main term and envelope before
-the first count, in array passes: each distinct q is factored once, with
-phi, tau and sigma_{-1/2} read from that factorization; the forms and
-ratios of all boxes are float64 expressions in the scalar order, of the
-same bits; a box with rx = 0 is counted in closed form, and only the
-others walk.  No report reads the clock: the seconds column of a
-CountReport is always 0.0.
+all.  Otherwise the units y are walked from 1 in ascending numpy blocks,
+each sieved by one strided write per prime of q into a boolean mask: (q -
+y)^2 = y^2 (mod q), so the mirror q - y has the class c_y, and the walk
+stops at ry, or at its mirror cut q - 1 - ry when ry > q/2, unless T(rx, q)
+is needed too (Qy > 0 or ry > q/2).  Then T(rx, q) comes either from the
+walk continued to q/2 or from the x side, the square roots of x / k mod q
+over the units x <= rx (a Hensel/CRT count with Legendre symbols by Euler's
+criterion), whichever is measured cheaper: O(min(ry, q - ry)) residues
+plus O(min(rx omega(q) log q, q)).  A block's classes are one floor_mod of the
+exact int64 product k y^2 while max(k) max(y)^2 < 2^62 (every q below
+about 2.6e6), else y^2 is reduced first and the product again.  q < 2^31
+so every residue product fits in int64, and the T are combined in Python
+ints, so counts stay exact for any rational box.  Every int64 reduction mod
+q is arith.floor_mod, x - x // q * q: numpy divides by a scalar with a
+multiply and a shift, where % takes one hardware divide per element.  Boxes
+get a main-term/error-envelope split phi(q) X Y / q^2 + O(...).
+scan_boxes, the one entry of the box count (count runs it on one modulus),
+checks its inputs once and hands plain boxes (q, X, Y) to one body, which
+checks every box's count bound, main term and envelope before the first
+count, in array passes: the distinct moduli are factored by one
+arith.factor_array, and phi, tau and sigma_{-1/2} read from it by one
+arith.divisor_functions; the forms and ratios of all boxes are float64
+expressions in the scalar order, of the same bits; a box with rx = 0 is
+counted in closed form, and only the others count residues.  No report
+reads the clock: the seconds column of a CountReport is always 0.0.
 
 Regions whose x-range depends on y through slowly varying boundary functions
 are counted through the floor identity
@@ -67,7 +71,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import MODULUS_LIMIT, block_rows, factorize, floor_mod, log1n, mod_inv, sieve_primes
+from .arith import (MODULUS_LIMIT, block_rows, divisor_functions, factor_array, factorize, floor_mod,
+                    legendre_symbols, log1n, mod_inv, sieve_primes)
 
 RationalLike = int | float | Fraction
 
@@ -82,14 +87,21 @@ def _check_modulus(q: int) -> None:
 
 def _units(lo: int, hi: int, primes: list[int], dtype=np.int64) -> Iterator[np.ndarray]:
     # the integers in [lo, hi] prime to every p in primes, in ascending
-    # blocks: each p strikes its multiples start + (-start % p) + j p from a
-    # mask by one strided write; start is added in place after the cast, so
+    # blocks: each p with a multiple start + (-start % p) + j p in the block
+    # strikes them from a mask by one strided write, and a block that no p
+    # strikes is an arange; start is added in place after the cast, so
     # object blocks hold Python ints however far lo lies beyond int64
     for start in range(lo, hi + 1, _BLOCK):
-        keep = np.ones(min(_BLOCK, hi + 1 - start), dtype=bool)
-        for p in primes:
-            keep[-start % p :: p] = False
-        y = np.flatnonzero(keep).astype(dtype, copy=False)
+        n = min(_BLOCK, hi + 1 - start)
+        firsts = [(-start % p, p) for p in primes if -start % p < n]
+        if firsts:
+            keep = np.ones(n, dtype=bool)
+            for first, p in firsts:
+                keep[first::p] = False
+            y = np.flatnonzero(keep)
+        else:
+            y = np.arange(n)
+        y = y.astype(dtype, copy=False)
         y += start
         yield y
 
@@ -117,27 +129,100 @@ def _x_classes(y: np.ndarray, k, q: int) -> np.ndarray:
     return floor_mod(k * floor_mod(y * y, q), q)
 
 
-def _class_hits(k: int, q: int, rx: int, ry: int, primes: list[int]) -> tuple[int, int]:
-    """(G(ry), G(q)), G(m) = #{unit y <= m : c_y <= rx}, c_y = k y^2 mod q,
-    from one walk of the units y <= floor(q/2); q > 1 and 0 <= rx, ry < q.
+def _hits(k: int, q: int, rx: int, cuts: set[int], primes: list[int]) -> dict[int, int]:
+    # hits(m) for every m of cuts: the units y <= m whose class c_y = k y^2
+    # mod q is <= rx, from one walk of the units y <= max(cuts)
+    hits = dict.fromkeys(cuts, 0)
+    for y in _units(1, max(cuts), primes):
+        hit = _x_classes(y, k, q) <= rx
+        for m in hits:
+            hits[m] += int(np.count_nonzero(hit[: np.searchsorted(y, m, side="right")]))
+    return hits
 
-    (q - y)^2 = y^2 (mod q), so the mirror q - y of a walked y has the
-    class c_y.  The units of [1, q) are the walked y <= floor((q-1)/2) and
-    the mirrors of the walked y <= floor(q/2), so with hits(m) the walked
-    y <= m whose class is <= rx,
+
+def _squares(p: int) -> np.ndarray:
+    # the table of p booleans, True at the nonzero squares mod p
+    table = np.zeros(p, dtype=bool)
+    r = np.arange(1, p // 2 + 1, dtype=np.int64)
+    table[floor_mod(r * r, p)] = True
+    return table
+
+
+def _root_count(k: int, q: int, rx: int, primes: list[int]) -> int:
+    """G(q) = #{unit y < q : c_y <= rx}, c_y = k y^2 mod q, from the x side:
+    each unit x <= rx is c_y for the N(z) units y with y^2 = z = x / k (mod
+    q), so G(q) is the sum of N(z) over the units x <= rx.  By the CRT and
+    Hensel's lemma (Ireland and Rosen, A Classical Introduction to Modern
+    Number Theory, ch. 5) N(z) is the product over the prime powers of q of
+    1 + (z/p) for an odd p, and of 1 for 2^1, 2 [z = 1 mod 4] for 2^2 and 4
+    [z = 1 mod 8] for 2^e, e >= 3.  So a z counts 2^omega_odd(q) times the
+    2-adic factor when it passes every test, and none otherwise.  The tests
+    of one block run on the z that passed the earlier ones: a Legendre
+    symbol by a table of the squares mod p when p <= min(rx, _BLOCK),
+    otherwise by Euler's criterion (arith.legendre_symbols)."""
+    kinv = mod_inv(k, q)
+    lift = min(q & -q, 8)  # 1 or 2: no test; 4 or 8: z = 1 mod lift
+    odd = [p for p in primes if p > 2]
+    tables = {p: _squares(p) for p in odd if p <= min(rx, _BLOCK)}
+    found = 0
+    for x in _units(1, rx, primes):
+        z = floor_mod(x * kinv, q)
+        if lift > 2:
+            z = z[floor_mod(z, lift) == 1]
+        for p in odd:
+            z = z[tables[p][floor_mod(z, p)] if p in tables else legendre_symbols(z, p) == 1]
+        found += len(z)
+    return found * max(lift // 2, 1) << len(odd)
+
+
+# The x side's cost in walked residues (about 4-5 ns each on a 2.1 GHz
+# Xeon): _X_STEP per unit x <= rx, and _EULER_STEP per modular product of
+# Euler's criterion, taken on the z that passed the tests before it (the
+# 2-adic one keeps 1/2 or 1/4 of them, each odd prime's 1/2): an odd prime
+# of q above min(rx, _BLOCK), e = (p - 1)/2, takes bit_length(e) - 1
+# squarings and popcount(e) products (measured; README, Conventions)
+_X_STEP, _EULER_STEP = 2.0, 0.5
+
+
+def _x_side_cost(q: int, rx: int, primes: list[int]) -> float:
+    share = 2 / min(q & -q, 8) if q % 4 == 0 else 1.0
+    cost = _X_STEP
+    for p in primes:
+        if p > 2:
+            if p > min(rx, _BLOCK):
+                e = (p - 1) // 2
+                cost += _EULER_STEP * share * (e.bit_length() - 1 + bin(e).count("1"))
+            share /= 2
+    return rx * cost
+
+
+def _class_hits(k: int, q: int, rx: int, Qy: int, ry: int, primes: list[int]) -> int:
+    """Qy G(q) + G(ry), G(m) = #{unit y <= m : c_y <= rx}, c_y = k y^2 mod
+    q; q > 1, 0 < rx < q and 0 <= ry < q.
+
+    (q - y)^2 = y^2 (mod q), so the mirror q - y of a unit y has the class
+    c_y.  The units of [1, q) are the y <= floor((q-1)/2) and the mirrors of
+    the y <= floor(q/2), and the units above ry are the mirrors of the units
+    y <= q - 1 - ry.  So with hits(m) the units y <= m whose class is <= rx,
 
         G(q) = hits(floor((q-1)/2)) + hits(floor(q/2)),
         G(ry) = hits(ry) for ry <= floor(q/2), else G(q) - hits(q - 1 - ry),
 
-    the units above ry being the mirrors of the units y <= q - 1 - ry."""
+    and the walk of the units y stops at the cut ry or q - 1 - ry when G(q)
+    is not needed (Qy = 0 and ry <= q/2).  When it is, it comes from the
+    walk continued to floor(q/2) or from _root_count over the units x <=
+    rx, whichever _x_side_cost puts lower."""
     half = q // 2
-    hits = dict.fromkeys({(q - 1) // 2, half, ry if ry <= half else q - 1 - ry}, 0)
-    for y in _units(1, half, primes):
-        hit = _x_classes(y, k, q) <= rx
-        for m in hits:
-            hits[m] += int(np.count_nonzero(hit[: np.searchsorted(y, m, side="right")]))
-    whole = hits[(q - 1) // 2] + hits[half]
-    return (hits[ry] if ry <= half else whole - hits[q - 1 - ry]), whole
+    mirror = ry > half
+    cut = q - 1 - ry if mirror else ry
+    if not (Qy or mirror):
+        return _hits(k, q, rx, {cut}, primes)[cut]
+    if _x_side_cost(q, rx, primes) < half - cut:
+        whole, low = _root_count(k, q, rx, primes), _hits(k, q, rx, {cut}, primes)[cut]
+    else:
+        hits = _hits(k, q, rx, {cut, (q - 1) // 2, half}, primes)
+        whole, low = hits[(q - 1) // 2] + hits[half], hits[cut]
+    return Qy * whole + (whole - low if mirror else low)
 
 
 def _linear_count(a: int, b: int, q: int, X: int, Y: int, primes: list[int],
@@ -149,23 +234,26 @@ def _linear_count(a: int, b: int, q: int, X: int, Y: int, primes: list[int],
     # multiple of q)
     Qx, rx = divmod(X, q)
     Qy, ry = divmod(Y, q)
-    t_rr, t_rq = _class_hits(linear_class(a, b, q), q, rx, ry, primes) if rx else (0, 0)
-    return Qx * Qy * phi_q + Qx * _unit_count(ry, primes) + Qy * t_rq + t_rr
+    hits = _class_hits(linear_class(a, b, q), q, rx, Qy, ry, primes) if rx else 0
+    return Qx * Qy * phi_q + Qx * _unit_count(ry, primes) + hits
 
 
 def _moduli(qs: Sequence[int]) -> tuple[dict[int, tuple[list[int], int]], np.ndarray]:
-    # each distinct q factored once: q -> (its primes, phi(q)), and the
-    # float64 columns q, q^2, phi(q), tau(q), sigma_{-1/2}(q), log1n(q) of
-    # every q, each integer rounded once, as Python rounds an int that
-    # meets a float
-    counts, values, forms = {}, {}, []
-    for q in qs:
-        if q not in values:
-            fac = factorize(q)
-            counts[q] = ([p for p, _ in fac.factors], fac.phi())
-            values[q] = (q, q * q, counts[q][1], fac.tau(), fac.sigma_half_inv(), log1n(q))
-        forms += values[q]
-    return counts, np.array(forms, dtype=np.float64).reshape(-1, 6).T
+    # q -> (its primes, phi(q)) for each distinct q, and the float64 columns
+    # q, q^2, phi(q), tau(q), sigma_{-1/2}(q), log1n(q) of every q, each
+    # integer rounded once, as Python rounds an int that meets a float: one
+    # factor_array and one divisor_functions pass over the distinct q
+    # (sorted(set(...)): np.unique would import numpy.ma, 18 ms, on its first
+    # call); log1n stays math.log per q, numpy's log not being that function
+    distinct = sorted(set(qs))
+    n = np.array(distinct, dtype=np.int64)
+    start, p, e = factor_array(n)
+    phi, tau, sigma = divisor_functions(n, start, p, e)
+    bounds, ps = start.tolist(), p.tolist()
+    counts = {q: (ps[lo:hi], f) for q, lo, hi, f in zip(distinct, bounds, bounds[1:], phi.tolist())}
+    values = np.array([n, n * n, phi, tau, sigma, [log1n(q) for q in distinct]], dtype=np.float64)
+    index = {q: i for i, q in enumerate(distinct)}
+    return counts, values[:, [index[q] for q in qs]]
 
 
 def _closed_forms(boxes: Sequence[tuple[int, Fraction, Fraction]], columns: np.ndarray

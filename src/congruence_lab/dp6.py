@@ -16,7 +16,7 @@ The lower-bound family fixes eta = (1, 1, 1, q) with q prime in the window
 lifts to a surface point of height at most B.  Points whose coordinate
 product alpha1 alpha2 |alpha3| has at most t prime factors (with
 multiplicity) are the almost-prime ones; densities of the divisibility
-pattern are described by the multiplicative function rho (_euler), and the
+pattern are described by the multiplicative function rho (_rhos), and the
 weighted sieve needs t above a threshold computed from the dimension-3
 sieving limit beta_3.
 
@@ -28,8 +28,8 @@ real cells into checked int64 column blocks (q, alphas, surface coordinates,
 Omega) that dp6-enumerate streams out with no Python object per point, and
 the sieve sequence of dp6-sieve (_sieve_sequence), which reads the real
 cells of a zero table and so sieves no Omega; no table outlives its call.
-_euler is rho's Euler product; sieve_condition_report (dp6-sieve) checks
-(B, q) once and factors each d just once, for its rho table, its
+_rhos is rho's Euler product; sieve_condition_report (dp6-sieve) checks
+(B, q) once and factors every d in one factor_array, for its rho table, its
 remainder sum W2 (_w2_sum) and its density-grid constant W1 (_w1_min_c1).
 
 All window and height comparisons are exact integer inequalities
@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import block_rows, factorize, is_prime, sieve_primes
+from .arith import block_rows, factor_array, is_prime, sieve_primes
 
 BETA_3 = 6.640859  # sieving limit for the dimension-3 weighted sieve
 _GRID_TOL = 1e-9  # _w1_min_c1 recomputes the cells this close to the grid maximum
@@ -357,18 +357,19 @@ def _rho_factor(p: int, q: int) -> Fraction:
     return 1 + Fraction(1, q) if p == q else 3 - Fraction(2, p)
 
 
-def _euler(d: int, q: int) -> tuple[int, Fraction] | None:
-    # (omega(d), rho(d)) for d >= 1 and a prime q, rho(d) the product of
-    # _rho_factor over one factorize(d), or None when its exponents show that
-    # d is not squarefree.  The density rho, multiplicative in d, is defined
-    # over the triples (e1, e2, e3) with lcm d and gcd(e1 e2, q) = 1 as
+def _rhos(ds: Sequence[int], q: int) -> dict[int, tuple[int, Fraction]]:
+    # d -> (omega(d), rho(d)) for every squarefree d of ds (each 1 <= d <
+    # 2^31), in the order of ds, and a prime q: rho(d) the product of
+    # _rho_factor over the primes of d, from one factor_array of all the d.
+    # The density rho, multiplicative in d, is defined over the triples
+    # (e1, e2, e3) with lcm d and gcd(e1 e2, q) = 1 as
     #   rho(d) = mu(d) d sum mu(e1) mu(e2) mu(e3) (e1,e2,e3)/(e1 e2 e3)
     #            * sum_{l | f3} (1/l) phi*(f3/l) / phi*((f3/l, q)),
     # f3 = e3 / ((e1,e2,e3) (e1',e3') (e2',e3')) the part of e3 apart from e1, e2
-    factors = factorize(d).factors
-    if any(e > 1 for _, e in factors):
-        return None
-    return len(factors), math.prod((_rho_factor(p, q) for p, _ in factors), start=Fraction(1))
+    start, primes, e = factor_array(ds)
+    bounds, ps, squarefree = start.tolist(), primes.tolist(), (e == 1).tolist()
+    return {d: (hi - lo, math.prod((_rho_factor(p, q) for p in ps[lo:hi]), start=Fraction(1)))
+            for d, lo, hi in zip(ds, bounds, bounds[1:]) if all(squarefree[lo:hi])}
 
 
 def sieve_threshold(kappa: int, mu: float, beta: float) -> float:
@@ -406,7 +407,7 @@ def _w2_sum(n: np.ndarray, a: np.ndarray, X: Fraction, tau_level: float, c2: flo
     # Remainder mass sum_{d <= d_max} mu^2(d) 4^omega(d) |R_d|, R_d = sum of
     # a_n over d | n minus rho(d)/d X, with the comparison scale X / log^4 X,
     # given the sieve sequence (n, a), d_max = X^tau / log^c2 X and the
-    # _euler of each squarefree d <= d_max, ascending
+    # _rhos of the squarefree d <= d_max, ascending
     total = 0.0
     for d, (omega, rho_d) in rhos.items():
         if d <= d_max:
@@ -508,8 +509,7 @@ def sieve_condition_report(
     X = _normalization(B, q)  # the one check of q; the bodies below trust it
     d_max = _d_max(float(X), tau_level, c2)
     n, a = _sieve_sequence(B, q)
-    rhos = {d: found for d in range(1, max(rho_table_max, int(d_max)) + 1)
-            if (found := _euler(d, q))}
+    rhos = _rhos(range(1, max(rho_table_max, int(d_max)) + 1), q)
     table = {str(d): _ratio(rho_d) for d, (_, rho_d) in rhos.items() if d <= rho_table_max}
     threshold = sieve_threshold(3, mu, BETA_3)
     return {

@@ -292,13 +292,32 @@ def w1_min_c1_loop(q: int, z_max: int) -> float:
     return worst
 
 
+def w1_min_c1_mp(q: int, z_max: int):
+    """dp6._w1_min_c1's min_c1 as an mpf at 40 significant digits: the same
+    grid maximum of c(w, z), every log, exp and prefix sum taken in mpmath
+    from the exact Euler factors 1 - rho(p)/p; the odd primes p <= z_max by
+    trial division."""
+    import mpmath  # sympy's dependency, so installed with the test extra
+
+    ps = [p for p in range(3, z_max + 1, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+    with mpmath.workdps(40):
+        prefix = [mpmath.mpf(0)]
+        for p in ps:
+            x = 1 - dp6._rho_factor(p, q) / p
+            prefix.append(prefix[-1] + mpmath.log(mpmath.mpf(x.numerator) / x.denominator))
+        log_p = [mpmath.log(p) for p in ps]
+        return max(mpmath.mpf(0), *((mpmath.exp(-(prefix[j] - prefix[i])) / (log_p[j] / log_p[i]) ** 3
+                                     - 1) * log_p[i]
+                                    for i in range(len(ps)) for j in range(i + 1, len(ps))))
+
+
 def sum_over_d_scan(a: Mapping[int, int], q: int, X: Fraction, d: int
                     ) -> tuple[int, float, float]:
     """The term of one d in dp6-sieve's remainder sum, over the sequence
     given as a dict n -> a_n: (exact sum of a_n over d | n, predicted
-    rho(d)/d X, remainder), for a squarefree d and rho(d) from dp6._euler."""
+    rho(d)/d X, remainder), for a squarefree d and rho(d) from dp6._rhos."""
     exact = sum(c for n, c in a.items() if n % d == 0)
-    predicted = float(dp6._euler(d, q)[1] / d * X)
+    predicted = float(dp6._rhos([d], q)[d][1] / d * X)
     return exact, predicted, exact - predicted
 
 
@@ -545,8 +564,8 @@ def phi(n: int) -> int:
 
 def sigma_half_inv(n: int) -> float:
     """The sum of 1/sqrt(d) over the divisors of n, added left to right in
-    ascending d: the order, and so the bits, Factorization.sigma_half_inv
-    must reproduce."""
+    ascending d: the order, and so the bits, the sigma column of
+    arith.divisor_functions must reproduce."""
     out = 0.0
     for d in divisors(n):
         out += 1.0 / math.sqrt(d)

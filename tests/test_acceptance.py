@@ -170,7 +170,8 @@ def test_criterion_07_local_density_oracle():
         for d2 in range(2, 100 // d1 + 1):
             if oracles.mobius(d2) == 0 or math.gcd(d1, d2) != 1:
                 continue
-            if dp6._euler(d1 * d2, q)[1] != dp6._euler(d1, q)[1] * dp6._euler(d2, q)[1]:
+            rho = dp6._rhos([d1, d2, d1 * d2], q)
+            if rho[d1 * d2][1] != rho[d1][1] * rho[d2][1]:
                 mismatches += 1
             checks += 1
     ok = mismatches == 0

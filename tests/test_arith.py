@@ -86,17 +86,28 @@ def test_is_prime_large():
             arith.is_prime(n)
 
 
+def _columns(ns):
+    # (phi, tau, sigma_{-1/2}) of ns from one factor_array, as Python lists
+    n = np.array(ns, dtype=np.int64)
+    return [column.tolist() for column in arith.divisor_functions(n, *arith.factor_array(n))]
+
+
 def test_divisors():
-    for div in (lambda n: arith.factorize(n).divisors(), oracles.divisors):
-        assert div(1) == [1]
-        assert div(12) == [1, 2, 3, 4, 6, 12]
-        assert div(49) == [1, 7, 49]
+    # the divisor lists of the oracle, and the tau and sigma columns read
+    # from the divisors of the same n
+    assert oracles.divisors(1) == [1]
+    assert oracles.divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert oracles.divisors(49) == [1, 7, 49]
+    _, tau, sigma = _columns([1, 12, 49])
+    assert tau == [1, 6, 3]
+    assert sigma == [1.0, oracles.sigma_half_inv(12), 1.0 + 1 / math.sqrt(7) + 1 / 7]
 
 
 def test_multiplicative_values():
-    for n, tau, phi in ((1, 1, 1), (10, 4, 4), (12, 6, 4)):
-        assert arith.factorize(n).tau() == oracles.tau(n) == tau
-        assert arith.factorize(n).phi() == oracles.phi(n) == phi
+    phis, taus, _ = _columns([1, 10, 12])
+    for n, tau, phi, got_tau, got_phi in zip((1, 10, 12), (1, 4, 6), (1, 4, 4), taus, phis):
+        assert got_tau == oracles.tau(n) == tau
+        assert got_phi == oracles.phi(n) == phi
     assert oracles.phi(10**4 + 1) == 72 * 136  # 10001 = 73 * 137, past the gcd count
     assert oracles.phi_star(6) == Fraction(1, 3)
     assert oracles.mobius(1) == 1
@@ -105,13 +116,13 @@ def test_multiplicative_values():
     assert oracles.prime_factors(360) == {2: 3, 3: 2, 5: 1}
     assert oracles.big_omega(12) == 3
     assert oracles.little_omega(12) == 2
-    assert arith.factorize(4).sigma_half_inv() == pytest.approx(1 + 2**-0.5 + 0.5)
+    assert _columns([4])[2] == [pytest.approx(1 + 2**-0.5 + 0.5)]
     assert oracles.sigma_half_inv(4) == 1 + 2**-0.5 + 0.5
 
 
 def test_phi_star_matches_phi():
-    for n in range(1, 2000):
-        assert oracles.phi_star(n) == Fraction(arith.factorize(n).phi(), n)
+    for n, phi in enumerate(_columns(range(1, 2000))[0], start=1):
+        assert oracles.phi_star(n) == Fraction(phi, n)
 
 
 # the largest n with 1600 divisors, a squarefree primorial, a prime, the
@@ -120,10 +131,10 @@ _EDGES = (2095133040, 223092870, 2**31 - 1, 46337**2, 2**30)
 
 
 def test_factorization_matches_trial_loops_property():
-    # every divisor function a Factorization carries, and mu read from its
-    # factors, against the trial loops of tests/oracles, which never call
-    # factorize; sigma_{-1/2} bit for bit, the two adding the same terms in
-    # the same order
+    # the factors, the phi, tau and sigma_{-1/2} columns, and mu read from
+    # the factors, against the trial loops of tests/oracles, which never
+    # call factorize; sigma_{-1/2} bit for bit, the two adding the same terms
+    # in the same order
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     # n with many small prime powers: products of primes up to 13
@@ -132,10 +143,11 @@ def test_factorization_matches_trial_loops_property():
 
     def check(n):
         fac = arith.factorize(n)
-        assert fac.divisors() == oracles.divisors(n)
-        assert fac.tau() == oracles.tau(n)
-        assert fac.phi() == oracles.phi(n)
-        assert fac.sigma_half_inv() == oracles.sigma_half_inv(n)
+        assert dict(fac.factors) == oracles.prime_factors(n)
+        [phi], [tau], [sigma] = _columns([n])
+        assert tau == oracles.tau(n)
+        assert phi == oracles.phi(n)
+        assert sigma.hex() == oracles.sigma_half_inv(n).hex()
         squarefree = all(e == 1 for _, e in fac.factors)
         assert (-1) ** len(fac.factors) * squarefree == oracles.mobius(n)
 
@@ -150,11 +162,12 @@ def test_sigma_half_inv_against_40_digits():
     # to right: the float sum is within (tau(n) + 2) 2^-53 sigma_{-1/2}(n)
     # of the exact one (README, Conventions); 14.1 units of 2^-53 sigma the
     # largest error seen, at n = 2095133040 with tau(n) = 1600
-    for n in (*_EDGES, 720720, 735134400, 1396755360, 2**31 - 3, 1):
-        fac = arith.factorize(n)
+    ns = (*_EDGES, 720720, 735134400, 1396755360, 2**31 - 3, 1)
+    _, taus, sigmas = _columns(ns)
+    for n, tau, sigma in zip(ns, taus, sigmas):
         want = oracles.sigma_half_inv_mp(n)
-        err = float(abs(want - fac.sigma_half_inv()) / want) * 2.0**53
-        assert err <= fac.tau() + 2, n
+        err = float(abs(want - sigma) / want) * 2.0**53
+        assert err <= tau + 2, n
 
 
 def test_sieve_primes():
@@ -279,8 +292,8 @@ def test_trial_table_is_the_primes_up_to_sqrt_2_31():
     # with p^2 < 2^31 and no other number
     sympy = pytest.importorskip("sympy")
     table = arith._TRIAL_PRIMES
-    assert type(table) is tuple
-    assert table == tuple(sympy.primerange(2, 46341))
+    assert table.dtype == np.int64
+    assert table.tolist() == list(sympy.primerange(2, 46341))
     assert len(table) == 4792 and table[-1] == 46337
     assert sympy.nextprime(table[-1]) ** 2 > arith.MODULUS_LIMIT
 
@@ -311,3 +324,104 @@ def test_jacobi_against_sympy():
         m = rng.randrange(1, 10**12) | 1
         a = rng.randrange(-10**12, 10**12)
         assert arith.jacobi(a, m) == sympy.jacobi_symbol(a, m), (a, m)
+
+
+# ---- the vector factorizer and the columns read from it ----
+
+def _rows(start, p, e):
+    # {p: e} of each modulus of a factor_array
+    bounds = start.tolist()
+    pairs = list(zip(p.tolist(), e.tolist()))
+    return [dict(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def test_factor_array_matches_trial_loops_and_sympy_property():
+    # arrays of moduli, the edges among them, against the trial loop of
+    # tests/oracles and sympy; factorize(n) is the one-element case, and the
+    # phi, tau and sigma_{-1/2} columns match the oracles' loops, sigma bit
+    # for bit and within the README bound of its 40-digit value
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    edges = st.sampled_from([1, 2, 2**31 - 1, 46337**2, 46327 * 46337, 2**30, 2**16, 2**31 - 3,
+                             2095133040, 223092870])
+    smooth = st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=24).map(math.prod)
+    modulus = edges | st.integers(1, 2**31 - 1) | smooth.filter(lambda n: n < 2**31)
+
+    def check(ns):
+        n = np.array(ns, dtype=np.int64)
+        start, p, e = arith.factor_array(n)
+        assert [a.dtype for a in (start, p, e)] == [np.int64] * 3
+        assert len(start) == len(ns) + 1 and start[0] == 0 and start[-1] == len(p) == len(e)
+        rows = _rows(start, p, e)
+        assert rows == [oracles.prime_factors(v) for v in ns]
+        assert rows == [sympy.factorint(v) for v in ns]
+        assert all(list(row) == sorted(row) for row in rows)
+        assert [arith.factorize(v).factors for v in ns] == [tuple(row.items()) for row in rows]
+        phi, tau, sigma = arith.divisor_functions(n, start, p, e)
+        assert phi.tolist() == [oracles.phi(v) for v in ns]
+        assert tau.tolist() == [oracles.tau(v) for v in ns]
+        assert [s.hex() for s in sigma.tolist()] == [oracles.sigma_half_inv(v).hex() for v in ns]
+        for v, t, s in zip(ns, tau.tolist(), sigma.tolist()):
+            want = oracles.sigma_half_inv_mp(v)
+            assert float(abs(want - s) / want) * 2.0**53 <= t + 2, v
+
+    for ns in ([], [1], [2**31 - 1], [46337**2, 2**30, 1], [2095133040, 2095133040, 12]):
+        check = hypothesis.example(ns=ns)(check)
+    hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)(
+        hypothesis.given(ns=st.lists(modulus, max_size=12))(check))()
+
+
+def test_factor_array_in_blocks_matches_one_block(monkeypatch):
+    # the cells per block change nothing: every modulus up to 3000 and the
+    # primes near 2^31, in blocks of a few moduli, a single modulus, or all
+    ns = np.array([*range(1, 3001), 2**31 - 1, 2**31 - 3, 46337**2], dtype=np.int64)
+    want = _rows(*arith.factor_array(ns))
+    want_columns = [c.tolist() for c in arith.divisor_functions(ns, *arith.factor_array(ns))]
+    for cells in (1, 5000, 2**16):
+        monkeypatch.setattr(arith, "BLOCK_CELLS", cells)
+        found = arith.factor_array(ns)
+        assert _rows(*found) == want, cells
+        assert [c.tolist() for c in arith.divisor_functions(ns, *found)] == want_columns, cells
+
+
+def test_factor_array_refuses_what_factorize_refuses():
+    for bad in ([0], [5, -6, 7], [12, 2**31], [2**61 - 1], [1, 600851475143]):
+        first = next(v for v in bad if not 1 <= v < 2**31)
+        with pytest.raises(ValueError, match=rf"n < 2\^31, got n = {first}$"):
+            arith.factor_array(bad)
+    assert arith.factor_array(range(1, 4))[0].tolist() == [0, 0, 1, 2]
+
+
+def test_factor_array_blocks_stay_within_the_cell_budget(monkeypatch):
+    # at the count-scan cap, 82,025 primes by the 172 primes up to 1024: no
+    # outer-product block exceeds BLOCK_CELLS cells (2 MiB of int64)
+    shapes = []
+    floor_mod = arith.floor_mod
+
+    def spy(x, q):
+        shapes.append(np.broadcast_shapes(np.shape(x), np.shape(q)))
+        return floor_mod(x, q)
+
+    monkeypatch.setattr(arith, "floor_mod", spy)
+    primes = np.array(arith.sieve_primes(2**20), dtype=np.int64)
+    start, p, e = arith.factor_array(primes)
+    assert p.tolist() == primes.tolist() and e.tolist() == [1] * len(primes)
+    outer = [shape for shape in shapes if len(shape) == 2]
+    assert sum(rows for rows, _ in outer) == len(primes)
+    assert max(rows * cols for rows, cols in outer) <= arith.BLOCK_CELLS
+
+
+def test_legendre_symbols_match_jacobi():
+    # Euler's criterion in int64 against the reciprocity loop of
+    # arith.jacobi, at small primes and the primes below 2^31, where the
+    # products of two residues come nearest to 2^62
+    rng = random.Random(2718)
+    for p in (3, 5, 7, 11, 97, 46337, 65537, 1000003, 2**31 - 1, 2147483629):
+        z = [0, 1, 2, p - 1, p - 2, *(rng.randrange(p) for _ in range(200))]
+        got = arith.legendre_symbols(np.array(z, dtype=np.int64), p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [arith.jacobi(v, p) for v in z], p
+    # every residue of a small prime
+    z = np.arange(0, 3 * 101, dtype=np.int64)
+    assert arith.legendre_symbols(z, 101).tolist() == [arith.jacobi(v, 101) for v in z.tolist()]

@@ -278,12 +278,12 @@ def test_dp6_commands_sieve_omega_at_most_once(argv, tables, capsys, monkeypatch
     ["dp6-sieve", "--B", "1000000", "--q", "97", "--tau", "0.9", "--c2", "0", "--rho-max", "30"],
 ])
 def test_dp6_sieve_factors_each_d_once(argv, capsys, monkeypatch):
-    # the rho table and the remainder sum share one factorization per d
-    factored = _spy(monkeypatch, dp6, "factorize")
+    # the rho table and the remainder sum share one factor_array of every d
+    factored = _spy(monkeypatch, dp6, "factor_array")
     assert run(argv) == 0
     report = json.loads(capsys.readouterr().out)
     top = max(int(argv[argv.index("--rho-max") + 1]), int(report["w2"]["d_max"]))
-    assert sorted(factored) == [(d,) for d in range(1, top + 1)]
+    assert [list(ds) for ds, in factored] == [list(range(1, top + 1))]
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

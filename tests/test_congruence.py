@@ -25,9 +25,7 @@ def _count(a, b, q, X, Y):
 
 def _huge_count(a, b, q, X, Y):
     # the box count of a box whose main term scan_boxes refuses as beyond float range
-    fac = arith.factorize(q)
-    return cg._linear_count(a, b, q, int(X // 1), int(Y // 1), [p for p, _ in fac.factors],
-                            fac.phi())
+    return cg._linear_count(a, b, q, int(X // 1), int(Y // 1), _primes(q), oracles.phi(q))
 
 
 def test_box_fixtures():
@@ -133,10 +131,8 @@ def test_box_count_peak_is_one_block(q):
     # README "Conventions": the box count holds no table, only the
     # temporaries of one block of _BLOCK residues, under 40 bytes each, on
     # both sides of the int64 guard (q about 2.6e6)
-    fac = arith.factorize(q)
-    primes = [p for p, _ in fac.factors]
-    peak = _traced_peak(lambda: cg._linear_count(3, 5, q, q + q // 3, q + q // 5, primes,
-                                                 fac.phi()))
+    primes, phi = _primes(q), oracles.phi(q)
+    peak = _traced_peak(lambda: cg._linear_count(3, 5, q, q + q // 3, q + q // 5, primes, phi))
     assert peak <= 40 * cg._BLOCK, peak
 
 
@@ -322,6 +318,120 @@ def test_count_exact_half_walk_matches_full_walk(q):
             assert _count(*box) == oracles.count_exact_full_walk(*box), (ry, rx)
 
 
+# ---- the box count by its short side: the y walk to the cut, or the x side ----
+
+def _walked(monkeypatch):
+    # the length of every block of units that _units yields
+    lengths = []
+    units = cg._units
+
+    def spy(*args):
+        for block in units(*args):
+            lengths.append(len(block))
+            yield block
+
+    monkeypatch.setattr(cg, "_units", spy)
+    return lengths
+
+
+@pytest.mark.parametrize("X, Y, exact", [(1000, 2**31 - 2, 982), (2**30 - 1, 1000, 0)])
+def test_short_side_walks_at_most_its_length(X, Y, exact, monkeypatch):
+    # q = 2^31 - 1: X = 1000 counts the x <= 1000 (the y side stops at its
+    # cut 0, the mirror of ry = q - 1), Y = 1000 walks the y <= 1000; the
+    # half walk would take 2^30 residues
+    lengths = _walked(monkeypatch)
+    assert _count(1, 1, 2**31 - 1, X, Y) == exact
+    assert sum(lengths) <= 1000
+    # 982 by Euler's criterion, one pow per x: each -x has 1 + (-x/q) roots y
+    q = 2**31 - 1
+    assert exact == (sum(1 + (1 if pow(-x % q, (q - 1) // 2, q) == 1 else -1)
+                         for x in range(1, 1001)) if Y > q // 2 else 0)
+
+
+# odd parts: 1, primes, prime powers and products of up to three primes, so
+# that q = 2^j m has 2-adic part 1, 2, 4, 8 or 16 on top of each
+_ODD_PARTS = [1, 3, 5, 7, 9, 11, 13, 25, 27, 49, 97, 105, 121, 125, 143, 221, 243, 343, 1001,
+              1009, 2021, 3003, 4999]
+
+
+def test_box_count_on_both_sides_of_each_switch_property():
+    # every switch of _class_hits on the same box: ry against q/2 (the
+    # mirror), Qy = 0 or not (whether G(q) is needed), and the x side
+    # against the walk, each forced both ways and left to _x_side_cost;
+    # against the double loop on small boxes and the full walk otherwise
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    frac = st.sampled_from([Fraction(0), Fraction(2, 5)])
+
+    @hypothesis.settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(data=st.data(), twos=st.integers(0, 4), odd=st.sampled_from(_ODD_PARTS),
+                      a=st.integers(-999, 999), b=st.integers(-999, 999),
+                      Qx=st.integers(0, 2), Qy=st.integers(0, 2), fx=frac, fy=frac,
+                      side=st.sampled_from(["x", "walk", "cost"]))
+    def check(data, twos, odd, a, b, Qx, Qy, fx, fy, side):
+        q = odd << twos
+        hypothesis.assume(q > 2)
+        rx = data.draw(st.integers(1, min(q - 1, 60)) | st.integers(1, q - 1), "rx")
+        ry = data.draw(st.sampled_from(_mirror_cuts(q)) | st.integers(0, q - 1), "ry")
+        Qy = max(Qy, ry == 0)
+        box = (_unit_near(a, q), _unit_near(b, q), q, Qx * q + rx + fx, Qy * q + ry + fy)
+        cost = {"x": lambda *args: -1, "walk": lambda *args: math.inf,
+                "cost": cg._x_side_cost}[side]
+        with mock.patch.object(cg, "_x_side_cost", cost):
+            exact = _count(*box)
+        small = box[3] * box[4] <= 20000
+        assert exact == (oracles.count_exact_naive(*box) if small
+                         else oracles.count_exact_full_walk(*box)), box
+
+    check()
+
+
+@pytest.mark.parametrize("q", [2**31 - 1, 1_000_003, 4 * 1_000_003, 8 * 3 * 5 * 7 * 11 * 13 * 17,
+                               2 * 999_983, 9_699_690])
+def test_x_side_matches_the_walk_at_large_moduli(q, monkeypatch):
+    # G(q) from the x side against the half walk, for rx below and above the
+    # table bound of the small primes, at moduli of each 2-adic shape
+    a, b = -1231, 31  # prime to every q here
+    for rx in (1, 97, cg._BLOCK + 5, 40_000):
+        box = (a, b, q, 3 * q + rx, 2 * q + 7)
+        monkeypatch.setattr(cg, "_x_side_cost", lambda *args: -1)
+        x_side = _count(*box)
+        if q < 10**7:
+            monkeypatch.setattr(cg, "_x_side_cost", lambda *args: math.inf)
+            assert x_side == _count(*box), (q, rx)
+        else:  # a prime whose half walk takes seconds: the roots by pow
+            k = cg.linear_class(a, b, q)
+            roots = _roots_by_pow(k, q, rx)
+            assert x_side == 3 * 2 * oracles.phi(q) + 3 * _unit_count_oracle(7, q) + 2 * roots + (
+                sum(1 for y in range(1, 8) if math.gcd(y, q) == 1 and k * y * y % q <= rx))
+
+
+def _unit_count_oracle(t, q):
+    return sum(1 for y in range(1, t + 1) if math.gcd(y, q) == 1)
+
+
+def _roots_by_pow(k, q, rx):
+    # #{unit y < q : k y^2 mod q <= rx} for a prime q, from the unit x <= rx:
+    # 1 + (x/k | q) roots each, the symbol by one pow
+    kinv = pow(k, -1, q)
+    return sum(1 + (1 if pow(x * kinv % q, (q - 1) // 2, q) == 1 else -1)
+               for x in range(1, rx + 1))
+
+
+def test_x_side_peak_is_one_block():
+    # README "Conventions": the x side holds the squares tables of the odd
+    # primes p <= min(rx, 2^14) of q (p bytes each) and one block's
+    # temporaries, under 48 bytes a residue (Euler's criterion keeps five
+    # int64 vectors of a block alive at once)
+    q = 3 * 5 * 16381 * 8  # 16381 is prime, below 2^14, and tabled
+    primes = _primes(q)
+    k = cg.linear_class(11, 13, q)
+    peak = _traced_peak(lambda: cg._root_count(k, q, 3 * cg._BLOCK, primes))
+    assert peak <= 48 * cg._BLOCK + sum(p for p in primes if p > 2), peak
+    peak = _traced_peak(lambda: cg._root_count(3, 2**31 - 1, 3 * cg._BLOCK, [2**31 - 1]))
+    assert peak <= 48 * cg._BLOCK, peak
+
+
 def test_scan_boxes_refuses_nonpositive_modulus():
     for q in (0, -7):
         with pytest.raises(ValueError, match=f"got q = {q}"):
@@ -460,9 +570,12 @@ def test_scan_boxes_takes_plain_values():
 
 def test_unit_count_of_q_is_phi():
     # the box count takes T(q, q) as phi(q): the inclusion-exclusion it replaced agrees
-    for q in range(1, 5000):
-        fac = arith.factorize(q)
-        assert cg._unit_count(q, [p for p, _ in fac.factors]) == fac.phi(), q
+    qs = np.arange(1, 5000)
+    start, p, e = arith.factor_array(qs)
+    phis = arith.divisor_functions(qs, start, p, e)[0].tolist()
+    bounds, ps = start.tolist(), p.tolist()
+    for q, lo, hi, phi in zip(qs.tolist(), bounds, bounds[1:], phis):
+        assert cg._unit_count(q, ps[lo:hi]) == phi, q
 
 
 def test_scan_boxes_matches_one_box_scans_property():

@@ -627,7 +627,7 @@ def test_sieve_sequence_refuses_int64_overflow():
 
 def _remainder_term(seq, q, d):
     # 4^omega(d) |R_d| of one squarefree d, as the remainder sum takes it
-    return dp6._w2_sum(*seq, 0.4, 1.0, d, {d: dp6._euler(d, q)})["sum"]
+    return dp6._w2_sum(*seq, 0.4, 1.0, d, dp6._rhos([d], q))["sum"]
 
 
 def test_sum_over_d():
@@ -689,7 +689,7 @@ def test_sieve_report_matches_dict_scan_at_bench_budget(tau_level, c2):
 
 def _rho(d, q):
     # rho(d) of a squarefree d, as the rho table of dp6-sieve takes it
-    return dp6._euler(d, q)[1]
+    return dp6._rhos([d], q)[d][1]
 
 
 _mobius, _divisors, _phi_star = (
@@ -699,7 +699,7 @@ _mobius, _divisors, _phi_star = (
 
 
 def _rho_triple_sum(d, q):
-    # the defining sum of rho, term by term (see the comment of dp6._euler),
+    # the defining sum of rho, term by term (see the comment of dp6._rhos),
     # over the trial loops of tests/oracles
     divs = _divisors(d)
     total = Fraction(0)
@@ -734,7 +734,7 @@ def test_rho_euler_product_matches_triple_sum():
 
 
 def test_euler_matches_triple_sum_property():
-    # _euler(d, q) for d < 2^31: None exactly when the trial loop finds a
+    # _rhos([d], q) for d < 2^31: no entry exactly when the trial loop finds a
     # square factor, and otherwise omega(d) and the defining triple sum,
     # which takes 8^omega(d) terms and so is run for omega(d) <= 4
     hypothesis = pytest.importorskip("hypothesis")
@@ -745,7 +745,7 @@ def test_euler_matches_triple_sum_property():
 
     def check(d, q):
         factors = oracles.prime_factors(d)
-        found = dp6._euler(d, q)
+        found = dp6._rhos([d], q).get(d)
         if oracles.mobius(d) == 0:
             assert found is None
             return
@@ -782,10 +782,10 @@ def test_rho_prime_formula_and_multiplicativity():
 
 
 def test_rho_validation():
-    # rho is taken only on squarefree d: _euler answers None for any other
+    # rho is taken only on squarefree d: _rhos has no entry for any other
     # d (q is checked once, by _normalization, before dp6-sieve factors a d)
     for d in (4, 12, 49, 2**30, 46337**2):
-        assert dp6._euler(d, 7) is None, d
+        assert dp6._rhos([d], 7) == {}, d
 
 
 def test_rho_oracle_prime():
@@ -835,6 +835,38 @@ def test_w1_min_c1_has_the_bits_of_the_double_loop(z_max):
         assert got.hex() == oracles.w1_min_c1_loop(q, z_max).hex(), q
 
 
+@pytest.mark.parametrize("q, z_max", [(2, 30), (3, 1000), (5, 1000), (7, 1000), (97, 1000),
+                                       (101, 3000)])
+def test_w1_min_c1_against_40_digits(q, z_max):
+    # README "Conventions": min_c1 is within 90 (n + 1) log(z_max) 2^-53 of
+    # the grid maximum at 40 digits, n the number of grid primes (12.2 units
+    # of 2^-53 the largest error seen, at the cell w = 3, z = 5)
+    n = sum(1 for p in arith.sieve_primes(z_max) if p > 2)
+    got = dp6._w1_min_c1(q, z_max)["min_c1"]
+    want = oracles.w1_min_c1_mp(q, z_max)
+    assert float(abs(want - got)) <= 90 * (n + 1) * math.log(z_max) * 2.0**-53, (got, want)
+
+
+@pytest.mark.parametrize("q", [3, 7, 101])
+def test_w1_grid_tolerance_covers_the_numpy_math_gap(q):
+    # _w1_min_c1's docstring: numpy's and math's value of one cell differ by
+    # delta < 1e-14, so the cell largest by math lies within 2 delta of the
+    # numpy maximum, far inside _GRID_TOL.  delta measured on every cell of
+    # the z_max = 3000 grid (2.8e-15 seen)
+    ps = [p for p in arith.sieve_primes(3000) if p > 2]
+    prefix = [0.0]
+    for p in ps:
+        prefix.append(prefix[-1] + math.log(float(1 - dp6._rho_factor(p, q) / p)))
+    log_p = [math.log(p) for p in ps]
+    S, L = np.array(prefix), np.array(log_p)
+    i, j = np.triu_indices(len(ps), 1)
+    by_numpy = (np.exp(-(S[j] - S[i])) / (L[j] / L[i]) ** 3 - 1) * L[i]
+    by_math = [(math.exp(-(prefix[b] - prefix[a])) / (log_p[b] / log_p[a]) ** 3 - 1) * log_p[a]
+               for a, b in zip(i.tolist(), j.tolist())]
+    delta = float(np.abs(by_numpy - np.array(by_math)).max())
+    assert delta < 1e-14 and 2 * delta < dp6._GRID_TOL / 1000, delta
+
+
 def test_w1_min_c1_takes_the_euler_factors_without_rho(monkeypatch):
     # rho's own Euler factors, with q checked once for primality
     assert all(dp6._rho_factor(p, 7) == oracles.rho_oracle_prime(p, 7)[0] * p for p in (3, 11))
@@ -844,7 +876,7 @@ def test_w1_min_c1_takes_the_euler_factors_without_rho(monkeypatch):
     def no_call(*args):
         raise AssertionError("_w1_min_c1 called rho's Euler product")
 
-    monkeypatch.setattr(dp6, "_euler", no_call)
+    monkeypatch.setattr(dp6, "_rhos", no_call)
     assert dp6._w1_min_c1(83, 1000) == want
 
 

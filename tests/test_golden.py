@@ -14,7 +14,9 @@ exits nonzero on an unknown name.
 
 import contextlib
 import io
+import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -103,6 +105,36 @@ def test_box_tables_read_no_clock(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(time, "perf_counter", no_clock)
     test_golden_output(name, tmp_path)
+
+
+# run in a fresh interpreter: the modules that cli.main(argv) imports beyond
+# those of importing congruence_lab.cli, as a JSON line [exit code, names]
+_LAZY_IMPORTS = """
+import contextlib, io, json, sys
+from congruence_lab import cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+# a refusal of the program's own, past argparse: gcd(ab, q) > 1 leaves no box
+_REFUSED = ["count", "--a", "2", "--b", "1", "--q", "4", "--X", "10", "--Y", "10"]
+
+
+@pytest.mark.parametrize("name", [*sorted(CASES), "refused"])
+def test_commands_import_nothing_lazily(name, tmp_path):
+    # every module a command needs is imported with the package, so no first
+    # call pays an import (np.unique, for one, imports numpy.ma on its first
+    # call: about 18 ms)
+    argv = _REFUSED if name == "refused" else [
+        arg.replace("{golden}", str(GOLDEN)) for arg in CASES[name][0]]
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS, json.dumps(argv)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert (code, imported) == (2 if name == "refused" else 0, [])
 
 
 if __name__ == "__main__":
