@@ -137,8 +137,10 @@ def divisor_functions(n: np.ndarray, start: np.ndarray, p: np.ndarray, e: np.nda
     right in ascending d, so it has the bits of that scalar loop: the
     divisors of a block of moduli are the rows of one matrix, tau(n) mixed-
     radix digits a row, sorted, with the pads past tau(n) set to +inf,
-    whose 1.0 / sqrt is +0.0, and the columns are added in order.  Each
-    block holds at most BLOCK_CELLS cells (block_rows(max tau) rows)."""
+    whose 1.0 / sqrt is +0.0, and the columns are added in order.  The
+    blocks take the moduli in ascending tau, each as wide as its own
+    largest tau and as many rows as keep it within BLOCK_CELLS cells (at
+    least one), so a few moduli of large tau widen only their own block."""
     m = len(n)
     at = np.repeat(np.arange(m), start[1:] - start[:-1])
     tau, rad, phi = np.ones(m, np.int64), np.ones(m, np.int64), np.ones(m, np.int64)
@@ -151,26 +153,32 @@ def divisor_functions(n: np.ndarray, start: np.ndarray, p: np.ndarray, e: np.nda
     P, E = np.ones((m, slots), np.int64), np.zeros((m, slots), np.int64)
     slot = np.arange(len(p)) - start[at]
     P[at, slot], E[at, slot] = p, e
-    width = int(tau.max()) if m else 1
-    rows = block_rows(width)
-    column = np.arange(width)
+    order = np.argsort(tau, kind="stable")
     sigma = np.zeros(m)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        d = np.ones((hi - lo, width), np.int64)
+    lo = 0
+    while lo < m:
+        # rows lo.. in ascending tau: the cells of a block of j rows, j times
+        # its last tau, grow with j, so the most rows within BLOCK_CELLS
+        cells = np.arange(1, m - lo + 1) * tau[order[lo:]]
+        rows = order[lo : lo + max(1, int(np.searchsorted(cells, BLOCK_CELLS, side="right")))]
+        lo += len(rows)
+        width = int(tau[rows[-1]])
+        column = np.arange(width)
+        d = np.ones((len(rows), width), np.int64)
         rest = np.zeros_like(d)
         rest += column
         for s in range(slots):
-            radix = E[lo:hi, s, None] + 1
-            d *= P[lo:hi, s, None] ** (rest % radix)
+            radix = E[rows, s, None] + 1
+            d *= P[rows, s, None] ** (rest % radix)
             rest //= radix
         d = d.astype(np.float64)
-        d[column >= tau[lo:hi, None]] = np.inf
+        d[column >= tau[rows, None]] = np.inf
         d.sort(axis=1)
         terms = 1.0 / np.sqrt(d)
-        total = sigma[lo:hi]
+        total = np.zeros(len(rows))
         for c in range(width):
             total += terms[:, c]
+        sigma[rows] = total
     return phi, tau, sigma
 
 

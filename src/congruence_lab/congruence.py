@@ -16,22 +16,22 @@ y)^2 = y^2 (mod q), so the mirror q - y has the class c_y, and the walk
 stops at ry, or at its mirror cut q - 1 - ry when ry > q/2, unless T(rx, q)
 is needed too (Qy > 0 or ry > q/2).  Then T(rx, q) comes either from the
 walk continued to q/2 or from the x side, the square roots of x / k mod q
-over the units x <= rx (a Hensel/CRT count with Legendre symbols by Euler's
-criterion), whichever is measured cheaper: O(min(ry, q - ry)) residues
-plus O(min(rx omega(q) log q, q)).  A block's classes are one floor_mod of the
-exact int64 product k y^2 while max(k) max(y)^2 < 2^62 (every q below
-about 2.6e6), else y^2 is reduced first and the product again.  q < 2^31
-so every residue product fits in int64, and the T are combined in Python
-ints, so counts stay exact for any rational box.  Every int64 reduction mod
-q is arith.floor_mod, x - x // q * q: numpy divides by a scalar with a
-multiply and a shift, where % takes one hardware divide per element.  Boxes
-get a main-term/error-envelope split phi(q) X Y / q^2 + O(...).
-scan_boxes, the one entry of the box count (count runs it on one modulus),
-checks its inputs once and hands plain boxes (q, X, Y) to one body, which
-checks every box's count bound, main term and envelope before the first
-count, in array passes: the distinct moduli are factored by one
-arith.factor_array, and phi, tau and sigma_{-1/2} read from it by one
-arith.divisor_functions; the forms and ratios of all boxes are float64
+over the units x <= rx (a Hensel/CRT count with Legendre symbols from
+squares tables or Euler's criterion), whichever is measured cheaper:
+O(min(ry, q - ry)) residues plus O(min(rx omega(q) log q, q)).  A block's
+classes are one floor_mod of the exact int64 product k y^2 while max(k)
+max(y)^2 < 2^62 (every q below about 2.6e6), else y^2 is reduced first and
+the product again.  q < 2^31 so every residue product fits in int64, and
+the T are combined in Python ints, so counts stay exact for any rational
+box.  Every int64 reduction mod q is arith.floor_mod, x - x // q * q: numpy
+divides by a scalar with a multiply and a shift, where % takes one hardware
+divide per element.  Boxes get a main-term/error-envelope split phi(q) X Y
+/ q^2 + O(...).  scan_boxes, the one entry of the box count (count runs it
+on one modulus), checks its inputs once and hands plain boxes (q, X, Y) to
+one body, which checks every box's count bound, main term and envelope
+before the first count, in array passes: the distinct moduli are factored
+by one arith.factor_array, and phi, tau and sigma_{-1/2} read from it by
+one arith.divisor_functions; the forms and ratios of all boxes are float64
 expressions in the scalar order, of the same bits; a box with rx = 0 is
 counted in closed form, and only the others count residues.  No report
 reads the clock: the seconds column of a CountReport is always 0.0.
@@ -87,21 +87,14 @@ def _check_modulus(q: int) -> None:
 
 def _units(lo: int, hi: int, primes: list[int], dtype=np.int64) -> Iterator[np.ndarray]:
     # the integers in [lo, hi] prime to every p in primes, in ascending
-    # blocks: each p with a multiple start + (-start % p) + j p in the block
-    # strikes them from a mask by one strided write, and a block that no p
-    # strikes is an arange; start is added in place after the cast, so
+    # blocks: each p strikes its multiples start + (-start % p) + j p from a
+    # mask by one strided write; start is added in place after the cast, so
     # object blocks hold Python ints however far lo lies beyond int64
     for start in range(lo, hi + 1, _BLOCK):
-        n = min(_BLOCK, hi + 1 - start)
-        firsts = [(-start % p, p) for p in primes if -start % p < n]
-        if firsts:
-            keep = np.ones(n, dtype=bool)
-            for first, p in firsts:
-                keep[first::p] = False
-            y = np.flatnonzero(keep)
-        else:
-            y = np.arange(n)
-        y = y.astype(dtype, copy=False)
+        keep = np.ones(min(_BLOCK, hi + 1 - start), dtype=bool)
+        for p in primes:
+            keep[-start % p :: p] = False
+        y = np.flatnonzero(keep).astype(dtype, copy=False)
         y += start
         yield y
 
@@ -158,12 +151,14 @@ def _root_count(k: int, q: int, rx: int, primes: list[int]) -> int:
     [z = 1 mod 8] for 2^e, e >= 3.  So a z counts 2^omega_odd(q) times the
     2-adic factor when it passes every test, and none otherwise.  The tests
     of one block run on the z that passed the earlier ones: a Legendre
-    symbol by a table of the squares mod p when p <= min(rx, _BLOCK),
-    otherwise by Euler's criterion (arith.legendre_symbols)."""
+    symbol by a table of the squares mod p when p <= _BLOCK, so a table
+    holds no more bytes than a block has residues, otherwise by Euler's
+    criterion (arith.legendre_symbols).  Below that bound the table was the
+    faster at every rx measured (README, Conventions)."""
     kinv = mod_inv(k, q)
     lift = min(q & -q, 8)  # 1 or 2: no test; 4 or 8: z = 1 mod lift
     odd = [p for p in primes if p > 2]
-    tables = {p: _squares(p) for p in odd if p <= min(rx, _BLOCK)}
+    tables = {p: _squares(p) for p in odd if p <= _BLOCK}
     found = 0
     for x in _units(1, rx, primes):
         z = floor_mod(x * kinv, q)
@@ -179,7 +174,7 @@ def _root_count(k: int, q: int, rx: int, primes: list[int]) -> int:
 # Xeon): _X_STEP per unit x <= rx, and _EULER_STEP per modular product of
 # Euler's criterion, taken on the z that passed the tests before it (the
 # 2-adic one keeps 1/2 or 1/4 of them, each odd prime's 1/2): an odd prime
-# of q above min(rx, _BLOCK), e = (p - 1)/2, takes bit_length(e) - 1
+# of q above _BLOCK, e = (p - 1)/2, takes bit_length(e) - 1
 # squarings and popcount(e) products (measured; README, Conventions)
 _X_STEP, _EULER_STEP = 2.0, 0.5
 
@@ -189,7 +184,7 @@ def _x_side_cost(q: int, rx: int, primes: list[int]) -> float:
     cost = _X_STEP
     for p in primes:
         if p > 2:
-            if p > min(rx, _BLOCK):
+            if p > _BLOCK:
                 e = (p - 1) // 2
                 cost += _EULER_STEP * share * (e.bit_length() - 1 + bin(e).count("1"))
             share /= 2

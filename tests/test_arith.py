@@ -412,6 +412,35 @@ def test_factor_array_blocks_stay_within_the_cell_budget(monkeypatch):
     assert max(rows * cols for rows, cols in outer) <= arith.BLOCK_CELLS
 
 
+def test_divisor_blocks_are_as_wide_as_their_own_tau(monkeypatch):
+    # 2,000 primes and one modulus of tau 1,600: the primes take a block of
+    # width 2 and the large-tau modulus one row of its own, so the divisor
+    # matrices hold sum(tau) cells, not 2,001 rows of width 1,600
+    shapes = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sqrt(self, d):
+            shapes.append(d.shape)
+            return np.sqrt(d)
+
+    ns = np.array([*arith.sieve_primes(17389), 2095133040], dtype=np.int64)  # 17,389: the 2,000th prime
+    want = [c.tolist() for c in arith.divisor_functions(ns, *arith.factor_array(ns))]
+    monkeypatch.setattr(arith, "np", Spy())
+    phi, tau, sigma = arith.divisor_functions(ns, *arith.factor_array(ns))
+    assert [phi.tolist(), tau.tolist(), sigma.tolist()] == want
+    assert sorted(shapes) == [(1, 1600), (2000, 2)]
+    assert sum(rows * width for rows, width in shapes) == sum(want[1])
+    for cells in (1, 3000, 2**16):
+        shapes.clear()
+        monkeypatch.setattr(arith, "BLOCK_CELLS", cells)
+        assert [c.tolist() for c in arith.divisor_functions(ns, *arith.factor_array(ns))] == want
+        assert sum(rows for rows, _ in shapes) == len(ns)
+        assert all(rows * width <= cells or rows == 1 for rows, width in shapes), cells
+
+
 def test_legendre_symbols_match_jacobi():
     # Euler's criterion in int64 against the reciprocity loop of
     # arith.jacobi, at small primes and the primes below 2^31, where the

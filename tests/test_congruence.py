@@ -389,8 +389,9 @@ def test_box_count_on_both_sides_of_each_switch_property():
 @pytest.mark.parametrize("q", [2**31 - 1, 1_000_003, 4 * 1_000_003, 8 * 3 * 5 * 7 * 11 * 13 * 17,
                                2 * 999_983, 9_699_690])
 def test_x_side_matches_the_walk_at_large_moduli(q, monkeypatch):
-    # G(q) from the x side against the half walk, for rx below and above the
-    # table bound of the small primes, at moduli of each 2-adic shape
+    # G(q) from the x side against the half walk, for rx from 1 to past one
+    # block, at moduli of each 2-adic shape whose odd primes take squares
+    # tables (p <= 2^14), Euler's criterion, or both
     a, b = -1231, 31  # prime to every q here
     for rx in (1, 97, cg._BLOCK + 5, 40_000):
         box = (a, b, q, 3 * q + rx, 2 * q + 7)
@@ -420,7 +421,7 @@ def _roots_by_pow(k, q, rx):
 
 def test_x_side_peak_is_one_block():
     # README "Conventions": the x side holds the squares tables of the odd
-    # primes p <= min(rx, 2^14) of q (p bytes each) and one block's
+    # primes p <= 2^14 of q (p bytes each) and one block's
     # temporaries, under 48 bytes a residue (Euler's criterion keeps five
     # int64 vectors of a block alive at once)
     q = 3 * 5 * 16381 * 8  # 16381 is prime, below 2^14, and tabled
