@@ -3,9 +3,6 @@ quadratic Gauss sums, sawtooth approximations, averaged coefficient
 families, and almost-prime point searches on a sextic del Pezzo surface."""
 
 from .arith import (
-    Factorization,
-    factorize,
-    is_prime,
     jacobi,
     log1n,
     mod_inv,

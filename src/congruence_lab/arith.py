@@ -1,33 +1,24 @@
 """Exact integer arithmetic: factorization, multiplicative functions, symbols.
 
-Factorization is trial division by the primes of one table, built at import
-by sieve_primes: the 4,792 primes up to isqrt(2^31 - 1) = 46,340.  An array
-of moduli is divided by the table's primes up to isqrt of its largest
-element, as outer-product floor_mod passes of at most BLOCK_CELLS cells;
-the cofactor each modulus keeps after its primes up to its square root are
-divided out is then 1 or a prime.  That is complete only on a bounded
-domain, so factor_array, factorize (its one-element case) and is_prime
-(read from factorize) take 1 <= n < MODULUS_LIMIT = 2^31, whose square
-roots the table covers, and refuse a larger n.  divisor_functions reads
-phi, tau and sigma_{-1/2} of every modulus from one factor_array, in array
-passes.  Everything in this module is exact; Factorization, jacobi,
-mod_inv, floor_mod and unit_symbols factor nothing and take integers of any
-size.
+factor_array is the one factorizer: trial division of an array of moduli
+by the primes of one table, built at import by sieve_primes: the 4,792
+primes up to isqrt(2^31 - 1) = 46,340.  The moduli are divided by the
+table's primes up to isqrt of their largest element, as outer-product
+floor_mod passes of at most BLOCK_CELLS cells; the cofactor each modulus
+keeps after its primes up to its square root are divided out is then 1 or
+a prime.  That is complete only on a bounded domain, so factor_array takes
+1 <= n < MODULUS_LIMIT = 2^31, whose square roots the table covers, and
+refuses a larger n; a command factors all of its moduli in one call.
+divisor_functions reads phi, tau and sigma_{-1/2} of every modulus from
+one factor_array, in array passes.  Everything in this module is exact;
+jacobi, mod_inv, floor_mod and unit_symbols factor nothing and take
+integers of any size.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
 import numpy as np
-
-
-class Factorization(NamedTuple):
-    """A positive integer together with its sorted prime factorization."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -67,9 +58,8 @@ def block_rows(width: int) -> int:
 
 # Moduli below this keep every product of two residues below 2^62, inside
 # int64: the bound of the box count, the boundary counts (class_sums) and
-# gauss_brute.  It is also the domain of factor_array, factorize and
-# is_prime, whose trial division is complete below it, and so of every
-# modulus a command factors.
+# gauss_brute.  It is also the domain of factor_array, whose trial division
+# is complete below it, and so of every modulus a command factors.
 MODULUS_LIMIT = 1 << 31
 # The trial divisors of factor_array: every prime up to sqrt(n) for n < 2^31.
 _TRIAL_PRIMES = np.array(sieve_primes(math.isqrt(MODULUS_LIMIT - 1)), dtype=np.int64)
@@ -86,7 +76,7 @@ def factor_array(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = np.asarray(n)
     if n.size and not (n.min() >= 1 and n.max() < MODULUS_LIMIT):
         bad = next(v for v in n.tolist() if not 1 <= v < MODULUS_LIMIT)
-        raise ValueError(f"factorize needs 1 <= n < 2^31, got n = {bad}")
+        raise ValueError(f"factor_array needs 1 <= n < 2^31, got n = {bad}")
     n = n.astype(np.int64, copy=False).reshape(-1)
     top = int(n.max()) if len(n) else 1
     primes = _TRIAL_PRIMES[: np.searchsorted(_TRIAL_PRIMES, math.isqrt(top), side="right")]
@@ -119,13 +109,6 @@ def factor_array(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e = np.concatenate([e, np.ones(len(big), np.int64)])[order]
     start = np.searchsorted(at[order], np.arange(len(n) + 1))
     return start, p, e
-
-
-def factorize(n: int) -> Factorization:
-    """The prime factorization of 1 <= n < 2^31 (MODULUS_LIMIT): the
-    one-element case of factor_array, whose ValueError refuses any other n."""
-    _, p, e = factor_array([n])
-    return Factorization(n, tuple(zip(p.tolist(), e.tolist())))
 
 
 def divisor_functions(n: np.ndarray, start: np.ndarray, p: np.ndarray, e: np.ndarray
@@ -180,14 +163,6 @@ def divisor_functions(n: np.ndarray, start: np.ndarray, p: np.ndarray, e: np.nda
             total += terms[:, c]
         sigma[rows] = total
     return phi, tau, sigma
-
-
-def is_prime(n: int) -> bool:
-    """Whether n is prime, read from factorize(n): n < 2^31 (MODULUS_LIMIT),
-    and larger n is refused as factorize refuses it."""
-    if n < 2:
-        return False
-    return factorize(n).factors == ((n, 1),)
 
 
 def log1n(n: int) -> float:

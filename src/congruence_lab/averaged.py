@@ -143,20 +143,19 @@ def cell_sums(family: AveragedFamily) -> list[tuple[int, int, int, int, Fraction
     r u^l x + s v^m y^2 = 0 (mod tw) over J between the boundaries, mt its
     main term.  The cells of one w share the modulus tw and, the boundaries
     being the same in every cell, the main term: they are counted together,
-    in one class_sums walk per w.  Refused before any count: an estimated
-    work above WORK_LIMIT steps."""
+    in one class_sums walk per w, and one class_sums call takes every tw.
+    Refused before any count: an estimated work above WORK_LIMIT steps."""
     _checked_cells(family)
     cells = family.cells()
-    by_w: dict[int, list[int]] = {}
+    rows: dict[int, list[int]] = {}  # tw -> the indices of its cells
     for i, (_, _, w) in enumerate(cells):
-        by_w.setdefault(w, []).append(i)
+        rows.setdefault(family.t * w, []).append(i)
+    sums = class_sums({q: [linear_class(family.r * cells[i][0] ** family.l,
+                                        family.s * cells[i][1] ** family.m, q) for i in rows[q]]
+                       for q in rows}, family.bounds, family.J)
     table = [None] * len(cells)
-    for w, rows in by_w.items():
-        q = family.t * w
-        ks = [linear_class(family.r * cells[i][0] ** family.l,
-                           family.s * cells[i][1] ** family.m, q) for i in rows]
-        counts, mt = class_sums(ks, q, family.bounds, family.J)
-        for i, n in zip(rows, counts):
+    for q, (counts, mt) in sums.items():
+        for i, n in zip(rows[q], counts):
             table[i] = (*cells[i], n, mt)
     return table
 

@@ -14,11 +14,12 @@ all.  Otherwise the units y are walked from 1 in ascending numpy blocks,
 each sieved by one strided write per prime of q into a boolean mask: (q -
 y)^2 = y^2 (mod q), so the mirror q - y has the class c_y, and the walk
 stops at ry, or at its mirror cut q - 1 - ry when ry > q/2, unless T(rx, q)
-is needed too (Qy > 0 or ry > q/2).  Then T(rx, q) comes either from the
-walk continued to q/2 or from the x side, the square roots of x / k mod q
-over the units x <= rx (a Hensel/CRT count with Legendre symbols from
-squares tables or Euler's criterion), whichever is measured cheaper:
-O(min(ry, q - ry)) residues plus O(min(rx omega(q) log q, q)).  A block's
+is needed too (Qy > 0 or ry > q/2).  Then T(rx, q) comes from the walk
+continued to q/2 or from the x side, the square roots of x / k mod q over
+the units x <= rx, or phi(q) less those over the units x in (rx, q) (a
+Hensel/CRT count with Legendre symbols from squares tables or Euler's
+criterion), whichever is measured cheapest: O(min(ry, q - ry)) residues
+plus O(min(min(rx, q - rx) omega(q) log q, q)).  A block's
 classes are one floor_mod of the exact int64 product k y^2 while max(k)
 max(y)^2 < 2^62 (every q below about 2.6e6), else y^2 is reduced first and
 the product again.  q < 2^31 so every residue product fits in int64, and
@@ -43,16 +44,16 @@ are counted through the floor identity
 
 c = k y^2 mod q with k = -a^{-1} b mod q, over ascending blocks of the y in
 J prime to q.  The main term replaces each such count by (R - L)/q.
-class_sums takes the counts of a whole vector of classes k and their one
-shared main term from one walk of these blocks, in (classes x block) pieces
-of at most 2^18 entries (2 MiB in int64).  The boundaries are the two lines
-of a BoundarySpec, so their values are integer numerators over one common
-denominator D, and each block is one integer floor division of (D f(y) - c
-D) by q D.  The modulus must satisfy 1 <= q < 2^31, the domain of
-factorize; a block is int64 when _BLOCK times the largest value formed
-stays below 2^62 (so per-block sums cannot overflow either), and object
-dtype of Python ints otherwise, with the same code.  Counts are Python
-ints, main terms exact Fractions.  The Delta_H factor that the
+class_sums takes a family {q: ks} of moduli 1 <= q < 2^31, factored by one
+arith.factor_array, and for each q the counts of its classes k and their
+one shared main term from one walk of these blocks, in (classes x block)
+pieces of at most 2^18 entries (2 MiB in int64).  The boundaries are the
+two lines of a BoundarySpec, so their values are integer numerators over
+one common denominator D, and each block is one integer floor division of
+(D f(y) - c D) by q D.  A block is int64 when _BLOCK times the largest
+value formed stays below 2^62 (so per-block sums cannot overflow either),
+and object dtype of Python ints otherwise, with the same code.  Counts are
+Python ints, main terms exact Fractions.  The Delta_H factor that the
 boundary slopes cost an H-truncated envelope is taken in
 averaged.error_budget.
 
@@ -67,11 +68,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import (MODULUS_LIMIT, block_rows, divisor_functions, factor_array, factorize, floor_mod,
+from .arith import (MODULUS_LIMIT, block_rows, divisor_functions, factor_array, floor_mod,
                     legendre_symbols, log1n, mod_inv, sieve_primes)
 
 RationalLike = int | float | Fraction
@@ -134,17 +135,18 @@ def _hits(k: int, q: int, rx: int, cuts: set[int], primes: list[int]) -> dict[in
 
 
 def _squares(p: int) -> np.ndarray:
-    # the table of p booleans, True at the nonzero squares mod p
+    # the table of p booleans, True at the nonzero squares mod p, for an odd
+    # prime p: the x side's Legendre test and a prime row of _jacobi_table
     table = np.zeros(p, dtype=bool)
     r = np.arange(1, p // 2 + 1, dtype=np.int64)
     table[floor_mod(r * r, p)] = True
     return table
 
 
-def _root_count(k: int, q: int, rx: int, primes: list[int]) -> int:
-    """G(q) = #{unit y < q : c_y <= rx}, c_y = k y^2 mod q, from the x side:
-    each unit x <= rx is c_y for the N(z) units y with y^2 = z = x / k (mod
-    q), so G(q) is the sum of N(z) over the units x <= rx.  By the CRT and
+def _root_count(k: int, q: int, lo: int, hi: int, primes: list[int]) -> int:
+    """#{unit y < q : lo <= c_y <= hi}, c_y = k y^2 mod q, from the x side:
+    each unit x is c_y for the N(z) units y with y^2 = z = x / k (mod q),
+    so this is the sum of N(z) over the units x in [lo, hi].  By the CRT and
     Hensel's lemma (Ireland and Rosen, A Classical Introduction to Modern
     Number Theory, ch. 5) N(z) is the product over the prime powers of q of
     1 + (z/p) for an odd p, and of 1 for 2^1, 2 [z = 1 mod 4] for 2^2 and 4
@@ -160,7 +162,7 @@ def _root_count(k: int, q: int, rx: int, primes: list[int]) -> int:
     odd = [p for p in primes if p > 2]
     tables = {p: _squares(p) for p in odd if p <= _BLOCK}
     found = 0
-    for x in _units(1, rx, primes):
+    for x in _units(lo, hi, primes):
         z = floor_mod(x * kinv, q)
         if lift > 2:
             z = z[floor_mod(z, lift) == 1]
@@ -171,15 +173,15 @@ def _root_count(k: int, q: int, rx: int, primes: list[int]) -> int:
 
 
 # The x side's cost in walked residues (about 4-5 ns each on a 2.1 GHz
-# Xeon): _X_STEP per unit x <= rx, and _EULER_STEP per modular product of
-# Euler's criterion, taken on the z that passed the tests before it (the
-# 2-adic one keeps 1/2 or 1/4 of them, each odd prime's 1/2): an odd prime
-# of q above _BLOCK, e = (p - 1)/2, takes bit_length(e) - 1
+# Xeon): _X_STEP per residue x of its range, and _EULER_STEP per modular
+# product of Euler's criterion, taken on the z that passed the tests before
+# it (the 2-adic one keeps 1/2 or 1/4 of them, each odd prime's 1/2): an
+# odd prime of q above _BLOCK, e = (p - 1)/2, takes bit_length(e) - 1
 # squarings and popcount(e) products (measured; README, Conventions)
 _X_STEP, _EULER_STEP = 2.0, 0.5
 
 
-def _x_side_cost(q: int, rx: int, primes: list[int]) -> float:
+def _x_side_cost(q: int, width: int, primes: list[int]) -> float:
     share = 2 / min(q & -q, 8) if q % 4 == 0 else 1.0
     cost = _X_STEP
     for p in primes:
@@ -188,10 +190,11 @@ def _x_side_cost(q: int, rx: int, primes: list[int]) -> float:
                 e = (p - 1) // 2
                 cost += _EULER_STEP * share * (e.bit_length() - 1 + bin(e).count("1"))
             share /= 2
-    return rx * cost
+    return width * cost
 
 
-def _class_hits(k: int, q: int, rx: int, Qy: int, ry: int, primes: list[int]) -> int:
+def _class_hits(k: int, q: int, rx: int, Qy: int, ry: int, primes: list[int],
+                phi_q: int) -> int:
     """Qy G(q) + G(ry), G(m) = #{unit y <= m : c_y <= rx}, c_y = k y^2 mod
     q; q > 1, 0 < rx < q and 0 <= ry < q.
 
@@ -205,15 +208,19 @@ def _class_hits(k: int, q: int, rx: int, Qy: int, ry: int, primes: list[int]) ->
 
     and the walk of the units y stops at the cut ry or q - 1 - ry when G(q)
     is not needed (Qy = 0 and ry <= q/2).  When it is, it comes from the
-    walk continued to floor(q/2) or from _root_count over the units x <=
-    rx, whichever _x_side_cost puts lower."""
+    walk continued to floor(q/2) or from the x side over the shorter of its
+    two ranges, whichever _x_side_cost puts lower: _root_count over the
+    units x <= rx, or phi(q) less _root_count over the q - 1 - rx residues
+    above rx (every unit y has one unit class c_y)."""
     half = q // 2
     mirror = ry > half
     cut = q - 1 - ry if mirror else ry
     if not (Qy or mirror):
         return _hits(k, q, rx, {cut}, primes)[cut]
-    if _x_side_cost(q, rx, primes) < half - cut:
-        whole, low = _root_count(k, q, rx, primes), _hits(k, q, rx, {cut}, primes)[cut]
+    if _x_side_cost(q, min(rx, q - 1 - rx), primes) < half - cut:
+        whole = (_root_count(k, q, 1, rx, primes) if 2 * rx < q
+                 else phi_q - _root_count(k, q, rx + 1, q - 1, primes))
+        low = _hits(k, q, rx, {cut}, primes)[cut]
     else:
         hits = _hits(k, q, rx, {cut, (q - 1) // 2, half}, primes)
         whole, low = hits[(q - 1) // 2] + hits[half], hits[cut]
@@ -229,7 +236,7 @@ def _linear_count(a: int, b: int, q: int, X: int, Y: int, primes: list[int],
     # multiple of q)
     Qx, rx = divmod(X, q)
     Qy, ry = divmod(Y, q)
-    hits = _class_hits(linear_class(a, b, q), q, rx, Qy, ry, primes) if rx else 0
+    hits = _class_hits(linear_class(a, b, q), q, rx, Qy, ry, primes, phi_q) if rx else 0
     return Qx * Qy * phi_q + Qx * _unit_count(ry, primes) + hits
 
 
@@ -393,9 +400,10 @@ def box_bounds(X: RationalLike) -> BoundarySpec:
     return BoundarySpec(0, 0, X, 0)
 
 
-def _numerators(q: int, bounds: BoundarySpec, J: Interval) -> tuple[int, Iterator[tuple]]:
-    """(D, blocks): the integers y in J prime to q in ascending blocks
-    (y, lo_n, hi_n) with f_lo(y) = lo_n/D and f_hi(y) = hi_n/D.
+def _numerators(q: int, primes: list[int], bounds: BoundarySpec, J: Interval
+                ) -> tuple[int, Iterator[tuple]]:
+    """(D, blocks): the integers y in J prime to q, of the given primes, in
+    ascending blocks (y, lo_n, hi_n), f_lo(y) = lo_n/D and f_hi(y) = hi_n/D.
 
     The numerators are A + B y over the lcm D of the denominators of the
     four rationals, int64 when _BLOCK times the largest of |A| + max(|B|,
@@ -410,7 +418,7 @@ def _numerators(q: int, bounds: BoundarySpec, J: Interval) -> tuple[int, Iterato
     Y = max(abs(ys.start), abs(ys.stop - 1))
     top = max(abs(A0), abs(A1)) + max(abs(B0), abs(B1), 1) * Y + q * D
     dtype = np.int64 if _BLOCK * top < _WIDE else object
-    blocks = _units(ys.start, ys.stop - 1, [p for p, _ in factorize(q).factors], dtype)
+    blocks = _units(ys.start, ys.stop - 1, primes, dtype)
     return D, ((y, A0 + B0 * y, A1 + B1 * y) for y in blocks)
 
 
@@ -426,11 +434,10 @@ def linear_class(a: int, b: int, q: int) -> int:
     return -mod_inv(a, q) * b % q
 
 
-def class_sums(
-    ks: Sequence[int], q: int, bounds: BoundarySpec, J: Interval
-) -> tuple[list[int], Fraction]:
-    """(counts, main) from one walk of the y in J prime to q, for every
-    class k of ks at once.
+def class_sums(family: Mapping[int, Sequence[int]], bounds: BoundarySpec, J: Interval
+               ) -> dict[int, tuple[list[int], Fraction]]:
+    """{q: (counts, main)} for a family {q: ks} of moduli and their classes:
+    one walk of the y in J prime to q for every class k of ks at once.
 
     counts[i] is the exact number of x, y with gcd(y, q) = 1, f_lo(y) < x
     <= f_hi(y) and x = ks[i] y^2 (mod q): each y adds the positive part of
@@ -441,24 +448,30 @@ def class_sums(
     temporary exceeds arith.BLOCK_CELLS entries.  main = (1/q) sum_y (f_hi -
     f_lo)(y), the same for every k, is the sum of hi_n - lo_n over q D.
     Both are exact: block sums are combined in Python ints and Fractions.
-    q must satisfy 1 <= q < 2^31, the domain of factorize, which gives its
-    primes: ValueError naming q otherwise, before the walk."""
-    _check_modulus(q)
-    ks = [k % q for k in ks]  # in [0, q), so int64 products stay below 2^62
-    D, blocks = _numerators(q, bounds, J)
-    qD = q * D
-    counts = np.zeros(len(ks), dtype=object)
-    width = Fraction(0)
-    for y, lo_n, hi_n in blocks:
-        kv = np.array(ks, dtype=y.dtype)[:, None]
-        rows = block_rows(len(y))
-        residues = floor_mod(y, q)  # J may lie anywhere; _x_classes needs [0, q]
-        for i in range(0, len(ks), rows):
-            cD = _x_classes(residues, kv[i : i + rows], q) * D
-            n = (hi_n - cD) // qD - (lo_n - cD) // qD
-            counts[i : i + rows] += np.maximum(n, 0).sum(axis=1).astype(object)
-        width += Fraction((hi_n - lo_n).sum())
-    return counts.tolist(), width / qD
+    One arith.factor_array gives the primes of every q, each 1 <= q < 2^31,
+    else ValueError naming the first q outside, before any walk."""
+    for q in family:
+        _check_modulus(q)
+    start, p, _ = factor_array(list(family))
+    at, ps = start.tolist(), p.tolist()
+    sums = {}
+    for (q, ks), lo, hi in zip(family.items(), at, at[1:]):
+        ks = [k % q for k in ks]  # in [0, q), so int64 products stay below 2^62
+        D, blocks = _numerators(q, ps[lo:hi], bounds, J)
+        qD = q * D
+        counts = np.zeros(len(ks), dtype=object)
+        width = Fraction(0)
+        for y, lo_n, hi_n in blocks:
+            kv = np.array(ks, dtype=y.dtype)[:, None]
+            rows = block_rows(len(y))
+            residues = floor_mod(y, q)  # J may lie anywhere; _x_classes needs [0, q]
+            for i in range(0, len(ks), rows):
+                cD = _x_classes(residues, kv[i : i + rows], q) * D
+                n = (hi_n - cD) // qD - (lo_n - cD) // qD
+                counts[i : i + rows] += np.maximum(n, 0).sum(axis=1).astype(object)
+            width += Fraction((hi_n - lo_n).sum())
+        sums[q] = (counts.tolist(), width / qD)
+    return sums
 
 
 def eps_power(x: float, p: float) -> float:
@@ -499,10 +512,8 @@ def _jacobi_table(M: int, N: int) -> np.ndarray:
         if p:
             table[i] = table[p // 2] * table[m // p // 2]
             continue
-        legendre = np.full(m, -1, dtype=np.int8)
+        legendre = 2 * _squares(m).view(np.int8) - 1
         legendre[0] = 0
-        r = np.arange(1, m, dtype=np.int64)
-        legendre[r * r % m] = 1
         table[i] = legendre[n % m]
     return table
 

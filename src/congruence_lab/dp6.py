@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import block_rows, factor_array, is_prime, sieve_primes
+from .arith import block_rows, factor_array, sieve_primes
 
 BETA_3 = 6.640859  # sieving limit for the dimension-3 weighted sieve
 _GRID_TOL = 1e-9  # _w1_min_c1 recomputes the cells this close to the grid maximum
@@ -208,12 +208,21 @@ def point_blocks(B: int, t: int) -> Iterator[np.ndarray]:
     return _point_blocks(B, t)
 
 
+_WINDOW_PRIME = "family prime q = {} must be a prime in (B^{{1/3}}/2, B^{{1/3}}]"
+
+
 def _point_blocks(B: int, t: int) -> Iterator[np.ndarray]:
+    # One factor_array, apart from the sieve, checks every window prime.
     # Every real cell becomes a row and is checked; only then are the rows
     # with Omega > t dropped.  A row's 12 int64 columns and its temporaries
     # stay below 48 int64 values, so a block stays within 2^18 of them.
+    qs = prime_window(B)
+    start, p, _ = factor_array(qs)
+    for q, lo, hi in zip(qs, start.tolist(), start[1:].tolist()):
+        if p[lo:hi].tolist() != [q]:
+            raise ValueError(_WINDOW_PRIME.format(q))
     om = _omega_upto(_alpha_bounds(B)[1])
-    for q, *rows in _cell_blocks(B, prime_window(B), om, 48):
+    for q, *rows in _cell_blocks(B, qs, om, 48):
         a1, a2, a3, cell = _real_cells(B, q, *rows)
         block = np.empty((a1.size, 12), dtype=np.int64)
         block[:, 0] = q
@@ -235,9 +244,9 @@ def _check_block(B: int, q: int, block: np.ndarray) -> None:
     below B^{4/3} < 2^42.  On rows that also pass the height check every |x_i| <= B,
     so x3 x4, x0 x5 and x6^2 stay below 2^62 and x5 (x3 + x4) below 2^63.
     Every other row fails one of those exact predicates, whatever the rest
-    of its values wrapped to."""
-    if q**3 > B or 8 * q**3 <= B or not is_prime(q):
-        raise ValueError(f"family prime q = {q} must be a prime in (B^{{1/3}}/2, B^{{1/3}}]")
+    of its values wrapped to.  That q is prime, _point_blocks has checked."""
+    if q**3 > B or 8 * q**3 <= B:
+        raise ValueError(_WINDOW_PRIME.format(q))
     a1max, a2max = _alpha_bounds(B)
     a1, a2, a3 = block[:, 1], block[:, 2], block[:, 3]
     x0, _, _, x3, x4, x5, x6 = block[:, 4:11].T
@@ -323,19 +332,26 @@ def m_t_growth(B_values: Sequence[int], t: int) -> list[GrowthRow]:
 
 # ---- sieve sequence and local densities ----
 
-def _normalization(B: int, q: int) -> Fraction:
-    """X = phi(q) B / (4 q^2) for a prime q in (B^{1/3}/2, B^{1/3}], else
-    refused, as is a budget B where alpha1 alpha2 |alpha3| could reach 2^63.
-    The window and the budget are checked first: a q that passes both is
-    below 2^17, inside the domain of is_prime."""
+def _window_ratio(B: int, q: int) -> Fraction:
+    # (q - 1) B / (4 q^2) for q in the window and a budget B that keeps
+    # alpha1 alpha2 |alpha3| below 2^63, else refused
     if q**3 > B or 8 * q**3 <= B:
         raise ValueError("q must lie in (B^{1/3}/2, B^{1/3}]")
     a1max, a2max = _alpha_bounds(B)
     if a1max * a2max * (a2max // q + 1) >= 2**63:
         raise ValueError(f"budget B = {B} too large: alpha1 alpha2 |alpha3| may overflow int64")
-    if not is_prime(q):
+    return Fraction((q - 1) * B, 4 * q * q)
+
+
+def _normalization(B: int, q: int) -> Fraction:
+    """X = phi(q) B / (4 q^2) for a prime q in (B^{1/3}/2, B^{1/3}], else
+    refused, as is a budget B where alpha1 alpha2 |alpha3| could reach 2^63.
+    The window and the budget are checked first (_window_ratio), so the q
+    tested against the members of prime_window(B) is below 2^17."""
+    X = _window_ratio(B, q)
+    if q not in prime_window(B):
         raise ValueError("q must be prime")
-    return Fraction((q - 1) * B, 4 * q * q)  # phi(q) = q - 1
+    return X
 
 
 def _sieve_sequence(B: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -506,8 +522,9 @@ def sieve_condition_report(
         raise ValueError(f"z_max (--z-max) must be <= 10^5, the grid cap, got {z_max}")
     if t < 0:
         raise ValueError(f"t (--t) must be >= 0, got {t}")
-    X = _normalization(B, q)  # the one check of q; the bodies below trust it
-    d_max = _d_max(float(X), tau_level, c2)
+    # the level is refused before prime_window sieves to test q
+    d_max = _d_max(float(_window_ratio(B, q)), tau_level, c2)
+    X = _normalization(B, q)  # the one check that q is prime; the bodies below trust it
     n, a = _sieve_sequence(B, q)
     rhos = _rhos(range(1, max(rho_table_max, int(d_max)) + 1), q)
     table = {str(d): _ratio(rho_d) for d, (_, rho_d) in rhos.items() if d <= rho_table_max}

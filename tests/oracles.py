@@ -11,10 +11,10 @@ sums by a scan of the sieve sequence held as a dict; the dp6 torsor,
 surface and family points as checked dataclasses, the monomial map
 between them, the family by direct loops and as the repeat-based int64
 blocks that dp6 walked before its cell blocks, and the brute local density of
-the family at a prime; the product of a factorization, and the divisor
-functions and arithmetic helpers by trial loops that never call
-arith.factorize (the prime factors, divisors, tau, phi, sigma_{-1/2}, mu,
-phi(n)/n, Omega and omega)."""
+the family at a prime; a factorization tuple and its product, and the
+divisor functions and arithmetic helpers by trial loops that never call
+arith.factor_array (the prime factors, divisors, tau, phi, sigma_{-1/2},
+mu, phi(n)/n, Omega and omega)."""
 
 from __future__ import annotations
 
@@ -25,11 +25,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from congruence_lab.arith import Factorization
 from congruence_lab import dp6
 from congruence_lab.dp6 import icbrt, prime_window
 from congruence_lab.gausssum import GaussSumValue, _branch, _e, gauss_brute
@@ -505,6 +504,13 @@ def family_omega(B: int, a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.n
 
 
 # ---- arithmetic helpers ----
+
+class Factorization(NamedTuple):
+    """A positive integer together with its sorted prime factorization."""
+
+    n: int
+    factors: tuple[tuple[int, int], ...]
+
 
 def reconstruct(f: Factorization) -> int:
     """The product of the prime powers of f."""

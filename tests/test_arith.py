@@ -11,49 +11,62 @@ from congruence_lab import arith
 import oracles
 
 
+def _rows(start, p, e):
+    # {p: e} of each modulus of a factor_array
+    bounds = start.tolist()
+    pairs = list(zip(p.tolist(), e.tolist()))
+    return [dict(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _factors(n):
+    # the (p, e) pairs of n, primes ascending, from a one-element factor_array
+    _, p, e = arith.factor_array([n])
+    return tuple(zip(p.tolist(), e.tolist()))
+
+
 def test_factorize_examples():
-    assert arith.factorize(1).factors == ()
-    assert arith.factorize(12).factors == ((2, 2), (3, 1))
-    assert arith.factorize(97).factors == ((97, 1),)
+    assert _factors(1) == ()
+    assert _factors(12) == ((2, 2), (3, 1))
+    assert _factors(97) == ((97, 1),)
     # 71 * 839 * 1471 * 6857 lies beyond 2^31, where trial division is not run
     with pytest.raises(ValueError, match=r"n < 2\^31, got n = 600851475143"):
-        arith.factorize(600851475143)
+        arith.factor_array([600851475143])
 
 
 def test_factorize_reconstructs():
-    for n in range(1, 20001):
-        f = arith.factorize(n)
-        assert oracles.reconstruct(f) == n
-        assert all(arith.is_prime(p) for p, _ in f.factors)
+    ns = range(1, 20001)
+    rows = _rows(*arith.factor_array(ns))
+    for n, row in zip(ns, rows):
+        assert oracles.reconstruct(oracles.Factorization(n, tuple(row.items()))) == n
+    assert all(oracles.prime_factors(p) == {p: 1} for p in set().union(*rows))
 
 
 def test_factorize_cache_matches_uncached():
-    # factorize keeps no result, so repeated and interleaved calls give the
-    # factorization of their own n, and the n at or beyond 2^31 among them
-    # are refused each time
+    # factor_array keeps no result, so repeated and interleaved calls give
+    # the factorization of their own n, and the n at or beyond 2^31 among
+    # them are refused each time
     big = 1000003 * 1000033
     want = {1: (), 12: ((2, 2), (3, 1)), 97: ((97, 1),)}
     ns = [1, 12, 12, 97, 1, big, 12, big, big, 2**61 - 1, 97, 97, 1, 600851475143, 12]
     for n in ns:
         if n in want:
-            assert arith.factorize(n) == arith.Factorization(n, want[n]), n
+            assert _factors(n) == want[n], n
         else:
             with pytest.raises(ValueError, match=rf"n < 2\^31, got n = {n}"):
-                arith.factorize(n)
-    # n keeps its type: a numpy integer's result is not an int's
-    assert type(arith.factorize(np.int64(12)).n) is np.int64
-    assert type(arith.factorize(12).n) is int
+                arith.factor_array([n])
+    # a numpy integer factors as the int of its value
+    assert _factors(np.int64(12)) == _factors(12)
     # a refused n leaves the next call unaffected
     with pytest.raises(ValueError):
-        arith.factorize(0)
-    assert arith.factorize(97) == arith.Factorization(97, want[97])
+        arith.factor_array([0])
+    assert _factors(97) == want[97]
 
 
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
-        arith.factorize(0)
+        arith.factor_array([0])
     with pytest.raises(ValueError):
-        arith.factorize(-6)
+        arith.factor_array([-6])
 
 
 def test_factorize_large_semiprime():
@@ -65,7 +78,12 @@ def test_factorize_large_semiprime():
     assert psi12 == 399165290221 * 798330580441
     for n in (1000003 * 1000033, 2 * psi12):
         with pytest.raises(ValueError, match=rf"n < 2\^31, got n = {n}"):
-            arith.factorize(n)
+            arith.factor_array([n])
+
+
+def _prime_rows(ns):
+    # whether each n of ns is prime, read from one factor_array: its row is {n: 1}
+    return [row == {n: 1} for n, row in zip(ns, _rows(*arith.factor_array(ns)))]
 
 
 def test_is_prime_against_trial_division():
@@ -74,8 +92,8 @@ def test_is_prime_against_trial_division():
             return False
         return all(n % d for d in range(2, int(math.isqrt(n)) + 1))
 
-    for n in range(5000):
-        assert arith.is_prime(n) == trial(n), n
+    ns = range(1, 5000)
+    assert _prime_rows(ns) == [trial(n) for n in ns]
 
 
 def test_is_prime_large():
@@ -83,7 +101,7 @@ def test_is_prime_large():
     # beyond 2^31
     for n in (2**61 - 1, 2**61 + 1, 3825123056546413051):
         with pytest.raises(ValueError, match=rf"n < 2\^31, got n = {n}"):
-            arith.is_prime(n)
+            arith.factor_array([5, n])
 
 
 def _columns(ns):
@@ -133,8 +151,8 @@ _EDGES = (2095133040, 223092870, 2**31 - 1, 46337**2, 2**30)
 def test_factorization_matches_trial_loops_property():
     # the factors, the phi, tau and sigma_{-1/2} columns, and mu read from
     # the factors, against the trial loops of tests/oracles, which never
-    # call factorize; sigma_{-1/2} bit for bit, the two adding the same terms
-    # in the same order
+    # call factor_array; sigma_{-1/2} bit for bit, the two adding the same
+    # terms in the same order
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     # n with many small prime powers: products of primes up to 13
@@ -142,14 +160,14 @@ def test_factorization_matches_trial_loops_property():
     n_below = st.integers(1, 2**31 - 1) | smooth.filter(lambda n: n < 2**31)
 
     def check(n):
-        fac = arith.factorize(n)
-        assert dict(fac.factors) == oracles.prime_factors(n)
+        factors = _factors(n)
+        assert dict(factors) == oracles.prime_factors(n)
         [phi], [tau], [sigma] = _columns([n])
         assert tau == oracles.tau(n)
         assert phi == oracles.phi(n)
         assert sigma.hex() == oracles.sigma_half_inv(n).hex()
-        squarefree = all(e == 1 for _, e in fac.factors)
-        assert (-1) ** len(fac.factors) * squarefree == oracles.mobius(n)
+        squarefree = all(e == 1 for _, e in factors)
+        assert (-1) ** len(factors) * squarefree == oracles.mobius(n)
 
     for n in _EDGES:
         check = hypothesis.example(n=n)(check)
@@ -203,7 +221,7 @@ def test_log1n():
 def test_jacobi_against_euler_criterion():
     # for prime m the symbol is a^((m-1)/2) mod m; extend multiplicatively
     rng = random.Random(4101)
-    primes = [p for p in range(3, 200, 2) if arith.is_prime(p)]
+    primes = arith.sieve_primes(199)[1:]
     for _ in range(1000):
         m = 1
         for _ in range(rng.randint(1, 3)):
@@ -212,7 +230,7 @@ def test_jacobi_against_euler_criterion():
             continue
         a = rng.randint(-500, 500)
         expected = 1
-        for p, e in arith.factorize(m).factors:
+        for p, e in oracles.prime_factors(m).items():
             r = pow(a % p, (p - 1) // 2, p)
             leg = 0 if r == 0 else (1 if r == 1 else -1)
             expected *= leg**e
@@ -283,12 +301,11 @@ def _sympy_and_moduli():
 
 def test_factorize_against_sympy():
     sympy, _, ns = _sympy_and_moduli()
-    for n in ns:
-        assert dict(arith.factorize(n).factors) == sympy.factorint(n), n
+    assert _rows(*arith.factor_array(ns)) == [sympy.factorint(n) for n in ns]
 
 
 def test_trial_table_is_the_primes_up_to_sqrt_2_31():
-    # factorize divides by this table alone, so it must hold every prime p
+    # factor_array divides by this table alone, so it must hold every prime p
     # with p^2 < 2^31 and no other number
     sympy = pytest.importorskip("sympy")
     table = arith._TRIAL_PRIMES
@@ -304,18 +321,18 @@ def test_factorize_trial_bound_edges_against_sympy():
     # and 46327 * 46337, 2^31 - 3 = 5 * 19 * 22605091 leaves a prime
     # cofactor, 2^31 - 1 is prime; 46337 * 46349 and 2^31 itself are refused
     sympy = pytest.importorskip("sympy")
-    for n in (46327**2, 46337**2, 46327 * 46337, 2**31 - 3, 2**31 - 1):
-        assert dict(arith.factorize(n).factors) == sympy.factorint(n), n
-    assert arith.factorize(2**31 - 3).factors == ((5, 1), (19, 1), (22605091, 1))
+    ns = (46327**2, 46337**2, 46327 * 46337, 2**31 - 3, 2**31 - 1)
+    assert _rows(*arith.factor_array(ns)) == [sympy.factorint(n) for n in ns]
+    assert _factors(2**31 - 3) == ((5, 1), (19, 1), (22605091, 1))
     for n in (46337 * 46349, 2**31):
         with pytest.raises(ValueError, match=rf"n < 2\^31, got n = {n}"):
-            arith.factorize(n)
+            arith.factor_array([n])
 
 
 def test_is_prime_against_sympy():
     sympy, rng, ns = _sympy_and_moduli()
-    for n in [*ns, *range(5000), *(rng.randrange(1, 2**31) | 1 for _ in range(2000))]:
-        assert arith.is_prime(n) == sympy.isprime(n), n
+    ns = [*ns, *range(1, 5000), *(rng.randrange(1, 2**31) | 1 for _ in range(2000))]
+    assert _prime_rows(ns) == [sympy.isprime(n) for n in ns]
 
 
 def test_jacobi_against_sympy():
@@ -328,16 +345,9 @@ def test_jacobi_against_sympy():
 
 # ---- the vector factorizer and the columns read from it ----
 
-def _rows(start, p, e):
-    # {p: e} of each modulus of a factor_array
-    bounds = start.tolist()
-    pairs = list(zip(p.tolist(), e.tolist()))
-    return [dict(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-
 def test_factor_array_matches_trial_loops_and_sympy_property():
     # arrays of moduli, the edges among them, against the trial loop of
-    # tests/oracles and sympy; factorize(n) is the one-element case, and the
+    # tests/oracles and sympy; a one-element call gives the same row, and the
     # phi, tau and sigma_{-1/2} columns match the oracles' loops, sigma bit
     # for bit and within the README bound of its 40-digit value
     hypothesis = pytest.importorskip("hypothesis")
@@ -357,7 +367,7 @@ def test_factor_array_matches_trial_loops_and_sympy_property():
         assert rows == [oracles.prime_factors(v) for v in ns]
         assert rows == [sympy.factorint(v) for v in ns]
         assert all(list(row) == sorted(row) for row in rows)
-        assert [arith.factorize(v).factors for v in ns] == [tuple(row.items()) for row in rows]
+        assert [_factors(v) for v in ns] == [tuple(row.items()) for row in rows]
         phi, tau, sigma = arith.divisor_functions(n, start, p, e)
         assert phi.tolist() == [oracles.phi(v) for v in ns]
         assert tau.tolist() == [oracles.tau(v) for v in ns]

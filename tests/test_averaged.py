@@ -320,7 +320,7 @@ def test_weights_taken_once_per_distinct_key(scheme, monkeypatch):
 
 def _one_class(a, b, q, bounds, J):
     # (count, main) of class_sums for the one class of a x + b y^2 = 0 (mod q)
-    (count,), main = cg.class_sums([cg.linear_class(a, b, q)], q, bounds, J)
+    (count,), main = cg.class_sums({q: [cg.linear_class(a, b, q)]}, bounds, J)[q]
     return count, main
 
 
@@ -372,7 +372,7 @@ def test_cell_sums_across_blocks_and_row_cap():
     bounds = cg.BoundarySpec(Fraction(-5, 3), Fraction(1, 7), 90, Fraction(2, 5))
     fam = _family(t=11, U=8, V=8, W=Fraction(1, 2), r=3, s=-2, l=2, J=J, bounds=bounds)
     assert len(fam.cells()) == 49 > arith.block_rows(cg._BLOCK)
-    assert next(cg._numerators(11, bounds, J)[1])[0].dtype == np.int64
+    assert next(cg._numerators(11, [11], bounds, J)[1])[0].dtype == np.int64
     _check_cell_sums(fam)
 
 
@@ -381,7 +381,7 @@ def test_cell_sums_object_path():
     J = cg.Interval(-30, 90)
     bounds = cg.BoundarySpec(-(2**62), Fraction(-3, 2), 2**62 + 5, 7)
     fam = _family(t=7, U=3, V=2, W=2, r=1, s=-1, m=2, J=J, bounds=bounds)
-    assert next(cg._numerators(21, bounds, J)[1])[0].dtype == object
+    assert next(cg._numerators(21, [3, 7], bounds, J)[1])[0].dtype == object
     assert len(fam.cells()) > len({w for *_, w in fam.cells()})
     _check_cell_sums(fam)
 
@@ -390,6 +390,8 @@ def test_class_sums_of_no_class_and_unreduced_classes():
     bounds = cg.BoundarySpec(0, 1, 5, 1)
     J = cg.Interval(0, 12)
     n, mt = _one_class(1, 1, 7, bounds, J)
-    assert cg.class_sums([], 7, bounds, J) == ([], mt)
+    assert cg.class_sums({7: []}, bounds, J) == {7: ([], mt)}
     # k = 6 is the class of (a, b) = (1, 1); classes are taken mod q
-    assert cg.class_sums([6, 6 + 7 * 2**40, -1, -7 * 2**70 + 6], 7, bounds, J) == ([n] * 4, mt)
+    assert cg.class_sums({7: [6, 6 + 7 * 2**40, -1, -7 * 2**70 + 6]}, bounds, J) == {
+        7: ([n] * 4, mt)}
+

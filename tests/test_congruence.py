@@ -146,14 +146,14 @@ def test_class_sums_peak_matches_the_readme_formula(classes, q):
     n = max(len(y) for y in cg._units(1, 3 * cg._BLOCK, _primes(q)))
     r = min(classes, arith.block_rows(n))
     bounds = cg.BoundarySpec(0, 1, 10**6, 2)
-    peak = _traced_peak(lambda: cg.class_sums(range(1, classes + 1), q, bounds, J))
+    peak = _traced_peak(lambda: cg.class_sums({q: range(1, classes + 1)}, bounds, J))
     assert 3 * 8 * r * n <= peak <= 8 * (4 * r * n + 6 * cg._BLOCK) + 100 * classes, peak
 
 
 # ---- the unit sieve and the closed-form unit count ----
 
 def _primes(q):
-    return [p for p, _ in arith.factorize(q).factors]
+    return list(oracles.prime_factors(q))
 
 
 @pytest.mark.parametrize("q, lo, hi", [
@@ -249,7 +249,7 @@ def test_count_exact_linear_huge_box_is_exact():
 
 def _one_class(a, b, q, bounds, J):
     # (count, main) of class_sums for the one class of a x + b y^2 = 0 (mod q)
-    (count,), main = cg.class_sums([cg.linear_class(a, b, q)], q, bounds, J)
+    (count,), main = cg.class_sums({q: [cg.linear_class(a, b, q)]}, bounds, J)[q]
     return count, main
 
 
@@ -310,7 +310,7 @@ def test_count_exact_half_walk_matches_naive_property():
 def test_count_exact_half_walk_matches_full_walk(q):
     # two primorials (7 and 8 primes, the even composites with most units
     # struck) and a prime near 3e5, at every mirror cut of ry
-    assert arith.is_prime(299993)
+    assert oracles.prime_factors(299993) == {299993: 1}
     a, b = -1231, 29
     for ry in _mirror_cuts(q):
         for rx in (q - 1, q // 3):
@@ -354,11 +354,27 @@ _ODD_PARTS = [1, 3, 5, 7, 9, 11, 13, 25, 27, 49, 97, 105, 121, 125, 143, 221, 24
               1009, 2021, 3003, 4999]
 
 
+def test_complement_side_counts_the_residues_above_rx(monkeypatch):
+    # q = 2^31 - 1, rx = q - 1000: G(q) is phi(q) less the roots over the
+    # 999 units x in (rx, q), and the y side stops at its cut 0, the mirror
+    # of ry = q - 1; the x side over [1, rx] or the half walk would take
+    # 2^30 residues or more.  k = -1 and q = 3 (mod 4), so each x = -j has
+    # 1 + (j/q) roots y: 999 + 509 - 490 over the j < 1000, 509 of them
+    # quadratic residues by Euler's criterion
+    q = 2**31 - 1
+    lengths = _walked(monkeypatch)
+    assert _count(1, 1, q, q - 1000, q - 1) == 2147482628 == q - 1 - 2 * 509
+    assert sum(lengths) <= 1000
+    assert sum(pow(j, (q - 1) // 2, q) == 1 for j in range(1, 1000)) == 509
+
+
 def test_box_count_on_both_sides_of_each_switch_property():
     # every switch of _class_hits on the same box: ry against q/2 (the
     # mirror), Qy = 0 or not (whether G(q) is needed), and the x side
-    # against the walk, each forced both ways and left to _x_side_cost;
-    # against the double loop on small boxes and the full walk otherwise
+    # against the walk, each forced both ways and left to _x_side_cost, the
+    # x side over its shorter range: the units x <= rx, or those above rx
+    # when rx > q/2; against the double loop on small boxes and the full
+    # walk otherwise
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     frac = st.sampled_from([Fraction(0), Fraction(2, 5)])
@@ -377,8 +393,18 @@ def test_box_count_on_both_sides_of_each_switch_property():
         box = (_unit_near(a, q), _unit_near(b, q), q, Qx * q + rx + fx, Qy * q + ry + fy)
         cost = {"x": lambda *args: -1, "walk": lambda *args: math.inf,
                 "cost": cg._x_side_cost}[side]
-        with mock.patch.object(cg, "_x_side_cost", cost):
+        ranges = []
+        root_count = cg._root_count
+
+        def spy(k, q, lo, hi, primes):
+            ranges.append((lo, hi))
+            return root_count(k, q, lo, hi, primes)
+
+        with mock.patch.object(cg, "_x_side_cost", cost), \
+                mock.patch.object(cg, "_root_count", spy):
             exact = _count(*box)
+        if side == "x" and (Qy or 2 * ry > q):
+            assert ranges == [(1, rx) if 2 * rx < q else (rx + 1, q - 1)], box
         small = box[3] * box[4] <= 20000
         assert exact == (oracles.count_exact_naive(*box) if small
                          else oracles.count_exact_full_walk(*box)), box
@@ -427,9 +453,9 @@ def test_x_side_peak_is_one_block():
     q = 3 * 5 * 16381 * 8  # 16381 is prime, below 2^14, and tabled
     primes = _primes(q)
     k = cg.linear_class(11, 13, q)
-    peak = _traced_peak(lambda: cg._root_count(k, q, 3 * cg._BLOCK, primes))
+    peak = _traced_peak(lambda: cg._root_count(k, q, 1, 3 * cg._BLOCK, primes))
     assert peak <= 48 * cg._BLOCK + sum(p for p in primes if p > 2), peak
-    peak = _traced_peak(lambda: cg._root_count(3, 2**31 - 1, 3 * cg._BLOCK, [2**31 - 1]))
+    peak = _traced_peak(lambda: cg._root_count(3, 2**31 - 1, 1, 3 * cg._BLOCK, [2**31 - 1]))
     assert peak <= 48 * cg._BLOCK, peak
 
 
@@ -718,14 +744,14 @@ def test_class_sums_straddle_the_int64_guard(monkeypatch):
     # q^3 > 2^62 > q (q - 1)^2 / 4: blocks of small residues take one
     # reduction, the blocks past isqrt(2^62 / (q - 1)) take two
     q = 2_000_003
-    assert arith.is_prime(q)
+    assert oracles.prime_factors(q) == {q: 1}
     threshold = math.isqrt((2**62 - 1) // (q - 1))
     J = cg.Interval(threshold - 20_000, 40_000)
     bounds = cg.BoundarySpec(Fraction(-7, 3), Fraction(1, 5), 3 * q + Fraction(1, 7), 2)
     assert _block_dtype(q, bounds, J) == np.int64
     reductions = _count_reductions(monkeypatch)
     ks = [q - 1, 5]
-    counts, main = cg.class_sums(ks, q, bounds, J)
+    counts, main = cg.class_sums({q: ks}, bounds, J)[q]
     # every block reduces its y once, then its classes once, or twice past the guard
     blocks = len(range(J.integers().start, J.integers().stop, cg._BLOCK))
     assert 2 * blocks < len(reductions) < 3 * blocks
@@ -849,8 +875,38 @@ def _check_boundary_kernels(a, b, q, bounds, J):
     assert mt == main_term_boundaries_loop(a, b, q, bounds, J)
 
 
+def test_class_sums_of_a_family_match_one_modulus_calls(monkeypatch):
+    # a family of moduli (1, a prime, a prime power, composites, a power of
+    # two, one with no class) against one call per modulus and the per-y
+    # loop, with a class repeated within a modulus and a modulus given
+    # again in a second family: one factor_array for the whole family, and
+    # every q checked before any walk
+    bounds = cg.BoundarySpec(Fraction(-7, 3), Fraction(1, 5), 40, Fraction(2, 3))
+    J = cg.Interval(Fraction(-5, 2), 300)
+    family = {35: [1, 2, 3, 2], 1: [0, 5], 97: [5, 96], 64: [3, 5, 7], 2 * 3**4 * 7: [11],
+              30030: [], 9: [2, 4, 2]}
+    singles = {q: cg.class_sums({q: ks}, bounds, J)[q] for q, ks in family.items()}
+    calls = []
+    factor_array = cg.factor_array
+    monkeypatch.setattr(cg, "factor_array", lambda n: calls.append(list(n)) or factor_array(n))
+    sums = cg.class_sums(family, bounds, J)
+    assert list(sums) == list(family) and sums == singles
+    assert calls == [list(family)]
+    # the loop's class -a^{-1} b y^2 is k y^2 for a = -1, b = k
+    assert sums == {q: ([count_boundaries_loop(-1, k, q, bounds, J) for k in ks],
+                        main_term_boundaries_loop(-1, 1, q, bounds, J))
+                    for q, ks in family.items()}
+    again = {97: family[97], 35: family[35]}
+    assert cg.class_sums(again, bounds, J) == {q: singles[q] for q in again}
+    walks = []
+    monkeypatch.setattr(cg, "_numerators", lambda *args: walks.append(args))
+    with pytest.raises(ValueError, match=r"1 <= q < 2\^31, got q = 0"):
+        cg.class_sums({35: [1], 97: [2], 0: [1]}, bounds, J)
+    assert walks == []
+
+
 def _block_dtype(q, bounds, J):
-    _, blocks = cg._numerators(q, bounds, J)
+    _, blocks = cg._numerators(q, _primes(q), bounds, J)
     return next(blocks)[0].dtype
 
 
@@ -889,12 +945,12 @@ def test_boundary_kernels_across_blocks(q):
 
 def test_boundary_kernels_object_path():
     J = cg.Interval(-40, 120)
-    # a modulus beyond 2^31 is refused before the walk, as factorize gives
-    # the primes of q only below 2^31
+    # a modulus beyond 2^31 is refused before the walk, as factor_array
+    # gives the primes of q only below 2^31
     bounds = cg.BoundarySpec(Fraction(-10**19, 7), Fraction(3, 2), Fraction(10**20, 3), 5)
     for q in (2**61 - 1, 2**31, 0):
         with pytest.raises(ValueError, match=rf"1 <= q < 2\^31, got q = {q}"):
-            cg.class_sums([3], q, bounds, J)
+            cg.class_sums({q: [3]}, bounds, J)
     # a small modulus with numerators near 2^62
     bounds = cg.BoundarySpec(-(2**62), Fraction(-(10**17), 3), 2**62 + 5, 10**17)
     assert _block_dtype(97, bounds, J) == object

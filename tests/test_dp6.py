@@ -348,6 +348,29 @@ def test_kernels_refuse_bad_arguments(call, message):
         call()
 
 
+def test_point_blocks_refuse_a_composite_window_prime(monkeypatch, capsys, tmp_path):
+    # a composite in the window (91 = 7 * 13, inside (50, 100] at B = 1e6)
+    # is refused by the one factor_array of the window primes, apart from
+    # the sieve that lists them, before the Omega sieve and the first block
+    window, factor_array = dp6.prime_window, dp6.factor_array
+    calls = []
+    monkeypatch.setattr(dp6, "prime_window", lambda B: sorted([*window(B), 91]))
+    monkeypatch.setattr(dp6, "factor_array", lambda n: calls.append(list(n)) or factor_array(n))
+
+    def no_work(*args):
+        raise AssertionError("the Omega table was sieved before the window was checked")
+
+    monkeypatch.setattr(dp6, "_omega_upto", no_work)
+    message = r"family prime q = 91 must be a prime in \(B\^\{1/3\}/2, B\^\{1/3\}\]"
+    with pytest.raises(ValueError, match=message):
+        next(dp6.point_blocks(10**6, 12))
+    assert calls == [sorted([*window(10**6), 91])]
+    out_file = tmp_path / "p.csv"
+    assert cli.main(["dp6-enumerate", "--B", "1000000", "--out", str(out_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "family prime q = 91 must be a prime in (B^{1/3}/2, B^{1/3}]" in err
+
+
 def test_point_blocks_int64_budget_limit():
     limit = dp6.POINT_BUDGET_LIMIT
     assert limit == 2**31
@@ -664,7 +687,7 @@ def _check_sieve_report(B, q, tau_level, c2, rho_max):
     assert [float(v).hex() for v in rep["w2"].values()] == [float(v).hex() for v in want.values()]
     for d in (1, 2, 3, 6, 30, q, 210):
         _, _, rem = oracles.sum_over_d_scan(a, q, X, d)
-        term = 4 ** len(arith.factorize(d).factors) * abs(rem)
+        term = 4 ** len(oracles.prime_factors(d)) * abs(rem)
         assert _remainder_term(seq, q, d).hex() == term.hex(), d
 
 
@@ -929,11 +952,16 @@ def test_sieve_condition_report_refuses_before_any_work(kwargs, message, monkeyp
 
 
 def test_sieve_condition_report_checks_q_once(monkeypatch):
-    # the report checks q at its entry, and the bodies it calls trust it
-    seen = []
-    monkeypatch.setattr(dp6, "is_prime", lambda n: seen.append(n) or arith.is_prime(n))
+    # the report checks q at its entry, as a member of the window primes of
+    # B, and the bodies it calls trust it: its one factor_array factors the
+    # d of the rho table, not q
+    seen, factored = [], []
+    window, factor_array = dp6.prime_window, dp6.factor_array
+    monkeypatch.setattr(dp6, "prime_window", lambda B: seen.append(B) or window(B))
+    monkeypatch.setattr(dp6, "factor_array", lambda n: factored.append(list(n)) or factor_array(n))
     assert cli.main(["dp6-sieve", "--B", "1000000", "--q", "97", "--rho-max", "210"]) == 0
-    assert seen == [97]
+    assert seen == [1000000]
+    assert len(factored) == 1 and factored[0] == list(range(1, len(factored[0]) + 1))
     with pytest.raises(ValueError, match="q must be prime"):
         dp6._normalization(1000000, 98)
 

@@ -13,6 +13,7 @@ exits nonzero on an unknown name.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from congruence_lab import cli
+from congruence_lab import arith, cli, congruence, dp6
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -107,11 +108,52 @@ def test_box_tables_read_no_clock(name, tmp_path, monkeypatch):
     test_golden_output(name, tmp_path)
 
 
+def _bench_commands(monkeypatch):
+    # every command of the three bench workloads at seed 3, full size
+    path = Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    cmds = [cmd for name in workloads.WORKLOADS for cmd in workloads.commands(name, 3)]
+    return workloads.WORK_DIR, [list(cmd.argv) for cmd in cmds]
+
+
+# factor_array calls a command makes: one for every command that factors
+FACTOR_CALLS = {"count": 1, "count-scan": 1, "avg-scan": 1, "dp6-enumerate": 1, "dp6-sieve": 1,
+                "dp6-growth": 0, "gauss": 0, "vaaler": 0, "bilinear": 0}
+
+
+def test_one_factor_array_call_per_command(tmp_path, monkeypatch):
+    # the golden commands and the bench's: the package has one factorizer,
+    # and each command calls it at most once, for all of its moduli
+    calls = []
+    factor_array = arith.factor_array
+
+    def spy(n):
+        calls.append(len(n))
+        return factor_array(n)
+
+    for module in (arith, congruence, dp6):
+        monkeypatch.setattr(module, "factor_array", spy)
+    work_dir, bench = _bench_commands(monkeypatch)
+    (tmp_path / work_dir).mkdir()
+    golden = [[arg.replace("{golden}", str(GOLDEN)) for arg in argv] for argv, _ in CASES.values()]
+    monkeypatch.chdir(tmp_path)
+    for argv in golden + bench:
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+        assert len(calls) == FACTOR_CALLS[argv[0]], (argv, calls)
+    assert {argv[0] for argv in golden + bench} == set(FACTOR_CALLS)
+    assert (len(golden), len(bench)) == (17, 11)
+
+
 # run in a fresh interpreter: the modules that cli.main(argv) imports beyond
 # those of importing congruence_lab.cli, as a JSON line [exit code, names]
 _LAZY_IMPORTS = """
 import contextlib, io, json, sys
-from congruence_lab import cli
+from congruence_lab import arith, cli, congruence, dp6
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
