@@ -27,8 +27,6 @@ from .arith import MODULUS_LIMIT
 from .congruence import BoundarySpec, Interval, class_sums, eps_power, linear_class
 
 SCHEMES = ("all-ones", "factorized", "joint")
-WORK_LIMIT = 10**9  # cell_sums: (U, 2U] x (V, 2V] x (W, 2W] cells times the integers of J
-SEED_CELLS_LIMIT = 1 << 24  # avg_report: seeds times those cells, a few us each to weight
 
 _MASK = (1 << 64) - 1
 _TAG_DU, _TAG_DV, _TAG_DJOINT, _TAG_E = 1, 2, 3, 4
@@ -124,28 +122,12 @@ class AveragedFamily:
         return unit_disc_point(seed, _TAG_E, w)
 
 
-def _size(ys: range) -> int:
-    return ys.stop - ys.start  # len(ys) raises OverflowError past sys.maxsize
-
-
-def _checked_cells(family: AveragedFamily) -> int:
-    # the number of (u, v, w) in (U, 2U] x (V, 2V] x (W, 2W], before the gcd
-    # conditions drop any, once that times the integers of J is within WORK_LIMIT
-    cells = math.prod(_size(Interval(P, P).integers()) for P in (family.U, family.V, family.W))
-    if (work := cells * max(_size(family.J.integers()), 1)) > WORK_LIMIT:
-        raise ValueError(f"--U, --V, --W, --Y: the family's estimated work of {work} steps"
-                         f" (cells times the integers of J) exceeds the cap of 1e9 steps")
-    return cells
-
-
 def cell_sums(family: AveragedFamily) -> list[tuple[int, int, int, int, Fraction]]:
     """(u, v, w, n, mt) for every cell, in cell order: n the exact count of
     r u^l x + s v^m y^2 = 0 (mod tw) over J between the boundaries, mt its
     main term.  The cells of one w share the modulus tw and, the boundaries
     being the same in every cell, the main term: they are counted together,
-    in one class_sums walk per w, and one class_sums call takes every tw.
-    Refused before any count: an estimated work above WORK_LIMIT steps."""
-    _checked_cells(family)
+    in one class_sums walk per w, and one class_sums call takes every tw."""
     cells = family.cells()
     rows: dict[int, list[int]] = {}  # tw -> the indices of its cells
     for i, (_, _, w) in enumerate(cells):
@@ -269,18 +251,12 @@ class AveragedReport(NamedTuple):
 def avg_report(
     family: AveragedFamily, H: float, epsilon: float, seeds: Sequence[int]
 ) -> list[AveragedReport]:
-    """Exact weighted sum S vs predicted main term M vs error budget, one
-    report per seed, in order.  The budget, which refuses H and epsilon,
-    comes first, then cell_sums' WORK_LIMIT and the cap SEED_CELLS_LIMIT on
-    the seeds times the cells of (U, 2U] x (V, 2V] x (W, 2W], which also
-    holds a family of one seed to 2^24 cells; the cell_sums table is built
-    once for every seed.  S and M are each accumulated in cell order,
-    skipping their own zero terms, and d_coeff and e_coeff are taken once
-    per distinct (u, v) and w of a seed."""
+    """Exact weighted sum S vs predicted main term M vs error budget, one report
+    per seed, in order.  The budget, which refuses H and epsilon, comes first;
+    the cell_sums table is built once for every seed.  S and M are each
+    accumulated in cell order, skipping their own zero terms, and d_coeff and
+    e_coeff are taken once per distinct (u, v) and w of a seed."""
     budget = error_budget(family, H, epsilon)
-    if len(seeds) * (estimate := _checked_cells(family)) > SEED_CELLS_LIMIT:
-        raise ValueError(f"--seeds, --U, --V, --W: {len(seeds)} seeds times the family's"
-                         f" estimated {estimate} cells exceeds the cap of 2^24 weighted cells")
     cells = cell_sums(family)
     denom = budget.first_O + budget.T_envelope
     out = []

@@ -8,11 +8,11 @@ parses a plain argv (the command, then its own flags in full, each with a
 valid value) by one walk over that table; argparse parses everything else
 and words --help and every usage error.
 Values come from flags or from a flat key=value config file (--config);
-flags win over config values, which win over defaults.  A config key the
-subcommand does not declare, or one given twice, is refused, and config
-values pass the same conversion and choice checks as flags.  Exit codes: 0
-success, 2 validation failure (the message names the violated precondition
-or option), 1 internal error.
+flags win over config values, which win over defaults.  A config key that
+the subcommand does not declare, or one given twice, is refused; config
+values pass the flags' conversion and choice checks.  Exit codes: 0
+success, 2 a failed check or a cost estimate beyond the one budget pair
+(the message names the precondition or option), 1 internal error.
 """
 
 from __future__ import annotations
@@ -173,9 +173,6 @@ def _cmd_count(o: argparse.Namespace) -> int:
 def _cmd_count_scan(o: argparse.Namespace) -> int:
     if o.primes_up_to < 2:
         raise ValueError(f"--primes-up-to must be >= 2, got {o.primes_up_to}")
-    if o.primes_up_to > _PRIMES_LIMIT:
-        raise ValueError(f"--primes-up-to must be <= 2^20, as the scan keeps a report and a"
-                         f" row for every prime until it writes, got {o.primes_up_to}")
     for name, coefficient in (("a", o.a), ("b", o.b)):
         if coefficient == 0:
             raise ValueError(f"--{name} must be nonzero, got 0")
@@ -191,7 +188,7 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
     for q in qs:
         if q not in counted:
             print(f"skipping q={q}: a*b must be coprime to q", file=sys.stderr)
-    del counted  # 4 MB at 2^20, freed before the rows are made
+    del counted  # freed before the rows are made
     worst = max((r.ratio for r in reps), default=0.0)
     print(f"instances = {len(reps)}   max |exact - main|/envelope = {worst!r}")
     _emit(o, "congruence box counts: exact vs main term and error envelope",
@@ -199,32 +196,33 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
     return 0
 
 
-_PRIMES_LIMIT = 1 << 20  # count-scan: 82,025 primes, a report and a row of about 1.9 KB each
-_DRAW_CHUNK = 1 << 14  # doubles per getrandbits call of random_floats
-_SAMPLES_LIMIT = 1 << 26  # vaaler samples: 16 bytes each at the peak of random_floats, 1 GiB
-_SCREEN_LIMIT = 1 << 30  # vaaler H samples: one Clenshaw multiply-add per screened term
-# bilinear (M+1)/2 N: an int8 table and its int64 copy in the product, 1.2 GB; the
-# least-prime-factor sieve of the table adds 8 (M + 1) bytes, 512 KiB under _M_LIMIT
-_CELLS_LIMIT = 1 << 27
-_M_LIMIT = 1 << 16  # bilinear M: the table's prime rows take about sum(p <= M) p steps
+_DRAW_CHUNK = 1 << 14  # doubles or signs' words per getrandbits call, lowest word first
 
 
 def random_floats(seed: int, n: int) -> np.ndarray:
-    """[random.Random(seed).random() for _ in range(n)] as one float64 array,
-    bit for bit, without numpy.random.
-
-    random() turns two MT19937 outputs w0, w1 into ((w0 >> 5) 2^26 +
-    (w1 >> 6)) 2^-53, and getrandbits(64 m) hands out the same next 2 m
-    outputs as its 32-bit words, least significant first, so each chunk of
-    m <= _DRAW_CHUNK doubles is one getrandbits call read as little-endian
-    uint32 pairs.  Every step is exact in uint64 and float64."""
-    rng = random.Random(seed)
-    chunks = []
-    for m in [_DRAW_CHUNK] * (n // _DRAW_CHUNK) + [n % _DRAW_CHUNK]:
+    """[random.Random(seed).random() for _ in range(n)] as one float64 array, bit
+    for bit, without numpy.random: random() makes a double of the next two MT19937
+    words w0, w1 as ((w0 >> 5) 2^26 + (w1 >> 6)) 2^-53, exact in uint64 and float64."""
+    rng, out = random.Random(seed), np.empty(n)
+    for lo in range(0, n, _DRAW_CHUNK):
+        m = min(_DRAW_CHUNK, n - lo)
         words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"),
                               dtype="<u4").astype(np.uint64)
-        chunks.append(((words[0::2] >> 5 << 26) + (words[1::2] >> 6)) * 2.0**-53)
-    return np.concatenate(chunks)
+        out[lo : lo + m] = ((words[0::2] >> 5 << 26) + (words[1::2] >> 6)) * 2.0**-53
+    return out
+
+
+def random_signs(seed: int, n: int) -> np.ndarray:
+    """[random.Random(seed).choice((-1, 1)) for _ in range(n)] as an int8
+    array, bit for bit: choice((-1, 1)) is (-1, 1)[r], r the top two bits
+    of the next 32-bit MT19937 output, drawn again while r >= 2."""
+    rng, out, done = random.Random(seed), np.empty(n, dtype=np.int8), 0
+    while done < n:
+        m = min(_DRAW_CHUNK, 2 * (n - done) + 64)
+        r = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> 30
+        r = r[r < 2][: n - done]
+        out[done : done + r.size], done = r, done + r.size
+    return 2 * out - 1
 
 
 VAALER_FIELDS = ("H", "samples", "seed", "violations", "worst_slack")
@@ -236,11 +234,8 @@ def _cmd_vaaler(o: argparse.Namespace) -> int:
         raise ValueError("H must be >= 1")
     if o.H > sawtooth.MAX_SCREEN_H:
         raise ValueError(f"majorant_slack needs H <= {sawtooth.MAX_SCREEN_H}, got H = {o.H}")
-    if not 1 <= o.samples <= _SAMPLES_LIMIT:
-        raise ValueError(f"--samples must be in [1, 2^26], got {o.samples}")
-    if o.H * o.samples > _SCREEN_LIMIT:
-        raise ValueError(f"--H, --samples: H times samples = {o.H * o.samples} screened terms"
-                         f" exceeds the cap of 2^30")
+    if o.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {o.samples}")
     xs = random_floats(o.seed, o.samples)
     violations, worst = sawtooth.majorant_slack(xs, o.H)
     print(f"H = {o.H}: {violations} violations in {o.samples} samples;"
@@ -296,9 +291,7 @@ def _cmd_dp6_growth(o: argparse.Namespace) -> int:
 
 
 def _cmd_dp6_sieve(o: argparse.Namespace) -> int:
-    report = dp6.sieve_condition_report(
-        o.B, o.q, o.tau, o.c2, o.z_max, o.rho_max, o.t, o.mu
-    )
+    report = dp6.sieve_condition_report(o.B, o.q, o.tau, o.c2, o.z_max, o.rho_max, o.t, o.mu)
     text = reports.json_dump(report)
     if o.out:
         reports.write_text(o.out, text)
@@ -314,52 +307,85 @@ BILINEAR_FIELDS = ("M", "N", "seed", "epsilon", "abs_sum", "bound", "ratio")
 def _cmd_bilinear(o: argparse.Namespace) -> int:
     if o.M < 1 or o.N < 1:
         raise ValueError("M and N must be >= 1")
-    if (cells := (o.M + 1) // 2 * o.N) > _CELLS_LIMIT:
-        raise ValueError(f"--M, --N: the table of (M+1)/2 N = {cells} cells"
-                         f" exceeds the cap of 2^27 cells")
-    if o.M > _M_LIMIT:
-        raise ValueError(f"--M must be <= 2^16, as the Jacobi table's prime rows take about"
-                         f" the sum of the primes p <= M steps to build, got {o.M}")
     _check_seeds(o)
-    if o.seeds * cells > _CELLS_LIMIT:
-        raise ValueError(f"--seeds: {o.seeds} seeds times the table of (M+1)/2 N = {cells}"
-                         f" cells exceeds the cap of 2^27 cells")
     seeds = range(o.seed, o.seed + o.seeds)
-    a, b = [], []
-    for seed in seeds:
-        rng = random.Random(seed)
-        a.append([rng.choice((-1, 1)) for _ in range((o.M + 1) // 2)])
-        b.append([rng.choice((-1, 1)) for _ in range(o.N)])
-    res = congruence.bilinear_jacobi(np.array(a, dtype=np.int64).T,
-                                     np.array(b, dtype=np.int64).T, o.epsilon)
+    # column s: seed s's (M+1)/2 signs a, then its N signs b
+    signs = np.stack([random_signs(seed, (o.M + 1) // 2 + o.N) for seed in seeds], axis=1)
+    res = congruence.bilinear_jacobi(signs[: (o.M + 1) // 2], signs[(o.M + 1) // 2 :], o.epsilon)
     rows = []
     for seed, value in zip(seeds, res.values.tolist()):
         abs_sum = float(abs(value))
         ratio = abs_sum / res.bound
         print(f"seed {seed}: |sum| = {abs_sum!r}  bound = {res.bound!r}  ratio = {ratio!r}")
         rows.append((res.M, res.N, seed, o.epsilon, abs_sum, res.bound, ratio))
-    _emit(o, "bilinear Jacobi-symbol sums vs cancellation benchmark",
-          BILINEAR_FIELDS, rows)
+    _emit(o, "bilinear Jacobi-symbol sums vs cancellation benchmark", BILINEAR_FIELDS, rows)
     return 0
 
 
-# name -> (handler, help, options); the only declaration of each option
+# ---- admission: one budget pair for every command ----
+
+# resolve refuses, before any work, an argv whose estimated run time (steps times
+# ns per step) or peak bytes exceeds a budget (README, "Admission").
+BUDGET_SECONDS, BUDGET_BYTES = 30.0, 1 << 30
+
+
+def _primes_upto(x) -> float:  # >= pi(x) (Rosser and Schoenfeld)
+    return 1.26 * x / math.log(x) if x > 2 else 1.0
+
+
+def _estimate(command: str, o: argparse.Namespace) -> tuple[float, float]:
+    """(steps, peak bytes) of command at its resolved options o; an input the
+    command refuses may get any estimate, as either refusal precedes work."""
+    if command == "gauss":  # the brute sum's u terms
+        return o.u, 2**20
+    if command == "count-scan":  # per q <= top a row, and a walk unless x = q
+        n, top = ((len(o.q_list), max(o.q_list)) if o.q_list
+                  else (_primes_upto(o.primes_up_to), o.primes_up_to))
+        x, y = (0 if side is None else math.floor(side) for side in (o.x, o.y))
+        walk = 4000 + min(top / 2, 32 * x if o.y is None else y) if x > 0 else 0
+        return n * (4000 + walk), n * 2000 + (0 if o.q_list else top) + 2**20
+    if command == "vaaler":  # H n screened terms, at worst all recomputed by row sums
+        return max(o.samples, 0) * (3 + max(o.H, 0)), 88 * o.samples + 56 * o.H + 2**23
+    if command == "avg-scan":  # each cell over the integers of J, then once per seed
+        cells = math.prod(max(math.floor(2 * P) - math.floor(P), 0) for P in (o.U, o.V, o.W))
+        return (cells * (math.floor(o.Y) + 201) + o.seeds * (cells + 3) * 150,
+                200 * cells + 1000 * o.seeds + 2**23)
+    if command == "dp6-growth":  # 0.6 B / log B cells per B, one Omega table
+        a2 = dp6._alpha_bounds(max(*o.B_list, 0))[1]
+        return sum(0.6 * B / math.log(B) for B in o.B_list if B > 2) + 2.5 * a2, 8 * a2 + 2**20
+    if command == "dp6-sieve":  # sequence cells, a pass per d, rho per d, the W1 grid
+        try:
+            d = dp6._d_max(float(dp6._window_ratio(o.B, o.q)), o.tau, o.c2)
+        except ValueError:  # refused by sieve_condition_report before any work
+            return 0, 0
+        a1, a2 = dp6._alpha_bounds(o.B)
+        cells, ds = a1 * (a2 // o.q + 1), max(d, o.rho_max)
+        return (20 * cells + d * (cells + 2000) + 2400 * ds + 3 * _primes_upto(o.z_max) ** 2,
+                50 * cells + 500 * ds + 2**24)
+    # bilinear: prime rows, about M^2 / (2 log M) steps, cells once and per seed, signs
+    M, N, seeds = max(o.M, 3), max(o.N, 0), max(o.seeds, 0)
+    cells, signs = (M + 1) // 2 * N, ((M + 1) // 2 + N) * seeds
+    return (4 * M * M / math.log(M) + cells * (5 + 2 * seeds) + 50 * signs + 25000 * seeds,
+            9 * cells + 8 * M + 32 * signs + 400 * seeds + 2**20)
+
+
+# name -> (handler, help, options, None or (what drives _estimate, ns per step))
 _COMMANDS = {
     "gauss": (_cmd_gauss, "closed form vs direct quadratic Gauss sum", (
         _req("s", int), _req("t", int), _req("u", int),
-    )),
+    ), ("--u", 250)),
     "count": (_cmd_count, "one exact box count with main term and envelope", (
         _req("a", int), _req("b", int), _req("q", int),
         _req("X", fraction), _req("Y", fraction), *_OUT,
-    )),
+    ), None),
     "count-scan": (_cmd_count_scan, "box counts over a family of moduli", (
         Option("primes-up-to", int, "100"), Option("q-list", int_list),
         Option("a", int, "1"), Option("b", int, "1"),
         Option("x", box_side, "q"), Option("y", box_side, "q"), *_OUT,
-    )),
+    ), ("--primes-up-to, --q-list, --x, --y", 10)),
     "vaaler": (_cmd_vaaler, "sawtooth approximation majorant check", (
         _req("H", int), Option("samples", int, "100000"), Option("seed", int, "0"), *_OUT,
-    )),
+    ), ("--H, --samples", 55)),
     "avg-scan": (_cmd_avg_scan, "averaged sums over dyadic coefficient families", (
         Option("l", int, "1"), Option("m", int, "1"), Option("r", int, "1"),
         Option("s", int, "1"), Option("t", int, "3"),
@@ -367,23 +393,23 @@ _COMMANDS = {
         Option("y0", fraction, "0"), Option("Y", fraction, "8"), Option("X", fraction, "2"),
         Option("scheme", str, "joint", choices=averaged.SCHEMES),
         Option("H", finite_float), Option("epsilon", finite_float, "0.05"), *_SEEDS, *_OUT,
-    )),
+    ), ("--U, --V, --W, --Y, --seeds", 10)),
     "dp6-enumerate": (_cmd_dp6_enumerate, "almost-prime surface points", (
         _req("B", int), Option("t", int, "12"), *_OUT,
-    )),
+    ), None),
     "dp6-growth": (_cmd_dp6_growth, "almost-prime counts by budget", (
         Option("B-list", int_list, "10000,100000,1000000"), Option("t", int, "12"), *_OUT,
-    )),
+    ), ("--B-list", 8)),
     "dp6-sieve": (_cmd_dp6_sieve, "sieve condition report (JSON)", (
         Option("B", int, "1000"), Option("q", int, "7"),
         Option("tau", finite_float, "0.4"), Option("c2", finite_float, "1.0"),
         Option("z-max", int, "1000"), Option("rho-max", int, "30"),
         Option("t", int, "12"), Option("mu", finite_float, "4.0"), Option("out", str),
-    )),
+    ), ("--B, --q, --tau, --c2, --rho-max, --z-max", 5)),
     "bilinear": (_cmd_bilinear, "bilinear Jacobi-symbol sum benchmark", (
         Option("M", int, "128"), Option("N", int, "128"), Option("epsilon", finite_float, "0.05"),
         *_SEEDS, *_OUT,
-    )),
+    ), ("--M, --N, --seeds", 1)),
 }
 
 
@@ -396,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact congruence counting, Gauss sums, and almost-prime points",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, options) in _COMMANDS.items():
+    for name, (_, help_text, options, _) in _COMMANDS.items():
         # unset flags stay off the namespace, so resolve() sees what was given
         p = sub.add_parser(name, help=help_text, description=help_text,
                            argument_default=argparse.SUPPRESS, allow_abbrev=False)
@@ -410,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # command -> "--name" -> its Option, --config included: the flags _plain_args takes
 _FLAGS = {name: {f"--{o.name}": o for o in (Option("config", str), *options)}
-          for name, (_, _, options) in _COMMANDS.items()}
+          for name, (_, _, options, _) in _COMMANDS.items()}
 
 
 def _plain_args(command: str, argv: list[str]) -> argparse.Namespace | None:
@@ -441,9 +467,9 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Every option of args.command, from its flag, else its config key,
     else its default.  Refuses config keys the command does not declare,
     missing required options, --format without --out, --primes-up-to with
-    --q-list and an --out that is empty, is a directory or lies in a
-    directory that does not exist."""
-    _, _, options = _COMMANDS[args.command]
+    --q-list, an --out that is empty, is a directory or lies in a missing
+    directory, and then an argv whose _estimate exceeds a budget."""
+    _, _, options, cost = _COMMANDS[args.command]
     given = vars(args)
     cfg = load_config(given["config"]) if "config" in given else {}
     declared = {o.name for o in options}
@@ -472,7 +498,17 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError(f"--out {out!r} is a directory: it must name a file")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise ValueError(f"--out {out!r}: directory {os.path.dirname(out)!r} does not exist")
-    return argparse.Namespace(**values)
+    o = argparse.Namespace(**values)
+    if cost:
+        drivers, ns = cost
+        try:
+            steps, size = map(float, _estimate(args.command, o))
+        except OverflowError:  # a size beyond float range
+            steps = size = math.inf
+        if (seconds := steps * ns * 1e-9) > BUDGET_SECONDS or size > BUDGET_BYTES:
+            raise ValueError(f"{drivers}: estimated {seconds:.3g} s and {size:.3g} bytes, over"
+                             f" the budget of {BUDGET_SECONDS:g} s and {BUDGET_BYTES} bytes")
+    return o
 
 
 def main(argv=None) -> int:
@@ -480,7 +516,7 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         args = (command and _plain_args(command, argv)) or build_parser().parse_args(argv)
-        handler, _, _ = _COMMANDS[args.command]
+        handler = _COMMANDS[args.command][0]
         return handler(resolve(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

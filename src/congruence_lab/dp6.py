@@ -48,8 +48,6 @@ from .arith import block_rows, factor_array, sieve_primes
 
 BETA_3 = 6.640859  # sieving limit for the dimension-3 weighted sieve
 _GRID_TOL = 1e-9  # _w1_min_c1 recomputes the cells this close to the grid maximum
-W2_D_LIMIT = 2**16  # largest d_max and rho table bound: one pass over the sieve sequence per d
-Z_MAX_LIMIT = 10**5  # dp6-sieve's largest z_max: _w1_min_c1 takes pi(z_max)^2 / 2 grid cells
 
 
 def icbrt(n: int) -> int:
@@ -396,8 +394,8 @@ def sieve_threshold(kappa: int, mu: float, beta: float) -> float:
 
 
 def _d_max(X: float, tau_level: float, c2: float) -> float:
-    """d_max = X^tau / log^c2 X, refused unless X > 1 and 1 <= d_max <= W2_D_LIMIT;
-    e^(log d_max), or inf, where X^tau or log^c2 X alone leaves float range."""
+    """d_max = X^tau / log^c2 X, refused unless X > 1 and d_max >= 1 (d_max < 1 needs log X > 1,
+    where c2 lowers d_max); e^(log d_max), or inf, where X^tau or log^c2 X leaves float range."""
     if X <= 1:
         raise ValueError("normalization X must exceed 1")
     log_x = math.log(X)
@@ -407,14 +405,11 @@ def _d_max(X: float, tau_level: float, c2: float) -> float:
         scale = max(abs(tau_level), abs(c2))  # so log d_max overflows to +-inf, never nan
         log_d = scale * (tau_level / scale * log_x - c2 / scale * math.log(log_x))
         d_max = math.exp(log_d) if log_d < 709 else math.inf
-    # for log X < 1, log^c2 X falls as c2 grows, so a larger c2 raises d_max
-    c2_up, c2_down = ("raise", "lower") if log_x < 1 else ("lower", "raise")
     if d_max < 1:
         raise ValueError(f"d_max = X^tau / log^c2 X = {d_max!r} is below 1, so the"
-                         f" remainder sum is empty: raise tau (--tau) or {c2_up} c2 (--c2)")
-    if d_max > W2_D_LIMIT:
-        raise ValueError(f"d_max = X^tau / log^c2 X = {d_max!r} exceeds the cap of 2^16:"
-                         f" lower tau (--tau) or {c2_down} c2 (--c2)")
+                         f" remainder sum is empty: raise tau (--tau) or lower c2 (--c2)")
+    if d_max == math.inf:  # a sum over every d
+        raise ValueError("d_max = X^tau / log^c2 X is infinite: change tau (--tau) or c2 (--c2)")
     return d_max
 
 
@@ -457,9 +452,7 @@ def _w1_min_c1(q: int, z_max: int) -> dict[str, float]:
     for q <= 101 and z_max <= 3000; c tends to a finite limit as z grows),
     so the two values of one cell differ by delta < 1e-14 (2.8e-15 seen).
     The cell largest by math is then within 2 delta of the numpy maximum,
-    far inside the tolerance.  Memory: a few float64 and intp temporaries
-    per cell of a block, which holds at most arith.BLOCK_CELLS cells or one
-    row."""
+    far inside the tolerance."""
     ps = [p for p in sieve_primes(z_max) if p > 2]
     if len(ps) < 2:
         raise ValueError("z_max too small for a grid")
@@ -503,13 +496,9 @@ def sieve_condition_report(
     Refused before any work: a rho table bound below 1 (an empty table), a
     level tau <= 0, c2 < 0 (which would raise the level X^tau / log^c2 X
     above X^tau), mu <= 0, a grid bound z_max < 5 (fewer than two odd
-    primes) or above Z_MAX_LIMIT, a factor bound t < 0, a rho table bound or
-    d_max outside [1, W2_D_LIMIT], and a (B, q) that _normalization refuses."""
+    primes), t < 0, d_max < 1 and a (B, q) that _normalization refuses."""
     if rho_table_max < 1:
         raise ValueError(f"rho_table_max (--rho-max) must be >= 1, got {rho_table_max}")
-    if rho_table_max > W2_D_LIMIT:
-        raise ValueError(f"rho_table_max (--rho-max) must be <= 2^16, the cap of d_max,"
-                         f" got {rho_table_max}")
     if tau_level <= 0:
         raise ValueError(f"tau_level (--tau) must be > 0, got {tau_level}")
     if c2 < 0:
@@ -518,8 +507,6 @@ def sieve_condition_report(
         raise ValueError(f"mu (--mu) must be > 0, got {mu}")
     if z_max < 5:
         raise ValueError(f"z_max (--z-max) must be >= 5, got {z_max}")
-    if z_max > Z_MAX_LIMIT:
-        raise ValueError(f"z_max (--z-max) must be <= 10^5, the grid cap, got {z_max}")
     if t < 0:
         raise ValueError(f"t (--t) must be >= 0, got {t}")
     # the level is refused before prime_window sieves to test q

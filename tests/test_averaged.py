@@ -229,14 +229,6 @@ def test_char_length_uses_cell_corners():
     assert av.char_length(fam) == pytest.approx(10.0)
 
 
-def test_work_estimate_guard():
-    fam = _family(U=3000, V=3000, W=3000, t=1,
-                  J=cg.Interval(0, 10**6), bounds=cg.box_bounds(10**6))
-    with pytest.raises(ValueError, match="estimated work of 27000000000000000 steps .* exceeds"
-                                         " the cap of 1e9 steps"):
-        av.cell_sums(fam)
-
-
 def test_avg_report_consistency():
     fam = _family(scheme="joint", t=5, U=2, V=2, W=2,
                   J=cg.Interval(0, 30), bounds=cg.box_bounds(5))

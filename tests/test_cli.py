@@ -120,6 +120,30 @@ def test_random_floats_match_python_random(seed):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (seed, n)
 
 
+@pytest.mark.parametrize("n", [200_000, 2**20])
+def test_random_floats_peak_is_the_result_and_one_chunk(n):
+    # the doubles are written into one preallocated array: 8 bytes a sample,
+    # and the temporaries of one getrandbits chunk (about 40 bytes a double)
+    tracemalloc.start()
+    try:
+        cli.random_floats(1, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n <= peak <= 8 * n + 48 * cli._DRAW_CHUNK
+
+
+def test_random_signs_match_python_choice():
+    # bilinear's signs of one seed: (M+1)/2 of a, then N of b, from one
+    # stream; 2^14 words is one getrandbits chunk, so 40000 signs span several
+    for seed in [*range(60), -5, 2**80, "abc"]:
+        for a, b in ((1, 1), (256, 512), (3, 1000), (0, 1), (20000, 20000)):
+            rng = random.Random(seed)
+            want = [rng.choice((-1, 1)) for _ in range(a)] + [rng.choice((-1, 1)) for _ in range(b)]
+            got = cli.random_signs(seed, a + b)
+            assert got.dtype == np.int8 and got.tolist() == want, (seed, a, b)
+
+
 def test_vaaler_leaves_numpy_random_unimported():
     code = ("import sys; from congruence_lab import cli;"
             " assert cli.main(['vaaler', '--H', '8', '--samples', '100']) == 0;"

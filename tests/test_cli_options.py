@@ -1,15 +1,29 @@
+import importlib.util
 import itertools
 import os
 import re
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from congruence_lab import cli
 
+import test_golden
+
 BOX = ["--a", "1", "--b", "1", "--q", "5", "--X", "10", "--Y", "10"]
 # the first prime above 10^155 (test_huge_q_is_the_next_prime checks it with
 # sympy): with B = q^3 it is a window prime whose X leaves float range
 HUGE_Q = 10**155 + 189
+
+# the start of each command's budget refusal: the options its estimate grows with
+GROWTH = "--B-list: estimated"
+SCAN = "--primes-up-to, --q-list, --x, --y: estimated"
+DRAWS = "--H, --samples: estimated"
+FAMILY = "--U, --V, --W, --Y, --seeds: estimated"
+SIEVE = "--B, --q, --tau, --c2, --rho-max, --z-max: estimated"
+TABLE = "--M, --N, --seeds: estimated"
 
 # (argv, config file text or None, text the error message must contain)
 REFUSALS = {
@@ -37,16 +51,21 @@ REFUSALS = {
     "negative budget": (["dp6-growth", "--B-list", "-5"], None, "budget B must be positive"),
     "negative factor bound": (["dp6-growth", "--B-list", "1", "--t", "-1"], None,
                               "factor bound t must be nonnegative"),
+    # the budget refuses B from about 1.6e11, before the int8 cap of B^{2/3}/2 < 2^32
     "count budget beyond int8": (["dp6-growth", "--B-list", "1000,1125899906842624"], None,
-                                 "B = 1125899906842624 too large"),
+                                 GROWTH),
+    "growth table beyond the memory budget": (
+        ["dp6-growth", "--B-list", "700000000000000"], None,
+        f"{GROWTH} 9.84e+04 s and 3.15e+10 bytes, over the budget of 30 s and 1073741824 bytes"),
     "modulus beyond int32": (["count", "--a", "1", "--b", "1", "--q", "2147483659", "--X", "10",
                               "--Y", "10"], None, "q < 2^31, got q = 2147483659"),
     "point budget beyond int64": (["dp6-enumerate", "--B", "2147483648", "--out", "x.csv"],
                                   None, "B = 2147483648 too large"),
     "no vaaler samples": (["vaaler", "--H", "8", "--samples", "0"], None, "--samples"),
     "negative vaaler samples key": (["vaaler", "--H", "8"], "samples = -3\n", "--samples"),
+    # the budget refuses u from 1.2e8, before gauss_brute's cap u < 2^31
     "Gauss modulus beyond int32": (["gauss", "--s", "1", "--t", "0", "--u", "2147483648"], None,
-                                   "u < 2^31, got u = 2147483648"),
+                                   "--u: estimated 537 s"),
     "scanned modulus beyond int32": (["count-scan", "--q-list", "15,2147483659"], None,
                                      "q < 2^31, got q = 2147483659"),
     "scanned modulus zero": (["count-scan", "--q-list", "0,5"], None, "got q = 0"),
@@ -89,9 +108,8 @@ REFUSALS = {
                                "config key 'H' is given twice, on lines 1 and 3"),
     "empty rho table": (["dp6-sieve", "--rho-max", "0", "--out", "x.csv"], None,
                         "(--rho-max) must be >= 1, got 0"),
-    "rho table beyond the cap": (["dp6-sieve", "--rho-max", "65537", "--out", "x.csv"], None,
-                                 "rho_table_max (--rho-max) must be <= 2^16, the cap of d_max,"
-                                 " got 65537"),
+    "rho table beyond the cap": (["dp6-sieve", "--rho-max", "2120000", "--out", "x.csv"], None,
+                                 SIEVE),
     "window prime beyond the int64 budget": (
         ["dp6-sieve", "--B", str(HUGE_Q**3), "--q", str(HUGE_Q), "--out", "x.csv"], None,
         "too large: alpha1 alpha2 |alpha3| may overflow int64"),
@@ -103,20 +121,17 @@ REFUSALS = {
     "empty remainder sum key": (["dp6-sieve", "--B", "1500", "--tau", "0.3", "--out", "x.csv"],
                                 "c2 = 2\n", "d_max = X^tau / log^c2 X = 0.21523336859822245"),
     "remainder level overflowing float": (["dp6-sieve", "--tau", "4096", "--out", "x.csv"],
-                                          None, "d_max = X^tau / log^c2 X = inf exceeds the cap"
-                                          " of 2^16: lower tau (--tau) or raise c2 (--c2)"),
+                                          None, "d_max = X^tau / log^c2 X is infinite: change tau"
+                                          " (--tau) or c2 (--c2)"),
     "remainder level underflowing float": (["dp6-sieve", "--c2", "1e300", "--out", "x.csv"],
                                            None, "d_max = X^tau / log^c2 X = 0.0 is below 1, so"
                                            " the remainder sum is empty: raise tau (--tau) or"
                                            " lower c2 (--c2)"),
     "remainder level beyond the cap with log X below 1": (
-        ["dp6-sieve", "--B", "27", "--q", "3", "--c2", "2000", "--out", "x.csv"], None,
-        "d_max = X^tau / log^c2 X = inf exceeds the cap of 2^16: lower tau (--tau) or lower c2"
-        " (--c2)"),
+        ["dp6-sieve", "--B", "27", "--q", "3", "--c2", "15.5", "--out", "x.csv"], None, SIEVE),
     "remainder level beyond the cap": (
-        ["dp6-sieve", "--B", "1000000", "--q", "97", "--tau", "3", "--out", "x.csv"], None,
-        "d_max = X^tau / log^c2 X = 2115718330.0800161 exceeds the cap of 2^16: lower tau"
-        " (--tau) or raise c2 (--c2)"),
+        ["dp6-sieve", "--B", "1000000", "--q", "97", "--tau", "2.01", "--out", "x.csv"], None,
+        SIEVE),
     "nan H flag": (["avg-scan", "--H", "nan", "--out", "x.csv"], None,
                    "argument --H: must be a finite number, got 'nan'"),
     "infinite H flag": (["avg-scan", "--H", "inf"], None,
@@ -138,18 +153,13 @@ REFUSALS = {
     "zero mu": (["dp6-sieve", "--mu", "0", "--out", "x.csv"], None, "(--mu) must be > 0, got 0.0"),
     "grid bound below 5 key": (["dp6-sieve", "--out", "x.csv"], "z-max = 2\n",
                                "(--z-max) must be >= 5, got 2"),
-    "grid bound beyond the cap": (["dp6-sieve", "--z-max", "10000000", "--out", "x.csv"], None,
-                                  "z_max (--z-max) must be <= 10^5, the grid cap, got 10000000"),
+    "grid bound beyond the cap": (["dp6-sieve", "--z-max", "470000", "--out", "x.csv"], None,
+                                  SIEVE),
     "prime bound beyond int32": (["count-scan", "--primes-up-to", "2147483648", "--out", "x.csv"],
-                                 None, "--primes-up-to must be <= 2^20, as the scan keeps a"
-                                       " report and a row for every prime until it writes, got"
-                                       " 2147483648"),
-    "prime bound beyond int32 key": (["count-scan"], "primes-up-to = 2147483648\n",
-                                     "--primes-up-to must be <= 2^20"),
-    "prime bound beyond the cap": (["count-scan", "--primes-up-to", str(2**20 + 1), "--out",
-                                    "x.csv"], None,
-                                   "--primes-up-to must be <= 2^20, as the scan keeps a report"
-                                   " and a row for every prime until it writes, got 1048577"),
+                                 None, SCAN),
+    "prime bound beyond int32 key": (["count-scan"], "primes-up-to = 2147483648\n", SCAN),
+    "prime bound beyond the cap": (["count-scan", "--primes-up-to", "6700000", "--out", "x.csv"],
+                                   None, SCAN),
     "negative sieve factor bound": (["dp6-sieve", "--t", "-1", "--out", "x.csv"], None,
                                     "t (--t) must be >= 0, got -1"),
     "negative sieve factor bound key": (["dp6-sieve"], "t = -3\n", "t (--t) must be >= 0, got -3"),
@@ -169,13 +179,14 @@ REFUSALS = {
     "avg-scan epsilon overflow at given H": (["avg-scan", "--epsilon", "1e300", "--H", "2"],
                                              None, "epsilon is too large"),
     "zero avg-scan H": (["avg-scan", "--H", "0", "--out", "x.csv"], None, "H must be positive"),
-    "avg-scan work beyond the cap": (["avg-scan", "--U", "1000000", "--V", "1000", "--out",
-                                      "x.csv"], None,
-                                     "--U, --V, --W, --Y: the family's estimated work of"
-                                     " 8000000000 steps (cells times the integers of J) exceeds"
-                                     " the cap of 1e9 steps"),
+    "avg-scan work beyond the cap": (["avg-scan", "--U", "2320", "--V", "2320", "--out",
+                                      "x.csv"], None, FAMILY),
     "avg-scan Y beyond the work cap": (["avg-scan", "--Y", "1e300", "--out", "x.csv"], None,
-                                       f"the family's estimated work of {10**300} steps"),
+                                       FAMILY),
+    # 2.7e10 cells, each over the 10^6 integers of J
+    "averaged family beyond the budget": (
+        ["avg-scan", "--t", "1", "--U", "3000", "--V", "3000", "--W", "3000", "--Y", "1000000",
+         "--X", "1000000", "--out", "x.csv"], None, FAMILY),
     "bilinear epsilon overflow": (["bilinear", "--epsilon", "1e300", "--out", "x.csv"], None,
                                   "epsilon is too large"),
     "count bound beyond float": (["count", "--a", "1", "--b", "1", "--q", "5", "--X", "1e300",
@@ -195,21 +206,18 @@ REFUSALS = {
                                         "H t U V W = inf is outside float range: lower H (--H)"),
     "avg-scan budget beyond float key": (["avg-scan", "--out", "x.csv"], "H = 1e-320\n",
                                          "budget UVWY/H = inf, T_envelope = "),
-    "vaaler samples beyond the cap": (["vaaler", "--H", "8", "--samples", str(2**26 + 1)], None,
-                                      "--samples must be in [1, 2^26], got 67108865"),
+    "vaaler samples beyond the cap": (["vaaler", "--H", "8", "--samples", "12200000"], None,
+                                      DRAWS),
     "zero vaaler H": (["vaaler", "--H", "0", "--samples", "1000", "--out", "x.csv"], None,
                       "H must be >= 1"),
-    "vaaler H beyond the screen bound": (["vaaler", "--H", "1000001", "--samples", "1000",
+    # one sample keeps the estimate within the budget, so vaaler's own bound speaks
+    "vaaler H beyond the screen bound": (["vaaler", "--H", "1000001", "--samples", "1",
                                           "--out", "x.csv"], None,
                                          "needs H <= 1000000, got H = 1000001"),
-    "vaaler screened terms beyond the cap": (["vaaler", "--H", "1025", "--samples", str(2**20),
-                                              "--out", "x.csv"], None,
-                                             "--H, --samples: H times samples = 1074790400"
-                                             " screened terms exceeds the cap of 2^30"),
-    "bilinear table beyond the cap": (["bilinear", "--M", "16383", "--N", "16385", "--out",
-                                       "x.csv"], None,
-                                      "--M, --N: the table of (M+1)/2 N = 134225920 cells"
-                                      " exceeds the cap of 2^27 cells"),
+    "vaaler screened terms beyond the cap": (["vaaler", "--H", "1025", "--samples", "540000",
+                                              "--out", "x.csv"], None, DRAWS),
+    "bilinear table beyond the cap": (["bilinear", "--M", "16383", "--N", "14600", "--out",
+                                       "x.csv"], None, TABLE),
     # t floor(2W) = 3 psi_12, psi_12 a strong pseudoprime to twelve bases
     "avg-scan modulus beyond int32": (
         ["avg-scan", "--t", "318665857834031151167461", "--U", "3/2", "--V", "3/2", "--W", "3/2",
@@ -224,14 +232,10 @@ REFUSALS = {
     "prime bound key with a q list": (["count-scan", "--q-list", "7,11", "--out", "x.csv"],
                                       "primes-up-to = 50\n",
                                       "--primes-up-to applies only without --q-list"),
-    "bilinear seeds beyond the cap": (["bilinear", "--seeds", str(2**14 + 1), "--out", "x.csv"],
-                                      None, "--seeds: 16385 seeds times the table of (M+1)/2 N ="
-                                            " 8192 cells exceeds the cap of 2^27 cells"),
+    "bilinear seeds beyond the cap": (["bilinear", "--seeds", "165000", "--out", "x.csv"],
+                                      None, TABLE),
     "avg-scan seeds beyond the cap": (["avg-scan", "--U", "16", "--V", "16", "--W", "16",
-                                       "--seeds", "4097", "--out", "x.csv"], None,
-                                      "--seeds, --U, --V, --W: 4097 seeds times the family's"
-                                      " estimated 4096 cells exceeds the cap of 2^24 weighted"
-                                      " cells"),
+                                       "--seeds", "4900", "--out", "x.csv"], None, FAMILY),
     "zero bilinear M": (["bilinear", "--M", "0", "--out", "x.csv"], None,
                         "M and N must be >= 1"),
     "zero point budget": (["dp6-enumerate", "--B", "0", "--out", "x.csv"], None,
@@ -256,8 +260,8 @@ REFUSALS = {
     "count modulus not prime to ab": (["count", "--a", "2", "--b", "1", "--q", "4", "--X", "10",
                                        "--Y", "10", "--out", "x.csv"], None,
                                       "a*b must be coprime to q"),
-    "bilinear M beyond the build cap": (["bilinear", "--M", str(2**16 + 1), "--N", "1", "--out",
-                                         "x.csv"], None, "--M must be <= 2^16"),
+    "bilinear M beyond the build cap": (["bilinear", "--M", "360000", "--N", "1", "--out",
+                                         "x.csv"], None, TABLE),
     "no scanned modulus prime to ab": (["count-scan", "--q-list", "6", "--a", "2", "--b", "1",
                                         "--out", "x.csv"], None,
                                        "--a, --b: a*b = 2 shares a factor with every modulus q"),
@@ -309,7 +313,8 @@ BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
                "no scanned modulus prime to ab", "empty out flag", "empty out key",
                "directory out flag", "directory out key",
                "avg-scan modulus beyond int32", "count modulus not prime to ab",
-               "bilinear M beyond the build cap")
+               "bilinear M beyond the build cap", "avg-scan work beyond the cap",
+               "growth table beyond the memory budget", "averaged family beyond the budget")
 
 
 def test_huge_q_is_the_next_prime():
@@ -330,13 +335,86 @@ def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
     test_refused_before_any_output(case, tmp_path, capsys, monkeypatch)
 
 
-def test_avg_scan_work_cap_refused_before_any_count(tmp_path, capsys, monkeypatch):
-    # cell_sums itself holds the cap, so the count below it is the one patched
-    def no_work(*args):
-        raise AssertionError("cells were counted before the work cap was checked")
+# ---- admission: every argv is held to one budget pair ----
 
-    monkeypatch.setattr(cli.averaged, "class_sums", no_work)
-    test_refused_before_any_output("avg-scan work beyond the cap", tmp_path, capsys, monkeypatch)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _workflow_argvs(workdir):
+    # the congruence-lab argv of every tier1.yml step that expects exit 0
+    text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    argvs = []
+    for step in text.split("\n      - ")[1:]:
+        for line in step.splitlines() if "|| code=$?" not in step else []:
+            if "congruence-lab " in line and "--help" not in line:
+                command = re.split(r" [|>]| 2>", line.split("congruence-lab ", 1)[1])[0]
+                argvs.append(command.replace("$RUNNER_TEMP", str(workdir)).replace('"', "").split())
+    return argvs
+
+
+def _readme_argvs():
+    # the commands of README's shell examples, continuation lines joined
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    return [line.split()[1:] for block in blocks for line in block.replace("\\\n", "").splitlines()
+            if line.startswith("congruence-lab ")]
+
+
+def _bench_argvs(monkeypatch):
+    # every command of the three bench workloads at seeds 0-31, full size
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    return workloads.WORK_DIR, [list(cmd.argv) for name in workloads.WORKLOADS
+                                for seed in range(32) for cmd in workloads.commands(name, seed)]
+
+
+def test_every_argv_run_here_is_admitted(tmp_path, monkeypatch):
+    # the golden cases, the bench workloads, the CI steps that expect exit 0
+    # and the README example: each within both budgets
+    monkeypatch.chdir(tmp_path)
+    workdir, bench = _bench_argvs(monkeypatch)
+    (tmp_path / workdir).mkdir()
+    golden = [[arg.replace("{golden}", str(test_golden.GOLDEN)) for arg in argv]
+              for argv, _ in test_golden.CASES.values()]
+    argvs = [*golden, *bench, *_workflow_argvs(tmp_path), *_readme_argvs()]
+    assert len(argvs) > 17 + 32 * 11 + 10
+    for argv in argvs:
+        o = cli.resolve(cli._plain_args(argv[0], argv) or cli.build_parser().parse_args(argv))
+        if cost := cli._COMMANDS[argv[0]][3]:
+            steps, size = cli._estimate(argv[0], o)
+            assert steps * cost[1] * 1e-9 <= cli.BUDGET_SECONDS, argv
+            assert size <= cli.BUDGET_BYTES, argv
+
+
+# (argv, how many times the traced peak the bytes estimate may be); README
+# "Admission" states each factor
+BYTES = [
+    (["count-scan", "--primes-up-to", "20000", "--out", "x.csv"], 4),
+    (["count-scan", "--primes-up-to", "100000", "--out", "x.json", "--format", "json"], 4),
+    (["vaaler", "--H", "1", "--samples", "1000000"], 12),
+    (["vaaler", "--H", "20000", "--samples", "512"], 12),
+    (["bilinear", "--M", "2047", "--N", "2048", "--seeds", "2"], 4),
+    (["bilinear", "--M", "1", "--N", "1", "--seeds", "5000"], 4),
+    (["dp6-growth", "--B-list", "1000000000"], 2),
+    (["dp6-growth", "--B-list", "1000000,10000000000"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, factor", BYTES, ids=lambda x: " ".join(x) if isinstance(x, list)
+                         else str(x))
+def test_bytes_estimate_bounds_the_traced_peak(argv, factor, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    size = cli._estimate(argv[0], cli.resolve(cli._plain_args(argv[0], argv)))[1]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= size <= factor * peak, (peak, size)
 
 
 def test_flag_and_config_values_agree(tmp_path, capsys, monkeypatch):
@@ -483,21 +561,22 @@ POOLS = {
     cli.box_side: ["q", "0", "1/2", "1", "3/2", "10", "4096", "1e300", "nan"],
     str: ["out.txt", "missing/out.txt"],  # --out, the one option of kind str without choices
 }
-# sizes just above each cap, each refused before any work
+# sizes just above each exactness cap, and just above the budgets whatever the
+# other options (at their cheapest), each refused before any work
 ABOVE_CAP = {
-    ("gauss", "u"): [str(2**31)],
+    ("gauss", "u"): ["121000000", str(2**31)],
     ("count", "q"): [str(2**31 + 11)],
-    ("count-scan", "primes-up-to"): [str(2**20 + 1), str(2**31)],
+    ("count-scan", "primes-up-to"): ["6700000", str(2**31)],
     ("count-scan", "q-list"): [f"15,{2**31 + 11}"],
     ("vaaler", "H"): [str(10**6 + 1)],
-    ("vaaler", "samples"): [str(2**26 + 1)],
+    ("vaaler", "samples"): ["12200000"],
     ("dp6-enumerate", "B"): [str(2**31)],
-    ("dp6-growth", "B-list"): [f"1000,{2**50}"],
-    ("dp6-sieve", "z-max"): [str(10**5 + 1)],
-    ("dp6-sieve", "rho-max"): [str(2**16 + 1)],
-    ("bilinear", "M"): [str(2**16 + 1), str(2**28)],
-    ("bilinear", "seeds"): [str(2**14 + 1)],
-    ("avg-scan", "seeds"): [str(2**24 + 1)],
+    ("dp6-growth", "B-list"): ["1000,162000000000", f"1000,{2**50}"],
+    ("dp6-sieve", "z-max"): ["470000"],
+    ("dp6-sieve", "rho-max"): ["2120000"],
+    ("bilinear", "M"): ["360000", str(2**28)],
+    ("bilinear", "seeds"): ["1200000"],
+    ("avg-scan", "seeds"): ["1100000"],
     ("avg-scan", "t"): [str(2**30)],  # t floor(2W) = 2^31 at the default W = 1
 }
 # sizes drawn without 1000 and 4096, at which an accepted draw takes 0.2 s or more

@@ -672,7 +672,7 @@ def _check_sieve_report(B, q, tau_level, c2, rho_max):
     X = Fraction((q - 1) * B, 4 * q * q)
     kwargs = dict(tau_level=tau_level, c2=c2, z_max=5, rho_table_max=rho_max, t=12, mu=4.0)
     Xf = float(X)
-    if Xf <= 1 or not 1 <= Xf**tau_level / math.log(Xf) ** c2 <= dp6.W2_D_LIMIT:
+    if Xf <= 1 or Xf**tau_level / math.log(Xf) ** c2 < 1:
         with pytest.raises(ValueError):
             dp6.sieve_condition_report(B, q, **kwargs)
         return
@@ -839,8 +839,10 @@ def test_w2_sum_shape():
     X = float(Fraction(1500, 49))
     with pytest.raises(ValueError, match=r"d_max = .* is below 1.*--tau.*--c2"):
         dp6._d_max(X, 0.01, 1.0)
-    with pytest.raises(ValueError, match=r"d_max = .* exceeds the cap of 2\^16.*--tau.*--c2"):
-        dp6._d_max(X, 4.0, 1.0)
+    # no cap: a level's cost is the admission budget's to refuse (tests/test_cli_options)
+    assert dp6._d_max(X, 4.0, 1.0) == X**4 / math.log(X)
+    with pytest.raises(ValueError, match=r"d_max = .* is infinite: change tau \(--tau\)"):
+        dp6._d_max(X, 4096, 1.0)
 
 
 def test_w1_min_c1():
@@ -935,10 +937,8 @@ def test_sieve_condition_report_is_json_ready():
     (dict(z_max=4), r"\(--z-max\) must be >= 5, got 4"),
     (dict(t=-1), r"t \(--t\) must be >= 0, got -1"),
     (dict(tau_level=0.01), r"d_max = X\^tau / log\^c2 X = .* is below 1"),
-    (dict(tau_level=4.0), r"d_max = X\^tau / log\^c2 X = .* exceeds the cap of 2\^16"),
+    (dict(c2=2.5), r"d_max = X\^tau / log\^c2 X = .* is below 1, so .* lower c2 \(--c2\)"),
     (dict(B=16, q=2), r"normalization X must exceed 1"),  # X = phi(2) 16 / (4 * 2^2)
-    (dict(z_max=dp6.Z_MAX_LIMIT + 1), r"\(--z-max\) must be <= 10\^5, the grid cap, got 100001"),
-    (dict(rho_table_max=dp6.W2_D_LIMIT + 1), r"\(--rho-max\) must be <= 2\^16, the cap of d_max"),
 ])
 def test_sieve_condition_report_refuses_before_any_work(kwargs, message, monkeypatch):
     def no_work(*args):
