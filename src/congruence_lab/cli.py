@@ -50,19 +50,24 @@ def load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-# ---- converters: text -> value, ValueError on bad text ----
+# ---- converters: text -> value, ValueError on bad text, ArgumentTypeError out of range ----
 
-def finite_float(text: str) -> float:
-    """float(text), refused when it is nan or infinite: no float option has
-    a meaning there, and JSON cannot hold such a value."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def checked(kind: Callable[[str], object], ok: Callable, wording: str) -> Callable[[str], object]:
+    """The converter kind(text), refused unless ok(value): wording states the range."""
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wording}, got {text!r}")
+        return value
+
+    convert.__name__ = kind.__name__  # errors on text kind() cannot read keep its wording
+    return convert
 
 
-# errors on text float() cannot read keep float()'s wording, "invalid float value"
-finite_float.__name__ = "float"
+# no float option has a meaning at nan or infinity, and JSON cannot hold such a value
+finite_float = checked(float, math.isfinite, "a finite number")
+positive_int = checked(int, lambda value: value >= 1, ">= 1")
+nonzero_int = checked(int, bool, "nonzero")  # a coefficient a or b of a x + b y^2
 
 
 def fraction(text: str) -> Fraction:
@@ -87,8 +92,11 @@ def int_list(text: str) -> list[int]:
 
 
 def box_side(text: str) -> Fraction | None:
-    """A count-scan box side: 'q' (None, the modulus itself) or a fixed rational."""
-    return None if text == "q" else fraction(text)
+    """A count-scan box side: 'q' (None, the modulus itself) or a fixed rational >= 1."""
+    side = None if text == "q" else fraction(text)
+    if side is not None and side < 1:
+        raise argparse.ArgumentTypeError(f"must be q or a rational >= 1, got {text!r}")
+    return side
 
 
 @dataclass(frozen=True)
@@ -126,18 +134,13 @@ def _req(name: str, kind) -> Option:
 
 
 _OUT = (Option("out", str), Option("format", str, "csv", choices=("csv", "json")))
-_SEEDS = (Option("seed", int, "0"), Option("seeds", int, "1"))
+_SEEDS = (Option("seed", int, "0"), Option("seeds", positive_int, "1"))
 
 
 def _emit(o: argparse.Namespace, description: str, fields, rows) -> None:
     if o.out:
         count = reports.write_table(o.out, o.format, description, fields, [rows])
         print(f"wrote {count} rows to {o.out}")
-
-
-def _check_seeds(o: argparse.Namespace) -> None:
-    if o.seeds < 1:
-        raise ValueError(f"--seeds must be >= 1, got {o.seeds}")
 
 
 def _cmd_gauss(o: argparse.Namespace) -> int:
@@ -171,14 +174,6 @@ def _cmd_count(o: argparse.Namespace) -> int:
 
 
 def _cmd_count_scan(o: argparse.Namespace) -> int:
-    if o.primes_up_to < 2:
-        raise ValueError(f"--primes-up-to must be >= 2, got {o.primes_up_to}")
-    for name, coefficient in (("a", o.a), ("b", o.b)):
-        if coefficient == 0:
-            raise ValueError(f"--{name} must be nonzero, got 0")
-    for name, side in (("x", o.x), ("y", o.y)):
-        if side is not None and side < 1:
-            raise ValueError(f"--{name} must be q or a rational >= 1, got {side}")
     qs = arith.sieve_primes(o.primes_up_to) if o.q_list is None else o.q_list
     reps = congruence.scan_boxes(qs, o.a, o.b, o.x, o.y)
     if not reps:  # scan_boxes skipped every modulus, before any count
@@ -196,7 +191,12 @@ def _cmd_count_scan(o: argparse.Namespace) -> int:
     return 0
 
 
-_DRAW_CHUNK = 1 << 14  # doubles or signs' words per getrandbits call, lowest word first
+_DRAW_CHUNK = 1 << 14  # doubles, or signs' words, per getrandbits call
+
+
+def _mt_words(rng: random.Random, n: int) -> np.ndarray:
+    """The next n 32-bit MT19937 outputs of rng, in order, as a uint32 array."""
+    return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), dtype="<u4")
 
 
 def random_floats(seed: int, n: int) -> np.ndarray:
@@ -206,8 +206,7 @@ def random_floats(seed: int, n: int) -> np.ndarray:
     rng, out = random.Random(seed), np.empty(n)
     for lo in range(0, n, _DRAW_CHUNK):
         m = min(_DRAW_CHUNK, n - lo)
-        words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"),
-                              dtype="<u4").astype(np.uint64)
+        words = _mt_words(rng, 2 * m).astype(np.uint64)
         out[lo : lo + m] = ((words[0::2] >> 5 << 26) + (words[1::2] >> 6)) * 2.0**-53
     return out
 
@@ -219,7 +218,7 @@ def random_signs(seed: int, n: int) -> np.ndarray:
     rng, out, done = random.Random(seed), np.empty(n, dtype=np.int8), 0
     while done < n:
         m = min(_DRAW_CHUNK, 2 * (n - done) + 64)
-        r = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> 30
+        r = _mt_words(rng, m) >> 30
         r = r[r < 2][: n - done]
         out[done : done + r.size], done = r, done + r.size
     return 2 * out - 1
@@ -229,13 +228,6 @@ VAALER_FIELDS = ("H", "samples", "seed", "violations", "worst_slack")
 
 
 def _cmd_vaaler(o: argparse.Namespace) -> int:
-    # majorant_slack's own checks of H, made before the samples are drawn
-    if o.H < 1:
-        raise ValueError("H must be >= 1")
-    if o.H > sawtooth.MAX_SCREEN_H:
-        raise ValueError(f"majorant_slack needs H <= {sawtooth.MAX_SCREEN_H}, got H = {o.H}")
-    if o.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {o.samples}")
     xs = random_floats(o.seed, o.samples)
     violations, worst = sawtooth.majorant_slack(xs, o.H)
     print(f"H = {o.H}: {violations} violations in {o.samples} samples;"
@@ -250,7 +242,6 @@ AVERAGED_FIELDS = ("l", "m", "r", "s", "t", "U", "V", "W", "Y", "scheme", "seed"
 
 
 def _cmd_avg_scan(o: argparse.Namespace) -> int:
-    _check_seeds(o)
     fam = averaged.AveragedFamily(l=o.l, m=o.m, r=o.r, s=o.s, t=o.t, U=o.U, V=o.V, W=o.W,
                                   J=congruence.Interval(o.y0, o.Y),
                                   bounds=congruence.box_bounds(o.X), scheme=o.scheme)
@@ -305,13 +296,15 @@ BILINEAR_FIELDS = ("M", "N", "seed", "epsilon", "abs_sum", "bound", "ratio")
 
 
 def _cmd_bilinear(o: argparse.Namespace) -> int:
-    if o.M < 1 or o.N < 1:
-        raise ValueError("M and N must be >= 1")
-    _check_seeds(o)
+    half = (o.M + 1) // 2
+    # bilinear_jacobi's checks of epsilon at its M = 2 half - 1, made before any sign is drawn
+    if o.epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    congruence.eps_power((2 * half - 1) * o.N, o.epsilon)
     seeds = range(o.seed, o.seed + o.seeds)
     # column s: seed s's (M+1)/2 signs a, then its N signs b
-    signs = np.stack([random_signs(seed, (o.M + 1) // 2 + o.N) for seed in seeds], axis=1)
-    res = congruence.bilinear_jacobi(signs[: (o.M + 1) // 2], signs[(o.M + 1) // 2 :], o.epsilon)
+    signs = np.stack([random_signs(seed, half + o.N) for seed in seeds], axis=1)
+    res = congruence.bilinear_jacobi(signs[:half], signs[half:], o.epsilon)
     rows = []
     for seed, value in zip(seeds, res.values.tolist()):
         abs_sum = float(abs(value))
@@ -345,7 +338,7 @@ def _estimate(command: str, o: argparse.Namespace) -> tuple[float, float]:
         walk = 4000 + min(top / 2, 32 * x if o.y is None else y) if x > 0 else 0
         return n * (4000 + walk), n * 2000 + (0 if o.q_list else top) + 2**20
     if command == "vaaler":  # H n screened terms, at worst all recomputed by row sums
-        return max(o.samples, 0) * (3 + max(o.H, 0)), 88 * o.samples + 56 * o.H + 2**23
+        return o.samples * (3 + o.H), 88 * o.samples + 56 * o.H + 2**23
     if command == "avg-scan":  # each cell over the integers of J, then once per seed
         cells = math.prod(max(math.floor(2 * P) - math.floor(P), 0) for P in (o.U, o.V, o.W))
         return (cells * (math.floor(o.Y) + 201) + o.seeds * (cells + 3) * 150,
@@ -363,7 +356,7 @@ def _estimate(command: str, o: argparse.Namespace) -> tuple[float, float]:
         return (20 * cells + d * (cells + 2000) + 2400 * ds + 3 * _primes_upto(o.z_max) ** 2,
                 50 * cells + 500 * ds + 2**24)
     # bilinear: prime rows, about M^2 / (2 log M) steps, cells once and per seed, signs
-    M, N, seeds = max(o.M, 3), max(o.N, 0), max(o.seeds, 0)
+    M, N, seeds = max(o.M, 3), o.N, o.seeds
     cells, signs = (M + 1) // 2 * N, ((M + 1) // 2 + N) * seeds
     return (4 * M * M / math.log(M) + cells * (5 + 2 * seeds) + 50 * signs + 25000 * seeds,
             9 * cells + 8 * M + 32 * signs + 400 * seeds + 2**20)
@@ -375,16 +368,19 @@ _COMMANDS = {
         _req("s", int), _req("t", int), _req("u", int),
     ), ("--u", 250)),
     "count": (_cmd_count, "one exact box count with main term and envelope", (
-        _req("a", int), _req("b", int), _req("q", int),
+        _req("a", nonzero_int), _req("b", nonzero_int), _req("q", int),
         _req("X", fraction), _req("Y", fraction), *_OUT,
     ), None),
     "count-scan": (_cmd_count_scan, "box counts over a family of moduli", (
-        Option("primes-up-to", int, "100"), Option("q-list", int_list),
-        Option("a", int, "1"), Option("b", int, "1"),
+        Option("primes-up-to", checked(int, lambda value: value >= 2, ">= 2"), "100"),
+        Option("q-list", int_list),
+        Option("a", nonzero_int, "1"), Option("b", nonzero_int, "1"),
         Option("x", box_side, "q"), Option("y", box_side, "q"), *_OUT,
     ), ("--primes-up-to, --q-list, --x, --y", 10)),
     "vaaler": (_cmd_vaaler, "sawtooth approximation majorant check", (
-        _req("H", int), Option("samples", int, "100000"), Option("seed", int, "0"), *_OUT,
+        _req("H", checked(int, lambda H: 1 <= H <= sawtooth.MAX_SCREEN_H,
+                          f">= 1 and <= {sawtooth.MAX_SCREEN_H}")),
+        Option("samples", positive_int, "100000"), Option("seed", int, "0"), *_OUT,
     ), ("--H, --samples", 55)),
     "avg-scan": (_cmd_avg_scan, "averaged sums over dyadic coefficient families", (
         Option("l", int, "1"), Option("m", int, "1"), Option("r", int, "1"),
@@ -407,7 +403,8 @@ _COMMANDS = {
         Option("t", int, "12"), Option("mu", finite_float, "4.0"), Option("out", str),
     ), ("--B, --q, --tau, --c2, --rho-max, --z-max", 5)),
     "bilinear": (_cmd_bilinear, "bilinear Jacobi-symbol sum benchmark", (
-        Option("M", int, "128"), Option("N", int, "128"), Option("epsilon", finite_float, "0.05"),
+        Option("M", positive_int, "128"), Option("N", positive_int, "128"),
+        Option("epsilon", finite_float, "0.05"),
         *_SEEDS, *_OUT,
     ), ("--M, --N, --seeds", 1)),
 }

@@ -61,8 +61,10 @@ REFUSALS = {
                               "--Y", "10"], None, "q < 2^31, got q = 2147483659"),
     "point budget beyond int64": (["dp6-enumerate", "--B", "2147483648", "--out", "x.csv"],
                                   None, "B = 2147483648 too large"),
-    "no vaaler samples": (["vaaler", "--H", "8", "--samples", "0"], None, "--samples"),
-    "negative vaaler samples key": (["vaaler", "--H", "8"], "samples = -3\n", "--samples"),
+    "no vaaler samples": (["vaaler", "--H", "8", "--samples", "0"], None,
+                          "argument --samples: must be >= 1, got '0'"),
+    "negative vaaler samples key": (["vaaler", "--H", "8"], "samples = -3\n",
+                                    "config key 'samples': must be >= 1, got '-3'"),
     # the budget refuses u from 1.2e8, before gauss_brute's cap u < 2^31
     "Gauss modulus beyond int32": (["gauss", "--s", "1", "--t", "0", "--u", "2147483648"], None,
                                    "--u: estimated 537 s"),
@@ -84,26 +86,28 @@ REFUSALS = {
     "format key without out": (["count", *BOX], "format = json\n",
                                "--format applies only with --out"),
     "no avg-scan seeds": (["avg-scan", "--seeds", "0", "--out", "x.csv"], None,
-                          "--seeds must be >= 1, got 0"),
+                          "argument --seeds: must be >= 1, got '0'"),
     "negative bilinear seeds": (["bilinear", "--seeds", "-2"], None,
-                                "--seeds must be >= 1, got -2"),
+                                "argument --seeds: must be >= 1, got '-2'"),
     "no primes to scan": (["count-scan", "--primes-up-to", "1", "--out", "x.csv"], None,
-                          "--primes-up-to must be >= 2, got 1"),
+                          "argument --primes-up-to: must be >= 2, got '1'"),
     "negative prime bound key": (["count-scan"], "primes-up-to = -4\n",
-                                 "--primes-up-to must be >= 2, got -4"),
+                                 "config key 'primes-up-to': must be >= 2, got '-4'"),
     "fixed x below 1": (["count-scan", "--x", "1/2", "--out", "x.csv"], None,
-                        "--x must be q or a rational >= 1, got 1/2"),
+                        "argument --x: must be q or a rational >= 1, got '1/2'"),
     "fixed y below 1": (["count-scan", "--q-list", "5,7", "--y", "0"], None,
-                        "--y must be q or a rational >= 1, got 0"),
+                        "argument --y: must be q or a rational >= 1, got '0'"),
     "empty q list": (["count-scan", "--q-list", ","], None, "--q-list"),
     "empty budget list": (["dp6-growth", "--B-list", ""], None, "--B-list"),
     "empty budget list key": (["dp6-growth"], "B-list = ,\n", "'B-list'"),
     "out in a missing directory": (["dp6-enumerate", "--B", "1000000", "--out", "missing/x.csv"],
                                    None, "directory 'missing' does not exist"),
     "zero scan coefficient flag": (["count-scan", "--a", "0", "--out", "x.csv"], None,
-                                   "--a must be nonzero, got 0"),
+                                   "argument --a: must be nonzero, got '0'"),
     "zero scan coefficient key": (["count-scan", "--q-list", "5,7", "--out", "x.csv"], "b = 0\n",
-                                  "--b must be nonzero, got 0"),
+                                  "config key 'b': must be nonzero, got '0'"),
+    "zero count coefficient": (["count", "--a", "0", *BOX[2:], "--out", "x.csv"], None,
+                               "argument --a: must be nonzero, got '0'"),
     "config key given twice": (["vaaler"], "H = 2\n# again\nH = 5\n",
                                "config key 'H' is given twice, on lines 1 and 3"),
     "empty rho table": (["dp6-sieve", "--rho-max", "0", "--out", "x.csv"], None,
@@ -209,11 +213,10 @@ REFUSALS = {
     "vaaler samples beyond the cap": (["vaaler", "--H", "8", "--samples", "12200000"], None,
                                       DRAWS),
     "zero vaaler H": (["vaaler", "--H", "0", "--samples", "1000", "--out", "x.csv"], None,
-                      "H must be >= 1"),
-    # one sample keeps the estimate within the budget, so vaaler's own bound speaks
-    "vaaler H beyond the screen bound": (["vaaler", "--H", "1000001", "--samples", "1",
-                                          "--out", "x.csv"], None,
-                                         "needs H <= 1000000, got H = 1000001"),
+                      "argument --H: must be >= 1 and <= 1000000, got '0'"),
+    "vaaler H beyond the screen bound": (["vaaler", "--H", "1000001", "--out", "x.csv"], None,
+                                         "argument --H: must be >= 1 and <= 1000000, got"
+                                         " '1000001'"),
     "vaaler screened terms beyond the cap": (["vaaler", "--H", "1025", "--samples", "540000",
                                               "--out", "x.csv"], None, DRAWS),
     "bilinear table beyond the cap": (["bilinear", "--M", "16383", "--N", "14600", "--out",
@@ -237,7 +240,9 @@ REFUSALS = {
     "avg-scan seeds beyond the cap": (["avg-scan", "--U", "16", "--V", "16", "--W", "16",
                                        "--seeds", "4900", "--out", "x.csv"], None, FAMILY),
     "zero bilinear M": (["bilinear", "--M", "0", "--out", "x.csv"], None,
-                        "M and N must be >= 1"),
+                        "argument --M: must be >= 1, got '0'"),
+    "negative bilinear epsilon": (["bilinear", "--epsilon", "-0.5", "--out", "x.csv"], None,
+                                  "epsilon must be nonnegative"),
     "zero point budget": (["dp6-enumerate", "--B", "0", "--out", "x.csv"], None,
                           "budget B must be positive"),
     "negative point factor bound": (["dp6-enumerate", "--B", "1000", "--t", "-1", "--out",
@@ -291,38 +296,14 @@ def test_refused_before_any_output(case, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.csv").exists()
 
 
-# cases whose refusal would otherwise come after a prime sieve, a cell count,
-# a sieve sequence, a Jacobi table, a box count or a draw of vaaler samples
-BEFORE_WORK = ("prime bound beyond int32", "prime bound beyond int32 key",
-               "prime bound beyond the cap", "negative sieve factor bound",
-               "empty remainder sum", "empty remainder sum key", "remainder level beyond the cap",
-               "remainder level overflowing float", "remainder level underflowing float",
-               "remainder level beyond the cap with log X below 1",
-               "avg-scan epsilon overflow at given H", "zero avg-scan H",
-               "avg-scan Y beyond the work cap",
-               "bilinear epsilon overflow", "count bound beyond float",
-               "count main term beyond float", "scan count bound beyond float at a later q",
-               "scan main term beyond float at a later q",
-               "avg-scan H t U V W beyond float", "avg-scan budget beyond float key",
-               "vaaler samples beyond the cap", "zero vaaler H", "vaaler H beyond the screen bound",
-               "vaaler screened terms beyond the cap", "bilinear table beyond the cap",
-               "general count modulus beyond the table cap", "prime bound with a q list",
-               "prime bound key with a q list", "bilinear seeds beyond the cap",
-               "avg-scan seeds beyond the cap", "grid bound beyond the cap",
-               "rho table beyond the cap", "window prime beyond the int64 budget",
-               "no scanned modulus prime to ab", "empty out flag", "empty out key",
-               "directory out flag", "directory out key",
-               "avg-scan modulus beyond int32", "count modulus not prime to ab",
-               "bilinear M beyond the build cap", "avg-scan work beyond the cap",
-               "growth table beyond the memory budget", "averaged family beyond the budget")
-
-
 def test_huge_q_is_the_next_prime():
     sympy = pytest.importorskip("sympy")
     assert sympy.nextprime(10**155) == HUGE_Q
 
 
-@pytest.mark.parametrize("case", BEFORE_WORK)
+# every refusal comes before a prime sieve, a cell count, a sieve sequence, a
+# Jacobi table, a box count or a draw of vaaler samples or bilinear signs
+@pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("work began before the arguments were checked")
@@ -330,9 +311,49 @@ def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
     for module, name in ((cli.arith, "sieve_primes"), (cli.dp6, "sieve_primes"),
                          (cli.averaged, "cell_sums"),
                          (cli.dp6, "_sieve_sequence"), (cli.congruence, "_jacobi_table"),
-                         (cli.congruence, "_linear_count"), (cli, "random_floats")):
+                         (cli.congruence, "_linear_count"), (cli, "random_floats"),
+                         (cli, "random_signs")):
         monkeypatch.setattr(module, name, no_work)
     test_refused_before_any_output(case, tmp_path, capsys, monkeypatch)
+
+
+# (command, the other options it needs, option, values at the edge of its
+# range, the first value beyond that edge)
+RANGES = [
+    ("avg-scan", [], "seeds", ["1"], "0"),
+    ("bilinear", [], "seeds", ["1"], "0"),
+    ("bilinear", [], "M", ["1"], "0"),
+    ("bilinear", [], "N", ["1"], "0"),
+    ("count-scan", [], "primes-up-to", ["2"], "1"),
+    ("vaaler", ["--H", "8"], "samples", ["1"], "0"),
+    ("vaaler", ["--samples", "1"], "H", ["1"], "0"),
+    ("vaaler", ["--samples", "1"], "H", ["1000000"], "1000001"),
+    ("count", BOX[2:], "a", ["1", "-1"], "0"),
+    ("count", [*BOX[:2], *BOX[4:]], "b", ["1", "-1"], "0"),
+    ("count-scan", [], "a", ["1", "-1"], "0"),
+    ("count-scan", [], "b", ["1", "-1"], "0"),
+    ("count-scan", [], "x", ["1", "q"], "999/1000"),
+    ("count-scan", ["--q-list", "5,7"], "y", ["1", "q"], "999/1000"),
+]
+
+
+@pytest.mark.parametrize("command, others, name, edges, beyond", RANGES,
+                         ids=[f"{r[0]} --{r[2]} {r[4]}" for r in RANGES])
+def test_option_ranges_admit_their_edge_and_refuse_beyond(command, others, name, edges, beyond,
+                                                          tmp_path, capsys, monkeypatch):
+    # the edge is checked by resolve alone: vaaler at H = 10^6 would take seconds
+    monkeypatch.chdir(tmp_path)
+    for value in edges:
+        argv = [command, *others, f"--{name}", value]
+        o = cli.resolve(cli._plain_args(command, argv) or cli.build_parser().parse_args(argv))
+        assert vars(o)[name.replace("-", "_")] == (None if value == "q" else int(value))
+    (tmp_path / "opts.cfg").write_text(f"{name} = {beyond}\n")
+    for argv, source in (([f"--{name}", beyond], f"argument --{name}"),
+                         ([f"--{name}={beyond}"], f"argument --{name}"),
+                         (["--config", "opts.cfg"], f"config key {name!r}")):
+        code, out, err = run([command, *others, *argv], capsys)
+        assert (code, out) == (2, "")
+        assert f"{source}: must be " in err, err
 
 
 # ---- admission: every argv is held to one budget pair ----
@@ -552,14 +573,14 @@ def test_argparse_only_forms_still_work(tmp_path, capsys, monkeypatch):
 
 # the values a draw takes for an option, by its converter: a few that run
 # fast, and the edge values every converter must refuse or survive
-POOLS = {
-    int: ["0", "-1", "1", "2", "3", "5", "7", "27", "97", "1000", "4096", "2.5", "1e300", "nan"],
-    cli.fraction: ["0", "-1", "1", "3/2", "10", "1/0", "4096", "1e300", "1e400", "nan"],
-    cli.finite_float: ["0", "-1", "0.05", "0.5", "3", "2000", "4096", "1e300", "nan", "inf",
+POOLS = {  # by the converter's name, which every int or float range keeps
+    "int": ["0", "-1", "1", "2", "3", "5", "7", "27", "97", "1000", "4096", "2.5", "1e300", "nan"],
+    "fraction": ["0", "-1", "1", "3/2", "10", "1/0", "4096", "1e300", "1e400", "nan"],
+    "float": ["0", "-1", "0.05", "0.5", "3", "2000", "4096", "1e300", "nan", "inf",
                        "-inf"],
-    cli.int_list: ["", ",", "0", "-5", "5,7", "1000,2000", "4096"],
-    cli.box_side: ["q", "0", "1/2", "1", "3/2", "10", "4096", "1e300", "nan"],
-    str: ["out.txt", "missing/out.txt"],  # --out, the one option of kind str without choices
+    "int_list": ["", ",", "0", "-5", "5,7", "1000,2000", "4096"],
+    "box_side": ["q", "0", "1/2", "1", "3/2", "10", "4096", "1e300", "nan"],
+    "str": ["out.txt", "missing/out.txt"],  # --out, the one option of kind str without choices
 }
 # sizes just above each exactness cap, and just above the budgets whatever the
 # other options (at their cheapest), each refused before any work
@@ -595,7 +616,7 @@ NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 def _pool(command, o):
     if o.choices:
         return [*o.choices, "bogus"]
-    return [value for value in POOLS[o.kind] + ABOVE_CAP.get((command, o.name), [])
+    return [value for value in POOLS[o.kind.__name__] + ABOVE_CAP.get((command, o.name), [])
             if not (value in ("1000", "4096") and (command, o.name) in SMALL_ONLY)]
 
 
