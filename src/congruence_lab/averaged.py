@@ -253,28 +253,25 @@ def avg_report(
 ) -> list[AveragedReport]:
     """Exact weighted sum S vs predicted main term M vs error budget, one report
     per seed, in order.  The budget, which refuses H and epsilon, comes first;
-    the cell_sums table is built once for every seed.  S and M are each
-    accumulated in cell order, skipping their own zero terms, and d_coeff and
-    e_coeff are taken once per distinct (u, v) and w of a seed."""
+    then, once for every seed, the live cells of cell_sums (n or mt nonzero),
+    each mt as a float, and their distinct (u, v) and w.  A seed takes d_coeff
+    and e_coeff once per distinct key and sums S and M in cell order, each
+    skipping the cells whose exact n or mt is zero."""
     budget = error_budget(family, H, epsilon)
-    cells = cell_sums(family)
     denom = budget.first_O + budget.T_envelope
+    live = [((u, v), w, n, mt != 0, float(mt)) for u, v, w, n, mt in cell_sums(family) if n or mt]
+    uvs, ws = {uv for uv, *_ in live}, {w for _, w, *_ in live}
     out = []
     for seed in seeds:
+        d = {uv: family.d_coeff(seed, *uv) for uv in uvs}
+        e = {w: family.e_coeff(seed, w) for w in ws}
         S = M = 0j
-        d: dict[tuple[int, int], complex] = {}
-        e: dict[int, complex] = {}
-        for u, v, w, n, mt in cells:
-            if n or mt:
-                if (u, v) not in d:
-                    d[u, v] = family.d_coeff(seed, u, v)
-                if w not in e:
-                    e[w] = family.e_coeff(seed, w)
-                weight = d[u, v] * e[w]
-                if n:
-                    S += weight * n
-                if mt:
-                    M += weight * float(mt)
+        for uv, w, n, has_mt, mt_float in live:
+            weight = d[uv] * e[w]
+            if n:
+                S += weight * n
+            if has_mt:
+                M += weight * mt_float
         out.append(AveragedReport(family, seed, H, epsilon, S, M, budget.first_O,
                                   budget.T_envelope, abs(S - M) / denom))
     return out

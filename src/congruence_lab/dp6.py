@@ -341,20 +341,9 @@ def _window_ratio(B: int, q: int) -> Fraction:
     return Fraction((q - 1) * B, 4 * q * q)
 
 
-def _normalization(B: int, q: int) -> Fraction:
-    """X = phi(q) B / (4 q^2) for a prime q in (B^{1/3}/2, B^{1/3}], else
-    refused, as is a budget B where alpha1 alpha2 |alpha3| could reach 2^63.
-    The window and the budget are checked first (_window_ratio), so the q
-    tested against the members of prime_window(B) is below 2^17."""
-    X = _window_ratio(B, q)
-    if q not in prime_window(B):
-        raise ValueError("q must be prime")
-    return X
-
-
 def _sieve_sequence(B: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    # (n, a) for a (B, q) that _normalization passed: int64 arrays of the
-    # distinct n = alpha1 alpha2 |alpha3| of the family points of q,
+    # (n, a) for a (B, q) that sieve_condition_report passed: int64 arrays
+    # of the distinct n = alpha1 alpha2 |alpha3| of the family points of q,
     # ascending, and their multiplicities a_n, formed in int64, which that
     # check ensures
     a2max = _alpha_bounds(B)[1]
@@ -496,7 +485,8 @@ def sieve_condition_report(
     Refused before any work: a rho table bound below 1 (an empty table), a
     level tau <= 0, c2 < 0 (which would raise the level X^tau / log^c2 X
     above X^tau), mu <= 0, a grid bound z_max < 5 (fewer than two odd
-    primes), t < 0, d_max < 1 and a (B, q) that _normalization refuses."""
+    primes), t < 0, d_max < 1, a q outside (B^{1/3}/2, B^{1/3}] or not
+    prime, and a budget B where alpha1 alpha2 |alpha3| could reach 2^63."""
     if rho_table_max < 1:
         raise ValueError(f"rho_table_max (--rho-max) must be >= 1, got {rho_table_max}")
     if tau_level <= 0:
@@ -509,9 +499,13 @@ def sieve_condition_report(
         raise ValueError(f"z_max (--z-max) must be >= 5, got {z_max}")
     if t < 0:
         raise ValueError(f"t (--t) must be >= 0, got {t}")
-    # the level is refused before prime_window sieves to test q
-    d_max = _d_max(float(_window_ratio(B, q)), tau_level, c2)
-    X = _normalization(B, q)  # the one check that q is prime; the bodies below trust it
+    # X = phi(q) B / (4 q^2) for the prime q.  The window and the budget are
+    # checked first, so the q tested against prime_window(B) is below 2^17,
+    # and the level is refused before prime_window sieves to test q
+    X = _window_ratio(B, q)
+    d_max = _d_max(float(X), tau_level, c2)
+    if q not in prime_window(B):  # the one check that q is prime; the bodies below trust it
+        raise ValueError("q must be prime")
     n, a = _sieve_sequence(B, q)
     rhos = _rhos(range(1, max(rho_table_max, int(d_max)) + 1), q)
     table = {str(d): _ratio(rho_d) for d, (_, rho_d) in rhos.items() if d <= rho_table_max}

@@ -7,7 +7,8 @@ pointwise Vaaler majorant check, and the Vaaler sine weights from complex
 coefficients and at 40 digits; the literal double-loop box count and
 the full walk of every unit y that the box count halves; the
 scalar double loop of the dp6 density-grid constant; the dp6 remainder
-sums by a scan of the sieve sequence held as a dict; the dp6 torsor,
+sums by a scan of the sieve sequence held as a dict; the averaged sums S
+and M by the seed loop that tests every cell once per seed; the dp6 torsor,
 surface and family points as checked dataclasses, the monomial map
 between them, the family by direct loops and as the repeat-based int64
 blocks that dp6 walked before its cell blocks, and the brute local density of
@@ -30,6 +31,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from congruence_lab import dp6
+from congruence_lab.averaged import AveragedFamily, cell_sums, error_budget
 from congruence_lab.dp6 import icbrt, prime_window
 from congruence_lab.gausssum import GaussSumValue, _branch, _e, gauss_brute
 from congruence_lab.reports import fmt
@@ -337,6 +339,36 @@ def w2_sum_scan(a: Mapping[int, int], q: int, X: Fraction, tau_level: float, c2:
     scale = Xf / math.log(Xf) ** 4
     return {"tau": tau_level, "c2": c2, "d_max": d_max, "sum": total,
             "comparison_scale": scale, "implied_c3": total / scale}
+
+
+# ---- averaged sums ----
+
+def avg_sums_loop(family: AveragedFamily, H: float, epsilon: float, seeds: Iterable[int]
+                  ) -> list[tuple[complex, complex, float]]:
+    """(S, M, ratio) of each seed by the seed loop of avg_report before it
+    took its live cells once: every cell tested and every main term
+    converted to float once per seed, each coefficient kept on first use."""
+    budget = error_budget(family, H, epsilon)
+    cells = cell_sums(family)
+    denom = budget.first_O + budget.T_envelope
+    out = []
+    for seed in seeds:
+        S = M = 0j
+        d: dict[tuple[int, int], complex] = {}
+        e: dict[int, complex] = {}
+        for u, v, w, n, mt in cells:
+            if n or mt:
+                if (u, v) not in d:
+                    d[u, v] = family.d_coeff(seed, u, v)
+                if w not in e:
+                    e[w] = family.e_coeff(seed, w)
+                weight = d[u, v] * e[w]
+                if n:
+                    S += weight * n
+                if mt:
+                    M += weight * float(mt)
+        out.append((S, M, abs(S - M) / denom))
+    return out
 
 
 # ---- dp6 torsor and surface points ----

@@ -8,6 +8,8 @@ from congruence_lab import arith
 from congruence_lab import averaged as av
 from congruence_lab import congruence as cg
 
+import oracles
+
 
 def test_unit_disc_point_deterministic():
     z1 = av.unit_disc_point(7, 1, 2, 3)
@@ -306,6 +308,51 @@ def test_weights_taken_once_per_distinct_key(scheme, monkeypatch):
     assert sorted(d_keys) == sorted({(3, u, v) for u, v, _ in live})
     assert sorted(e_keys) == sorted({(3, w) for *_, w in live})
     assert len(live) > len(d_keys) > len(e_keys) > 1
+
+
+def test_avg_report_matches_the_seed_loop_oracle():
+    # S and M under ==, and the ratio's repr, against the seed loop that
+    # tests every cell once per seed: over cells of count zero, seeds whose
+    # & _MASK wraps, and boxes so thin at the integer y that a nonzero exact
+    # main term rounds to 0.0, where the skip follows the exact mt
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    thin = Fraction(1, 10**400)
+    dyadic = st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=2)
+    half = st.fractions(min_value=Fraction(1, 2), max_value=20, max_denominator=2)
+    seed = st.one_of(st.integers(-2**70, -1), st.integers(0, 2**64 - 1),
+                     st.integers(2**64, 2**70))
+
+    def family(scheme, t, U, V, W, X, slope, y0, length):
+        # f_hi = X at the right end of J = (y0, y0 + length], rising by slope
+        # towards its left end, and f_lo = 0
+        bounds = cg.BoundarySpec(0, 0, X + slope * (y0 + length), -slope)
+        return _family(scheme=scheme, t=t, U=U, V=V, W=W, J=cg.Interval(y0, length),
+                       bounds=bounds)
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(scheme=st.sampled_from(av.SCHEMES), t=st.integers(1, 9),
+                      U=dyadic, V=dyadic, W=dyadic,
+                      X=st.one_of(st.just(thin), st.fractions(min_value=Fraction(1, 7),
+                                                              max_value=40, max_denominator=7)),
+                      slope=st.fractions(min_value=Fraction(1, 4), max_value=3,
+                                         max_denominator=4),
+                      y0=st.fractions(min_value=-3, max_value=3, max_denominator=2),
+                      length=half, seeds=st.lists(seed, min_size=1, max_size=4))
+    @hypothesis.example(scheme="joint", t=5, U=2, V=2, W=2, X=thin, slope=Fraction(1, 2),
+                        y0=Fraction(1, 2), length=Fraction(1, 2), seeds=[-1, 2**64 + 3])
+    def check(scheme, t, U, V, W, X, slope, y0, length, seeds):
+        fam = family(scheme, t, U, V, W, X, slope, y0, length)
+        reps = av.avg_report(fam, 10.0, 0.05, seeds)
+        assert [(rep.S, rep.M, repr(rep.ratio)) for rep in reps] == \
+            [(S, M, repr(ratio)) for S, M, ratio in oracles.avg_sums_loop(fam, 10.0, 0.05, seeds)]
+
+    # the explicit example: one y, 1, whose main term 10^-400/(tw) is not 0
+    # but rounds to 0.0, and whose count is 0, in every cell
+    table = av.cell_sums(family("joint", 5, 2, 2, 2, thin, Fraction(1, 2), Fraction(1, 2),
+                                Fraction(1, 2)))
+    assert table and all(n == 0 and mt != 0 and float(mt) == 0.0 for *_, n, mt in table)
+    check()
 
 
 # ---- cell_sums against per-cell class_sums ----

@@ -592,8 +592,8 @@ def test_l_t_count_int8_budget_limit(monkeypatch):
 # ---- sieve sequence and densities ----
 
 def _sequence(B, q):
-    # the sieve sequence (n, a) of dp6-sieve and its X, after its one check of (B, q)
-    X = dp6._normalization(B, q)
+    # the sieve sequence (n, a) of dp6-sieve and its X, for a q of the window primes
+    X = dp6._window_ratio(B, q)
     return (*dp6._sieve_sequence(B, q), X)
 
 
@@ -604,9 +604,9 @@ def test_build_sieve_sequence():
     assert (n > 0).all() and (n % 2 == 0).all() and (a > 0).all()
     assert (np.diff(n) > 0).all() and n.dtype == a.dtype == np.int64
     with pytest.raises(ValueError, match=r"q must lie in \(B\^\{1/3\}/2, B\^\{1/3\}\]"):
-        dp6._normalization(1000, 11)
+        dp6._window_ratio(1000, 11)
     with pytest.raises(ValueError, match="q must be prime"):
-        dp6._normalization(1000, 6)
+        dp6.sieve_condition_report(1000, 6, 0.4, 1.0, 1000, 30, 12, 4.0)
 
 
 def _sieve_counter(B, q):
@@ -645,7 +645,7 @@ def test_sieve_sequence_matches_counter_property():
 def test_sieve_sequence_refuses_int64_overflow():
     B = 10**15
     with pytest.raises(ValueError, match=f"B = {B}"):
-        dp6._normalization(B, dp6.prime_window(B)[0])
+        dp6._window_ratio(B, dp6.prime_window(B)[0])
 
 
 def _remainder_term(seq, q, d):
@@ -806,7 +806,7 @@ def test_rho_prime_formula_and_multiplicativity():
 
 def test_rho_validation():
     # rho is taken only on squarefree d: _rhos has no entry for any other
-    # d (q is checked once, by _normalization, before dp6-sieve factors a d)
+    # d (q is checked once, by sieve_condition_report, before it factors a d)
     for d in (4, 12, 49, 2**30, 46337**2):
         assert dp6._rhos([d], 7) == {}, d
 
@@ -963,7 +963,8 @@ def test_sieve_condition_report_checks_q_once(monkeypatch):
     assert seen == [1000000]
     assert len(factored) == 1 and factored[0] == list(range(1, len(factored[0]) + 1))
     with pytest.raises(ValueError, match="q must be prime"):
-        dp6._normalization(1000000, 98)
+        dp6.sieve_condition_report(1000000, 98, 0.4, 1.0, 1000, 30, 12, 4.0)
+    assert seen == [1000000, 1000000]
 
 
 def test_sieve_condition_report_smallest_grid_and_zero_c2():
