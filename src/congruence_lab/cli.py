@@ -339,9 +339,13 @@ def _estimate(command: str, o: argparse.Namespace) -> tuple[float, float]:
         return n * (4000 + walk), n * 2000 + (0 if o.q_list else top) + 2**20
     if command == "vaaler":  # H n screened terms, at worst all recomputed by row sums
         return o.samples * (3 + o.H), 88 * o.samples + 56 * o.H + 2**23
-    if command == "avg-scan":  # each cell over the integers of J, then once per seed
-        cells = math.prod(max(math.floor(2 * P) - math.floor(P), 0) for P in (o.U, o.V, o.W))
-        return (cells * (math.floor(o.Y) + 201) + o.seeds * (cells + 3) * 150,
+    if command == "avg-scan":  # each cell over the integers of J, then per seed its cells
+        # and its unit-disc draws, 1500 steps each: one per w and per (u, v) one joint,
+        # two factorized, none all-ones
+        u, v, w = (max(math.floor(2 * P) - math.floor(P), 0) for P in (o.U, o.V, o.W))
+        cells = u * v * w
+        draws = {"all-ones": 0, "joint": u * v + w, "factorized": 2 * u * v + w}[o.scheme]
+        return (cells * (math.floor(o.Y) + 201) + o.seeds * ((cells + 3) * 150 + 1500 * draws),
                 200 * cells + 1000 * o.seeds + 2**23)
     if command == "dp6-growth":  # 0.6 B / log B cells per B, one Omega table
         a2 = dp6._alpha_bounds(max(*o.B_list, 0))[1]

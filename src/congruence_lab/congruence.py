@@ -28,13 +28,16 @@ box.  Every int64 reduction mod q is arith.floor_mod, x - x // q * q: numpy
 divides by a scalar with a multiply and a shift, where % takes one hardware
 divide per element.  Boxes get a main-term/error-envelope split phi(q) X Y
 / q^2 + O(...).  scan_boxes, the one entry of the box count (count runs it
-on one modulus), checks its inputs once and hands plain boxes (q, X, Y) to
-one body, which checks every box's count bound, main term and envelope
-before the first count, in array passes: the distinct moduli are factored
-by one arith.factor_array, and phi, tau and sigma_{-1/2} read from it by
-one arith.divisor_functions; the forms and ratios of all boxes are float64
-expressions in the scalar order, of the same bits; a box with rx = 0 is
-counted in closed form, and only the others count residues.  No report
+on one modulus), checks its inputs once and hands plain boxes (q, X, Y),
+a side left to q being the int q, to one body, which checks every box's
+count bound, main term and envelope before the first count, in array
+passes: the distinct moduli are factored by one arith.factor_array, phi,
+tau and sigma_{-1/2} read from it by one arith.divisor_functions and taken
+back to input order by one searchsorted; the forms and ratios of all
+boxes are float64 expressions in the scalar order, of the same bits.  The
+count pass forms Qx Qy phi(q) itself and calls for T(q, ry) only when ry
+> 0 and for the T(rx, .) only when rx > 0, so a box with rx = ry = 0
+makes no call and only the boxes with rx > 0 count residues.  No report
 reads the clock: the seconds column of a CountReport is always 0.0.
 
 Regions whose x-range depends on y through slowly varying boundary functions
@@ -76,6 +79,7 @@ from .arith import (MODULUS_LIMIT, block_rows, divisor_functions, factor_array, 
                     legendre_symbols, log1n, mod_inv, sieve_primes)
 
 RationalLike = int | float | Fraction
+Side = int | Fraction  # a box side: the int q when left to the modulus, else a Fraction
 
 _BLOCK = 1 << 14  # residues per block of the box and boundary counts
 _WIDE = 1 << 62  # int64 paths keep every value, and every block sum, below this
@@ -227,38 +231,26 @@ def _class_hits(k: int, q: int, rx: int, Qy: int, ry: int, primes: list[int],
     return Qy * whole + (whole - low if mirror else low)
 
 
-def _linear_count(a: int, b: int, q: int, X: int, Y: int, primes: list[int],
-                  phi_q: int) -> int:
-    # the exact count of a x + b y^2 = 0 (mod q) on the box of floor sides X,
-    # Y, given the primes of q and phi(q): Qx Qy phi(q) + Qx T(q, ry) + Qy
-    # T(rx, q) + T(rx, ry), T(q, ry) in closed form, the T(rx, .) from
-    # _class_hits when rx > 0 (rx = 0 covers q = 1 and every X that is a
-    # multiple of q)
-    Qx, rx = divmod(X, q)
-    Qy, ry = divmod(Y, q)
-    hits = _class_hits(linear_class(a, b, q), q, rx, Qy, ry, primes, phi_q) if rx else 0
-    return Qx * Qy * phi_q + Qx * _unit_count(ry, primes) + hits
-
-
-def _moduli(qs: Sequence[int]) -> tuple[dict[int, tuple[list[int], int]], np.ndarray]:
-    # q -> (its primes, phi(q)) for each distinct q, and the float64 columns
-    # q, q^2, phi(q), tau(q), sigma_{-1/2}(q), log1n(q) of every q, each
+def _moduli(qs: Sequence[int]) -> tuple[list[int], list[tuple[int, int, int]], np.ndarray]:
+    # the primes of the distinct q, ascending q, and for every q of qs in
+    # input order (phi(q), lo, hi), its primes being primes[lo:hi], and the
+    # float64 columns q, q^2, phi(q), tau(q), sigma_{-1/2}(q), log1n(q), each
     # integer rounded once, as Python rounds an int that meets a float: one
-    # factor_array and one divisor_functions pass over the distinct q
-    # (sorted(set(...)): np.unique would import numpy.ma, 18 ms, on its first
-    # call); log1n stays math.log per q, numpy's log not being that function
+    # factor_array and one divisor_functions pass over the distinct q, taken
+    # back to input order by one searchsorted (sorted(set(...)): np.unique
+    # would import numpy.ma, 18 ms, on its first call); log1n stays math.log
+    # per q, numpy's log not being that function
     distinct = sorted(set(qs))
     n = np.array(distinct, dtype=np.int64)
     start, p, e = factor_array(n)
     phi, tau, sigma = divisor_functions(n, start, p, e)
-    bounds, ps = start.tolist(), p.tolist()
-    counts = {q: (ps[lo:hi], f) for q, lo, hi, f in zip(distinct, bounds, bounds[1:], phi.tolist())}
+    at = np.searchsorted(n, qs)
+    counts = zip(phi[at].tolist(), start[at].tolist(), start[at + 1].tolist())
     values = np.array([n, n * n, phi, tau, sigma, [log1n(q) for q in distinct]], dtype=np.float64)
-    index = {q: i for i, q in enumerate(distinct)}
-    return counts, values[:, [index[q] for q in qs]]
+    return p.tolist(), list(counts), values[:, at]
 
 
-def _closed_forms(boxes: Sequence[tuple[int, Fraction, Fraction]], columns: np.ndarray
+def _closed_forms(boxes: Sequence[tuple[int, Side, Side]], columns: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     # (main terms, envelopes) of boxes (q, X, Y) as float64 arrays, given
     # the _moduli columns: each formed left to right as its scalar
@@ -277,16 +269,18 @@ def _closed_forms(boxes: Sequence[tuple[int, Fraction, Fraction]], columns: np.n
 class CountReport(NamedTuple):
     """A box of a x + b y^2 = 0 (mod q) and its report: one CSV row.
 
-    seconds is a retired column, always 0.0.  It is kept so that every CSV
-    and JSON table and every recorded digest of these rows keeps its bytes."""
+    A side left to the modulus is the int q, a fixed side a Fraction; both
+    write the same text, str(q) being str(Fraction(q)).  seconds is a
+    retired column, always 0.0.  It is kept so that every CSV and JSON table
+    and every recorded digest of these rows keeps its bytes."""
 
     a: int
     b: int
     q: int
     e: int
     f: int
-    X: Fraction
-    Y: Fraction
+    X: Side
+    Y: Side
     exact: int
     main_term: float
     envelope: float
@@ -297,26 +291,38 @@ class CountReport(NamedTuple):
 _FLOAT_MAX = int(sys.float_info.max)
 
 
-def _reports(a: int, b: int, boxes: list[tuple[int, Fraction, Fraction]]) -> list[CountReport]:
-    # boxes (q, X, Y) with 1 <= q < 2^31 prime to a b and Fraction sides >= 1.
-    # Every count bound (exact - main makes the count a float; each y <= Y has
-    # one class of x mod q, so at most floor(X) // q + 1 of the x <= X), then
-    # every main term and envelope, is checked before the first count.  The
-    # forms are one array pass
-    floors = [(X.numerator // X.denominator, Y.numerator // Y.denominator) for _, X, Y in boxes]
-    for (q, _, _), (X, Y) in zip(boxes, floors):
+def _reports(a: int, b: int, boxes: list[tuple[int, Side, Side]]) -> list[CountReport]:
+    # boxes (q, X, Y) with 1 <= q < 2^31 prime to a b and int or Fraction
+    # sides >= 1.  Every count bound (exact - main makes the count a float;
+    # each y <= Y has one class of x mod q, so at most floor(X) // q + 1 of
+    # the x <= X), then every main term and envelope, is checked before the
+    # first count.  The forms are one array pass.  The count pass sums, with
+    # floor(X) = Qx q + rx and floor(Y) = Qy q + ry, Qx Qy phi(q), then Qx
+    # T(q, ry) by _unit_count when ry > 0 and the T(rx, .) by _class_hits
+    # when rx > 0 (rx = 0 covers q = 1 and every X that is a multiple of q):
+    # a box with rx = ry = 0 makes no call
+    floors = [(q, X.numerator // X.denominator, Y.numerator // Y.denominator) for q, X, Y in boxes]
+    for q, X, Y in floors:
         if Y * (X // q + 1) > _FLOAT_MAX:
             raise ValueError(f"box sides X, Y are too large at q = {q}: the count bound"
                              f" floor(Y) (floor(X) // q + 1) is outside float range")
-    counts, columns = _moduli([q for q, _, _ in boxes])
+    primes, counts, columns = _moduli([q for q, _, _ in boxes])
     main, env = _closed_forms(boxes, columns)
     bad = np.flatnonzero(~(np.isfinite(main) & np.isfinite(env)))
     if len(bad):
         i = bad[0]
         raise ValueError(f"box sides X, Y are too large at q = {boxes[i][0]}: main term"
                          f" {float(main[i])!r}, envelope {float(env[i])!r}, outside float range")
-    exact = [_linear_count(a, b, q, X, Y, *counts[q])
-             for (q, _, _), (X, Y) in zip(boxes, floors)]
+    exact = []
+    for (q, X, Y), (phi_q, lo, hi) in zip(floors, counts):
+        Qx, rx = divmod(X, q)
+        Qy, ry = divmod(Y, q)
+        n = Qx * Qy * phi_q
+        if ry:
+            n += Qx * _unit_count(ry, primes[lo:hi])
+        if rx:
+            n += _class_hits(linear_class(a, b, q), q, rx, Qy, ry, primes[lo:hi], phi_q)
+        exact.append(n)
     ratio = np.abs(np.array(exact, dtype=np.float64) - main) / env
     return [CountReport(a, b, q, 1, 2, X, Y, n, m, v, r) for (q, X, Y), n, m, v, r
             in zip(boxes, exact, main.tolist(), env.tolist(), ratio.tolist())]
@@ -327,11 +333,12 @@ def scan_boxes(
 ) -> list[CountReport]:
     """Box reports of a x + b y^2 = 0 (mod q) on (0, X] x (0, Y] over a
     family of moduli, in input order; a side left None is the modulus q
-    itself.  Refused (ValueError) before any count: a or b = 0, a fixed
-    side below 1, a modulus below 1 or of 2^31 or more (naming q), and a
-    box whose count bound floor(Y) (floor(X) // q + 1), main term or
-    envelope is outside float range (naming q).  The moduli with gcd(ab, q)
-    != 1 are skipped, with no output."""
+    itself, held as the int q, and a fixed side a Fraction.  Refused
+    (ValueError) before any count: a or b = 0, a fixed side below 1, a
+    modulus below 1 or of 2^31 or more (naming q), and a box whose count
+    bound floor(Y) (floor(X) // q + 1), main term or envelope is outside
+    float range (naming q).  The moduli with gcd(ab, q) != 1 are skipped,
+    with no output."""
     if a == 0 or b == 0:
         raise ValueError("coefficients a, b must be nonzero")
     if any(side is not None and side < 1 for side in (X, Y)):
@@ -339,12 +346,8 @@ def scan_boxes(
     for q in q_values:
         _check_modulus(q)
     X, Y = (None if side is None else Fraction(side) for side in (X, Y))
-    boxes = []
-    for q in q_values:
-        if math.gcd(a * b, q) == 1:
-            side = Fraction(q)
-            boxes.append((q, side if X is None else X, side if Y is None else Y))
-    return _reports(a, b, boxes)
+    return _reports(a, b, [(q, q if X is None else X, q if Y is None else Y)
+                           for q in q_values if math.gcd(a * b, q) == 1])
 
 
 # ---- regions sliced by boundary functions of y ----

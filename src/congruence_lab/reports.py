@@ -2,12 +2,14 @@
 
 A report row is a tuple of values in the order of the fields its caller
 passes: each table's fields are declared where its rows are built, and
-this module imports nothing from the package.  write_table formats every
-cell once, as a string, by fmt, and the JSON mirror stores those same
-strings, so CSV -> JSON -> CSV is byte-identical.
+this module imports nothing from the package.  write_table writes every
+cell as fmt formats it, and the JSON mirror stores those same strings, so
+CSV -> JSON -> CSV is byte-identical.
 fmt goes by a cell's exact type: floats use repr (shortest round-trip form),
 rationals num/den, booleans true/false; other types (numpy's float64 too)
-raise TypeError.
+raise TypeError.  The CSV of value rows is one %-template whose conversion
+for a column of one exact type int, float, Fraction or str writes fmt's
+text; any other column is formatted by fmt cell by cell.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class _Formats(dict):
         raise TypeError(f"no stable format for {kind.__name__}")
 
 
-# one formatter per exact cell type; write_table looks cells up here inline,
+# one formatter per exact cell type; the JSON rows look cells up here inline,
 # as a call to fmt per cell costs box-scan a measurable share of its wall time
 _FORMATS = _Formats({bool: lambda value: "true" if value else "false", int: str, float: repr,
                      Fraction: str, str: str})  # str(Fraction(n, 1)) is str(n)
@@ -88,13 +90,23 @@ def _int_csv(block: np.ndarray) -> str:
     return flat[flat != 0].tobytes().decode("ascii")
 
 
-def _value_cells(k: int, block: Sequence[Sequence]) -> list[str]:
-    """The cells of value rows, each as fmt formats it, refusing a ragged row."""
+def _ragged(k: int, block: Sequence[Sequence]) -> None:
     for row in block:
         if len(row) != k:
             raise ValueError(f"report row of {len(row)} values for {k} fields:"
                              f" {[fmt(value) for value in row]}")
+
+
+def _value_cells(k: int, block: Sequence[Sequence]) -> list[str]:
+    """The cells of value rows, each as fmt formats it, refusing a ragged row."""
+    _ragged(k, block)
     return [_FORMATS[type(value)](value) for row in block for value in row]
+
+
+# the %-conversion of a column whose cells are all of one exact type, as fmt
+# formats that type; a column of any other type or of mixed types is
+# formatted cell by cell by fmt
+_CONVERSIONS = {int: "%d", float: "%r", Fraction: "%s", str: "%s"}
 
 
 def _csv_lines(fields: list[str], block) -> str:
@@ -103,11 +115,20 @@ def _csv_lines(fields: list[str], block) -> str:
         if block.ndim != 2 or block.shape[1] != k:
             raise ValueError(f"integer block of shape {block.shape} for {k} fields")
         return _int_csv(block)
-    cells = _value_cells(k, block)
-    text = (",".join(["%s"] * k) + "\n") * n % tuple(cells)
+    _ragged(k, block)
+    cells = list(chain.from_iterable(block))
+    template = []
+    for j in range(k):
+        kinds = set(map(type, cells[j::k]))
+        conversion = len(kinds) == 1 and _CONVERSIONS.get(kinds.pop())
+        if not conversion:
+            cells[j::k], conversion = list(map(fmt, cells[j::k])), "%s"
+        template.append(conversion)
+    text = (",".join(template) + "\n") * n % tuple(cells)
     # the template alone writes n (k - 1) commas and n newlines
     if (text.count(",") + text.count("\n") != n * k or '"' in text or "\r" in text
             or (k == 1 and "" in cells)):
+        cells = list(map(fmt, cells))  # a raw int or float cell cannot be searched
         i = next(i for i, cell in enumerate(cells)
                  if any(c in cell for c in ',"\r\n') or (k == 1 and cell == ""))
         raise ValueError(f"CSV field {fields[i % k]!r}: cell {cells[i]!r} would need quoting")

@@ -3,6 +3,7 @@ import itertools
 import os
 import re
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -24,6 +25,10 @@ DRAWS = "--H, --samples: estimated"
 FAMILY = "--U, --V, --W, --Y, --seeds: estimated"
 SIEVE = "--B, --q, --tau, --c2, --rho-max, --z-max: estimated"
 TABLE = "--M, --N, --seeds: estimated"
+
+# avg-scan over 4,096 (u, v) of one cell each, one w: the unit-disc draws are
+# most of its time at every scheme but all-ones
+DRAWN = ["--t", "1", "--U", "64", "--V", "64", "--W", "1/2", "--Y", "4", "--X", "1/2"]
 
 # (argv, config file text or None, text the error message must contain)
 REFUSALS = {
@@ -239,6 +244,10 @@ REFUSALS = {
                                       None, TABLE),
     "avg-scan seeds beyond the cap": (["avg-scan", "--U", "16", "--V", "16", "--W", "16",
                                        "--seeds", "4900", "--out", "x.csv"], None, FAMILY),
+    # 8,193 unit-disc draws a seed, two for each of the 4,096 (u, v) and one for the w:
+    # about 3 minutes
+    "avg-scan draws beyond the cap": (["avg-scan", *DRAWN, "--seeds", "4000", "--scheme",
+                                       "factorized", "--out", "x.csv"], None, FAMILY),
     "zero bilinear M": (["bilinear", "--M", "0", "--out", "x.csv"], None,
                         "argument --M: must be >= 1, got '0'"),
     "negative bilinear epsilon": (["bilinear", "--epsilon", "-0.5", "--out", "x.csv"], None,
@@ -302,7 +311,8 @@ def test_huge_q_is_the_next_prime():
 
 
 # every refusal comes before a prime sieve, a cell count, a sieve sequence, a
-# Jacobi table, a box count or a draw of vaaler samples or bilinear signs
+# Jacobi table, a box count or a draw of vaaler samples, bilinear signs or
+# avg-scan coefficients
 @pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
     def no_work(*args):
@@ -311,7 +321,8 @@ def test_refused_before_any_work(case, tmp_path, capsys, monkeypatch):
     for module, name in ((cli.arith, "sieve_primes"), (cli.dp6, "sieve_primes"),
                          (cli.averaged, "cell_sums"),
                          (cli.dp6, "_sieve_sequence"), (cli.congruence, "_jacobi_table"),
-                         (cli.congruence, "_linear_count"), (cli, "random_floats"),
+                         (cli.congruence, "_unit_count"), (cli.congruence, "_class_hits"),
+                         (cli.averaged, "unit_disc_point"), (cli, "random_floats"),
                          (cli, "random_signs")):
         monkeypatch.setattr(module, name, no_work)
     test_refused_before_any_output(case, tmp_path, capsys, monkeypatch)
@@ -407,6 +418,19 @@ def test_every_argv_run_here_is_admitted(tmp_path, monkeypatch):
             steps, size = cli._estimate(argv[0], o)
             assert steps * cost[1] * 1e-9 <= cli.BUDGET_SECONDS, argv
             assert size <= cli.BUDGET_BYTES, argv
+
+
+@pytest.mark.parametrize("scheme", ["all-ones", "joint", "factorized"])
+def test_avg_scan_estimate_bounds_its_run_time(scheme, capsys):
+    # the estimate charges each seed its unit-disc draws, most of this
+    # family's time at every scheme but all-ones
+    argv = ["avg-scan", *DRAWN, "--seeds", "20", "--scheme", scheme]
+    steps = cli._estimate("avg-scan", cli.resolve(cli._plain_args(argv[0], argv)))[0]
+    start = time.perf_counter()
+    assert cli.main(argv) == 0
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert elapsed <= steps * cli._COMMANDS["avg-scan"][3][1] * 1e-9, (elapsed, steps)
 
 
 # (argv, how many times the traced peak the bytes estimate may be); README

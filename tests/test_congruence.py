@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from congruence_lab import arith, cli
+from congruence_lab import arith, cli, reports
 from congruence_lab import averaged as av
 from congruence_lab import congruence as cg
 
@@ -24,8 +24,14 @@ def _count(a, b, q, X, Y):
 
 
 def _huge_count(a, b, q, X, Y):
-    # the box count of a box whose main term scan_boxes refuses as beyond float range
-    return cg._linear_count(a, b, q, int(X // 1), int(Y // 1), _primes(q), oracles.phi(q))
+    # the box count of a box whose main term scan_boxes refuses as beyond float
+    # range, summed as the count pass of _reports sums it: Qx Qy phi(q) + Qx
+    # T(q, ry) + the T(rx, .) of _class_hits, on a box with rx, ry > 0
+    primes, phi = _primes(q), oracles.phi(q)
+    (Qx, rx), (Qy, ry) = divmod(int(X // 1), q), divmod(int(Y // 1), q)
+    assert rx and ry
+    return (Qx * Qy * phi + Qx * cg._unit_count(ry, primes)
+            + cg._class_hits(cg.linear_class(a, b, q), q, rx, Qy, ry, primes, phi))
 
 
 def test_box_fixtures():
@@ -131,8 +137,9 @@ def test_box_count_peak_is_one_block(q):
     # README "Conventions": the box count holds no table, only the
     # temporaries of one block of _BLOCK residues, under 40 bytes each, on
     # both sides of the int64 guard (q about 2.6e6)
-    primes, phi = _primes(q), oracles.phi(q)
-    peak = _traced_peak(lambda: cg._linear_count(3, 5, q, q + q // 3, q + q // 5, primes, phi))
+    primes, phi, k = _primes(q), oracles.phi(q), cg.linear_class(3, 5, q)
+    # the walk of the box q + q // 3 by q + q // 5
+    peak = _traced_peak(lambda: cg._class_hits(k, q, q // 3, 1, q // 5, primes, phi))
     assert peak <= 40 * cg._BLOCK, peak
 
 
@@ -505,7 +512,7 @@ def _closed_form_errors(boxes):
     # L = log(q + 1), with phi, tau and sigma_{-1/2} from the oracles
     import mpmath  # sympy's dependency, so installed with the test extra
 
-    _, columns = cg._moduli([q for q, _, _ in boxes])
+    columns = cg._moduli([q for q, _, _ in boxes])[2]
     main, env = cg._closed_forms(boxes, columns)
     out = []
     with mpmath.workdps(40):
@@ -581,7 +588,8 @@ def test_scan_boxes_refuses_bad_values_before_any_count(kwargs, message, monkeyp
     def no_work(*args):
         raise AssertionError("a box was counted before the values were checked")
 
-    monkeypatch.setattr(cg, "_linear_count", no_work)
+    monkeypatch.setattr(cg, "_unit_count", no_work)
+    monkeypatch.setattr(cg, "_class_hits", no_work)
     with pytest.raises(ValueError, match=message):
         cg.scan_boxes([5, 7], **{"a": 1, "b": 1, "X": None, "Y": None, **kwargs})
 
@@ -681,7 +689,9 @@ def test_batch_reports_match_oracles_property():
                 main.hex(), env.hex(), (abs(rep.exact - main) / env).hex()]
         # a non-finite middle box is named before any box is counted
         middle = len(boxes) // 2
-        with mock.patch.object(cg, "_linear_count", side_effect=AssertionError("counted")):
+        counted = AssertionError("counted")
+        with mock.patch.object(cg, "_unit_count", side_effect=counted), \
+                mock.patch.object(cg, "_class_hits", side_effect=counted):
             with pytest.raises(ValueError, match="at q = 1000000007: main term inf"):
                 cg._reports(a, b, boxes[:middle] + [_OVERFLOWING] + boxes[middle:])
 
@@ -700,6 +710,80 @@ def test_batch_reports_walk_only_boxes_with_a_remainder(monkeypatch):
     assert walked == [23, 29]
     for rep in reps:
         assert rep.exact == oracles.count_exact_naive(rep.a, rep.b, rep.q, rep.X, rep.Y)
+
+
+def test_q_sided_boxes_are_the_fixed_boxes_of_side_q_property():
+    # a side left None is held as the int q, a fixed side as a Fraction; the
+    # reports agree field by field and write the same cells
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    modulus = (st.sampled_from([1, 2, 3, 4, 97, 30030, 44100, 99991, 2**10, 3**7 * 5**2])
+               | st.integers(1, 10**5))
+    coefficient = st.integers(-10**4, 10**4).filter(bool)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(qs=st.lists(modulus, min_size=1, max_size=8), a=coefficient, b=coefficient)
+    def check(qs, a, b):
+        reps = cg.scan_boxes(qs, a, b, None, None)
+        kept = [q for q in qs if math.gcd(a * b, q) == 1]
+        assert [r.q for r in reps] == kept
+        for q, rep in zip(kept, reps):
+            assert type(rep.X) is type(rep.Y) is int
+            for side in (q, Fraction(q)):
+                (fixed,) = cg.scan_boxes([q], a, b, side, side)
+                assert type(fixed.X) is type(fixed.Y) is Fraction
+                assert tuple(rep) == tuple(fixed)
+                assert list(map(reports.fmt, rep)) == list(map(reports.fmt, fixed))
+
+    check()
+
+
+def test_closed_form_boxes_make_no_call(monkeypatch):
+    # every box below has rx = ry = 0: its count is Qx Qy phi(q), with no
+    # unit count, no class walk and no unit sieve
+    def no_call(*args):
+        raise AssertionError("a closed-form box made a call")
+
+    for name in ("_unit_count", "_class_hits", "_units"):
+        monkeypatch.setattr(cg, name, no_call)
+    reps = cg.scan_boxes([1, 2, 3, 5, 6, 10, 15, 30], 7, -11, None, None)
+    reps += cg.scan_boxes([1, 2, 3, 5, 6, 10, 15, 30], 7, -11, 60, Fraction(90))
+    assert len(reps) == 16
+    for rep in reps:
+        assert rep.exact == oracles.count_exact_naive(rep.a, rep.b, rep.q, rep.X, rep.Y)
+
+
+def test_count_pass_calls_only_for_its_remainders(monkeypatch):
+    # ry > 0 alone takes T(q, ry) from _unit_count, rx > 0 alone the T(rx, .)
+    # from _class_hits; either count is the naive one
+    calls = []
+    for name in ("_unit_count", "_class_hits"):
+        real = getattr(cg, name)
+        monkeypatch.setattr(cg, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    rng = random.Random(4801)
+    for _ in range(60):
+        q = rng.choice([2, 3, 4, 9, 12, 25, 30, 49, 97])
+        a, b = (rng.choice([n for n in range(-40, 41) if n and math.gcd(n, q) == 1])
+                for _ in range(2))
+        whole, part = q * rng.randint(1, 4), q * rng.randint(0, 3) + rng.randint(1, q - 1)
+        for X, Y, called in ((whole, part, "_unit_count"), (part, whole, "_class_hits")):
+            calls.clear()
+            (rep,) = cg.scan_boxes([q], a, b, X, Y)
+            assert calls == [called], (q, X, Y)
+            assert rep.exact == oracles.count_exact_naive(a, b, q, X, Y), (a, b, q, X, Y)
+
+
+def test_moduli_keep_input_order():
+    # duplicate and unsorted moduli: each q's phi, primes and columns are
+    # those of q alone
+    qs = [97, 12, 1, 97, 30030, 2, 12, 44100, 1]
+    primes, counts, columns = cg._moduli(qs)
+    assert len(counts) == columns.shape[1] == len(qs)
+    for q, (phi, lo, hi), column in zip(qs, counts, columns.T.tolist()):
+        assert (phi, primes[lo:hi]) == (oracles.phi(q), _primes(q))
+        assert column == cg._moduli([q])[2][:, 0].tolist()
+        assert column[:3] == [q, q * q, phi]
 
 
 def _classes_oracle(y, ks, q):

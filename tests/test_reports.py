@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -223,6 +224,52 @@ def test_fmt_rows_match_csv_writer(tmp_path):
         assert _write_both(tmp_path, fields, blocks) == _oracle_both(fields, rows)
 
     check()
+
+
+def test_typed_template_is_fmt_cell_by_cell_property():
+    # _csv_lines writes a column of one exact type int, float, Fraction or
+    # str through one %-conversion and any other column through fmt: the
+    # text is fmt's, cell by cell, whatever each column holds
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    kinds = {
+        "int": st.sampled_from([0, -1, -7, 2**63, -2**63 - 1, 3**90]) | st.integers(),
+        "float": st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]) | st.floats(),
+        "fraction": st.fractions(),
+        "str": st.text(st.characters(blacklist_characters=',"\r\n'), min_size=1),
+        "bool": st.booleans(),
+    }
+    kinds["mix"] = st.one_of(*kinds.values())
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(data=st.data(), columns=st.lists(st.sampled_from(sorted(kinds)), min_size=1,
+                                                       max_size=7))
+    def check(data, columns):
+        block = data.draw(st.lists(st.tuples(*(kinds[c] for c in columns)), max_size=6))
+        fields = [f"c{j}" for j in range(len(columns))]
+        want = "".join(",".join(map(reports.fmt, row)) + "\n" for row in block)
+        assert reports._csv_lines(fields, block) == want
+
+    check()
+
+
+@pytest.mark.parametrize("value", [np.float64(0.1), np.int64(3)])
+def test_typed_template_refuses_numpy_scalars(value):
+    # a numpy scalar is no exact int or float: its column goes through fmt
+    for block in ([(value, 1)], [(2, value)], [(1.5, value), (2.5, value)]):
+        with pytest.raises(TypeError, match="no stable format"):
+            reports._csv_lines(["a", "b"], block)
+
+
+def test_typed_template_refusals_name_field_and_cell():
+    fields = ["n", "x", "name"]
+    with pytest.raises(ValueError, match=r"report row of 2 values for 3 fields: \['7', '0.5'\]"):
+        reports._csv_lines(fields, [(1, 0.25, "a"), (7, 0.5)])
+    for bad in ("1,2", 'say "x"'):
+        message = f"CSV field 'name': cell {re.escape(repr(bad))} would need quoting"
+        for other in ("b", 3):  # a str column, and a mixed one
+            with pytest.raises(ValueError, match=message):
+                reports._csv_lines(fields, [(1, 0.25, other), (-3, math.nan, bad)])
 
 
 @pytest.mark.parametrize("bad", ["1,2", 'say "x"', "a\rb", "a\nb"])
