@@ -14,13 +14,13 @@ from .averaged import (
     avg_report,
     delta_H,
     error_budget,
-    suggest_H,
     unit_disc_point,
 )
 from .congruence import (
     BoundarySpec,
     CountReport,
     Interval,
+    bilinear_bound,
     bilinear_jacobi,
     box_bounds,
     scan_boxes,

@@ -168,25 +168,32 @@ class ErrorBudget(NamedTuple):
     first_O: float
 
 
-def error_budget(family: AveragedFamily, H: float, epsilon: float) -> ErrorBudget:
-    """The two-part budget (UVWY/H, T_envelope).
+def error_budget(family: AveragedFamily, H: float | None, epsilon: float) -> ErrorBudget:
+    """The two-part budget (UVWY/H, T_envelope) at H, or at the suggested H
+    = (tW)^{1+eps} / X when H is None, X = char_length(family).
 
     T_envelope = Delta_H (Y/sqrt(tW) (U^{1-{l/2}} V^{1-{m/2}} W + U V sqrt(W))
                  + Z) (H t U V W)^eps, with Z depending on whether the
-    weights factor and the cells outgrow the modulus.  Refused (ValueError):
-    H <= 0, epsilon < 0, an epsilon whose power overflows a float, a
-    characteristic length X = char_length(family) <= 0, and an H t U V W or
+    weights factor and the cells outgrow the modulus.  Refused (ValueError),
+    in this order: a given H <= 0, epsilon < 0, X <= 0, X > tW when H is
+    suggested, an epsilon whose power overflows a float, and an H t U V W or
     a budget part outside float range.
     """
-    if H <= 0:
+    if H is not None and H <= 0:
         raise ValueError("H must be positive")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    _length(family)  # refuses a characteristic length X <= 0
+    X = char_length(family)
+    if X <= 0:
+        raise ValueError("characteristic length X must be positive")
     U, V, W = float(family.U), float(family.V), float(family.W)
     Y = float(family.J.length)
     t = family.t
     tW = t * W
+    if H is None:
+        if X > tW:
+            raise ValueError("the suggested H needs X <= tW: give H (--H)")
+        H = eps_power(tW, 1.0 + epsilon) / X
     delta = delta_H(family, H)
     # weights that factor (all but the joint scheme) over cells with UV >= tW
     if family.scheme != "joint" and family.U * family.V >= family.t * family.W:
@@ -216,47 +223,23 @@ def char_length(family: AveragedFamily) -> float:
     return max(0.0, *(float(b.upper(y) - b.lower(y)) for y in ends))
 
 
-def _length(family: AveragedFamily) -> float:
-    # char_length(family), refused unless positive
-    X = char_length(family)
-    if X <= 0:
-        raise ValueError("characteristic length X must be positive")
-    return X
-
-
-def suggest_H(family: AveragedFamily, epsilon: float) -> float:
-    """(tW)^{1+eps} / X with X = char_length(family); refused (ValueError)
-    unless epsilon >= 0 and 0 < X <= tW."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    tW = family.t * float(family.W)
-    X = _length(family)
-    if X > tW:
-        raise ValueError("suggest_H requires X <= tW")
-    return eps_power(tW, 1.0 + epsilon) / X
-
-
 class AveragedReport(NamedTuple):
-    family: AveragedFamily
     seed: int
-    H: float
-    epsilon: float
     S: complex
     M: complex
-    first_O: float
-    T_envelope: float
     ratio: float
 
 
-def avg_report(
-    family: AveragedFamily, H: float, epsilon: float, seeds: Sequence[int]
-) -> list[AveragedReport]:
-    """Exact weighted sum S vs predicted main term M vs error budget, one report
-    per seed, in order.  The budget, which refuses H and epsilon, comes first;
-    then, once for every seed, the live cells of cell_sums (n or mt nonzero),
-    each mt as a float, and their distinct (u, v) and w.  A seed takes d_coeff
-    and e_coeff once per distinct key and sums S and M in cell order, each
-    skipping the cells whose exact n or mt is zero."""
+def avg_report(family: AveragedFamily, H: float | None, epsilon: float, seeds: Sequence[int]
+               ) -> tuple[ErrorBudget, list[AveragedReport]]:
+    """(budget, reports): the error_budget at H (None: the suggested H) and,
+    per seed in order, the exact weighted sum S vs predicted main term M
+    with ratio |S - M| / (UVWY/H + T_envelope).  The budget, which refuses
+    H and epsilon, comes first; then, once for every seed, the live cells of
+    cell_sums (n or mt nonzero), each mt as a float, and their distinct (u,
+    v) and w.  A seed takes d_coeff and e_coeff once per distinct key and
+    sums S and M in cell order, each skipping the cells whose exact n or mt
+    is zero."""
     budget = error_budget(family, H, epsilon)
     denom = budget.first_O + budget.T_envelope
     live = [((u, v), w, n, mt != 0, float(mt)) for u, v, w, n, mt in cell_sums(family) if n or mt]
@@ -272,6 +255,5 @@ def avg_report(
                 S += weight * n
             if has_mt:
                 M += weight * mt_float
-        out.append(AveragedReport(family, seed, H, epsilon, S, M, budget.first_O,
-                                  budget.T_envelope, abs(S - M) / denom))
-    return out
+        out.append(AveragedReport(seed, S, M, abs(S - M) / denom))
+    return budget, out

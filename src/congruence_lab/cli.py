@@ -245,15 +245,15 @@ def _cmd_avg_scan(o: argparse.Namespace) -> int:
     fam = averaged.AveragedFamily(l=o.l, m=o.m, r=o.r, s=o.s, t=o.t, U=o.U, V=o.V, W=o.W,
                                   J=congruence.Interval(o.y0, o.Y),
                                   bounds=congruence.box_bounds(o.X), scheme=o.scheme)
-    H = averaged.suggest_H(fam, o.epsilon) if o.H is None else o.H
-    reps = averaged.avg_report(fam, H, o.epsilon, range(o.seed, o.seed + o.seeds))
+    budget, reps = averaged.avg_report(fam, o.H, o.epsilon, range(o.seed, o.seed + o.seeds))
+    first_O, T_envelope = budget.first_O, budget.T_envelope
     for rep in reps:
         print(f"seed {rep.seed}: |S - M| = {abs(rep.S - rep.M)!r}  "
-              f"budget = {rep.first_O + rep.T_envelope!r}  ratio = {rep.ratio!r}")
+              f"budget = {first_O + T_envelope!r}  ratio = {rep.ratio!r}")
     _emit(o, "averaged congruence sums: exact weighted sum vs main term vs budget",
           AVERAGED_FIELDS, [(fam.l, fam.m, fam.r, fam.s, fam.t, fam.U, fam.V, fam.W, fam.J.length,
-                             fam.scheme, rep.seed, rep.H, rep.epsilon, rep.S.real, rep.S.imag,
-                             rep.M.real, rep.M.imag, rep.first_O, rep.T_envelope, rep.ratio)
+                             fam.scheme, rep.seed, budget.H, budget.epsilon, rep.S.real,
+                             rep.S.imag, rep.M.real, rep.M.imag, first_O, T_envelope, rep.ratio)
                             for rep in reps])
     return 0
 
@@ -297,20 +297,17 @@ BILINEAR_FIELDS = ("M", "N", "seed", "epsilon", "abs_sum", "bound", "ratio")
 
 def _cmd_bilinear(o: argparse.Namespace) -> int:
     half = (o.M + 1) // 2
-    # bilinear_jacobi's checks of epsilon at its M = 2 half - 1, made before any sign is drawn
-    if o.epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    congruence.eps_power((2 * half - 1) * o.N, o.epsilon)
+    M = 2 * half - 1  # the odd m <= M are the rows of a
+    bound = congruence.bilinear_bound(M, o.N, o.epsilon)  # refuses epsilon before any draw
     seeds = range(o.seed, o.seed + o.seeds)
     # column s: seed s's (M+1)/2 signs a, then its N signs b
     signs = np.stack([random_signs(seed, half + o.N) for seed in seeds], axis=1)
-    res = congruence.bilinear_jacobi(signs[:half], signs[half:], o.epsilon)
     rows = []
-    for seed, value in zip(seeds, res.values.tolist()):
+    for seed, value in zip(seeds, congruence.bilinear_jacobi(signs[:half], signs[half:]).tolist()):
         abs_sum = float(abs(value))
-        ratio = abs_sum / res.bound
-        print(f"seed {seed}: |sum| = {abs_sum!r}  bound = {res.bound!r}  ratio = {ratio!r}")
-        rows.append((res.M, res.N, seed, o.epsilon, abs_sum, res.bound, ratio))
+        ratio = abs_sum / bound
+        print(f"seed {seed}: |sum| = {abs_sum!r}  bound = {bound!r}  ratio = {ratio!r}")
+        rows.append((M, o.N, seed, o.epsilon, abs_sum, bound, ratio))
     _emit(o, "bilinear Jacobi-symbol sums vs cancellation benchmark", BILINEAR_FIELDS, rows)
     return 0
 
@@ -347,6 +344,11 @@ def _estimate(command: str, o: argparse.Namespace) -> tuple[float, float]:
         draws = {"all-ones": 0, "joint": u * v + w, "factorized": 2 * u * v + w}[o.scheme]
         return (cells * (math.floor(o.Y) + 201) + o.seeds * ((cells + 3) * 150 + 1500 * draws),
                 200 * cells + 1000 * o.seeds + 2**23)
+    if command == "dp6-enumerate":  # a1 (a2 // q + 1) cells a window prime q, at its format's rate
+        B = o.B if 1 <= o.B < dp6.POINT_BUDGET_LIMIT else 0  # else point_blocks refuses it first
+        (a1, a2), p = dp6._alpha_bounds(B), arith._TRIAL_PRIMES  # arith's table: no sieve
+        cells = a1 * int((a2 // p[(p**3 <= B) & (8 * p**3 > B)] + 1).sum())
+        return cells * {None: 4, "csv": 12, "json": 40}[o.out and o.format], 2**24
     if command == "dp6-growth":  # 0.6 B / log B cells per B, one Omega table
         a2 = dp6._alpha_bounds(max(*o.B_list, 0))[1]
         return sum(0.6 * B / math.log(B) for B in o.B_list if B > 2) + 2.5 * a2, 8 * a2 + 2**20
@@ -396,7 +398,7 @@ _COMMANDS = {
     ), ("--U, --V, --W, --Y, --seeds", 10)),
     "dp6-enumerate": (_cmd_dp6_enumerate, "almost-prime surface points", (
         _req("B", int), Option("t", int, "12"), *_OUT,
-    ), None),
+    ), ("--B, --format", 100)),
     "dp6-growth": (_cmd_dp6_growth, "almost-prime counts by budget", (
         Option("B-list", int_list, "10000,100000,1000000"), Option("t", int, "12"), *_OUT,
     ), ("--B-list", 8)),

@@ -443,8 +443,9 @@ def class_sums(family: Mapping[int, Sequence[int]], bounds: BoundarySpec, J: Int
     one walk of the y in J prime to q for every class k of ks at once.
 
     counts[i] is the exact number of x, y with gcd(y, q) = 1, f_lo(y) < x
-    <= f_hi(y) and x = ks[i] y^2 (mod q): each y adds the positive part of
-    floor((hi_n - c D)/(q D)) - floor((lo_n - c D)/(q D)), c = ks[i] y^2 mod
+    <= f_hi(y) and x = ks[i] y^2 (mod q): each y adds floor((hi_n - c
+    D)/(q D)) - floor((lo_n - c D)/(q D)) >= 0 (f_lo <= f_hi on all of J:
+    _numerators refuses lines that cross at either end), c = ks[i] y^2 mod
     q, with lo_n/D, hi_n/D the boundary values in the int64 or object
     blocks of _numerators.  Each block is taken for up to
     arith.block_rows(len(block)) classes at a time, so no (classes x block)
@@ -471,7 +472,7 @@ def class_sums(family: Mapping[int, Sequence[int]], bounds: BoundarySpec, J: Int
             for i in range(0, len(ks), rows):
                 cD = _x_classes(residues, kv[i : i + rows], q) * D
                 n = (hi_n - cD) // qD - (lo_n - cD) // qD
-                counts[i : i + rows] += np.maximum(n, 0).sum(axis=1).astype(object)
+                counts[i : i + rows] += n.sum(axis=1).astype(object)
             width += Fraction((hi_n - lo_n).sum())
         sums[q] = (counts.tolist(), width / qD)
     return sums
@@ -487,13 +488,6 @@ def eps_power(x: float, p: float) -> float:
 
 
 # ---- bilinear sums of Jacobi symbols ----
-
-class BilinearResult(NamedTuple):
-    values: np.ndarray
-    bound: float
-    M: int
-    N: int
-
 
 def _jacobi_table(M: int, N: int) -> np.ndarray:
     """int8 table of the Jacobi symbols (n/m), row (m - 1)/2 for odd m <= M,
@@ -521,19 +515,26 @@ def _jacobi_table(M: int, N: int) -> np.ndarray:
     return table
 
 
-def bilinear_jacobi(a: np.ndarray, b: np.ndarray, epsilon: float) -> BilinearResult:
+def bilinear_bound(M: int, N: int, epsilon: float) -> float:
+    """(MN)^eps (M sqrt(N) + sqrt(M) N), the cancellation benchmark of every
+    bilinear_jacobi sum over odd m <= M and n <= N.  Refused by ValueError:
+    a negative epsilon, then an epsilon whose (MN)^eps overflows a float."""
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    return eps_power(M * N, epsilon) * (M * math.sqrt(N) + math.sqrt(M) * N)
+
+
+def bilinear_jacobi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """For each column s, the sum over odd m <= M, n <= N of a[(m - 1)/2, s]
-    b[n - 1, s] (n/m), with the cancellation benchmark (MN)^eps (M sqrt(N) +
-    sqrt(M) N) that every column shares.
+    b[n - 1, s] (n/m), as one int64 array; bilinear_bound(M, N, epsilon) is
+    what every column is measured against.
 
     a and b are int arrays of signs +1 and -1, of shapes ((M + 1)/2, S) and
-    (N, S): column s holds the coefficients of one seed.  values is the
-    int64 array ((T b) * a).sum(axis=0), T the int8 table of (n/m) ((M +
-    1)/2 * N bytes, plus its int64 copy in the product), exact as each |sum|
-    is at most (M + 1)/2 * N.  Refused by ValueError: an empty array, seed
-    counts that differ, an entry other than +1 or -1, a negative epsilon and
-    an epsilon whose (MN)^eps overflows a float, all before the table is
-    built.
+    (N, S): column s holds the coefficients of one seed.  The result is
+    ((T b) * a).sum(axis=0), T the int8 table of (n/m) ((M + 1)/2 * N
+    bytes, plus its int64 copy in the product), exact as each |sum| is at
+    most (M + 1)/2 * N.  Refused by ValueError before the table is built:
+    an empty array, seed counts that differ and an entry other than +1 or -1.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or not a.size or not b.size or a.shape[1] != b.shape[1]:
@@ -541,10 +542,5 @@ def bilinear_jacobi(a: np.ndarray, b: np.ndarray, epsilon: float) -> BilinearRes
                          f" (N, S), got {a.shape} and {b.shape}")
     if not all(c.dtype.kind in "iu" and (np.abs(c) == 1).all() for c in (a, b)):
         raise ValueError("coefficients must be integers +1 or -1")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    M = 2 * len(a) - 1
-    N = len(b)
-    bound = eps_power(M * N, epsilon) * (M * math.sqrt(N) + math.sqrt(M) * N)
-    values = ((_jacobi_table(M, N) @ b.astype(np.int64, copy=False)) * a).sum(axis=0)
-    return BilinearResult(values, bound, M, N)
+    table = _jacobi_table(2 * len(a) - 1, len(b))
+    return ((table @ b.astype(np.int64, copy=False)) * a).sum(axis=0)

@@ -41,7 +41,7 @@ def _family(**kw):
 
 def _sums(fam):
     # (S, M) of avg_report, which neither H nor epsilon changes
-    (rep,) = av.avg_report(fam, 1.0, 0.0, (0,))
+    _, (rep,) = av.avg_report(fam, 1.0, 0.0, (0,))
     return rep.S, rep.M
 
 
@@ -188,7 +188,7 @@ def test_error_budget_refuses_a_zero_width_family():
 def test_epsilon_powers_that_overflow_are_refused():
     fam = _family(bounds=cg.box_bounds(1))
     for call in (lambda: av.error_budget(fam, 10.0, 1e300),
-                 lambda: av.suggest_H(fam, 1e300)):
+                 lambda: av.error_budget(fam, None, 1e300)):
         with pytest.raises(ValueError, match="epsilon is too large"):
             call()
     assert av.error_budget(fam, 10.0, 50.0).T_envelope > 1e50
@@ -216,13 +216,18 @@ def test_suggest_h_values():
     def fam(X):
         return _family(t=25, W=4, J=cg.Interval(0, 10), bounds=cg.BoundarySpec(0, 0, X, 0))
 
-    assert av.suggest_H(fam(10), 0.1) == pytest.approx(15.848931924611143)
-    assert av.suggest_H(fam(100), 0.0) == pytest.approx(1.0)
-    assert av.suggest_H(fam(1), 0.0) == pytest.approx(100.0)
-    with pytest.raises(ValueError):
-        av.suggest_H(fam(200), 0.05)
-    with pytest.raises(ValueError):
-        av.suggest_H(fam(0), 0.05)
+    # error_budget at H = None takes the suggested H = (tW)^{1+eps} / X
+    assert av.error_budget(fam(10), None, 0.1).H == pytest.approx(15.848931924611143)
+    assert av.error_budget(fam(100), None, 0.0).H == pytest.approx(1.0)
+    assert av.error_budget(fam(1), None, 0.0).H == pytest.approx(100.0)
+    suggested = av.error_budget(fam(10), None, 0.1)
+    assert suggested == av.error_budget(fam(10), suggested.H, 0.1)
+    with pytest.raises(ValueError, match="the suggested H needs X <= tW: give H"):
+        av.error_budget(fam(200), None, 0.05)
+    with pytest.raises(ValueError, match="characteristic length X must be positive"):
+        av.error_budget(fam(0), None, 0.05)
+    # a given H needs no X <= tW
+    assert av.error_budget(fam(200), 1.0, 0.05).H == 1.0
 
 
 def test_char_length_uses_cell_corners():
@@ -234,11 +239,11 @@ def test_char_length_uses_cell_corners():
 def test_avg_report_consistency():
     fam = _family(scheme="joint", t=5, U=2, V=2, W=2,
                   J=cg.Interval(0, 30), bounds=cg.box_bounds(5))
-    H = av.suggest_H(fam, 0.05)
-    (rep,) = av.avg_report(fam, H, 0.05, seeds=(3,))
+    budget, (rep,) = av.avg_report(fam, None, 0.05, seeds=(3,))
+    assert budget == av.error_budget(fam, None, 0.05)
     assert rep.seed == 3
     assert (rep.S, rep.M) == _cell_loop(fam, 3)
-    denom = rep.first_O + rep.T_envelope
+    denom = budget.first_O + budget.T_envelope
     assert rep.ratio == pytest.approx(abs(rep.S - rep.M) / denom)
 
 
@@ -249,7 +254,7 @@ def test_avg_report_affine_bounds_match_cell_loop():
     fam = _family(scheme="joint", t=5, U=2, V=2, W=2, l=2, m=1, r=3, s=-2,
                   J=cg.Interval(Fraction(-7, 2), 40), bounds=bounds)
     S, M = _cell_loop(fam, 11)
-    (rep,) = av.avg_report(fam, 10.0, 0.05, seeds=(11,))
+    _, (rep,) = av.avg_report(fam, 10.0, 0.05, seeds=(11,))
     assert (rep.S, rep.M) == (S, M)
     assert av.char_length(fam) == float(bounds.upper(Fraction(-7, 2))
                                         - bounds.lower(Fraction(-7, 2)))
@@ -267,12 +272,13 @@ def test_one_boundary_walk_per_cell(monkeypatch):
                   J=cg.Interval(0, 30), bounds=cg.box_bounds(5))
     cells = fam.cells()
     moduli = {7 * w for _, _, w in cells}
-    reps = av.avg_report(fam, 10.0, 0.05, seeds=(3, 4))
+    budget, reps = av.avg_report(fam, 10.0, 0.05, seeds=(3, 4))
     assert sorted(args[0] for args in calls) == sorted(moduli)
     assert len(cells) > len(moduli) > 1
     assert budgets == [(fam, 10.0, 0.05)]
-    assert reps == [*av.avg_report(fam, 10.0, 0.05, seeds=(3,)),
-                    *av.avg_report(fam, 10.0, 0.05, seeds=(4,))]
+    assert (budget, reps) == (av.avg_report(fam, 10.0, 0.05, seeds=(3,))[0],
+                              [*av.avg_report(fam, 10.0, 0.05, seeds=(3,))[1],
+                               *av.avg_report(fam, 10.0, 0.05, seeds=(4,))[1]])
     assert [rep.seed for rep in reps] == [3, 4] and reps[0].S != reps[1].S
     calls.clear()
     _one_class(1, 1, 7, cg.BoundarySpec(0, 1, 3, 2), cg.Interval(0, 20))
@@ -295,15 +301,14 @@ def test_weights_taken_once_per_distinct_key(scheme, monkeypatch):
             if mt:
                 M += weight * float(mt)
     budget = av.error_budget(fam, 10.0, 0.05)
-    want = av.AveragedReport(fam, 3, 10.0, 0.05, S, M, budget.first_O, budget.T_envelope,
-                             abs(S - M) / (budget.first_O + budget.T_envelope))
+    want = av.AveragedReport(3, S, M, abs(S - M) / (budget.first_O + budget.T_envelope))
     d_keys, e_keys = [], []
     d_coeff, e_coeff = av.AveragedFamily.d_coeff, av.AveragedFamily.e_coeff
     monkeypatch.setattr(av.AveragedFamily, "d_coeff", lambda self, seed, u, v:
                         d_keys.append((seed, u, v)) or d_coeff(self, seed, u, v))
     monkeypatch.setattr(av.AveragedFamily, "e_coeff", lambda self, seed, w:
                         e_keys.append((seed, w)) or e_coeff(self, seed, w))
-    assert av.avg_report(fam, 10.0, 0.05, seeds=(3,)) == [want]
+    assert av.avg_report(fam, 10.0, 0.05, seeds=(3,)) == (budget, [want])
     live = [(u, v, w) for u, v, w, n, mt in table if n or mt]
     assert sorted(d_keys) == sorted({(3, u, v) for u, v, _ in live})
     assert sorted(e_keys) == sorted({(3, w) for *_, w in live})
@@ -343,9 +348,11 @@ def test_avg_report_matches_the_seed_loop_oracle():
                         y0=Fraction(1, 2), length=Fraction(1, 2), seeds=[-1, 2**64 + 3])
     def check(scheme, t, U, V, W, X, slope, y0, length, seeds):
         fam = family(scheme, t, U, V, W, X, slope, y0, length)
-        reps = av.avg_report(fam, 10.0, 0.05, seeds)
+        budget, reps = av.avg_report(fam, 10.0, 0.05, seeds)
         assert [(rep.S, rep.M, repr(rep.ratio)) for rep in reps] == \
             [(S, M, repr(ratio)) for S, M, ratio in oracles.avg_sums_loop(fam, 10.0, 0.05, seeds)]
+        denom = budget.first_O + budget.T_envelope
+        assert [rep.ratio for rep in reps] == [abs(rep.S - rep.M) / denom for rep in reps]
 
     # the explicit example: one y, 1, whose main term 10^-400/(tw) is not 0
     # but rounds to 0.0, and whose count is 0, in every cell

@@ -250,6 +250,20 @@ def test_bilinear_builds_one_table_for_every_seed(capsys, monkeypatch):
     assert tables == [(63, 50)]
 
 
+def test_bilinear_forms_its_bound_once_before_any_sign(capsys, monkeypatch):
+    # the bound depends on (M, N, epsilon) only, so one call serves every seed,
+    # and its refusals of epsilon come before the first sign is drawn
+    calls = []
+    for module, name in ((congruence, "bilinear_bound"), (cli, "random_signs")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=original, name=name:
+                            calls.append((name, args)) or f(*args))
+    assert run(["bilinear", "--M", "64", "--N", "50", "--seeds", "3", "--epsilon", "0.1"]) == 0
+    capsys.readouterr()
+    assert calls[0] == ("bilinear_bound", (63, 50, 0.1))  # an even M counts the odd m < M
+    assert [name for name, _ in calls] == ["bilinear_bound", *["random_signs"] * 3]
+
+
 def test_bilinear_holds_no_table_after_the_command(capsys):
     # nothing is cached: the table of (M + 1)/2 N bytes is freed when the command returns
     cells = 512 * 1024

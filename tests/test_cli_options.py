@@ -25,6 +25,7 @@ DRAWS = "--H, --samples: estimated"
 FAMILY = "--U, --V, --W, --Y, --seeds: estimated"
 SIEVE = "--B, --q, --tau, --c2, --rho-max, --z-max: estimated"
 TABLE = "--M, --N, --seeds: estimated"
+POINTS = "--B, --format: estimated"
 
 # avg-scan over 4,096 (u, v) of one cell each, one w: the unit-disc draws are
 # most of its time at every scheme but all-ones
@@ -252,6 +253,9 @@ REFUSALS = {
                         "argument --M: must be >= 1, got '0'"),
     "negative bilinear epsilon": (["bilinear", "--epsilon", "-0.5", "--out", "x.csv"], None,
                                   "epsilon must be nonnegative"),
+    # 53,326,665 family cells at the int64 cap, about 2 minutes as JSON
+    "dp6-enumerate JSON beyond the budget": (["dp6-enumerate", "--B", "2147483647", "--out",
+                                              "x.json", "--format", "json"], None, POINTS),
     "zero point budget": (["dp6-enumerate", "--B", "0", "--out", "x.csv"], None,
                           "budget B must be positive"),
     "negative point factor bound": (["dp6-enumerate", "--B", "1000", "--t", "-1", "--out",
@@ -302,7 +306,7 @@ def test_refused_before_any_output(case, tmp_path, capsys, monkeypatch):
     assert code == 2
     assert needle in err
     assert out == ""
-    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 
 
 def test_huge_q_is_the_next_prime():
@@ -433,6 +437,21 @@ def test_avg_scan_estimate_bounds_its_run_time(scheme, capsys):
     assert elapsed <= steps * cli._COMMANDS["avg-scan"][3][1] * 1e-9, (elapsed, steps)
 
 
+@pytest.mark.parametrize("fmt", ["none", "csv", "json"])
+def test_dp6_enumerate_estimate_bounds_its_run_time(fmt, tmp_path, capsys, monkeypatch):
+    # writing a row costs more than finding it, so each format has its own rate
+    monkeypatch.chdir(tmp_path)
+    out = [] if fmt == "none" else ["--out", "p", "--format", fmt]
+    for B in ("3000000", "10000000"):
+        argv = ["dp6-enumerate", "--B", B, *out]
+        steps = cli._estimate(argv[0], cli.resolve(cli._plain_args(argv[0], argv)))[0]
+        start = time.perf_counter()
+        assert cli.main(argv) == 0
+        elapsed = time.perf_counter() - start
+        capsys.readouterr()
+        assert elapsed <= steps * cli._COMMANDS[argv[0]][3][1] * 1e-9, (B, elapsed, steps)
+
+
 # (argv, how many times the traced peak the bytes estimate may be); README
 # "Admission" states each factor
 BYTES = [
@@ -444,6 +463,8 @@ BYTES = [
     (["bilinear", "--M", "1", "--N", "1", "--seeds", "5000"], 4),
     (["dp6-growth", "--B-list", "1000000000"], 2),
     (["dp6-growth", "--B-list", "1000000,10000000000"], 2),
+    (["dp6-enumerate", "--B", "10000000", "--out", "x.csv"], 6),
+    (["dp6-enumerate", "--B", "1000000", "--out", "x.json", "--format", "json"], 6),
 ]
 
 

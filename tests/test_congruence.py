@@ -1092,15 +1092,16 @@ def _signs(*columns):
 
 def test_bilinear_all_ones_small():
     # m in {1, 3}: inner sums are 3 and (1/3)+(2/3)+(3/3) = 1 - 1 + 0 = 0
-    res = cg.bilinear_jacobi(_signs([1, 1]), _signs([1, 1, 1]), 0.05)
-    assert res.values.tolist() == [3]
-    assert res.M == 3 and res.N == 3
-    assert res.bound == pytest.approx(9**0.05 * (3 * math.sqrt(3) + math.sqrt(3) * 3))
+    values = cg.bilinear_jacobi(_signs([1, 1]), _signs([1, 1, 1]))
+    assert values.tolist() == [3]
+    # two rows of a are m = 1, 3, so M = 3; three rows of b, N = 3
+    assert cg.bilinear_bound(3, 3, 0.05) == pytest.approx(
+        9**0.05 * (3 * math.sqrt(3) + math.sqrt(3) * 3))
 
 
 def test_bilinear_trivial_m():
-    res = cg.bilinear_jacobi(_signs([1]), _signs([1, 1, 1, 1]), 0.05)
-    assert res.values.tolist() == [4]  # (n/1) = 1 for all n
+    values = cg.bilinear_jacobi(_signs([1]), _signs([1, 1, 1, 1]))
+    assert values.tolist() == [4]  # (n/1) = 1 for all n
 
 
 def test_bilinear_validation(monkeypatch):
@@ -1110,20 +1111,21 @@ def test_bilinear_validation(monkeypatch):
 
     monkeypatch.setattr(cg, "_jacobi_table", no_work)
     one = _signs([1])
-    for a, b, epsilon, message in [
-        (np.ones((0, 1), dtype=np.int64), one, 0.05, "nonempty arrays"),  # no m
-        (one, np.ones((3, 0), dtype=np.int64), 0.05, "nonempty arrays"),  # no seed
-        ([1, 1], one, 0.05, r"got \(2,\) and \(1, 1\)"),  # one-dimensional
-        (_signs([1, 1], [1, -1]), _signs([1, 1]), 0.05, r"got \(2, 2\) and \(2, 1\)"),
-        (_signs([1, 2]), one, 0.05, r"\+1 or -1"),
-        (_signs([1, 0]), one, 0.05, r"\+1 or -1"),
-        (one, np.full((1, 1), -128, dtype=np.int8), 0.05, r"\+1 or -1"),  # |-128| wraps
-        (one, np.ones((1, 1)), 0.05, r"\+1 or -1"),  # float entries
-        (one, np.ones((1, 1), dtype=bool), 0.05, r"\+1 or -1"),
-        (one, one, -0.1, "epsilon must be nonnegative"),
+    for a, b, message in [
+        (np.ones((0, 1), dtype=np.int64), one, "nonempty arrays"),  # no m
+        (one, np.ones((3, 0), dtype=np.int64), "nonempty arrays"),  # no seed
+        ([1, 1], one, r"got \(2,\) and \(1, 1\)"),  # one-dimensional
+        (_signs([1, 1], [1, -1]), _signs([1, 1]), r"got \(2, 2\) and \(2, 1\)"),
+        (_signs([1, 2]), one, r"\+1 or -1"),
+        (_signs([1, 0]), one, r"\+1 or -1"),
+        (one, np.full((1, 1), -128, dtype=np.int8), r"\+1 or -1"),  # |-128| wraps
+        (one, np.ones((1, 1)), r"\+1 or -1"),  # float entries
+        (one, np.ones((1, 1), dtype=bool), r"\+1 or -1"),
     ]:
         with pytest.raises(ValueError, match=message):
-            cg.bilinear_jacobi(a, b, epsilon)
+            cg.bilinear_jacobi(a, b)
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        cg.bilinear_bound(1, 1, -0.1)
 
 
 def test_bilinear_refuses_an_overflowing_epsilon_before_the_table(monkeypatch):
@@ -1132,10 +1134,12 @@ def test_bilinear_refuses_an_overflowing_epsilon_before_the_table(monkeypatch):
 
     monkeypatch.setattr(cg, "_jacobi_table", no_work)
     with pytest.raises(ValueError, match=r"epsilon is too large: 25 \*\* 1e\+300"):
-        cg.bilinear_jacobi(_signs([1, -1, 1]), _signs([1] * 5), 1e300)
+        cg.bilinear_bound(5, 5, 1e300)
     # one cell: (MN)^eps = 1 for any epsilon, so nothing overflows
-    monkeypatch.undo()
-    assert cg.bilinear_jacobi(_signs([1]), _signs([1]), 1e300).bound == 2.0
+    assert cg.bilinear_bound(1, 1, 1e300) == 2.0
+    # a negative epsilon is named first, an overflowing one only then
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        cg.bilinear_bound(5, 5, -1e300)
 
 
 def test_distortion_of_box_and_sloped_bounds():
@@ -1172,12 +1176,12 @@ def test_bilinear_matches_loop_for_signs():
         a = [[rng.choice((-1, 1)) for _ in range(rows)] for _ in range(seeds)]
         b = [[rng.choice((-1, 1)) for _ in range(N)] for _ in range(seeds)]
         b[0] = [1] * N  # row m = 1 of T b is then N, past int8 at N = 300
-        res = cg.bilinear_jacobi(_signs(*a), _signs(*b), 0.05)
-        assert res.values.dtype == np.int64 and res.values.shape == (seeds,)
-        assert res.values.tolist() == [bilinear_loop(a_s, b_s) for a_s, b_s in zip(a, b)]
+        values = cg.bilinear_jacobi(_signs(*a), _signs(*b))
+        assert values.dtype == np.int64 and values.shape == (seeds,)
+        assert values.tolist() == [bilinear_loop(a_s, b_s) for a_s, b_s in zip(a, b)]
         # int8 signs are summed in int64, not in their own width
-        narrow = cg.bilinear_jacobi(_signs(*a).astype(np.int8), _signs(*b).astype(np.int8), 0.05)
-        assert narrow.values.tolist() == res.values.tolist()
+        narrow = cg.bilinear_jacobi(_signs(*a).astype(np.int8), _signs(*b).astype(np.int8))
+        assert narrow.tolist() == values.tolist()
 
 
 @pytest.mark.parametrize("M, N", [(511, 512), (2047, 1024)])
@@ -1187,5 +1191,5 @@ def test_bilinear_peak_matches_the_readme_formula(M, N):
     # length M or N (the least-prime-factor sieve, n, the coefficients)
     rows = (M + 1) // 2
     a, b = _signs([1] * rows), _signs([(-1) ** n for n in range(N)])
-    peak = _traced_peak(lambda: cg.bilinear_jacobi(a, b, 0.05))
+    peak = _traced_peak(lambda: cg.bilinear_jacobi(a, b))
     assert 9 * rows * N <= peak <= 9 * rows * N + 32 * (M + N), peak

@@ -47,12 +47,13 @@ def test_box_row_fields_and_timings():
 
 
 def test_averaged_row_fields(tmp_path, capsys):
-    # avg-scan writes each AveragedReport as one row of cli.AVERAGED_FIELDS
+    # avg-scan writes each AveragedReport, with the one budget's H, epsilon and
+    # parts, as one row of cli.AVERAGED_FIELDS
     fam = av.AveragedFamily(
         l=1, m=1, r=1, s=1, t=3, U=1, V=1, W=Fraction(1, 2),
         J=cg.Interval(0, 10), bounds=cg.box_bounds(5), scheme="all-ones",
     )
-    (rep,) = av.avg_report(fam, H=4.0, epsilon=0.05, seeds=(7,))
+    budget, (rep,) = av.avg_report(fam, H=4.0, epsilon=0.05, seeds=(7,))
     out = tmp_path / "avg.csv"
     assert cli.main(["avg-scan", "--W", "1/2", "--Y", "10", "--X", "5", "--H", "4",
                      "--seed", "7", "--scheme", "all-ones", "--out", str(out)]) == 0
@@ -64,9 +65,10 @@ def test_averaged_row_fields(tmp_path, capsys):
     assert row["scheme"] == "all-ones"
     assert row["seed"] == "7"
     assert row["S_im"] == "0.0"
+    assert [row["H"], row["epsilon"]] == [reports.fmt(budget.H), reports.fmt(budget.epsilon)]
     assert [row[f] for f in ("S_re", "M_re", "M_im", "first_O", "T_envelope", "ratio")] == [
-        reports.fmt(v) for v in (rep.S.real, rep.M.real, rep.M.imag, rep.first_O,
-                                 rep.T_envelope, rep.ratio)]
+        reports.fmt(v) for v in (rep.S.real, rep.M.real, rep.M.imag, budget.first_O,
+                                 budget.T_envelope, rep.ratio)]
 
 
 def test_growth_and_point_rows():
